@@ -54,9 +54,10 @@ echo "== state smoke =="
 PYTHONPATH=src python scripts/state_smoke.py
 
 echo "== serve smoke =="
-# Live admission service: WebSocket decision round-trip, 500 load-
-# generator decisions, a well-formed streamed series frame, and a
-# clean shutdown.
+# Live admission service: WebSocket decision round-trip, a 200-frame
+# pipelined burst with a malformed frame in it (in-order replies, one
+# error, connection kept), 500 load-generator decisions, a well-formed
+# streamed series frame, and a clean shutdown.
 PYTHONPATH=src python scripts/serve_smoke.py
 
 echo "== spatial smoke =="

@@ -6,6 +6,9 @@ subscriber listens, then asserts:
 
 * the decision API answers (an ``admit`` round-trip over the socket
   returns a decision frame carrying the reserved/used snapshot);
+* a pipelined burst — 200 frames in one write, a malformed one in the
+  middle — gets 200 replies in request order, the bad one an ``error``,
+  and leaves the connection open;
 * the state stream produces a well-formed frame — it must parse as a
   JSON series row with the fields ``repro dash`` renders;
 * shutdown is clean (worker drained, clients closed, no stray tasks).
@@ -14,14 +17,16 @@ Run from the repository root:  PYTHONPATH=src python scripts/serve_smoke.py
 """
 
 import asyncio
+import json
 import sys
 
 from repro.serve import AdmissionService
 from repro.serve.loadgen import run_load
-from repro.serve.ws import AsyncWsClient, WebSocketGateway
+from repro.serve.ws import AsyncWsClient, WebSocketGateway, encode_frame
 from repro.simulation.scenarios import stationary
 
 DECISIONS = 500
+BURST = 200
 
 
 async def main() -> int:
@@ -44,6 +49,30 @@ async def main() -> int:
     for field in ("t", "cell", "admitted", "reserved", "used"):
         assert field in decision, f"decision frame missing {field!r}"
     print(f"serve smoke: decision round-trip ok ({decision['cell']=})")
+
+    frames = [
+        encode_frame(
+            json.dumps({"op": "admit", "cell": index % 6, "id": index}).encode(),
+            mask=True,
+        )
+        for index in range(BURST)
+    ]
+    frames[BURST // 2] = encode_frame(b"{not json", mask=True)
+    client._writer.write(b"".join(frames))
+    replies = [
+        await asyncio.wait_for(client.recv_json(), timeout=5.0)
+        for _ in range(BURST)
+    ]
+    bad = replies.pop(BURST // 2)
+    assert bad["op"] == "error" and "id" not in bad, bad
+    assert [reply["id"] for reply in replies] == [
+        index for index in range(BURST) if index != BURST // 2
+    ], "pipelined replies out of request order"
+    assert all(reply["op"] == "decision" for reply in replies)
+    stats = await client.request({"op": "stats"})
+    # The round trip above plus the burst's BURST - 1 well-formed frames.
+    assert stats["op"] == "stats" and stats["decisions"] == BURST, stats
+    print(f"serve smoke: {BURST}-frame burst answered in order, 1 error frame")
 
     report = await run_load(
         service, decisions=DECISIONS, concurrency=8, pipeline=16

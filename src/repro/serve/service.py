@@ -48,8 +48,8 @@ class BroadcastStream:
     Passed as the sampler's ``stream``; each subscriber is a plain
     callable receiving the JSONL line (no trailing newline handling —
     lines arrive exactly as written).  Subscribers are called on the
-    event loop thread; WebSocket clients enqueue and send from their
-    own tasks.
+    event loop thread; the WebSocket gateway writes each row to its
+    connection from the callback.
     """
 
     def __init__(self, backlog: int = 64) -> None:

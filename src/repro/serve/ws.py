@@ -14,6 +14,14 @@ protocol:
   ``repro dash ws://host:port`` renders them unchanged)
 * ``{"op": "stats"}`` → service counters (decisions/s, P50/P99, depth)
 
+A connection is served by one pipelined loop (:class:`_Session`): one
+bounded read per wake-up, every frame the read completes parsed in one
+pass, each run of consecutive ``admit``/``event`` requests applied as
+one :meth:`AdmissionService.submit_many` group, and every reply of the
+read written with one ``write`` + one ``drain``.  Replies leave strictly
+in request order; ``stats``, ``subscribe``, ping and close first settle
+the run before them, so they observe every request sent earlier.
+
 :class:`SyncWsClient` is the bundled blocking client — what
 ``repro dash`` and the smoke script use from outside the service
 process; :class:`AsyncWsClient` is its asyncio twin for in-loop tests.
@@ -25,14 +33,18 @@ import asyncio
 import base64
 import hashlib
 import json
+import math
 import os
 import socket
+from collections import deque
 from urllib.parse import urlsplit
 
-from repro.serve.events import COMPLETE, EXIT, HANDOFF, StreamEvent
+from repro.serve.events import ARRIVAL, COMPLETE, EXIT, HANDOFF, StreamEvent
 
 __all__ = [
     "AsyncWsClient",
+    "FrameDecoder",
+    "FrameError",
     "SyncWsClient",
     "WebSocketGateway",
     "encode_frame",
@@ -46,11 +58,38 @@ OP_CLOSE = 0x8
 OP_PING = 0x9
 OP_PONG = 0xA
 
+CLOSE_PROTOCOL_ERROR = 1002
+CLOSE_TOO_BIG = 1009
+
+#: Largest payload a peer may declare.  A longer frame is refused from
+#: its header alone (close status 1009), so nobody can make this end
+#: buffer without bound.
+MAX_FRAME_BYTES = 1 << 20
+
+#: Bytes the gateway takes from a connection per wake-up.  The requests
+#: of one read form one ``submit_many`` group, so this is also the group
+#: bound: ≈90 protocol requests, about a millisecond of engine work —
+#: well inside the default 5 ms decision budget (64 KiB reads put 714
+#: events in a group and half of a saturating client's decisions over
+#: it, for 6 % more throughput).  What a client sends beyond it waits
+#: in the socket: TCP is the back-pressure.
+READ_BYTES = 8192
+
 
 def handshake_accept(key: str) -> str:
     """``Sec-WebSocket-Accept`` for a client's ``Sec-WebSocket-Key``."""
     digest = hashlib.sha1((key + _WS_GUID).encode("ascii")).digest()
     return base64.b64encode(digest).decode("ascii")
+
+
+def _mask(payload, key) -> bytes:
+    """``payload`` XOR the repeating 4-byte ``key`` (RFC 6455 §5.3), as
+    one big-integer operation.  Masking is its own inverse."""
+    size = len(payload)
+    pad = (bytes(key) * (size // 4 + 1))[:size]
+    return (
+        int.from_bytes(payload, "big") ^ int.from_bytes(pad, "big")
+    ).to_bytes(size, "big")
 
 
 def encode_frame(payload: bytes, opcode: int = OP_TEXT, mask: bool = False) -> bytes:
@@ -70,30 +109,233 @@ def encode_frame(payload: bytes, opcode: int = OP_TEXT, mask: bool = False) -> b
     if mask:
         key = os.urandom(4)
         header += key
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+        payload = _mask(payload, key)
     return bytes(header) + payload
 
 
-def _unmask(payload: bytes, key: bytes) -> bytes:
-    return bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+class FrameError(ConnectionError):
+    """A frame this endpoint refuses; ``status`` is the close code."""
+
+    def __init__(self, message: str, status: int) -> None:
+        super().__init__(message)
+        self.status = status
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> tuple[int, bytes]:
-    head = await reader.readexactly(2)
-    if not head[0] & 0x80:
-        raise ConnectionError("fragmented frames are not supported")
-    opcode = head[0] & 0x0F
-    masked = bool(head[1] & 0x80)
-    length = head[1] & 0x7F
-    if length == 126:
-        length = int.from_bytes(await reader.readexactly(2), "big")
-    elif length == 127:
-        length = int.from_bytes(await reader.readexactly(8), "big")
-    key = await reader.readexactly(4) if masked else b""
-    payload = await reader.readexactly(length) if length else b""
-    if key:
-        payload = _unmask(payload, key)
-    return opcode, payload
+class FrameDecoder:
+    """Incremental frame parser — the one place a header is read.
+
+    Feed it the byte stream in chunks of any size; it yields each frame
+    as soon as its last byte has arrived and keeps the unfinished rest.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes):
+        """Yield ``(opcode, unmasked payload)`` for every frame ``data``
+        completes.  Raises :class:`FrameError` at a fragmented frame or
+        one declaring more than :data:`MAX_FRAME_BYTES`."""
+        buffer = self._buffer
+        buffer += data
+        size = len(buffer)
+        offset = 0
+        try:
+            while size - offset >= 2:
+                first = buffer[offset]
+                second = buffer[offset + 1]
+                if not first & 0x80:
+                    raise FrameError(
+                        "fragmented frames are not supported",
+                        CLOSE_PROTOCOL_ERROR,
+                    )
+                length = second & 0x7F
+                start = offset + 2
+                if length >= 126:
+                    start += 2 if length == 126 else 8
+                    if start > size:
+                        break
+                    length = int.from_bytes(buffer[offset + 2 : start], "big")
+                    if length > MAX_FRAME_BYTES:
+                        raise FrameError(
+                            f"frame of {length} bytes exceeds the"
+                            f" {MAX_FRAME_BYTES}-byte limit",
+                            CLOSE_TOO_BIG,
+                        )
+                masked = second & 0x80
+                if masked:
+                    start += 4
+                end = start + length
+                if end > size:
+                    break
+                if masked:
+                    payload = _mask(buffer[start:end], buffer[start - 4 : start])
+                else:
+                    payload = bytes(buffer[start:end])
+                offset = end
+                yield first & 0x0F, payload
+        finally:
+            del buffer[:offset]
+
+
+def _stream_event(message: dict) -> StreamEvent | None:
+    """The stream event an ``admit``/``event`` request carries (``None``
+    for any other op).  Field types are checked here: the event is
+    applied by the service's shared worker, which must not meet a value
+    it cannot compare or hash."""
+    op = message.get("op")
+    if op == "admit":
+        kind = ARRIVAL
+        cell = int(message["cell"])
+    elif op == "event":
+        kind = message.get("kind")
+        if kind not in (HANDOFF, COMPLETE, EXIT):
+            raise ValueError(f"unknown event kind {kind!r}")
+        cell = int(message.get("cell", -1))
+    else:
+        return None
+    t = message.get("t")
+    if t is not None:
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
+    traffic = message.get("traffic", "voice")
+    if not isinstance(traffic, str):
+        raise ValueError(f"traffic must be a string, got {traffic!r}")
+    return StreamEvent(
+        t=t,
+        kind=kind,
+        cell=cell,
+        conn=int(message.get("conn", -1)),
+        traffic=traffic,
+    )
+
+
+def _reply_frame(reply: dict, message) -> bytes:
+    """``reply`` as a text frame, echoing the request's ``id`` if any."""
+    if isinstance(message, dict) and "id" in message:
+        reply["id"] = message["id"]
+    return encode_frame(json.dumps(reply, sort_keys=True).encode("utf-8"))
+
+
+def _error_frame(error: str, message) -> bytes:
+    return _reply_frame({"op": "error", "error": error}, message)
+
+
+class _Session:
+    """One connection's pipelined request loop (see the module docstring)."""
+
+    def __init__(self, service, reader, writer) -> None:
+        self._service = service
+        self._dropped_rows = service.driver.sim.telemetry.counter(
+            "serve.subscriber_dropped_rows"
+        )
+        self._reader = reader
+        self._writer = writer
+        #: Reply frames of the current read, in request order.
+        self._out: list[bytes] = []
+        #: The current run of stream requests: ``(event, message)``.
+        self._run: list[tuple[StreamEvent, dict]] = []
+        self._subscribed = False
+
+    async def serve(self) -> None:
+        decoder = FrameDecoder()
+        out = self._out
+        writer = self._writer
+        close = None  # payload of the close frame that ends the session
+        try:
+            while close is None:
+                data = await self._reader.read(READ_BYTES)
+                if not data:
+                    break
+                try:
+                    for opcode, payload in decoder.feed(data):
+                        if opcode == OP_TEXT:
+                            await self._on_text(payload)
+                        elif opcode == OP_PING:
+                            await self._settle()
+                            out.append(encode_frame(payload, opcode=OP_PONG))
+                        elif opcode == OP_CLOSE:
+                            close = payload
+                            break
+                except FrameError as error:
+                    # Everything before the refused frame is still answered.
+                    close = error.status.to_bytes(2, "big")
+                await self._settle()
+                if close is not None:
+                    out.append(encode_frame(close, opcode=OP_CLOSE))
+                writer.write(b"".join(out))
+                out.clear()
+                await writer.drain()
+        finally:
+            if self._subscribed:
+                self._service.broadcast.unsubscribe(self._on_row)
+
+    async def _on_text(self, payload: bytes) -> None:
+        message = None
+        try:
+            message = json.loads(payload.decode("utf-8"))
+            if not isinstance(message, dict):
+                raise ValueError("request must be a JSON object")
+            event = _stream_event(message)
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            await self._settle()
+            self._out.append(_error_frame(str(error), message))
+            return
+        if event is not None:
+            self._run.append((event, message))
+            return
+        await self._settle()
+        op = message.get("op")
+        if op == "stats":
+            reply = {"op": "stats", **self._service.stats()}
+            self._out.append(_reply_frame(reply, message))
+        elif op == "subscribe":
+            self._subscribe()
+        else:
+            self._out.append(_error_frame(f"unknown op {op!r}", message))
+
+    async def _settle(self) -> None:
+        """Apply the pending run as one group and queue its replies."""
+        run = self._run
+        if not run:
+            return
+        results = await self._service.submit_many([event for event, _ in run])
+        out = self._out
+        for (_, message), result in zip(run, results):
+            if result is None:
+                out.append(_reply_frame({"op": "ok"}, message))
+            elif isinstance(result, Exception):
+                out.append(_error_frame(str(result), message))
+            else:
+                reply = {"op": "decision", **result.to_json()}
+                out.append(_reply_frame(reply, message))
+        run.clear()
+
+    def _subscribe(self) -> None:
+        if self._subscribed:
+            return
+        self._subscribed = True
+        broadcast = self._service.broadcast
+        out = self._out
+        out.extend(
+            encode_frame(line.encode("utf-8")) for line in broadcast.backlog
+        )
+        # Hand over what is queued before the first live row can be
+        # written, or that row would overtake the backlog.
+        self._writer.write(b"".join(out))
+        out.clear()
+        broadcast.subscribe(self._on_row)
+
+    def _on_row(self, line: str) -> None:
+        # Called on the loop thread between awaits: a whole frame per
+        # write cannot interleave with the replies.  A subscriber that
+        # stopped reading loses rows instead of growing the buffer.
+        transport = self._writer.transport
+        _low, high = transport.get_write_buffer_limits()
+        if transport.get_write_buffer_size() > high:
+            self._dropped_rows.inc()
+            return
+        self._writer.write(encode_frame(line.encode("utf-8")))
 
 
 class WebSocketGateway:
@@ -136,9 +378,10 @@ class WebSocketGateway:
             if not await self._handshake(reader, writer):
                 return
             self.connections_served += 1
-            await self._session(reader, writer)
+            await _Session(self.service, reader, writer).serve()
         except (
             asyncio.IncompleteReadError,
+            asyncio.LimitOverrunError,
             ConnectionError,
             asyncio.CancelledError,
         ):
@@ -182,99 +425,6 @@ class WebSocketGateway:
         await writer.drain()
         return True
 
-    async def _session(self, reader, writer) -> None:
-        # All outbound frames (replies and broadcast rows) funnel
-        # through one queue so concurrent tasks never interleave bytes
-        # on the socket.
-        outbound: asyncio.Queue = asyncio.Queue()
-        broadcast = self.service.broadcast
-        subscribed = False
-
-        def on_row(line: str) -> None:
-            outbound.put_nowait(line)
-
-        async def sender() -> None:
-            while True:
-                item = await outbound.get()
-                if item is None:
-                    break
-                writer.write(encode_frame(item.encode("utf-8")))
-                await writer.drain()
-
-        send_task = asyncio.create_task(sender())
-        try:
-            while True:
-                opcode, payload = await _read_frame(reader)
-                if opcode == OP_CLOSE:
-                    writer.write(encode_frame(payload, opcode=OP_CLOSE))
-                    await writer.drain()
-                    break
-                if opcode == OP_PING:
-                    writer.write(encode_frame(payload, opcode=OP_PONG))
-                    await writer.drain()
-                    continue
-                if opcode != OP_TEXT:
-                    continue
-                reply = await self._dispatch(payload, on_row)
-                if reply is _SUBSCRIBED:
-                    if not subscribed:
-                        subscribed = True
-                        for line in list(broadcast.backlog):
-                            outbound.put_nowait(line)
-                        broadcast.subscribe(on_row)
-                elif reply is not None:
-                    outbound.put_nowait(json.dumps(reply, sort_keys=True))
-        finally:
-            if subscribed:
-                broadcast.unsubscribe(on_row)
-            outbound.put_nowait(None)
-            await send_task
-
-    async def _dispatch(self, payload: bytes, on_row) -> dict | object | None:
-        try:
-            message = json.loads(payload.decode("utf-8"))
-            if not isinstance(message, dict):
-                raise ValueError("request must be a JSON object")
-            op = message.get("op")
-            if op == "admit":
-                decision = await self.service.admit(
-                    cell=int(message["cell"]),
-                    traffic=message.get("traffic", "voice"),
-                    t=message.get("t"),
-                    conn=int(message.get("conn", -1)),
-                )
-                reply = {"op": "decision", **decision.to_json()}
-            elif op == "event":
-                kind = message.get("kind")
-                if kind not in (HANDOFF, COMPLETE, EXIT):
-                    raise ValueError(f"unknown event kind {kind!r}")
-                decision = await self.service.submit(
-                    StreamEvent(
-                        t=message.get("t"),
-                        kind=kind,
-                        cell=int(message.get("cell", -1)),
-                        conn=int(message.get("conn", -1)),
-                    )
-                )
-                if decision is None:
-                    reply = {"op": "ok"}
-                else:
-                    reply = {"op": "decision", **decision.to_json()}
-            elif op == "subscribe":
-                return _SUBSCRIBED
-            elif op == "stats":
-                reply = {"op": "stats", **self.service.stats()}
-            else:
-                raise ValueError(f"unknown op {op!r}")
-        except (KeyError, TypeError, ValueError) as error:
-            reply = {"op": "error", "error": str(error)}
-        if "id" in (message if isinstance(message, dict) else {}):
-            reply["id"] = message["id"]
-        return reply
-
-
-_SUBSCRIBED = object()  # sentinel: _dispatch asks the session to subscribe
-
 
 # ----------------------------------------------------------------------
 # clients
@@ -288,6 +438,14 @@ def _client_handshake_bytes(host: str, port: int, path: str, key: str) -> bytes:
         f"Sec-WebSocket-Key: {key}\r\n"
         "Sec-WebSocket-Version: 13\r\n\r\n"
     ).encode("ascii")
+
+
+def _check_handshake_response(response: bytes, key: str) -> None:
+    status = response.split(b"\r\n", 1)[0].decode("latin-1")
+    if "101" not in status:
+        raise ConnectionError(f"handshake refused: {status}")
+    if handshake_accept(key).encode("ascii") not in response:
+        raise ConnectionError("bad Sec-WebSocket-Accept in handshake")
 
 
 def _parse_ws_url(url: str) -> tuple[str, int, str]:
@@ -311,58 +469,43 @@ class SyncWsClient:
         host, port, path = _parse_ws_url(url)
         key = base64.b64encode(os.urandom(16)).decode("ascii")
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._buffer = b""
+        self._decoder = FrameDecoder()
+        self._frames: deque[tuple[int, bytes]] = deque()
         self._sock.sendall(_client_handshake_bytes(host, port, path, key))
-        response = self._read_until(b"\r\n\r\n")
-        status = response.split(b"\r\n", 1)[0].decode("latin-1")
-        if "101" not in status:
-            raise ConnectionError(f"handshake refused: {status}")
-        expected = handshake_accept(key).encode("ascii")
-        if expected not in response:
-            raise ConnectionError("bad Sec-WebSocket-Accept in handshake")
-
-    def _read_until(self, marker: bytes) -> bytes:
-        while marker not in self._buffer:
+        response = b""
+        while b"\r\n\r\n" not in response:
             chunk = self._sock.recv(4096)
             if not chunk:
                 raise ConnectionError("connection closed during handshake")
-            self._buffer += chunk
-        index = self._buffer.index(marker) + len(marker)
-        head, self._buffer = self._buffer[:index], self._buffer[index:]
-        return head
-
-    def _read_exactly(self, count: int) -> bytes:
-        while len(self._buffer) < count:
-            chunk = self._sock.recv(4096)
-            if not chunk:
-                raise ConnectionError("connection closed mid-frame")
-            self._buffer += chunk
-        data, self._buffer = self._buffer[:count], self._buffer[count:]
-        return data
+            response += chunk
+        head, _, rest = response.partition(b"\r\n\r\n")
+        _check_handshake_response(head, key)
+        self._frames.extend(self._decoder.feed(rest))
 
     def send_json(self, message: dict) -> None:
         payload = json.dumps(message, sort_keys=True).encode("utf-8")
         self._sock.sendall(encode_frame(payload, mask=True))
 
+    def recv_frame(self) -> tuple[int, bytes]:
+        """Next frame of any opcode, as ``(opcode, payload)``."""
+        while not self._frames:
+            chunk = self._sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("connection closed mid-frame")
+            self._frames.extend(self._decoder.feed(chunk))
+        return self._frames.popleft()
+
     def recv_text(self) -> str | None:
         """Next text frame; answers pings; ``None`` on close."""
         while True:
-            head = self._read_exactly(2)
-            opcode = head[0] & 0x0F
-            length = head[1] & 0x7F
-            if length == 126:
-                length = int.from_bytes(self._read_exactly(2), "big")
-            elif length == 127:
-                length = int.from_bytes(self._read_exactly(8), "big")
-            payload = self._read_exactly(length) if length else b""
+            opcode, payload = self.recv_frame()
             if opcode == OP_CLOSE:
                 return None
             if opcode == OP_PING:
                 self._sock.sendall(
                     encode_frame(payload, opcode=OP_PONG, mask=True)
                 )
-                continue
-            if opcode == OP_TEXT:
+            elif opcode == OP_TEXT:
                 return payload.decode("utf-8")
 
     def recv_json(self) -> dict | None:
@@ -400,6 +543,8 @@ class AsyncWsClient:
     def __init__(self, reader, writer) -> None:
         self._reader = reader
         self._writer = writer
+        self._decoder = FrameDecoder()
+        self._frames: deque[tuple[int, bytes]] = deque()
 
     @classmethod
     async def connect(cls, url: str) -> "AsyncWsClient":
@@ -409,10 +554,7 @@ class AsyncWsClient:
         writer.write(_client_handshake_bytes(host, port, path, key))
         await writer.drain()
         response = await reader.readuntil(b"\r\n\r\n")
-        if b"101" not in response.split(b"\r\n", 1)[0]:
-            raise ConnectionError("handshake refused")
-        if handshake_accept(key).encode("ascii") not in response:
-            raise ConnectionError("bad Sec-WebSocket-Accept in handshake")
+        _check_handshake_response(response, key)
         return cls(reader, writer)
 
     async def send_json(self, message: dict) -> None:
@@ -420,9 +562,18 @@ class AsyncWsClient:
         self._writer.write(encode_frame(payload, mask=True))
         await self._writer.drain()
 
+    async def recv_frame(self) -> tuple[int, bytes]:
+        """Next frame of any opcode, as ``(opcode, payload)``."""
+        while not self._frames:
+            chunk = await self._reader.read(65536)
+            if not chunk:
+                raise ConnectionError("connection closed mid-frame")
+            self._frames.extend(self._decoder.feed(chunk))
+        return self._frames.popleft()
+
     async def recv_text(self) -> str | None:
         while True:
-            opcode, payload = await _read_frame(self._reader)
+            opcode, payload = await self.recv_frame()
             if opcode == OP_CLOSE:
                 return None
             if opcode == OP_PING:
@@ -430,8 +581,7 @@ class AsyncWsClient:
                     encode_frame(payload, opcode=OP_PONG, mask=True)
                 )
                 await self._writer.drain()
-                continue
-            if opcode == OP_TEXT:
+            elif opcode == OP_TEXT:
                 return payload.decode("utf-8")
 
     async def recv_json(self) -> dict | None:

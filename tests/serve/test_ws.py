@@ -2,17 +2,26 @@
 
 import asyncio
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serve import AdmissionService
+from repro.serve import AdmissionService, StreamDriver, record_run
+from repro.serve.events import ARRIVAL, HANDOFF
 from repro.serve.ws import (
+    MAX_FRAME_BYTES,
     OP_CLOSE,
+    OP_PING,
+    OP_PONG,
     OP_TEXT,
+    READ_BYTES,
     AsyncWsClient,
+    FrameDecoder,
+    SyncWsClient,
     WebSocketGateway,
     _parse_ws_url,
-    _read_frame,
     encode_frame,
     handshake_accept,
 )
@@ -38,16 +47,7 @@ class TestFrameCodec:
     def test_frame_round_trips_all_length_encodings(self, size, mask):
         payload = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
         frame = encode_frame(payload, mask=mask)
-
-        async def decode():
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame)
-            reader.feed_eof()
-            return await _read_frame(reader)
-
-        opcode, decoded = asyncio.run(decode())
-        assert opcode == OP_TEXT
-        assert decoded == payload
+        assert list(FrameDecoder().feed(frame)) == [(OP_TEXT, payload)]
 
     def test_masked_frames_obscure_the_wire_bytes(self):
         payload = b"admission-control"
@@ -58,15 +58,57 @@ class TestFrameCodec:
     def test_fragmented_frames_are_rejected(self):
         frame = bytearray(encode_frame(b"partial"))
         frame[0] &= 0x7F  # clear FIN
-
-        async def decode():
-            reader = asyncio.StreamReader()
-            reader.feed_data(bytes(frame))
-            reader.feed_eof()
-            return await _read_frame(reader)
-
         with pytest.raises(ConnectionError, match="fragmented"):
-            asyncio.run(decode())
+            list(FrameDecoder().feed(bytes(frame)))
+
+    def test_oversized_frame_is_refused_from_its_header(self):
+        header = bytes([0x80 | OP_TEXT, 0x80 | 127]) + (
+            MAX_FRAME_BYTES + 1
+        ).to_bytes(8, "big")
+        with pytest.raises(ConnectionError, match="exceeds") as caught:
+            list(FrameDecoder().feed(header))
+        assert caught.value.status == 1009
+        # At the limit the header is accepted (and the body awaited).
+        at_limit = bytes([0x80 | OP_TEXT, 127]) + MAX_FRAME_BYTES.to_bytes(8, "big")
+        assert list(FrameDecoder().feed(at_limit)) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.sampled_from([OP_TEXT, OP_PING, OP_PONG, OP_CLOSE, 0x2]),
+                st.one_of(
+                    st.binary(max_size=300),
+                    st.integers(65530, 65540).map(bytes),
+                ),
+                st.booleans(),
+            ),
+            max_size=6,
+        ),
+        chunk=st.one_of(st.just(1), st.integers(2, 9), st.integers(10, 70000)),
+    )
+    def test_any_rechunking_yields_the_same_frames(self, frames, chunk):
+        wire = b"".join(
+            encode_frame(payload, opcode=opcode, mask=mask)
+            for opcode, payload, mask in frames
+        )
+        decoder = FrameDecoder()
+        decoded = []
+        for index in range(0, len(wire), chunk):
+            decoded.extend(decoder.feed(wire[index : index + chunk]))
+        assert decoded == [(opcode, payload) for opcode, payload, _ in frames]
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunks=st.lists(st.binary(max_size=64), max_size=8))
+    def test_arbitrary_bytes_raise_only_connection_errors(self, chunks):
+        decoder = FrameDecoder()
+        try:
+            for chunk in chunks:
+                for opcode, payload in decoder.feed(chunk):
+                    assert 0 <= opcode <= 0xF
+                    assert isinstance(payload, bytes)
+        except ConnectionError:
+            pass
 
     def test_url_parsing(self):
         assert _parse_ws_url("ws://127.0.0.1:8766/") == (
@@ -77,8 +119,8 @@ class TestFrameCodec:
             _parse_ws_url("ftp://example.org/")
 
 
-async def _with_gateway(body):
-    service = AdmissionService(_config(), series_wall_interval=0.0)
+async def _with_gateway(body, config=None):
+    service = AdmissionService(config or _config(), series_wall_interval=0.0)
     await service.start()
     gateway = WebSocketGateway(service, port=0)
     await gateway.start()
@@ -185,7 +227,7 @@ class TestGatewayProtocol:
                 encode_frame(b"are-you-there", opcode=0x9, mask=True)
             )
             await client._writer.drain()
-            opcode, payload = await _read_frame(client._reader)
+            opcode, payload = await client.recv_frame()
             assert opcode == 0xA and payload == b"are-you-there"
             await client.close()
 
@@ -198,7 +240,7 @@ class TestGatewayProtocol:
                 encode_frame(b"", opcode=OP_CLOSE, mask=True)
             )
             await client._writer.drain()
-            opcode, _payload = await _read_frame(client._reader)
+            opcode, _payload = await client.recv_frame()
             assert opcode == OP_CLOSE
 
         asyncio.run(_with_gateway(body))
@@ -218,5 +260,247 @@ class TestGatewayProtocol:
             writer.close()
             await writer.wait_closed()
             assert gateway.connections_served == 0
+
+        asyncio.run(_with_gateway(body))
+
+    def test_malformed_text_frames_get_error_replies(self):
+        # Regression: these used to raise before the request was bound
+        # and take the connection down with an UnboundLocalError.
+        async def body(service, gateway):
+            client = await AsyncWsClient.connect(gateway.url)
+            for payload in (b"{not json", b"\xff\xfe\x00", b"[1, 2]", b"7", b""):
+                client._writer.write(encode_frame(payload, mask=True))
+            await client._writer.drain()
+            for _ in range(5):
+                reply = await asyncio.wait_for(client.recv_json(), timeout=5.0)
+                assert reply["op"] == "error" and reply["error"], reply
+            assert (await client.request({"op": "admit", "cell": 1}))["admitted"]
+            await client.close()
+
+        asyncio.run(_with_gateway(body))
+
+    def test_mistyped_fields_never_reach_the_shared_worker(self):
+        async def body(service, gateway):
+            client = await AsyncWsClient.connect(gateway.url)
+            for fields in (
+                {"t": "noon"},
+                {"t": float("nan")},
+                {"t": [1]},
+                {"traffic": ["voice"]},
+                {"traffic": None},
+                {"cell": float("inf")},
+                {"cell": {}},
+                {"conn": "seven"},
+            ):
+                reply = await client.request(
+                    {"op": "admit", "cell": 1, "id": "x", **fields}
+                )
+                assert reply["op"] == "error" and reply["id"] == "x", reply
+            # The worker every connection shares is still alive.
+            other = await AsyncWsClient.connect(gateway.url)
+            assert (await other.request({"op": "admit", "cell": 1}))["admitted"]
+            await other.close()
+            await client.close()
+
+        asyncio.run(_with_gateway(body))
+
+    def test_oversized_frame_closes_with_1009_after_answering(self):
+        async def body(service, gateway):
+            client = await AsyncWsClient.connect(gateway.url)
+            client._writer.write(
+                encode_frame(b'{"op": "admit", "cell": 2, "id": 1}', mask=True)
+                + bytes([0x80 | OP_TEXT, 0x80 | 127])
+                + (1 << 40).to_bytes(8, "big")
+            )
+            await client._writer.drain()
+            reply = await asyncio.wait_for(client.recv_json(), timeout=5.0)
+            assert reply["op"] == "decision" and reply["id"] == 1
+            opcode, payload = await asyncio.wait_for(
+                client.recv_frame(), timeout=5.0
+            )
+            assert opcode == OP_CLOSE
+            assert int.from_bytes(payload, "big") == 1009
+            # ... and the gateway hangs up instead of waiting for a body.
+            assert await asyncio.wait_for(client._reader.read(), timeout=5.0) == b""
+            client._writer.close()
+
+        asyncio.run(_with_gateway(body))
+
+    def test_stalled_subscriber_loses_rows_not_other_clients_time(self):
+        async def body(service, gateway):
+            dropped = service.driver.sim.telemetry.counter(
+                "serve.subscriber_dropped_rows"
+            )
+            stalled = await AsyncWsClient.connect(gateway.url)
+            await stalled.send_json({"op": "subscribe"})
+            other = await AsyncWsClient.connect(gateway.url)
+            await other.request({"op": "stats"})
+            assert service.broadcast.subscribers == 1
+
+            # The subscriber never reads.  Rows pile up in the socket
+            # buffers, then past the transport's high-water mark; from
+            # there on they are dropped, so memory stays bounded.
+            row = json.dumps({"t": 0.0, "pad": "x" * 65536})
+            written = 0
+            while dropped.value == 0 and written < 4096:
+                service.broadcast.write(row + "\n")
+                written += 1
+                await asyncio.sleep(0)
+            assert dropped.value > 0, "rows were buffered without bound"
+            before = dropped.value
+            for _ in range(50):
+                service.broadcast.write(row + "\n")
+            assert dropped.value == before + 50
+
+            # Decisions on another connection are answered at once.
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            for cell in range(20):
+                reply = await asyncio.wait_for(
+                    other.request({"op": "admit", "cell": cell % 6}), timeout=5.0
+                )
+                assert reply["op"] == "decision"
+            assert loop.time() - started < 2.0
+            await other.close()
+            stalled._writer.close()
+
+        asyncio.run(_with_gateway(body, replace(_config(), telemetry=True)))
+
+    def test_sync_client_reads_frames_split_across_packets(self):
+        async def body(service, gateway):
+            def exchange():
+                with SyncWsClient(gateway.url) as client:
+                    for index in range(50):
+                        client.send_json({"op": "admit", "cell": 1, "id": index})
+                    replies = [client.recv_json() for _ in range(50)]
+                    stats = client.request({"op": "stats"})
+                return replies, stats
+
+            replies, stats = await asyncio.get_running_loop().run_in_executor(
+                None, exchange
+            )
+            assert [reply["id"] for reply in replies] == list(range(50))
+            assert stats["decisions"] == 50
+
+        asyncio.run(_with_gateway(body))
+
+
+def _request(event) -> dict:
+    """The gateway request that carries one recorded stream event."""
+    if event.kind == ARRIVAL:
+        return {
+            "op": "admit",
+            "cell": event.cell,
+            "traffic": event.traffic,
+            "t": event.t,
+            "conn": event.conn,
+        }
+    return {
+        "op": "event",
+        "kind": event.kind,
+        "cell": event.cell,
+        "conn": event.conn,
+        "t": event.t,
+    }
+
+
+def _text_frame(message: dict) -> bytes:
+    return encode_frame(json.dumps(message).encode("utf-8"), mask=True)
+
+
+async def _burst(client, wire: bytes, replies: int) -> list[dict]:
+    """Send ``wire`` in one write, then collect ``replies`` text frames."""
+    client._writer.write(wire)
+    received = []
+    while len(received) < replies:
+        received.append(await asyncio.wait_for(client.recv_frame(), timeout=10.0))
+    return [
+        json.loads(payload) if opcode == OP_TEXT else {"opcode": opcode}
+        for opcode, payload in received
+    ]
+
+
+class TestPipelinedSession:
+    def test_mixed_burst_is_answered_in_request_order(self):
+        async def body(service, gateway):
+            client = await AsyncWsClient.connect(gateway.url)
+            requests = [
+                {"op": "admit", "cell": 3, "conn": 70, "id": 0},
+                {"op": "admit", "id": 1},  # malformed: no cell
+                {"op": "event", "kind": "handoff", "cell": 4, "conn": 70, "id": 2},
+                {"op": "admit", "cell": 99, "id": 3},  # refused by the driver
+                {"op": "stats", "id": 4},
+                {"op": "admit", "cell": 1, "id": 5},
+                None,  # a ping, here
+                {"op": "transmogrify", "id": 7},
+                {"op": "event", "kind": "complete", "conn": 70, "id": 8},
+                {"op": "stats", "id": 9},
+            ]
+            wire = b"".join(
+                encode_frame(b"mid-burst", opcode=OP_PING, mask=True)
+                if request is None
+                else _text_frame(request)
+                for request in requests
+            )
+            replies = await _burst(client, wire, len(requests))
+            assert [reply.get("id") for reply in replies] == [
+                0, 1, 2, 3, 4, 5, None, 7, 8, 9
+            ]
+            assert [reply.get("op") for reply in replies] == [
+                "decision", "error", "decision", "error", "stats",
+                "decision", None, "error", "ok", "stats",
+            ]
+            assert replies[6] == {"opcode": OP_PONG}
+            assert replies[2]["kind"] == "handoff" and replies[2]["conn"] == 70
+            # Each stats reply counts exactly the decisions before it.
+            assert replies[4]["decisions"] == 2
+            assert replies[9]["decisions"] == 3
+            await client.close()
+
+        asyncio.run(_with_gateway(body))
+
+    def test_recorded_stream_in_one_burst_matches_replay(self):
+        config = stationary(
+            "AC3", offered_load=250.0, duration=120.0, seed=11, num_cells=6
+        )
+        events, _ = record_run(config)
+        expected = iter(StreamDriver(config).replay(events))
+
+        async def body(service, gateway):
+            client = await AsyncWsClient.connect(gateway.url)
+            wire = b"".join(_text_frame(_request(event)) for event in events)
+            replies = await _burst(client, wire, len(events))
+            await client.close()
+            return replies
+
+        replies = asyncio.run(_with_gateway(body, config))
+        assert len(events) > 5 * (READ_BYTES // 80), "want several groups"
+        for event, reply in zip(events, replies, strict=True):
+            if event.kind in (ARRIVAL, HANDOFF):
+                assert reply == {"op": "decision", **next(expected).to_json()}
+                assert reply["admitted"] == event.admitted
+            else:
+                assert reply == {"op": "ok"}
+
+    def test_a_long_burst_is_applied_in_bounded_groups(self):
+        async def body(service, gateway):
+            groups = []
+            submit_many = service.submit_many
+
+            async def recording(events):
+                groups.append(len(events))
+                return await submit_many(events)
+
+            service.submit_many = recording
+            client = await AsyncWsClient.connect(gateway.url)
+            frame = _text_frame({"op": "admit", "cell": 2, "traffic": "voice"})
+            replies = await _burst(client, frame * 5000, 5000)
+            assert all(reply["op"] == "decision" for reply in replies)
+            assert sum(groups) == 5000
+            # What one read can complete: its own bytes plus the frame
+            # the previous read left unfinished.
+            assert max(groups) <= READ_BYTES // len(frame) + 1
+            assert max(groups) > 1, "the burst was not pipelined at all"
+            await client.close()
 
         asyncio.run(_with_gateway(body))
