@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI gate: tier-1 test suite plus a smoke pass of the benchmark harness
-# compared against the newest committed BENCH_<date>.json baseline.
+# CI gate: tier-1 test suite, the kernel matrix, the benchmark harness's
+# own checks, and a smoke pass of the legacy bench compared against the
+# newest committed BENCH_<date>.json baseline.
 # Run from the repository root:  sh scripts/ci.sh
 set -e
 
@@ -10,22 +11,25 @@ echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
 
 echo "== kernel matrix =="
-# All backends must be bit-identical, so the kernel-sensitive suites
-# re-run under each forced backend.  numba is optional: when absent
-# its leg is skipped with a notice (requesting it would error).
+# Both backends must be bit-identical, so the kernel-sensitive suites
+# re-run under each forced backend.
 KERNEL_TESTS="tests/properties/test_kernel_backend_parity.py \
+    tests/properties/test_reservation_table_properties.py \
     tests/cellular/test_reservation_cache.py tests/estimation \
     tests/simulation/test_columnar.py tests/simulation/test_spatial.py"
 for KERNEL in python numpy; do
     echo "-- REPRO_KERNEL=$KERNEL --"
     REPRO_KERNEL=$KERNEL PYTHONPATH=src python -m pytest -x -q $KERNEL_TESTS
 done
-if PYTHONPATH=src python -c "import numba" 2>/dev/null; then
-    echo "-- REPRO_KERNEL=numba --"
-    REPRO_KERNEL=numba PYTHONPATH=src python -m pytest -x -q $KERNEL_TESTS
-else
-    echo "-- numba not installed; skipping the numba kernel leg --"
-fi
+
+echo "== benchmark harness =="
+# bench/ drives the program through named seams and pins result
+# digests; a renamed seam or a moved digest must fail here, not in the
+# benchmark pipeline.  --smoke sizes are not comparable with anything.
+python -m pytest bench/test_bench.py -q
+python3 bench/run.py --all --smoke
+python3 bench/run.py --workload ring_ac3 --smoke --trace 1
+python3 bench/run.py --workload hex_city --smoke --trace 1
 
 echo "== telemetry smoke =="
 PYTHONPATH=src python scripts/telemetry_smoke.py

@@ -1,38 +1,48 @@
-"""Estimation-kernel selection: numpy-batched, numba-jitted, or pure Python.
+"""Estimation-kernel selection: numpy-batched or pure Python.
 
-This is the single place that imports :mod:`numpy` (and, lazily,
-:mod:`numba`).  The package works without either — every batched code
-path has a pure-Python ``bisect`` fallback — but when numpy is
-installed (``pip install repro[fast]``) the columnar F_HOE/Bayes
-kernels evaluate whole query batches with ``searchsorted`` + prefix
-sums instead of per-connection loops, and when numba is also installed
-(``pip install repro[fastest]``) the grouped flush evaluation can run
-through jitted binary-search loops with no per-array-op overhead.
+This is the single place that imports :mod:`numpy`.  The package works
+without it — every batched code path has a pure-Python ``bisect``
+fallback — but when numpy is installed (``pip install repro[fast]``)
+the columnar F_HOE/Bayes kernels evaluate whole query batches with
+``searchsorted`` instead of per-connection loops.
 
 Selection order:
 
 1. an explicit :func:`set_kernel` call (``SimulationConfig.kernel``,
    the ``--kernel`` CLI flag, and ``repro-bench --kernel`` end here);
-2. the ``REPRO_KERNEL`` environment variable
-   (``numpy`` / ``python`` / ``numba``);
-3. ``auto``: numpy when importable, python otherwise.  ``auto`` never
-   selects numba — JIT compilation is an explicit opt-in so short runs
-   don't pay compile cost by surprise.
+2. the ``REPRO_KERNEL`` environment variable (``numpy`` / ``python``);
+3. ``auto``: numpy when importable, python otherwise.
 
-Requesting ``numpy`` without numpy, or ``numba`` without numba (or
-numpy, which it builds on), raises an informative error; the ``auto``
-and ``python`` kernels always work.  The resolved choice is logged
-once (logger ``repro.kernel``, INFO) so long runs record which kernel
-produced them.
+Requesting ``numpy`` without numpy raises an informative error; the
+``auto`` and ``python`` kernels always work.  The resolved choice is
+logged once (logger ``repro.kernel``, INFO) so long runs record which
+kernel produced them.
 
-Besides selection, this module hosts the grouped gather/scatter used
-by the cross-cell coalesced reservation tick
-(:meth:`repro.cellular.network.CellularNetwork.flush_reservation_tick`):
-:class:`FlushBatch` accumulates the per-``prev``-block Eq. 4 binary
-searches of *every* supplier participating in one tick and evaluates
-all contributions in a single flush-level arithmetic pass.  All
-kernels produce bit-identical results — the vectorized arithmetic
-mirrors the scalar walk op for op.
+Besides selection, this module hosts the Eq. 4/5 pass of the coalesced
+reservation tick
+(:meth:`repro.cellular.network.CellularNetwork.flush_reservation_tick`)
+and the key encoding it searches with.
+
+**Key encoding.**  numpy orders complex numbers lexicographically
+(real part first, imaginary part second), so one sorted complex128
+column can hold many sorted sojourn lists back to back: the real part
+names the list, the imaginary part is the sojourn time.  With
+``S =`` :data:`KEY_STRIDE`:
+
+* a connection's table key is ``(prev+1)·S − 1j·entry_time``
+  (:class:`repro.cellular.cell.Cell`), so ``key + 1j·now`` is
+  ``(prev+1)·S + 1j·(now − entry_time)`` — its Eq. 4 query, the same
+  float ``now - entry_time`` the scalar walk computes;
+* a station's *union* column holds ``(prev+1)·S + 1j·T_soj`` for every
+  live quadruplet, its *pair* column ``(prev+1)·S + (next+2) +
+  1j·T_soj`` (:class:`repro.estimation.cache.QuadrupletCache`;
+  ``prev=None`` counts as ``−1`` and ``next`` may be the exit cell
+  ``−1``, hence the ``+1`` and ``+2``).
+
+A ``searchsorted`` of a query in such a column lands inside the list
+the real part names, whatever lists surround it, so every row of a
+supplier — whatever its ``prev`` — is answered by the same call.  All
+real parts are integers far below 2**53, so they are exact.
 """
 
 from __future__ import annotations
@@ -50,47 +60,20 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
 #: Whether the optional ``[fast]`` dependency is importable at all.
 HAS_NUMPY = _numpy is not None
 
-KERNELS = ("auto", "numpy", "python", "numba")
+KERNELS = ("auto", "numpy", "python")
+
+#: ``S``: distance between the real parts of two ``prev`` lists in a
+#: key column.  ``next + 2`` must stay below it, which
+#: :class:`repro.cellular.network.CellularNetwork` checks at build time.
+KEY_STRIDE = float(1 << 20)
+
+#: Offsets turning a query into the two ends of "sojourns above it":
+#: the query itself, and one sorting after every sojourn of its list.
+_ABOVE = (
+    None if _numpy is None else _numpy.array([0j, complex(0.0, float("inf"))])
+)
 
 _active: str | None = None
-
-#: Lazily probed numba availability (``None`` = not probed yet).  The
-#: probe only runs when the numba kernel is actually requested: a bare
-#: ``import numba`` costs seconds and must not tax numpy/python runs.
-_numba_available: bool | None = None
-
-#: The jitted-kernel module (:mod:`repro._kernel_numba`), loaded — and
-#: warm-compiled — on first activation of the numba kernel.
-_numba_kernels = None
-
-
-def has_numba() -> bool:
-    """Whether the optional numba dependency is importable (lazy probe)."""
-    global _numba_available
-    if _numba_available is None:
-        try:
-            import numba  # noqa: F401
-
-            _numba_available = True
-        except ImportError:
-            _numba_available = False
-    return _numba_available
-
-
-def _load_numba_kernels():
-    """Import and warm-compile the jitted kernels (numba kernel only).
-
-    ``numba.njit(cache=True)`` persists compiled machine code next to
-    the source, so only the very first selection on a machine pays the
-    JIT cost; subsequent runs (and processes) load from the cache.
-    """
-    global _numba_kernels
-    if _numba_kernels is None:
-        from repro import _kernel_numba
-
-        _kernel_numba.warm()
-        _numba_kernels = _kernel_numba
-    return _numba_kernels
 
 
 def _resolve(requested: str) -> str:
@@ -102,20 +85,6 @@ def _resolve(requested: str) -> str:
             " install the optional extra (pip install 'repro[fast]')"
             " or select --kernel python"
         )
-    if requested == "numba":
-        if not HAS_NUMPY:
-            raise RuntimeError(
-                "the numba kernel was requested but numpy is not"
-                " installed; install the optional extra"
-                " (pip install 'repro[fastest]') or select another kernel"
-            )
-        if not has_numba():
-            raise RuntimeError(
-                "the numba kernel was requested but numba is not"
-                " installed; install the optional extra"
-                " (pip install 'repro[fastest]') or select --kernel"
-                " numpy / python — both produce bit-identical results"
-            )
     return requested
 
 
@@ -127,10 +96,6 @@ def set_kernel(name: str) -> str:
             f"unknown kernel {name!r}; expected one of {KERNELS}"
         )
     resolved = _resolve(name)
-    if resolved == "numba":
-        # Warm the JIT before the first simulated event so compile time
-        # never lands inside a measured run.
-        _load_numba_kernels()
     if resolved != _active:
         _active = resolved
         logger.info(
@@ -142,243 +107,110 @@ def set_kernel(name: str) -> str:
 
 
 def kernel_name() -> str:
-    """The active kernel (``numpy``, ``numba`` or ``python``), resolved
-    lazily from ``REPRO_KERNEL`` / availability on first use."""
+    """The active kernel (``numpy`` or ``python``), resolved lazily
+    from ``REPRO_KERNEL`` / availability on first use."""
     if _active is None:
         set_kernel(os.environ.get("REPRO_KERNEL", "auto"))
     return _active  # type: ignore[return-value]
 
 
 def numpy_or_none():
-    """The numpy module when an array kernel is active, else ``None``.
+    """The numpy module when the array kernel is active, else ``None``.
 
     Batched code paths branch on this exactly once per batch, so the
-    per-call overhead is one function call and a string compare.  The
-    numba kernel builds on the same ndarray layout, so it also answers
-    numpy here; only the pure-python kernel returns ``None``.
+    per-call overhead is one function call and a string compare.
     """
-    return _numpy if kernel_name() in ("numpy", "numba") else None
+    return _numpy if kernel_name() == "numpy" else None
+
+
+def prev_key(prev: int | None) -> float:
+    """Real part ``(prev+1)·S`` naming one ``prev`` list of a column."""
+    return 0.0 if prev is None else (prev + 1) * KEY_STRIDE
 
 
 # ----------------------------------------------------------------------
-# grouped gather/scatter for the cross-cell coalesced tick
+# the Eq. 4/5 pass of the cross-cell coalesced tick
 # ----------------------------------------------------------------------
-class FlushSegment:
-    """Per ``(supplier, target)`` output of one coalesced tick.
-
-    Holds the contribution of every supplier row (one per attached
-    connection, in the supplier's block order) and, after
-    :meth:`FlushBatch.resolve`, the Eq. 5 total summed in the
-    supplier's connection-iteration order (``perm`` maps that order to
-    row positions) — the exact left-to-right addition sequence of the
-    per-supplier path.
-    """
-
-    __slots__ = ("n_rows", "perm", "values", "total")
-
-    def __init__(self, n_rows: int, perm) -> None:
-        self.n_rows = n_rows
-        self.perm = perm
-        #: Row contributions; allocated lazily on the first block that
-        #: actually produces mass (rows of skipped blocks stay 0.0,
-        #: which adds nothing — bit-identically — to the total).
-        self.values = None
-        self.total = 0.0
-
-
 class FlushBatch:
-    """Cross-supplier accumulator of one coalesced tick's Eq. 4 batches.
+    """Accumulator of one coalesced tick's Eq. 4 searches.
 
-    Suppliers register their per-``prev``-block binary-search results
-    (:meth:`union_indices` / :meth:`add_part`); :meth:`resolve` then
-    evaluates every registered row in **one** flush-level arithmetic
-    pass — concatenated gathers, a single masked divide/clip/scale —
-    and scatters the contributions back into each segment.
+    Each supplier registers one part (:meth:`add_part`): its table
+    rows searched against its station's key columns for every
+    requested target at once.  :meth:`resolve` then turns the counts
+    into Eq. 5 totals, one per registered ``(supplier, target)``.
 
     Only *unit-weight* masses participate (``w == 1.0``, the stationary
     default): their cumulative weights are exact consecutive integers,
-    so the Eq. 4 masses equal the search indices themselves and no
-    prefix-sum gathers are needed.  The arithmetic replays the scalar
-    walk op for op (subtract, divide, ``min``, scale), so every
-    contribution — and every total — is bit-identical to the
-    per-supplier paths.
+    so the Eq. 4 masses equal search-index differences.  The arithmetic
+    produces the scalar walk's floats (subtract, divide, scale; see
+    :meth:`resolve` for why its guards are no-ops here) and totals
+    each request left to right in table order — which is
+    connection-iteration order — so every total is bit-identical to
+    the per-supplier paths.  Rows of detached
+    connections stay in the table with basis ``0.0`` until compaction:
+    they contribute ``0.0 * ratio = +0.0``, and ``x + 0.0 == x``.
     """
 
-    __slots__ = (
-        "np",
-        "_idx_u",
-        "_idx_lo",
-        "_idx_hi",
-        "_union_lens",
-        "_lengths",
-        "_bases",
-        "_targets",
-        "_segments",
-    )
+    __slots__ = ("np", "_parts", "outputs")
 
     def __init__(self, np) -> None:
         self.np = np
-        self._idx_u = []
-        self._idx_lo = []
-        self._idx_hi = []
-        self._union_lens = []
-        self._lengths = []
-        self._bases = []
-        #: ``(segment, row offset)`` per registered part.
-        self._targets = []
-        self._segments: list[FlushSegment] = []
+        #: ``(denominator counts, numerator counts, bases)`` per part;
+        #: counts have one row per requested target.
+        self._parts: list[tuple] = []
+        #: Requests registered so far: the index, in :meth:`resolve`'s
+        #: result, of the next part's first request.
+        self.outputs = 0
 
-    def new_segment(self, n_rows: int, perm) -> FlushSegment:
-        segment = FlushSegment(n_rows, perm)
-        self._segments.append(segment)
-        return segment
+    def add_part(self, union, pair, queries, offsets, bases) -> None:
+        """Register one supplier: two searches cover all its targets.
 
-    def union_indices(self, union_sojourns, extants):
-        """Eq. 4 denominator search of one block (shared across its
-        requests): count of union sojourns ``<= extant`` per row."""
+        ``union`` / ``pair`` are the station's key columns, ``queries``
+        the supplier's table keys shifted to ``now``, ``bases`` its
+        reservation bases.  ``offsets`` lists ``(target+2)`` for every
+        request, then ``(target+2) + 1j·t_est`` for every request: the
+        two ends of each numerator interval.
+        """
+        add_outer = self.np.add.outer
+        count = len(offsets) // 2
         # ndarray method, not np.searchsorted: the free-function wrapper
         # costs a dispatch layer per call and this is the hot path.
-        return union_sojourns.searchsorted(extants, side="right")
-
-    def add_part(
-        self,
-        segment: FlushSegment,
-        offset: int,
-        idx_u,
-        union_len: int,
-        target_sojourns,
-        extants,
-        extants_high,
-        bases,
-    ) -> None:
-        """Register one ``(block, request)`` numerator search."""
-        self._idx_u.append(idx_u)
-        self._idx_lo.append(
-            target_sojourns.searchsorted(extants, side="right")
+        ends = union.searchsorted(add_outer(_ABOVE, queries), side="right")
+        spans = pair.searchsorted(add_outer(offsets, queries), side="right")
+        self._parts.append(
+            (ends[1] - ends[0], spans[count:] - spans[:count], bases)
         )
-        self._idx_hi.append(
-            target_sojourns.searchsorted(extants_high, side="right")
-        )
-        self._union_lens.append(union_len)
-        self._lengths.append(len(bases))
-        self._bases.append(bases)
-        self._targets.append((segment, offset))
+        self.outputs += count
 
-    def resolve(self) -> None:
-        """Evaluate all registered parts and total every segment."""
-        np = self.np
-        if self._lengths:
-            idx_u = np.concatenate(self._idx_u)
-            idx_lo = np.concatenate(self._idx_lo)
-            idx_hi = np.concatenate(self._idx_hi)
-            union_len = np.repeat(
-                np.asarray(self._union_lens, dtype=np.int64),
-                np.asarray(self._lengths, dtype=np.int64),
-            )
-            # Unit-weight masses: cumulative weight of the first k
+    def resolve(self) -> list[float]:
+        """Eq. 5 totals of every registered request, in registration
+        order."""
+        maximum = self.np.maximum
+        totals: list[float] = []
+        for above, within, bases in self._parts:
+            # Unit-weight masses: the cumulative weight of the first k
             # entries is exactly float(k), so the masses are the search
-            # indices themselves and the scalar walk's gathers reduce
-            # to integer differences (converted to the same float64
-            # values the gathers would have produced).
-            den_count = union_len - idx_u
-            num_count = idx_hi - idx_lo
-            valid = (den_count > 0) & (num_count > 0)
-            denominator = den_count.astype(np.float64)
-            numerator = num_count.astype(np.float64)
-            ratio = np.divide(
-                numerator,
-                denominator,
-                out=np.zeros(len(denominator), dtype=np.float64),
-                where=valid,
-            )
-            np.minimum(ratio, 1.0, out=ratio)
-            contributions = np.concatenate(self._bases) * ratio
-            cursor = 0
-            for (segment, offset), length in zip(
-                self._targets, self._lengths
-            ):
-                if segment.values is None:
-                    segment.values = np.zeros(
-                        segment.n_rows, dtype=np.float64
-                    )
-                segment.values[offset:offset + length] = contributions[
-                    cursor:cursor + length
-                ]
-                cursor += length
-        for segment in self._segments:
-            values = segment.values
-            if values is not None and segment.n_rows:
-                # cumsum is a strict left-to-right recurrence, so the
-                # last element is the same addition sequence — hence
-                # the same float — as the per-connection Python loop.
-                segment.total = float(
-                    np.cumsum(values[segment.perm])[-1]
-                )
-
-
-class NumbaFlushBatch(FlushBatch):
-    """Flush batch whose per-part evaluation runs in jitted loops.
-
-    Same registration protocol and bit-identical results; the binary
-    searches and per-row arithmetic of each part run inside one
-    ``njit`` call (no per-array-op dispatch overhead), writing straight
-    into the segment's row array.  :meth:`resolve` then only totals.
-    """
-
-    __slots__ = ("kernels",)
-
-    def __init__(self, np, kernels) -> None:
-        super().__init__(np)
-        self.kernels = kernels
-
-    def union_indices(self, union_sojourns, extants):
-        return self.kernels.searchsorted_right(union_sojourns, extants)
-
-    def add_part(
-        self,
-        segment: FlushSegment,
-        offset: int,
-        idx_u,
-        union_len: int,
-        target_sojourns,
-        extants,
-        extants_high,
-        bases,
-    ) -> None:
-        if segment.values is None:
-            segment.values = self.np.zeros(
-                segment.n_rows, dtype=self.np.float64
-            )
-        self.kernels.unit_part_contributions(
-            idx_u,
-            union_len,
-            target_sojourns,
-            extants,
-            extants_high,
-            bases,
-            segment.values,
-            offset,
-        )
-
-    def resolve(self) -> None:
-        np = self.np
-        for segment in self._segments:
-            values = segment.values
-            if values is not None and segment.n_rows:
-                segment.total = float(
-                    np.cumsum(values[segment.perm])[-1]
-                )
+            # counts themselves (true_divide converts them to the same
+            # float64 values the scalar walk's gathers produce).  Every
+            # pair sojourn is also a union sojourn, so ``within <=
+            # above``: the scalar walk's ``min(ratio, 1.0)`` changes
+            # nothing, and its "estimated stationary" skip
+            # (``above == 0``) is the case ``within == 0`` — dividing
+            # by ``max(above, 1)`` gives its 0.0 without a mask.
+            ratio = within / maximum(above, 1)
+            ratio *= bases
+            # cumsum is a strict left-to-right recurrence along each
+            # row, so its last element is the same addition sequence —
+            # hence the same float — as the per-connection Python loop.
+            totals.extend(ratio.cumsum(axis=1)[:, -1].tolist())
+        return totals
 
 
 def flush_batch_or_none():
-    """A fresh :class:`FlushBatch` for the active kernel, or ``None``.
+    """A fresh :class:`FlushBatch` under the numpy kernel, else ``None``.
 
     ``None`` under the pure-python kernel — the caller then keeps the
     per-supplier resumable-walk path.
     """
-    kernel = kernel_name()
-    if kernel == "numba":
-        return NumbaFlushBatch(_numpy, _load_numba_kernels())
-    if kernel == "numpy":
-        return FlushBatch(_numpy)
-    return None
+    np = numpy_or_none()
+    return None if np is None else FlushBatch(np)

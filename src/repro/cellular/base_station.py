@@ -65,15 +65,13 @@ class BaseStation:
         self.reservation_calculations = 0
         #: Inter-BS (or BS<->MSC) messages attributable to this station.
         self.messages_sent = 0
-        #: Whether Eq. 5 runs over the cell's incremental columnar
-        #: ``prev``-buckets (batched kernels, grouped flush).  Disabling
-        #: falls back to the naive rescan-everything path — useful to
-        #: verify equivalence.
+        #: Whether Eq. 5 runs over the cell's columnar structures (the
+        #: table under the grouped flush, its ``prev``-buckets on the
+        #: batched reference paths).  Disabling falls back to the naive
+        #: rescan-everything path — useful to verify equivalence.
         self.reservation_cache_enabled = reservation_cache
         #: Cached neighbour stations (the topology is immutable).
         self._neighbor_stations: list["BaseStation"] | None = None
-        #: ``(cell version, plan)`` memo of :meth:`grouped_flush_plan`.
-        self._flush_plan: tuple[int, tuple | None] | None = None
 
     @property
     def cell_id(self) -> int:
@@ -101,7 +99,7 @@ class BaseStation:
                              t_est: float) -> float:
         """Eq. 5: expected hand-off bandwidth from here toward a neighbour.
 
-        The cell's incrementally maintained columnar ``prev``-buckets
+        The cell's columnar ``prev``-buckets
         (:meth:`repro.cellular.cell.Cell.reservation_groups`) are handed
         to the estimator, which evaluates each bucket against one F_HOE
         snapshot in a single batched pass — vectorized under the numpy
@@ -163,73 +161,18 @@ class BaseStation:
             groups=self.cell.reservation_groups(),
         )
 
-    def grouped_flush_plan(self, np):
-        """This supplier's columnar layout for the cross-cell flush.
-
-        ``(entries, bases, blocks, perm, n_rows)`` where ``entries`` /
-        ``bases`` are the cell's ``prev``-bucket columns concatenated
-        into one float64 array each, ``blocks`` lists
-        ``(prev, start, end)`` slices into them, and ``perm`` maps
-        connection-iteration order to row positions (so flush totals
-        replay the exact addition order of the per-supplier path).
-        Cached until the cell version changes — attach/detach/QoS
-        re-sizing all bump it.  ``None`` when the layout cannot be
-        built (no rows, or rows that do not one-to-one match the
-        attached connections); callers then fall back to
-        :meth:`outgoing_reservation_multi`.
-
-        The permutation is derived from the cell-wide attach sequence
-        numbers: ascending sequence *is* connection-iteration order, so
-        one ``argsort`` over the concatenated bucket sequences replaces
-        a per-connection Python walk (the plan is rebuilt on nearly
-        every flush — cell versions churn with every attach/detach — so
-        build cost is on the hot path).
-        """
-        cached = self._flush_plan
-        cell = self.cell
-        version = cell.version
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        blocks = []
-        entry_parts = []
-        basis_parts = []
-        seq_parts = []
-        start = 0
-        for prev, group in cell.reservation_groups().items():
-            end = start + len(group.keys)
-            entries, bases = group.arrays(np)
-            entry_parts.append(entries)
-            basis_parts.append(bases)
-            seq_parts.append(group.seq_array(np))
-            blocks.append((prev, start, end))
-            start = end
-        plan = None
-        if start and start == cell.connection_count:
-            if len(seq_parts) == 1:
-                seqs = seq_parts[0]
-                entries_cat = entry_parts[0]
-                bases_cat = basis_parts[0]
-            else:
-                seqs = np.concatenate(seq_parts)
-                entries_cat = np.concatenate(entry_parts)
-                bases_cat = np.concatenate(basis_parts)
-            plan = (entries_cat, bases_cat, blocks, np.argsort(seqs), start)
-        self._flush_plan = (version, plan)
-        return plan
-
     def grouped_contribution_eval(self, np, now, requests, batch):
         """Register this supplier's Eq. 5 work into a cross-cell flush.
 
-        Returns one result slot per ``(target_cell, t_est)`` request —
-        a :class:`repro._kernel.FlushSegment` whose ``total`` is valid
-        after ``batch.resolve()``, a plain float when the answer is
-        already known (no connections), or ``None`` inside the list for
-        ``t_est <= 0`` requests (their contribution is 0.0).  Returns
-        ``None`` *instead of a list* when this supplier cannot join the
-        grouped flush (batched path disabled, duck-typed estimator,
-        route oracle, non-unit-weight snapshots, unplannable layout);
-        the caller must then use :meth:`outgoing_reservation_multi`,
-        which computes bit-identical values supplier-locally.
+        Returns one slot per ``(target_cell, t_est)`` request: an index
+        into the list ``batch.resolve()`` returns, or ``None`` when the
+        contribution is known to be 0.0 (no connections, or
+        ``t_est <= 0``).  Returns ``None`` *instead of a list* when
+        this supplier cannot join the grouped flush (batched path
+        disabled, duck-typed estimator, route oracle, finite ``T_int``
+        or non-unit weights); the caller must then use
+        :meth:`outgoing_reservation_multi`, which computes bit-identical
+        values supplier-locally.
         """
         if not self.reservation_cache_enabled:
             return None
@@ -237,13 +180,10 @@ class BaseStation:
         parts = getattr(estimator, "grouped_flush_parts", None)
         if parts is None or getattr(estimator, "version", None) is None:
             return None
-        if not self.cell.reservation_groups():
-            # No connections: every Eq. 5 contribution is exactly 0.0.
-            return [0.0] * len(requests)
-        plan = self.grouped_flush_plan(np)
-        if plan is None:
-            return None
-        return parts(np, now, requests, plan, batch)
+        cell = self.cell
+        if not cell.connection_count:
+            return [None] * len(requests)
+        return parts(np, now, requests, cell.reservation_table(np), batch)
 
     def update_target_reservation(self, now: float) -> float:
         """Eq. 6: recompute and install this cell's ``B_r``.

@@ -10,15 +10,18 @@ admitted connections.  Two admission paths exist, mirroring the paper:
 
 The cell itself only does bandwidth accounting; *which* reservation
 target applies is decided by the admission policy.  As a side product
-of that accounting it maintains columnar ``prev``-buckets of its
-connections (:class:`ReservationGroup`), the batch input of the Eq. 5
-kernels.
+of that accounting it keeps one attach-order table of its connections
+(:meth:`Cell.reservation_table`), the resident input of the Eq. 5
+kernel; the per-``prev`` buckets the reference paths walk
+(:class:`ReservationGroup`) are derived from it on demand.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Iterator
+
+from repro._kernel import KEY_STRIDE, prev_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.traffic.connection import Connection
@@ -28,116 +31,52 @@ class CapacityError(ValueError):
     """Raised when bandwidth accounting would go out of [0, C]."""
 
 
+#: Smallest ndarray mirror of a table (rows); mirrors double from here.
+_MIN_TABLE_ROWS = 64
+
+
 class ReservationGroup:
     """Columnar view of one ``prev``-bucket of attached connections.
 
     Three parallel lists sorted ascending by entry time: connection ids,
-    cell entry times, and reservation bases (both immutable while a
-    connection stays attached).  Sorted order is what lets the Eq. 5
-    kernels run a single vectorized ``searchsorted`` pass (numpy) or a
-    resumable binary-search walk (python) over the whole bucket without
-    re-sorting per reservation update.  Simulated attaches happen at
-    ``now`` so the common insert is an append; out-of-order entry times
-    (synthetic populations) fall back to an insort.
+    cell entry times, and reservation bases.  Sorted order is what lets
+    the reference Eq. 5 paths run a single vectorized ``searchsorted``
+    pass (numpy) or a resumable binary-search walk (python) over the
+    whole bucket without re-sorting.  A view is built from the cell's
+    table (:meth:`Cell.reservation_groups`) and never mutated after:
+    simulated attaches happen at ``now`` so the common insert is an
+    append; out-of-order entry times (synthetic populations) fall back
+    to an insort.
     """
 
-    __slots__ = ("keys", "entries", "bases", "seqs", "_arrays", "_seq_array",
-                 "rebuilds")
+    __slots__ = ("keys", "entries", "bases")
 
     def __init__(self) -> None:
         self.keys: list[int] = []
         self.entries: list[float] = []
         self.bases: list[float] = []
-        #: Cell-wide attach sequence numbers (see :attr:`Cell.attach`):
-        #: ``argsort`` over the concatenated ``seqs`` of all buckets
-        #: reproduces the cell's connection-iteration order, which is
-        #: what lets the grouped flush build its summation permutation
-        #: with one array op instead of a per-connection Python walk.
-        self.seqs: list[int] = []
-        #: Cached ``(entries, bases)`` ndarray pair (see :meth:`arrays`);
-        #: invalidated by every mutation.
-        self._arrays = None
-        #: Cached ``seqs`` ndarray, invalidated alongside :attr:`_arrays`.
-        self._seq_array = None
-        #: Times the ndarray cache was rebuilt (a telemetry observable:
-        #: rebuilds / queries is the group-level cache miss rate).
-        self.rebuilds = 0
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def add(
-        self, key: int, entry_time: float, basis: float, seq: int = 0
-    ) -> None:
-        self._arrays = None
-        self._seq_array = None
+    def add(self, key: int, entry_time: float, basis: float) -> None:
         entries = self.entries
         if not entries or entry_time >= entries[-1]:
             self.keys.append(key)
             entries.append(entry_time)
             self.bases.append(basis)
-            self.seqs.append(seq)
             return
         index = bisect_right(entries, entry_time)
         self.keys.insert(index, key)
         entries.insert(index, entry_time)
         self.bases.insert(index, basis)
-        self.seqs.insert(index, seq)
-
-    def remove(self, key: int, entry_time: float) -> bool:
-        """Drop one connection located via its (exact) entry time."""
-        entries = self.entries
-        index = bisect_left(entries, entry_time)
-        count = len(entries)
-        keys = self.keys
-        while index < count and entries[index] == entry_time:
-            if keys[index] == key:
-                self._arrays = None
-                self._seq_array = None
-                del keys[index]
-                del entries[index]
-                del self.bases[index]
-                del self.seqs[index]
-                return True
-            index += 1
-        return False
-
-    def discard(self, key: int) -> bool:
-        """Linear-scan removal for when the entry time is unreliable."""
-        try:
-            index = self.keys.index(key)
-        except ValueError:
-            return False
-        self._arrays = None
-        self._seq_array = None
-        del self.keys[index]
-        del self.entries[index]
-        del self.bases[index]
-        del self.seqs[index]
-        return True
 
     def arrays(self, np):
-        """Cached ``(entries, bases)`` float64 ndarrays of the columns.
-
-        Reservation updates re-query the same (unchanged) groups for
-        every neighbour target; caching the conversion keeps the numpy
-        Eq. 5 path from re-materialising arrays each time.
-        """
-        cached = self._arrays
-        if cached is None:
-            self.rebuilds += 1
-            cached = self._arrays = (
-                np.asarray(self.entries, dtype=np.float64),
-                np.asarray(self.bases, dtype=np.float64),
-            )
-        return cached
-
-    def seq_array(self, np):
-        """Cached int64 ndarray of the attach sequence numbers."""
-        cached = self._seq_array
-        if cached is None:
-            cached = self._seq_array = np.asarray(self.seqs, dtype=np.int64)
-        return cached
+        """``(entries, bases)`` float64 ndarrays of the columns."""
+        return (
+            np.asarray(self.entries, dtype=np.float64),
+            np.asarray(self.bases, dtype=np.float64),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReservationGroup(size={len(self.keys)})"
@@ -179,22 +118,32 @@ class Cell:
         #: this cell (``B_r^{prev}`` in the AC3 description, §4.3).  For the
         #: static scheme this is the constant guard band ``G``.
         self.reserved_target = 0.0
-        #: Monotone counter bumped on every attach/detach/adjustment;
-        #: lets the base station's reservation cache detect that its
-        #: memoized Eq. 5 contributions may be stale.
+        #: Monotone counter bumped on every attach/detach/adjustment.
         self.version = 0
         self._connections: dict[int, "Connection"] = {}
-        #: Incremental ``prev -> ReservationGroup`` buckets over the
-        #: attached connections — the grouped columnar input of the
-        #: batched Eq. 5 path.
-        self._by_prev: dict[int | None, ReservationGroup] = {}
-        #: ndarray-cache rebuilds of buckets already emptied and dropped
-        #: (so :attr:`group_rebuilds` survives bucket turnover).
-        self._retired_rebuilds = 0
-        #: Monotone attach counter.  ``dict`` preserves insertion order
-        #: and re-attaches get a fresh (higher) number, so ascending
-        #: sequence == the iteration order of :meth:`connections`.
-        self._attach_seq = 0
+        # The attach-order table: one row per attach, never reordered.
+        # ``_keys[row]`` is ``(prev+1)·S − 1j·entry_time`` (see
+        # :mod:`repro._kernel`), ``_bases[row]`` the reservation basis.
+        # A detach leaves its row in place with basis 0.0 (a tombstone:
+        # it adds exactly +0.0 to every Eq. 5 total); rows are dropped
+        # when more than half are dead.  ``dict`` preserves insertion
+        # order and re-attaches append, so live rows ascend in the
+        # iteration order of :meth:`connections`.
+        self._rows: dict[int, int] = {}
+        self._keys: list[complex] = []
+        self._bases: list[float] = []
+        # ndarray mirror of the table, brought current by
+        # :meth:`reservation_table`: rows below ``_mirrored`` are
+        # already copied, ``_tombstones`` lists the rows zeroed since.
+        self._key_array = None
+        self._basis_array = None
+        self._mirrored = 0
+        self._tombstones: list[int] = []
+        #: Full re-materialisations of the mirror (first use, growth,
+        #: compaction) and rows written into it by all syncs together —
+        #: telemetry: a steady-state tick copies only what changed.
+        self.group_rebuilds = 0
+        self.rows_mirrored = 0
 
     # ------------------------------------------------------------------
     # capacity queries
@@ -217,19 +166,63 @@ class Cell:
         """Attached connections bucketed by ``prev`` cell.
 
         Maps ``prev -> ReservationGroup`` (parallel id/entry-time/basis
-        columns sorted by entry time).  Maintained incrementally on
-        attach/detach, so Eq. 5 can fetch each F_HOE snapshot once per
-        bucket and evaluate the whole bucket in one batched pass.  The
-        returned mapping is live — treat it as read-only.
+        columns sorted by entry time): the input of the reference Eq. 5
+        paths, which fetch each F_HOE snapshot once per bucket and
+        evaluate the whole bucket in one batched pass.  Derived from
+        the table on every call, so attach/detach maintain one
+        structure.
         """
-        return self._by_prev
+        by_code: dict[float, ReservationGroup] = {}
+        keys = self._keys
+        bases = self._bases
+        for connection_id, row in self._rows.items():
+            key = keys[row]
+            group = by_code.get(key.real)
+            if group is None:
+                group = by_code[key.real] = ReservationGroup()
+            group.add(connection_id, -key.imag, bases[row])
+        return {
+            int(code / KEY_STRIDE) - 1 if code else None: group
+            for code, group in by_code.items()
+        }
 
-    @property
-    def group_rebuilds(self) -> int:
-        """Total ``ReservationGroup`` ndarray-cache rebuilds (telemetry)."""
-        return self._retired_rebuilds + sum(
-            group.rebuilds for group in self._by_prev.values()
-        )
+    def reservation_table(self, np):
+        """``(keys, bases)`` ndarray views of the attach-order table.
+
+        Brings the mirror current first: copies the rows appended since
+        the last call and zeroes the bases tombstoned since — O(what
+        changed).  Only first use, outgrowing the mirror, or a
+        compaction re-materialises it whole (:attr:`group_rebuilds`).
+        The views are valid until the next attach or detach.
+        """
+        keys = self._keys
+        rows = len(keys)
+        key_array = self._key_array
+        tombstones = self._tombstones
+        if key_array is None or rows > len(key_array):
+            capacity = max(_MIN_TABLE_ROWS, 2 * rows)
+            key_array = self._key_array = np.empty(
+                capacity, dtype=np.complex128
+            )
+            basis_array = self._basis_array = np.empty(
+                capacity, dtype=np.float64
+            )
+            key_array[:rows] = keys
+            basis_array[:rows] = self._bases
+            self.group_rebuilds += 1
+            self.rows_mirrored += rows
+        else:
+            basis_array = self._basis_array
+            mirrored = self._mirrored
+            if rows > mirrored:
+                key_array[mirrored:rows] = keys[mirrored:]
+                basis_array[mirrored:rows] = self._bases[mirrored:]
+            if tombstones:
+                basis_array[tombstones] = 0.0
+            self.rows_mirrored += rows - mirrored + len(tombstones)
+        tombstones.clear()
+        self._mirrored = rows
+        return key_array[:rows], basis_array[:rows]
 
     def fits_new_connection(self, bandwidth: float) -> bool:
         """Admission test of Eq. (1): new traffic must respect ``B_r``."""
@@ -286,19 +279,17 @@ class Cell:
         self._connections[connection.connection_id] = connection
         self.used_bandwidth += connection.bandwidth
         # Duck-typed minimal connections (bandwidth only) still account;
-        # they just bucket under prev=None at entry time 0.
-        group = self._by_prev.get(
-            prev := getattr(connection, "prev_cell", None)
+        # they just count as prev=None at entry time 0.
+        self._rows[connection.connection_id] = len(self._keys)
+        self._keys.append(
+            complex(
+                prev_key(getattr(connection, "prev_cell", None)),
+                -getattr(connection, "cell_entry_time", 0.0),
+            )
         )
-        if group is None:
-            group = self._by_prev[prev] = ReservationGroup()
-        group.add(
-            connection.connection_id,
-            getattr(connection, "cell_entry_time", 0.0),
-            getattr(connection, "reservation_basis", connection.bandwidth),
-            self._attach_seq,
+        self._bases.append(
+            getattr(connection, "reservation_basis", connection.bandwidth)
         )
-        self._attach_seq += 1
         self.version += 1
 
     def detach(self, connection: "Connection") -> None:
@@ -309,7 +300,7 @@ class Cell:
                 f"connection {connection.connection_id} not in cell"
                 f" {self.cell_id}"
             )
-        self._discard_from_groups(connection)
+        self._drop_row(connection.connection_id)
         self.version += 1
         self.used_bandwidth -= connection.bandwidth
         if self.used_bandwidth < -1e-9:
@@ -351,31 +342,30 @@ class Cell:
             )
         self.used_bandwidth += delta
         connection.allocated_bandwidth = new_bandwidth
-        # The reservation basis (minimum rate) is unaffected, but bump
-        # the version so memoized Eq. 5 results are conservatively
-        # recomputed after a QoS adaptation.
+        # The reservation basis (minimum rate) is unaffected: the table
+        # row stays as it is.
         self.version += 1
 
-    def _discard_from_groups(self, connection: "Connection") -> None:
-        prev = getattr(connection, "prev_cell", None)
-        group = self._by_prev.get(prev)
-        if group is not None and group.remove(
-            connection.connection_id,
-            getattr(connection, "cell_entry_time", 0.0),
-        ):
-            if not group:
-                self._retired_rebuilds += group.rebuilds
-                del self._by_prev[prev]
-            return
-        # ``prev_cell`` or ``cell_entry_time`` mutated while attached
-        # (only possible with hand-rolled test doubles): fall back to
-        # scanning the buckets.
-        for prev, members in list(self._by_prev.items()):
-            if members.discard(connection.connection_id):
-                if not members:
-                    self._retired_rebuilds += members.rebuilds
-                    del self._by_prev[prev]
-                return
+    def _drop_row(self, connection_id: int) -> None:
+        """Tombstone a detached connection's table row."""
+        row = self._rows.pop(connection_id)
+        self._bases[row] = 0.0
+        if row < self._mirrored:
+            self._tombstones.append(row)
+        if 2 * len(self._rows) < len(self._keys):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop the dead rows; the next tick re-materialises the mirror."""
+        live = self._rows.values()
+        keys = self._keys
+        bases = self._bases
+        self._keys = [keys[row] for row in live]
+        self._bases = [bases[row] for row in live]
+        self._rows = dict(zip(self._rows, range(len(live))))
+        self._key_array = self._basis_array = None
+        self._mirrored = 0
+        self._tombstones = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro._kernel import flush_batch_or_none
+from repro._kernel import KEY_STRIDE, flush_batch_or_none
 from repro.cellular.base_station import BaseStation
 from repro.obs.trace import get_tracer
 from repro.core.reservation import aggregate_reservation
@@ -49,11 +49,11 @@ class CellularNetwork:
         constructions behave exactly as before; the simulator turns it
         on via :attr:`repro.simulation.config.SimulationConfig.coalesced_tick`.
     grouped_flush:
-        Whether a tick flush may gather the Eq. 4/5 rows of *all*
-        suppliers into one cross-cell batch
-        (:class:`repro._kernel.FlushBatch`) instead of evaluating each
-        supplier separately.  Pure optimisation — bit-identical either
-        way; the switch keeps the equivalence testable.
+        Whether a tick flush may answer its suppliers from their
+        resident tables and key columns through one cross-cell batch
+        (:class:`repro._kernel.FlushBatch`) instead of the per-supplier
+        reference path.  Pure optimisation — bit-identical either way;
+        the switch keeps the equivalence testable.
     """
 
     def __init__(
@@ -69,6 +69,11 @@ class CellularNetwork:
         coalesced_tick: bool = False,
         grouped_flush: bool = True,
     ) -> None:
+        if topology.num_cells + 2 >= KEY_STRIDE:
+            raise ValueError(
+                f"{topology.num_cells} cells do not fit the Eq. 4 key"
+                f" encoding (next + 2 must stay below {int(KEY_STRIDE)})"
+            )
         self.topology = topology
         self.coalesced_tick = coalesced_tick
         self.grouped_flush = grouped_flush
@@ -157,13 +162,13 @@ class CellularNetwork:
         are frozen — installing one target's ``reserved_target`` cannot
         change another's contributions.  The batching win is on the
         supplier side, at two levels: each supplier evaluates all of
-        its pending targets at once, and — under an array kernel with
-        :attr:`grouped_flush` on — the rows of *every* supplier are
-        gathered into one cross-cell :class:`repro._kernel.FlushBatch`
-        whose searches and arithmetic run as a single columnar pass.
-        Suppliers that cannot join the batch (non-unit-weight
-        snapshots, route oracles, duck-typed estimators, disabled
-        batching) fall back to
+        its pending targets at once, and — under the numpy kernel with
+        :attr:`grouped_flush` on — each supplier's resident table is
+        searched in its station's resident key columns through one
+        cross-cell :class:`repro._kernel.FlushBatch`, rebuilding
+        nothing.  Suppliers that cannot join the batch (finite
+        ``T_int``, non-unit weights, route oracles, duck-typed
+        estimators, disabled batching) fall back to
         :meth:`~repro.cellular.base_station.BaseStation.outgoing_reservation_multi`
         supplier-locally; mixing the paths never changes a result.
         """
@@ -218,17 +223,11 @@ class CellularNetwork:
                     self.tick_grouped_suppliers += 1
                     deferred.append((supplier_id, slots))
             if deferred:
-                batch.resolve()
+                totals = batch.resolve()
                 for supplier_id, slots in deferred:
                     supplies[supplier_id] = iter(
                         [
-                            0.0
-                            if slot is None
-                            else (
-                                slot
-                                if type(slot) is float
-                                else slot.total
-                            )
+                            0.0 if slot is None else totals[slot]
                             for slot in slots
                         ]
                     )
@@ -253,6 +252,80 @@ class CellularNetwork:
             station.reservation_calculations += 1
         self.tick_flushes += 1
         self.tick_targets += len(plan)
+
+    def harvest_telemetry(self, tel, cell_ids=None) -> None:
+        """Fold the stations' plain-int counters into ``tel``.
+
+        The end-of-run harvest every runner shares: ``cell_ids`` limits
+        it to the cells a runner owns (a shard's network carries every
+        cell of the city but drives only its own).
+        """
+        stations = (
+            self.stations
+            if cell_ids is None
+            else [self.stations[cell_id] for cell_id in cell_ids]
+        )
+        messages = updates = rebuilds = rows_mirrored = 0
+        steps_up = steps_down = window_handoffs = window_drops = 0
+        snap_hits = snap_builds = snap_invalidations = 0
+        vector_batches = scalar_batches = vector_rows = scalar_rows = 0
+        for station in stations:
+            messages += station.messages_sent
+            updates += station.reservation_calculations
+            rebuilds += station.cell.group_rebuilds
+            rows_mirrored += station.cell.rows_mirrored
+            controller = station.window
+            window_handoffs += controller.total_handoffs
+            window_drops += controller.total_drops
+            for adjustment in controller.adjustments:
+                if adjustment.increased:
+                    steps_up += 1
+                else:
+                    steps_down += 1
+            tel.gauge("window.t_est", cell=str(station.cell_id)).set(
+                controller.t_est
+            )
+            # Custom estimators (estimator_factory overrides) may not
+            # carry the standard counters; treat absences as zero.
+            estimator = station.estimator
+            snap_hits += getattr(estimator, "snapshot_hits", 0)
+            snap_builds += getattr(estimator, "snapshot_builds", 0)
+            snap_invalidations += getattr(
+                estimator, "snapshot_invalidations", 0
+            )
+            vector_batches += getattr(estimator, "eq4_vector_batches", 0)
+            scalar_batches += getattr(estimator, "eq4_scalar_batches", 0)
+            vector_rows += getattr(estimator, "eq4_vector_rows", 0)
+            scalar_rows += getattr(estimator, "eq4_scalar_rows", 0)
+        tel.counter("cellular.messages_sent").inc(messages)
+        tel.counter("cellular.reservation_updates").inc(updates)
+        tel.counter("cellular.tick_flushes").inc(self.tick_flushes)
+        tel.counter("cellular.tick_targets").inc(self.tick_targets)
+        tel.counter("cellular.tick_suppliers", path="grouped").inc(
+            self.tick_grouped_suppliers
+        )
+        tel.counter("cellular.tick_suppliers", path="fallback").inc(
+            self.tick_fallback_suppliers
+        )
+        tel.counter("cellular.group_rebuilds").inc(rebuilds)
+        tel.counter("cellular.table_rows_mirrored").inc(rows_mirrored)
+        tel.counter("window.t_est_steps", direction="up").inc(steps_up)
+        tel.counter("window.t_est_steps", direction="down").inc(steps_down)
+        tel.counter("window.handoffs").inc(window_handoffs)
+        tel.counter("window.drops").inc(window_drops)
+        tel.counter("estimation.snapshot", outcome="hit").inc(snap_hits)
+        tel.counter("estimation.snapshot", outcome="build").inc(snap_builds)
+        tel.counter("estimation.snapshot_invalidations").inc(
+            snap_invalidations
+        )
+        tel.counter("estimation.eq4_batches", kernel="numpy").inc(
+            vector_batches
+        )
+        tel.counter("estimation.eq4_batches", kernel="python").inc(
+            scalar_batches
+        )
+        tel.counter("estimation.eq4_rows", kernel="numpy").inc(vector_rows)
+        tel.counter("estimation.eq4_rows", kernel="python").inc(scalar_rows)
 
     def total_used_bandwidth(self) -> float:
         """Bandwidth in use across the whole network (BUs)."""

@@ -294,11 +294,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="FACTOR",
                         help="CDMA soft-capacity hand-off margin (§7)")
     parser.add_argument("--kernel", default="auto",
-                        choices=["auto", "numpy", "python", "numba"],
-                        help="estimation kernel: numpy-batched, jitted"
-                        " numba flush kernels ([fastest] extra, explicit"
-                        " opt-in), or pure python; auto picks numpy when"
-                        " installed, all produce bit-identical metrics")
+                        choices=["auto", "numpy", "python"],
+                        help="estimation kernel: numpy-batched or pure"
+                        " python; auto picks numpy when installed, both"
+                        " produce bit-identical metrics")
 
 
 def _add_spatial_arguments(parser: argparse.ArgumentParser) -> None:

@@ -57,8 +57,8 @@ def expected_handoff_bandwidth(
     t_est:
         The target cell's estimation window ``T_est`` (seconds).
     groups:
-        Optional incremental ``prev -> {key: (entry_time, basis)}``
-        buckets of the same connections (see
+        Optional ``prev -> ReservationGroup`` buckets of the same
+        connections (see
         :meth:`repro.cellular.cell.Cell.reservation_groups`); lets the
         estimator batch its snapshot queries.
     """

@@ -21,7 +21,10 @@ continuously sliding periodic windows.  Infinite-interval snapshots are
 assembled from the cache's columnar fast path (sorted sojourn columns,
 no per-entry wrappers); Eq. 4/5 batches then evaluate over whole
 per-``prev`` connection populations in one vectorized pass when the
-numpy kernel is active (:mod:`repro._kernel`).
+numpy kernel is active (:mod:`repro._kernel`).  The reservation tick of
+the infinite-interval, unit-weight configuration needs no snapshots at
+all: :meth:`MobilityEstimator.grouped_flush_parts` searches the cache's
+resident key columns directly.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ class MobilityEstimator:
         self.version = 0
         # Observability counters (plain ints, harvested at end of run).
         #: Snapshot cache: reuses vs (re)builds vs dirty invalidations.
+        #: A tick served from the resident key columns counts as a
+        #: reuse, a (re)build of those columns as a build.
         self.snapshot_hits = 0
         self.snapshot_builds = 0
         self.snapshot_invalidations = 0
@@ -403,82 +408,62 @@ class MobilityEstimator:
         np,
         now: float,
         requests: Sequence[tuple[int, float]],
-        plan,
+        table,
         batch,
     ):
         """Register this station's Eq. 5 work into a cross-cell flush.
 
-        ``plan`` is the supplier's cached flush plan
-        (:meth:`repro.cellular.base_station.BaseStation.grouped_flush_plan`):
-        concatenated entry-time/basis columns, one slice per ``prev``
-        block, and the row permutation that restores connection
-        iteration order.  ``batch`` is the tick-wide
-        :class:`repro._kernel.FlushBatch`; this method only runs the
-        per-block binary searches and registers the parts — the single
-        flush-level arithmetic pass happens in ``batch.resolve()``.
+        ``table`` is the supplier cell's attach-order table
+        (:meth:`repro.cellular.cell.Cell.reservation_table`): one key
+        ``(prev+1)·S − 1j·entry_time`` and one basis per row.  Shifted
+        by ``1j·now`` the keys are the Eq. 4 queries of all rows at
+        once, whatever their ``prev``; ``batch``
+        (:class:`repro._kernel.FlushBatch`) searches them in the
+        cache's resident key columns for every request together and
+        does the arithmetic in ``batch.resolve()``.
 
-        Returns one :class:`repro._kernel.FlushSegment` (or ``None``
-        for ``t_est <= 0``) per request; each segment's ``total`` is
-        bit-identical to the matching :meth:`expected_bandwidth_multi`
-        element.  Returns ``None`` when any needed snapshot is not
-        unit-weight (finite ``T_int`` / non-unit day weights) — the
-        caller then falls back to the per-supplier path.
+        Returns one slot per request — its index in the list
+        ``batch.resolve()`` returns, or ``None`` for ``t_est <= 0`` —
+        each total bit-identical to the matching
+        :meth:`expected_bandwidth_multi` element.  Returns ``None``
+        when the cache has no key columns (finite ``T_int`` / non-unit
+        day weights) — the caller then falls back to the per-supplier
+        path.
         """
-        entries_cat, bases_cat, blocks, perm, n_rows = plan
-        function_for = self.function_for
-        snapshots = []
-        for prev, _start, _end in blocks:
-            snapshot = function_for(now, prev)
-            if not snapshot.is_empty and not snapshot.is_unit_weight:
+        cache = self.cache
+        columns = cache.key_columns()
+        if columns is None:
+            columns = cache.build_key_columns(np)
+            if columns is None:
                 return None
-            snapshots.append(snapshot)
-        extants = now - entries_cat
-        new_segment = batch.new_segment
-        segments = [
-            new_segment(n_rows, perm) if t_est > 0 else None
-            for _target_cell, t_est in requests
-        ]
-        n_requests = len(requests)
-        highs: list = [None] * n_requests
-        count_dispatch = self._count_dispatch
-        union_indices = batch.union_indices
-        add_part = batch.add_part
-        for snapshot, (prev, start, end) in zip(snapshots, blocks):
-            if snapshot.is_empty:
-                continue
-            # The whole block evaluates in the flush-level vectorized
-            # pass regardless of its own size — that is the point of
-            # gathering rows across suppliers.
-            count_dispatch(True, (end - start) * n_requests)
-            block_extants = extants[start:end]
-            union_sojourns = None
-            idx_u = None
-            for index, (target_cell, t_est) in enumerate(requests):
-                segment = segments[index]
-                if segment is None:
-                    continue
-                target_sojourns = snapshot.target_sojourn_array(
-                    np, target_cell
-                )
-                if target_sojourns is None:
-                    continue
-                if union_sojourns is None:
-                    union_sojourns = snapshot.union_sojourn_array(np)
-                    idx_u = union_indices(union_sojourns, block_extants)
-                high = highs[index]
-                if high is None:
-                    high = highs[index] = extants + t_est
-                add_part(
-                    segment,
-                    start,
-                    idx_u,
-                    len(union_sojourns),
-                    target_sojourns,
-                    block_extants,
-                    high[start:end],
-                    bases_cat[start:end],
-                )
-        return segments
+            self.snapshot_builds += 1
+        else:
+            self.snapshot_hits += 1
+        offsets_low = []
+        offsets_high = []
+        slots: list[int | None] = []
+        slot = batch.outputs
+        for target_cell, t_est in requests:
+            if t_est > 0:
+                offsets_low.append(complex(target_cell + 2, 0.0))
+                offsets_high.append(complex(target_cell + 2, t_est))
+                slots.append(slot)
+                slot += 1
+            else:
+                slots.append(None)
+        if offsets_low:
+            keys, bases = table
+            # One dispatch for the whole supplier, dead rows included —
+            # that is what the kernel searches.
+            self._count_dispatch(True, len(keys) * len(offsets_low))
+            batch.add_part(
+                columns[0],
+                columns[1],
+                keys + complex(0.0, now),
+                offsets_low + offsets_high,
+                bases,
+            )
+        return slots
 
     def is_stationary(
         self, now: float, prev: int | None, extant_sojourn: float
@@ -607,7 +592,7 @@ class KnownPathEstimator(MobilityEstimator):
         np,
         now: float,
         requests: Sequence[tuple[int, float]],
-        plan,
+        table,
         batch,
     ):
         """Route-aware Eq. 5 consults the oracle per connection, so the
@@ -615,7 +600,7 @@ class KnownPathEstimator(MobilityEstimator):
         :meth:`expected_bandwidth_multi` (which routes correctly)."""
         if self.route_oracle is not None:
             return None
-        return super().grouped_flush_parts(np, now, requests, plan, batch)
+        return super().grouped_flush_parts(np, now, requests, table, batch)
 
     def handoff_probability_known_next(
         self,

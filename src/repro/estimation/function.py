@@ -31,23 +31,13 @@ from repro.estimation.cache import ColumnarActive, WeightedQuadruplet
 class _Mass:
     """Sorted sojourn times and cumulative weights for one next cell."""
 
-    __slots__ = ("sojourns", "cumulative", "unit", "_ndarrays")
+    __slots__ = ("sojourns", "cumulative", "_ndarrays")
 
     def __init__(
-        self,
-        sojourns: list[float],
-        cumulative: list[float],
-        unit: bool = False,
+        self, sojourns: list[float], cumulative: list[float]
     ) -> None:
         self.sojourns = sojourns
         self.cumulative = cumulative
-        #: True when every entry weighs exactly 1.0: the cumulative
-        #: weights are then the exact integers 1.0, 2.0, …, so Eq. 4
-        #: masses equal binary-search *counts* and the grouped flush
-        #: kernel can skip the prefix-sum gathers bit-identically.
-        #: (Only :meth:`from_column` can assert this — accumulating a
-        #: repeated non-unit weight is not exact in float.)
-        self.unit = unit
         #: Lazily built ``(sojourns, zero-prefixed cumulative)`` numpy
         #: pair, cached per snapshot for the batch kernels.
         self._ndarrays = None
@@ -78,7 +68,6 @@ class _Mass:
         return cls(
             sojourns,
             list(accumulate(repeat(uniform_weight, len(sojourns)))),
-            unit=uniform_weight == 1.0,
         )
 
     @property
@@ -203,22 +192,6 @@ class HandoffEstimationFunction:
     def sample_count_above(self, sojourn: float) -> int:
         """Unweighted number of active quadruplets beyond ``sojourn``."""
         return self._union.count_above(sojourn)
-
-    @property
-    def is_unit_weight(self) -> bool:
-        """Whether every quadruplet weighs exactly 1.0 (the stationary
-        ``T_int = inf`` default), making Eq. 4 masses pure counts."""
-        return self._union.unit
-
-    def union_sojourn_array(self, np):
-        """The union's sorted sojourn ndarray (Eq. 4 denominator column)."""
-        return self._union.arrays(np)[0]
-
-    def target_sojourn_array(self, np, target_cell: int):
-        """One next cell's sorted sojourn ndarray, or ``None`` when that
-        cell has no observed mass."""
-        per_next = self._per_next.get(target_cell)
-        return None if per_next is None else per_next.arrays(np)[0]
 
     # ------------------------------------------------------------------
     # batch kernels (many extant sojourns against one snapshot)

@@ -41,7 +41,8 @@ except Exception:  # pragma: no cover
 
 import array as _array
 
-from repro.cellular.cell import CapacityError, Cell, ReservationGroup
+from repro._kernel import KEY_STRIDE
+from repro.cellular.cell import CapacityError, Cell
 
 #: column typecode -> (numpy dtype name, stdlib array typecode)
 _CODES = {
@@ -276,17 +277,12 @@ class ColumnarCell(Cell):
     The classic attach path costs one handle object per connection plus
     a property call per field read; at city scale that object churn is
     a leading hot-loop term.  A columnar cell keeps the same accounting
-    (``used_bandwidth``, ``version``, the per-``prev``
-    :class:`~repro.cellular.cell.ReservationGroup` buckets the Eq. 5
-    kernels batch over) but reads every field straight out of the
+    (``used_bandwidth``, ``version``, the attach-order table the Eq. 5
+    kernel searches) but reads every field straight out of the
     :class:`ConnectionStore` columns, so admission, reservation flush,
     and hand-off migration touch no per-connection Python objects.
-
-    Attach order is tracked by the same cell-wide sequence counter as
-    the base class, so ``argsort`` over the bucket ``seqs`` still
-    reproduces connection-iteration order — the grouped
-    ``FlushBatch`` plan is unchanged.  :meth:`connections` materialises
-    ephemeral handles for the object-iterating fallback paths only.
+    :meth:`connections` materialises ephemeral handles for the
+    object-iterating fallback paths only.
     """
 
     def __init__(
@@ -299,20 +295,21 @@ class ColumnarCell(Cell):
     ) -> None:
         super().__init__(cell_id, capacity, handoff_overload)
         self.store = store
-        #: ``connection_id -> row`` in attach order (dict preserves it).
-        self._rows: dict[int, int] = {}
+        #: ``connection_id -> store row`` in attach order (dict
+        #: preserves it).
+        self._store_rows: dict[int, int] = {}
         self._handle_cls = handle_cls
 
     @property
     def connection_count(self) -> int:
-        return len(self._rows)
+        return len(self._store_rows)
 
     def connections(self):
         """Ephemeral handle views, in attach order (fallback paths only)."""
         cls = self._handle_cls
         if cls is None:
             cls = self._handle_cls = handle_class(self.store)
-        return [cls(row) for row in self._rows.values()]
+        return [cls(row) for row in self._store_rows.values()]
 
     def attach_row(self, row: int) -> None:
         """Account a store row into this cell (admission already decided)."""
@@ -324,8 +321,8 @@ class ColumnarCell(Cell):
             columns["birth_seq"][row] * store.num_cells
             + columns["birth_cell"][row]
         )
-        rows = self._rows
-        if key in rows:
+        store_rows = self._store_rows
+        if key in store_rows:
             raise CapacityError(
                 f"connection {key} already in cell {self.cell_id}"
             )
@@ -336,49 +333,33 @@ class ColumnarCell(Cell):
                 f" exceeds capacity ({self.used_bandwidth}/"
                 f"{self.handoff_capacity})"
             )
-        rows[key] = row
+        store_rows[key] = row
         self.used_bandwidth += bandwidth
-        prev = columns["prev"][row]
-        group = self._by_prev.get(prev_key := (None if prev < 0 else prev))
-        if group is None:
-            group = self._by_prev[prev_key] = ReservationGroup()
-        group.add(
-            key, columns["entry_time"][row], bandwidth,
-            self._attach_seq,
+        # ``prev`` is -1 for "born here", which the key encoding maps to
+        # the same list as ``prev=None``.
+        self._rows[key] = len(self._keys)
+        self._keys.append(
+            complex(
+                (columns["prev"][row] + 1) * KEY_STRIDE,
+                -columns["entry_time"][row],
+            )
         )
-        self._attach_seq += 1
+        self._bases.append(bandwidth)
         self.version += 1
 
     def detach_row(self, row: int) -> None:
-        """Release a store row's bandwidth.
-
-        Must run while the row's ``prev`` / ``entry_time`` columns still
-        hold their attach-time values (i.e. before a hand-off rewrites
-        them for the next cell).
-        """
+        """Release a store row's bandwidth."""
         store = self.store
         columns = store.columns
         key = (
             columns["birth_seq"][row] * store.num_cells
             + columns["birth_cell"][row]
         )
-        if self._rows.pop(key, None) is None:
+        if self._store_rows.pop(key, None) is None:
             raise CapacityError(
                 f"connection {key} not in cell {self.cell_id}"
             )
-        prev = columns["prev"][row]
-        prev_key = None if prev < 0 else prev
-        group = self._by_prev.get(prev_key)
-        if group is None or not group.remove(
-            key, columns["entry_time"][row]
-        ):
-            raise CapacityError(
-                f"connection {key} missing from the prev={prev_key} bucket"
-                f" of cell {self.cell_id}"
-            )
-        if not group:
-            self._retired_rebuilds += group.rebuilds
-            del self._by_prev[prev_key]
+        self._drop_row(key)
         self.version += 1
         self.used_bandwidth -= BANDWIDTH_TABLE[columns["bw_code"][row]]
         if self.used_bandwidth < -1e-9:

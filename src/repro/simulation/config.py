@@ -87,17 +87,16 @@ class SimulationConfig:
     #: estimation tick (pure optimisation — bit-identical metrics; the
     #: switch keeps the equivalence testable).
     coalesced_tick: bool = True
-    #: Let one estimation tick gather the Eq. 4/5 rows of *all*
-    #: suppliers into a single cross-cell columnar batch (pure
+    #: Let one estimation tick answer its suppliers from their resident
+    #: tables and key columns through one cross-cell batch (pure
     #: optimisation — bit-identical metrics; the switch keeps the
-    #: equivalence testable).  Only effective under an array kernel.
+    #: equivalence testable).  Only effective under the numpy kernel.
     grouped_flush: bool = True
 
     #: Estimation kernel: ``auto`` (numpy when installed), ``numpy``
-    #: (require the ``[fast]`` extra), ``numba`` (additionally require
-    #: the ``[fastest]`` extra — jitted flush kernels, explicit opt-in)
-    #: or ``python`` (force the pure bisect fallback).  All kernels
-    #: produce bit-identical metrics.  See :mod:`repro._kernel`.
+    #: (require the ``[fast]`` extra) or ``python`` (force the pure
+    #: bisect fallback).  Both kernels produce bit-identical metrics.
+    #: See :mod:`repro._kernel`.
     kernel: str = "auto"
 
     # --- run control ----------------------------------------------------
@@ -177,10 +176,9 @@ class SimulationConfig:
             raise ValueError("soft hand-off window cannot be negative")
         if self.soft_handoff_retry_interval <= 0:
             raise ValueError("soft hand-off retry interval must be positive")
-        if self.kernel not in ("auto", "numpy", "python", "numba"):
+        if self.kernel not in ("auto", "numpy", "python"):
             raise ValueError(
-                "kernel must be auto, numpy, python or numba,"
-                f" got {self.kernel!r}"
+                f"kernel must be auto, numpy or python, got {self.kernel!r}"
             )
         if self.progress_interval < 0:
             raise ValueError("progress interval cannot be negative")

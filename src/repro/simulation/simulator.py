@@ -666,69 +666,7 @@ class CellularSimulator:
             metrics.total_admission_tests
         )
 
-        messages = updates = rebuilds = 0
-        steps_up = steps_down = window_handoffs = window_drops = 0
-        snap_hits = snap_builds = snap_invalidations = 0
-        vector_batches = scalar_batches = vector_rows = scalar_rows = 0
-        for station in self.network.stations:
-            messages += station.messages_sent
-            updates += station.reservation_calculations
-            rebuilds += station.cell.group_rebuilds
-            controller = station.window
-            window_handoffs += controller.total_handoffs
-            window_drops += controller.total_drops
-            for adjustment in controller.adjustments:
-                if adjustment.increased:
-                    steps_up += 1
-                else:
-                    steps_down += 1
-            tel.gauge("window.t_est", cell=str(station.cell_id)).set(
-                controller.t_est
-            )
-            # Custom estimators (estimator_factory overrides) may not
-            # carry the standard counters; treat absences as zero.
-            estimator = station.estimator
-            snap_hits += getattr(estimator, "snapshot_hits", 0)
-            snap_builds += getattr(estimator, "snapshot_builds", 0)
-            snap_invalidations += getattr(
-                estimator, "snapshot_invalidations", 0
-            )
-            vector_batches += getattr(estimator, "eq4_vector_batches", 0)
-            scalar_batches += getattr(estimator, "eq4_scalar_batches", 0)
-            vector_rows += getattr(estimator, "eq4_vector_rows", 0)
-            scalar_rows += getattr(estimator, "eq4_scalar_rows", 0)
-        tel.counter("cellular.messages_sent").inc(messages)
-        tel.counter("cellular.reservation_updates").inc(updates)
-        tel.counter("cellular.tick_flushes").inc(
-            getattr(self.network, "tick_flushes", 0)
-        )
-        tel.counter("cellular.tick_targets").inc(
-            getattr(self.network, "tick_targets", 0)
-        )
-        tel.counter("cellular.tick_suppliers", path="grouped").inc(
-            getattr(self.network, "tick_grouped_suppliers", 0)
-        )
-        tel.counter("cellular.tick_suppliers", path="fallback").inc(
-            getattr(self.network, "tick_fallback_suppliers", 0)
-        )
-        tel.counter("cellular.group_rebuilds").inc(rebuilds)
-        tel.counter("window.t_est_steps", direction="up").inc(steps_up)
-        tel.counter("window.t_est_steps", direction="down").inc(steps_down)
-        tel.counter("window.handoffs").inc(window_handoffs)
-        tel.counter("window.drops").inc(window_drops)
-        tel.counter("estimation.snapshot", outcome="hit").inc(snap_hits)
-        tel.counter("estimation.snapshot", outcome="build").inc(snap_builds)
-        tel.counter("estimation.snapshot_invalidations").inc(
-            snap_invalidations
-        )
-        tel.counter("estimation.eq4_batches", kernel="numpy").inc(
-            vector_batches
-        )
-        tel.counter("estimation.eq4_batches", kernel="python").inc(
-            scalar_batches
-        )
-        tel.counter("estimation.eq4_rows", kernel="numpy").inc(vector_rows)
-        tel.counter("estimation.eq4_rows", kernel="python").inc(scalar_rows)
+        self.network.harvest_telemetry(tel)
         return tel.snapshot()
 
     def _build_result(self, wall_seconds: float) -> SimulationResult:

@@ -801,8 +801,8 @@ class ShardEngine:
             station_of(supplier).messages_sent += len(requests)
         # Supply phase, cross-cell batched like
         # :meth:`repro.cellular.network.CellularNetwork._flush_tick`:
-        # every supplier's Eq. 5 rows are gathered into one columnar
-        # :class:`repro._kernel.FlushBatch` pass; suppliers that cannot
+        # every supplier's table is searched through one
+        # :class:`repro._kernel.FlushBatch`; suppliers that cannot
         # join fall back to the per-supplier batched call, which is
         # bit-identical by construction.
         supplies: dict[int, list[float]] = {}
@@ -822,13 +822,14 @@ class ShardEngine:
                     )
                 else:
                     deferred.append((supplier, slots))
+            network = self.network
+            network.tick_grouped_suppliers += len(deferred)
+            network.tick_fallback_suppliers += len(suppliers) - len(deferred)
             if deferred:
-                batch.resolve()
+                totals = batch.resolve()
                 for supplier, slots in deferred:
                     supplies[supplier] = [
-                        0.0
-                        if slot is None
-                        else (slot if type(slot) is float else slot.total)
+                        0.0 if slot is None else totals[slot]
                         for slot in slots
                     ]
         else:
@@ -872,6 +873,9 @@ class ShardEngine:
                 contributions
             )
             target_station.reservation_calculations += 1
+        if self._pending_install:
+            self.network.tick_flushes += 1
+            self.network.tick_targets += len(self._pending_install)
         self._pending_install = []
         self._reply_values = {}
         until = min((k + 1) * self.epoch, self.duration)
@@ -1243,13 +1247,7 @@ class ShardEngine:
             tel.gauge("spatial.barrier_wait_frac", shard=shard).set(
                 round(max(0.0, 1.0 - self._run_wall / elapsed), 4)
             )
-        messages = updates = 0
-        for cell_id in self.owned:
-            station = self.network.station(cell_id)
-            messages += station.messages_sent
-            updates += station.reservation_calculations
-        tel.counter("cellular.messages_sent").inc(messages)
-        tel.counter("cellular.reservation_updates").inc(updates)
+        self.network.harvest_telemetry(tel, self.owned)
         tel.counter("cellular.admission_tests").inc(
             self.metrics.total_admission_tests
         )

@@ -896,9 +896,7 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
         cell.used_bandwidth = saved_cell["used"]
         cell.reserved_target = saved_cell["reserved"]
         cell.version = saved_cell["version"]
-        cell._retired_rebuilds = saved_cell["rebuilds"] - sum(
-            group.rebuilds for group in cell._by_prev.values()
-        )
+        cell.group_rebuilds = saved_cell["rebuilds"]
     saved_network = runtime["network"]
     sim.network.tick_flushes = saved_network["tick_flushes"]
     sim.network.tick_targets = saved_network["tick_targets"]

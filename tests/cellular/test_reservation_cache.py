@@ -109,40 +109,73 @@ class TestGroupedFlush:
         network.flush_reservation_tick(100.0)
         assert network.tick_grouped_suppliers > 0
 
-    def test_flush_plan_perm_restores_connection_order(self):
+    def test_table_rows_follow_connection_order(self):
         np = numpy_or_none()
         if np is None:
-            pytest.skip("pure-python kernel: no flush plan")
+            pytest.skip("pure-python kernel: no table mirror")
         network = build_network()
-        station = network.station(1)
-        plan = station.grouped_flush_plan(np)
-        assert plan is not None
-        entries_cat, bases_cat, blocks, perm, n_rows = plan
         cell = network.cell(1)
-        assert n_rows == cell.connection_count
-        # Walking the rows through ``perm`` must visit the connections
-        # in exactly the order ``cell.connections()`` yields them.
-        row_entry = [float(entries_cat[index]) for index in perm]
-        expected = [
-            connection.cell_entry_time
-            for connection in cell.connections()
+        # Detach a few so the table carries tombstones between live rows.
+        for connection in list(cell.connections())[5:25:4]:
+            cell.detach(connection)
+        keys, bases = cell.reservation_table(np)
+        # Walking the live rows top to bottom must visit the connections
+        # in exactly the order ``cell.connections()`` yields them: that
+        # order is the Eq. 5 addition sequence.
+        live_entries = [
+            -key.imag for key, basis in zip(keys.tolist(), bases.tolist())
+            if basis
         ]
-        assert row_entry == expected
+        assert live_entries == [
+            connection.cell_entry_time for connection in cell.connections()
+        ]
 
-    def test_flush_plan_invalidated_by_attach(self):
-        np = numpy_or_none()
-        if np is None:
-            pytest.skip("pure-python kernel: no flush plan")
+    def test_steady_state_tick_rebuilds_nothing(self):
+        """A tick after k attaches, detaches and departures
+        re-materialises no table and no key column, and copies O(k)."""
+        if flush_batch_or_none() is None:
+            pytest.skip("pure-python kernel: no grouped flush")
         network = build_network()
-        station = network.station(1)
-        first = station.grouped_flush_plan(np)
-        assert station.grouped_flush_plan(np) is first
-        network.cell(1).attach(
-            Connection(VOICE, 0.0, 1, cell_entry_time=50.0)
-        )
-        second = station.grouped_flush_plan(np)
-        assert second is not first
-        assert second[4] == network.cell(1).connection_count
+        targets = (0, 2, 8)
+
+        def tick(now):
+            for cell_id in targets:
+                network.mark_reservation_dirty(cell_id)
+            network.flush_reservation_tick(now)
+
+        def counters():
+            return (
+                sum(cell.group_rebuilds for cell in network.cells),
+                sum(cell.rows_mirrored for cell in network.cells),
+                sum(s.estimator.snapshot_builds for s in network.stations),
+            )
+
+        tick(100.0)  # first use builds the mirrors and the key columns
+        rebuilds, mirrored, builds = counters()
+        assert rebuilds == 2 and builds == 2  # suppliers 1 and 9 carry load
+        tick(101.0)
+        assert counters() == (rebuilds, mirrored, builds)
+        changes = 0
+        for supplier in (1, 9):
+            cell = network.cell(supplier)
+            for connection in list(cell.connections())[:3]:
+                cell.detach(connection)
+                network.station(supplier).record_departure(
+                    102.0, None, 0, connection.cell_entry_time
+                )
+                changes += 1
+            for offset in range(2):
+                cell.attach(
+                    Connection(
+                        VOICE, 0.0, supplier,
+                        cell_entry_time=102.0 + offset,
+                    )
+                )
+                changes += 1
+        tick(103.0)
+        after = counters()
+        assert (after[0], after[2]) == (rebuilds, builds)
+        assert after[1] - mirrored == changes
 
 
 @pytest.mark.parametrize("interval", [None, 500.0])

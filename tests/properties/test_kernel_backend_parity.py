@@ -1,16 +1,12 @@
-"""Property-based kernel equivalence: python == numpy (== numba).
+"""Property-based kernel equivalence: python == numpy.
 
-The kernel contract (:mod:`repro._kernel`): every backend — the pure
-bisect fallback, the searchsorted-batched numpy path, and the jitted
-numba path — produces *bit-identical* results, for scalar queries,
-batched per-supplier evaluation, and the cross-cell grouped flush.
-Hypothesis drives randomized quadruplet histories and connection
-populations through all available backends and requires exact float
-equality everywhere.
-
-The numba leg is exercised only when numba is importable (it is an
-optional extra); everything else runs on every install, with numpy
-legs skipped on numpy-free installs.
+The kernel contract (:mod:`repro._kernel`): both backends — the pure
+bisect fallback and the searchsorted-batched numpy path — produce
+*bit-identical* results, for scalar queries, batched per-supplier
+evaluation, and the cross-cell grouped flush.  Hypothesis drives
+randomized quadruplet histories and connection populations through
+all available backends and requires exact float equality everywhere.
+The numpy legs are skipped on numpy-free installs.
 """
 
 import random
@@ -19,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._kernel import HAS_NUMPY, has_numba, kernel_name, set_kernel
+from repro._kernel import HAS_NUMPY, kernel_name, set_kernel
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
 from repro.estimation.cache import CacheConfig
@@ -33,8 +29,6 @@ def available_kernels() -> list[str]:
     kernels = ["python"]
     if HAS_NUMPY:
         kernels.append("numpy")
-        if has_numba():
-            kernels.append("numba")
     return kernels
 
 
@@ -142,9 +136,3 @@ def test_whole_run_metrics_key_parity_grouped_flush_toggle():
         "auto", grouped_flush=False
     )
 
-
-def test_numba_skipped_with_notice_when_absent():
-    if has_numba():
-        pytest.skip("numba installed: the backend runs in the tests above")
-    with pytest.raises(RuntimeError, match="numba"):
-        set_kernel("numba")

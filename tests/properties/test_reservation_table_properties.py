@@ -1,0 +1,169 @@
+"""Property: a reservation tick equals the per-connection scalar Eq. 5.
+
+The grouped flush answers a tick from resident structures — each cell's
+attach-order table with tombstones, each station's journal-patched key
+columns (:mod:`repro._kernel`).  Whatever sequence of attaches,
+detaches, departures and bulk loads led there, every ``B_r`` it
+installs must equal, bit for bit, the sum over neighbours of
+``expected_bandwidth(groups=None)`` — the naive per-connection walk
+that shares none of that state.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cellular.base_station import EXIT_CELL
+from repro.cellular.network import CellularNetwork
+from repro.cellular.topology import LinearTopology
+from repro.core.reservation import aggregate_reservation
+from repro.estimation.cache import _JOURNAL_LIMIT, CacheConfig
+from repro.traffic.classes import VIDEO, VOICE
+from repro.traffic.connection import Connection
+
+CELLS = (0, 1, 2)
+#: Few distinct values, so duplicate sojourns and exact ties between a
+#: sojourn and an extant time (entry offsets share the grid) are common.
+GRID = st.sampled_from([0.0, 1.0, 2.5, 4.0, 4.0, 7.5, 11.0, 30.0])
+PREVS = st.sampled_from([None, 0, 1, 2])
+NEXTS = st.sampled_from([EXIT_CELL, 0, 1, 2])
+
+attach = st.tuples(
+    st.just("attach"), st.sampled_from(CELLS), PREVS, GRID, st.booleans()
+)
+detach = st.tuples(
+    st.just("detach"), st.sampled_from(CELLS), st.integers(0, 200)
+)
+#: Emptying most of a cell crosses the compaction boundary; emptying it
+#: makes it the empty supplier.
+drain = st.tuples(st.just("drain"), st.sampled_from(CELLS), st.integers(0, 3))
+depart = st.tuples(
+    st.just("depart"), st.sampled_from(CELLS), PREVS, NEXTS, GRID
+)
+#: More departures between two ticks than the journal holds, and one
+#: fewer / exactly as many, so both sides of the overflow are visited.
+burst = st.tuples(
+    st.just("burst"),
+    st.sampled_from(CELLS),
+    st.sampled_from([_JOURNAL_LIMIT // 2 - 1, _JOURNAL_LIMIT // 2,
+                     _JOURNAL_LIMIT, _JOURNAL_LIMIT + 3]),
+    GRID,
+)
+preload = st.tuples(
+    st.just("preload"),
+    st.sampled_from(CELLS),
+    st.lists(st.tuples(PREVS, NEXTS, GRID), max_size=8),
+)
+advance = st.tuples(st.just("advance"), GRID)
+tick = st.tuples(
+    st.just("tick"),
+    st.lists(
+        st.tuples(
+            st.sampled_from(CELLS),
+            st.sampled_from([-1.0, 0.0, 0.5, 4.0, 10.0, 100.0]),
+        ),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda item: item[0],
+    ),
+)
+operations = st.lists(
+    st.one_of(attach, attach, detach, drain, depart, depart, burst,
+              preload, advance, tick, tick),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _check_tick(network, now, targets):
+    for cell_id, t_est in targets:
+        network.station(cell_id).window.t_est = t_est
+        network.mark_reservation_dirty(cell_id)
+    network.flush_reservation_tick(now)
+    for cell_id, t_est in targets:
+        expected = aggregate_reservation(
+            neighbor.estimator.expected_bandwidth(
+                now, list(neighbor.cell.connections()), cell_id, t_est
+            )
+            for neighbor in network.station(cell_id).neighbor_stations()
+        )
+        assert network.cell(cell_id).reserved_target == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(operations, st.sampled_from([1, 3, 100]))
+def test_every_tick_total_equals_the_scalar_walk(ops, max_per_pair):
+    network = CellularNetwork(
+        LinearTopology(3),
+        capacity=10_000.0,
+        cache_config=CacheConfig(interval=None, max_per_pair=max_per_pair),
+        coalesced_tick=True,
+    )
+    now = 100.0
+    # A populated start (every prev/next pairing observed, a few live
+    # connections per cell), so most ticks sum non-zero contributions;
+    # cell 2 has the connections but an empty, still loadable cache.
+    for cell_id in CELLS:
+        station = network.station(cell_id)
+        for index, prev in enumerate((None, 0, 1, 2)):
+            for next_cell in (EXIT_CELL, 0, 1, 2) if cell_id < 2 else ():
+                station.record_departure(
+                    now, prev, next_cell, now - 3.0 * index - next_cell - 2
+                )
+            network.cell(cell_id).attach(
+                Connection(
+                    VOICE, 0.0, cell_id,
+                    prev_cell=prev, cell_entry_time=now - index,
+                )
+            )
+    for op in ops:
+        kind = op[0]
+        if kind == "attach":
+            _, cell_id, prev, offset, video = op
+            network.cell(cell_id).attach(
+                Connection(
+                    VIDEO if video else VOICE, 0.0, cell_id,
+                    prev_cell=prev, cell_entry_time=now - offset,
+                )
+            )
+        elif kind == "detach":
+            _, cell_id, index = op
+            live = list(network.cell(cell_id).connections())
+            if live:
+                network.cell(cell_id).detach(live[index % len(live)])
+        elif kind == "drain":
+            _, cell_id, keep = op
+            cell = network.cell(cell_id)
+            for connection in list(cell.connections())[keep:]:
+                cell.detach(connection)
+        elif kind == "depart":
+            _, cell_id, prev, next_cell, sojourn = op
+            network.station(cell_id).record_departure(
+                now, prev, next_cell, now - sojourn
+            )
+        elif kind == "burst":
+            _, cell_id, count, sojourn = op
+            station = network.station(cell_id)
+            for index in range(count):
+                station.record_departure(
+                    now, None, (cell_id + 1) % 3, now - sojourn - index % 3
+                )
+        elif kind == "preload":
+            _, cell_id, entries = op
+            estimator = network.station(cell_id).estimator
+            if estimator.cache.size() == 0:
+                # Key columns built over the empty cache must not
+                # survive the bulk load.
+                _check_tick(network, now, [(cell, 4.0) for cell in CELLS])
+                pairs = {}
+                for prev, next_cell, sojourn in entries:
+                    times, sojourns = pairs.setdefault(
+                        (prev, next_cell), ([], [])
+                    )
+                    times.append(now)
+                    sojourns.append(sojourn)
+                estimator.preload(pairs)
+        elif kind == "advance":
+            now += op[1]
+        else:
+            _check_tick(network, now, op[1])
+    _check_tick(network, now, [(0, 10.0), (1, 4.0), (2, 0.0)])

@@ -208,9 +208,9 @@ class TestColumnarCell:
         )
         cell.attach_row(born_here)
         cell.attach_row(handed_off)
-        assert set(cell._by_prev) == {None, 3}
+        assert set(cell.reservation_groups()) == {None, 3}
         cell.detach_row(handed_off)
-        assert set(cell._by_prev) == {None}
+        assert set(cell.reservation_groups()) == {None}
 
     def test_double_attach_raises(self):
         from repro.cellular.cell import CapacityError

@@ -52,6 +52,30 @@ class TestShardInvariance:
         forked = run_spatial(config, 2, processes=True)
         assert inline.metrics_key() == forked.metrics_key()
 
+    def test_shards_report_estimation_and_window_telemetry(self):
+        # The shards do the Eq. 4/5 and T_est work; their harvest must
+        # say so (it used to emit none of these names).
+        result = run_spatial(
+            _city(offered_load=700.0, duration=40.0, telemetry=True),
+            2,
+            processes=False,
+        )
+        counters = result.telemetry["counters"]
+
+        def total(name):
+            return sum(
+                value
+                for key, value in counters.items()
+                if key == name or key.startswith(name + "{")
+            )
+
+        assert total("estimation.eq4_rows") > 0
+        assert total("estimation.eq4_batches") > 0
+        assert total("estimation.snapshot") > 0
+        assert total("window.t_est_steps") > 0
+        assert total("cellular.tick_flushes") > 0
+        assert "cellular.group_rebuilds" in counters
+
     def test_shard_events_cover_total_but_stay_out_of_the_key(self):
         result = run_spatial(_city(duration=40.0), 2, processes=False)
         assert result.shard_events is not None

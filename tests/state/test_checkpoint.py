@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro._kernel import HAS_NUMPY, kernel_name, set_kernel
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.simulation.tracing import ConnectionTracer
@@ -70,6 +71,57 @@ class TestSplitRunParity:
         middle_path = save_checkpoint(middle, tmp_path / "middle")
         resumed = restore_simulator(middle_path, config).run()
         assert resumed.metrics_key() == full.metrics_key()
+
+
+class _SaveBetweenDetachAndTick:
+    """Heartbeat hook: checkpoint once, at a moment when some table
+    holds a tombstone its mirror has not seen and some cache a journal
+    entry its key columns have not."""
+
+    def __init__(self, simulator, directory):
+        self.simulator = simulator
+        self.directory = directory
+        self.path = None
+
+    def beat(self) -> None:
+        if self.path is not None:
+            return
+        stations = self.simulator.network.stations
+        if any(station.cell._tombstones for station in stations) and any(
+            station.estimator.cache._journal for station in stations
+        ):
+            self.path = save_checkpoint(self.simulator, self.directory)
+
+
+class TestDerivedReservationState:
+    @pytest.fixture(autouse=True)
+    def _restore_kernel(self):
+        before = kernel_name()
+        yield
+        set_kernel(before)
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="the resident columns need numpy")
+    def test_checkpoint_between_a_detach_and_the_next_tick(self, tmp_path):
+        """Tables and key columns are derived state: the restore
+        rebuilds them (no dead rows, no columns, nothing serialised)
+        and the run continues to the same metrics."""
+        config = base_config(
+            offered_load=200.0, duration=400.0, seed=3, kernel="numpy"
+        )
+        full = CellularSimulator(config).run()
+        watched = CellularSimulator(config)
+        watched.checkpointer = _SaveBetweenDetachAndTick(
+            watched, tmp_path / "ckpt"
+        )
+        watched.run()
+        assert watched.checkpointer.path is not None
+        restored = restore_simulator(watched.checkpointer.path, config)
+        for station in restored.network.stations:
+            cell = station.cell
+            assert len(cell._keys) == cell.connection_count
+            assert cell._key_array is None
+            assert station.estimator.cache._key_columns is None
+        assert restored.run().metrics_key() == full.metrics_key()
 
 
 class TestMidRunCheckpointer:
