@@ -8,6 +8,9 @@ set -e
 cd "$(dirname "$0")/.."
 
 echo "== tier-1 tests =="
+# Includes the one-pending-event invariant
+# (tests/simulation/test_one_pending_event.py): both DES drivers keep
+# one live heap entry per connection and cancel nothing.
 PYTHONPATH=src python -m pytest -x -q
 
 echo "== kernel matrix =="
@@ -29,6 +32,7 @@ echo "== benchmark harness =="
 python -m pytest bench/test_bench.py -q
 python3 bench/run.py --all --smoke
 python3 bench/run.py --workload ring_ac3 --smoke --trace 1
+python3 bench/run.py --workload ring_static --smoke --trace 1
 python3 bench/run.py --workload hex_city --smoke --trace 1
 
 echo "== telemetry smoke =="

@@ -5,17 +5,21 @@ Two gates, both cheap enough for every CI pass:
 
 1. **Corruption detection** — save a checkpoint, flip one byte in one
    cell blob, and assert ``repro state inspect`` exits non-zero.
-2. **Restore parity** — save at half the horizon, restore, run to the
-   full horizon, and assert ``metrics_key()`` equality with the
-   uninterrupted run (the store's core bit-identity contract).
+2. **Restore parity** — save at half the horizon (while some
+   connections have only a crossing pending, their planned end on the
+   connection record), restore, run to the full horizon, and assert
+   ``metrics_key()`` equality with the uninterrupted run (the store's
+   core bit-identity contract).
 
 Run from the repository root::
 
     PYTHONPATH=src python scripts/state_smoke.py
 """
 
+import json
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +48,14 @@ def check_restore_parity(config, scratch: Path) -> None:
     half = CellularSimulator(replace(config, duration=config.duration / 2))
     half.run()
     path = save_checkpoint(half, scratch / "parity")
+    runtime = json.loads((path / "runtime.json").read_text())
+    pending = Counter(
+        record["kind"] for record in runtime["queue"] if "conn" in record
+    )
+    if not pending["crossing"] or not pending["lifetime"]:
+        raise SystemExit(f"expected both kinds of pending event: {pending}")
+    if sum(pending.values()) != len(runtime["connections"]):
+        raise SystemExit("a connection has more or less than one event")
     resumed = restore_simulator(path, config).run()
     if resumed.metrics_key() != full.metrics_key():
         raise SystemExit("restored run diverged from the straight run")
@@ -52,7 +64,9 @@ def check_restore_parity(config, scratch: Path) -> None:
         f"{config.duration / 2:g}s -> load -> run to {config.duration:g}s"
         " is bit-identical"
         f" (P_CB={full.blocking_probability:.4f},"
-        f" {full.events_processed} events)"
+        f" {full.events_processed} events;"
+        f" {pending['crossing']} connections saved with only a crossing"
+        f" pending, {pending['lifetime']} with only their end)"
     )
 
 

@@ -926,10 +926,6 @@ def bench_ac3_telemetry(smoke: bool) -> dict:
             counters.get('estimation.snapshot{outcome="hit"}', 0),
             counters.get('estimation.snapshot{outcome="build"}', 0),
         ),
-        "event_pool_hit_rate": _rate(
-            counters.get('des.event_pool{outcome="hit"}', 0),
-            counters.get('des.event_pool{outcome="miss"}', 0),
-        ),
         "snapshot": snapshot,
     }
 
@@ -1380,7 +1376,6 @@ def _print_report(report: dict, output: Path) -> None:
         print(
             "telemetry (instrumented run):"
             f" snapshot_hit={telemetry['snapshot_hit_rate']:.1%}"
-            f" pool_hit={telemetry['event_pool_hit_rate']:.1%}"
             f" eq4_numpy_rows={telemetry['eq4_numpy_row_fraction']:.1%}"
             f" tick_grouped={telemetry['tick_grouped_fraction']:.1%}"
         )

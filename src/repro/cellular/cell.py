@@ -9,11 +9,12 @@ admitted connections.  Two admission paths exist, mirroring the paper:
 * **hand-offs** may use the whole capacity, including the reserved band.
 
 The cell itself only does bandwidth accounting; *which* reservation
-target applies is decided by the admission policy.  As a side product
-of that accounting it keeps one attach-order table of its connections
-(:meth:`Cell.reservation_table`), the resident input of the Eq. 5
-kernel; the per-``prev`` buckets the reference paths walk
-(:class:`ReservationGroup`) are derived from it on demand.
+target applies is decided by the admission policy.  From the first
+reservation tick that reads it, the cell also keeps one attach-order
+table of its connections (:meth:`Cell.reservation_table`), the resident
+input of the Eq. 5 kernel; the per-``prev`` buckets the reference paths
+walk (:class:`ReservationGroup`) are derived from it on demand.  A cell
+no tick ever reads (static guard channels) keeps no table at all.
 """
 
 from __future__ import annotations
@@ -128,8 +129,11 @@ class Cell:
         # it adds exactly +0.0 to every Eq. 5 total); rows are dropped
         # when more than half are dead.  ``dict`` preserves insertion
         # order and re-attaches append, so live rows ascend in the
-        # iteration order of :meth:`connections`.
-        self._rows: dict[int, int] = {}
+        # iteration order of :meth:`connections` — which is also why
+        # the table can wait for its first reader: ``_rows`` is ``None``
+        # until :meth:`_table` builds all three from the connections,
+        # and only from then on do attach and detach maintain them.
+        self._rows: dict[int, int] | None = None
         self._keys: list[complex] = []
         self._bases: list[float] = []
         # ndarray mirror of the table, brought current by
@@ -173,9 +177,10 @@ class Cell:
         structure.
         """
         by_code: dict[float, ReservationGroup] = {}
+        rows = self._table()
         keys = self._keys
         bases = self._bases
-        for connection_id, row in self._rows.items():
+        for connection_id, row in rows.items():
             key = keys[row]
             group = by_code.get(key.real)
             if group is None:
@@ -195,6 +200,7 @@ class Cell:
         compaction re-materialises it whole (:attr:`group_rebuilds`).
         The views are valid until the next attach or detach.
         """
+        self._table()
         keys = self._keys
         rows = len(keys)
         key_array = self._key_array
@@ -278,18 +284,8 @@ class Cell:
             )
         self._connections[connection.connection_id] = connection
         self.used_bandwidth += connection.bandwidth
-        # Duck-typed minimal connections (bandwidth only) still account;
-        # they just count as prev=None at entry time 0.
-        self._rows[connection.connection_id] = len(self._keys)
-        self._keys.append(
-            complex(
-                prev_key(getattr(connection, "prev_cell", None)),
-                -getattr(connection, "cell_entry_time", 0.0),
-            )
-        )
-        self._bases.append(
-            getattr(connection, "reservation_basis", connection.bandwidth)
-        )
+        if self._rows is not None:
+            self._add_row(connection)
         self.version += 1
 
     def detach(self, connection: "Connection") -> None:
@@ -300,7 +296,8 @@ class Cell:
                 f"connection {connection.connection_id} not in cell"
                 f" {self.cell_id}"
             )
-        self._drop_row(connection.connection_id)
+        if self._rows is not None:
+            self._drop_row(connection.connection_id)
         self.version += 1
         self.used_bandwidth -= connection.bandwidth
         if self.used_bandwidth < -1e-9:
@@ -345,6 +342,29 @@ class Cell:
         # The reservation basis (minimum rate) is unaffected: the table
         # row stays as it is.
         self.version += 1
+
+    def _table(self) -> dict[int, int]:
+        """``connection id -> table row``, building the table on first read."""
+        if self._rows is None:
+            self._rows = {}
+            for connection in self.connections():
+                self._add_row(connection)
+        return self._rows
+
+    def _add_row(self, connection: "Connection") -> None:
+        """Append a connection's table row."""
+        # Duck-typed minimal connections (bandwidth only) still account;
+        # they just count as prev=None at entry time 0.
+        self._rows[connection.connection_id] = len(self._keys)
+        self._keys.append(
+            complex(
+                prev_key(getattr(connection, "prev_cell", None)),
+                -getattr(connection, "cell_entry_time", 0.0),
+            )
+        )
+        self._bases.append(
+            getattr(connection, "reservation_basis", connection.bandwidth)
+        )
 
     def _drop_row(self, connection_id: int) -> None:
         """Tombstone a detached connection's table row."""

@@ -33,9 +33,6 @@ class SimulationError(RuntimeError):
 #: Cancelled heap entries tolerated before a compaction is considered.
 _COMPACT_MIN = 256
 
-#: Maximum number of fired events kept on the engine's free list.
-_POOL_MAX = 512
-
 
 class Engine:
     """A single-threaded discrete-event simulation engine.
@@ -57,16 +54,9 @@ class Engine:
         self._running = False
         self._stopped = False
         self._cancelled_pending = 0
-        #: Free list of fired events awaiting reuse.  A long run fires
-        #: millions of events; recycling them makes the steady-state
-        #: hot loop allocation-free (heap push/pop of reused objects).
-        self._pool: list[Event] = []
         self.events_processed = 0
         # Observability counters (plain ints: harvested into the
         # telemetry registry at end of run, ~free on the hot path).
-        #: Scheduled events served from the free list vs freshly built.
-        self.pool_hits = 0
-        self.pool_misses = 0
         #: Queued events cancelled before firing.
         self.events_cancelled = 0
         #: Lazy-deletion heap compactions performed.
@@ -107,10 +97,10 @@ class Engine:
     def _note_cancellation(self) -> None:
         """Called (via the event's cancel hook) when a queued event dies.
 
-        Long runs cancel events en masse (every completed connection
-        cancels its crossing event and vice versa); without compaction
-        the heap would keep every corpse until its firing time, growing
-        the queue — and every push/pop — without bound.
+        A caller that cancels en masse would otherwise leave every
+        corpse in the heap until its firing time, growing the queue —
+        and every push/pop — without bound.  (The bundled drivers keep
+        one pending event per connection and cancel nothing.)
         """
         self._cancelled_pending += 1
         self.events_cancelled += 1
@@ -137,30 +127,17 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        pool = self._pool
         sequence = self._sequence
         priority = int(priority)
-        if pool:
-            self.pool_hits += 1
-            event = pool.pop()
-            event._reset(
-                time,
-                priority,
-                sequence,
-                callback,
-                args,
-                self._note_cancellation,
-            )
-        else:
-            self.pool_misses += 1
-            event = Event(
-                time,
-                priority,
-                sequence,
-                callback,
-                args,
-                _cancel_hook=self._note_cancellation,
-            )
+        event = Event(
+            time,
+            priority,
+            sequence,
+            callback,
+            args,
+            False,
+            self._note_cancellation,
+        )
         self._sequence = sequence + 1
         heapq.heappush(self._queue, (time, priority, sequence, event))
         return event
@@ -208,33 +185,14 @@ class Engine:
                 continue
             if time < self._now:
                 raise SimulationError("event queue corrupted: time went backwards")
-            # The event left the heap: a late cancel() must not count it
-            # as a dead heap entry.
-            event._cancel_hook = None
+            # The event left the heap: marked cancelled, a holder's
+            # late cancel() is a no-op and never counts a dead entry.
+            event.cancelled = True
             self._now = time
             self.events_processed += 1
-            event.fire()
-            self._recycle(event)
+            event.callback(*event.args)
             return True
         return False
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired event to the free list.
-
-        The instance is wiped (no callback/args leak) and marked
-        cancelled, so a holder's late ``cancel()`` stays the no-op it
-        always was for fired events.  Holders must not cancel a fired
-        event after scheduling anything new — the instance may by then
-        be carrying the newer event (standard free-list aliasing; the
-        bundled simulator drops its event references at fire time).
-        """
-        event.cancelled = True
-        event.callback = None  # type: ignore[assignment]
-        event.args = ()
-        event._cancel_hook = None
-        pool = self._pool
-        if len(pool) < _POOL_MAX:
-            pool.append(event)
 
     def advance_to(self, time: float) -> int:
         """Drive the clock to ``time`` from an *external* source.
@@ -311,7 +269,6 @@ class Engine:
         next_beat = heartbeat_events if heartbeat is not None else None
         next_obs = observer_events if observer is not None else None
         heappop = heapq.heappop
-        recycle = self._recycle
         try:
             # Inlined peek()+step(): one heap access per event instead of
             # a peek/pop pair.  ``self._queue`` must be re-read after
@@ -347,10 +304,9 @@ class Engine:
                 self._now = time
                 while True:
                     heappop(queue)
-                    head._cancel_hook = None
+                    head.cancelled = True  # left the heap: see step()
                     self.events_processed += 1
-                    head.fire()
-                    recycle(head)
+                    head.callback(*head.args)
                     fired += 1
                     if next_obs is not None and fired >= next_obs:
                         observer()

@@ -10,9 +10,7 @@ the heap but are skipped by the engine (lazy deletion).
 it is a hand-rolled ``__slots__`` class: no instance ``__dict__``, a
 plain ``__init__`` (no dataclass machinery), and a ``__lt__`` that
 compares only the ordering triple instead of a generated full-field
-tuple comparison.  The engine additionally recycles fired instances
-through a free list (:class:`repro.des.engine.Engine`), which
-:meth:`_reset` supports.
+tuple comparison.
 """
 
 from __future__ import annotations
@@ -74,24 +72,6 @@ class Event:
         #: invoked at most once, on the first :meth:`cancel`.
         self._cancel_hook = _cancel_hook
 
-    def _reset(
-        self,
-        time: float,
-        priority: int,
-        sequence: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...],
-        cancel_hook: Callable[[], None] | None,
-    ) -> None:
-        """Re-initialise a recycled instance (engine free-list use only)."""
-        self.time = time
-        self.priority = priority
-        self.sequence = sequence
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._cancel_hook = cancel_hook
-
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:
             return self.time < other.time
@@ -112,10 +92,6 @@ class Event:
         if hook is not None:
             self._cancel_hook = None
             hook()
-
-    def fire(self) -> None:
-        """Invoke the callback (engine use only)."""
-        self.callback(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

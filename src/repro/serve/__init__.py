@@ -37,7 +37,7 @@ from repro.serve.events import (
     encode_event,
     record_run,
 )
-from repro.serve.service import AdmissionService, BroadcastStream
+from repro.serve.service import AdmissionService, BroadcastStream, WorkerDied
 
 __all__ = [
     "AdmissionService",
@@ -49,6 +49,7 @@ __all__ = [
     "StreamEvent",
     "VirtualClock",
     "WallClock",
+    "WorkerDied",
     "comparable_counters",
     "decode_event",
     "encode_event",

@@ -32,7 +32,7 @@ from repro.serve.clock import WallClock
 from repro.serve.driver import Decision, StreamDriver
 from repro.serve.events import ARRIVAL, StreamEvent
 
-__all__ = ["AdmissionService", "BroadcastStream"]
+__all__ = ["AdmissionService", "BroadcastStream", "WorkerDied"]
 
 #: Decision-latency histogram edges in milliseconds.  Batched decisions
 #: land well under a millisecond; the tail buckets catch checkpoint or
@@ -40,6 +40,15 @@ __all__ = ["AdmissionService", "BroadcastStream"]
 LATENCY_BUCKETS_MS = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0
 )
+
+
+class WorkerDied(RuntimeError):
+    """The service's worker task ended abnormally.
+
+    Raised from every request that was pending then and from every
+    later one: a dead worker resolves nothing, so the alternative is a
+    caller waiting forever.
+    """
 
 
 class BroadcastStream:
@@ -178,6 +187,9 @@ class AdmissionService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._task: asyncio.Task | None = None
         self._running = False
+        self._died: WorkerDied | None = None
+        #: The group of requests the worker holds outside the queue.
+        self._inflight: list[_Pending] = []
         self._started = perf_counter()
         self.decisions = 0
         #: Exact recent latencies (ms) for the stats percentiles; the
@@ -221,9 +233,12 @@ class AdmissionService:
         so a client pipelining K events pays 1/K of the per-decision
         asyncio overhead.  Results align with ``events``: a
         :class:`~repro.serve.driver.Decision` per query, ``None`` for
-        notifications, and the :class:`ValueError` *instance* for a
+        notifications, and the exception *instance* (a
+        :class:`ValueError`, or whatever a mistyped field raised) for a
         malformed event (the valid rest of the group is still applied).
         """
+        if self._died is not None:
+            raise self._died
         if not self._running:
             raise RuntimeError("service is not running")
         if self._loop is None:
@@ -273,13 +288,29 @@ class AdmissionService:
 
     # -- worker --------------------------------------------------------
     async def _worker(self) -> None:
+        try:
+            await self._serve()
+        except BaseException as error:
+            # Nobody is left to resolve anything: fail what is pending
+            # and everything later by name instead of letting it hang.
+            self._died = WorkerDied(f"serve worker ended: {error!r}")
+            self._died.__cause__ = error
+            stranded = self._inflight
+            while not self._queue.empty():
+                stranded.append(self._queue.get_nowait())
+            for pending in stranded:
+                if pending is not None and not pending.future.done():
+                    pending.future.set_exception(self._died)
+            raise
+
+    async def _serve(self) -> None:
         queue = self._queue
         driver = self.driver
         while True:
             item = await queue.get()
             if item is None:
                 break
-            batch = [item]
+            batch = self._inflight = [item]
             while len(batch) < self.max_batch:
                 try:
                     extra = queue.get_nowait()
@@ -296,7 +327,7 @@ class AdmissionService:
                 for event in pending.events:
                     try:
                         slots.append(driver.submit(event))
-                    except ValueError as error:
+                    except Exception as error:
                         slots.append(error)
                 groups.append((pending, slots))
             driver.flush()

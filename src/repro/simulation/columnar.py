@@ -335,16 +335,18 @@ class ColumnarCell(Cell):
             )
         store_rows[key] = row
         self.used_bandwidth += bandwidth
-        # ``prev`` is -1 for "born here", which the key encoding maps to
-        # the same list as ``prev=None``.
-        self._rows[key] = len(self._keys)
-        self._keys.append(
-            complex(
-                (columns["prev"][row] + 1) * KEY_STRIDE,
-                -columns["entry_time"][row],
+        if self._rows is not None:
+            # ``prev`` is -1 for "born here", which the key encoding
+            # maps to the same list as ``prev=None``.  (The first read
+            # builds the same rows from :meth:`connections` handles.)
+            self._rows[key] = len(self._keys)
+            self._keys.append(
+                complex(
+                    (columns["prev"][row] + 1) * KEY_STRIDE,
+                    -columns["entry_time"][row],
+                )
             )
-        )
-        self._bases.append(bandwidth)
+            self._bases.append(bandwidth)
         self.version += 1
 
     def detach_row(self, row: int) -> None:
@@ -359,7 +361,8 @@ class ColumnarCell(Cell):
             raise CapacityError(
                 f"connection {key} not in cell {self.cell_id}"
             )
-        self._drop_row(key)
+        if self._rows is not None:
+            self._drop_row(key)
         self.version += 1
         self.used_bandwidth -= BANDWIDTH_TABLE[columns["bw_code"][row]]
         if self.used_bandwidth < -1e-9:

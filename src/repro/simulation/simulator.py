@@ -4,14 +4,16 @@ Event flow (all on the :class:`~repro.des.Engine`):
 
 * **arrival** — a new connection request appears in a cell (Poisson,
   A2): the admission policy runs its test (updating ``B_r`` targets as
-  the scheme dictates), an admitted connection gets a lifetime-end
-  event and — if its mobile moves — a boundary-crossing event; a
+  the scheme dictates), an admitted connection draws its lifetime and
+  — if its mobile moves — its next boundary crossing, and queues the
+  *earlier* of the two: the only event it can still see (§5.1).  A
   blocked request may schedule a retry (§5.3).
 * **crossing** — the mobile reaches a cell boundary: the old cell's BS
   caches the hand-off quadruplet, the new cell's BS feeds its window
   controller, and the hand-off is admitted iff the new cell has spare
-  capacity (reserved band included).  Off an open road's end the
-  connection simply leaves the system.
+  capacity (reserved band included); a successful hop queues the
+  connection's next event by the same rule.  Off an open road's end
+  the connection simply leaves the system.
 * **lifetime end** — the connection completes and releases bandwidth.
 * **sample** — periodic observer recording ``B_r``, ``B_u`` and
   ``T_est`` per cell.
@@ -19,6 +21,7 @@ Event flow (all on the :class:`~repro.des.Engine`):
 
 from __future__ import annotations
 
+import math
 import time as wall_clock
 
 from repro._kernel import kernel_name, set_kernel
@@ -29,7 +32,7 @@ from repro.core.admission import AdmissionPolicy, make_policy
 from repro.core.qos import AdaptiveQoSPolicy
 from repro.core.window import WindowControllerConfig
 from repro.des.engine import Engine
-from repro.des.events import Event, EventPriority
+from repro.des.events import EventPriority
 from repro.des.random import RandomStreams
 from repro.estimation.cache import CacheConfig
 from repro.mobility.models import (
@@ -241,8 +244,6 @@ class CellularSimulator:
             hourly=config.hourly_stats,
             hour_seconds=config.day_seconds / 24.0,
         )
-        self._end_events: dict[int, Event] = {}
-        self._crossing_events: dict[int, Event] = {}
         self.active_connections: dict[int, Connection] = {}
         self._finished = False
         #: Random draws made but never scheduled because they fell past
@@ -434,33 +435,59 @@ class CellularSimulator:
         self.network.cell(cell_id).attach(connection)
         self.extensions.on_admitted(connection, now)
         self.active_connections[connection.connection_id] = connection
-        lifetime = self._lifetime_rng.expovariate(
+        connection.planned_end = now + self._lifetime_rng.expovariate(
             1.0 / self.config.mean_lifetime
         )
-        self._end_events[connection.connection_id] = self.engine.call_in(
-            lifetime,
-            self._on_lifetime_end,
-            connection,
-            priority=EventPriority.DEPARTURE,
-        )
-        self._schedule_crossing(connection)
+        self._schedule_next(connection)
 
-    def _schedule_crossing(self, connection: Connection) -> None:
+    def _schedule_next(self, connection: Connection) -> None:
+        """Queue the connection's next event in its current cell.
+
+        The mobility model is asked even when the lifetime will win, so
+        models that draw from the RNG keep their draw order.
+        """
         mobile = connection.mobile
-        if mobile is None or not mobile.is_moving:
-            return
-        transition = self.mobility.next_transition(
-            mobile, self.engine.now, self._mobility_rng
-        )
-        if transition is None:
-            return
-        self._crossing_events[connection.connection_id] = self.engine.call_at(
-            transition.time,
-            self._on_crossing,
-            connection,
-            transition,
-            priority=EventPriority.HANDOFF,
-        )
+        if mobile is not None and mobile.is_moving:
+            transition = self.mobility.next_transition(
+                mobile, self.engine.now, self._mobility_rng
+            )
+            if transition is not None:
+                self._schedule_one(connection, transition.time, transition)
+                return
+        self._schedule_one(connection)
+
+    def _schedule_one(
+        self,
+        connection: Connection,
+        at: float = math.inf,
+        transition: Transition | None = None,
+        soft_deadline: float | None = None,
+    ) -> None:
+        """One connection, one pending event (§5.1).
+
+        The crossing (or soft-hand-off retry) at ``at`` is queued only
+        when it comes strictly before the planned lifetime end; else
+        the end is.  DEPARTURE fires before HANDOFF at equal times, so
+        the loser could never have fired — queueing it and cancelling
+        it later would be the same run.
+        """
+        end = connection.planned_end
+        if end <= at:
+            self.engine.call_at(
+                end,
+                self._on_lifetime_end,
+                connection,
+                priority=EventPriority.DEPARTURE,
+            )
+        else:
+            self.engine.call_at(
+                at,
+                self._on_crossing,
+                connection,
+                transition,
+                soft_deadline,
+                priority=EventPriority.HANDOFF,
+            )
 
     def _on_crossing(
         self,
@@ -468,17 +495,13 @@ class CellularSimulator:
         transition: Transition,
         soft_deadline: float | None = None,
     ) -> None:
-        if not connection.is_active:
-            return
         now = self.engine.now
-        self._crossing_events.pop(connection.connection_id, None)
         old_cell = connection.cell_id
         new_cell = transition.next_cell
         if new_cell == EXIT_CELL:
             self._record_departure(connection, old_cell, new_cell, now)
             self.network.cell(old_cell).detach(connection)
             connection.finish(ConnectionState.EXITED, now)
-            self._cancel_end(connection)
             self.active_connections.pop(connection.connection_id, None)
             self.metrics.record_exit(old_cell, now)
             if self.recorder is not None:
@@ -503,15 +526,8 @@ class CellularSimulator:
                 soft_deadline = now + self.config.soft_handoff_window
             retry_at = now + self.config.soft_handoff_retry_interval
             if retry_at <= soft_deadline:
-                self._crossing_events[connection.connection_id] = (
-                    self.engine.call_at(
-                        retry_at,
-                        self._on_crossing,
-                        connection,
-                        transition,
-                        soft_deadline,
-                        priority=EventPriority.HANDOFF,
-                    )
+                self._schedule_one(
+                    connection, retry_at, transition, soft_deadline
                 )
                 return
         # Resolution: the mobile actually leaves the old cell now.
@@ -529,7 +545,6 @@ class CellularSimulator:
         self.policy.on_release(self.network, old_cell, now)
         if not admitted:
             connection.finish(ConnectionState.DROPPED, now)
-            self._cancel_end(connection)
             self.active_connections.pop(connection.connection_id, None)
             self.extensions.on_connection_end(connection, now)
             self._forget_mobile(connection)
@@ -544,7 +559,7 @@ class CellularSimulator:
         connection.move_to(new_cell, now)
         self.network.cell(new_cell).attach(connection)
         self.extensions.on_handoff(connection, old_cell, new_cell, now)
-        self._schedule_crossing(connection)
+        self._schedule_next(connection)
 
     def _forget_mobile(self, connection: Connection) -> None:
         """Release per-mobile state kept by stateful mobility models."""
@@ -569,13 +584,7 @@ class CellularSimulator:
         )
 
     def _on_lifetime_end(self, connection: Connection) -> None:
-        if not connection.is_active:
-            return
         now = self.engine.now
-        self._end_events.pop(connection.connection_id, None)
-        crossing = self._crossing_events.pop(connection.connection_id, None)
-        if crossing is not None:
-            crossing.cancel()
         self.network.cell(connection.cell_id).detach(connection)
         connection.finish(ConnectionState.COMPLETED, now)
         self.active_connections.pop(connection.connection_id, None)
@@ -585,11 +594,6 @@ class CellularSimulator:
         self.policy.on_release(self.network, connection.cell_id, now)
         self.extensions.on_connection_end(connection, now)
         self._forget_mobile(connection)
-
-    def _cancel_end(self, connection: Connection) -> None:
-        event = self._end_events.pop(connection.connection_id, None)
-        if event is not None:
-            event.cancel()
 
     def _on_sample(self) -> None:
         now = self.engine.now
@@ -632,8 +636,6 @@ class CellularSimulator:
         tel.counter("des.events_fired").inc(engine.events_processed)
         tel.counter("des.events_cancelled").inc(engine.events_cancelled)
         tel.counter("des.heap_compactions").inc(engine.heap_compactions)
-        tel.counter("des.event_pool", outcome="hit").inc(engine.pool_hits)
-        tel.counter("des.event_pool", outcome="miss").inc(engine.pool_misses)
         tel.gauge("des.heap_len").set(engine.queue_len)
         if wall_seconds > 0:
             tel.gauge("des.events_per_sec").set(

@@ -83,7 +83,7 @@ from repro.core.admission import make_policy
 from repro.core.reservation import aggregate_reservation
 from repro.core.window import WindowControllerConfig
 from repro.des.engine import Engine
-from repro.des.events import Event, EventPriority
+from repro.des.events import EventPriority
 from repro.des.random import RandomStreams
 from repro.estimation.cache import CacheConfig
 from repro.mobility.models import DEFAULT_HEX_POPULATION, HexMobilityModel
@@ -625,9 +625,8 @@ class ShardEngine:
         #: and the dashboard report.
         self._wall_started = wall_clock.perf_counter()
         self._run_wall = 0.0
-        self._end_events: dict[int, Event] = {}
-        self._crossing_events: dict[int, Event] = {}
-        #: Boundary crossings awaiting shipment: (ctime, row, serial, dest).
+        #: Boundary crossings awaiting shipment: (ctime, row, serial, dest)
+        #: — queued crossings only, so every entry's crossing will fire.
         self._outgoing: list[tuple[float, int, int, int]] = []
         #: Per-arrival-cell renewal streams (order-independent names, so
         #: every shard count sees identical per-cell arrival processes).
@@ -922,17 +921,6 @@ class ShardEngine:
             ctime, row, serial, dest = heapq.heappop(outgoing)
             if store.serial_of(row) != serial:
                 continue  # connection already ended; row recycled
-            if float(columns["end_time"][row]) <= ctime:
-                # The lifetime end this epoch or next beats the crossing
-                # (DEPARTURE fires before HANDOFF at equal times); the
-                # local end event will cancel the crossing.
-                continue
-            crossing = self._crossing_events.get(row)
-            if crossing is None or crossing.cancelled or crossing.time != ctime:
-                continue
-            end_event = self._end_events.pop(row, None)
-            if end_event is not None:
-                end_event.cancel()
             payload = (
                 ctime,
                 dest,
@@ -1028,68 +1016,74 @@ class ShardEngine:
         columns["heading"][row] = heading
         cell.attach_row(row)
         self._activity[cell_id] = True
-        # Horizon clamp: the engine never fires an event past
-        # ``duration``, so scheduling one only grows the heap.  A
-        # connection outliving the run simply stays attached to the end
-        # — exactly what the unclamped schedule would produce.
-        if now + lifetime <= self.duration:
-            self._end_events[row] = self.engine.call_at(
-                now + lifetime,
+        self._schedule_next(row)
+
+    def _schedule_next(self, row: int) -> None:
+        """Queue the row's one pending event (§5.1): its next boundary
+        crossing if that comes strictly before its lifetime end, else
+        the end (DEPARTURE fires before HANDOFF at equal times, so the
+        loser could never have fired).
+
+        Horizon clamp: the engine never fires an event past
+        ``duration``, so scheduling one only grows the heap.  A
+        connection outliving the run simply stays attached to the end
+        — exactly what the unclamped schedule would produce — and a
+        crossing past the run end would fire neither here nor, shipped,
+        on the destination.
+        """
+        store = self.store
+        columns = store.columns
+        end_time = columns["end_time"][row]
+        member = self.population[columns["pop"][row]]
+        if member.mean_sojourn > 0:
+            # Same draw order as HexMobilityModel.next_transition, keyed
+            # by birth coordinates + hop count so the stream is
+            # identical no matter which shard executes the hop.
+            rng = _CoordStream(
+                self.seed,
+                _TAG_HOP,
+                columns["birth_cell"][row],
+                columns["birth_seq"][row],
+                columns["hops"][row],
+            )
+            sojourn = rng.expovariate(1.0 / member.mean_sojourn)
+            heading = columns["heading"][row] % 6
+            if rng.random() < member.heading_persistence:
+                index = heading
+            else:
+                index = (heading + rng.choice((-1, 1))) % 6
+            columns["heading"][row] = index
+            ctime = self.engine.now + max(sojourn, HexMobilityModel.MIN_NOTICE)
+            if ctime < end_time:
+                if ctime <= self.duration:
+                    neighbors = self._neighbors[columns["cell"][row]]
+                    next_cell = neighbors[index % len(neighbors)]
+                    serial = store.serial_of(row)
+                    self.engine.call_at(
+                        ctime,
+                        self._on_crossing,
+                        row,
+                        serial,
+                        next_cell,
+                        priority=EventPriority.HANDOFF,
+                    )
+                    if self.plan.owner[next_cell] != self.index:
+                        heapq.heappush(
+                            self._outgoing, (ctime, row, serial, next_cell)
+                        )
+                return
+        if end_time <= self.duration:
+            self.engine.call_at(
+                end_time,
                 self._on_lifetime_end,
                 row,
                 priority=EventPriority.DEPARTURE,
             )
-        self._schedule_crossing(row)
-
-    def _schedule_crossing(self, row: int) -> None:
-        store = self.store
-        columns = store.columns
-        member = self.population[columns["pop"][row]]
-        if member.mean_sojourn <= 0:
-            return
-        cell_id = columns["cell"][row]
-        # Same draw order as HexMobilityModel.next_transition, keyed by
-        # birth coordinates + hop count so the stream is identical no
-        # matter which shard executes the hop.
-        rng = _CoordStream(
-            self.seed,
-            _TAG_HOP,
-            columns["birth_cell"][row],
-            columns["birth_seq"][row],
-            columns["hops"][row],
-        )
-        sojourn = rng.expovariate(1.0 / member.mean_sojourn)
-        heading = columns["heading"][row] % 6
-        if rng.random() < member.heading_persistence:
-            index = heading
-        else:
-            index = (heading + rng.choice((-1, 1))) % 6
-        columns["heading"][row] = index
-        neighbors = self._neighbors[cell_id]
-        next_cell = neighbors[index % len(neighbors)]
-        ctime = self.engine.now + max(sojourn, HexMobilityModel.MIN_NOTICE)
-        if ctime > self.duration:
-            # Horizon clamp (same as the lifetime end): a crossing past
-            # the run end never fires locally and its shipped half would
-            # never fire on the destination either.
-            return
-        serial = store.serial_of(row)
-        self._crossing_events[row] = self.engine.call_at(
-            ctime,
-            self._on_crossing,
-            row,
-            serial,
-            next_cell,
-            priority=EventPriority.HANDOFF,
-        )
-        if self.plan.owner[next_cell] != self.index:
-            heapq.heappush(self._outgoing, (ctime, row, serial, next_cell))
 
     def _on_crossing(self, row: int, serial: int, next_cell: int) -> None:
         store = self.store
         if store.serial_of(row) != serial:
             return
-        self._crossing_events.pop(row, None)
         now = self.engine.now
         columns = store.columns
         old_cell = columns["cell"][row]
@@ -1120,9 +1114,6 @@ class ShardEngine:
         self.metrics.record_handoff(next_cell, now, dropped=dropped)
         self._activity[next_cell] = True
         if dropped:
-            end_event = self._end_events.pop(row, None)
-            if end_event is not None:
-                end_event.cancel()
             store.free(row)
             return
         columns["prev"][row] = old_cell
@@ -1130,7 +1121,7 @@ class ShardEngine:
         columns["cell"][row] = next_cell
         columns["hops"][row] += 1
         self._cells[next_cell].attach_row(row)
-        self._schedule_crossing(row)
+        self._schedule_next(row)
 
     def _on_migration(self, payload: tuple) -> None:
         (
@@ -1171,22 +1162,11 @@ class ShardEngine:
         columns["pop"][row] = pop_index
         columns["heading"][row] = heading
         self._cells[dest].attach_row(row)
-        if end_time <= self.duration:
-            self._end_events[row] = self.engine.call_at(
-                end_time,
-                self._on_lifetime_end,
-                row,
-                priority=EventPriority.DEPARTURE,
-            )
-        self._schedule_crossing(row)
+        self._schedule_next(row)
 
     def _on_lifetime_end(self, row: int) -> None:
         now = self.engine.now
         self.semantic_events += 1
-        self._end_events.pop(row, None)
-        crossing = self._crossing_events.pop(row, None)
-        if crossing is not None:
-            crossing.cancel()
         store = self.store
         cell_id = store.columns["cell"][row]
         self._cells[cell_id].detach_row(row)

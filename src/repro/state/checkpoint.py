@@ -31,6 +31,7 @@ The two order-preservation mechanisms worth knowing about:
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import time as wall_clock
 from dataclasses import fields
@@ -196,6 +197,7 @@ def _capture_connection(connection: Connection) -> dict:
         "entry": connection.cell_entry_time,
         "handoffs": connection.handoff_count,
         "alloc": connection.allocated_bandwidth,
+        "end": connection.planned_end,
         "mobile": None
         if mobile is None
         else {
@@ -237,15 +239,15 @@ def _capture_queue(sim: "CellularSimulator") -> list[dict]:
         elif func is simulator_cls._on_lifetime_end:
             record.update(kind="lifetime", conn=event.args[0].connection_id)
         elif func is simulator_cls._on_crossing:
-            connection, transition = event.args[0], event.args[1]
+            connection, transition, soft_deadline = event.args
             record.update(
                 kind="crossing",
                 conn=connection.connection_id,
                 t_time=transition.time,
                 t_next=transition.next_cell,
             )
-            if len(event.args) > 2 and event.args[2] is not None:
-                record["soft"] = event.args[2]
+            if soft_deadline is not None:
+                record["soft"] = soft_deadline
         elif func is simulator_cls._on_sample:
             record.update(kind="sample")
         else:
@@ -407,8 +409,6 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
         "engine_counters": {
             "events_cancelled": engine.events_cancelled,
             "heap_compactions": engine.heap_compactions,
-            "pool_hits": engine.pool_hits,
-            "pool_misses": engine.pool_misses,
         },
         "rng": {
             name: _encode_rng(sim.streams.get(name).getstate())
@@ -697,6 +697,16 @@ def _restore_queue(
     """
     engine = sim.engine
     duration = sim.config.duration
+    # A checkpoint written before the one-event rule queued both a
+    # lifetime and a crossing per moving connection (and kept the
+    # planned end nowhere else): only the earlier of the two can fire,
+    # so only it is re-queued.  Current checkpoints hold one record per
+    # connection and pass through untouched.
+    queued_at = {
+        (record["kind"], record["conn"]): record["time"]
+        for record in runtime["queue"]
+        if "conn" in record
+    }
     merged = [
         (record["seq"], 1, 0, record) for record in runtime["queue"]
     ] + [
@@ -757,22 +767,29 @@ def _restore_queue(
             )
         elif kind == "lifetime":
             connection = connections[record["conn"]]
-            sim._end_events[record["conn"]] = engine.call_at(
+            if connection.planned_end is None:
+                connection.planned_end = record["time"]
+            if queued_at.get(("crossing", record["conn"]), math.inf) < (
+                record["time"]
+            ):
+                continue
+            engine.call_at(
                 record["time"],
                 sim._on_lifetime_end,
                 connection,
                 priority=EventPriority.DEPARTURE,
             )
         elif kind == "crossing":
-            connection = connections[record["conn"]]
-            transition = Transition(record["t_time"], record["t_next"])
-            args = [connection, transition]
-            if "soft" in record:
-                args.append(record["soft"])
-            sim._crossing_events[record["conn"]] = engine.call_at(
+            if queued_at.get(("lifetime", record["conn"]), math.inf) <= (
+                record["time"]
+            ):
+                continue
+            engine.call_at(
                 record["time"],
                 sim._on_crossing,
-                *args,
+                connections[record["conn"]],
+                Transition(record["t_time"], record["t_next"]),
+                record.get("soft"),
                 priority=EventPriority.HANDOFF,
             )
         elif kind == "sample":
@@ -828,8 +845,8 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
     counters = runtime["engine_counters"]
     engine.events_cancelled = counters["events_cancelled"]
     engine.heap_compactions = counters["heap_compactions"]
-    engine.pool_hits = counters["pool_hits"]
-    engine.pool_misses = counters["pool_misses"]
+    # (Older checkpoints also carry pool_hits/pool_misses from the
+    # retired event free list; the fields are simply ignored.)
     sim.engine = engine
     for name, (version, internal, gauss) in runtime["rng"].items():
         sim.streams.get(name).setstate(
@@ -868,6 +885,7 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
             connection_id=record["id"],
             handoff_count=record["handoffs"],
             allocated_bandwidth=record["alloc"],
+            planned_end=record.get("end"),
         )
     for station in sim.network.stations:
         entry = _entry_for(manifest, cell_blob_name(station.cell_id))

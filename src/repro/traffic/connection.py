@@ -98,6 +98,10 @@ class Connection:
     #: Currently allocated bandwidth; ``None`` means the class's full
     #: rate.  Only adaptive classes ever deviate (QoS degradation).
     allocated_bandwidth: float | None = None
+    #: When the lifetime drawn at admission runs out (``None`` until a
+    #: driver draws one); ``end_time`` is when the connection actually
+    #: ended, which a drop or a road exit can bring forward.
+    planned_end: float | None = None
 
     @property
     def bandwidth(self) -> float:

@@ -48,8 +48,34 @@ def _attach(cell, entry_time, prev=None):
     return connection
 
 
-def test_table_rows_encode_prev_and_entry_time_in_attach_order():
+def _read_cell(capacity=100.0):
+    """A cell whose table has had its first reader (it is kept from then on)."""
+    cell = Cell(0, capacity=capacity)
+    cell.reservation_groups()
+    return cell
+
+
+def test_no_table_until_the_first_read_then_built_in_attach_order():
     cell = Cell(0, capacity=100.0)
+    first = _attach(cell, 5.0)
+    gone = _attach(cell, 6.0, prev=1)
+    _attach(cell, 3.0, prev=2)
+    cell.detach(gone)
+    assert cell._rows is None and cell._keys == [] and cell._bases == []
+    groups = cell.reservation_groups()
+    # Built from the connections: attach order, no row for the detach.
+    assert list(cell._rows) == [c.connection_id for c in cell.connections()]
+    assert cell._keys == [complex(0.0, -5.0), complex(3 * KEY_STRIDE, -3.0)]
+    assert cell._bases == [1.0, 1.0]
+    assert groups[None].keys == [first.connection_id]
+    # From here on attach and detach maintain it.
+    _attach(cell, 7.0)
+    cell.detach(first)
+    assert cell._bases == [0.0, 1.0, 1.0]
+
+
+def test_table_rows_encode_prev_and_entry_time_in_attach_order():
+    cell = _read_cell()
     _attach(cell, 5.0, prev=None)
     _attach(cell, 3.0, prev=2)  # out-of-order entry time: still appended
     _attach(cell, 5.0, prev=None)  # duplicate entry time
@@ -63,7 +89,7 @@ def test_table_rows_encode_prev_and_entry_time_in_attach_order():
 
 
 def test_detach_tombstones_exactly_its_row():
-    cell = Cell(0, capacity=100.0)
+    cell = _read_cell()
     first = _attach(cell, 5.0)
     twin = _attach(cell, 5.0)  # same prev, same entry time
     _attach(cell, 9.0)
@@ -75,7 +101,7 @@ def test_detach_tombstones_exactly_its_row():
 
 
 def test_compaction_when_more_than_half_the_rows_are_dead():
-    cell = Cell(0, capacity=100.0)
+    cell = _read_cell()
     connections = [_attach(cell, float(index)) for index in range(8)]
     for connection in connections[:4]:
         cell.detach(connection)

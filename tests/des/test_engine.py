@@ -267,42 +267,17 @@ def test_cancel_after_fire_does_not_corrupt_pending():
     assert engine.pending == 0
 
 
-def test_fired_events_are_recycled_through_the_pool():
-    engine = Engine()
-    first = engine.call_at(1.0, lambda: None)
-    engine.run()
-    # The fired instance went to the free list and backs the next event.
-    second = engine.call_at(2.0, lambda: None)
-    assert second is first
-    assert not second.cancelled
-
-
-def test_recycled_events_fire_with_fresh_state():
-    engine = Engine()
-    fired = []
-    for index in range(5):
-        engine.call_at(float(index + 1), fired.append, index)
-        engine.run()
-    assert fired == [0, 1, 2, 3, 4]
-
-
 def test_cancel_of_fired_event_is_still_a_noop_after_recycling():
+    # "Recycling" was the engine's event free list; the contract
+    # outlived it: a fired event reads cancelled and a late cancel()
+    # counts nothing.
     engine = Engine()
     event = engine.call_at(1.0, lambda: None)
     engine.run()
-    event.cancel()  # pooled instance: marked cancelled, no hook, no count
-    assert engine.pending == 0
+    assert event.cancelled
+    event.cancel()
+    assert engine.pending == 0 and engine.events_cancelled == 0
     follow_up = []
     engine.call_at(2.0, lambda: follow_up.append(True))
     engine.run()
     assert follow_up == [True]
-
-
-def test_event_pool_is_bounded():
-    from repro.des.engine import _POOL_MAX
-
-    engine = Engine()
-    for index in range(2 * _POOL_MAX):
-        engine.call_at(float(index), lambda: None)
-    engine.run()
-    assert len(engine._pool) <= _POOL_MAX

@@ -7,16 +7,25 @@ detaches, departures and bulk loads led there, every ``B_r`` it
 installs must equal, bit for bit, the sum over neighbours of
 ``expected_bandwidth(groups=None)`` — the naive per-connection walk
 that shares none of that state.
+
+A cell's table waits for its first reader, so the first tick of a run
+(any step of the random sequence) also builds tables from connections
+that were attached and detached unobserved; a second property pins the
+built table to the one maintained from the start.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._kernel import HAS_NUMPY
 from repro.cellular.base_station import EXIT_CELL
+from repro.cellular.cell import Cell
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
 from repro.core.reservation import aggregate_reservation
 from repro.estimation.cache import _JOURNAL_LIMIT, CacheConfig
+from repro.simulation.scenarios import stationary
+from repro.simulation.simulator import CellularSimulator
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
 
@@ -167,3 +176,79 @@ def test_every_tick_total_equals_the_scalar_walk(ops, max_per_pair):
         else:
             _check_tick(network, now, op[1])
     _check_tick(network, now, [(0, 10.0), (1, 4.0), (2, 0.0)])
+
+
+def _live_rows(cell):
+    """``(connection id, key, basis)`` of the table's live rows, in order."""
+    rows = cell._table()
+    listed = [(cid, cell._keys[row], cell._bases[row]) for cid, row in rows.items()]
+    if HAS_NUMPY:
+        import numpy as np
+
+        keys, bases = cell.reservation_table(np)
+        alive = bases != 0.0  # a basis is a bandwidth; 0.0 is a tombstone
+        assert keys[alive].tolist() == [key for _cid, key, _basis in listed]
+        assert bases[alive].tolist() == [basis for _cid, _key, basis in listed]
+    return listed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("attach"), PREVS, GRID, st.booleans()),
+            st.tuples(st.just("attach"), PREVS, GRID, st.booleans()),
+            st.tuples(st.just("detach"), st.integers(0, 200)),
+            st.tuples(st.just("drain"), st.integers(0, 3)),
+        ),
+        max_size=60,
+    ),
+    st.integers(0, 60),
+)
+def test_first_read_after_unobserved_mutations_equals_the_eager_table(
+    ops, first_read
+):
+    eager = Cell(0, capacity=10_000.0)
+    eager.reservation_groups()  # read while empty: maintained from the start
+    lazy = Cell(0, capacity=10_000.0)
+    for step, op in enumerate(ops):
+        if step == first_read:
+            assert lazy._rows is None
+            assert _live_rows(lazy) == _live_rows(eager)
+        if op[0] == "attach":
+            _, prev, offset, video = op
+            connection = Connection(
+                VIDEO if video else VOICE, 0.0, 0,
+                prev_cell=prev, cell_entry_time=100.0 - offset,
+            )
+            eager.attach(connection)
+            lazy.attach(connection)
+            continue
+        live = list(eager.connections())
+        if not live:
+            continue
+        if op[0] == "detach":
+            doomed = live[op[1] % len(live):][:1]
+        else:
+            doomed = live[op[1]:]
+        for connection in doomed:
+            eager.detach(connection)
+            lazy.detach(connection)
+    assert _live_rows(lazy) == _live_rows(eager)
+    assert lazy.reservation_groups().keys() == eager.reservation_groups().keys()
+
+
+def test_a_static_run_never_builds_a_table():
+    simulator = CellularSimulator(
+        stationary(
+            "static", offered_load=200.0, high_mobility=True,
+            duration=120.0, seed=5,
+        )
+    )
+    result = simulator.run()
+    assert result.total_handoff_attempts > 500
+    assert len(simulator.network.cells) == 10
+    for cell in simulator.network.cells:
+        assert cell.connection_count > 0
+        assert cell._rows is None and cell._keys == [] and cell._bases == []
+        assert cell.group_rebuilds == 0

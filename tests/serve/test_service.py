@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.serve import AdmissionService, warm_start
+from repro.serve import AdmissionService, WorkerDied, warm_start
 from repro.serve.driver import Decision
 from repro.serve.events import ARRIVAL, COMPLETE, StreamEvent
 from repro.simulation.scenarios import stationary
@@ -183,3 +183,50 @@ def test_broadcast_stream_fans_out_and_keeps_backlog():
     stream.write('{"t": 4.0}\n')
     assert len(seen) == 3
     assert stream.subscribers == 0
+
+
+def test_mistyped_event_fails_its_slot_not_the_worker():
+    # cell="3" makes the range check raise TypeError, not ValueError;
+    # the shared worker used to die of it and every later call hung.
+    async def body(service):
+        results = await asyncio.wait_for(
+            service.submit_many(
+                (
+                    StreamEvent(t=None, kind=ARRIVAL, cell=0),
+                    StreamEvent(t=None, kind=ARRIVAL, cell="3"),
+                    StreamEvent(t=None, kind=ARRIVAL, cell=1),
+                )
+            ),
+            timeout=5.0,
+        )
+        assert isinstance(results[0], Decision) and results[0].cell == 0
+        assert isinstance(results[1], TypeError)
+        assert isinstance(results[2], Decision) and results[2].cell == 1
+        with pytest.raises(TypeError):
+            await asyncio.wait_for(
+                service.submit(StreamEvent(t=None, kind=ARRIVAL, cell="3")),
+                timeout=5.0,
+            )
+        decision = await asyncio.wait_for(service.admit(cell=2), timeout=5.0)
+        assert decision.admitted
+
+    asyncio.run(_with_service(body))
+
+
+def test_dead_worker_fails_pending_and_later_requests_by_name():
+    async def scenario():
+        service = AdmissionService(_config())
+        await service.start()
+
+        def explode():
+            raise OSError("disk on fire")
+
+        service.driver.flush = explode
+        with pytest.raises(WorkerDied, match="disk on fire"):
+            await asyncio.wait_for(service.admit(cell=0), timeout=5.0)
+        with pytest.raises(WorkerDied):
+            await asyncio.wait_for(service.admit(cell=1), timeout=5.0)
+        with pytest.raises(OSError):  # stop() surfaces the cause
+            await service.stop()
+
+    asyncio.run(scenario())

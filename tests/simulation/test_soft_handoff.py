@@ -9,7 +9,8 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.traffic.classes import VOICE
-from repro.traffic.connection import Connection
+from repro.mobility.models import Transition
+from repro.traffic.connection import Connection, ConnectionState
 
 
 class TestSoftCapacityCell:
@@ -116,6 +117,39 @@ class TestSoftHandoffEndToEnd:
         simulator.run()
         for connection in simulator.active_connections.values():
             assert connection.is_active
+
+    def test_lifetime_ending_between_two_retries_completes_at_its_end(self):
+        # The one-event rule against ``retry_at``: crossing refused at
+        # t=1, retried (and refused) at t=2, lifetime over at t=2.5 —
+        # before the t=3 retry, so the end is what gets queued.
+        simulator = CellularSimulator(
+            overloaded(
+                soft_handoff_window=10.0,
+                soft_handoff_retry_interval=1.0,
+                warmup=0.0,
+            )
+        )
+        full = simulator.network.cell(1)
+        for _ in range(int(full.capacity)):
+            full.attach(Connection(VOICE, 0.0, 1))
+        connection = Connection(VOICE, 0.0, 0, planned_end=2.5)
+        simulator.network.cell(0).attach(connection)
+        simulator.active_connections[connection.connection_id] = connection
+        simulator._schedule_one(connection, 1.0, Transition(1.0, 1))
+        engine = simulator.engine
+        fired = []
+        while engine.peek() is not None:
+            fired.append(engine.peek())
+            engine.step()
+        assert fired == [1.0, 2.0, 2.5]
+        assert connection.state is ConnectionState.COMPLETED
+        assert connection.end_time == 2.5
+        assert not simulator.active_connections
+        assert simulator.network.cell(0).connection_count == 0
+        counters = simulator.metrics.cells
+        assert counters[0].completed == 1
+        assert counters[1].handoff_attempts == counters[1].handoff_drops == 0
+        assert engine.events_cancelled == 0
 
     def test_combined_mechanisms_compound(self):
         hard = CellularSimulator(overloaded()).run()

@@ -7,6 +7,7 @@ at the end of a run, mid-run by the heartbeat, or loaded by a brand-new
 process (the subprocess test).
 """
 
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,6 +19,13 @@ from repro._kernel import HAS_NUMPY, kernel_name, set_kernel
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.simulation.tracing import ConnectionTracer
+from repro.state.checkpoint import capture_state
+from repro.state.format import (
+    MANIFEST_NAME,
+    RUNTIME_NAME,
+    crc32_of,
+    publish_state_dir,
+)
 from repro.state import (
     Checkpointer,
     CheckpointError,
@@ -73,6 +81,104 @@ class TestSplitRunParity:
         assert resumed.metrics_key() == full.metrics_key()
 
 
+def _rewrite_in_parent_layout(simulator, files):
+    """``files`` as the commit before the one-event rule wrote them.
+
+    That layout kept no planned end on the connection record: it queued
+    a ``lifetime`` record (stamped at admission) for every connection
+    *and* a ``crossing`` record for every moving one, and carried the
+    event free list's counters.
+    """
+    runtime = json.loads(files[RUNTIME_NAME])
+    queued = {
+        (record["kind"], record["conn"])
+        for record in runtime["queue"]
+        if "conn" in record
+    }
+    top = max(record["seq"] for record in runtime["queue"])
+    for record in runtime["connections"]:
+        conn = record["id"]
+        end = record.pop("end")
+        if ("lifetime", conn) not in queued:
+            runtime["queue"].append(
+                {"kind": "lifetime", "conn": conn, "time": end, "seq": -1 - conn}
+            )
+        if ("crossing", conn) not in queued:
+            mobile = simulator.active_connections[conn].mobile
+            transition = simulator.mobility.next_transition(
+                mobile, mobile.position_time
+            )
+            assert transition.time >= end  # the end was the one to fire
+            top += 1
+            runtime["queue"].append(
+                {
+                    "kind": "crossing",
+                    "conn": conn,
+                    "time": transition.time,
+                    "seq": top,
+                    "t_time": transition.time,
+                    "t_next": transition.next_cell,
+                }
+            )
+    runtime["queue"].sort(key=lambda record: record["seq"])
+    runtime["engine_counters"].update(pool_hits=123, pool_misses=45)
+    blob = json.dumps(runtime).encode("utf-8")
+    manifest = json.loads(files[MANIFEST_NAME])
+    for entry in manifest["files"]:
+        if entry["path"] == RUNTIME_NAME:
+            entry.update(bytes=len(blob), crc32=crc32_of(blob))
+    return {
+        **files,
+        RUNTIME_NAME: blob,
+        MANIFEST_NAME: json.dumps(manifest, indent=1).encode("utf-8"),
+    }
+
+
+class TestOneEventPerConnection:
+    def test_connection_record_carries_the_planned_end(self, tmp_path):
+        # Taken while some connections have only a crossing pending: the
+        # end those will need after their hop is on their record.
+        config = base_config()
+        full, first = split_run_parity(config, split=150.0)
+        runtime = json.loads(capture_state(first)[RUNTIME_NAME])
+        kinds = {
+            record["conn"]: record["kind"]
+            for record in runtime["queue"]
+            if "conn" in record
+        }
+        assert sorted(kinds) == sorted(first.active_connections)
+        assert set(kinds.values()) == {"lifetime", "crossing"}
+        for record in runtime["connections"]:
+            assert record["end"] > 150.0
+        assert "pool_hits" not in runtime["engine_counters"]
+        path = save_checkpoint(first, tmp_path / "ckpt")
+        resumed = restore_simulator(path, config)
+        # (The longer horizon also admits the draws the split suppressed.)
+        assert resumed.engine.pending == len(runtime["queue"]) + len(
+            runtime["suppressed"]
+        )
+        assert resumed.run().metrics_key() == full.metrics_key()
+
+    def test_parent_layout_requeues_only_the_earlier_event(self, tmp_path):
+        config = base_config()
+        full, first = split_run_parity(config, split=150.0)
+        files = capture_state(first)
+        runtime = json.loads(files[RUNTIME_NAME])
+        current = len(runtime["queue"]) + len(runtime["suppressed"])
+        old = _rewrite_in_parent_layout(first, files)
+        doubled = json.loads(old[RUNTIME_NAME])
+        assert len(doubled["queue"]) == len(runtime["queue"]) + len(
+            first.active_connections
+        )
+        assert all("end" not in record for record in doubled["connections"])
+        path = publish_state_dir(tmp_path / "parent-layout", old)
+        resumed = restore_simulator(path, config)
+        assert resumed.engine.pending == current
+        for connection in resumed.active_connections.values():
+            assert connection.planned_end is not None
+        assert resumed.run().metrics_key() == full.metrics_key()
+
+
 class _SaveBetweenDetachAndTick:
     """Heartbeat hook: checkpoint once, at a moment when some table
     holds a tombstone its mirror has not seen and some cache a journal
@@ -103,8 +209,8 @@ class TestDerivedReservationState:
     @pytest.mark.skipif(not HAS_NUMPY, reason="the resident columns need numpy")
     def test_checkpoint_between_a_detach_and_the_next_tick(self, tmp_path):
         """Tables and key columns are derived state: the restore
-        rebuilds them (no dead rows, no columns, nothing serialised)
-        and the run continues to the same metrics."""
+        serialises none of it (no table until the next tick reads one,
+        no columns) and the run continues to the same metrics."""
         config = base_config(
             offered_load=200.0, duration=400.0, seed=3, kernel="numpy"
         )
@@ -118,8 +224,7 @@ class TestDerivedReservationState:
         restored = restore_simulator(watched.checkpointer.path, config)
         for station in restored.network.stations:
             cell = station.cell
-            assert len(cell._keys) == cell.connection_count
-            assert cell._key_array is None
+            assert cell._rows is None and cell._key_array is None
             assert station.estimator.cache._key_columns is None
         assert restored.run().metrics_key() == full.metrics_key()
 
