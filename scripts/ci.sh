@@ -34,6 +34,7 @@ python3 bench/run.py --all --smoke
 python3 bench/run.py --workload ring_ac3 --smoke --trace 1
 python3 bench/run.py --workload ring_static --smoke --trace 1
 python3 bench/run.py --workload hex_city --smoke --trace 1
+python3 bench/run.py --workload serve_static_ws --smoke --trace 1
 
 echo "== telemetry smoke =="
 PYTHONPATH=src python scripts/telemetry_smoke.py
@@ -64,7 +65,8 @@ PYTHONPATH=src python scripts/state_smoke.py
 echo "== serve smoke =="
 # Live admission service: WebSocket decision round-trip, a 200-frame
 # pipelined burst with a malformed frame in it (in-order replies, one
-# error, connection kept), 500 load-generator decisions, a well-formed
+# error, connection kept), a fractional cell id refused, a binary frame
+# closed with 1003, 500 load-generator decisions, a well-formed
 # streamed series frame, and a clean shutdown.
 PYTHONPATH=src python scripts/serve_smoke.py
 

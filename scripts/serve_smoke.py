@@ -9,6 +9,9 @@ subscriber listens, then asserts:
 * a pipelined burst — 200 frames in one write, a malformed one in the
   middle — gets 200 replies in request order, the bad one an ``error``,
   and leaves the connection open;
+* a fractional ``cell`` is refused with an ``error`` reply (not
+  truncated into a neighbouring cell), and a binary frame closes the
+  connection with status 1003 after the request before it is answered;
 * the state stream produces a well-formed frame — it must parse as a
   JSON series row with the fields ``repro dash`` renders;
 * shutdown is clean (worker drained, clients closed, no stray tasks).
@@ -22,7 +25,13 @@ import sys
 
 from repro.serve import AdmissionService
 from repro.serve.loadgen import run_load
-from repro.serve.ws import AsyncWsClient, WebSocketGateway, encode_frame
+from repro.serve.ws import (
+    OP_BINARY,
+    OP_CLOSE,
+    AsyncWsClient,
+    WebSocketGateway,
+    encode_frame,
+)
 from repro.simulation.scenarios import stationary
 
 DECISIONS = 500
@@ -73,6 +82,27 @@ async def main() -> int:
     # The round trip above plus the burst's BURST - 1 well-formed frames.
     assert stats["op"] == "stats" and stats["decisions"] == BURST, stats
     print(f"serve smoke: {BURST}-frame burst answered in order, 1 error frame")
+
+    refused = await client.request({"op": "admit", "cell": 1.9, "id": "frac"})
+    assert refused["op"] == "error" and refused["id"] == "frac", refused
+    assert "cell must be an integer" in refused["error"], refused
+    stats = await client.request({"op": "stats"})
+    assert stats["decisions"] == BURST, "a refused request was counted"
+    print("serve smoke: fractional cell refused with an error reply")
+
+    binary = await AsyncWsClient.connect(gateway.url)
+    binary._writer.write(
+        encode_frame(b'{"op": "admit", "cell": 1, "id": "pre"}', mask=True)
+        + encode_frame(b'{"op": "admit", "cell": 1}', opcode=OP_BINARY, mask=True)
+    )
+    answered = await asyncio.wait_for(binary.recv_json(), timeout=5.0)
+    assert answered["op"] == "decision" and answered["id"] == "pre", answered
+    opcode, payload = await asyncio.wait_for(binary.recv_frame(), timeout=5.0)
+    assert opcode == OP_CLOSE and int.from_bytes(payload, "big") == 1003, (
+        opcode, payload
+    )
+    binary._writer.close()
+    print("serve smoke: binary frame closed with 1003 after answering")
 
     report = await run_load(
         service, decisions=DECISIONS, concurrency=8, pipeline=16

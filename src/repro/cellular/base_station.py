@@ -72,6 +72,9 @@ class BaseStation:
         self.reservation_cache_enabled = reservation_cache
         #: Cached neighbour stations (the topology is immutable).
         self._neighbor_stations: list["BaseStation"] | None = None
+        #: Whether ``T_soj,max`` may be asked for on demand (decided on
+        #: the first hand-off, once every neighbour station exists).
+        self._bound_on_demand: bool | None = None
 
     @property
     def cell_id(self) -> int:
@@ -217,10 +220,26 @@ class BaseStation:
         return maximum
 
     def on_handoff_arrival(self, dropped: bool, now: float) -> None:
-        """Feed the window controller for a hand-off into this cell."""
-        self.window.on_handoff(
-            dropped, self.neighborhood_max_sojourn(now), now
-        )
+        """Feed the window controller for a hand-off into this cell.
+
+        ``T_soj,max`` goes in as the method that computes it, and the
+        controller asks only on the Figure 6 line that reads the bound —
+        provided every neighbour answers from resident columns.  A
+        neighbour with a finite ``T_int`` answers from its per-``prev``
+        snapshots and re-cuts the stale ones as it goes, which later
+        Eq. 4 queries then see: skipping the question would move those
+        runs' results, so for them it is still asked on every hand-off.
+        """
+        bound = self.neighborhood_max_sojourn
+        on_demand = self._bound_on_demand
+        if on_demand is None:
+            on_demand = self._bound_on_demand = all(
+                getattr(neighbor.estimator, "max_sojourn_is_resident", False)
+                for neighbor in self.neighbor_stations()
+            )
+        if not on_demand:
+            bound = bound(now)
+        self.window.on_handoff(dropped, bound, now)
 
     def record_departure(
         self,

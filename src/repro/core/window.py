@@ -101,9 +101,7 @@ class EstimationWindowController:
     # ------------------------------------------------------------------
     # Figure-6 main loop body
     # ------------------------------------------------------------------
-    def on_handoff(
-        self, dropped: bool, max_sojourn: float, now: float = 0.0
-    ) -> None:
+    def on_handoff(self, dropped: bool, max_sojourn, now: float = 0.0) -> None:
         """Process one hand-off into the cell (lines 04–17 of Figure 6).
 
         Parameters
@@ -112,7 +110,14 @@ class EstimationWindowController:
             Whether the hand-off was dropped for lack of bandwidth.
         max_sojourn:
             ``T_soj,max`` — largest sojourn in the neighbouring cells'
-            estimation functions; upper bound for ``T_est``.
+            estimation functions; upper bound for ``T_est``.  Either
+            the value, or a callable of ``now`` that returns it.  Figure
+            6 reads the bound in one statement only — the ``T_est <
+            T_soj,max`` guard of the increment, reached when the drop
+            quota is exceeded — so a callable is asked there and nowhere
+            else: a counted hand-off and a decrement (guarded by the
+            1 s minimum, not by the bound) cost no walk over the
+            neighbours.
         now:
             Virtual time, recorded with the adjustment trace.
         """
@@ -124,21 +129,25 @@ class EstimationWindowController:
             self.total_drops += 1
             if self.drops > quota:
                 self.observation_window += self.reference
-                if self.t_est < max_sojourn:
-                    self._adjust(increase=True, bound=max_sojourn, now=now)
+                bound = max_sojourn(now) if callable(max_sojourn) else max_sojourn
+                if self.t_est < bound:
+                    self._adjust(increase=True, bound=bound, now=now)
         elif self.handoffs > self.observation_window:
             allowed = (
                 self.drops <= quota
                 if self.config.inclusive_decrement
                 else self.drops < quota
             )
-            if allowed and self.t_est > self.config.min_window:
-                self._adjust(increase=False, bound=max_sojourn, now=now)
+            minimum = self.config.min_window
+            if allowed and self.t_est > minimum:
+                self._adjust(increase=False, bound=minimum, now=now)
             self.observation_window = self.reference
             self.handoffs = 0
             self.drops = 0
 
     def _adjust(self, increase: bool, bound: float, now: float) -> None:
+        """Step ``T_est`` once; ``bound`` is the limit on the side it
+        moves toward (``T_soj,max`` up, the minimum window down)."""
         if self._last_direction is increase:
             self._consecutive += 1
         else:
@@ -148,7 +157,7 @@ class EstimationWindowController:
         if increase:
             self.t_est = min(self.t_est + step, max(bound, self.config.min_window))
         else:
-            self.t_est = max(self.t_est - step, self.config.min_window)
+            self.t_est = max(self.t_est - step, bound)
         self.adjustments.append(
             WindowAdjustment(
                 now, self.t_est, increase, self.handoffs, self.drops

@@ -472,14 +472,23 @@ class MobilityEstimator:
         snapshot = self.function_for(now, prev)
         return snapshot.total_mass_above(extant_sojourn) <= 0.0
 
+    @property
+    def max_sojourn_is_resident(self) -> bool:
+        """Whether :meth:`max_sojourn` only reads the cache's resident
+        columns, so that asking later — or never — changes no answer.
+        True for an infinite interval; a finite ``T_int`` cuts (and
+        keeps) per-``prev`` snapshots on the way."""
+        return self.cache.config.interval is None
+
     def max_sojourn(self, now: float) -> float:
         """Largest active sojourn over all ``prev`` (bounds ``T_est``).
 
-        Runs on every hand-off arrival (via ``neighborhood_max_sojourn``),
-        so it must not rebuild snapshots.  Infinite-interval caches
-        answer from their incrementally sorted union columns in
-        O(number of pairs); only the windowed configuration still walks
-        the per-``prev`` snapshots.
+        Infinite-interval caches answer from their incrementally sorted
+        union columns in O(number of pairs) and are asked only when a
+        window controller reads the bound; the windowed configuration
+        walks the per-``prev`` snapshots, rebuilding the stale ones, on
+        every hand-off arrival (see
+        :meth:`~repro.cellular.base_station.BaseStation.on_handoff_arrival`).
         """
         fast = self.cache.max_active_sojourn()
         if fast is not None:

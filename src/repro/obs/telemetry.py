@@ -125,10 +125,11 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.edges, value)] += 1
-        self.sum += value
-        self.count += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``."""
+        self.counts[bisect_left(self.edges, value)] += count
+        self.sum += value * count
+        self.count += count
 
 
 class SectionTimer:
@@ -179,7 +180,7 @@ class _NullHistogram:
     sum = 0.0
     count = 0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         pass
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import shutil
 from collections import deque
+from itertools import repeat
 from pathlib import Path
 from time import perf_counter
 
@@ -333,26 +334,34 @@ class AdmissionService:
             driver.flush()
             done = perf_counter()
             for pending, slots in groups:
-                latency_ms = (done - pending.submitted) * 1000.0
+                # One latency per group, so the accounting is per group
+                # too: tally while the results are laid out, then touch
+                # each instrument once.
                 results = []
+                tally: dict = {}
                 for slot in slots:
                     if isinstance(slot, Exception):
                         results.append(slot)
                         continue
                     decision = slot.decision
                     results.append(decision)
-                    if decision is None:
-                        continue
-                    self.decisions += 1
-                    self._latencies.append(latency_ms)
-                    self._hist.observe(latency_ms)
+                    if decision is not None:
+                        label = (decision.kind, decision.admitted)
+                        tally[label] = tally.get(label, 0) + 1
+                if tally:
+                    latency_ms = (done - pending.submitted) * 1000.0
+                    decided = sum(tally.values())
+                    self.decisions += decided
+                    self._latencies.extend(repeat(latency_ms, decided))
+                    self._hist.observe(latency_ms, decided)
                     if latency_ms > self.budget_ms:
-                        self._budget_misses.inc()
-                    self._decision_counter(
-                        "serve.decisions",
-                        kind=decision.kind,
-                        outcome="accepted" if decision.admitted else "rejected",
-                    ).inc()
+                        self._budget_misses.inc(decided)
+                    for (kind, admitted), count in tally.items():
+                        self._decision_counter(
+                            "serve.decisions",
+                            kind=kind,
+                            outcome="accepted" if admitted else "rejected",
+                        ).inc(count)
                 if not pending.future.done():
                     pending.future.set_result(results)
             sampler = self.sampler

@@ -22,6 +22,14 @@ read written with one ``write`` + one ``drain``.  Replies leave strictly
 in request order; ``stats``, ``subscribe``, ping and close first settle
 the run before them, so they observe every request sent earlier.
 
+The request path is one parse in, one format out: a stream request is
+decoded, checked and appended to the run by a plain call (a coroutine
+exists only for a malformed request or another op), and its decision is written by formatting a
+template, not by serialising dicts — to the same bytes.  Frames the
+protocol has no use for are refused from their header: binary data
+with close status 1003, fragments, reserved bits or opcodes and
+over-long control frames with 1002.
+
 :class:`SyncWsClient` is the bundled blocking client — what
 ``repro dash`` and the smoke script use from outside the service
 process; :class:`AsyncWsClient` is its asyncio twin for in-loop tests.
@@ -54,12 +62,18 @@ __all__ = [
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 OP_TEXT = 0x1
+OP_BINARY = 0x2
 OP_CLOSE = 0x8
 OP_PING = 0x9
 OP_PONG = 0xA
 
 CLOSE_PROTOCOL_ERROR = 1002
+CLOSE_UNSUPPORTED_DATA = 1003
 CLOSE_TOO_BIG = 1009
+
+#: First header byte of the one frame the request path is made of: a
+#: final text frame with no reserved bit set.
+_FINAL_TEXT = 0x80 | OP_TEXT
 
 #: Largest payload a peer may declare.  A longer frame is refused from
 #: its header alone (close status 1009), so nobody can make this end
@@ -121,6 +135,30 @@ class FrameError(ConnectionError):
         self.status = status
 
 
+def _refuse_header(first: int, second: int) -> None:
+    """Raise :class:`FrameError` unless the two header bytes open a
+    frame this endpoint takes: final, no reserved bit, and either text
+    or a control frame of at most 125 bytes (RFC 6455 §5.2, §5.5)."""
+    if not first & 0x80:
+        raise FrameError(
+            "fragmented frames are not supported", CLOSE_PROTOCOL_ERROR
+        )
+    if first & 0x70:
+        raise FrameError("reserved header bits are set", CLOSE_PROTOCOL_ERROR)
+    opcode = first & 0x0F
+    if opcode == OP_BINARY:
+        raise FrameError(
+            "binary frames are not supported", CLOSE_UNSUPPORTED_DATA
+        )
+    if opcode not in (OP_TEXT, OP_CLOSE, OP_PING, OP_PONG):
+        # A continuation with nothing to continue, or a reserved opcode.
+        raise FrameError(f"unexpected opcode {opcode:#x}", CLOSE_PROTOCOL_ERROR)
+    if opcode != OP_TEXT and second & 0x7F > 125:
+        raise FrameError(
+            "control frame longer than 125 bytes", CLOSE_PROTOCOL_ERROR
+        )
+
+
 class FrameDecoder:
     """Incremental frame parser — the one place a header is read.
 
@@ -133,8 +171,11 @@ class FrameDecoder:
 
     def feed(self, data: bytes):
         """Yield ``(opcode, unmasked payload)`` for every frame ``data``
-        completes.  Raises :class:`FrameError` at a fragmented frame or
-        one declaring more than :data:`MAX_FRAME_BYTES`."""
+        completes.  Raises :class:`FrameError` — from the header alone —
+        at a frame that is fragmented, binary, a protocol violation
+        (reserved bits or opcode, an over-long control frame) or
+        declares more than :data:`MAX_FRAME_BYTES`; the frames before
+        it have been yielded by then."""
         buffer = self._buffer
         buffer += data
         size = len(buffer)
@@ -143,11 +184,8 @@ class FrameDecoder:
             while size - offset >= 2:
                 first = buffer[offset]
                 second = buffer[offset + 1]
-                if not first & 0x80:
-                    raise FrameError(
-                        "fragmented frames are not supported",
-                        CLOSE_PROTOCOL_ERROR,
-                    )
+                if first != _FINAL_TEXT:
+                    _refuse_header(first, second)
                 length = second & 0x7F
                 start = offset + 2
                 if length >= 126:
@@ -177,6 +215,15 @@ class FrameDecoder:
             del buffer[:offset]
 
 
+def _integer(field: str, value) -> int:
+    """``value`` as a cell or connection id.  An id is a JSON integer:
+    ``1.9`` or ``true`` names nothing, and coercing it would apply the
+    request to an object the client never named."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _stream_event(message: dict) -> StreamEvent | None:
     """The stream event an ``admit``/``event`` request carries (``None``
     for any other op).  Field types are checked here: the event is
@@ -185,12 +232,12 @@ def _stream_event(message: dict) -> StreamEvent | None:
     op = message.get("op")
     if op == "admit":
         kind = ARRIVAL
-        cell = int(message["cell"])
+        cell = _integer("cell", message["cell"])
     elif op == "event":
         kind = message.get("kind")
         if kind not in (HANDOFF, COMPLETE, EXIT):
             raise ValueError(f"unknown event kind {kind!r}")
-        cell = int(message.get("cell", -1))
+        cell = _integer("cell", message.get("cell", -1))
     else:
         return None
     t = message.get("t")
@@ -205,7 +252,7 @@ def _stream_event(message: dict) -> StreamEvent | None:
         t=t,
         kind=kind,
         cell=cell,
-        conn=int(message.get("conn", -1)),
+        conn=_integer("conn", message.get("conn", -1)),
         traffic=traffic,
     )
 
@@ -219,6 +266,46 @@ def _reply_frame(reply: dict, message) -> bytes:
 
 def _error_frame(error: str, message) -> bytes:
     return _reply_frame({"op": "error", "error": error}, message)
+
+
+#: A decision reply, byte for byte what ``_reply_frame({"op":
+#: "decision", **decision.to_json()}, message)`` serialises: the keys in
+#: ``sort_keys`` order, ``json.dumps``' separators, and the four value
+#: shapes a :class:`~repro.serve.driver.Decision` holds — a bool, ints,
+#: an int or ``None``, and finite floats, which ``json`` writes with
+#: ``float.__repr__`` like ``%r`` does.  The fourth slot takes the
+#: request's ``id`` member when it has one.
+_DECISION = (
+    '{"admitted": %s, "cell": %d, "conn": %s, %s"kind": "%s",'
+    ' "op": "decision", "reserved": %r, "t": %r, "used": %r}'
+)
+
+
+def _decision_frame(decision, message: dict) -> bytes:
+    """The reply frame of one decision — formatted, not serialised: no
+    dict is built and no encoder constructed per reply."""
+    conn = decision.conn
+    return encode_frame(
+        (
+            _DECISION
+            % (
+                "true" if decision.admitted else "false",
+                decision.cell,
+                "null" if conn is None else conn,
+                '"id": %s, ' % json.dumps(message["id"], sort_keys=True)
+                if "id" in message
+                else "",
+                decision.kind,
+                round(decision.reserved, 6),
+                round(decision.t, 6),
+                round(decision.used, 6),
+            )
+        ).encode("ascii")
+    )
+
+
+#: The reply to a notification that carried no ``id``: always the same.
+_OK_FRAME = _reply_frame({"op": "ok"}, None)
 
 
 class _Session:
@@ -250,7 +337,9 @@ class _Session:
                 try:
                     for opcode, payload in decoder.feed(data):
                         if opcode == OP_TEXT:
-                            await self._on_text(payload)
+                            later = self._on_text(payload)
+                            if later is not None:
+                                await later
                         elif opcode == OP_PING:
                             await self._settle()
                             out.append(encode_frame(payload, opcode=OP_PONG))
@@ -270,20 +359,34 @@ class _Session:
             if self._subscribed:
                 self._service.broadcast.unsubscribe(self._on_row)
 
-    async def _on_text(self, payload: bytes) -> None:
+    def _on_text(self, payload: bytes):
+        """Take one request.  A stream request joins the run and costs
+        one parse and one append — ``None`` is returned and nothing is
+        awaited.  Anything else must first settle the run, so it comes
+        back as the coroutine that does that and then answers."""
         message = None
         try:
             message = json.loads(payload.decode("utf-8"))
             if not isinstance(message, dict):
                 raise ValueError("request must be a JSON object")
             event = _stream_event(message)
-        except (KeyError, TypeError, ValueError, OverflowError) as error:
-            await self._settle()
-            self._out.append(_error_frame(str(error), message))
-            return
-        if event is not None:
-            self._run.append((event, message))
-            return
+        except (
+            KeyError, TypeError, ValueError, OverflowError,
+            RecursionError,  # json.loads, a few thousand ``[`` deep
+        ) as error:
+            return self._on_error(str(error), message)
+        if event is None:
+            return self._on_op(message)
+        self._run.append((event, message))
+        return None
+
+    async def _on_error(self, error: str, message) -> None:
+        await self._settle()
+        self._out.append(_error_frame(error, message))
+
+    async def _on_op(self, message: dict) -> None:
+        """A request that is not a stream event: it observes every
+        request sent before it."""
         await self._settle()
         op = message.get("op")
         if op == "stats":
@@ -303,12 +406,14 @@ class _Session:
         out = self._out
         for (_, message), result in zip(run, results):
             if result is None:
-                out.append(_reply_frame({"op": "ok"}, message))
+                if "id" in message:
+                    out.append(_reply_frame({"op": "ok"}, message))
+                else:
+                    out.append(_OK_FRAME)
             elif isinstance(result, Exception):
                 out.append(_error_frame(str(result), message))
             else:
-                reply = {"op": "decision", **result.to_json()}
-                out.append(_reply_frame(reply, message))
+                out.append(_decision_frame(result, message))
         run.clear()
 
     def _subscribe(self) -> None:

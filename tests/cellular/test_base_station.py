@@ -105,3 +105,55 @@ def test_t_est_property_reflects_controller():
     station = network.station(0)
     station.window.t_est = 17.0
     assert station.t_est == 17.0
+
+
+@pytest.mark.parametrize("t_int", [None, 60.0])
+def test_bound_on_demand_leaves_a_run_bit_identical(monkeypatch, t_int):
+    """``on_handoff_arrival`` hands the controller the method instead of
+    the value.  The eager form is kept here as the reference: same
+    metrics, same ``T_est`` trace, far fewer walks over the neighbours.
+    With a finite ``T_int`` a walk re-cuts stale snapshots, so skipping
+    one would show in the metrics: those runs keep every walk."""
+    from dataclasses import replace
+
+    from repro.cellular.base_station import BaseStation
+    from repro.simulation.scenarios import stationary
+    from repro.simulation.simulator import CellularSimulator
+
+    config = replace(
+        stationary("AC3", offered_load=300.0, duration=200.0, seed=4),
+        t_int=t_int,
+    )
+    walks = []
+    walk = BaseStation.neighborhood_max_sojourn
+
+    def counted(self, now):
+        walks.append(now)
+        return walk(self, now)
+
+    monkeypatch.setattr(BaseStation, "neighborhood_max_sojourn", counted)
+
+    def run():
+        del walks[:]
+        simulator = CellularSimulator(config)
+        result = simulator.run()
+        trace = [
+            station.window.adjustments for station in simulator.network.stations
+        ]
+        return result.metrics_key(), trace, len(walks)
+
+    on_demand = run()
+
+    def eager(self, dropped, now):
+        self.window.on_handoff(dropped, self.neighborhood_max_sojourn(now), now)
+
+    monkeypatch.setattr(BaseStation, "on_handoff_arrival", eager)
+    reference = run()
+
+    assert on_demand[:2] == reference[:2]
+    steps = sum(len(adjustments) for adjustments in reference[1])
+    assert steps > 0, "the scenario never stepped T_est"
+    if t_int is None:
+        assert 0 < on_demand[2] < reference[2] // 10
+    else:
+        assert on_demand[2] == reference[2]

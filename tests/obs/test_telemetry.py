@@ -55,6 +55,17 @@ class TestInstruments:
         assert histogram.count == 5
         assert histogram.sum == pytest.approx(0.5 + 1.0 + 4.0 + 4.1 + 100.0)
 
+    def test_histogram_observe_with_a_count_equals_repeated_observes(self):
+        weighted = Histogram(edges=(1.0, 4.0, 16.0))
+        repeated = Histogram(edges=(1.0, 4.0, 16.0))
+        for value, count in ((0.3, 7), (4.0, 1), (4.1, 93), (100.0, 2)):
+            weighted.observe(value, count)
+            for _ in range(count):
+                repeated.observe(value)
+        assert weighted.counts == repeated.counts == [7, 1, 93, 2]
+        assert weighted.count == repeated.count == 103
+        assert weighted.sum == pytest.approx(repeated.sum, rel=1e-12)
+
     def test_histogram_default_buckets(self):
         histogram = Histogram()
         assert histogram.edges == DEFAULT_BUCKETS

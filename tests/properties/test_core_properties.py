@@ -72,6 +72,58 @@ def test_step_policies_respect_bounds_too(drops, policy):
         assert 1.0 <= controller.t_est <= 50.0
 
 
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.floats(min_value=0.0, max_value=40.0)),
+        max_size=600,
+    ),
+    st.sampled_from([0.02, 0.05, 0.2]),
+    st.sampled_from(list(StepPolicy)),
+    st.booleans(),
+)
+def test_bound_on_demand_equals_bound_in_hand(calls, target, policy, inclusive):
+    """``T_soj,max`` as a callable gives the state the value gives, and
+    is asked only where Figure 6 reads it: on a drop past the quota."""
+
+    def make():
+        return EstimationWindowController(
+            WindowControllerConfig(
+                target_drop_probability=target,
+                step_policy=policy,
+                inclusive_decrement=inclusive,
+            )
+        )
+
+    eager, lazy = make(), make()
+    asked = []
+    expected_asks = []
+    for index, (dropped, bound) in enumerate(calls):
+        now = float(index)
+
+        def on_demand(at, index=index, bound=bound):
+            assert at == float(index)
+            asked.append(index)
+            return bound
+
+        window_before = eager.observation_window
+        eager.on_handoff(dropped, bound, now)
+        lazy.on_handoff(dropped, on_demand, now)
+        if eager.observation_window > window_before:  # quota exceeded
+            expected_asks.append(index)
+        assert lazy.t_est == eager.t_est
+    assert asked == expected_asks
+    assert lazy.adjustments == eager.adjustments  # time, window, direction, n_H, n_HD
+    for name in (
+        "observation_window", "handoffs", "drops", "total_handoffs", "total_drops"
+    ):
+        assert getattr(lazy, name) == getattr(eager, name)
+    # A counted hand-off and a decrement never ask.
+    decrements = [a for a in eager.adjustments if not a.increased]
+    assert all(calls[i][0] for i in asked)
+    assert len(asked) <= sum(dropped for dropped, _ in calls)
+    assert all(not calls[int(a.time)][0] for a in decrements)
+
+
 bandwidths = st.sampled_from([1.0, 4.0])
 
 

@@ -1,13 +1,16 @@
 """Unit tests for the asyncio :class:`AdmissionService` façade."""
 
 import asyncio
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from repro.obs.telemetry import Histogram
 from repro.serve import AdmissionService, WorkerDied, warm_start
 from repro.serve.driver import Decision
-from repro.serve.events import ARRIVAL, COMPLETE, StreamEvent
+from repro.serve.events import ARRIVAL, COMPLETE, HANDOFF, StreamEvent
+from repro.serve.service import LATENCY_BUCKETS_MS
 from repro.simulation.scenarios import stationary
 
 
@@ -120,6 +123,76 @@ def test_budget_misses_are_observed_not_enforced():
 
     # Any real decision overshoots a 1-nanosecond budget.
     asyncio.run(_with_service(body, budget_ms=1e-6))
+
+
+@pytest.mark.parametrize("budget_ms", [1e-6, 1e6])  # every group late / none
+def test_group_accounting_equals_per_decision_accounting(budget_ms):
+    """One latency per ``submit_many`` group, so the service accounts
+    per group; the instruments must read as if every decision had been
+    counted on its own."""
+
+    async def body(service):
+        groups = [
+            # 24 arrivals into 6 cells of 100 BU: voice fits, so all admit.
+            [StreamEvent(t=None, kind=ARRIVAL, cell=i % 6, conn=i) for i in range(24)],
+            # Decisions of both kinds and outcomes (video until cell 0 is
+            # full), an exception slot, and notifications that decide nothing.
+            [StreamEvent(t=None, kind=ARRIVAL, cell=0, traffic="video", conn=100 + i)
+             for i in range(30)]
+            + [
+                StreamEvent(t=None, kind=ARRIVAL, cell=99),
+                StreamEvent(t=None, kind=HANDOFF, cell=0, conn=1),  # full: dropped
+                StreamEvent(t=None, kind=HANDOFF, cell=1, conn=0),
+                StreamEvent(t=None, kind=COMPLETE, conn=2),
+                StreamEvent(t=None, kind=COMPLETE, conn=424242),
+            ],
+            # Nothing decided: the instruments must not move at all.
+            [StreamEvent(t=None, kind=COMPLETE, conn=3),
+             StreamEvent(t=None, kind=ARRIVAL, cell=-1)],
+        ]
+        telemetry = service.driver.sim.telemetry
+        reference = Histogram(LATENCY_BUCKETS_MS)
+        labels = Counter()
+        latencies = []
+        for group in groups:
+            before = len(service._latencies)
+            results = await service.submit_many(group)
+            decided = [r for r in results if isinstance(r, Decision)]
+            group_latencies = list(service._latencies)[before:]
+            assert len(group_latencies) == len(decided)
+            assert len(set(group_latencies)) <= 1  # one latency per group
+            # The per-decision reference: one observe, one inc, each.
+            for decision, latency_ms in zip(decided, group_latencies):
+                reference.observe(latency_ms)
+                latencies.append(latency_ms)
+                outcome = "accepted" if decision.admitted else "rejected"
+                labels[decision.kind, outcome] += 1
+        assert sum(labels.values()) == 24 + 30 + 2
+        assert len(labels) == 4, labels  # both kinds, both outcomes
+
+        hist = telemetry.histogram(
+            "serve.decision_latency_ms", buckets=LATENCY_BUCKETS_MS
+        )
+        assert hist.count == reference.count == len(latencies)
+        assert hist.counts == reference.counts
+        assert hist.sum == pytest.approx(reference.sum, rel=1e-12)
+        for (kind, outcome), count in labels.items():
+            counter = telemetry.counter(
+                "serve.decisions", kind=kind, outcome=outcome
+            )
+            assert counter.value == count
+        late = sum(latency > budget_ms for latency in latencies)
+        assert late in (0, len(latencies))
+        assert telemetry.counter("serve.budget_miss").value == late
+        stats = service.stats()
+        ranked = sorted(latencies)
+        assert stats["decisions"] == len(latencies)
+        assert stats["p50_ms"] == round(ranked[int(0.50 * (len(ranked) - 1))], 4)
+        assert stats["p99_ms"] == round(ranked[int(0.99 * (len(ranked) - 1))], 4)
+
+    asyncio.run(
+        _with_service(body, _config(telemetry=True), budget_ms=budget_ms)
+    )
 
 
 def test_periodic_checkpoints_write_and_prune(tmp_path):

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import AdmissionService, StreamDriver, record_run
+from repro.serve.driver import Decision
 from repro.serve.events import ARRIVAL, HANDOFF
 from repro.serve.ws import (
     MAX_FRAME_BYTES,
+    OP_BINARY,
     OP_CLOSE,
     OP_PING,
     OP_PONG,
@@ -21,7 +23,9 @@ from repro.serve.ws import (
     FrameDecoder,
     SyncWsClient,
     WebSocketGateway,
+    _decision_frame,
     _parse_ws_url,
+    _Session,
     encode_frame,
     handshake_accept,
 )
@@ -72,16 +76,56 @@ class TestFrameCodec:
         at_limit = bytes([0x80 | OP_TEXT, 127]) + MAX_FRAME_BYTES.to_bytes(8, "big")
         assert list(FrameDecoder().feed(at_limit)) == []
 
+    @pytest.mark.parametrize(
+        "first, length, status, match",
+        [
+            (0x80 | OP_BINARY, 4, 1003, "binary"),
+            (0x80 | 0x0, 4, 1002, "opcode 0x0"),  # a lone continuation
+            (0xC0 | OP_TEXT, 4, 1002, "reserved header bits"),  # RSV1
+            (0x90 | OP_PING, 0, 1002, "reserved header bits"),  # RSV3
+            (0x80 | 0x3, 4, 1002, "opcode 0x3"),
+            (0x80 | 0x7, 4, 1002, "opcode 0x7"),
+            (0x80 | 0xB, 0, 1002, "opcode 0xb"),
+            (0x80 | 0xF, 0, 1002, "opcode 0xf"),
+            (0x80 | OP_PING, 126, 1002, "control frame"),
+            (0x80 | OP_CLOSE, 127, 1002, "control frame"),
+        ],
+    )
+    def test_unservable_frames_are_refused_from_their_header(
+        self, first, length, status, match
+    ):
+        decoder = FrameDecoder()
+        before = encode_frame(b"answered", mask=True)
+        # Two header bytes are enough: nothing waits for a body.
+        frames = decoder.feed(before + bytes([first, 0x80 | length]))
+        assert next(frames) == (OP_TEXT, b"answered")
+        with pytest.raises(ConnectionError, match=match) as caught:
+            next(frames)
+        assert caught.value.status == status
+
+    def test_control_frames_up_to_125_bytes_are_served(self):
+        payload = bytes(125)
+        for opcode in (OP_PING, OP_PONG, OP_CLOSE):
+            frame = encode_frame(payload, opcode=opcode, mask=True)
+            assert list(FrameDecoder().feed(frame)) == [(opcode, payload)]
+
     @settings(max_examples=60, deadline=None)
     @given(
         frames=st.lists(
-            st.tuples(
-                st.sampled_from([OP_TEXT, OP_PING, OP_PONG, OP_CLOSE, 0x2]),
-                st.one_of(
-                    st.binary(max_size=300),
-                    st.integers(65530, 65540).map(bytes),
+            st.one_of(
+                st.tuples(
+                    st.just(OP_TEXT),
+                    st.one_of(
+                        st.binary(max_size=300),
+                        st.integers(65530, 65540).map(bytes),
+                    ),
+                    st.booleans(),
                 ),
-                st.booleans(),
+                st.tuples(
+                    st.sampled_from([OP_PING, OP_PONG, OP_CLOSE]),
+                    st.binary(max_size=125),
+                    st.booleans(),
+                ),
             ),
             max_size=6,
         ),
@@ -326,6 +370,96 @@ class TestGatewayProtocol:
 
         asyncio.run(_with_gateway(body))
 
+    def test_data_the_session_cannot_read_closes_after_answering(self):
+        # Regression: a binary or continuation frame used to vanish —
+        # no reply, no error — so a pipelining client read every later
+        # reply against the wrong request.
+        async def body(service, gateway):
+            for refused, status in (
+                (encode_frame(b'{"op": "stats"}', opcode=OP_BINARY, mask=True), 1003),
+                (encode_frame(b'{"op": "stats"}', opcode=0x0, mask=True), 1002),
+                (bytes([0xC0 | OP_TEXT, 0x80]) + bytes(4), 1002),
+                (encode_frame(bytes(126), opcode=OP_PING, mask=True), 1002),
+            ):
+                client = await AsyncWsClient.connect(gateway.url)
+                client._writer.write(
+                    _text_frame({"op": "admit", "cell": 2, "id": "before"})
+                    + refused
+                    + _text_frame({"op": "admit", "cell": 2, "id": "after"})
+                )
+                await client._writer.drain()
+                reply = await asyncio.wait_for(client.recv_json(), timeout=5.0)
+                assert reply["op"] == "decision" and reply["id"] == "before"
+                opcode, payload = await asyncio.wait_for(
+                    client.recv_frame(), timeout=5.0
+                )
+                assert opcode == OP_CLOSE
+                assert int.from_bytes(payload, "big") == status
+                assert (
+                    await asyncio.wait_for(client._reader.read(), timeout=5.0)
+                    == b""
+                )
+                client._writer.close()
+
+        asyncio.run(_with_gateway(body))
+
+    def test_non_integral_ids_are_refused_not_truncated(self):
+        # Regression: int() coercion admitted {"cell": 1.9} and
+        # {"cell": true} into cell 1 and let {"conn": 2.7} complete
+        # connection 2.
+        async def body(service, gateway):
+            client = await AsyncWsClient.connect(gateway.url)
+            admitted = await client.request(
+                {"op": "admit", "cell": 1, "conn": 2}
+            )
+            assert admitted["admitted"] and admitted["conn"] == 2
+            used = service.driver.network.cell(1).used_bandwidth
+            requests = [
+                {"op": "admit", "cell": 1.9, "id": 0},
+                {"op": "admit", "cell": True, "id": 1},
+                {"op": "event", "kind": "complete", "conn": 2.7, "id": 2},
+                {"op": "event", "kind": "handoff", "cell": 2.0, "conn": 2, "id": 3},
+                {"op": "admit", "cell": 1, "conn": False, "id": 4},
+                {"op": "admit", "cell": 1, "id": 5},  # valid, after them
+            ]
+            replies = await _burst(
+                client, b"".join(map(_text_frame, requests)), len(requests)
+            )
+            assert [reply["id"] for reply in replies] == [0, 1, 2, 3, 4, 5]
+            for reply, field in zip(replies, ("cell", "cell", "conn", "cell", "conn")):
+                assert reply["op"] == "error", reply
+                assert f"{field} must be an integer" in reply["error"]
+            assert replies[5]["op"] == "decision" and replies[5]["admitted"]
+            # Nothing but the one valid request touched the cell, and
+            # connection 2 is still there to be completed.
+            assert replies[5]["used"] == 2 * used
+            assert service.driver.active_connections == 2
+            done = await client.request(
+                {"op": "event", "kind": "complete", "conn": 2}
+            )
+            assert done == {"op": "ok"}
+            assert service.driver.active_connections == 1
+            assert service.driver.ignored == 0
+            await client.close()
+
+        asyncio.run(_with_gateway(body))
+
+    def test_a_frame_nested_past_the_recursion_limit_gets_an_error_reply(self):
+        async def body(service, gateway):
+            client = await AsyncWsClient.connect(gateway.url)
+            client._writer.write(
+                encode_frame(b"[" * 100_000, mask=True)
+                + _text_frame({"op": "admit", "cell": 1, "id": "next"})
+            )
+            await client._writer.drain()
+            reply = await asyncio.wait_for(client.recv_json(), timeout=5.0)
+            assert reply["op"] == "error" and "recursion" in reply["error"]
+            reply = await asyncio.wait_for(client.recv_json(), timeout=5.0)
+            assert reply["op"] == "decision" and reply["id"] == "next"
+            await client.close()
+
+        asyncio.run(_with_gateway(body))
+
     def test_stalled_subscriber_loses_rows_not_other_clients_time(self):
         async def body(service, gateway):
             dropped = service.driver.sim.telemetry.counter(
@@ -504,3 +638,234 @@ class TestPipelinedSession:
             await client.close()
 
         asyncio.run(_with_gateway(body))
+
+
+# ----------------------------------------------------------------------
+# formatted decision frames
+# ----------------------------------------------------------------------
+_amounts = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1e-7, 4.9e-7, 5e-7, 1e22 / 3, 5e-324, 2.2250738585072014e-308,
+         0.1 + 0.2, 1e16, 123456.7890125, 1.7976931348623157e308]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e4),
+    st.integers(0, 10**6),  # a clock that has not left its integer start
+)
+_json_ids = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(),
+        st.sampled_from(['say "hi"', "back\\slash", "naïve ✓ \U0001f4e1", "\x00\x1f"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+_decisions = st.builds(
+    Decision,
+    t=_amounts,
+    kind=st.sampled_from([ARRIVAL, HANDOFF]),
+    cell=st.integers(0, 10**9),
+    admitted=st.booleans(),
+    conn=st.one_of(st.none(), st.integers(-1, 10**12)),
+    reserved=_amounts,
+    used=_amounts,
+)
+
+
+def _serialised_frame(decision, message) -> bytes:
+    """The reference: the reply as the gateway used to build it."""
+    reply = {"op": "decision", **decision.to_json()}
+    if "id" in message:
+        reply["id"] = message["id"]
+    return encode_frame(json.dumps(reply, sort_keys=True).encode("utf-8"))
+
+
+class TestFormattedDecisionFrames:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        decision=_decisions,
+        request=st.one_of(
+            st.just({}),
+            _json_ids.map(lambda value: {"id": value}),
+            # Long enough to push the payload over the 125-byte header
+            # boundary, short enough to stay near it.
+            st.integers(0, 60).map(lambda pad: {"id": "x" * pad}),
+        ),
+    )
+    def test_formatted_frame_equals_the_serialised_one(self, decision, request):
+        assert _decision_frame(decision, request) == _serialised_frame(
+            decision, request
+        )
+
+    def test_payloads_on_both_sides_of_the_one_byte_length(self):
+        # Second header byte: the payload length up to 125, then the
+        # marker 126 for a two-byte length.  Walk the payload across it
+        # one byte at a time.
+        seen = set()
+        for digits in range(1, 30):
+            decision = Decision(1.5, ARRIVAL, 10**digits, True, 7, 2.0, 9.0)
+            for request in ({}, {"id": 0}):
+                frame = _decision_frame(decision, request)
+                assert frame == _serialised_frame(decision, request)
+                seen.add(frame[1])
+        assert {124, 125, 126} <= seen
+
+
+# ----------------------------------------------------------------------
+# fuzz: arbitrary bytes, split anywhere (ROADMAP item 4)
+# ----------------------------------------------------------------------
+class _Sink:
+    """What a ``_Session`` needs of a ``StreamWriter``, kept in memory."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+        self.transport = self
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def get_write_buffer_limits(self):
+        return 0, 1 << 30
+
+    def get_write_buffer_size(self) -> int:
+        return 0
+
+
+def _split(wire: bytes, cuts) -> list[bytes]:
+    edges = sorted({0, len(wire), *(cut % (len(wire) + 1) for cut in cuts)})
+    return [wire[low:high] for low, high in zip(edges, edges[1:])]
+
+
+_valid_requests = st.sampled_from(
+    [
+        {"op": "admit", "cell": 2},
+        {"op": "admit", "cell": 0, "traffic": "video"},
+        {"op": "admit", "cell": 99},  # well-formed; the driver refuses it
+        {"op": "event", "kind": "complete", "conn": 0},
+        {"op": "event", "kind": "handoff", "cell": 3, "conn": 1},
+        {"op": "stats"},
+    ]
+)
+#: Whole frames that are not valid requests: each costs one reply (an
+#: error, a pong) and leaves the stream aligned for what follows.
+_whole_frames = st.one_of(
+    st.binary(max_size=200).map(lambda payload: encode_frame(payload, mask=True)),
+    st.binary(max_size=125).map(
+        lambda payload: encode_frame(payload, opcode=OP_PING, mask=True)
+    ),
+    st.sampled_from(
+        [
+            b'{"op": "admit", "cell": 1.5}',
+            b'{"op": "event", "kind": "exit", "conn": true}',
+            b'{"op": "admit", "cell": 1, "t": 1e999}',
+            b'{"op": "admit", "cell": 1, "t": 1' + b"0" * 400 + b"}",
+            b"[" * 3000,
+            b"\xff\xfe{}",
+        ]
+    ).map(lambda payload: encode_frame(payload, mask=True)),
+)
+#: Bytes after which nothing is promised: a refused frame, or raw bytes
+#: that may be one, or may open a frame that swallows what follows.
+_breaking_bytes = st.one_of(
+    st.binary(max_size=40),
+    st.binary(min_size=1, max_size=30).map(
+        lambda payload: encode_frame(payload, opcode=OP_BINARY, mask=True)
+    ),
+)
+
+
+class TestArbitraryBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(wire=st.binary(max_size=400), cuts=st.lists(st.integers(0, 400), max_size=12))
+    def test_decoder_survives_any_bytes_split_anywhere(self, wire, cuts):
+        whole, split = FrameDecoder(), FrameDecoder()
+        outcomes = []
+        for decoder, chunks in ((whole, [wire]), (split, _split(wire, cuts))):
+            frames = []
+            try:
+                for chunk in chunks:
+                    frames.extend(decoder.feed(chunk))
+                outcomes.append((frames, None))
+            except ConnectionError as error:
+                outcomes.append((frames, error.status))
+        # Where the stream is cut changes nothing: same frames, same refusal.
+        assert outcomes[0] == outcomes[1]
+        for opcode, payload in outcomes[0][0]:
+            assert opcode in (OP_TEXT, OP_CLOSE, OP_PING, OP_PONG)
+            assert opcode == OP_TEXT or len(payload) <= 125
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.one_of(
+                _valid_requests,
+                _whole_frames,
+                _breaking_bytes.map(lambda wire: (wire,)),
+            ),
+            max_size=14,
+        ),
+        cuts=st.lists(st.integers(0, 4000), max_size=10),
+    )
+    def test_live_session_answers_every_request_before_the_first_refusal(
+        self, pieces, cuts
+    ):
+        wire = bytearray()
+        sent = []  # ids of the valid requests, in order
+        promised = []  # ... those sent before the stream first breaks
+        broken = False
+        for index, piece in enumerate(pieces):
+            if isinstance(piece, dict):
+                wire += _text_frame({**piece, "id": index})
+                sent.append(index)
+                if not broken:
+                    promised.append(index)
+            elif isinstance(piece, bytes):
+                wire += piece
+            else:
+                wire += piece[0]
+                broken = True
+
+        async def scenario():
+            service = AdmissionService(_config(), series_wall_interval=0.0)
+            await service.start()
+            reader = asyncio.StreamReader()
+            sink = _Sink()
+            session = asyncio.ensure_future(
+                _Session(service, reader, sink).serve()
+            )
+            try:
+                for chunk in _split(bytes(wire), cuts):
+                    reader.feed_data(chunk)
+                    await asyncio.sleep(0)
+                reader.feed_eof()
+                # Never a hang, never an exception out of the session.
+                await asyncio.wait_for(session, timeout=10.0)
+            finally:
+                await service.stop()
+            return bytes(sink.data)
+
+        written = asyncio.run(scenario())
+        frames = list(FrameDecoder().feed(written))
+        answered = []
+        for position, (opcode, payload) in enumerate(frames):
+            if opcode == OP_CLOSE:
+                assert position == len(frames) - 1, "frames after the close"
+            elif opcode == OP_TEXT:
+                reply = json.loads(payload)
+                if type(reply.get("id")) is int:
+                    answered.append(reply["id"])
+        # Once each and in request order ...
+        assert answered == sorted(set(answered))
+        assert set(answered) <= set(sent)
+        # ... and none missing before the stream first went wrong.
+        assert answered[: len(promised)] == promised
