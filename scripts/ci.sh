@@ -15,15 +15,20 @@ PYTHONPATH=src python -m pytest -x -q
 
 echo "== kernel matrix =="
 # Both backends must be bit-identical, so the kernel-sensitive suites
-# re-run under each forced backend.
+# re-run under each forced backend — and once more where numpy cannot
+# be imported at all: REPRO_KERNEL=python still imports it, and the
+# numpy-free install is the reason the python kernel exists.
 KERNEL_TESTS="tests/properties/test_kernel_backend_parity.py \
     tests/properties/test_reservation_table_properties.py \
+    tests/properties/test_admission_properties.py \
     tests/cellular/test_reservation_cache.py tests/estimation \
     tests/simulation/test_columnar.py tests/simulation/test_spatial.py"
 for KERNEL in python numpy; do
     echo "-- REPRO_KERNEL=$KERNEL --"
     REPRO_KERNEL=$KERNEL PYTHONPATH=src python -m pytest -x -q $KERNEL_TESTS
 done
+echo "-- numpy blocked --"
+PYTHONPATH=src python scripts/pytest_without_numpy.py -x -q $KERNEL_TESTS
 
 echo "== benchmark harness =="
 # bench/ drives the program through named seams and pins result

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Run the full reproduction suite and record rendered outputs.
 
-Writes one text file per experiment under ``results/`` plus a combined
-``results/ALL.txt``.  This is the recorded-scale run behind
-EXPERIMENTS.md; the pytest benchmarks run the same code CI-sized.
+Writes one text file per experiment under ``results/``.  This is the
+recorded-scale run behind EXPERIMENTS.md; the pytest benchmarks run the
+same code CI-sized.
 
 Usage:  python scripts/run_experiments.py [--workers N] [experiment-id ...]
 """
@@ -60,7 +60,6 @@ def main(argv: list[str] | None = None) -> int:
     names = args.names or list(EXPERIMENTS)
     results_dir = Path(__file__).resolve().parent.parent / "results"
     results_dir.mkdir(exist_ok=True)
-    combined: list[str] = []
     for name in names:
         kwargs = dict(SCALES.get(name, {}))
         if args.workers is not None and name in PARALLEL_EXPERIMENTS:
@@ -74,15 +73,8 @@ def main(argv: list[str] | None = None) -> int:
             rendered = output.render()
             path = results_dir / f"{output.experiment_id}.txt"
             path.write_text(rendered + "\n")
-            combined.append(rendered)
             print(f"  wrote {path} ({elapsed:.1f}s total for {name})",
                   flush=True)
-    if not args.names:
-        # Only a full run may rewrite the combined file; partial runs
-        # would otherwise clobber it with a subset.
-        (results_dir / "ALL.txt").write_text(
-            "\n\n".join(combined) + "\n"
-        )
     print("done")
     return 0
 

@@ -1,10 +1,12 @@
 """Estimation-kernel selection: numpy-batched or pure Python.
 
 This is the single place that imports :mod:`numpy`.  The package works
-without it — every batched code path has a pure-Python ``bisect``
-fallback — but when numpy is installed (``pip install repro[fast]``)
-the columnar F_HOE/Bayes kernels evaluate whole query batches with
-``searchsorted`` instead of per-connection loops.
+without it — Eq. 5 is then the scalar per-connection walk
+(:meth:`repro.estimation.estimator.MobilityEstimator.expected_bandwidth_multi`)
+everywhere, which is also what the ``python`` kernel means — but when
+numpy is installed (``pip install repro[fast]``) a reservation tick
+answers whole suppliers with ``searchsorted`` over resident columns
+instead.
 
 Selection order:
 
@@ -117,8 +119,8 @@ def kernel_name() -> str:
 def numpy_or_none():
     """The numpy module when the array kernel is active, else ``None``.
 
-    Batched code paths branch on this exactly once per batch, so the
-    per-call overhead is one function call and a string compare.
+    The tick branches on this exactly once per flush, so the per-call
+    overhead is one function call and a string compare.
     """
     return _numpy if kernel_name() == "numpy" else None
 
@@ -146,9 +148,9 @@ class FlushBatch:
     :meth:`resolve` for why its guards are no-ops here) and totals
     each request left to right in table order — which is
     connection-iteration order — so every total is bit-identical to
-    the per-supplier paths.  Rows of detached
-    connections stay in the table with basis ``0.0`` until compaction:
-    they contribute ``0.0 * ratio = +0.0``, and ``x + 0.0 == x``.
+    the scalar walk's.  Rows of detached connections stay in the table
+    with basis ``0.0`` until compaction: they contribute
+    ``0.0 * ratio = +0.0``, and ``x + 0.0 == x``.
     """
 
     __slots__ = ("np", "_parts", "outputs")
@@ -209,8 +211,8 @@ class FlushBatch:
 def flush_batch_or_none():
     """A fresh :class:`FlushBatch` under the numpy kernel, else ``None``.
 
-    ``None`` under the pure-python kernel — the caller then keeps the
-    per-supplier resumable-walk path.
+    ``None`` under the pure-python kernel — the caller then answers
+    every supplier with the scalar walk.
     """
     np = numpy_or_none()
     return None if np is None else FlushBatch(np)

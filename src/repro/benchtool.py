@@ -14,9 +14,8 @@ importable and leaves an artifact behind::
 
 The report covers:
 
-* micro-benchmarks — steady-state Eq. 6 reservation update, batched and
-  scalar Eq. 4 hand-off probability queries, and the raw event loop
-  (ops/sec each);
+* micro-benchmarks — cold Eq. 6 reservation update, scalar Eq. 4
+  hand-off probability query, and the raw event loop (ops/sec each);
 * one representative AC3 simulation — wall time, events/sec, and the
   paper's complexity metrics (``N_calc`` per admission test, average
   inter-BS messages);
@@ -64,10 +63,6 @@ from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.traffic.classes import VOICE
 from repro.traffic.connection import Connection
-
-#: Queries per call of the batched Eq. 4 micro-benchmark.
-_BATCH = 256
-
 
 def _measure(
     operation: Callable[[], object], duration: float, repeats: int = 5
@@ -139,12 +134,9 @@ def _reservation_update_station():
 def bench_reservation_update(duration: float) -> dict:
     """Cold Eq. 6 update: 2 contributing neighbours, 80 conns each.
 
-    Every call recomputes the full batched Eq. 5 evaluation — there is
-    no per-``(version, now)`` memo any more (retired: under the
-    coalesced tick every admission evaluates at a distinct ``now``, so
-    its hit rate was structurally zero).  Reported as
-    ``reservation_update_cold`` so ``--compare`` treats it as a new
-    bench rather than a regression of the old memo-warm number.
+    Every call is the literal §4.1 sequence over the scalar Eq. 5
+    walk (``update_target_reservation``) — the reference path, not the
+    tick the policies run.
     """
     station = _reservation_update_station()
     return _measure(
@@ -161,28 +153,6 @@ def _warm_estimator() -> MobilityEstimator:
         )
     estimator.function_for(1000.0, 1)
     return estimator
-
-
-def bench_handoff_probability(duration: float) -> dict:
-    """Batched Eq. 4: 256 extant sojourns per call, per-probability rate.
-
-    This is how the reservation protocol actually consumes Eq. 4 — whole
-    per-``prev`` connection populations against one warm snapshot — so
-    the headline number is probabilities/second, not batch calls/second.
-    """
-    estimator = _warm_estimator()
-    rng = random.Random(7)
-    extants = [rng.uniform(0.0, 70.0) for _ in range(_BATCH)]
-    report = _measure(
-        lambda: estimator.handoff_probability_batch(
-            1000.0, 1, extants, 2, 15.0
-        ),
-        duration,
-    )
-    report["batch_size"] = _BATCH
-    report["mean_us"] /= _BATCH
-    report["ops_per_sec"] *= _BATCH
-    return report
 
 
 def bench_handoff_probability_scalar(duration: float) -> dict:
@@ -884,9 +854,9 @@ def bench_ac3_telemetry(smoke: bool) -> dict:
     """One telemetry-enabled AC3 run: cache/dispatch ratios + snapshot.
 
     Not a timing benchmark (``compare_reports`` ignores it): it records
-    the *efficiency* observables — memo and snapshot hit rates, the
-    Eq. 4 kernel dispatch split, the event-pool hit rate — so a report
-    shows not just how fast the run was but why.
+    the *efficiency* observables — the snapshot hit rate and the share
+    of tick suppliers the resident kernel answered — so a report shows
+    not just how fast the run was but why.
     """
     config = stationary(
         "AC3",
@@ -905,22 +875,11 @@ def bench_ac3_telemetry(smoke: bool) -> dict:
         # resolution marker so old reports' ``eq5_memo_hit_rate`` reads
         # as retired rather than silently vanished.
         "eq5_memo": "retired",
-        # Fraction of Eq. 4 *rows* (per-connection evaluations) served
-        # by the vectorized kernel — the row-weighted version of the
-        # batch fraction, and the number the grouped flush moves.
-        "eq4_numpy_row_fraction": _rate(
-            counters.get('estimation.eq4_rows{kernel="numpy"}', 0),
-            counters.get('estimation.eq4_rows{kernel="python"}', 0),
-        ),
-        # Fraction of tick-flush suppliers evaluated through the
-        # cross-cell grouped batch (vs the per-supplier fallback).
+        # Fraction of tick-flush suppliers answered by the cross-cell
+        # grouped batch (vs the scalar walk).
         "tick_grouped_fraction": _rate(
             counters.get('cellular.tick_suppliers{path="grouped"}', 0),
             counters.get('cellular.tick_suppliers{path="fallback"}', 0),
-        ),
-        "eq4_numpy_batch_fraction": _rate(
-            counters.get('estimation.eq4_batches{kernel="numpy"}', 0),
-            counters.get('estimation.eq4_batches{kernel="python"}', 0),
         ),
         "snapshot_hit_rate": _rate(
             counters.get('estimation.snapshot{outcome="hit"}', 0),
@@ -1001,7 +960,6 @@ def run_benchmarks(
         "micro_seconds_per_bench": duration,
         "micro": {
             "reservation_update_cold": bench_reservation_update(duration),
-            "handoff_probability": bench_handoff_probability(duration),
             "handoff_probability_scalar": bench_handoff_probability_scalar(
                 duration
             ),
@@ -1073,7 +1031,7 @@ def _throughputs(report: dict) -> dict[str, float]:
 #: Telemetry fractions (0..1) gated by ``--compare`` alongside the
 #: throughputs: a drop of more than the threshold (absolute) means the
 #: fast path stopped covering the work it used to cover.
-_TRACKED_FRACTIONS = ("eq4_numpy_row_fraction", "tick_grouped_fraction")
+_TRACKED_FRACTIONS = ("tick_grouped_fraction",)
 
 #: Hard ceiling on the streaming sampler's throughput cost, gated by
 #: ``--compare`` independently of ``--regression-threshold``: sampling
@@ -1103,7 +1061,7 @@ def compare_reports(
     A bench regresses when its throughput falls below
     ``baseline * (1 - threshold)``.  Benches present in only one report
     are listed but never counted as regressions (the harness itself
-    evolves — e.g. ``handoff_probability`` became batched).  Tracked
+    evolves — e.g. the batched ``handoff_probability`` is gone).  Tracked
     telemetry fractions regress on an *absolute* drop larger than the
     threshold (they are already normalized to [0, 1]).  The streaming
     sampler's ``overhead_fraction`` is gated against the fixed
@@ -1217,9 +1175,6 @@ def _history_row(report: dict) -> dict:
         "smoke": bool(report.get("smoke")),
         "ac3_events_per_sec": ac3.get("events_per_sec"),
         "event_loop": micro.get("event_loop", {}).get("events_per_sec"),
-        "eq4_batch": micro.get("handoff_probability", {}).get(
-            "ops_per_sec"
-        ),
         "spatial_events_per_sec": spatial_rate,
         "balanced_events_per_sec": balanced_rate,
         "replicated_speedup": replicated.get("speedup"),
@@ -1262,11 +1217,11 @@ def print_history(paths: Sequence[Path], out=print) -> int:
         out("no readable benchmark reports")
         return 2
     out(
-        "| date | kernel | ac3 ev/s | loop ev/s | eq4 ops/s"
+        "| date | kernel | ac3 ev/s | loop ev/s"
         " | spatial ev/s | balanced ev/s | repl speedup | sampler ovh"
         " | serve dec/s | serve p99 |"
     )
-    out("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
+    out("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|")
     for row in rows:
         date_cell = row["date"] + (" (smoke)" if row["smoke"] else "")
         speedup = row["replicated_speedup"]
@@ -1276,7 +1231,6 @@ def print_history(paths: Sequence[Path], out=print) -> int:
             f"| {date_cell} | {row['kernel']}"
             f" | {_history_cell(row['ac3_events_per_sec'])}"
             f" | {_history_cell(row['event_loop'])}"
-            f" | {_history_cell(row['eq4_batch'])}"
             f" | {_history_cell(row['spatial_events_per_sec'])}"
             f" | {_history_cell(row.get('balanced_events_per_sec'))}"
             f" | {_history_cell(speedup, '.2f')}"
@@ -1376,7 +1330,6 @@ def _print_report(report: dict, output: Path) -> None:
         print(
             "telemetry (instrumented run):"
             f" snapshot_hit={telemetry['snapshot_hit_rate']:.1%}"
-            f" eq4_numpy_rows={telemetry['eq4_numpy_row_fraction']:.1%}"
             f" tick_grouped={telemetry['tick_grouped_fraction']:.1%}"
         )
     sampling = report.get("sampling")

@@ -55,7 +55,6 @@ class BaseStation:
         network: "CellularNetwork",
         estimator: MobilityEstimator,
         window_controller: EstimationWindowController,
-        reservation_cache: bool = True,
     ) -> None:
         self.cell = cell
         self.network = network
@@ -65,11 +64,6 @@ class BaseStation:
         self.reservation_calculations = 0
         #: Inter-BS (or BS<->MSC) messages attributable to this station.
         self.messages_sent = 0
-        #: Whether Eq. 5 runs over the cell's columnar structures (the
-        #: table under the grouped flush, its ``prev``-buckets on the
-        #: batched reference paths).  Disabling falls back to the naive
-        #: rescan-everything path — useful to verify equivalence.
-        self.reservation_cache_enabled = reservation_cache
         #: Cached neighbour stations (the topology is immutable).
         self._neighbor_stations: list["BaseStation"] | None = None
         #: Whether ``T_soj,max`` may be asked for on demand (decided on
@@ -100,69 +94,35 @@ class BaseStation:
     # ------------------------------------------------------------------
     def outgoing_reservation(self, now: float, target_cell: int,
                              t_est: float) -> float:
-        """Eq. 5: expected hand-off bandwidth from here toward a neighbour.
-
-        The cell's columnar ``prev``-buckets
-        (:meth:`repro.cellular.cell.Cell.reservation_groups`) are handed
-        to the estimator, which evaluates each bucket against one F_HOE
-        snapshot in a single batched pass — vectorized under the numpy
-        kernel, a resumable binary-search walk otherwise.  With the
-        batched path disabled (or a duck-typed estimator that predates
-        it), Eq. 5 rescans every connection individually; both paths are
-        bit-identical.
-        """
-        if (
-            not self.reservation_cache_enabled
-            or getattr(self.estimator, "version", None) is None
-        ):
-            return expected_handoff_bandwidth(
-                self.estimator,
-                now,
-                self.cell.connections(),
-                target_cell,
-                t_est,
-            )
+        """Eq. 5: expected hand-off bandwidth from here toward a neighbour."""
         return expected_handoff_bandwidth(
             self.estimator,
             now,
             self.cell.connections(),
             target_cell,
             t_est,
-            groups=self.cell.reservation_groups(),
         )
 
     def outgoing_reservation_multi(
         self, now: float, requests: list[tuple[int, float]]
     ) -> list[float]:
-        """Batched :meth:`outgoing_reservation` over several targets.
+        """:meth:`outgoing_reservation` toward several targets at once.
 
-        The coalesced estimation tick asks each supplier for all of its
-        pending ``(target_cell, t_est)`` contributions at once, so the
-        estimator can walk every ``prev``-bucket a single time and feed
-        the Eq. 4 kernel one large batch instead of one batch per
-        target.  The returned values are identical to issuing the
-        per-target calls in order at the same ``now``.
+        A reservation tick asks each supplier for all of its pending
+        ``(target_cell, t_est)`` contributions together, so the
+        estimator walks the connections a single time.  The returned
+        values are identical to issuing the per-target calls in order
+        at the same ``now`` — which is what an estimator without the
+        multi-request entry point (``CalendarEstimator``, duck-typed
+        ones) gets.
         """
-        estimator = self.estimator
-        multi = getattr(estimator, "expected_bandwidth_multi", None)
-        if (
-            not self.reservation_cache_enabled
-            or getattr(estimator, "version", None) is None
-            or multi is None
-        ):
-            # Batched path disabled or a duck-typed / calendar estimator
-            # without a batched entry point: per-target calls are the
-            # batched path, by definition of equivalence.
+        multi = getattr(self.estimator, "expected_bandwidth_multi", None)
+        if multi is None:
             return [
                 self.outgoing_reservation(now, target, t_est)
                 for target, t_est in requests
             ]
-        return multi(
-            now,
-            self.cell.connections(),
-            requests,
-            groups=self.cell.reservation_groups(),
-        )
+        return multi(now, self.cell.connections(), requests)
 
     def grouped_contribution_eval(self, np, now, requests, batch):
         """Register this supplier's Eq. 5 work into a cross-cell flush.
@@ -171,17 +131,13 @@ class BaseStation:
         into the list ``batch.resolve()`` returns, or ``None`` when the
         contribution is known to be 0.0 (no connections, or
         ``t_est <= 0``).  Returns ``None`` *instead of a list* when
-        this supplier cannot join the grouped flush (batched path
-        disabled, duck-typed estimator, route oracle, finite ``T_int``
-        or non-unit weights); the caller must then use
-        :meth:`outgoing_reservation_multi`, which computes bit-identical
-        values supplier-locally.
+        this supplier cannot join the grouped flush (duck-typed
+        estimator, route oracle, finite ``T_int`` or non-unit weights);
+        the caller must then use :meth:`outgoing_reservation_multi`,
+        which computes bit-identical values supplier-locally.
         """
-        if not self.reservation_cache_enabled:
-            return None
-        estimator = self.estimator
-        parts = getattr(estimator, "grouped_flush_parts", None)
-        if parts is None or getattr(estimator, "version", None) is None:
+        parts = getattr(self.estimator, "grouped_flush_parts", None)
+        if parts is None:
             return None
         cell = self.cell
         if not cell.connection_count:
@@ -191,9 +147,12 @@ class BaseStation:
     def update_target_reservation(self, now: float) -> float:
         """Eq. 6: recompute and install this cell's ``B_r``.
 
-        Models the protocol of §4.1: this BS announces ``T_est`` to each
-        neighbour (one message each), every neighbour answers with its
-        Eq. 5 contribution (one message each).
+        The literal transcription of §4.1: this BS announces ``T_est``
+        to each neighbour (one message each), every neighbour answers
+        with its Eq. 5 contribution (one message each).  The policies
+        go through the batched
+        :meth:`~repro.cellular.network.CellularNetwork.flush_reservation_tick`
+        instead; this is what that tick is tested against.
         """
         contributions = []
         network = self.network

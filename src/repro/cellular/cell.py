@@ -12,17 +12,15 @@ The cell itself only does bandwidth accounting; *which* reservation
 target applies is decided by the admission policy.  From the first
 reservation tick that reads it, the cell also keeps one attach-order
 table of its connections (:meth:`Cell.reservation_table`), the resident
-input of the Eq. 5 kernel; the per-``prev`` buckets the reference paths
-walk (:class:`ReservationGroup`) are derived from it on demand.  A cell
-no tick ever reads (static guard channels) keeps no table at all.
+input of the Eq. 5 kernel.  A cell whose table nobody reads (static
+guard channels, or Eq. 5 answered by the scalar walk) keeps none.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import TYPE_CHECKING, Iterator
 
-from repro._kernel import KEY_STRIDE, prev_key
+from repro._kernel import prev_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.traffic.connection import Connection
@@ -34,53 +32,6 @@ class CapacityError(ValueError):
 
 #: Smallest ndarray mirror of a table (rows); mirrors double from here.
 _MIN_TABLE_ROWS = 64
-
-
-class ReservationGroup:
-    """Columnar view of one ``prev``-bucket of attached connections.
-
-    Three parallel lists sorted ascending by entry time: connection ids,
-    cell entry times, and reservation bases.  Sorted order is what lets
-    the reference Eq. 5 paths run a single vectorized ``searchsorted``
-    pass (numpy) or a resumable binary-search walk (python) over the
-    whole bucket without re-sorting.  A view is built from the cell's
-    table (:meth:`Cell.reservation_groups`) and never mutated after:
-    simulated attaches happen at ``now`` so the common insert is an
-    append; out-of-order entry times (synthetic populations) fall back
-    to an insort.
-    """
-
-    __slots__ = ("keys", "entries", "bases")
-
-    def __init__(self) -> None:
-        self.keys: list[int] = []
-        self.entries: list[float] = []
-        self.bases: list[float] = []
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def add(self, key: int, entry_time: float, basis: float) -> None:
-        entries = self.entries
-        if not entries or entry_time >= entries[-1]:
-            self.keys.append(key)
-            entries.append(entry_time)
-            self.bases.append(basis)
-            return
-        index = bisect_right(entries, entry_time)
-        self.keys.insert(index, key)
-        entries.insert(index, entry_time)
-        self.bases.insert(index, basis)
-
-    def arrays(self, np):
-        """``(entries, bases)`` float64 ndarrays of the columns."""
-        return (
-            np.asarray(self.entries, dtype=np.float64),
-            np.asarray(self.bases, dtype=np.float64),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ReservationGroup(size={len(self.keys)})"
 
 
 class Cell:
@@ -119,8 +70,6 @@ class Cell:
         #: this cell (``B_r^{prev}`` in the AC3 description, §4.3).  For the
         #: static scheme this is the constant guard band ``G``.
         self.reserved_target = 0.0
-        #: Monotone counter bumped on every attach/detach/adjustment.
-        self.version = 0
         self._connections: dict[int, "Connection"] = {}
         # The attach-order table: one row per attach, never reordered.
         # ``_keys[row]`` is ``(prev+1)·S − 1j·entry_time`` (see
@@ -131,8 +80,9 @@ class Cell:
         # order and re-attaches append, so live rows ascend in the
         # iteration order of :meth:`connections` — which is also why
         # the table can wait for its first reader: ``_rows`` is ``None``
-        # until :meth:`_table` builds all three from the connections,
-        # and only from then on do attach and detach maintain them.
+        # until :meth:`reservation_table` builds all three from the
+        # connections, and only from then on do attach and detach
+        # maintain them.
         self._rows: dict[int, int] | None = None
         self._keys: list[complex] = []
         self._bases: list[float] = []
@@ -166,31 +116,6 @@ class Cell:
         """Iterate over the connections currently in this cell."""
         return iter(self._connections.values())
 
-    def reservation_groups(self) -> dict[int | None, "ReservationGroup"]:
-        """Attached connections bucketed by ``prev`` cell.
-
-        Maps ``prev -> ReservationGroup`` (parallel id/entry-time/basis
-        columns sorted by entry time): the input of the reference Eq. 5
-        paths, which fetch each F_HOE snapshot once per bucket and
-        evaluate the whole bucket in one batched pass.  Derived from
-        the table on every call, so attach/detach maintain one
-        structure.
-        """
-        by_code: dict[float, ReservationGroup] = {}
-        rows = self._table()
-        keys = self._keys
-        bases = self._bases
-        for connection_id, row in rows.items():
-            key = keys[row]
-            group = by_code.get(key.real)
-            if group is None:
-                group = by_code[key.real] = ReservationGroup()
-            group.add(connection_id, -key.imag, bases[row])
-        return {
-            int(code / KEY_STRIDE) - 1 if code else None: group
-            for code, group in by_code.items()
-        }
-
     def reservation_table(self, np):
         """``(keys, bases)`` ndarray views of the attach-order table.
 
@@ -200,7 +125,10 @@ class Cell:
         compaction re-materialises it whole (:attr:`group_rebuilds`).
         The views are valid until the next attach or detach.
         """
-        self._table()
+        if self._rows is None:
+            self._rows = {}
+            for connection in self.connections():
+                self._add_row(connection)
         keys = self._keys
         rows = len(keys)
         key_array = self._key_array
@@ -286,7 +214,6 @@ class Cell:
         self.used_bandwidth += connection.bandwidth
         if self._rows is not None:
             self._add_row(connection)
-        self.version += 1
 
     def detach(self, connection: "Connection") -> None:
         """Release a connection's bandwidth (hand-off out or completion)."""
@@ -298,7 +225,6 @@ class Cell:
             )
         if self._rows is not None:
             self._drop_row(connection.connection_id)
-        self.version += 1
         self.used_bandwidth -= connection.bandwidth
         if self.used_bandwidth < -1e-9:
             raise CapacityError(
@@ -341,15 +267,6 @@ class Cell:
         connection.allocated_bandwidth = new_bandwidth
         # The reservation basis (minimum rate) is unaffected: the table
         # row stays as it is.
-        self.version += 1
-
-    def _table(self) -> dict[int, int]:
-        """``connection id -> table row``, building the table on first read."""
-        if self._rows is None:
-            self._rows = {}
-            for connection in self.connections():
-                self._add_row(connection)
-        return self._rows
 
     def _add_row(self, connection: "Connection") -> None:
         """Append a connection's table row."""

@@ -37,23 +37,6 @@ class CellularNetwork:
         spatial runner uses this to build
         :class:`~repro.simulation.columnar.ColumnarCell` cells whose
         attached sets live in a shared connection store.
-    reservation_cache:
-        Whether base stations evaluate Eq. 5 over their incremental
-        columnar buckets (see
-        :meth:`repro.cellular.base_station.BaseStation.outgoing_reservation`);
-        disabling forces the naive per-connection rescan.
-    coalesced_tick:
-        Whether admission policies may coalesce the reservation updates
-        of one admission test into a single batched estimation tick
-        (see :meth:`flush_reservation_tick`).  Off by default so direct
-        constructions behave exactly as before; the simulator turns it
-        on via :attr:`repro.simulation.config.SimulationConfig.coalesced_tick`.
-    grouped_flush:
-        Whether a tick flush may answer its suppliers from their
-        resident tables and key columns through one cross-cell batch
-        (:class:`repro._kernel.FlushBatch`) instead of the per-supplier
-        reference path.  Pure optimisation — bit-identical either way;
-        the switch keeps the equivalence testable.
     """
 
     def __init__(
@@ -65,18 +48,24 @@ class CellularNetwork:
         estimator_factory: Callable[[int], MobilityEstimator] | None = None,
         cell_factory: Callable[[int, float, float], Cell] | None = None,
         handoff_overload: float = 1.0,
-        reservation_cache: bool = True,
-        coalesced_tick: bool = False,
-        grouped_flush: bool = True,
     ) -> None:
         if topology.num_cells + 2 >= KEY_STRIDE:
             raise ValueError(
                 f"{topology.num_cells} cells do not fit the Eq. 4 key"
                 f" encoding (next + 2 must stay below {int(KEY_STRIDE)})"
             )
+        for cell_id in range(topology.num_cells):
+            neighbors = topology.neighbors(cell_id)
+            if cell_id in neighbors or len(set(neighbors)) != len(neighbors):
+                # AC2/AC3 refresh a cell and its neighbours in one tick,
+                # each target once; a repeated or self neighbour would
+                # put a cell in that set twice.
+                raise ValueError(
+                    f"topology lists cell {cell_id}'s neighbours as"
+                    f" {tuple(neighbors)}: a cell's neighbours must be"
+                    f" distinct and exclude the cell itself"
+                )
         self.topology = topology
-        self.coalesced_tick = coalesced_tick
-        self.grouped_flush = grouped_flush
         #: The run's span tracer (a shared no-op when tracing is off);
         #: grabbed at construction like the telemetry handles are.
         self.tracer = get_tracer()
@@ -86,8 +75,8 @@ class CellularNetwork:
         #: (telemetry: targets-per-flush is the coalescing win).
         self.tick_flushes = 0
         self.tick_targets = 0
-        #: Suppliers evaluated through the cross-cell batch vs through
-        #: the per-supplier fallback, across all tick flushes.
+        #: Suppliers answered by the cross-cell batch vs by the scalar
+        #: walk, across all tick flushes.
         self.tick_grouped_suppliers = 0
         self.tick_fallback_suppliers = 0
         #: Running inter-BS message total (kept in sync with the
@@ -117,13 +106,7 @@ class CellularNetwork:
             )
             self.cells.append(cell)
             self.stations.append(
-                BaseStation(
-                    cell,
-                    self,
-                    estimator,
-                    controller,
-                    reservation_cache=reservation_cache,
-                )
+                BaseStation(cell, self, estimator, controller)
             )
 
     @property
@@ -161,16 +144,8 @@ class CellularNetwork:
         the Eq. 5 inputs (connection sets, ``T_est``, estimator state)
         are frozen — installing one target's ``reserved_target`` cannot
         change another's contributions.  The batching win is on the
-        supplier side, at two levels: each supplier evaluates all of
-        its pending targets at once, and — under the numpy kernel with
-        :attr:`grouped_flush` on — each supplier's resident table is
-        searched in its station's resident key columns through one
-        cross-cell :class:`repro._kernel.FlushBatch`, rebuilding
-        nothing.  Suppliers that cannot join the batch (finite
-        ``T_int``, non-unit weights, route oracles, duck-typed
-        estimators, disabled batching) fall back to
-        :meth:`~repro.cellular.base_station.BaseStation.outgoing_reservation_multi`
-        supplier-locally; mixing the paths never changes a result.
+        supplier side: each supplier evaluates all of its pending
+        targets at once (:meth:`supply_reservations`).
         """
         dirty = self._reservation_dirty
         if not dirty:
@@ -202,44 +177,12 @@ class CellularNetwork:
                 neighbor.messages_sent += 1  # neighbour returns B_{i,0}
                 message_pairs += 1
         self._messages_total += 2 * message_pairs
-        # Supply phase: one cross-cell batch, with per-supplier batched
-        # calls as the fallback.
-        supplies: dict[int, Iterator[float]] = {}
-        batch = flush_batch_or_none() if self.grouped_flush else None
-        if batch is not None:
-            np = batch.np
-            deferred: list[tuple[int, list]] = []
-            for supplier_id, pending in requests.items():
-                supplier = self.stations[supplier_id]
-                slots = supplier.grouped_contribution_eval(
-                    np, now, pending, batch
-                )
-                if slots is None:
-                    self.tick_fallback_suppliers += 1
-                    supplies[supplier_id] = iter(
-                        supplier.outgoing_reservation_multi(now, pending)
-                    )
-                else:
-                    self.tick_grouped_suppliers += 1
-                    deferred.append((supplier_id, slots))
-            if deferred:
-                totals = batch.resolve()
-                for supplier_id, slots in deferred:
-                    supplies[supplier_id] = iter(
-                        [
-                            0.0 if slot is None else totals[slot]
-                            for slot in slots
-                        ]
-                    )
-        else:
-            supplies = {
-                supplier_id: iter(
-                    self.stations[supplier_id].outgoing_reservation_multi(
-                        now, pending
-                    )
-                )
-                for supplier_id, pending in requests.items()
-            }
+        supplies = {
+            supplier_id: iter(values)
+            for supplier_id, values in self.supply_reservations(
+                now, requests
+            ).items()
+        }
         # Install phase: re-assemble each target's contributions in the
         # neighbour order the sequential path would have used.
         for station, neighbors in plan:
@@ -252,6 +195,49 @@ class CellularNetwork:
             station.reservation_calculations += 1
         self.tick_flushes += 1
         self.tick_targets += len(plan)
+
+    def supply_reservations(
+        self, now: float, requests: dict[int, list[tuple[int, float]]]
+    ) -> dict[int, list[float]]:
+        """Eq. 5 for every supplier of one tick.
+
+        ``requests`` maps a supplier's cell id to its pending
+        ``(target_cell, t_est)`` list; the result maps it to one value
+        per request.  Under the numpy kernel each supplier registers
+        its resident table and key columns into one cross-cell
+        :class:`repro._kernel.FlushBatch`, resolved once, rebuilding
+        nothing.  A supplier that cannot join (finite ``T_int``,
+        non-unit weights, route oracle, duck-typed estimator) — and
+        every supplier under the python kernel — is answered by the
+        scalar walk
+        (:meth:`~repro.cellular.base_station.BaseStation.outgoing_reservation_multi`);
+        mixing the two never changes a result.
+        """
+        supplies: dict[int, list[float]] = {}
+        batch = flush_batch_or_none()
+        deferred: list[tuple[int, list]] = []
+        for supplier_id, pending in requests.items():
+            supplier = self.stations[supplier_id]
+            slots = None
+            if batch is not None:
+                slots = supplier.grouped_contribution_eval(
+                    batch.np, now, pending, batch
+                )
+            if slots is None:
+                self.tick_fallback_suppliers += 1
+                supplies[supplier_id] = supplier.outgoing_reservation_multi(
+                    now, pending
+                )
+            else:
+                self.tick_grouped_suppliers += 1
+                deferred.append((supplier_id, slots))
+        if deferred:
+            totals = batch.resolve()
+            for supplier_id, slots in deferred:
+                supplies[supplier_id] = [
+                    0.0 if slot is None else totals[slot] for slot in slots
+                ]
+        return supplies
 
     def harvest_telemetry(self, tel, cell_ids=None) -> None:
         """Fold the stations' plain-int counters into ``tel``.

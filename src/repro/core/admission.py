@@ -84,35 +84,6 @@ class AdmissionPolicy(abc.ABC):
         """Hook: one-time setup when attached to a network."""
 
 
-def _use_coalesced_tick(
-    network: CellularNetwork, station, neighbors=None
-) -> bool:
-    """Whether an admission test may batch its ``B_r`` updates.
-
-    Requires the network to opt in *and* the participating target set
-    (the station plus, when given, its neighbours) to be duplicate-free:
-    with duplicated targets (only possible with hand-rolled topologies
-    whose ``neighbors`` repeats a cell) the sequential path re-checks
-    state between the two updates of the same cell, which a single
-    batched flush cannot reproduce.  Duplicate-freeness is a property
-    of the immutable topology, so it is checked once per cell and
-    memoized on the network.
-    """
-    if not getattr(network, "coalesced_tick", False):
-        return False
-    if neighbors is None:
-        return True  # a single target cannot duplicate
-    cache = getattr(network, "_coalesced_tick_ok", None)
-    if cache is None:
-        cache = network._coalesced_tick_ok = {}
-    ok = cache.get(station.cell_id)
-    if ok is None:
-        cell_ids = [station.cell_id]
-        cell_ids.extend(neighbor.cell_id for neighbor in neighbors)
-        ok = cache[station.cell_id] = len(set(cell_ids)) == len(cell_ids)
-    return ok
-
-
 class StaticReservationPolicy(AdmissionPolicy):
     """Permanently reserve ``G`` BUs per cell for hand-offs (mid-80s way).
 
@@ -164,14 +135,10 @@ class AC1(AdmissionPolicy):
     ) -> AdmissionDecision:
         station = network.station(cell_id)
         messages_before = network.total_messages()
-        if _use_coalesced_tick(network, station):
-            network.mark_reservation_dirty(cell_id)
-            network.flush_reservation_tick(now)
-        else:
-            station.update_target_reservation(now)
-        admitted = station.cell.fits_new_connection(bandwidth)
+        network.mark_reservation_dirty(cell_id)
+        network.flush_reservation_tick(now)
         return AdmissionDecision(
-            admitted=admitted,
+            admitted=station.cell.fits_new_connection(bandwidth),
             calculations=1,
             messages=network.total_messages() - messages_before,
         )
@@ -191,35 +158,18 @@ class AC2(AdmissionPolicy):
     ) -> AdmissionDecision:
         station = network.station(cell_id)
         messages_before = network.total_messages()
-        calculations = 0
-        admitted = True
         neighbors = station.neighbor_stations()
-        if _use_coalesced_tick(network, station, neighbors):
-            # One batched estimation tick.  Bit-identical to the
-            # sequential loop below: within a single test at fixed
-            # ``now`` the Eq. 5 inputs are frozen, and installing one
-            # cell's ``reserved_target`` never feeds another's ``B_r``.
-            for neighbor in neighbors:
-                network.mark_reservation_dirty(neighbor.cell_id)
-            network.mark_reservation_dirty(cell_id)
-            network.flush_reservation_tick(now)
-            calculations = len(neighbors) + 1
-            for neighbor in neighbors:
-                if not neighbor.cell.can_reserve_target():
-                    admitted = False
-        else:
-            for neighbor in neighbors:
-                neighbor.update_target_reservation(now)
-                calculations += 1
-                if not neighbor.cell.can_reserve_target():
-                    admitted = False
-            station.update_target_reservation(now)
-            calculations += 1
-        if not station.cell.fits_new_connection(bandwidth):
-            admitted = False
+        for neighbor in neighbors:
+            network.mark_reservation_dirty(neighbor.cell_id)
+        network.mark_reservation_dirty(cell_id)
+        network.flush_reservation_tick(now)
+        admitted = station.cell.fits_new_connection(bandwidth)
+        for neighbor in neighbors:
+            if not neighbor.cell.can_reserve_target():
+                admitted = False
         return AdmissionDecision(
             admitted=admitted,
-            calculations=calculations,
+            calculations=len(neighbors) + 1,
             messages=network.total_messages() - messages_before,
         )
 
@@ -242,42 +192,25 @@ class AC3(AdmissionPolicy):
     ) -> AdmissionDecision:
         station = network.station(cell_id)
         messages_before = network.total_messages()
-        calculations = 0
-        admitted = True
-        neighbors = station.neighbor_stations()
-        if _use_coalesced_tick(network, station, neighbors):
-            # Suspectness can be read up front: a neighbour's suspect
-            # bit depends only on its own state, which the other
-            # updates of this test never touch.  The batched flush then
-            # refreshes suspects + self in one estimation tick.
-            suspects = [
-                neighbor
-                for neighbor in neighbors
-                if neighbor.cell.is_suspect
-            ]
-            for suspect in suspects:
-                network.mark_reservation_dirty(suspect.cell_id)
-            network.mark_reservation_dirty(cell_id)
-            network.flush_reservation_tick(now)
-            calculations = len(suspects) + 1
-            for suspect in suspects:
-                if suspect.cell.is_suspect:
-                    admitted = False
-        else:
-            for neighbor in neighbors:
-                if neighbor.cell.can_reserve_target():
-                    continue  # target fits; stays out of the test
-                neighbor.update_target_reservation(now)
-                calculations += 1
-                if not neighbor.cell.can_reserve_target():
-                    admitted = False
-            station.update_target_reservation(now)
-            calculations += 1
-        if not station.cell.fits_new_connection(bandwidth):
-            admitted = False
+        # Suspectness is read up front: a neighbour's suspect bit
+        # depends only on its own state, which the other updates of
+        # this test never touch.
+        suspects = [
+            neighbor
+            for neighbor in station.neighbor_stations()
+            if neighbor.cell.is_suspect
+        ]
+        for suspect in suspects:
+            network.mark_reservation_dirty(suspect.cell_id)
+        network.mark_reservation_dirty(cell_id)
+        network.flush_reservation_tick(now)
+        admitted = station.cell.fits_new_connection(bandwidth)
+        for suspect in suspects:
+            if suspect.cell.is_suspect:
+                admitted = False
         return AdmissionDecision(
             admitted=admitted,
-            calculations=calculations,
+            calculations=len(suspects) + 1,
             messages=network.total_messages() - messages_before,
         )
 

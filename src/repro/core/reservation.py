@@ -40,7 +40,6 @@ def expected_handoff_bandwidth(
     connections: Iterable[ReservableConnection],
     target_cell: int,
     t_est: float,
-    groups: dict | None = None,
 ) -> float:
     """Eq. 5: expected hand-off bandwidth from one cell toward ``target_cell``.
 
@@ -56,21 +55,8 @@ def expected_handoff_bandwidth(
         Global id of the cell computing its reservation.
     t_est:
         The target cell's estimation window ``T_est`` (seconds).
-    groups:
-        Optional ``prev -> ReservationGroup`` buckets of the same
-        connections (see
-        :meth:`repro.cellular.cell.Cell.reservation_groups`); lets the
-        estimator batch its snapshot queries.
     """
-    if groups is None:
-        # Keep the positional call so duck-typed estimators that predate
-        # the ``groups`` parameter keep working.
-        return estimator.expected_bandwidth(
-            now, connections, target_cell, t_est
-        )
-    return estimator.expected_bandwidth(
-        now, connections, target_cell, t_est, groups=groups
-    )
+    return estimator.expected_bandwidth(now, connections, target_cell, t_est)
 
 
 def aggregate_reservation(per_neighbor: Iterable[float]) -> float:

@@ -188,10 +188,9 @@ class CalendarEstimator:
         connections,
         target_cell: int,
         t_est: float,
-        groups: dict | None = None,
     ) -> float:
         return self.estimator_for(now).expected_bandwidth(
-            now, connections, target_cell, t_est, groups=groups
+            now, connections, target_cell, t_est
         )
 
     def is_stationary(
@@ -206,18 +205,6 @@ class CalendarEstimator:
 
     def function_for(self, now: float, prev: int | None):
         return self.estimator_for(now).function_for(now, prev)
-
-    @property
-    def version(self) -> int:
-        """Monotone change counter (sum over the per-day-type estimators).
-
-        Lets the base-station reservation memo treat a calendar
-        estimator like a plain one: any new quadruplet, whichever day
-        type it lands in, bumps the aggregate.
-        """
-        return sum(
-            estimator.version for estimator in self._estimators.values()
-        )
 
     @property
     def cache(self):

@@ -19,11 +19,15 @@ quadruplets arrive or (for finite ``T_int``) when the snapshot is older
 than ``rebuild_interval`` — a documented approximation of the paper's
 continuously sliding periodic windows.  Infinite-interval snapshots are
 assembled from the cache's columnar fast path (sorted sojourn columns,
-no per-entry wrappers); Eq. 4/5 batches then evaluate over whole
-per-``prev`` connection populations in one vectorized pass when the
-numpy kernel is active (:mod:`repro._kernel`).  The reservation tick of
-the infinite-interval, unit-weight configuration needs no snapshots at
-all: :meth:`MobilityEstimator.grouped_flush_parts` searches the cache's
+no per-entry wrappers).
+
+Eq. 5 is evaluated two ways.
+:meth:`MobilityEstimator.expected_bandwidth_multi` is the scalar walk
+over those snapshots: it serves every configuration and is the
+reference the tests compare against.  Under the numpy kernel
+(:mod:`repro._kernel`) the reservation tick of the infinite-interval,
+unit-weight configuration needs no snapshots at all:
+:meth:`MobilityEstimator.grouped_flush_parts` searches the cache's
 resident key columns directly.
 """
 
@@ -31,18 +35,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro._kernel import numpy_or_none
 from repro.estimation.cache import CacheConfig, QuadrupletCache
 from repro.estimation.function import HandoffEstimationFunction
 from repro.estimation.quadruplet import HandoffQuadruplet
 from repro.obs.telemetry import get_telemetry
-
-#: Group size below which the resumable pure-Python walk beats the
-#: vectorized kernel (ndarray call overhead dominates tiny batches;
-#: measured crossover is ~32 rows on CPython 3.11 + numpy 2.x).  Both
-#: paths compute bit-identical contributions, so mixing them per group
-#: never changes metrics.
-_VECTOR_MIN_ROWS = 32
 
 
 class MobilityEstimator:
@@ -68,10 +64,6 @@ class MobilityEstimator:
             int | None, tuple[float, HandoffEstimationFunction]
         ] = {}
         self._dirty: set[int | None] = set()
-        #: Monotone counter bumped on every new observation.  Consumers
-        #: (the base-station reservation cache) treat any change as
-        #: "every F_HOE snapshot may differ" and recompute.
-        self.version = 0
         # Observability counters (plain ints, harvested at end of run).
         #: Snapshot cache: reuses vs (re)builds vs dirty invalidations.
         #: A tick served from the resident key columns counts as a
@@ -79,8 +71,8 @@ class MobilityEstimator:
         self.snapshot_hits = 0
         self.snapshot_builds = 0
         self.snapshot_invalidations = 0
-        #: Eq. 4/5 batch dispatch split: vectorized numpy passes vs
-        #: pure-python bisect walks, in batches and total rows.
+        #: Eq. 5 evaluations by path: resident-kernel registrations
+        #: (vector) vs scalar walks, in calls and rows x requests.
         self.eq4_vector_batches = 0
         self.eq4_scalar_batches = 0
         self.eq4_vector_rows = 0
@@ -108,7 +100,6 @@ class MobilityEstimator:
         if prev not in self._dirty and prev in self._snapshots:
             self.snapshot_invalidations += 1
         self._dirty.add(prev)
-        self.version += 1
 
     def preload(self, pairs) -> None:
         """Warm-start from exported history columns (bulk, pre-run).
@@ -117,13 +108,12 @@ class MobilityEstimator:
         sequences, as produced by
         :meth:`repro.estimation.cache.QuadrupletCache.export_columns`.
         Equivalent to replaying :meth:`record_departure` per entry, but
-        loads whole columns at once; snapshots are dropped and the
-        version bumped so every consumer rebuilds from the new history.
+        loads whole columns at once; snapshots are dropped so every
+        query rebuilds from the new history.
         """
         self.cache.preload(pairs)
         self._snapshots.clear()
         self._dirty.clear()
-        self.version += 1
 
     # ------------------------------------------------------------------
     # snapshots
@@ -152,7 +142,7 @@ class MobilityEstimator:
         return snapshot
 
     def _count_dispatch(self, vectorized: bool, rows: int) -> None:
-        """Record one Eq. 4/5 batch dispatch (kernel choice + size)."""
+        """Record one Eq. 5 evaluation (which path, rows x requests)."""
         if vectorized:
             self.eq4_vector_batches += 1
             self.eq4_vector_rows += rows
@@ -186,26 +176,6 @@ class MobilityEstimator:
         # Guard against floating point drift; Eq. 4 is a probability.
         return min(max(probability, 0.0), 1.0)
 
-    def handoff_probability_batch(
-        self,
-        now: float,
-        prev: int | None,
-        extant_sojourns: Sequence[float],
-        next_cell: int,
-        t_est: float,
-    ) -> list[float]:
-        """Eq. 4 over a whole batch of extant sojourn times.
-
-        One snapshot fetch, then a single vectorized ``searchsorted``
-        + prefix-sum pass under the numpy kernel (per-query binary
-        searches otherwise).  Each element equals the corresponding
-        :meth:`handoff_probability` call exactly.
-        """
-        snapshot = self.function_for(now, prev)
-        queries = list(extant_sojourns)
-        self._count_dispatch(numpy_or_none() is not None, len(queries))
-        return snapshot.batch_probabilities(next_cell, queries, t_est)
-
     def handoff_probabilities(
         self,
         now: float,
@@ -233,174 +203,74 @@ class MobilityEstimator:
         connections,
         target_cell: int,
         t_est: float,
-        groups: dict | None = None,
     ) -> float:
-        """Eq. 5 in batch: expected hand-off bandwidth toward a cell.
+        """Eq. 5: expected hand-off bandwidth toward one cell.
 
-        Equivalent to summing ``bandwidth * handoff_probability(...)``
-        over ``connections`` but fetches each ``prev`` snapshot once —
-        this is the hot path of the reservation protocol.
-
-        ``groups`` is an optional pre-bucketed columnar view of
-        ``connections`` (``prev -> ReservationGroup`` with parallel
-        key/entry-time/basis arrays sorted by entry time, as maintained
-        incrementally by :class:`repro.cellular.cell.Cell`).  When
-        given, each snapshot is queried over the whole group at once:
-        one vectorized ``searchsorted`` pass under the numpy kernel, a
-        resumable sorted binary-search walk otherwise.  Contributions
-        are still summed in ``connections`` iteration order, so the
-        result is bit-identical to the ungrouped path.
+        The one-request form of :meth:`expected_bandwidth_multi`.
         """
-        if t_est <= 0:
-            return 0.0
-        if groups is None:
-            total = 0.0
-            snapshots: dict[int | None, HandoffEstimationFunction] = {}
-            for connection in connections:
-                prev = connection.prev_cell
-                snapshot = snapshots.get(prev)
-                if snapshot is None:
-                    snapshot = self.function_for(now, prev)
-                    snapshots[prev] = snapshot
-                extant = now - connection.cell_entry_time
-                denominator = snapshot.total_mass_above(extant)
-                if denominator <= 0.0:
-                    continue  # estimated stationary
-                numerator = snapshot.mass_between(
-                    target_cell, extant, extant + t_est
-                )
-                if numerator > 0.0:
-                    # Adaptive-QoS connections reserve their minimum rate
-                    # (paper §1); rigid ones expose it as the full rate.
-                    basis = getattr(
-                        connection, "reservation_basis", connection.bandwidth
-                    )
-                    total += basis * min(numerator / denominator, 1.0)
-            return total
-        if not groups:
-            return 0.0
-        np = numpy_or_none()
-        contributions: dict[int, float] = {}
-        for prev, group in groups.items():
-            snapshot = self.function_for(now, prev)
-            if snapshot.is_empty:
-                continue
-            keys = group.keys
-            if np is not None and len(keys) >= _VECTOR_MIN_ROWS:
-                self._count_dispatch(True, len(keys))
-                entries, bases = group.arrays(np)
-                snapshot.batch_contributions_arrays(
-                    np,
-                    target_cell,
-                    keys,
-                    now - entries,
-                    bases,
-                    t_est,
-                    contributions,
-                )
-            else:
-                # Entry times ascend, so walking them in reverse yields
-                # the non-decreasing extant sojourns the resumable
-                # binary searches need — no per-call sort.
-                self._count_dispatch(False, len(keys))
-                entries = group.entries
-                bases = group.bases
-                rows = (
-                    (keys[index], now - entries[index], bases[index])
-                    for index in range(len(keys) - 1, -1, -1)
-                )
-                contributions.update(
-                    snapshot.batch_contributions(target_cell, rows, t_est)
-                )
-        if not contributions:
-            return 0.0
-        total = 0.0
-        for connection in connections:
-            value = contributions.get(connection.connection_id)
-            if value is not None:
-                total += value
-        return total
+        return self.expected_bandwidth_multi(
+            now, connections, [(target_cell, t_est)]
+        )[0]
 
     def expected_bandwidth_multi(
         self,
         now: float,
         connections,
         requests: Sequence[tuple[int, float]],
-        groups: dict | None = None,
     ) -> list[float]:
         """Eq. 5 toward several ``(target_cell, t_est)`` requests at once.
 
-        The coalesced reservation tick asks one supplying station for
-        contributions toward every dirty neighbour in a single call.
-        With ``groups``, each ``prev`` snapshot is fetched once and the
-        Eq. 4 denominator gather is shared across all requests
-        (:meth:`HandoffEstimationFunction.batch_contributions_multi_arrays`),
-        so the vectorized kernel sees one batch of ``rows x targets``
-        instead of ``targets`` separate batches.  Element ``i`` equals
-        ``expected_bandwidth(now, connections, *requests[i], groups)``
-        bit for bit.
+        The scalar walk: one pass over ``connections`` in iteration
+        order, one F_HOE snapshot per ``prev``, Eq. 4's denominator
+        computed once per connection and shared by every request.  Each
+        request's total is ``sum(basis * p_h)`` accumulated in
+        connection order, so element ``i`` equals the walk run for
+        ``requests[i]`` alone bit for bit.  A reservation tick asks one
+        supplying station for its contributions toward every pending
+        neighbour in a single call; this is the path for every
+        configuration the resident kernel
+        (:meth:`grouped_flush_parts`) cannot answer, and the reference
+        that kernel is tested against.
         """
-        if not requests:
-            return []
+        totals = [0.0] * len(requests)
+        live = [
+            (index, target_cell, t_est)
+            for index, (target_cell, t_est) in enumerate(requests)
+            if t_est > 0
+        ]
+        if not live:
+            return totals
         connections = list(connections)
-        if groups is None or not groups:
-            return [
-                self.expected_bandwidth(
-                    now, connections, target_cell, t_est, groups=groups
+        self._count_dispatch(False, len(connections) * len(live))
+        function_for = self.function_for
+        snapshots: dict[int | None, HandoffEstimationFunction] = {}
+        for connection in connections:
+            prev = connection.prev_cell
+            snapshot = snapshots.get(prev)
+            if snapshot is None:
+                snapshot = snapshots[prev] = function_for(now, prev)
+            extant = now - connection.cell_entry_time
+            denominator = snapshot.total_mass_above(extant)
+            if denominator <= 0.0:
+                continue  # estimated stationary
+            basis = None
+            for index, target_cell, t_est in live:
+                numerator = snapshot.mass_between(
+                    target_cell, extant, extant + t_est
                 )
-                for target_cell, t_est in requests
-            ]
-        np = numpy_or_none()
-        per_request: list[dict[int, float]] = [{} for _ in requests]
-        for prev, group in groups.items():
-            snapshot = self.function_for(now, prev)
-            if snapshot.is_empty:
-                continue
-            keys = group.keys
-            if np is not None and len(keys) >= _VECTOR_MIN_ROWS:
-                # One logical dispatch covering every request — this is
-                # the batch-size win the coalesced tick exists for.
-                self._count_dispatch(True, len(keys) * len(requests))
-                entries, bases = group.arrays(np)
-                snapshot.batch_contributions_multi_arrays(
-                    np,
-                    requests,
-                    keys,
-                    now - entries,
-                    bases,
-                    per_request,
-                )
-            else:
-                self._count_dispatch(False, len(keys) * len(requests))
-                entries = group.entries
-                bases = group.bases
-                for (target_cell, t_est), out in zip(
-                    requests, per_request
-                ):
-                    if t_est <= 0:
-                        continue
-                    rows = (
-                        (keys[index], now - entries[index], bases[index])
-                        for index in range(len(keys) - 1, -1, -1)
-                    )
-                    out.update(
-                        snapshot.batch_contributions(
-                            target_cell, rows, t_est
+                if numerator > 0.0:
+                    if basis is None:
+                        # Adaptive-QoS connections reserve their minimum
+                        # rate (paper §1); rigid ones expose it as the
+                        # full rate.
+                        basis = getattr(
+                            connection,
+                            "reservation_basis",
+                            connection.bandwidth,
                         )
+                    totals[index] += basis * min(
+                        numerator / denominator, 1.0
                     )
-        totals: list[float] = []
-        for (_target_cell, t_est), contributions in zip(
-            requests, per_request
-        ):
-            if t_est <= 0 or not contributions:
-                totals.append(0.0)
-                continue
-            total = 0.0
-            for connection in connections:
-                value = contributions.get(connection.connection_id)
-                if value is not None:
-                    total += value
-            totals.append(total)
         return totals
 
     def grouped_flush_parts(
@@ -427,8 +297,7 @@ class MobilityEstimator:
         each total bit-identical to the matching
         :meth:`expected_bandwidth_multi` element.  Returns ``None``
         when the cache has no key columns (finite ``T_int`` / non-unit
-        day weights) — the caller then falls back to the per-supplier
-        path.
+        day weights) — the caller then answers with the walk.
         """
         cache = self.cache
         columns = cache.key_columns()
@@ -535,17 +404,11 @@ class KnownPathEstimator(MobilityEstimator):
         connections,
         target_cell: int,
         t_est: float,
-        groups: dict | None = None,
     ) -> float:
-        """Eq. 5 with routes: mass concentrates on each known next cell.
-
-        The route oracle is consulted per connection, so the grouped
-        fast path does not apply here; ``groups`` is accepted (and
-        ignored) for interface compatibility with the base class.
-        """
+        """Eq. 5 with routes: mass concentrates on each known next cell."""
         if self.route_oracle is None:
             return super().expected_bandwidth(
-                now, connections, target_cell, t_est, groups=groups
+                now, connections, target_cell, t_est
             )
         if t_est <= 0:
             return 0.0
@@ -582,13 +445,11 @@ class KnownPathEstimator(MobilityEstimator):
         now: float,
         connections,
         requests: Sequence[tuple[int, float]],
-        groups: dict | None = None,
     ) -> list[float]:
-        """Route-aware Eq. 5 per request (the oracle is per connection,
-        so the shared-denominator fast path does not apply here)."""
+        """Route-aware Eq. 5, one :meth:`expected_bandwidth` per request."""
         if self.route_oracle is None:
             return super().expected_bandwidth_multi(
-                now, connections, requests, groups=groups
+                now, connections, requests
             )
         connections = list(connections)
         return [

@@ -173,7 +173,16 @@ class StreamDriver:
         elif event.kind == HANDOFF:
             if not 0 <= event.cell < self.network.topology.num_cells:
                 raise ValueError(f"no such cell {event.cell}")
-        t = self.clock.monotonic(self.clock.stamp(event.t), self.engine.now)
+        t = self.clock.stamp(event.t)
+        limit = self.config.day_seconds
+        if t - self._frontier > limit and t - self.clock.now() > limit:
+            # Flushing to ``t`` fires every monitor sample on the way
+            # and drags the shared clock there for every later client.
+            raise ValueError(
+                f"event timestamp {t} is more than one estimator period"
+                f" ({limit:g} s) ahead of the stream"
+            )
+        t = self.clock.monotonic(t, self.engine.now)
         slot = DecisionSlot()
         self.engine.call_at(
             t, self._dispatch[event.kind], event, slot,

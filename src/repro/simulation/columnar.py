@@ -277,12 +277,12 @@ class ColumnarCell(Cell):
     The classic attach path costs one handle object per connection plus
     a property call per field read; at city scale that object churn is
     a leading hot-loop term.  A columnar cell keeps the same accounting
-    (``used_bandwidth``, ``version``, the attach-order table the Eq. 5
-    kernel searches) but reads every field straight out of the
+    (``used_bandwidth``, the attach-order table the Eq. 5 kernel
+    searches) but reads every field straight out of the
     :class:`ConnectionStore` columns, so admission, reservation flush,
     and hand-off migration touch no per-connection Python objects.
-    :meth:`connections` materialises ephemeral handles for the
-    object-iterating fallback paths only.
+    :meth:`connections` materialises ephemeral handles for the scalar
+    Eq. 5 walk only.
     """
 
     def __init__(
@@ -305,7 +305,7 @@ class ColumnarCell(Cell):
         return len(self._store_rows)
 
     def connections(self):
-        """Ephemeral handle views, in attach order (fallback paths only)."""
+        """Ephemeral handle views, in attach order (the Eq. 5 walk only)."""
         cls = self._handle_cls
         if cls is None:
             cls = self._handle_cls = handle_class(self.store)
@@ -347,7 +347,6 @@ class ColumnarCell(Cell):
                 )
             )
             self._bases.append(bandwidth)
-        self.version += 1
 
     def detach_row(self, row: int) -> None:
         """Release a store row's bandwidth."""
@@ -363,7 +362,6 @@ class ColumnarCell(Cell):
             )
         if self._rows is not None:
             self._drop_row(key)
-        self.version += 1
         self.used_bandwidth -= BANDWIDTH_TABLE[columns["bw_code"][row]]
         if self.used_bandwidth < -1e-9:
             raise CapacityError(

@@ -78,25 +78,11 @@ class SimulationConfig:
     #: compresses the §5.3 scenario.
     day_seconds: float = 86_400.0
     step_policy: StepPolicy = StepPolicy.UNIT
-    #: Evaluate per-station Eq. 5 over the cells' incremental columnar
-    #: buckets (pure optimisation — metrics are bit-identical either
-    #: way; disabling forces the naive per-connection rescan, keeping
-    #: the equivalence testable).
-    reservation_cache: bool = True
-    #: Coalesce each admission test's ``B_r`` updates into one batched
-    #: estimation tick (pure optimisation — bit-identical metrics; the
-    #: switch keeps the equivalence testable).
-    coalesced_tick: bool = True
-    #: Let one estimation tick answer its suppliers from their resident
-    #: tables and key columns through one cross-cell batch (pure
-    #: optimisation — bit-identical metrics; the switch keeps the
-    #: equivalence testable).  Only effective under the numpy kernel.
-    grouped_flush: bool = True
 
     #: Estimation kernel: ``auto`` (numpy when installed), ``numpy``
-    #: (require the ``[fast]`` extra) or ``python`` (force the pure
-    #: bisect fallback).  Both kernels produce bit-identical metrics.
-    #: See :mod:`repro._kernel`.
+    #: (require the ``[fast]`` extra) or ``python`` (the scalar Eq. 5
+    #: walk everywhere — the only path on a numpy-free install).  Both
+    #: produce bit-identical metrics.  See :mod:`repro._kernel`.
     kernel: str = "auto"
 
     # --- run control ----------------------------------------------------

@@ -155,9 +155,6 @@ class CellularSimulator:
                 step_policy=config.step_policy,
             ),
             handoff_overload=config.handoff_overload,
-            reservation_cache=config.reservation_cache,
-            coalesced_tick=config.coalesced_tick,
-            grouped_flush=config.grouped_flush,
         )
         if config.warm_state is not None:
             # Replication shards start from a shared warm-up's estimator

@@ -17,7 +17,7 @@ message batches at epoch barriers:
   estimator's ``max_sojourn`` at the barrier instant (feeds the
   neighbour shard's dirty set and window-controller ``T_soj,max``);
 * **reservation requests/replies** — Eq. 5 contributions crossing the
-  cut, batched through ``outgoing_reservation_multi``;
+  cut, answered per supplier by the network's tick supply phase;
 * **migrations** — hand-offs whose destination cell lives in another
   shard, shipped one barrier ahead of their crossing time.
 
@@ -33,10 +33,11 @@ protocol variant with identical semantics at every N, including N=1:
   neighbourhood-max-sojourn mirror.
 * ``B_r`` refreshes at each barrier for the *dirty* set — cells whose
   own or neighbouring cells saw an attach/detach/departure/hand-off in
-  the finished epoch — via one sorted ``outgoing_reservation_multi``
-  call per supplier.  Suppliers and requests are processed in cell-id
-  order, and Eq. 6 installs in target-id order, so float addition
-  order is shard-independent.
+  the finished epoch — via one sorted request list per supplier
+  (:meth:`~repro.cellular.network.CellularNetwork.supply_reservations`).
+  Suppliers and requests are processed in cell-id order, and Eq. 6
+  installs in target-id order, so float addition order is
+  shard-independent.
 * Every random draw comes from a counter-based SplitMix64 stream keyed
   by *simulation* coordinates (cell, arrival index, hop count), never
   by scheduling history, so shards draw identical values no matter who
@@ -75,7 +76,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro._kernel import flush_batch_or_none, kernel_name, set_kernel
+from repro._kernel import kernel_name, set_kernel
 from repro.cellular.cell import Cell
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import HexTopology
@@ -550,9 +551,6 @@ class ShardEngine:
                 step_policy=config.step_policy,
             ),
             handoff_overload=config.handoff_overload,
-            reservation_cache=config.reservation_cache,
-            coalesced_tick=False,
-            grouped_flush=config.grouped_flush,
         )
         self.owned = plan.cells[index]
         self._owned_set = frozenset(self.owned)
@@ -798,44 +796,7 @@ class ShardEngine:
             requests = sorted(merged[supplier])
             by_supplier[supplier] = requests
             station_of(supplier).messages_sent += len(requests)
-        # Supply phase, cross-cell batched like
-        # :meth:`repro.cellular.network.CellularNetwork._flush_tick`:
-        # every supplier's table is searched through one
-        # :class:`repro._kernel.FlushBatch`; suppliers that cannot
-        # join fall back to the per-supplier batched call, which is
-        # bit-identical by construction.
-        supplies: dict[int, list[float]] = {}
-        batch = flush_batch_or_none() if self.config.grouped_flush else None
-        if batch is not None:
-            np = batch.np
-            deferred: list[tuple[int, list]] = []
-            for supplier in suppliers:
-                requests = by_supplier[supplier]
-                station = station_of(supplier)
-                slots = station.grouped_contribution_eval(
-                    np, now, requests, batch
-                )
-                if slots is None:
-                    supplies[supplier] = station.outgoing_reservation_multi(
-                        now, requests
-                    )
-                else:
-                    deferred.append((supplier, slots))
-            network = self.network
-            network.tick_grouped_suppliers += len(deferred)
-            network.tick_fallback_suppliers += len(suppliers) - len(deferred)
-            if deferred:
-                totals = batch.resolve()
-                for supplier, slots in deferred:
-                    supplies[supplier] = [
-                        0.0 if slot is None else totals[slot]
-                        for slot in slots
-                    ]
-        else:
-            for supplier in suppliers:
-                supplies[supplier] = station_of(
-                    supplier
-                ).outgoing_reservation_multi(now, by_supplier[supplier])
+        supplies = self.network.supply_reservations(now, by_supplier)
         replies_out: list[tuple[int, int, float]] = []
         for supplier in suppliers:
             for (target, _), value in zip(

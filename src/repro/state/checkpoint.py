@@ -136,11 +136,21 @@ def config_fingerprint(config) -> dict:
     }
 
 
+#: Config fields older checkpoints fingerprinted and this version no
+#: longer has: on/off switches between bit-identical Eq. 5 paths, which
+#: never fed the event sequence.
+_FINGERPRINT_RETIRED = {
+    "reservation_cache",
+    "coalesced_tick",
+    "grouped_flush",
+}
+
+
 def _check_fingerprint(saved: dict, config) -> None:
     current = config_fingerprint(config)
     mismatched = sorted(
         name
-        for name in set(saved) | set(current)
+        for name in (set(saved) - _FINGERPRINT_RETIRED) | set(current)
         if saved.get(name) != current.get(name)
     )
     if mismatched:
@@ -309,7 +319,6 @@ def _capture_window(controller) -> dict:
 
 def _capture_estimator(estimator: MobilityEstimator) -> dict:
     return {
-        "version": estimator.version,
         "dirty": sorted(
             encode_prev(prev) for prev in estimator._dirty
         ),
@@ -433,7 +442,6 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
             {
                 "used": cell.used_bandwidth,
                 "reserved": cell.reserved_target,
-                "version": cell.version,
                 "rebuilds": cell.group_rebuilds,
             }
             for cell in sim.network.cells
@@ -607,7 +615,8 @@ def _restore_estimator(
                 function,
             )
     estimator._dirty = {decode_prev(raw) for raw in saved["dirty"]}
-    estimator.version = saved["version"]
+    # (Older checkpoints also carry the estimator's and the cells'
+    # retired ``version`` counters; the fields are simply ignored.)
     estimator.cache.total_recorded = saved["total_recorded"]
     estimator.snapshot_hits = saved["snapshot_hits"]
     estimator.snapshot_builds = saved["snapshot_builds"]
@@ -913,7 +922,6 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
         # the drifted value so later arithmetic continues identically.
         cell.used_bandwidth = saved_cell["used"]
         cell.reserved_target = saved_cell["reserved"]
-        cell.version = saved_cell["version"]
         cell.group_rebuilds = saved_cell["rebuilds"]
     saved_network = runtime["network"]
     sim.network.tick_flushes = saved_network["tick_flushes"]

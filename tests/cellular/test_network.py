@@ -1,5 +1,7 @@
 """Unit tests for the network container."""
 
+import pytest
+
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import HexTopology, LinearTopology
 from repro.estimation.estimator import KnownPathEstimator
@@ -63,3 +65,28 @@ def test_total_counters_start_zero():
     network = CellularNetwork(LinearTopology(3))
     assert network.total_messages() == 0
     assert network.total_reservation_calculations() == 0
+
+
+class _Adjacency:
+    """A hand-rolled topology: whatever neighbour lists it is given."""
+
+    def __init__(self, lists):
+        self._lists = lists
+        self.num_cells = len(lists)
+
+    def neighbors(self, cell_id):
+        return self._lists[cell_id]
+
+
+@pytest.mark.parametrize(
+    "lists, culprit",
+    [
+        ([(1,), (0, 2, 0), (1,)], 1),  # a repeated neighbour
+        ([(1,), (0, 2), (2, 1)], 2),  # a cell listed as its own neighbour
+    ],
+)
+def test_refuses_a_topology_with_a_repeated_or_self_neighbour(lists, culprit):
+    with pytest.raises(ValueError, match=f"cell {culprit}'s neighbours"):
+        CellularNetwork(_Adjacency(lists))
+    # The same lists, de-duplicated, are fine.
+    CellularNetwork(_Adjacency([(1,), (0, 2), (1,)]))

@@ -1,14 +1,13 @@
-"""The base station's batched Eq. 5 paths: equality with the naive scan.
+"""The reservation tick: equality with the literal §4.1 sequence.
 
-The contract under test: the columnar batched evaluation, the coalesced
-estimation tick, and the cross-cell grouped flush are pure
-optimisations.  Whatever the history of attaches, detaches, window
-changes and new quadruplets, a batched station returns bit-identical
-reservations to a naive one — and the message / N_calc accounting is
-identical too.  (The per-``(version, now, target, t_est)`` contribution
-memo that used to live here was retired: under the coalesced tick every
-admission evaluates at a distinct ``now``, so its hit rate was
-structurally zero — see DESIGN.md §4.)
+The contract under test: the coalesced estimation tick — answered by
+the cross-cell grouped flush under the numpy kernel, by the
+multi-request scalar walk otherwise — is a pure optimisation.  Whatever
+the history of attaches, detaches, window changes and new quadruplets,
+a tick installs bit-identical reservations to one
+``update_target_reservation`` per target (the per-connection,
+per-target walk) — and the message / N_calc accounting is identical
+too.
 """
 
 import random
@@ -19,18 +18,17 @@ from repro._kernel import flush_batch_or_none, numpy_or_none
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
 from repro.estimation.cache import CacheConfig
-from repro.traffic.classes import VOICE
+from repro.estimation.calendar import CalendarEstimator
+from repro.estimation.estimator import KnownPathEstimator, MobilityEstimator
+from repro.simulation.columnar import ColumnarCell, ConnectionStore
+from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
 
 
-def build_network(
-    reservation_cache=True, seed=1, interval=None, grouped_flush=True
-):
+def build_network(seed=1, interval=None):
     network = CellularNetwork(
         LinearTopology(10),
         cache_config=CacheConfig(interval=interval),
-        reservation_cache=reservation_cache,
-        grouped_flush=grouped_flush,
     )
     rng = random.Random(seed)
     for neighbor in (1, 9):
@@ -50,21 +48,29 @@ def build_network(
     return network
 
 
+def tick(network, now, targets):
+    for cell_id in targets:
+        network.mark_reservation_dirty(cell_id)
+    network.flush_reservation_tick(now)
+
+
 class TestBatchedEquivalence:
     def test_batched_matches_naive(self):
-        batched = build_network(reservation_cache=True)
-        naive = build_network(reservation_cache=False)
+        batched = build_network()
+        naive = build_network()
+        tick(batched, 100.0, [0])
         assert (
-            batched.station(0).update_target_reservation(100.0)
+            batched.cell(0).reserved_target
             == naive.station(0).update_target_reservation(100.0)
         )
 
     def test_messages_and_calculations_counted_identically(self):
-        batched = build_network(reservation_cache=True)
-        naive = build_network(reservation_cache=False)
-        for network in (batched, naive):
-            network.station(0).update_target_reservation(100.0)
-            network.station(0).update_target_reservation(100.0)
+        batched = build_network()
+        naive = build_network()
+        tick(batched, 100.0, [0])
+        tick(batched, 100.0, [0])
+        naive.station(0).update_target_reservation(100.0)
+        naive.station(0).update_target_reservation(100.0)
         assert batched.total_messages() == naive.total_messages()
         assert (
             batched.total_reservation_calculations()
@@ -87,11 +93,9 @@ class TestBatchedEquivalence:
 
 class TestGroupedFlush:
     def test_grouped_tick_matches_sequential_updates(self):
-        grouped = build_network(grouped_flush=True)
-        sequential = build_network(grouped_flush=False)
-        for cell_id in (0, 2, 8):
-            grouped.mark_reservation_dirty(cell_id)
-        grouped.flush_reservation_tick(100.0)
+        grouped = build_network()
+        sequential = build_network()
+        tick(grouped, 100.0, (0, 2, 8))
         for cell_id in (0, 2, 8):
             sequential.station(cell_id).update_target_reservation(100.0)
         for cell_id in (0, 2, 8):
@@ -104,10 +108,10 @@ class TestGroupedFlush:
     def test_grouped_path_actually_used_under_array_kernel(self):
         if flush_batch_or_none() is None:
             pytest.skip("pure-python kernel: no grouped flush")
-        network = build_network(grouped_flush=True)
-        network.mark_reservation_dirty(0)
-        network.flush_reservation_tick(100.0)
+        network = build_network()
+        tick(network, 100.0, [0])
         assert network.tick_grouped_suppliers > 0
+        assert network.tick_fallback_suppliers == 0
 
     def test_table_rows_follow_connection_order(self):
         np = numpy_or_none()
@@ -138,11 +142,6 @@ class TestGroupedFlush:
         network = build_network()
         targets = (0, 2, 8)
 
-        def tick(now):
-            for cell_id in targets:
-                network.mark_reservation_dirty(cell_id)
-            network.flush_reservation_tick(now)
-
         def counters():
             return (
                 sum(cell.group_rebuilds for cell in network.cells),
@@ -150,10 +149,11 @@ class TestGroupedFlush:
                 sum(s.estimator.snapshot_builds for s in network.stations),
             )
 
-        tick(100.0)  # first use builds the mirrors and the key columns
+        # First use builds the mirrors and the key columns.
+        tick(network, 100.0, targets)
         rebuilds, mirrored, builds = counters()
         assert rebuilds == 2 and builds == 2  # suppliers 1 and 9 carry load
-        tick(101.0)
+        tick(network, 101.0, targets)
         assert counters() == (rebuilds, mirrored, builds)
         changes = 0
         for supplier in (1, 9):
@@ -172,7 +172,7 @@ class TestGroupedFlush:
                     )
                 )
                 changes += 1
-        tick(103.0)
+        tick(network, 103.0, targets)
         after = counters()
         assert (after[0], after[2]) == (rebuilds, builds)
         assert after[1] - mirrored == changes
@@ -182,8 +182,8 @@ class TestGroupedFlush:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_randomized_history_matches_naive(seed, interval):
     """Bit-identical reservations across a random mutation history."""
-    batched = build_network(True, seed=seed, interval=interval)
-    naive = build_network(False, seed=seed, interval=interval)
+    batched = build_network(seed=seed, interval=interval)
+    naive = build_network(seed=seed, interval=interval)
     rng = random.Random(100 + seed)
     now = 100.0
     for step in range(60):
@@ -220,8 +220,9 @@ def test_randomized_history_matches_naive(seed, interval):
             naive.station(0).window.t_est = t_est
         else:
             now += rng.uniform(0.0, 20.0)
+        tick(batched, now, [0])
         assert (
-            batched.station(0).update_target_reservation(now)
+            batched.cell(0).reserved_target
             == naive.station(0).update_target_reservation(now)
         )
 
@@ -229,8 +230,8 @@ def test_randomized_history_matches_naive(seed, interval):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_randomized_history_grouped_tick_matches_sequential(seed):
     """Grouped tick flushes equal per-station updates under churn."""
-    grouped = build_network(True, seed=seed, grouped_flush=True)
-    sequential = build_network(True, seed=seed, grouped_flush=False)
+    grouped = build_network(seed=seed)
+    sequential = build_network(seed=seed)
     rng = random.Random(200 + seed)
     now = 100.0
     for step in range(40):
@@ -256,9 +257,7 @@ def test_randomized_history_grouped_tick_matches_sequential(seed):
         else:
             now += rng.uniform(0.0, 20.0)
         targets = rng.sample(range(10), rng.randrange(1, 4))
-        for cell_id in targets:
-            grouped.mark_reservation_dirty(cell_id)
-        grouped.flush_reservation_tick(now)
+        tick(grouped, now, targets)
         for cell_id in targets:
             sequential.station(cell_id).update_target_reservation(now)
         for cell_id in targets:
@@ -267,3 +266,103 @@ def test_randomized_history_grouped_tick_matches_sequential(seed):
                 == sequential.cell(cell_id).reserved_target
             )
     assert grouped.total_messages() == sequential.total_messages()
+
+
+# ----------------------------------------------------------------------
+# one tick, every kind of supplier
+# ----------------------------------------------------------------------
+def _known_next(connection):
+    """A route oracle both cell kinds can answer: by entry second."""
+    return 4 if int(connection.cell_entry_time) % 2 else None
+
+
+#: Per cell of a ring of 6: two suppliers the resident kernel answers
+#: (infinite ``T_int``, unit weights), four it cannot.
+_ESTIMATORS = (
+    lambda: MobilityEstimator(CacheConfig(interval=None)),
+    lambda: MobilityEstimator(CacheConfig(interval=60.0)),
+    lambda: MobilityEstimator(CacheConfig(interval=None, weights=(0.5, 0.5))),
+    lambda: KnownPathEstimator(
+        CacheConfig(interval=None), route_oracle=_known_next
+    ),
+    lambda: CalendarEstimator(),
+    lambda: MobilityEstimator(CacheConfig(interval=None)),
+)
+
+
+def build_mixed_network(columnar, seed):
+    store = ConnectionStore(num_cells=6) if columnar else None
+    network = CellularNetwork(
+        LinearTopology(6),
+        capacity=1_000.0,
+        estimator_factory=lambda cell_id: _ESTIMATORS[cell_id](),
+        cell_factory=(
+            (lambda cell_id, cap, overload: ColumnarCell(cell_id, cap, store))
+            if columnar
+            else None
+        ),
+    )
+    rng = random.Random(seed)
+    for cell_id in range(6):
+        around = (None, (cell_id - 1) % 6, (cell_id + 1) % 6)
+        station = network.station(cell_id)
+        for index in range(40):
+            station.record_departure(
+                50.0 + index,
+                rng.choice(around),
+                rng.choice(around[1:]),
+                50.0 + index - rng.uniform(5.0, 60.0),
+            )
+        for sequence in range(rng.randrange(5, 30)):
+            prev = rng.choice(around)
+            entry = rng.uniform(20.0, 99.0)
+            video = rng.random() < 0.3
+            if not columnar:
+                network.cell(cell_id).attach(
+                    Connection(
+                        VIDEO if video else VOICE, 0.0, cell_id,
+                        prev_cell=prev, cell_entry_time=entry,
+                    )
+                )
+                continue
+            row = store.alloc()
+            columns = store.columns
+            columns["entry_time"][row] = entry
+            columns["prev"][row] = -1 if prev is None else prev
+            columns["birth_cell"][row] = cell_id
+            columns["birth_seq"][row] = sequence
+            columns["bw_code"][row] = int(video)
+            network.cell(cell_id).attach_row(row)
+        station.window.t_est = rng.uniform(1.0, 40.0)
+    return network
+
+
+@pytest.mark.parametrize(
+    "columnar", [False, True], ids=["Cell", "ColumnarCell"]
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mixed_supplier_tick_matches_sequential_updates(seed, columnar):
+    """Suppliers the kernel answers and suppliers it cannot, in one tick."""
+    ticked = build_mixed_network(columnar, seed)
+    sequential = build_mixed_network(columnar, seed)
+    targets = [0, 2, 3, 4, 5, 1]
+    tick(ticked, 100.0, targets)
+    for cell_id in targets:
+        sequential.station(cell_id).update_target_reservation(100.0)
+
+    def installed(network):
+        return [
+            (
+                station.cell.reserved_target,
+                station.messages_sent,
+                station.reservation_calculations,
+            )
+            for station in network.stations
+        ]
+
+    assert installed(ticked) == installed(sequential)
+    assert all(cell.reserved_target > 0.0 for cell in ticked.cells)
+    assert ticked.total_messages() == sequential.total_messages()
+    if flush_batch_or_none() is not None:
+        assert ticked.tick_grouped_suppliers == 2
+        assert ticked.tick_fallback_suppliers == 4

@@ -1,43 +1,16 @@
-"""The Cell's attach-order table and the ``prev``-buckets derived from it."""
+"""The Cell's attach-order table: the resident input of the Eq. 5 kernel.
 
-import random
+Only the numpy kernel reads the table, so only it can build one.
+"""
 
 import pytest
 
 from repro._kernel import KEY_STRIDE
-from repro.cellular.cell import Cell, ReservationGroup
+from repro.cellular.cell import Cell
 from repro.traffic.classes import VOICE
 from repro.traffic.connection import Connection
 
-
-def _columns_sorted(group: ReservationGroup) -> bool:
-    return group.entries == sorted(group.entries)
-
-
-def test_add_keeps_columns_parallel_and_sorted():
-    group = ReservationGroup()
-    rng = random.Random(4)
-    expected = {}
-    for key in range(50):
-        entry = rng.uniform(0.0, 100.0)
-        basis = float(key)
-        group.add(key, entry, basis)
-        expected[key] = (entry, basis)
-    assert len(group) == 50
-    assert _columns_sorted(group)
-    rebuilt = {
-        key: (entry, basis)
-        for key, entry, basis in zip(group.keys, group.entries, group.bases)
-    }
-    assert rebuilt == expected
-
-
-def test_append_fast_path_for_monotone_entries():
-    group = ReservationGroup()
-    for key in range(10):
-        group.add(key, float(key), 1.0)
-    assert group.keys == list(range(10))
-    assert group.entries == [float(key) for key in range(10)]
+np = pytest.importorskip("numpy")
 
 
 def _attach(cell, entry_time, prev=None):
@@ -51,7 +24,7 @@ def _attach(cell, entry_time, prev=None):
 def _read_cell(capacity=100.0):
     """A cell whose table has had its first reader (it is kept from then on)."""
     cell = Cell(0, capacity=capacity)
-    cell.reservation_groups()
+    cell.reservation_table(np)
     return cell
 
 
@@ -62,12 +35,11 @@ def test_no_table_until_the_first_read_then_built_in_attach_order():
     _attach(cell, 3.0, prev=2)
     cell.detach(gone)
     assert cell._rows is None and cell._keys == [] and cell._bases == []
-    groups = cell.reservation_groups()
+    cell.reservation_table(np)
     # Built from the connections: attach order, no row for the detach.
     assert list(cell._rows) == [c.connection_id for c in cell.connections()]
     assert cell._keys == [complex(0.0, -5.0), complex(3 * KEY_STRIDE, -3.0)]
     assert cell._bases == [1.0, 1.0]
-    assert groups[None].keys == [first.connection_id]
     # From here on attach and detach maintain it.
     _attach(cell, 7.0)
     cell.detach(first)
@@ -97,7 +69,7 @@ def test_detach_tombstones_exactly_its_row():
     assert cell._bases == [1.0, 0.0, 1.0]
     assert len(cell._keys) == 3  # the row stays until compaction
     assert list(cell.connections())[0] is first
-    assert cell.reservation_groups()[None].entries == [5.0, 9.0]
+    assert list(cell._rows.values()) == [0, 2]
 
 
 def test_compaction_when_more_than_half_the_rows_are_dead():
@@ -115,7 +87,6 @@ def test_compaction_when_more_than_half_the_rows_are_dead():
 
 
 def test_mirror_copies_only_what_changed():
-    np = pytest.importorskip("numpy")
     cell = Cell(0, capacity=1_000.0)
     connections = [_attach(cell, float(index)) for index in range(40)]
     keys, bases = cell.reservation_table(np)
@@ -144,7 +115,6 @@ def test_mirror_copies_only_what_changed():
 
 
 def test_row_attached_and_detached_between_two_syncs_is_mirrored_dead():
-    np = pytest.importorskip("numpy")
     cell = Cell(0, capacity=100.0)
     _attach(cell, 1.0)
     _attach(cell, 2.0)
@@ -152,36 +122,3 @@ def test_row_attached_and_detached_between_two_syncs_is_mirrored_dead():
     cell.detach(_attach(cell, 3.0))
     _keys, bases = cell.reservation_table(np)
     assert bases.tolist() == [1.0, 1.0, 0.0]
-
-
-def test_cell_buckets_track_attach_and_detach():
-    cell = Cell(0, capacity=1_000.0)
-    rng = random.Random(11)
-    connections = []
-    for _ in range(40):
-        connection = Connection(
-            VOICE,
-            0.0,
-            0,
-            prev_cell=rng.choice((None, 1, 2)),
-            cell_entry_time=rng.uniform(0.0, 50.0),
-        )
-        cell.attach(connection)
-        connections.append(connection)
-    groups = cell.reservation_groups()
-    assert sum(len(group) for group in groups.values()) == 40
-    for group in groups.values():
-        assert _columns_sorted(group)
-    rng.shuffle(connections)
-    for connection in connections:
-        cell.detach(connection)
-    assert cell.reservation_groups() == {}
-
-
-def test_cell_bucket_survives_mutated_prev_cell():
-    cell = Cell(0, capacity=100.0)
-    connection = Connection(VOICE, 0.0, 0, prev_cell=1, cell_entry_time=3.0)
-    cell.attach(connection)
-    connection.prev_cell = 2  # hand-rolled double mutating while attached
-    cell.detach(connection)
-    assert cell.reservation_groups() == {}

@@ -2,10 +2,12 @@
 
 The three schemes differ only in which cells participate in the test,
 so on *identical* network states their decisions are ordered:
-AC2 admits ⇒ AC3 admits ⇒ AC1 admits (each drops constraints).
+AC2 admits ⇒ AC3 admits ⇒ AC1 admits (each drops constraints).  And
+each — one batched reservation tick per test — decides, counts and
+installs exactly what §4.3 transcribed literally does.
 """
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cellular.network import CellularNetwork
@@ -80,6 +82,66 @@ def test_admission_strictness_ordering(loads, history, t_est_values):
     assert decisions["AC1"].calculations == 1
     assert decisions["AC2"].calculations == 3
     assert 1 <= decisions["AC3"].calculations <= 3
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    # The fixture is a stateless factory; sharing it between examples
+    # shares nothing.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    # Cells at or near capacity and enough history for a few BUs of
+    # B_r, so neighbours are suspect before the test and some still are
+    # after it.
+    st.lists(st.sampled_from([0, 12, 23, 24, 25]), min_size=4, max_size=4),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=3),
+            st.floats(min_value=10.0, max_value=80.0),
+        ),
+        min_size=10,
+        max_size=40,
+    ),
+    st.lists(
+        st.floats(min_value=1.0, max_value=60.0), min_size=4, max_size=4
+    ),
+    # B_r left behind by earlier tests: what makes a neighbour suspect.
+    st.lists(
+        st.floats(min_value=0.0, max_value=40.0), min_size=4, max_size=4
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_policies_match_the_literal_transcription(
+    literal_policy, loads, history, t_est_values, prior_targets, cell_id
+):
+    now = 1000.0
+    for policy in (AC1(), AC2(), AC3()):
+        outcomes = []
+        for candidate in (policy, literal_policy(policy.name)):
+            network = build_network(loads, history, t_est_values, now)
+            for cell, prior in zip(network.cells, prior_targets):
+                cell.reserved_target = prior
+            decision = candidate.admit_new(
+                network, cell_id, VOICE.bandwidth, now
+            )
+            outcomes.append(
+                (
+                    decision,
+                    [cell.reserved_target for cell in network.cells],
+                    [
+                        (
+                            station.messages_sent,
+                            station.reservation_calculations,
+                        )
+                        for station in network.stations
+                    ],
+                    network.total_messages(),
+                )
+            )
+        assert outcomes[0] == outcomes[1], policy.name
 
 
 @settings(max_examples=40, deadline=None)

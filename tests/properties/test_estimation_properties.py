@@ -5,6 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cellular.base_station import EXIT_CELL
 from repro.estimation.cache import CacheConfig, QuadrupletCache
 from repro.estimation.estimator import MobilityEstimator
 from repro.estimation.function import HandoffEstimationFunction
@@ -123,3 +124,97 @@ def test_cache_selection_never_exceeds_quota(events, now):
         assert len(items) <= config.max_per_pair
         for item in items:
             assert item.weight in config.weights
+
+
+# ----------------------------------------------------------------------
+# Eq. 5: the multi-request walk vs one walk per request vs Eq. 4
+# ----------------------------------------------------------------------
+#: Few distinct values, so duplicate sojourns and exact ties between a
+#: sojourn and an extant time (entry times share the grid) are common.
+GRID = st.sampled_from([0.0, 1.0, 2.5, 4.0, 4.0, 7.5, 11.0, 30.0])
+PREVS = st.sampled_from([None, 0, 1, 2])
+NEXTS = st.sampled_from([EXIT_CELL, 0, 1, 2])
+NOW = 100.0
+
+
+class _Attached:
+    """The duck-typed connection Eq. 5 reads."""
+
+    def __init__(self, prev_cell, cell_entry_time, bandwidth, basis):
+        self.prev_cell = prev_cell
+        self.cell_entry_time = cell_entry_time
+        self.bandwidth = bandwidth
+        if basis is not None:
+            self.reservation_basis = basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(GRID, PREVS, NEXTS, GRID), max_size=40),
+    st.sampled_from([1, 3, 100]),
+    st.sampled_from([None, 20.0, 60.0]),
+    st.sampled_from([1.0, 0.5]),
+    st.lists(
+        st.tuples(
+            PREVS, GRID, st.sampled_from([1.0, 4.0]),
+            st.sampled_from([None, 1.0, 2.0]),
+        ),
+        max_size=30,
+    ),
+    st.lists(
+        st.tuples(
+            NEXTS, st.sampled_from([-1.0, 0.0, 0.5, 4.0, 10.0, 100.0])
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_multi_request_walk_equals_one_walk_per_request(
+    history, max_per_pair, interval, w_0, attached, requests
+):
+    """``expected_bandwidth_multi`` shares snapshots, denominators and
+    bases between its requests; none of that may show in a total."""
+    estimator = MobilityEstimator(
+        CacheConfig(
+            interval=interval, max_per_pair=max_per_pair, weights=(w_0, w_0)
+        )
+    )
+    # A populated start (every prev/next pairing observed), so most
+    # examples sum non-zero contributions; then the drawn history,
+    # oldest first.  max_per_pair 1 and 3 evict; T_int = 20 cuts the
+    # start and the oldest draws, T_int = 60 keeps everything.
+    for index, prev in enumerate((None, 0, 1, 2)):
+        for next_cell in (EXIT_CELL, 0, 1, 2):
+            estimator.record_departure(
+                NOW - 50.0, prev, next_cell, 3.0 * index + next_cell + 2
+            )
+    for age, prev, next_cell, sojourn in sorted(
+        history, key=lambda item: -item[0]
+    ):
+        estimator.record_departure(NOW - 1.5 * age, prev, next_cell, sojourn)
+    connections = [
+        _Attached(prev, NOW - offset, bandwidth, basis)
+        for prev, offset, bandwidth, basis in attached
+    ]
+    together = estimator.expected_bandwidth_multi(NOW, connections, requests)
+    assert together == [
+        estimator.expected_bandwidth(NOW, connections, target_cell, t_est)
+        for target_cell, t_est in requests
+    ]
+    # ... and each is Eq. 5 as written: the sum, in connection order, of
+    # basis x the scalar Eq. 4 query.
+    literal = []
+    for target_cell, t_est in requests:
+        total = 0.0
+        for connection in connections:
+            total += getattr(
+                connection, "reservation_basis", connection.bandwidth
+            ) * estimator.handoff_probability(
+                NOW,
+                connection.prev_cell,
+                NOW - connection.cell_entry_time,
+                target_cell,
+                t_est,
+            )
+        literal.append(total)
+    assert together == literal

@@ -1,14 +1,16 @@
 """Property-based kernel equivalence: python == numpy.
 
-The kernel contract (:mod:`repro._kernel`): both backends — the pure
-bisect fallback and the searchsorted-batched numpy path — produce
-*bit-identical* results, for scalar queries, batched per-supplier
-evaluation, and the cross-cell grouped flush.  Hypothesis drives
-randomized quadruplet histories and connection populations through
-all available backends and requires exact float equality everywhere.
-The numpy legs are skipped on numpy-free installs.
+The kernel contract (:mod:`repro._kernel`): ``python`` — the scalar
+Eq. 5 walk everywhere — and ``numpy`` — reservation ticks answered from
+resident columns where the configuration allows — produce
+*bit-identical* results, for the literal §4.1 update, the tick, and
+whole runs.  Hypothesis drives randomized quadruplet histories and
+connection populations through all available backends and requires
+exact float equality everywhere.  The numpy legs are skipped on
+numpy-free installs.
 """
 
+import itertools
 import random
 
 import pytest
@@ -19,8 +21,9 @@ from repro._kernel import HAS_NUMPY, kernel_name, set_kernel
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
 from repro.estimation.cache import CacheConfig
-from repro.simulation.config import SimulationConfig
+from repro.simulation.scenarios import hex_city, stationary
 from repro.simulation.simulator import CellularSimulator
+from repro.simulation.spatial import run_spatial
 from repro.traffic.classes import VOICE
 from repro.traffic.connection import Connection
 
@@ -52,11 +55,10 @@ entry_offsets = st.lists(
 )
 
 
-def build_network(items, offsets, grouped_flush=True):
+def build_network(items, offsets):
     network = CellularNetwork(
         LinearTopology(5),
         cache_config=CacheConfig(interval=None),
-        grouped_flush=grouped_flush,
     )
     station = network.station(1)
     for index, (sojourn, prev) in enumerate(items):
@@ -77,7 +79,7 @@ def build_network(items, offsets, grouped_flush=True):
 @settings(max_examples=25, deadline=None)
 @given(history, entry_offsets)
 def test_reservation_identical_across_kernels(items, offsets):
-    """Eq. 6 per-supplier evaluation is bit-identical per backend."""
+    """The literal §4.1 update is bit-identical per backend."""
     results = {}
     for kernel in available_kernels():
         set_kernel(kernel)
@@ -92,7 +94,7 @@ def test_reservation_identical_across_kernels(items, offsets):
 @settings(max_examples=25, deadline=None)
 @given(history, entry_offsets)
 def test_grouped_tick_identical_across_kernels(items, offsets):
-    """The cross-cell grouped flush is bit-identical per backend."""
+    """The reservation tick is bit-identical per backend."""
     results = {}
     for kernel in available_kernels():
         set_kernel(kernel)
@@ -108,31 +110,43 @@ def test_grouped_tick_identical_across_kernels(items, offsets):
     assert len(values) == 1, results
 
 
-def _run_metrics(kernel: str, grouped_flush: bool = True):
-    config = SimulationConfig(
-        scheme="AC3",
-        offered_load=120.0,
-        duration=120.0,
-        seed=5,
-        kernel=kernel,
-        grouped_flush=grouped_flush,
-    )
-    return CellularSimulator(config).run().metrics_key()
-
-
 def test_whole_run_metrics_key_parity_across_kernels():
-    """A full AC3 run lands on one metrics_key whatever the backend."""
+    """A full run lands on one metrics_key whatever the backend — with
+    every supplier in the resident kernel (infinite ``T_int``, unit
+    weights) and with none (finite ``T_int`` / ``w_0 = 0.5``)."""
+    for scheme, t_int, weights in itertools.product(
+        ("AC1", "AC2", "AC3"), (None, 60.0), ((1.0, 1.0), (0.5, 0.5))
+    ):
+        keys = {
+            kernel: CellularSimulator(
+                stationary(
+                    scheme,
+                    offered_load=250.0,
+                    duration=80.0,  # long enough for T_int = 60 to cut
+                    seed=5,
+                    kernel=kernel,
+                    t_int=t_int,
+                    weights=weights,
+                )
+            ).run().metrics_key()
+            for kernel in available_kernels()
+        }
+        for kernel, key in keys.items():
+            assert key == keys["python"], (kernel, scheme, t_int, weights)
+
+
+def test_sharded_hex_run_metrics_key_parity_across_kernels():
+    """Barrier-time Eq. 5 over columnar cells: kernel vs handle walk."""
     keys = {
-        kernel: _run_metrics(kernel) for kernel in available_kernels()
+        kernel: run_spatial(
+            hex_city(
+                "AC3", rows=6, cols=6, offered_load=700.0,
+                duration=30.0, seed=5, kernel=kernel,
+            ),
+            shards=2,
+            processes=False,
+        ).metrics_key()
+        for kernel in available_kernels()
     }
-    reference = keys["python"]
     for kernel, key in keys.items():
-        assert key == reference, kernel
-
-
-def test_whole_run_metrics_key_parity_grouped_flush_toggle():
-    """grouped_flush on/off cannot change a run's metrics_key."""
-    assert _run_metrics("auto", grouped_flush=True) == _run_metrics(
-        "auto", grouped_flush=False
-    )
-
+        assert key == keys["python"], kernel

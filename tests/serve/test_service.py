@@ -286,6 +286,43 @@ def test_mistyped_event_fails_its_slot_not_the_worker():
     asyncio.run(_with_service(body))
 
 
+def test_far_future_timestamp_fails_its_slot_not_the_shared_clock():
+    # One request stamped weeks ahead used to drag the service clock
+    # there — 300 000 monitor samples in one flush, and every later
+    # client stamped t = 3 000 000.
+    async def body(service):
+        engine = service.driver.engine
+        results = await asyncio.wait_for(
+            service.submit_many(
+                (
+                    StreamEvent(t=None, kind=ARRIVAL, cell=0),
+                    StreamEvent(t=3e6, kind=ARRIVAL, cell=0),
+                )
+            ),
+            timeout=5.0,
+        )
+        assert isinstance(results[0], Decision)
+        assert isinstance(results[1], ValueError)
+        assert "ahead of the stream" in str(results[1])
+        before = (engine.now, engine.events_processed)
+        with pytest.raises(ValueError, match="ahead of the stream"):
+            await asyncio.wait_for(
+                service.submit(StreamEvent(t=3e6, kind=ARRIVAL, cell=1)),
+                timeout=5.0,
+            )
+        assert (engine.now, engine.events_processed) == before
+        decision = await asyncio.wait_for(service.admit(cell=2), timeout=5.0)
+        assert abs(decision.t - service.driver.clock.now()) < 1.0
+        # A replay running ahead of the wall clock by less than a day
+        # (what a load generator sends) is applied as stamped.
+        replayed = await asyncio.wait_for(
+            service.admit(cell=3, t=1800.0), timeout=5.0
+        )
+        assert replayed.t == 1800.0
+
+    asyncio.run(_with_service(body, config=_config(scheme="static")))
+
+
 def test_dead_worker_fails_pending_and_later_requests_by_name():
     async def scenario():
         service = AdmissionService(_config())

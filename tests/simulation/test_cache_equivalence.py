@@ -1,29 +1,40 @@
-"""Whole-run equivalence: batched reservation never changes a metric.
+"""Whole-run equivalence: the resident kernel never changes a metric.
 
 Runs the acceptance scenarios — the Figure 7 static policy and the
-Figure 10/11 AC3 trace run — once with the batched columnar
-reservation path and once with the naive per-connection rescan, and
-requires every simulation-determined field of the results (counters,
-probabilities, traces, N_calc, messages) to be identical.  Only
-wall-clock time may differ.
+Figure 10/11 AC3 trace run — once with reservation ticks answered from
+the resident Eq. 5 columns (numpy kernel) and once with the scalar
+per-connection walk everywhere (python kernel), and requires every
+simulation-determined field of the results (counters, probabilities,
+traces, N_calc, messages) to be identical.  Only wall-clock time may
+differ.
 """
 
 from dataclasses import replace
 
+import pytest
+
+from repro._kernel import HAS_NUMPY, kernel_name, set_kernel
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.traffic.connection import reset_connection_ids
 
+pytestmark = pytest.mark.skipif(
+    not HAS_NUMPY, reason="numpy kernel not installed"
+)
+
+
+@pytest.fixture(autouse=True)
+def _restore_kernel():
+    before = kernel_name()
+    yield
+    set_kernel(before)
+
 
 def _run_both(config):
     reset_connection_ids()
-    cached = CellularSimulator(
-        replace(config, reservation_cache=True)
-    ).run()
+    cached = CellularSimulator(replace(config, kernel="numpy")).run()
     reset_connection_ids()
-    naive = CellularSimulator(
-        replace(config, reservation_cache=False)
-    ).run()
+    naive = CellularSimulator(replace(config, kernel="python")).run()
     return cached, naive
 
 
@@ -57,6 +68,6 @@ def test_fig11_trace_scenario_is_identical():
     cached, naive = _run_both(config)
     assert cached.metrics_key() == naive.metrics_key()
     # Sanity: the scenario is busy enough that the assertion is not
-    # vacuous, and the batched run actually exercised the hot path.
+    # vacuous, and the kernel run actually exercised the hot path.
     assert cached.total_handoff_attempts > 0
     assert cached.average_calculations > 0

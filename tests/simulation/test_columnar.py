@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro._kernel import KEY_STRIDE
 from repro.simulation.columnar import (
     BANDWIDTH_TABLE,
     ConnectionStore,
@@ -194,23 +195,28 @@ class TestColumnarCell:
         cell.attach_row(row)
         assert cell.used_bandwidth == BANDWIDTH_TABLE[1]
         assert cell.connection_count == 1
-        version = cell.version
         cell.detach_row(row)
         assert cell.used_bandwidth == 0.0
         assert cell.connection_count == 0
-        assert cell.version > version
 
-    def test_groups_bucket_by_prev_cell(self):
+    def test_table_rows_encode_prev_cell(self):
+        np = pytest.importorskip("numpy")
         store, cell = _columnar_cell()
         born_here = _fill_row(store, store.alloc(), prev=-1, birth_seq=0)
         handed_off = _fill_row(
             store, store.alloc(), prev=3, birth_seq=1, entry_time=5.0
         )
+        # One row built from the handles at the first read, one appended
+        # by attach_row after it: the same encoding either way.
         cell.attach_row(born_here)
+        cell.reservation_table(np)
         cell.attach_row(handed_off)
-        assert set(cell.reservation_groups()) == {None, 3}
+        keys, bases = cell.reservation_table(np)
+        assert keys.tolist() == [0j, complex(4 * KEY_STRIDE, -5.0)]
+        assert bases.tolist() == [BANDWIDTH_TABLE[0]] * 2
         cell.detach_row(handed_off)
-        assert set(cell.reservation_groups()) == {None}
+        _keys, bases = cell.reservation_table(np)
+        assert bases.tolist() == [BANDWIDTH_TABLE[0], 0.0]
 
     def test_double_attach_raises(self):
         from repro.cellular.cell import CapacityError

@@ -262,6 +262,45 @@ class TestGuards:
         with pytest.raises(StateFormatError, match="offered_load"):
             restore_simulator(path, other)
 
+    def test_parent_fingerprint_with_retired_switches_restores(self, tmp_path):
+        """A checkpoint from before the Eq. 5 on/off switches and the
+        ``version`` counters were retired carries both; neither fed the
+        event sequence, so it continues — and any real mismatch next to
+        them is still fatal."""
+        config = base_config()
+        full, first = split_run_parity(config, split=150.0)
+        files = capture_state(first)
+        manifest = json.loads(files[MANIFEST_NAME])
+        assert "grouped_flush" not in manifest["config"]
+        manifest["config"].update(
+            reservation_cache=True, coalesced_tick=True, grouped_flush=False
+        )
+        runtime = json.loads(files[RUNTIME_NAME])
+        for number, cell in enumerate(runtime["cells"]):
+            assert "version" not in cell
+            cell["version"] = 1000 + number
+        for station in runtime["stations"]:
+            assert "version" not in station["estimator"]
+            station["estimator"]["version"] = 77
+        blob = json.dumps(runtime).encode("utf-8")
+        for entry in manifest["files"]:
+            if entry["path"] == RUNTIME_NAME:
+                entry.update(bytes=len(blob), crc32=crc32_of(blob))
+        path = publish_state_dir(
+            tmp_path / "parent-fingerprint",
+            {
+                **files,
+                RUNTIME_NAME: blob,
+                MANIFEST_NAME: json.dumps(manifest, indent=1).encode("utf-8"),
+            },
+        )
+        resumed = restore_simulator(path, config).run()
+        assert resumed.metrics_key() == full.metrics_key()
+        with pytest.raises(StateFormatError) as refusal:
+            restore_simulator(path, replace(config, n_quad=7))
+        assert "n_quad" in str(refusal.value)
+        assert "grouped_flush" not in str(refusal.value)
+
     def test_duration_before_clock_rejected(self, tmp_path):
         config = base_config(duration=50.0)
         sim = CellularSimulator(config)
