@@ -1,7 +1,6 @@
 #!/bin/sh
 # CI gate: tier-1 test suite, the kernel matrix, the benchmark harness's
-# own checks, and a smoke pass of the legacy bench compared against the
-# newest committed BENCH_<date>.json baseline.
+# own checks, and the end-to-end smokes.
 # Run from the repository root:  sh scripts/ci.sh
 set -e
 
@@ -44,27 +43,10 @@ python3 bench/run.py --workload serve_static_ws --smoke --trace 1
 echo "== telemetry smoke =="
 PYTHONPATH=src python scripts/telemetry_smoke.py
 
-echo "== benchmark smoke =="
-# A slightly longer-than-smoke measuring window keeps the regression
-# comparison out of timer-noise territory while staying CI-cheap.
-# A missing/never-committed baseline is tolerated: bench.py warns and
-# skips the comparison instead of failing the gate.
-BASELINE=$(git ls-files 'BENCH_*.json' 2>/dev/null | sort | tail -n 1 || true)
-if [ -n "$BASELINE" ]; then
-    echo "comparing against $BASELINE"
-    REPRO_BENCH_DURATION=0.3 PYTHONPATH=src python scripts/bench.py \
-        --output /tmp/bench-smoke.json \
-        --compare "$BASELINE"
-else
-    echo "no committed BENCH_*.json baseline; skipping comparison"
-    PYTHONPATH=src python scripts/bench.py --smoke \
-        --output /tmp/bench-smoke.json
-fi
-rm -f /tmp/bench-smoke.json
-
 echo "== state smoke =="
-# Durable state store: corruption must fail `state inspect`, and
-# save -> load -> run must be bit-identical to the straight run.
+# Durable state store: corruption must fail `state inspect`,
+# save -> load -> run must be bit-identical to the straight run, and a
+# sharded `repro campaign` must leave verifiable days it then reuses.
 PYTHONPATH=src python scripts/state_smoke.py
 
 echo "== serve smoke =="
@@ -79,15 +61,5 @@ echo "== spatial smoke =="
 # City-scale spatial sharding: a 2-shard process run must merge to the
 # same metrics_key() as the single-shard in-process run.
 PYTHONPATH=src python scripts/spatial_smoke.py
-
-echo "== replication perf smoke =="
-# The sharded replication runner end-to-end: warm pool, shared-memory
-# columnar snapshots, merged CIs, and the scheduling-independence
-# recheck (smoke mode).  Throughput gating stays with the main bench
-# job above; this one exercises the machinery.
-REPRO_BENCH_DURATION=0.1 PYTHONPATH=src python scripts/bench.py \
-    --smoke --workers 2 --replications 4 \
-    --output /tmp/bench-replication-smoke.json
-rm -f /tmp/bench-replication-smoke.json
 
 echo "CI OK"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke for the durable state store.
 
-Two gates, both cheap enough for every CI pass:
+Three gates, all cheap enough for every CI pass:
 
 1. **Corruption detection** — save a checkpoint, flip one byte in one
    cell blob, and assert ``repro state inspect`` exits non-zero.
@@ -10,12 +10,18 @@ Two gates, both cheap enough for every CI pass:
    connection record), restore, run to the full horizon, and assert
    ``metrics_key()`` equality with the uninterrupted run (the store's
    core bit-identity contract).
+3. **Campaign through the CLI** — a 2-day, 2-shard city campaign leaves
+   two state directories ``repro state inspect`` verifies; the same
+   command again simulates nothing; a truncated blob fails both the
+   inspection and the next day's warm start, by file name.
 
 Run from the repository root::
 
     PYTHONPATH=src python scripts/state_smoke.py
 """
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -23,6 +29,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+from repro.cli import main as repro
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.state import inspect_state, restore_simulator, save_checkpoint
@@ -70,6 +77,57 @@ def check_restore_parity(config, scratch: Path) -> None:
     )
 
 
+def _cli(*argv: str) -> tuple[int, str]:
+    """Run ``repro <argv>`` in-process: ``(exit code, stdout + stderr)``."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output):
+        with contextlib.redirect_stderr(output):
+            code = repro(list(argv))
+    return code, output.getvalue()
+
+
+def check_spatial_campaign(scratch: Path) -> None:
+    state_dir = scratch / "city"
+    command = [
+        "campaign", "--hex", "6x6", "--shards", "2", "--inline-shards",
+        "--load", "150", "--duration", "40", "--seed", "7",
+        "--state-dir", str(state_dir),
+    ]  # fmt: skip
+    code, output = _cli(*command, "--days", "2")
+    if code != 0:
+        raise SystemExit(f"spatial campaign failed:\n{output}")
+    days = [state_dir / "day_000", state_dir / "day_001"]
+    for day in days:
+        code, output = _cli("state", "inspect", str(day))
+        if code != 0 or "Integrity: OK" not in output:
+            raise SystemExit(f"inspect rejected {day}:\n{output}")
+    report = (state_dir / "campaign.jsonl").read_text()
+    manifests = [(day / "manifest.json").read_bytes() for day in days]
+    code, output = _cli(*command, "--days", "2")
+    if code != 0:
+        raise SystemExit(f"re-invoked campaign failed:\n{output}")
+    if (state_dir / "campaign.jsonl").read_text() != report or manifests != [
+        (day / "manifest.json").read_bytes() for day in days
+    ]:
+        raise SystemExit("re-invoked campaign re-ran a completed day")
+    blob = sorted((days[1] / "cells").iterdir())[0]
+    blob.write_bytes(blob.read_bytes()[:-8])
+    code, output = _cli("state", "inspect", str(days[1]))
+    if code == 0 or blob.name not in output:
+        raise SystemExit(f"inspect accepted a truncated blob:\n{output}")
+    code, output = _cli(*command, "--days", "3")
+    if code == 0 or blob.name not in output:
+        raise SystemExit(f"day 3 accepted a truncated blob:\n{output}")
+    events = sum(
+        json.loads(line)["events_processed"] for line in report.splitlines()
+    )
+    print(
+        "campaign smoke: 2 sharded days verified and reused"
+        f" ({events} events); truncated {blob.name} refused by inspect"
+        " and by the next day's warm start"
+    )
+
+
 def main() -> None:
     config = stationary(
         "AC3", offered_load=150.0, voice_ratio=0.8, duration=240.0, seed=7
@@ -78,6 +136,7 @@ def main() -> None:
         scratch = Path(scratch)
         check_corruption_detected(config, scratch)
         check_restore_parity(config, scratch)
+        check_spatial_campaign(scratch)
     print("state smoke OK")
 
 

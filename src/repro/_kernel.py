@@ -10,8 +10,8 @@ instead.
 
 Selection order:
 
-1. an explicit :func:`set_kernel` call (``SimulationConfig.kernel``,
-   the ``--kernel`` CLI flag, and ``repro-bench --kernel`` end here);
+1. an explicit :func:`set_kernel` call (``SimulationConfig.kernel``
+   and the ``--kernel`` CLI flag end here);
 2. the ``REPRO_KERNEL`` environment variable (``numpy`` / ``python``);
 3. ``auto``: numpy when importable, python otherwise.
 

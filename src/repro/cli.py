@@ -870,21 +870,34 @@ def _command_list(_args: argparse.Namespace) -> int:
 
 def _command_campaign(args: argparse.Namespace) -> int:
     from dataclasses import replace
+    from functools import partial
 
-    from repro.state import run_campaign
+    from repro.state import run_campaign, spatial_day
 
     _configure_observability(args)
+    run_day = None
     if args.shards > 0:
-        return _command_campaign_spatial(args)
-    config = _build_config(args)
-    if args.day_seconds is not None:
-        config = replace(config, day_seconds=args.day_seconds)
+        config = _build_spatial_config(args)
+        if args.day_seconds is not None:
+            config = replace(config, duration=args.day_seconds)
+        run_day = partial(
+            spatial_day,
+            shards=args.shards,
+            processes=False if args.inline_shards else None,
+            epoch=args.epoch,
+            plan_kind=args.shard_plan,
+        )
+    else:
+        config = _build_config(args)
+        if args.day_seconds is not None:
+            config = replace(config, day_seconds=args.day_seconds)
     reports = run_campaign(
         config,
         days=args.days,
         state_dir=args.state_dir,
         jsonl_path=args.jsonl,
         carry_windows=not args.fresh_windows,
+        run_day=run_day,
     )
     rows = [
         [
@@ -894,54 +907,17 @@ def _command_campaign(args: argparse.Namespace) -> int:
             report.mean_t_est,
             report.quadruplets,
             report.handoff_drops,
+            report.events_processed,
         ]
         for report in reports
     ]
     print(
         Table(
-            ["Day", "PCB", "PHD", "mean Test", "Nquad", "Drops"], rows
+            ["Day", "PCB", "PHD", "mean Test", "Nquad", "Drops", "Events"],
+            rows,
         ).render()
     )
     jsonl = args.jsonl or f"{args.state_dir}/campaign.jsonl"
-    print(f"\nper-day report: {jsonl}")
-    return 0
-
-
-def _command_campaign_spatial(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.simulation.spatial import run_spatial_campaign
-
-    config = _build_spatial_config(args)
-    if args.day_seconds is not None:
-        config = replace(config, duration=args.day_seconds)
-    jsonl = args.jsonl or f"{args.state_dir}/campaign.jsonl"
-    reports = run_spatial_campaign(
-        config,
-        args.shards,
-        days=args.days,
-        state_dir=args.state_dir,
-        processes=False if args.inline_shards else None,
-        epoch=args.epoch,
-        jsonl_path=jsonl,
-        plan_kind=args.shard_plan,
-    )
-    rows = [
-        [
-            report.day + 1,
-            report.blocking_probability,
-            report.dropping_probability,
-            report.events,
-            report.quadruplets,
-            report.checkpoint,
-        ]
-        for report in reports
-    ]
-    print(
-        Table(
-            ["Day", "PCB", "PHD", "Events", "Nquad", "Checkpoint"], rows
-        ).render()
-    )
     print(f"\nper-day report: {jsonl}")
     return 0
 

@@ -17,8 +17,8 @@ This module adds:
   structured logs without touching the CLI (the simulator calls
   :func:`ensure_configured` once per construction).
 
-The CLI flags ``--log-level`` / ``--log-json`` and ``repro-bench``'s
-equivalents route through :func:`configure_logging`.
+The CLI flags ``--log-level`` / ``--log-json`` route through
+:func:`configure_logging`.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ which the driver absorbs as ignored events).
 This is a *benchmark* workload: throughput-shaped, not paper-shaped.
 The scenario's offered load and mobility live in the DES; here the
 only goal is to saturate the decision path and measure it
-(``repro serve-bench``, the ``serve_latency`` repro-bench section, and
-``scripts/serve_smoke.py`` all drive through :func:`run_load`).
+(``repro serve-bench`` and ``scripts/serve_smoke.py`` both drive
+through :func:`run_load`).
 """
 
 from __future__ import annotations

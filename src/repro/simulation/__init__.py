@@ -23,12 +23,7 @@ from repro.simulation.scenarios import (
     time_varying,
 )
 from repro.simulation.simulator import CellularSimulator, simulate
-from repro.simulation.spatial import (
-    ShardPlan,
-    partition_hex,
-    run_spatial,
-    run_spatial_campaign,
-)
+from repro.simulation.spatial import ShardPlan, partition_hex, run_spatial
 from repro.simulation.tracing import ConnectionTracer, TraceEvent
 
 __all__ = [
@@ -51,7 +46,6 @@ __all__ = [
     "one_directional",
     "partition_hex",
     "run_spatial",
-    "run_spatial_campaign",
     "run_sweep",
     "simulate",
     "stationary",

@@ -130,10 +130,9 @@ class SimulationConfig:
     trace: bool = False
 
     #: Pre-warmed estimator state to hydrate the network with before the
-    #: run starts (an object with ``hydrate(network)``, e.g. a
-    #: :class:`repro.simulation.shared_state.SharedColumnsHandle`).  Used
-    #: by the sharded replication runner to ship one warm-up's history to
-    #: every shard; ``None`` for a cold start.
+    #: run starts: a :class:`repro.state.CheckpointWarmStart`.  Campaign
+    #: days chain through it and the replication runner ships one
+    #: warm-up's history to every shard; ``None`` for a cold start.
     warm_state: object | None = None
 
     # --- free-form label for reports ------------------------------------

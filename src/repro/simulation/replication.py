@@ -11,10 +11,11 @@ run produces (post-warm-up P_CB / P_HD) can equally be estimated from
   regardless of worker count or scheduling;
 * each shard runs its own warm-up cut (shards are statistically
   independent runs, not slices of one sample path);
-* optionally every shard starts from a *shared* warmed estimator state:
-  the parent runs one warm-up, exports the quadruplet history into a
-  :class:`repro.simulation.shared_state.SharedColumnStore`, and each
-  worker hydrates from shared memory instead of re-learning from cold;
+* every shard starts from one *shared* warmed estimator state: the
+  parent runs one warm-up, saves it as a checkpoint in a temporary
+  directory, and each shard hydrates from those files
+  (:class:`repro.state.CheckpointWarmStart`) instead of re-learning
+  from cold;
 * the merged P_CB / P_HD pool the raw counts (Wilson intervals) and the
   per-replication proportions feed a batch-means Student-t interval, so
   the headline numbers come with CI half-widths instead of bare points.
@@ -22,8 +23,10 @@ run produces (post-warm-up P_CB / P_HD) can equally be estimated from
 
 from __future__ import annotations
 
+import tempfile
 import time as wall_clock
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from repro.analysis.stats import (
     BatchMeansEstimate,
@@ -37,9 +40,9 @@ from repro.obs.timeseries import merge_series
 from repro.obs.trace import merge_traces
 from repro.simulation.config import SimulationConfig
 from repro.simulation.metrics import SimulationResult
-from repro.simulation.runner import SimulationPool, run_sweep
-from repro.simulation.shared_state import SharedColumnStore
+from repro.simulation.runner import run_sweep
 from repro.simulation.simulator import CellularSimulator
+from repro.state import CheckpointWarmStart, save_checkpoint
 
 
 def replication_seeds(config: SimulationConfig, replications: int) -> list[int]:
@@ -96,9 +99,6 @@ class ReplicatedResult:
     #: ``None`` when tracing was off.
     trace_events: list | None = None
     wall_seconds: float = 0.0
-    #: Shared warm-up bookkeeping (0 when sharing was off).
-    warm_seconds: float = 0.0
-    shared_bytes: int = 0
     extra: dict = field(default_factory=dict)
 
     @property
@@ -138,9 +138,6 @@ def run_replicated(
     replications: int = 8,
     workers: int | None = None,
     ci_level: float = 0.95,
-    pool: SimulationPool | None = None,
-    share_columns: bool = True,
-    warm_duration: float | None = None,
 ) -> ReplicatedResult:
     """Run ``config`` as ``K`` independent shards and merge the metrics.
 
@@ -148,7 +145,13 @@ def run_replicated(
     ----------
     config:
         The long run to shard.  ``duration - warmup`` is the measured
-        interval being split.
+        interval being split.  With a warm-up cut, the parent first runs
+        ``config.warmup`` seconds once and every shard starts from that
+        run's estimator history; the shards then *also* run their own
+        warm-up cut on top of the shared prior — their measured windows
+        stay independent, they just start from a learned F_HOE instead
+        of an empty one.  The prior is a deterministic extra input to
+        every shard, identical across worker counts.
     replications:
         ``K`` — number of independent shards.
     workers:
@@ -156,60 +159,37 @@ def run_replicated(
         sequentially in-process — same merged result, by construction).
     ci_level:
         Confidence level of the batch-means intervals.
-    pool:
-        Explicit :class:`~repro.simulation.runner.SimulationPool` to run
-        on; by default the process-wide shared pool.
-    share_columns:
-        Run one warm-up in the parent and ship its estimator history to
-        every shard via shared memory.  The shards then *also* run their
-        own warm-up cut on top of the shared prior — their measured
-        windows stay independent, they just start from a learned F_HOE
-        instead of an empty one.  Adds a deterministic extra input to
-        every shard, so it flips the merged metrics relative to
-        ``share_columns=False`` — but stays bit-identical across worker
-        counts, which is the invariant that matters.
-    warm_duration:
-        Virtual seconds of the shared warm-up (defaults to
-        ``config.warmup``; 0 disables sharing).
     """
     started = wall_clock.perf_counter()
     shard_configs = replication_configs(config, replications)
-    if warm_duration is None:
-        warm_duration = config.warmup
-    store = None
-    warm_seconds = 0.0
-    shared_bytes = 0
-    if share_columns and warm_duration > 0:
-        warm_started = wall_clock.perf_counter()
-        # The warm run's seed is the K-th child: never collides with a
-        # shard seed, deterministic in the parent seed.
-        warm_config = replace(
-            config,
-            seed=RandomStreams(config.seed).spawn(replications).seed,
-            duration=warm_duration,
-            warmup=0.0,
-            telemetry=False,
-            run_id="",
-            tracked_cells=(),
-            hourly_stats=False,
-            label=f"{config.label or config.scheme}[warm]",
-        )
-        warm_sim = CellularSimulator(warm_config)
-        warm_sim.run()
-        store = SharedColumnStore.from_network(
-            warm_sim.network, origin=warm_duration
-        )
-        handle = store.handle()
-        shard_configs = [
-            replace(shard, warm_state=handle) for shard in shard_configs
-        ]
-        shared_bytes = store.nbytes
-        warm_seconds = wall_clock.perf_counter() - warm_started
-    try:
-        results = run_sweep(shard_configs, workers=workers, pool=pool)
-    finally:
-        if store is not None:
-            store.close()
+    with tempfile.TemporaryDirectory(prefix="repro-warm-") as scratch:
+        if config.warmup > 0:
+            # The warm run's seed is the K-th child: never collides with
+            # a shard seed, deterministic in the parent seed.
+            warm_sim = CellularSimulator(
+                replace(
+                    config,
+                    seed=RandomStreams(config.seed).spawn(replications).seed,
+                    duration=config.warmup,
+                    warmup=0.0,
+                    telemetry=False,
+                    run_id="",
+                    tracked_cells=(),
+                    hourly_stats=False,
+                    label=f"{config.label or config.scheme}[warm]",
+                )
+            )
+            warm_sim.run()
+            # The warm-up's end becomes the shards' t = 0.
+            handle = CheckpointWarmStart(
+                save_checkpoint(warm_sim, Path(scratch) / "warm"),
+                rebase_seconds=config.warmup,
+                carry_windows=False,
+            )
+            shard_configs = [
+                replace(shard, warm_state=handle) for shard in shard_configs
+            ]
+        results = run_sweep(shard_configs, workers=workers)
     requests = sum(
         cell.new_requests for result in results for cell in result.cells
     )
@@ -254,6 +234,4 @@ def run_replicated(
             for index, result in enumerate(results)
         ),
         wall_seconds=wall_clock.perf_counter() - started,
-        warm_seconds=warm_seconds,
-        shared_bytes=shared_bytes,
     )

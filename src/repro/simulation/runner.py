@@ -8,7 +8,7 @@ load axis used throughout §5.2.
 Both accept ``workers=N`` to farm the configurations out to a
 *persistent* process pool (see :class:`SimulationPool`): workers are
 forked once per ``(pid, size)`` and reused across sweeps, so repeated
-calls — the replication runner, benchmark harness, notebooks — pay the
+calls — the replication runner, experiment sweeps, notebooks — pay the
 interpreter start-up once instead of per call.  Each configuration
 carries its own seed and every simulator is fully self-contained, so the
 parallel results are identical to the sequential ones, in the same order
@@ -98,10 +98,6 @@ def _run_chunk(chunk: list[SimulationConfig]):
     return results
 
 
-def _noop() -> None:
-    """Warm-up task: forces a worker process to actually start."""
-
-
 class SimulationPool:
     """A persistent process pool for simulation sweeps.
 
@@ -122,13 +118,6 @@ class SimulationPool:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
-
-    def warm(self) -> None:
-        """Start every worker now (first use otherwise forks lazily)."""
-        executor = self._ensure_executor()
-        futures = [executor.submit(_noop) for _ in range(self.workers)]
-        for future in futures:
-            future.result()
 
     def map_configs(
         self, configs: Sequence[SimulationConfig]

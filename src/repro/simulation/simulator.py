@@ -157,8 +157,8 @@ class CellularSimulator:
             handoff_overload=config.handoff_overload,
         )
         if config.warm_state is not None:
-            # Replication shards start from a shared warm-up's estimator
-            # history (see repro.simulation.shared_state).
+            # Campaign days and replication shards start from an earlier
+            # run's estimator history (see repro.state).
             config.warm_state.hydrate(self.network)
         if policy is not None:
             self.policy = policy

@@ -69,12 +69,9 @@ the cross-cell ``FlushBatch`` kernels.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import time as wall_clock
-import zlib
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro._kernel import kernel_name, set_kernel
 from repro.cellular.cell import Cell
@@ -106,7 +103,6 @@ from repro.simulation.metrics import (
     MetricsCollector,
     SimulationResult,
 )
-from repro.simulation.shared_state import SharedColumnsHandle, SharedColumnStore
 from repro.traffic.arrivals import (
     ModulatedPoissonArrivals,
     PoissonArrivals,
@@ -1612,219 +1608,3 @@ def run_spatial(
             state.update(result.state or {})
         return merged, state
     return merged
-
-
-# ----------------------------------------------------------------------
-# campaign support: per-shard checkpoints + merged manifest
-# ----------------------------------------------------------------------
-def write_spatial_checkpoint(
-    day_dir, plan: ShardPlan, state: dict, meta: dict
-) -> dict:
-    """Write one shard checkpoint file per shard plus ``manifest.json``.
-
-    Each shard file carries its owned cells' exported quadruplet
-    columns as canonical JSON; the manifest records one CRC-32 per
-    file so a later warm start fails loudly on torn or edited
-    checkpoints (same contract as the durable state store).
-    """
-    day_dir = Path(day_dir)
-    day_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for shard in range(plan.shards):
-        cells_payload = {}
-        for cell in plan.cells[shard]:
-            columns = state.get(cell)
-            if not columns:
-                continue
-            cells_payload[str(cell)] = {
-                (
-                    f"{'-' if prev is None else prev}:{next_cell}"
-                ): [list(times), list(sojourns)]
-                for (prev, next_cell), (times, sojourns) in sorted(
-                    columns.items(),
-                    key=lambda item: (item[0][0] is not None, item[0]),
-                )
-            }
-        payload = {"shard": shard, "cells": cells_payload}
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        path = day_dir / f"shard-{shard:02d}.json"
-        path.write_text(encoded)
-        entries.append(
-            {
-                "file": path.name,
-                "crc32": zlib.crc32(encoded.encode("utf-8")),
-                "cells": len(cells_payload),
-            }
-        )
-    manifest = dict(meta)
-    #: Manifest schema: v1 (implicit — no field) carried row-band plans
-    #: only; v2 stamps the version plus the plan kind that produced the
-    #: shard files.  The payload format is unchanged, so v1 manifests
-    #: still load.
-    manifest["schema"] = 2
-    manifest["shards"] = plan.shards
-    manifest["plan_kind"] = plan.kind
-    manifest["files"] = entries
-    (day_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True)
-    )
-    return manifest
-
-
-def load_spatial_checkpoint(day_dir) -> dict:
-    """Load and CRC-verify a day checkpoint back into export form.
-
-    Accepts schema v1 (pre-plan-kind manifests without a ``schema``
-    field) and v2; anything newer fails loudly rather than guessing.
-    The exports are keyed by cell id, so a checkpoint written under one
-    shard plan warm-starts a run under any other.
-    """
-    day_dir = Path(day_dir)
-    manifest = json.loads((day_dir / "manifest.json").read_text())
-    schema = manifest.get("schema", 1)
-    if schema not in (1, 2):
-        raise ValueError(
-            f"spatial checkpoint schema {schema} is newer than this "
-            f"reader (understands 1-2): {day_dir / 'manifest.json'}"
-        )
-    exports: dict = {}
-    for entry in manifest["files"]:
-        path = day_dir / entry["file"]
-        raw = path.read_text()
-        if zlib.crc32(raw.encode("utf-8")) != entry["crc32"]:
-            raise ValueError(f"spatial checkpoint corrupted: {path}")
-        payload = json.loads(raw)
-        for cell_text, pairs in payload["cells"].items():
-            cell_exports = {}
-            for key, (times, sojourns) in pairs.items():
-                prev_text, next_text = key.split(":")
-                prev = None if prev_text == "-" else int(prev_text)
-                cell_exports[(prev, int(next_text))] = (
-                    [float(value) for value in times],
-                    [float(value) for value in sojourns],
-                )
-            exports[int(cell_text)] = cell_exports
-    return exports
-
-
-@dataclass
-class SpatialDayResult:
-    """Summary of one simulated day of a spatial campaign."""
-
-    day: int
-    seed: int
-    blocking_probability: float
-    dropping_probability: float
-    events: int
-    quadruplets: int
-    wall_seconds: float
-    checkpoint: str
-
-
-def run_spatial_campaign(
-    config: SimulationConfig,
-    shards: int,
-    days: int,
-    state_dir,
-    *,
-    processes: bool | None = None,
-    epoch: float = 1.0,
-    jsonl_path=None,
-    plan_kind: str | None = None,
-) -> list[SpatialDayResult]:
-    """Run ``days`` chained spatial days, warm-starting each from disk.
-
-    Day ``d`` runs with seed ``RandomStreams(config.seed).spawn(d)``;
-    its estimator history is checkpointed per shard under
-    ``state_dir/day-<d>/`` and day ``d+1`` warm-starts from the
-    *written files* (CRC-verified), so a campaign interrupted between
-    days resumes from durable state.
-    """
-    if days < 1:
-        raise ValueError("days must be >= 1")
-    check_spatial_config(config, epoch)
-    rows, cols, wrap = _hex_dimensions(config)
-    plan = _resolve_plan(config, shards, plan_kind)
-    state_dir = Path(state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    streams = RandomStreams(config.seed)
-    store = None
-    handle = None
-    reports: list[SpatialDayResult] = []
-    jsonl = Path(jsonl_path) if jsonl_path is not None else None
-    try:
-        for day in range(days):
-            day_seed = streams.spawn(day).seed
-            day_config = replace(
-                config,
-                seed=day_seed,
-                warm_state=handle,
-                run_id=f"{config.run_id or 'spatial-campaign'}-day{day}",
-            )
-            result, state = run_spatial(
-                day_config,
-                shards,
-                processes=processes,
-                epoch=epoch,
-                collect_state=True,
-                plan_kind=plan.kind,
-            )
-            day_dir = state_dir / f"day-{day:03d}"
-            write_spatial_checkpoint(
-                day_dir,
-                plan,
-                state,
-                {
-                    "day": day,
-                    "seed": day_seed,
-                    "base_seed": config.seed,
-                    "hex_rows": rows,
-                    "hex_cols": cols,
-                    "hex_wrap": wrap,
-                    "scheme": config.scheme,
-                },
-            )
-            # Warm-start the next day from the durable files, not the
-            # in-memory state: proves the checkpoint round trip daily.
-            exports = load_spatial_checkpoint(day_dir)
-            if store is not None:
-                store.close()
-            store = SharedColumnStore(exports)
-            handle = store.handle()
-            quadruplets = sum(
-                len(times)
-                for pairs in exports.values()
-                for times, _ in pairs.values()
-            )
-            report = SpatialDayResult(
-                day=day,
-                seed=day_seed,
-                blocking_probability=result.blocking_probability,
-                dropping_probability=result.dropping_probability,
-                events=result.events_processed,
-                quadruplets=quadruplets,
-                wall_seconds=result.wall_seconds,
-                checkpoint=str(day_dir),
-            )
-            reports.append(report)
-            if jsonl is not None:
-                with jsonl.open("a", encoding="utf-8") as stream:
-                    stream.write(
-                        json.dumps(
-                            {
-                                "day": report.day,
-                                "seed": report.seed,
-                                "p_cb": report.blocking_probability,
-                                "p_hd": report.dropping_probability,
-                                "events": report.events,
-                                "quadruplets": report.quadruplets,
-                                "checkpoint": report.checkpoint,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-    finally:
-        if store is not None:
-            store.close()
-    return reports

@@ -11,18 +11,26 @@ checksummed on-disk directory, and restores it either
   that continues bit-identically (same ``metrics_key()`` as the
   uninterrupted run), or
 * **warm-only** — :class:`CheckpointWarmStart` hydrates a *fresh* run's
-  estimator history (rebased backwards in time the way
-  ``SharedColumnStore`` rebases worker imports), which is what the
-  multi-day :func:`run_campaign` chains between simulated days.
+  estimator history from any state directory, a full checkpoint or the
+  history-only directory :func:`save_history` writes: what the
+  multi-day :func:`run_campaign` chains between simulated days, what a
+  spatial shard reads for the cells it owns, and what the replication
+  runner hands every shard.
 """
 
-from repro.state.campaign import CampaignDay, run_campaign
+from repro.state.campaign import (
+    CampaignDay,
+    run_campaign,
+    sequential_day,
+    spatial_day,
+)
 from repro.state.checkpoint import (
     CheckpointError,
     Checkpointer,
     CheckpointWarmStart,
     restore_simulator,
     save_checkpoint,
+    save_history,
 )
 from repro.state.format import (
     SCHEMA_VERSION,
@@ -45,4 +53,7 @@ __all__ = [
     "restore_simulator",
     "run_campaign",
     "save_checkpoint",
+    "save_history",
+    "sequential_day",
+    "spatial_day",
 ]

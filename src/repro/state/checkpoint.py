@@ -408,6 +408,38 @@ def _capture_metrics(metrics) -> dict:
     }
 
 
+def _add_cell_file(files: dict, cell_id: int, pairs, snapshots=None) -> dict:
+    """Pack one cell's history into ``files``; return its manifest entry."""
+    blob = pack_cell_blob(pairs, snapshots)
+    name = cell_blob_name(cell_id)
+    files[name] = blob
+    return {
+        "path": name,
+        "kind": "cell",
+        "cell": cell_id,
+        "bytes": len(blob),
+        "crc32": crc32_of(blob),
+        "quadruplets": sum(len(times) for times, _sojourns in pairs.values()),
+        "pairs": len(pairs),
+    }
+
+
+def _manifest(config, clock: float, counts: dict, entries: list) -> bytes:
+    """``manifest.json`` of a state directory written under ``config``."""
+    manifest = {
+        "format": FORMAT_NAME,
+        "schema_version": SCHEMA_VERSION,
+        "created_unix": wall_clock.time(),
+        "clock": clock,
+        "seed": config.seed,
+        "label": config.label or config.scheme,
+        "config": config_fingerprint(config),
+        "counts": counts,
+        "files": entries,
+    }
+    return json.dumps(manifest, indent=1).encode("utf-8")
+
+
 def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
     """Serialize a simulator into the on-disk file map (relpath->bytes)."""
     _require_checkpointable(sim)
@@ -469,21 +501,13 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
     files: dict[str, bytes] = {}
     cell_entries = []
     for station in sim.network.stations:
-        cache = station.estimator.cache
-        pairs = cache.export_columns()
-        blob = pack_cell_blob(pairs, _capture_snapshots(station.estimator))
-        name = cell_blob_name(station.cell_id)
-        files[name] = blob
         cell_entries.append(
-            {
-                "path": name,
-                "kind": "cell",
-                "cell": station.cell_id,
-                "bytes": len(blob),
-                "crc32": crc32_of(blob),
-                "quadruplets": cache.size(),
-                "pairs": sum(1 for _ in cache.pairs()),
-            }
+            _add_cell_file(
+                files,
+                station.cell_id,
+                station.estimator.cache.export_columns(),
+                _capture_snapshots(station.estimator),
+            )
         )
     # Observability sidecars: a telemetry snapshot and the series rows
     # so far, when the run carries them.  Pure annotations — restore
@@ -521,15 +545,11 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
             }
         )
     runtime_bytes = json.dumps(runtime).encode("utf-8")
-    manifest = {
-        "format": FORMAT_NAME,
-        "schema_version": SCHEMA_VERSION,
-        "created_unix": wall_clock.time(),
-        "clock": engine.now,
-        "seed": sim.config.seed,
-        "label": sim.config.label or sim.config.scheme,
-        "config": config_fingerprint(sim.config),
-        "counts": {
+    files[RUNTIME_NAME] = runtime_bytes
+    files[MANIFEST_NAME] = _manifest(
+        sim.config,
+        engine.now,
+        {
             "connections": len(sim.active_connections),
             "pending_events": engine.pending,
             "events_processed": engine.events_processed,
@@ -537,7 +557,7 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
                 entry["quadruplets"] for entry in cell_entries
             ),
         },
-        "files": [
+        [
             {
                 "path": RUNTIME_NAME,
                 "kind": "runtime",
@@ -547,9 +567,7 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
             *cell_entries,
             *sidecar_entries,
         ],
-    }
-    files[RUNTIME_NAME] = runtime_bytes
-    files[MANIFEST_NAME] = json.dumps(manifest, indent=1).encode("utf-8")
+    )
     return files
 
 
@@ -1016,23 +1034,52 @@ class Checkpointer:
 
 
 # ----------------------------------------------------------------------
-# warm-start (campaign hydration)
+# estimator history: the one thing that outlives a run
 # ----------------------------------------------------------------------
+def save_history(path: str | Path, columns: dict, config) -> Path:
+    """Atomically publish per-cell quadruplet history as directory ``path``.
+
+    ``columns`` maps a cell id to its ``(prev, next) -> (times,
+    sojourns)`` export (what ``run_spatial(collect_state=True)``
+    returns, event times already shifted so the run's end is ``t = 0``).
+    The result is an ordinary state directory — same manifest, same
+    blobs, same publish as :func:`save_checkpoint` — that lists only
+    ``cells/`` entries: enough for :class:`CheckpointWarmStart`, and
+    refused by :func:`restore_simulator` for want of ``runtime.json``.
+    """
+    files: dict[str, bytes] = {}
+    entries = [
+        _add_cell_file(files, cell_id, columns[cell_id])
+        for cell_id in sorted(columns)
+    ]
+    files[MANIFEST_NAME] = _manifest(
+        config,
+        config.duration,
+        {"quadruplets": sum(entry["quadruplets"] for entry in entries)},
+        entries,
+    )
+    return publish_state_dir(path, files)
+
+
 class CheckpointWarmStart:
-    """``config.warm_state`` handle: hydrate a fresh run from a checkpoint.
+    """``config.warm_state``: seed a fresh run with an earlier run's history.
 
     Unlike :func:`restore_simulator` this does **not** resume the run —
-    it seeds a *new* day with the previous day's learned state: every
-    quadruplet cache (event times rebased by ``-rebase_seconds``, the
-    same backwards shift ``SharedColumnStore`` applies to worker
-    imports, so the paper's day-age windows see yesterday's entries one
-    period in the past) and, optionally, the per-cell window-controller
-    state so ``T_est`` keeps adapting across days instead of restarting
-    at ``T_start``.
+    it gives a *new* run the learned state of an earlier one: the
+    quadruplet cache of every cell the directory has a blob for (event
+    times rebased by ``-rebase_seconds``, so the paper's day-age windows
+    see yesterday's entries one period in the past) and, when the
+    directory is a full checkpoint and ``carry_windows`` is set, the
+    per-cell window-controller position so ``T_est`` keeps adapting
+    across days instead of restarting at ``T_start``.
 
     Quadruplets older than the ``N_win`` horizon are dropped at load
     (finite ``T_int``) exactly as the cache's own windowed eviction
     would: expired days stop contributing, per paper Eq. 3.
+
+    The handle is a path and two numbers, so it pickles into worker
+    processes as is; each process reads — and CRC-verifies — only the
+    blobs of the cells it hydrates.
     """
 
     def __init__(
@@ -1045,14 +1092,23 @@ class CheckpointWarmStart:
         self.rebase_seconds = float(rebase_seconds)
         self.carry_windows = carry_windows
 
-    def hydrate(self, network) -> None:
+    def hydrate(self, network, cells=None) -> None:
+        """Preload ``network``'s estimators (only ``cells``, if given)."""
         manifest = load_manifest(self.path)
-        runtime = json.loads(
-            read_entry(self.path, _entry_for(manifest, RUNTIME_NAME))
-        )
+        entries = {entry["path"]: entry for entry in manifest["files"]}
+        windows = None
+        if self.carry_windows and RUNTIME_NAME in entries:
+            runtime = json.loads(
+                read_entry(self.path, entries[RUNTIME_NAME])
+            )
+            windows = runtime["stations"]
         loaded = 0
         for station in network.stations:
-            entry = _entry_for(manifest, cell_blob_name(station.cell_id))
+            if cells is not None and station.cell_id not in cells:
+                continue
+            entry = entries.get(cell_blob_name(station.cell_id))
+            if entry is None:
+                continue
             pairs, _snapshots = unpack_cell_blob(
                 read_entry(self.path, entry)
             )
@@ -1079,10 +1135,10 @@ class CheckpointWarmStart:
                     rebased[key] = (shifted_times, shifted_sojourns)
             station.estimator.preload(rebased)
             loaded += sum(len(times) for times, _ in rebased.values())
-            if self.carry_windows:
+            if windows is not None:
                 restore_window(
                     station.window,
-                    runtime["stations"][station.cell_id]["window"],
+                    windows[station.cell_id]["window"],
                     include_history=False,
                 )
         telemetry = get_telemetry()

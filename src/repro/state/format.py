@@ -236,14 +236,19 @@ def cell_blob_name(cell_id: int) -> str:
 # ----------------------------------------------------------------------
 # directory container
 # ----------------------------------------------------------------------
-def _fsync_dir(path: Path) -> None:
+def _fsync_path(path: Path) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync on dirs can be unsupported
-        pass
     finally:
         os.close(fd)
+
+
+def _fsync_dir(path: Path) -> None:
+    try:
+        _fsync_path(path)
+    except OSError:  # pragma: no cover - fsync on dirs can be unsupported
+        pass
 
 
 def publish_state_dir(path: str | Path, files: dict[str, bytes]) -> Path:
@@ -265,12 +270,14 @@ def publish_state_dir(path: str | Path, files: dict[str, bytes]) -> Path:
     seen_dirs = {tmp}
     for relative, data in files.items():
         target = tmp / relative
-        target.parent.mkdir(parents=True, exist_ok=True)
-        seen_dirs.add(target.parent)
-        with open(target, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+        if target.parent not in seen_dirs:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            seen_dirs.add(target.parent)
+        target.write_bytes(data)
+    # Flushed once all are written: the filesystem commits the batch
+    # in a few journal transactions instead of one per file.
+    for relative in files:
+        _fsync_path(tmp / relative)
     for directory in seen_dirs:
         _fsync_dir(directory)
     rotated = None

@@ -78,7 +78,7 @@ def _inspect_campaign(path: Path, out: Callable[[str], None]) -> int:
         out(f"  last day:         day={last.get('day', '?')}"
             f"  P_CB={last.get('p_cb', 0.0):.4f}"
             f"  P_HD={last.get('p_hd', 0.0):.4f}")
-        total = sum(int(day.get("events", 0)) for day in days)
+        total = sum(int(day.get("events_processed", 0)) for day in days)
         out(f"  total events:     {total:,}")
     checkpoints = sorted(
         entry.name for entry in path.iterdir() if entry.is_dir()

@@ -1,4 +1,5 @@
-"""Shared fixtures: isolated global id counters, and the literal AC1-AC3."""
+"""Shared fixtures: isolated global id counters, a file corrupter, and
+the literal AC1-AC3."""
 
 import pytest
 
@@ -12,6 +13,18 @@ def _fresh_id_counters():
     reset_connection_ids()
     reset_mobile_ids()
     yield
+
+
+@pytest.fixture
+def flip_a_byte():
+    """Corrupt a file in place: invert the byte in its middle."""
+
+    def flip(path):
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+
+    return flip
 
 
 # ----------------------------------------------------------------------

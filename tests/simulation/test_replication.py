@@ -1,10 +1,14 @@
-"""Sharded replication runner: determinism, merging, shm lifecycle."""
+"""Sharded replication runner: determinism, merging, warm-start files."""
 
+import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.des.random import RandomStreams
+from repro.simulation import replication
 from repro.simulation.replication import (
     ReplicatedResult,
     replication_configs,
@@ -13,11 +17,12 @@ from repro.simulation.replication import (
 )
 from repro.simulation.runner import SweepWorkerError, run_sweep
 from repro.simulation.scenarios import stationary
-from repro.simulation.shared_state import (
-    SharedColumnStore,
-    active_segment_names,
-)
 from repro.simulation.simulator import CellularSimulator
+from repro.state import (
+    CheckpointWarmStart,
+    StateCorruptionError,
+    save_checkpoint,
+)
 
 
 def _config(**overrides):
@@ -61,6 +66,20 @@ class TestReplicationConfigs:
             replication_configs(_config(), 0)
 
 
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The shard configs ``run_replicated`` hands to ``run_sweep``."""
+    seen = []
+    run_sweep_ = replication.run_sweep
+
+    def spy(configs, **kwargs):
+        seen.extend(configs)
+        return run_sweep_(configs, **kwargs)
+
+    monkeypatch.setattr(replication, "run_sweep", spy)
+    return seen
+
+
 class TestRunReplicated:
     def test_merged_key_independent_of_worker_count(self):
         config = _config()
@@ -85,16 +104,27 @@ class TestRunReplicated:
             result.events_processed for result in replicated.results
         )
 
-    def test_share_columns_hydrates_history(self):
+    def test_warm_prior_is_a_real_input(self, dispatched):
         config = _config()
-        shared = run_replicated(config, replications=2, workers=None)
-        cold = run_replicated(
-            config, replications=2, workers=None, share_columns=False
-        )
-        assert shared.shared_bytes > 0
-        assert cold.shared_bytes == 0
+        warmed = run_replicated(config, replications=2, workers=None)
+        assert len(dispatched) == 2
+        for shard in dispatched:
+            assert isinstance(shard.warm_state, CheckpointWarmStart)
+            assert shard.warm_state.rebase_seconds == config.warmup
+        cold = [
+            CellularSimulator(replace(shard, warm_state=None)).run()
+            for shard in dispatched
+        ]
         # The shared warm prior is a real input: the shards see it.
-        assert shared.metrics_key() != cold.metrics_key()
+        assert [result.metrics_key() for result in warmed.results] != [
+            result.metrics_key() for result in cold
+        ]
+
+    def test_no_warmup_means_no_warm_state(self, dispatched):
+        run_replicated(
+            _config(duration=60.0, warmup=0.0), replications=2, workers=None
+        )
+        assert [shard.warm_state for shard in dispatched] == [None, None]
 
     def test_merged_telemetry_rides_along(self):
         replicated = run_replicated(
@@ -108,74 +138,104 @@ class TestRunReplicated:
         assert "+" in snapshot["run_id"]
 
 
-class TestSharedColumnLifecycle:
-    def test_no_segments_leak_after_replicated_run(self):
-        before = active_segment_names()
-        run_replicated(_config(), replications=2, workers=2)
-        assert active_segment_names() == before
+def _digest(key) -> str:
+    return hashlib.sha256(
+        json.dumps(key, sort_keys=True, default=str).encode()
+    ).hexdigest()[:16]
 
-    def test_store_close_is_idempotent(self):
-        config = _config(duration=60.0, warmup=10.0)
-        sim = CellularSimulator(config)
-        sim.run()
-        store = SharedColumnStore.from_network(sim.network, origin=60.0)
-        name = store.name
-        assert name in active_segment_names()
-        store.close()
-        store.close()
-        assert name not in active_segment_names()
-        with pytest.raises(ValueError):
-            store.handle()
 
-    def test_context_manager_cleans_up(self):
-        sim = CellularSimulator(_config(duration=60.0, warmup=10.0))
-        sim.run()
-        with SharedColumnStore.from_network(sim.network, origin=60.0) as store:
-            name = store.name
-            assert name in active_segment_names()
-        assert name not in active_segment_names()
+#: ``metrics_key()`` digests of the commit before the shared-memory
+#: store was replaced by checkpoint files (365c704, measured on a clone):
+#: the merge must not bend a number.
+_PARENT_DIGESTS = {None: "70f19327502c4f2f", 60.0: "97c9c9ef933abfdd"}
 
-    def test_segment_survives_worker_crash_then_owner_cleans_up(self):
-        """A crashing worker must not tear the segment down (ownership is
-        the parent's), and the parent's close() still reclaims it."""
-        warm = CellularSimulator(_config(duration=60.0, warmup=10.0))
-        warm.run()
-        store = SharedColumnStore.from_network(warm.network, origin=60.0)
-        name = store.name
-        handle = store.handle()
-        good = replace(
-            _config(duration=30.0, warmup=5.0, seed=21), warm_state=handle
+
+@pytest.mark.parametrize("t_int", [None, 60.0])
+def test_merged_key_equals_the_shared_memory_parent(t_int):
+    config = stationary(
+        "AC3",
+        offered_load=200.0,
+        voice_ratio=0.8,
+        high_mobility=True,
+        duration=600.0,
+        warmup=200.0,
+        seed=3,
+        t_int=t_int,
+    )
+    sequential = run_replicated(config, replications=4, workers=None)
+    pooled = run_replicated(config, replications=4, workers=2)
+    assert sequential.metrics_key() == pooled.metrics_key()
+    assert _digest(sequential.metrics_key()) == _PARENT_DIGESTS[t_int]
+
+
+class TestWarmFiles:
+    @pytest.fixture
+    def scratch_dirs(self, monkeypatch):
+        """Every temporary directory ``run_replicated`` creates."""
+        created = []
+        real = replication.tempfile.TemporaryDirectory
+
+        def recording(*args, **kwargs):
+            scratch = real(*args, **kwargs)
+            created.append(Path(scratch.name))
+            return scratch
+
+        monkeypatch.setattr(
+            replication.tempfile, "TemporaryDirectory", recording
         )
-        bad = replace(good, scheme="bogus", label="boom")
-        try:
-            with pytest.raises(SweepWorkerError):
-                run_sweep([good, bad, good], workers=2)
-            # The worker that ran `good` attached and detached; the
-            # failing worker died — either way the segment is still ours.
-            assert name in active_segment_names()
-        finally:
-            store.close()
-        assert name not in active_segment_names()
+        return created
 
-    def test_hydrated_shard_matches_inprocess_hydration(self):
+    def test_temp_directory_is_gone_after_a_normal_return(self, scratch_dirs):
+        run_replicated(_config(), replications=2, workers=2)
+        assert len(scratch_dirs) == 1
+        assert not scratch_dirs[0].exists()
+
+    def test_temp_directory_is_gone_after_a_worker_failure(
+        self, scratch_dirs, monkeypatch
+    ):
+        shard_configs = replication.replication_configs
+
+        def one_bad_shard(config, replications):
+            good, *rest = shard_configs(config, replications)
+            return [good, *(replace(s, scheme="bogus") for s in rest)]
+
+        monkeypatch.setattr(
+            replication, "replication_configs", one_bad_shard
+        )
+        with pytest.raises(SweepWorkerError):
+            run_replicated(_config(), replications=3, workers=2)
+        assert len(scratch_dirs) == 1
+        assert not scratch_dirs[0].exists()
+
+    def test_hydrated_shard_matches_inprocess_hydration(self, tmp_path):
         """Worker-side hydration (pickled handle) is bit-identical to
         hydrating in the parent process."""
         warm = CellularSimulator(_config(duration=60.0, warmup=10.0))
         warm.run()
-        with SharedColumnStore.from_network(warm.network, origin=60.0) as store:
-            shard = replace(
-                _config(duration=40.0, warmup=5.0, seed=33),
-                warm_state=store.handle(),
-            )
-            local = CellularSimulator(shard).run()
-            (remote,) = run_sweep([shard], workers=2)
-        # One config => run_sweep executes in-process; force the pool:
-        with SharedColumnStore.from_network(warm.network, origin=60.0) as store:
-            shard = replace(
-                _config(duration=40.0, warmup=5.0, seed=33),
-                warm_state=store.handle(),
-            )
-            pooled = run_sweep([shard, shard], workers=2)
-        assert local.metrics_key() == remote.metrics_key()
+        handle = CheckpointWarmStart(
+            save_checkpoint(warm, tmp_path / "warm"),
+            rebase_seconds=60.0,
+            carry_windows=False,
+        )
+        shard = replace(
+            _config(duration=40.0, warmup=5.0, seed=33), warm_state=handle
+        )
+        local = CellularSimulator(shard).run()
+        # One config => run_sweep executes in-process; two force the pool.
+        pooled = run_sweep([shard, shard], workers=2)
         assert pooled[0].metrics_key() == local.metrics_key()
         assert pooled[1].metrics_key() == local.metrics_key()
+        cold = CellularSimulator(replace(shard, warm_state=None)).run()
+        assert cold.metrics_key() != local.metrics_key()
+
+    def test_corrupt_blob_fails_the_shard_by_name(self, tmp_path, flip_a_byte):
+        warm = CellularSimulator(_config(duration=60.0, warmup=10.0))
+        warm.run()
+        path = save_checkpoint(warm, tmp_path / "warm")
+        flip_a_byte(path / "cells" / "cell_0004.bin")
+        shard = replace(
+            _config(duration=40.0, warmup=5.0, seed=33),
+            warm_state=CheckpointWarmStart(path, rebase_seconds=60.0),
+        )
+        with pytest.raises(StateCorruptionError, match="cell_0004.bin"):
+            CellularSimulator(shard)

@@ -1,13 +1,12 @@
 """Spatial sharding: shard-count invariance, hosts, campaigns."""
 
+from functools import partial
+
 import pytest
 
 from repro.simulation.scenarios import hex_city
-from repro.simulation.spatial import (
-    load_spatial_checkpoint,
-    run_spatial,
-    run_spatial_campaign,
-)
+from repro.simulation.spatial import run_spatial
+from repro.state import StateCorruptionError, run_campaign, spatial_day
 
 
 def _city(scheme="AC3", **overrides):
@@ -163,13 +162,12 @@ class TestValidation:
 
 
 class TestCampaign:
-    def _run(self, tmp_path, shards, name):
-        return run_spatial_campaign(
+    def _run(self, tmp_path, shards, name, days=2):
+        return run_campaign(
             _city(duration=40.0),
-            shards,
-            days=2,
-            state_dir=tmp_path / name,
-            processes=False,
+            days,
+            tmp_path / name,
+            run_day=partial(spatial_day, shards=shards, processes=False),
         )
 
     def test_two_day_campaign_is_shard_invariant(self, tmp_path):
@@ -177,13 +175,10 @@ class TestCampaign:
         two = self._run(tmp_path, 2, "two")
         for day_one, day_two in zip(one, two):
             assert day_one.seed == day_two.seed
-            assert (
-                day_one.blocking_probability == day_two.blocking_probability
-            )
-            assert (
-                day_one.dropping_probability == day_two.dropping_probability
-            )
-            assert day_one.events == day_two.events
+            assert day_one.p_cb == day_two.p_cb
+            assert day_one.p_hd == day_two.p_hd
+            assert day_one.mean_t_est == day_two.mean_t_est
+            assert day_one.events_processed == day_two.events_processed
             assert day_one.quadruplets == day_two.quadruplets
 
     def test_day_two_warm_starts_from_day_one(self, tmp_path):
@@ -193,14 +188,14 @@ class TestCampaign:
         # deepen the quadruplet pool (capped runs could plateau, never
         # restart from zero).
         assert reports[1].quadruplets >= reports[0].quadruplets > 0
-        assert (tmp_path / "warm" / "day-001").is_dir()
+        assert (tmp_path / "warm" / "day_001" / "manifest.json").is_file()
 
-    def test_corrupted_checkpoint_is_rejected(self, tmp_path):
-        self._run(tmp_path, 2, "corrupt")
-        day_dir = tmp_path / "corrupt" / "day-000"
-        shard_files = sorted(day_dir.glob("shard-*.json"))
-        assert shard_files
-        victim = shard_files[0]
-        victim.write_text(victim.read_text().replace('"', "'", 1))
-        with pytest.raises(ValueError, match="corrupt"):
-            load_spatial_checkpoint(day_dir)
+    def test_corrupt_blob_fails_the_next_day_by_name(
+        self, tmp_path, flip_a_byte
+    ):
+        self._run(tmp_path, 2, "corrupt", days=1)
+        cells = tmp_path / "corrupt" / "day_000" / "cells"
+        victim = sorted(cells.iterdir())[0]
+        flip_a_byte(victim)
+        with pytest.raises(StateCorruptionError, match=victim.name):
+            self._run(tmp_path, 2, "corrupt", days=2)
