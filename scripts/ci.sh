@@ -9,7 +9,9 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 tests =="
 # Includes the one-pending-event invariant
 # (tests/simulation/test_one_pending_event.py): both DES drivers keep
-# one live heap entry per connection and cancel nothing.
+# one live heap entry per connection and cancel nothing — and neither
+# does the serve driver, whose checkpoints no longer park its monitor
+# event (tests/serve/test_service.py).
 PYTHONPATH=src python -m pytest -x -q
 
 echo "== kernel matrix =="
@@ -51,8 +53,9 @@ PYTHONPATH=src python scripts/state_smoke.py
 
 echo "== serve smoke =="
 # Live admission service: WebSocket decision round-trip, a 200-frame
-# pipelined burst with a malformed frame in it (in-order replies, one
-# error, connection kept), a fractional cell id refused, a binary frame
+# pipelined burst with a malformed frame and a duplicate-`conn` admit
+# in it (in-order replies, two errors, connection kept, nothing attached
+# for the duplicate), a fractional cell id refused, a binary frame
 # closed with 1003, 500 load-generator decisions, a well-formed
 # streamed series frame, and a clean shutdown.
 PYTHONPATH=src python scripts/serve_smoke.py

@@ -7,8 +7,9 @@ subscriber listens, then asserts:
 * the decision API answers (an ``admit`` round-trip over the socket
   returns a decision frame carrying the reserved/used snapshot);
 * a pipelined burst — 200 frames in one write, a malformed one in the
-  middle — gets 200 replies in request order, the bad one an ``error``,
-  and leaves the connection open;
+  middle and an ``admit`` re-using a live ``conn`` id after it — gets
+  200 replies in request order, both bad ones an ``error`` (the
+  duplicate attaching nothing), and leaves the connection open;
 * a fractional ``cell`` is refused with an ``error`` reply (not
   truncated into a neighbouring cell), and a binary frame closes the
   connection with status 1003 after the request before it is answered;
@@ -67,27 +68,41 @@ async def main() -> int:
         for index in range(BURST)
     ]
     frames[BURST // 2] = encode_frame(b"{not json", mask=True)
+    # Two admits filed under one connection id: the second is refused.
+    for index in (BURST - 2, BURST - 1):
+        frames[index] = encode_frame(
+            json.dumps({"op": "admit", "cell": 3, "conn": 9000, "id": index}).encode(),
+            mask=True,
+        )
     client._writer.write(b"".join(frames))
     replies = [
         await asyncio.wait_for(client.recv_json(), timeout=5.0)
         for _ in range(BURST)
     ]
+    duplicate = replies.pop(BURST - 1)
+    assert duplicate["op"] == "error" and duplicate["id"] == BURST - 1, duplicate
+    assert "connection id 9000 is in use" in duplicate["error"], duplicate
     bad = replies.pop(BURST // 2)
     assert bad["op"] == "error" and "id" not in bad, bad
     assert [reply["id"] for reply in replies] == [
-        index for index in range(BURST) if index != BURST // 2
+        index for index in range(BURST - 1) if index != BURST // 2
     ], "pipelined replies out of request order"
     assert all(reply["op"] == "decision" for reply in replies)
     stats = await client.request({"op": "stats"})
-    # The round trip above plus the burst's BURST - 1 well-formed frames.
-    assert stats["op"] == "stats" and stats["decisions"] == BURST, stats
-    print(f"serve smoke: {BURST}-frame burst answered in order, 1 error frame")
+    # The round trip above plus the burst's BURST - 2 well-formed frames.
+    assert stats["op"] == "stats" and stats["decisions"] == BURST - 1, stats
+    # The refused duplicate attached nothing: every live connection is
+    # still reachable by a stream id.
+    assert stats["active_connections"] == len(
+        service.driver.sim.active_connections
+    ), stats
+    print(f"serve smoke: {BURST}-frame burst answered in order, 2 error frames")
 
     refused = await client.request({"op": "admit", "cell": 1.9, "id": "frac"})
     assert refused["op"] == "error" and refused["id"] == "frac", refused
     assert "cell must be an integer" in refused["error"], refused
     stats = await client.request({"op": "stats"})
-    assert stats["decisions"] == BURST, "a refused request was counted"
+    assert stats["decisions"] == BURST - 1, "a refused request was counted"
     print("serve smoke: fractional cell refused with an error reply")
 
     binary = await AsyncWsClient.connect(gateway.url)

@@ -7,7 +7,8 @@ Three gates, all cheap enough for every CI pass:
    cell blob, and assert ``repro state inspect`` exits non-zero.
 2. **Restore parity** — save at half the horizon (while some
    connections have only a crossing pending, their planned end on the
-   connection record), restore, run to the full horizon, and assert
+   connection record; the past-horizon renewals ordinary queue
+   records, schema v2), restore, run to the full horizon, and assert
    ``metrics_key()`` equality with the uninterrupted run (the store's
    core bit-identity contract).
 3. **Campaign through the CLI** — a 2-day, 2-shard city campaign leaves
@@ -63,6 +64,12 @@ def check_restore_parity(config, scratch: Path) -> None:
         raise SystemExit(f"expected both kinds of pending event: {pending}")
     if sum(pending.values()) != len(runtime["connections"]):
         raise SystemExit("a connection has more or less than one event")
+    if "suppressed" in runtime:
+        raise SystemExit("a past-horizon draw was remembered, not queued")
+    lines: list[str] = []
+    inspect_state(path, out=lines.append)
+    if not any("schema v2" in line for line in lines):
+        raise SystemExit(f"inspect did not report schema v2: {lines}")
     resumed = restore_simulator(path, config).run()
     if resumed.metrics_key() != full.metrics_key():
         raise SystemExit("restored run diverged from the straight run")

@@ -11,9 +11,12 @@ heap with the priorities their simulated counterparts carry
 advanced to each frontier (:meth:`~repro.des.Engine.advance_to`).
 Internal events — the periodic monitor samples — therefore interleave
 with the stream in exactly the order a virtual-time run fires them,
-which is what makes replay parity *exact* rather than approximate: the
-handler bodies below mirror the simulator's, minus every RNG draw (the
-stream supplies what the RNG used to decide).
+which is what makes replay parity *exact* rather than approximate: each
+stream event is applied through the simulator's own life-cycle
+transition (``admit_request`` / ``probe_handoff`` + ``resolve_handoff`` /
+``exit_road`` / ``complete``), so policy, accounting, recorder and
+extension hooks run exactly as in a DES run — the stream only supplies
+what the RNG used to decide.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.cellular.base_station import EXIT_CELL
 from repro.des.events import EventPriority
 from repro.serve.clock import StreamClock, VirtualClock
 from repro.serve.events import ARRIVAL, COMPLETE, EXIT, HANDOFF, StreamEvent
 from repro.traffic.classes import VOICE
-from repro.traffic.connection import Connection, ConnectionState
+from repro.traffic.connection import Connection
 
 __all__ = ["Decision", "DecisionSlot", "StreamDriver", "comparable_counters", "warm_start"]
 
@@ -95,9 +97,9 @@ class StreamDriver:
         which stamps unstamped events and folds racing timestamps
         forward instead of erroring.
     horizon:
-        Monitor-sampling horizon in stream seconds.  Defaults to
-        ``config.duration`` (replay parity); pass ``None`` for an
-        open-ended live service.
+        Stream time :meth:`finish` advances to (firing the trailing
+        monitor samples).  Defaults to ``config.duration`` (replay
+        parity); pass ``None`` for an open-ended live service.
     """
 
     def __init__(
@@ -127,7 +129,6 @@ class StreamDriver:
         self.config = config
         self.engine = self.sim.engine
         self.network = self.sim.network
-        self.policy = self.sim.policy
         self.metrics = self.sim.metrics
         self.clock = clock if clock is not None else VirtualClock(self.engine)
         self.horizon = config.duration if horizon == "config" else horizon
@@ -137,9 +138,10 @@ class StreamDriver:
         #: Live connections keyed by *stream* id (decoupled from the
         #: process-global connection-id counter).
         self._connections: dict[int, Connection] = {}
+        #: Stream ids of submitted arrivals that have not fired yet.
+        self._queued_ids: set[int] = set()
         self._next_conn = 0
         self._frontier = self.engine.now
-        self._sample_event = None
         self._started = perf_counter()
         self.decisions = 0
         #: Events naming an unknown/finished connection (live clients
@@ -152,9 +154,10 @@ class StreamDriver:
             EXIT: self._fire_exit,
         }
         if config.sample_interval > 0:
-            self._sample_event = self.engine.call_at(
+            # The simulator's own monitor loop: it re-queues itself.
+            self.engine.call_at(
                 config.sample_interval,
-                self._on_sample,
+                self.sim._on_sample,
                 priority=EventPriority.MONITOR,
             )
 
@@ -170,6 +173,10 @@ class StreamDriver:
                 )
             if not 0 <= event.cell < self.network.topology.num_cells:
                 raise ValueError(f"no such cell {event.cell}")
+            if event.conn in self._connections or event.conn in self._queued_ids:
+                # Filing a second connection under a live id would
+                # orphan the first: no stream event could release it.
+                raise ValueError(f"connection id {event.conn} is in use")
         elif event.kind == HANDOFF:
             if not 0 <= event.cell < self.network.topology.num_cells:
                 raise ValueError(f"no such cell {event.cell}")
@@ -183,6 +190,10 @@ class StreamDriver:
                 f" ({limit:g} s) ahead of the stream"
             )
         t = self.clock.monotonic(t, self.engine.now)
+        if event.kind == ARRIVAL and event.conn >= 0:
+            self._queued_ids.add(event.conn)
+            # Driver-allocated ids stay clear of every id a sender chose.
+            self._next_conn = max(self._next_conn, event.conn + 1)
         slot = DecisionSlot()
         self.engine.call_at(
             t, self._dispatch[event.kind], event, slot,
@@ -219,12 +230,12 @@ class StreamDriver:
         if self.horizon is not None and self.horizon > self.engine.now:
             self.engine.advance_to(self.horizon)
 
-    # -- event handlers (exact simulator call order, RNG-free) ---------
-    def _decision(self, kind, now, cell_id, admitted, conn):
+    # -- event handlers: stream id -> simulator transition -> slot ------
+    def _decision(self, kind, cell_id, admitted, conn):
         cell = self.network.cell(cell_id)
         self.decisions += 1
         return Decision(
-            t=now,
+            t=self.engine.now,
             kind=kind,
             cell=cell_id,
             admitted=admitted,
@@ -233,121 +244,56 @@ class StreamDriver:
             used=cell.used_bandwidth,
         )
 
+    def _live(self, conn_id: int) -> Connection | None:
+        """The live connection filed under ``conn_id``, else count the
+        event as ignored."""
+        connection = self._connections.get(conn_id)
+        if connection is None:
+            self.ignored += 1
+        return connection
+
     def _fire_arrival(self, event: StreamEvent, slot: DecisionSlot) -> None:
-        now = self.engine.now
-        cell_id = event.cell
-        traffic_class = self._traffic[event.traffic]
-        decision = self.policy.admit_new(
-            self.network, cell_id, traffic_class.bandwidth, now
+        self._queued_ids.discard(event.conn)
+        connection = self.sim.admit_request(
+            event.cell, self._traffic[event.traffic], spawn_mobile=False
         )
-        self.metrics.record_admission_test(
-            decision.calculations, decision.messages
-        )
-        admitted = decision.admitted
-        self.metrics.record_request(cell_id, now, blocked=not admitted)
         conn_id = None
-        if admitted:
-            connection = Connection(
-                traffic_class,
-                start_time=now,
-                cell_id=cell_id,
-                mobile=None,
-                prev_cell=None,
-                cell_entry_time=now,
-            )
-            self.network.cell(cell_id).attach(connection)
-            if event.conn >= 0:
-                conn_id = event.conn
-            else:
+        if connection is not None:
+            conn_id = event.conn
+            if conn_id < 0:
                 conn_id = self._next_conn
-            self._next_conn = max(self._next_conn, conn_id) + 1
+                self._next_conn += 1
             self._connections[conn_id] = connection
-            # Mirrored so checkpoints capture the live population.
-            self.sim.active_connections[connection.connection_id] = connection
-        slot.decision = self._decision(ARRIVAL, now, cell_id, admitted, conn_id)
+        slot.decision = self._decision(
+            ARRIVAL, event.cell, connection is not None, conn_id
+        )
 
     def _fire_handoff(self, event: StreamEvent, slot: DecisionSlot) -> None:
-        connection = self._connections.get(event.conn)
-        if connection is None or not connection.is_active:
-            self.ignored += 1
+        connection = self._live(event.conn)
+        if connection is None:
             return
-        now = self.engine.now
-        old_cell = connection.cell_id
-        new_cell = event.cell
-        allocation = self.policy.handoff_allocation(
-            self.network, new_cell, connection
+        admitted = self.sim.resolve_handoff(
+            connection,
+            event.cell,
+            self.sim.probe_handoff(connection, event.cell),
         )
-        admitted = allocation is not None
-        self.network.station(old_cell).record_departure(
-            now, connection.prev_cell, new_cell, connection.cell_entry_time
-        )
-        self.network.cell(old_cell).detach(connection)
-        self.network.station(new_cell).on_handoff_arrival(
-            dropped=not admitted, now=now
-        )
-        self.metrics.record_handoff(new_cell, now, dropped=not admitted)
-        self.policy.on_release(self.network, old_cell, now)
         if not admitted:
-            connection.finish(ConnectionState.DROPPED, now)
-            self._forget(event.conn, connection)
-        else:
-            connection.allocated_bandwidth = allocation
-            connection.move_to(new_cell, now)
-            self.network.cell(new_cell).attach(connection)
+            del self._connections[event.conn]
         slot.decision = self._decision(
-            HANDOFF, now, new_cell, admitted, event.conn
+            HANDOFF, event.cell, admitted, event.conn
         )
 
     def _fire_exit(self, event: StreamEvent, slot: DecisionSlot) -> None:
-        connection = self._connections.get(event.conn)
-        if connection is None or not connection.is_active:
-            self.ignored += 1
-            return
-        now = self.engine.now
-        old_cell = connection.cell_id
-        self.network.station(old_cell).record_departure(
-            now, connection.prev_cell, EXIT_CELL, connection.cell_entry_time
-        )
-        self.network.cell(old_cell).detach(connection)
-        connection.finish(ConnectionState.EXITED, now)
-        self.metrics.record_exit(old_cell, now)
-        self.policy.on_release(self.network, old_cell, now)
-        self._forget(event.conn, connection)
+        connection = self._live(event.conn)
+        if connection is not None:
+            self.sim.exit_road(connection)
+            del self._connections[event.conn]
 
     def _fire_complete(self, event: StreamEvent, slot: DecisionSlot) -> None:
-        connection = self._connections.get(event.conn)
-        if connection is None or not connection.is_active:
-            self.ignored += 1
-            return
-        now = self.engine.now
-        cell_id = connection.cell_id
-        self.network.cell(cell_id).detach(connection)
-        connection.finish(ConnectionState.COMPLETED, now)
-        self.metrics.record_completion(cell_id, now)
-        self.policy.on_release(self.network, cell_id, now)
-        self._forget(event.conn, connection)
-
-    def _forget(self, conn_id: int, connection: Connection) -> None:
-        self._connections.pop(conn_id, None)
-        self.sim.active_connections.pop(connection.connection_id, None)
-
-    def _on_sample(self) -> None:
-        now = self.engine.now
-        for station in self.network.stations:
-            self.metrics.sample_cell(
-                station.cell_id,
-                now,
-                station.cell.reserved_target,
-                station.cell.used_bandwidth,
-                station.t_est,
-            )
-        next_time = now + self.config.sample_interval
-        if self.horizon is None or next_time <= self.horizon:
-            self._sample_event = self.engine.call_at(
-                next_time, self._on_sample, priority=EventPriority.MONITOR
-            )
-        else:
-            self._sample_event = None
+        connection = self._live(event.conn)
+        if connection is not None:
+            self.sim.complete(connection)
+            del self._connections[event.conn]
 
     # -- state & results -----------------------------------------------
     @property
@@ -365,28 +311,10 @@ class StreamDriver:
         return self.sim._build_result(perf_counter() - self._started)
 
     def save_state(self, path):
-        """Write a durable checkpoint of the live state.
-
-        The pending monitor sample is the driver's own (not a
-        simulator method), so it is parked during capture — the state
-        schema only serializes simulator-owned events — and re-armed at
-        the same timestamp afterwards.
-        """
+        """Write a durable checkpoint of the live state."""
         from repro.state import save_checkpoint
 
-        pending = self._sample_event
-        resume_at = None
-        if pending is not None and not pending.cancelled:
-            resume_at = pending.time
-            pending.cancel()
-            self._sample_event = None
-        try:
-            return save_checkpoint(self.sim, path)
-        finally:
-            if resume_at is not None:
-                self._sample_event = self.engine.call_at(
-                    resume_at, self._on_sample, priority=EventPriority.MONITOR
-                )
+        return save_checkpoint(self.sim, path)
 
 
 def comparable_counters(result) -> dict:

@@ -455,6 +455,14 @@ class WebSocketGateway:
         self.connections_served = 0
 
     async def start(self) -> None:
+        # asyncio's socket transport hands recv() a fresh 256 KiB buffer
+        # per packet.  glibc serves a block that size with mmap/munmap —
+        # a page fault and a TLB shoot-down per round trip, ≈ 55 µs of a
+        # 180 µs decision here — until the process has once freed a
+        # larger mmapped block, which raises its mmap threshold for
+        # good.  Whether import-time allocations already did is an
+        # accident of source-file sizes; do it on purpose.
+        bytearray(1 << 20)
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port
         )

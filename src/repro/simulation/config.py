@@ -180,3 +180,24 @@ class SimulationConfig:
     @property
     def is_time_varying(self) -> bool:
         return self.load_profile is not None or self.speed_profile is not None
+
+
+def cell_load_weights(config: SimulationConfig) -> list[float] | None:
+    """Per-cell offered-load weights from the scenario, or ``None``.
+
+    Scenario builders (``hex_city(hotspots=...)``) stash the vector in
+    ``config.extra["cell_weights"]``; it scales each cell's arrival
+    rate and feeds load-balanced partitioning.
+    """
+    raw = (config.extra or {}).get("cell_weights")
+    if raw is None:
+        return None
+    weights = [float(value) for value in raw]
+    if len(weights) != config.num_cells:
+        raise ValueError(
+            f"config.extra['cell_weights'] needs {config.num_cells}"
+            f" entries, got {len(weights)}"
+        )
+    if min(weights) < 0:
+        raise ValueError("cell weights must be >= 0")
+    return weights

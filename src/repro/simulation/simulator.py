@@ -17,6 +17,16 @@ Event flow (all on the :class:`~repro.des.Engine`):
 * **lifetime end** — the connection completes and releases bandwidth.
 * **sample** — periodic observer recording ``B_r``, ``B_u`` and
   ``T_est`` per cell.
+
+What a request, a crossing, a road exit and a completion *do* is
+written once, as the simulator's four life-cycle transitions
+(:meth:`~CellularSimulator.admit_request`,
+:meth:`~CellularSimulator.probe_handoff` +
+:meth:`~CellularSimulator.resolve_handoff`,
+:meth:`~CellularSimulator.exit_road`,
+:meth:`~CellularSimulator.complete`).  The event handlers here only
+draw, apply a transition and schedule; :mod:`repro.serve` applies the
+same transitions to events that arrive from outside.
 """
 
 from __future__ import annotations
@@ -47,9 +57,8 @@ from repro.obs.progress import ProgressReporter
 from repro.obs.telemetry import begin_run, new_run_id
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.trace import begin_trace
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import SimulationConfig, cell_load_weights
 from repro.simulation.extensions import ExtensionChain
-from repro.simulation.spatial import cell_load_weights
 from repro.simulation.metrics import (
     CellStatus,
     MetricsCollector,
@@ -62,6 +71,128 @@ from repro.traffic.arrivals import (
 )
 from repro.traffic.classes import ADAPTIVE_VIDEO, TrafficMix
 from repro.traffic.connection import Connection, ConnectionState
+
+
+# ----------------------------------------------------------------------
+# the substrate a config describes (shared with the sharded engine)
+# ----------------------------------------------------------------------
+def begin_observability(config: SimulationConfig, shard: int | None = None):
+    """Select the kernel, then start the run's telemetry and tracer.
+
+    Must run before any subsystem is built: the estimators grab
+    instrument handles and the network its flush-tick tracer handle at
+    construction.  ``config.kernel == "auto"`` resolves lazily via
+    REPRO_KERNEL/numpy availability, an explicit choice overrides the
+    environment; ``config.telemetry``/``config.trace`` force collection
+    on, otherwise the module defaults decide.  A shard gets its own
+    ``-s<index>`` run id and Perfetto ``pid`` lane.  Returns
+    ``(run_id, telemetry, tracer)``.
+    """
+    if config.kernel == "auto":
+        kernel_name()
+    else:
+        set_kernel(config.kernel)
+    ensure_configured()
+    requested = config.run_id or None
+    if shard is not None:
+        requested = f"{requested or new_run_id()}-s{shard}"
+    telemetry = begin_run(
+        run_id=requested, enabled=True if config.telemetry else None
+    )
+    run_id = telemetry.run_id or requested or new_run_id()
+    if shard is None:
+        set_run_id(run_id)
+    # Spans read only the wall clock, so tracing can never perturb the
+    # simulation.
+    tracer = begin_trace(
+        run_id=run_id,
+        enabled=True if config.trace else None,
+        pid=shard or 0,
+    )
+    return run_id, telemetry, tracer
+
+
+def build_network(
+    config: SimulationConfig, topology, cell_factory=None, hydrate_cells=None
+) -> CellularNetwork:
+    """The cells and base stations of ``config`` over ``topology``.
+
+    ``config.warm_state`` (campaign days and replication shards start
+    from an earlier run's estimator history, see :mod:`repro.state`)
+    hydrates every cell, or only ``hydrate_cells`` when given.
+    """
+    network = CellularNetwork(
+        topology,
+        capacity=config.capacity,
+        cache_config=CacheConfig(
+            interval=config.t_int,
+            max_per_pair=config.n_quad,
+            weights=config.weights,
+            period=config.day_seconds,
+        ),
+        window_config=WindowControllerConfig(
+            target_drop_probability=config.target_drop_probability,
+            initial_window=config.t_start,
+            step_policy=config.step_policy,
+        ),
+        cell_factory=cell_factory,
+        handoff_overload=config.handoff_overload,
+    )
+    if config.warm_state is not None:
+        config.warm_state.hydrate(network, cells=hydrate_cells)
+    return network
+
+
+def arrival_processes(config: SimulationConfig, mix: TrafficMix, cells) -> dict:
+    """``cell -> arrival process`` for ``cells``.
+
+    Uniform scenarios share one process object across all cells; a
+    scenario with ``extra["cell_weights"]`` (hot spots) gets one
+    weighted process per cell (a zero weight means a silent cell).
+    """
+
+    def process(weight: float):
+        if config.load_profile is not None:
+            return ModulatedPoissonArrivals(
+                config.load_profile,
+                mix.mean_bandwidth,
+                config.mean_lifetime,
+                weight=weight,
+            )
+        return PoissonArrivals(
+            weight
+            * mix.arrival_rate_for_load(
+                config.offered_load, config.mean_lifetime
+            )
+        )
+
+    weights = cell_load_weights(config)
+    if weights is None:
+        shared = process(1.0)
+        return {cell: shared for cell in cells}
+    return {cell: process(weights[cell]) for cell in cells}
+
+
+def retry_policy(config: SimulationConfig) -> RetryPolicy:
+    """The §5.3 blocked-request retry behaviour ``config`` asks for."""
+    return RetryPolicy(
+        delay=config.retry_delay,
+        giveup_step=config.retry_giveup_step,
+        enabled=config.retry_enabled,
+    )
+
+
+def metrics_collector(
+    config: SimulationConfig, num_cells: int, tracked_cells
+) -> MetricsCollector:
+    """The run's counters; traces are kept for ``tracked_cells`` only."""
+    return MetricsCollector(
+        num_cells,
+        warmup=config.warmup,
+        tracked_cells=tracked_cells,
+        hourly=config.hourly_stats,
+        hour_seconds=config.day_seconds / 24.0,
+    )
 
 
 class CellularSimulator:
@@ -88,35 +219,7 @@ class CellularSimulator:
         extensions=(),
     ) -> None:
         self.config = config
-        # Select (and log) the estimation kernel before any estimator
-        # work happens; "auto" resolves lazily via REPRO_KERNEL/numpy
-        # availability, an explicit choice overrides the environment.
-        if config.kernel == "auto":
-            kernel_name()
-        else:
-            set_kernel(config.kernel)
-        # Activate this run's telemetry registry and log context before
-        # any subsystem grabs instrument handles (the estimators do, at
-        # construction).  ``config.telemetry`` forces it on; otherwise
-        # the module default (REPRO_TELEMETRY / set_telemetry_enabled)
-        # decides.
-        ensure_configured()
-        self.telemetry = begin_run(
-            run_id=config.run_id or None,
-            enabled=True if config.telemetry else None,
-        )
-        self.run_id = (
-            self.telemetry.run_id or config.run_id or new_run_id()
-        )
-        set_run_id(self.run_id)
-        # The span tracer follows the same per-run singleton pattern —
-        # installed before the network grabs its handle for the
-        # flush-tick span.  Spans read only the wall clock, so tracing
-        # can never perturb the simulation.
-        self.tracer = begin_trace(
-            run_id=self.run_id,
-            enabled=True if config.trace else None,
-        )
+        self.run_id, self.telemetry, self.tracer = begin_observability(config)
         self.engine = Engine()
         self.streams = RandomStreams(config.seed)
         # Hot-path stream handles, resolved once: checkpoint restore
@@ -140,26 +243,7 @@ class CellularSimulator:
             self.topology = LinearTopology(
                 config.num_cells, config.cell_diameter_km, ring=config.ring
             )
-        self.network = CellularNetwork(
-            self.topology,
-            capacity=config.capacity,
-            cache_config=CacheConfig(
-                interval=config.t_int,
-                max_per_pair=config.n_quad,
-                weights=config.weights,
-                period=config.day_seconds,
-            ),
-            window_config=WindowControllerConfig(
-                target_drop_probability=config.target_drop_probability,
-                initial_window=config.t_start,
-                step_policy=config.step_policy,
-            ),
-            handoff_overload=config.handoff_overload,
-        )
-        if config.warm_state is not None:
-            # Campaign days and replication shards start from an earlier
-            # run's estimator history (see repro.state).
-            config.warm_state.hydrate(self.network)
+        self.network = build_network(config, self.topology)
         if policy is not None:
             self.policy = policy
         elif config.scheme.lower() == "static":
@@ -193,65 +277,15 @@ class CellularSimulator:
                 stationary_fraction=config.stationary_fraction,
             )
 
-        if config.load_profile is not None:
-            self.arrivals = ModulatedPoissonArrivals(
-                config.load_profile,
-                self.mix.mean_bandwidth,
-                config.mean_lifetime,
-            )
-        else:
-            rate = self.mix.arrival_rate_for_load(
-                config.offered_load, config.mean_lifetime
-            )
-            self.arrivals = PoissonArrivals(rate)
-        #: Per-cell arrival processes.  Uniform scenarios share one
-        #: process object across all cells; a scenario with
-        #: ``extra["cell_weights"]`` (hot spots) gets one weighted
-        #: process per cell, matching the spatial runner's treatment.
-        weights = cell_load_weights(config)
-        if weights is None:
-            self._cell_arrivals = [self.arrivals] * self.topology.num_cells
-        elif config.load_profile is not None:
-            self._cell_arrivals = [
-                ModulatedPoissonArrivals(
-                    config.load_profile,
-                    self.mix.mean_bandwidth,
-                    config.mean_lifetime,
-                    weight=weight,
-                )
-                for weight in weights
-            ]
-        else:
-            rate = self.mix.arrival_rate_for_load(
-                config.offered_load, config.mean_lifetime
-            )
-            self._cell_arrivals = [
-                PoissonArrivals(weight * rate) for weight in weights
-            ]
-
-        self.retry = RetryPolicy(
-            delay=config.retry_delay,
-            giveup_step=config.retry_giveup_step,
-            enabled=config.retry_enabled,
+        self._cell_arrivals = arrival_processes(
+            config, self.mix, range(self.topology.num_cells)
         )
-        self.metrics = MetricsCollector(
-            self.topology.num_cells,
-            warmup=config.warmup,
-            tracked_cells=config.tracked_cells,
-            hourly=config.hourly_stats,
-            hour_seconds=config.day_seconds / 24.0,
+        self.retry = retry_policy(config)
+        self.metrics = metrics_collector(
+            config, self.topology.num_cells, config.tracked_cells
         )
         self.active_connections: dict[int, Connection] = {}
         self._finished = False
-        #: Random draws made but never scheduled because they fell past
-        #: the horizon: ``cell -> (time, order stamp, tiebreak)`` for
-        #: Poisson renewals, plus at most one monitor sample.  The
-        #: checkpoint store (:mod:`repro.state`) persists these so a
-        #: resume under a longer horizon schedules them in exactly the
-        #: order the uninterrupted run would have.
-        self._suppressed_arrivals: dict[int, tuple[float, int, int]] = {}
-        self._suppressed_sample: tuple[float, int, int] | None = None
-        self._suppressed_tiebreak = 0
         #: Set by :func:`repro.state.restore_simulator`: the queue is
         #: already populated, so :meth:`run` must skip the initial
         #: scheduling pass.
@@ -351,42 +385,19 @@ class CellularSimulator:
         return self._build_result(wall_clock.perf_counter() - started)
 
     # ------------------------------------------------------------------
-    # event handlers
+    # the call life-cycle: four transitions, applied by both drivers
+    # (the DES handlers below and repro.serve's StreamDriver)
     # ------------------------------------------------------------------
-    def _on_arrival(self, cell_id: int, attempt: int) -> None:
-        now = self.engine.now
-        arrival_rng = self._arrival_rng
-        if attempt == 1:
-            # Schedule the next fresh request of this cell's Poisson
-            # process (retries are extra events, not process renewals).
-            next_time = self._cell_arrivals[cell_id].next_arrival(
-                now, arrival_rng
-            )
-            if next_time is not None:
-                if next_time <= self.config.duration:
-                    self.engine.call_at(
-                        next_time,
-                        self._on_arrival,
-                        cell_id,
-                        1,
-                        priority=EventPriority.ARRIVAL,
-                    )
-                else:
-                    # Past the horizon: remember the draw (with the
-                    # order stamp scheduling would have consumed) so a
-                    # checkpoint resumed under a longer horizon can
-                    # still schedule it in its rightful place.
-                    self._suppressed_arrivals[cell_id] = (
-                        next_time,
-                        self.engine.sequence,
-                        self._suppressed_tiebreak,
-                    )
-                    self._suppressed_tiebreak += 1
-        self._handle_request(cell_id, attempt)
+    def admit_request(
+        self, cell_id: int, traffic_class, spawn_mobile: bool = True
+    ) -> Connection | None:
+        """A new connection request in ``cell_id``: test, account, attach.
 
-    def _handle_request(self, cell_id: int, attempt: int) -> None:
+        Returns the attached connection, or ``None`` when blocked.  A
+        streamed request carries no mobile (``spawn_mobile=False``): its
+        crossings arrive from outside instead of from a mobility model.
+        """
         now = self.engine.now
-        traffic_class = self.mix.sample(self._traffic_rng)
         decision = self.policy.admit_new(
             self.network, cell_id, traffic_class.bandwidth, now
         )
@@ -396,7 +407,9 @@ class CellularSimulator:
         admitted = decision.admitted
         connection = None
         if admitted:
-            mobile = self.mobility.spawn(cell_id, now, self._mobility_rng)
+            mobile = None
+            if spawn_mobile:
+                mobile = self.mobility.spawn(cell_id, now, self._mobility_rng)
             connection = Connection(
                 traffic_class,
                 start_time=now,
@@ -420,6 +433,142 @@ class CellularSimulator:
                 connection.connection_id if admitted else None,
             )
         if not admitted:
+            return None
+        self.network.cell(cell_id).attach(connection)
+        self.extensions.on_admitted(connection, now)
+        self.active_connections[connection.connection_id] = connection
+        return connection
+
+    def probe_handoff(self, connection: Connection, new_cell: int):
+        """Eq. 2 overload test at ``new_cell`` plus the extension veto:
+        the bandwidth the hand-off would get, or ``None`` (a drop)."""
+        allocation = self.policy.handoff_allocation(
+            self.network, new_cell, connection
+        )
+        if (
+            allocation is not None
+            and self.extensions
+            and not self.extensions.admit_handoff(
+                connection, connection.cell_id, new_cell, self.engine.now
+            )
+        ):
+            return None  # e.g. no wired bandwidth on the new route
+        return allocation
+
+    def resolve_handoff(
+        self, connection: Connection, new_cell: int, allocation
+    ) -> bool:
+        """The mobile leaves its cell now, into ``new_cell`` if
+        :meth:`probe_handoff` granted ``allocation``; else it is dropped.
+        Returns whether the connection lives on."""
+        now = self.engine.now
+        old_cell = connection.cell_id
+        admitted = allocation is not None
+        self._record_departure(connection, old_cell, new_cell, now)
+        self.network.cell(old_cell).detach(connection)
+        self.network.station(new_cell).on_handoff_arrival(
+            dropped=not admitted, now=now
+        )
+        self.metrics.record_handoff(new_cell, now, dropped=not admitted)
+        if self.recorder is not None:
+            self.recorder.on_handoff(
+                now, connection.connection_id, new_cell, admitted
+            )
+        # The departure freed bandwidth in the old cell either way.
+        self.policy.on_release(self.network, old_cell, now)
+        if not admitted:
+            connection.finish(ConnectionState.DROPPED, now)
+            self._end(connection)
+            return False
+        connection.allocated_bandwidth = allocation
+        mobile = connection.mobile
+        if mobile is not None and isinstance(self.mobility, LinearMobilityModel):
+            boundary = self.mobility.crossing_position(mobile)
+            mobile.place(boundary, new_cell, now)
+        elif mobile is not None:
+            mobile.cell_id = new_cell
+        connection.move_to(new_cell, now)
+        self.network.cell(new_cell).attach(connection)
+        self.extensions.on_handoff(connection, old_cell, new_cell, now)
+        return True
+
+    def exit_road(self, connection: Connection) -> None:
+        """The mobile drives off an open road's end."""
+        now = self.engine.now
+        old_cell = connection.cell_id
+        self._record_departure(connection, old_cell, EXIT_CELL, now)
+        self.network.cell(old_cell).detach(connection)
+        connection.finish(ConnectionState.EXITED, now)
+        self.metrics.record_exit(old_cell, now)
+        if self.recorder is not None:
+            self.recorder.on_exit(now, connection.connection_id)
+        self.policy.on_release(self.network, old_cell, now)
+        self._end(connection)
+
+    def complete(self, connection: Connection) -> None:
+        """The connection's lifetime ran out; its bandwidth is released."""
+        now = self.engine.now
+        cell_id = connection.cell_id
+        self.network.cell(cell_id).detach(connection)
+        connection.finish(ConnectionState.COMPLETED, now)
+        self.metrics.record_completion(cell_id, now)
+        if self.recorder is not None:
+            self.recorder.on_complete(now, connection.connection_id)
+        self.policy.on_release(self.network, cell_id, now)
+        self._end(connection)
+
+    def _end(self, connection: Connection) -> None:
+        """Forget a finished connection: it has left the system."""
+        self.active_connections.pop(connection.connection_id, None)
+        self.extensions.on_connection_end(connection, self.engine.now)
+        # Release per-mobile state kept by stateful mobility models.
+        forget = getattr(self.mobility, "forget", None)
+        if forget is not None and connection.mobile is not None:
+            forget(connection.mobile)
+
+    def _record_departure(
+        self,
+        connection: Connection,
+        old_cell: int,
+        new_cell: int,
+        now: float,
+    ) -> None:
+        """Cache the departing mobile's quadruplet at the old cell's BS.
+
+        Recorded even for road exits: the estimator then knows those
+        mobiles were not heading to a reservable neighbour.
+        """
+        self.network.station(old_cell).record_departure(
+            now, connection.prev_cell, new_cell, connection.cell_entry_time
+        )
+
+    # ------------------------------------------------------------------
+    # DES event handlers: draw -> transition -> schedule
+    # ------------------------------------------------------------------
+    def _on_arrival(self, cell_id: int, attempt: int) -> None:
+        if attempt == 1:
+            # Queue the next fresh request of this cell's Poisson
+            # process (retries are extra events, not process renewals).
+            # A renewal past the horizon is queued like any other event:
+            # run() leaves it unfired and a checkpoint carries it to a
+            # longer horizon.
+            next_time = self._cell_arrivals[cell_id].next_arrival(
+                self.engine.now, self._arrival_rng
+            )
+            if next_time is not None:
+                self.engine.call_at(
+                    next_time,
+                    self._on_arrival,
+                    cell_id,
+                    1,
+                    priority=EventPriority.ARRIVAL,
+                )
+        self._handle_request(cell_id, attempt)
+
+    def _handle_request(self, cell_id: int, attempt: int) -> None:
+        traffic_class = self.mix.sample(self._traffic_rng)
+        connection = self.admit_request(cell_id, traffic_class)
+        if connection is None:
             if self.retry.should_retry(attempt, self._retry_rng):
                 self.engine.call_in(
                     self.retry.delay,
@@ -429,11 +578,9 @@ class CellularSimulator:
                     priority=EventPriority.ARRIVAL,
                 )
             return
-        self.network.cell(cell_id).attach(connection)
-        self.extensions.on_admitted(connection, now)
-        self.active_connections[connection.connection_id] = connection
-        connection.planned_end = now + self._lifetime_rng.expovariate(
-            1.0 / self.config.mean_lifetime
+        connection.planned_end = (
+            self.engine.now
+            + self._lifetime_rng.expovariate(1.0 / self.config.mean_lifetime)
         )
         self._schedule_next(connection)
 
@@ -492,33 +639,16 @@ class CellularSimulator:
         transition: Transition,
         soft_deadline: float | None = None,
     ) -> None:
-        now = self.engine.now
-        old_cell = connection.cell_id
         new_cell = transition.next_cell
         if new_cell == EXIT_CELL:
-            self._record_departure(connection, old_cell, new_cell, now)
-            self.network.cell(old_cell).detach(connection)
-            connection.finish(ConnectionState.EXITED, now)
-            self.active_connections.pop(connection.connection_id, None)
-            self.metrics.record_exit(old_cell, now)
-            if self.recorder is not None:
-                self.recorder.on_exit(now, connection.connection_id)
-            self.policy.on_release(self.network, old_cell, now)
-            self.extensions.on_connection_end(connection, now)
-            self._forget_mobile(connection)
+            self.exit_road(connection)
             return
-        allocation = self.policy.handoff_allocation(
-            self.network, new_cell, connection
-        )
-        admitted = allocation is not None
-        if admitted and self.extensions and not self.extensions.admit_handoff(
-            connection, old_cell, new_cell, now
-        ):
-            admitted = False  # e.g. no wired bandwidth on the new route
-        if not admitted and self.config.soft_handoff_window > 0:
+        allocation = self.probe_handoff(connection, new_cell)
+        if allocation is None and self.config.soft_handoff_window > 0:
             # CDMA soft hand-off (§7): the mobile stays reachable from
             # the old BS inside the overlap region; retry instead of
             # dropping until the window closes.
+            now = self.engine.now
             if soft_deadline is None:
                 soft_deadline = now + self.config.soft_handoff_window
             retry_at = now + self.config.soft_handoff_retry_interval
@@ -527,70 +657,11 @@ class CellularSimulator:
                     connection, retry_at, transition, soft_deadline
                 )
                 return
-        # Resolution: the mobile actually leaves the old cell now.
-        self._record_departure(connection, old_cell, new_cell, now)
-        self.network.cell(old_cell).detach(connection)
-        self.network.station(new_cell).on_handoff_arrival(
-            dropped=not admitted, now=now
-        )
-        self.metrics.record_handoff(new_cell, now, dropped=not admitted)
-        if self.recorder is not None:
-            self.recorder.on_handoff(
-                now, connection.connection_id, new_cell, admitted
-            )
-        # The departure freed bandwidth in the old cell either way.
-        self.policy.on_release(self.network, old_cell, now)
-        if not admitted:
-            connection.finish(ConnectionState.DROPPED, now)
-            self.active_connections.pop(connection.connection_id, None)
-            self.extensions.on_connection_end(connection, now)
-            self._forget_mobile(connection)
-            return
-        connection.allocated_bandwidth = allocation
-        mobile = connection.mobile
-        if mobile is not None and isinstance(self.mobility, LinearMobilityModel):
-            boundary = self.mobility.crossing_position(mobile)
-            mobile.place(boundary, new_cell, now)
-        elif mobile is not None:
-            mobile.cell_id = new_cell
-        connection.move_to(new_cell, now)
-        self.network.cell(new_cell).attach(connection)
-        self.extensions.on_handoff(connection, old_cell, new_cell, now)
-        self._schedule_next(connection)
-
-    def _forget_mobile(self, connection: Connection) -> None:
-        """Release per-mobile state kept by stateful mobility models."""
-        forget = getattr(self.mobility, "forget", None)
-        if forget is not None and connection.mobile is not None:
-            forget(connection.mobile)
-
-    def _record_departure(
-        self,
-        connection: Connection,
-        old_cell: int,
-        new_cell: int,
-        now: float,
-    ) -> None:
-        """Cache the departing mobile's quadruplet at the old cell's BS.
-
-        Recorded even for road exits: the estimator then knows those
-        mobiles were not heading to a reservable neighbour.
-        """
-        self.network.station(old_cell).record_departure(
-            now, connection.prev_cell, new_cell, connection.cell_entry_time
-        )
+        if self.resolve_handoff(connection, new_cell, allocation):
+            self._schedule_next(connection)
 
     def _on_lifetime_end(self, connection: Connection) -> None:
-        now = self.engine.now
-        self.network.cell(connection.cell_id).detach(connection)
-        connection.finish(ConnectionState.COMPLETED, now)
-        self.active_connections.pop(connection.connection_id, None)
-        self.metrics.record_completion(connection.cell_id, now)
-        if self.recorder is not None:
-            self.recorder.on_complete(now, connection.connection_id)
-        self.policy.on_release(self.network, connection.cell_id, now)
-        self.extensions.on_connection_end(connection, now)
-        self._forget_mobile(connection)
+        self.complete(connection)
 
     def _on_sample(self) -> None:
         now = self.engine.now
@@ -602,18 +673,11 @@ class CellularSimulator:
                 station.cell.used_bandwidth,
                 station.t_est,
             )
-        next_time = now + self.config.sample_interval
-        if next_time <= self.config.duration:
-            self.engine.call_at(
-                next_time, self._on_sample, priority=EventPriority.MONITOR
-            )
-        else:
-            self._suppressed_sample = (
-                next_time,
-                self.engine.sequence,
-                self._suppressed_tiebreak,
-            )
-            self._suppressed_tiebreak += 1
+        self.engine.call_at(
+            now + self.config.sample_interval,
+            self._on_sample,
+            priority=EventPriority.MONITOR,
+        )
 
     # ------------------------------------------------------------------
     # result assembly

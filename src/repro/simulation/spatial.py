@@ -73,40 +73,36 @@ import math
 import time as wall_clock
 from dataclasses import dataclass
 
-from repro._kernel import kernel_name, set_kernel
 from repro.cellular.cell import Cell
-from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import HexTopology
 from repro.core.admission import make_policy
 from repro.core.reservation import aggregate_reservation
-from repro.core.window import WindowControllerConfig
 from repro.des.engine import Engine
 from repro.des.events import EventPriority
 from repro.des.random import RandomStreams
-from repro.estimation.cache import CacheConfig
 from repro.mobility.models import DEFAULT_HEX_POPULATION, HexMobilityModel
-from repro.obs.logs import ensure_configured
 from repro.obs.progress import ProgressReporter
-from repro.obs.telemetry import begin_run, merge_snapshots, new_run_id
+from repro.obs.telemetry import merge_snapshots, new_run_id
 from repro.obs.timeseries import TimeSeriesSampler, merge_series
-from repro.obs.trace import begin_trace, merge_traces
+from repro.obs.trace import merge_traces
 from repro.simulation.columnar import (
     BANDWIDTH_TABLE,
     ColumnarCell,
     ConnectionStore,
     handle_class,
 )
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import SimulationConfig, cell_load_weights
 from repro.simulation.metrics import (
     CellStatus,
     HourlyBucket,
-    MetricsCollector,
     SimulationResult,
 )
-from repro.traffic.arrivals import (
-    ModulatedPoissonArrivals,
-    PoissonArrivals,
-    RetryPolicy,
+from repro.simulation.simulator import (
+    arrival_processes,
+    begin_observability,
+    build_network,
+    metrics_collector,
+    retry_policy,
 )
 from repro.traffic.classes import VOICE, TrafficMix
 
@@ -323,27 +319,6 @@ def partition_hex(
     )
 
 
-def cell_load_weights(config: SimulationConfig) -> list[float] | None:
-    """Per-cell offered-load weights from the scenario, or ``None``.
-
-    Scenario builders (``hex_city(hotspots=...)``) stash the vector in
-    ``config.extra["cell_weights"]``; it scales each cell's arrival
-    rate and feeds load-balanced partitioning.
-    """
-    raw = (config.extra or {}).get("cell_weights")
-    if raw is None:
-        return None
-    weights = [float(value) for value in raw]
-    if len(weights) != config.num_cells:
-        raise ValueError(
-            f"config.extra['cell_weights'] needs {config.num_cells}"
-            f" entries, got {len(weights)}"
-        )
-    if min(weights) < 0:
-        raise ValueError("cell weights must be >= 0")
-    return weights
-
-
 _MASK64 = (1 << 64) - 1
 #: Per-draw counter increment (the SplitMix64 golden gamma) and one
 #: distinct odd multiplier per stream coordinate.  All five constants
@@ -497,22 +472,10 @@ class ShardEngine:
         self.seed = config.seed
         self.duration = config.duration
         self.adaptive = config.scheme.lower() != "static"
-        if config.kernel == "auto":
-            kernel_name()
-        else:
-            set_kernel(config.kernel)
-        ensure_configured()
-        run_id = config.run_id or new_run_id()
-        self.telemetry = begin_run(
-            run_id=f"{run_id}-s{index}",
-            enabled=True if config.telemetry else None,
-        )
-        # Span tracer: one Perfetto ``pid`` lane per shard, installed
-        # before the network grabs its flush-tick handle.
-        self.tracer = begin_trace(
-            run_id=f"{run_id}-s{index}",
-            enabled=True if config.trace else None,
-            pid=index,
+        # Telemetry and the span tracer (one Perfetto ``pid`` lane per
+        # shard) start before the network grabs its handles.
+        run_id, self.telemetry, self.tracer = begin_observability(
+            config, shard=index
         )
         rows, cols, wrap = _hex_dimensions(config)
         self.topology = HexTopology(rows, cols, wrap=wrap)
@@ -526,76 +489,32 @@ class ShardEngine:
         def columnar_cell(cell_id: int, cap: float, overload: float) -> Cell:
             return ColumnarCell(cell_id, cap, store, overload, handle_cls)
 
+        self.owned = plan.cells[index]
+        self._owned_set = frozenset(self.owned)
         # Every shard builds the full-topology network so cell ids,
         # neighbour sets, and Eq. 5/6 semantics are exactly the global
         # ones; unowned cells simply never see an event.  Cells are
         # columnar: the hot loop attaches/detaches store rows directly
         # instead of churning per-event handle objects.
-        self.network = CellularNetwork(
+        self.network = build_network(
+            config,
             self.topology,
-            capacity=config.capacity,
             cell_factory=columnar_cell,
-            cache_config=CacheConfig(
-                interval=config.t_int,
-                max_per_pair=config.n_quad,
-                weights=config.weights,
-                period=config.day_seconds,
-            ),
-            window_config=WindowControllerConfig(
-                target_drop_probability=config.target_drop_probability,
-                initial_window=config.t_start,
-                step_policy=config.step_policy,
-            ),
-            handoff_overload=config.handoff_overload,
+            hydrate_cells=self._owned_set,
         )
-        self.owned = plan.cells[index]
-        self._owned_set = frozenset(self.owned)
-        if config.warm_state is not None:
-            config.warm_state.hydrate(self.network, cells=self._owned_set)
         if not self.adaptive:
             for cell in range(self.topology.num_cells):
                 self.network.cell(cell).reserved_target = config.static_guard
         self.population = DEFAULT_HEX_POPULATION
         self.mix = TrafficMix(config.voice_ratio)
-        weights = cell_load_weights(config)
-
-        def arrival_process(weight: float):
-            if config.load_profile is not None:
-                return ModulatedPoissonArrivals(
-                    config.load_profile,
-                    self.mix.mean_bandwidth,
-                    config.mean_lifetime,
-                    weight=weight,
-                )
-            return PoissonArrivals(
-                weight
-                * self.mix.arrival_rate_for_load(
-                    config.offered_load, config.mean_lifetime
-                )
-            )
-
-        if weights is None:
-            shared = arrival_process(1.0)
-            self._arrivals = {cell: shared for cell in self.owned}
-        else:
-            # Hot-spot scenarios: each owned cell runs its own weighted
-            # arrival process (a zero weight means a silent cell).
-            self._arrivals = {
-                cell: arrival_process(weights[cell]) for cell in self.owned
-            }
-        self.retry = RetryPolicy(
-            delay=config.retry_delay,
-            giveup_step=config.retry_giveup_step,
-            enabled=config.retry_enabled,
-        )
-        self.metrics = MetricsCollector(
+        self._arrivals = arrival_processes(config, self.mix, self.owned)
+        self.retry = retry_policy(config)
+        self.metrics = metrics_collector(
+            config,
             self.topology.num_cells,
-            warmup=config.warmup,
-            tracked_cells=tuple(
+            tuple(
                 cell for cell in config.tracked_cells if cell in self._owned_set
             ),
-            hourly=config.hourly_stats,
-            hour_seconds=config.day_seconds / 24.0,
         )
         self.engine = Engine()
         self.sampler: TimeSeriesSampler | None = None
@@ -610,7 +529,7 @@ class ShardEngine:
                 max_samples=config.series_max_samples,
                 stream=config.series_path or None,
                 shard_id=index,
-                run_id=f"{run_id}-s{index}",
+                run_id=run_id,
                 label=config.label or config.scheme,
                 telemetry=self.telemetry,
             )
@@ -1257,6 +1176,24 @@ class ShardEngine:
 # ----------------------------------------------------------------------
 # shard hosts
 # ----------------------------------------------------------------------
+#: Barrier-protocol op -> :class:`ShardEngine` method.  Looked up on the
+#: engine per call, so a wrapper installed on the class after a host was
+#: built (the benchmark's layer tracing) still sees every call.
+_SHARD_OPS = {
+    "barrier": "barrier_begin",
+    "evaluate": "evaluate",
+    "epoch": "run_epoch",
+    "finish": "finish",
+}
+
+
+def _shard_call(engine: "ShardEngine", op: str, args: tuple):
+    name = _SHARD_OPS.get(op)
+    if name is None:
+        raise ValueError(f"unknown shard op {op!r}")
+    return getattr(engine, name)(*args)
+
+
 class LocalShardHost:
     """In-process shard host: the sequential reference executor.
 
@@ -1270,17 +1207,7 @@ class LocalShardHost:
         self._pending = None
 
     def send(self, op: str, *args) -> None:
-        engine = self._engine
-        if op == "barrier":
-            self._pending = engine.barrier_begin(*args)
-        elif op == "evaluate":
-            self._pending = engine.evaluate(*args)
-        elif op == "epoch":
-            self._pending = engine.run_epoch(*args)
-        elif op == "finish":
-            self._pending = engine.finish(*args)
-        else:  # pragma: no cover - protocol misuse
-            raise ValueError(f"unknown shard op {op!r}")
+        self._pending = _shard_call(self._engine, op, args)
 
     def recv(self):
         pending, self._pending = self._pending, None
@@ -1315,16 +1242,7 @@ def _shard_worker(conn, config, plan, index, epoch) -> None:
         if op == "stop":
             return
         try:
-            if op == "barrier":
-                value = engine.barrier_begin(*args)
-            elif op == "evaluate":
-                value = engine.evaluate(*args)
-            elif op == "epoch":
-                value = engine.run_epoch(*args)
-            elif op == "finish":
-                value = engine.finish(*args)
-            else:
-                raise ValueError(f"unknown shard op {op!r}")
+            value = _shard_call(engine, op, args)
         except Exception:
             conn.send(("error", traceback.format_exc()))
             return

@@ -13,25 +13,20 @@ continues **bit-identically**: the restored run fires exactly the
 events the uninterrupted run would have fired, in the same order, with
 the same random draws — so its final ``metrics_key()`` matches.
 
-The two order-preservation mechanisms worth knowing about:
-
-* **Sequence stamps.**  Simultaneous events tie-break on
-  ``(priority, scheduling order)``.  Absolute stamp values need not
-  survive a restore — re-scheduling the pending events sorted by their
-  *original* stamps preserves every relative order, and continuation
-  events always stamp higher, exactly as in the uninterrupted run.
-* **Suppressed draws.**  The simulator draws the next arrival/sample
-  even when it falls beyond the horizon, and then schedules nothing.
-  Those draws are recorded with the stamp the engine *would* have
-  issued; on restore with a longer horizon they are merged into the
-  queue at their stamp (a suppressed draw sorts before a real event
-  with the same stamp — it would have consumed that stamp first).
+Order preservation rests on **sequence stamps**: simultaneous events
+tie-break on ``(priority, scheduling order)``.  Absolute stamp values
+need not survive a restore — re-scheduling the pending events sorted by
+their *original* stamps preserves every relative order, and
+continuation events always stamp higher, exactly as in the
+uninterrupted run.  Events past the horizon (each cell's next Poisson
+renewal, the next monitor sample, lifetime ends and crossings) sit in
+the queue like any other, so a resume under a longer horizon needs
+nothing beyond the queue.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import shutil
 import time as wall_clock
 from dataclasses import fields
@@ -136,21 +131,11 @@ def config_fingerprint(config) -> dict:
     }
 
 
-#: Config fields older checkpoints fingerprinted and this version no
-#: longer has: on/off switches between bit-identical Eq. 5 paths, which
-#: never fed the event sequence.
-_FINGERPRINT_RETIRED = {
-    "reservation_cache",
-    "coalesced_tick",
-    "grouped_flush",
-}
-
-
 def _check_fingerprint(saved: dict, config) -> None:
     current = config_fingerprint(config)
     mismatched = sorted(
         name
-        for name in (set(saved) - _FINGERPRINT_RETIRED) | set(current)
+        for name in set(saved) | set(current)
         if saved.get(name) != current.get(name)
     )
     if mismatched:
@@ -266,30 +251,6 @@ def _capture_queue(sim: "CellularSimulator") -> list[dict]:
             )
         records.append(record)
     records.sort(key=lambda record: record["seq"])
-    return records
-
-
-def _capture_suppressed(sim: "CellularSimulator") -> list[dict]:
-    records = []
-    for cell_id, (when, stamp, tie) in getattr(
-        sim, "_suppressed_arrivals", {}
-    ).items():
-        records.append(
-            {
-                "kind": "arrival",
-                "cell": cell_id,
-                "time": when,
-                "stamp": stamp,
-                "tie": tie,
-            }
-        )
-    sample = getattr(sim, "_suppressed_sample", None)
-    if sample is not None:
-        when, stamp, tie = sample
-        records.append(
-            {"kind": "sample", "time": when, "stamp": stamp, "tie": tie}
-        )
-    records.sort(key=lambda record: (record["stamp"], record["tie"]))
     return records
 
 
@@ -495,7 +456,6 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
         },
         "metrics": _capture_metrics(sim.metrics),
         "queue": _capture_queue(sim),
-        "suppressed": _capture_suppressed(sim),
         "finished": sim._finished,
     }
     files: dict[str, bytes] = {}
@@ -633,8 +593,6 @@ def _restore_estimator(
                 function,
             )
     estimator._dirty = {decode_prev(raw) for raw in saved["dirty"]}
-    # (Older checkpoints also carry the estimator's and the cells'
-    # retired ``version`` counters; the fields are simply ignored.)
     estimator.cache.total_recorded = saved["total_recorded"]
     estimator.snapshot_hits = saved["snapshot_hits"]
     estimator.snapshot_builds = saved["snapshot_builds"]
@@ -713,69 +671,10 @@ def _restore_metrics(metrics, saved: dict) -> None:
 def _restore_queue(
     sim: "CellularSimulator", runtime: dict, connections: dict
 ) -> None:
-    """Re-schedule pending events and merge in the suppressed draws.
-
-    Sort key ``(stamp, kind, tie)``: at an equal stamp a suppressed
-    draw precedes the real event carrying that stamp — in the
-    uninterrupted run the draw would have consumed the stamp first,
-    pushing the real event one higher.  Suppressed draws still beyond
-    the (possibly new) horizon stay suppressed, re-stamped to -1 so a
-    later checkpoint keeps them ahead of everything newer.
-    """
+    """Re-schedule the pending events (written in stamp order)."""
     engine = sim.engine
-    duration = sim.config.duration
-    # A checkpoint written before the one-event rule queued both a
-    # lifetime and a crossing per moving connection (and kept the
-    # planned end nowhere else): only the earlier of the two can fire,
-    # so only it is re-queued.  Current checkpoints hold one record per
-    # connection and pass through untouched.
-    queued_at = {
-        (record["kind"], record["conn"]): record["time"]
-        for record in runtime["queue"]
-        if "conn" in record
-    }
-    merged = [
-        (record["seq"], 1, 0, record) for record in runtime["queue"]
-    ] + [
-        (record["stamp"], 0, record["tie"], record)
-        for record in runtime["suppressed"]
-    ]
-    merged.sort(key=lambda item: item[:3])
-    sim._suppressed_arrivals = {}
-    sim._suppressed_sample = None
-    sim._suppressed_tiebreak = 0
-    for _stamp, is_real, _tie, record in merged:
+    for record in runtime["queue"]:
         kind = record["kind"]
-        if not is_real:
-            if record["time"] <= duration:
-                # The new horizon admits the draw: it becomes the real
-                # event it would have been in the uninterrupted run.
-                if kind == "arrival":
-                    engine.call_at(
-                        record["time"],
-                        sim._on_arrival,
-                        record["cell"],
-                        1,
-                        priority=EventPriority.ARRIVAL,
-                    )
-                else:
-                    engine.call_at(
-                        record["time"],
-                        sim._on_sample,
-                        priority=EventPriority.MONITOR,
-                    )
-            else:
-                tie = sim._suppressed_tiebreak
-                sim._suppressed_tiebreak += 1
-                if kind == "arrival":
-                    sim._suppressed_arrivals[record["cell"]] = (
-                        record["time"],
-                        -1,
-                        tie,
-                    )
-                else:
-                    sim._suppressed_sample = (record["time"], -1, tie)
-            continue
         if kind == "arrival":
             engine.call_at(
                 record["time"],
@@ -793,24 +692,13 @@ def _restore_queue(
                 priority=EventPriority.ARRIVAL,
             )
         elif kind == "lifetime":
-            connection = connections[record["conn"]]
-            if connection.planned_end is None:
-                connection.planned_end = record["time"]
-            if queued_at.get(("crossing", record["conn"]), math.inf) < (
-                record["time"]
-            ):
-                continue
             engine.call_at(
                 record["time"],
                 sim._on_lifetime_end,
-                connection,
+                connections[record["conn"]],
                 priority=EventPriority.DEPARTURE,
             )
         elif kind == "crossing":
-            if queued_at.get(("lifetime", record["conn"]), math.inf) <= (
-                record["time"]
-            ):
-                continue
             engine.call_at(
                 record["time"],
                 sim._on_crossing,
@@ -872,8 +760,6 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
     counters = runtime["engine_counters"]
     engine.events_cancelled = counters["events_cancelled"]
     engine.heap_compactions = counters["heap_compactions"]
-    # (Older checkpoints also carry pool_hits/pool_misses from the
-    # retired event free list; the fields are simply ignored.)
     sim.engine = engine
     for name, (version, internal, gauss) in runtime["rng"].items():
         sim.streams.get(name).setstate(
@@ -912,7 +798,7 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
             connection_id=record["id"],
             handoff_count=record["handoffs"],
             allocated_bandwidth=record["alloc"],
-            planned_end=record.get("end"),
+            planned_end=record["end"],
         )
     for station in sim.network.stations:
         entry = _entry_for(manifest, cell_blob_name(station.cell_id))
@@ -926,9 +812,6 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
             "reservation_calculations"
         ]
         station.messages_sent = saved_station["messages_sent"]
-        # (Older checkpoints also carry eq5_hits/eq5_misses from the
-        # retired Eq. 5 memo; the counters no longer exist, so the
-        # fields are simply ignored.)
     sim.network.recount_messages()
     for cell_id, member_ids in enumerate(runtime["cell_members"]):
         cell = sim.network.cell(cell_id)
@@ -944,12 +827,12 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
     saved_network = runtime["network"]
     sim.network.tick_flushes = saved_network["tick_flushes"]
     sim.network.tick_targets = saved_network["tick_targets"]
-    sim.network.tick_grouped_suppliers = saved_network.get(
-        "tick_grouped_suppliers", 0
-    )
-    sim.network.tick_fallback_suppliers = saved_network.get(
-        "tick_fallback_suppliers", 0
-    )
+    sim.network.tick_grouped_suppliers = saved_network[
+        "tick_grouped_suppliers"
+    ]
+    sim.network.tick_fallback_suppliers = saved_network[
+        "tick_fallback_suppliers"
+    ]
     _restore_metrics(sim.metrics, runtime["metrics"])
     sim.active_connections = {
         record["id"]: connections[record["id"]]

@@ -1,6 +1,7 @@
 """Unit tests for the asyncio :class:`AdmissionService` façade."""
 
 import asyncio
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from repro.serve.driver import Decision
 from repro.serve.events import ARRIVAL, COMPLETE, HANDOFF, StreamEvent
 from repro.serve.service import LATENCY_BUCKETS_MS
 from repro.simulation.scenarios import stationary
+from repro.state import inspect_state
 
 
 def _config(**overrides):
@@ -217,6 +219,11 @@ def test_periodic_checkpoints_write_and_prune(tmp_path):
     assert 1 <= len(kept) <= 2
     # The newest checkpoint is the one retained.
     assert kept[-1].name == f"serve_{written - 1:06d}"
+    # Each is an ordinary state directory whose whole queue is the
+    # simulator's own next monitor sample.
+    assert inspect_state(kept[-1], out=lambda _line: None) == 0
+    runtime = json.loads((kept[-1] / "runtime.json").read_text())
+    assert [record["kind"] for record in runtime["queue"]] == ["sample"]
 
 
 def test_warm_start_resumes_from_a_service_checkpoint(tmp_path):
@@ -226,9 +233,22 @@ def test_warm_start_resumes_from_a_service_checkpoint(tmp_path):
         for cell in range(3):
             await service.admit(cell=cell)
         service.driver.save_state(state)
+        # Saving parks nothing: no event was cancelled and re-armed,
+        # and the monitor keeps sampling on its cadence afterwards.
+        engine = service.driver.engine
+        assert engine.events_cancelled == 0
+        metrics = service.driver.metrics
+        before = metrics._samples
+        interval = service.config.sample_interval
+        ahead = engine.now + 3 * interval
+        await service.admit(cell=0, t=ahead)
+        cells = service.config.num_cells
+        assert metrics._samples - before in (3 * cells, 4 * cells)
 
     asyncio.run(_with_service(first))
-    assert state.exists()
+    assert inspect_state(state, out=lambda _line: None) == 0
+    runtime = json.loads((state / "runtime.json").read_text())
+    assert [record["kind"] for record in runtime["queue"]] == ["sample"]
 
     config = replace(_config(), warm_state=warm_start(state))
 

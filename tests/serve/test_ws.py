@@ -593,6 +593,33 @@ class TestPipelinedSession:
 
         asyncio.run(_with_gateway(body))
 
+    def test_a_duplicate_conn_id_gets_its_in_order_error(self):
+        # Regression: the second admit used to displace the first in
+        # the driver's id map, leaving a connection nothing could end.
+        async def body(service, gateway):
+            client = await AsyncWsClient.connect(gateway.url)
+            requests = [
+                {"op": "admit", "cell": 0, "conn": 7, "id": 0},
+                {"op": "admit", "cell": 0, "conn": 7, "id": 1},
+                {"op": "admit", "cell": 0, "conn": 8, "id": 2},
+                {"op": "stats", "id": 3},
+            ]
+            replies = await _burst(
+                client, b"".join(map(_text_frame, requests)), len(requests)
+            )
+            assert [reply["id"] for reply in replies] == [0, 1, 2, 3]
+            assert [reply["op"] for reply in replies] == [
+                "decision", "error", "decision", "stats",
+            ]
+            assert "connection id 7 is in use" in replies[1]["error"]
+            assert replies[2]["conn"] == 8
+            assert replies[2]["used"] == 2 * replies[0]["used"]
+            assert replies[3]["active_connections"] == 2
+            assert len(service.driver.sim.active_connections) == 2
+            await client.close()
+
+        asyncio.run(_with_gateway(body))
+
     def test_recorded_stream_in_one_burst_matches_replay(self):
         config = stationary(
             "AC3", offered_load=250.0, duration=120.0, seed=11, num_cells=6

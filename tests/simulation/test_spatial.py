@@ -4,9 +4,12 @@ from functools import partial
 
 import pytest
 
+from repro.cellular.topology import HexTopology
 from repro.simulation.scenarios import hex_city
-from repro.simulation.spatial import run_spatial
+from repro.simulation.simulator import CellularSimulator
+from repro.simulation.spatial import ShardEngine, partition_hex, run_spatial
 from repro.state import StateCorruptionError, run_campaign, spatial_day
+from repro.traffic.profiles import paper_load_profile
 
 
 def _city(scheme="AC3", **overrides):
@@ -20,6 +23,50 @@ def _city(scheme="AC3", **overrides):
     }
     options.update(overrides)
     return hex_city(scheme, **options)
+
+
+class TestOneSubstrate:
+    """Both engines build what a config describes through the same
+    functions, so they cannot drift apart on it."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"hotspots": ((2, 3, 4.0, 2),)},
+            {"t_int": 120.0, "n_quad": 40, "handoff_overload": 1.2},
+            {"load_profile": paper_load_profile(), "hotspots": ((1, 1, 3.0),)},
+        ],
+        ids=["uniform", "hot-spot", "finite-t-int", "load-profile"],
+    )
+    def test_sequential_and_sharded_engines_agree(self, overrides):
+        config = _city(capacity=80.0, t_start=2.0, **overrides)
+        plan = partition_hex(HexTopology(6, 6), 2)
+        sequential = CellularSimulator(config)
+        sharded = ShardEngine(config, plan, 0, 1.0)
+
+        def rate(process, at=3600.0):
+            if hasattr(process, "rate"):
+                return process.rate
+            return process.rate_at(at)
+
+        for cell_id in plan.cells[0]:
+            ours = sequential.network.station(cell_id)
+            theirs = sharded.network.station(cell_id)
+            assert ours.cell.capacity == theirs.cell.capacity == 80.0
+            assert ours.cell.handoff_capacity == theirs.cell.handoff_capacity
+            assert ours.estimator.cache.config == theirs.estimator.cache.config
+            assert ours.window.config == theirs.window.config
+            assert rate(sequential._cell_arrivals[cell_id]) == rate(
+                sharded._arrivals[cell_id]
+            )
+        assert (sequential.retry, sequential.metrics.warmup) == (
+            sharded.retry,
+            sharded.metrics.warmup,
+        )
+        if "hotspots" in overrides:
+            rates = {rate(sharded._arrivals[cell]) for cell in plan.cells[0]}
+            assert len(rates) > 1
 
 
 class TestShardInvariance:

@@ -23,7 +23,8 @@ from repro.state.checkpoint import capture_state
 from repro.state.format import (
     MANIFEST_NAME,
     RUNTIME_NAME,
-    crc32_of,
+    StateSchemaError,
+    load_manifest,
     publish_state_dir,
 )
 from repro.state import (
@@ -81,59 +82,6 @@ class TestSplitRunParity:
         assert resumed.metrics_key() == full.metrics_key()
 
 
-def _rewrite_in_parent_layout(simulator, files):
-    """``files`` as the commit before the one-event rule wrote them.
-
-    That layout kept no planned end on the connection record: it queued
-    a ``lifetime`` record (stamped at admission) for every connection
-    *and* a ``crossing`` record for every moving one, and carried the
-    event free list's counters.
-    """
-    runtime = json.loads(files[RUNTIME_NAME])
-    queued = {
-        (record["kind"], record["conn"])
-        for record in runtime["queue"]
-        if "conn" in record
-    }
-    top = max(record["seq"] for record in runtime["queue"])
-    for record in runtime["connections"]:
-        conn = record["id"]
-        end = record.pop("end")
-        if ("lifetime", conn) not in queued:
-            runtime["queue"].append(
-                {"kind": "lifetime", "conn": conn, "time": end, "seq": -1 - conn}
-            )
-        if ("crossing", conn) not in queued:
-            mobile = simulator.active_connections[conn].mobile
-            transition = simulator.mobility.next_transition(
-                mobile, mobile.position_time
-            )
-            assert transition.time >= end  # the end was the one to fire
-            top += 1
-            runtime["queue"].append(
-                {
-                    "kind": "crossing",
-                    "conn": conn,
-                    "time": transition.time,
-                    "seq": top,
-                    "t_time": transition.time,
-                    "t_next": transition.next_cell,
-                }
-            )
-    runtime["queue"].sort(key=lambda record: record["seq"])
-    runtime["engine_counters"].update(pool_hits=123, pool_misses=45)
-    blob = json.dumps(runtime).encode("utf-8")
-    manifest = json.loads(files[MANIFEST_NAME])
-    for entry in manifest["files"]:
-        if entry["path"] == RUNTIME_NAME:
-            entry.update(bytes=len(blob), crc32=crc32_of(blob))
-    return {
-        **files,
-        RUNTIME_NAME: blob,
-        MANIFEST_NAME: json.dumps(manifest, indent=1).encode("utf-8"),
-    }
-
-
 class TestOneEventPerConnection:
     def test_connection_record_carries_the_planned_end(self, tmp_path):
         # Taken while some connections have only a crossing pending: the
@@ -153,30 +101,25 @@ class TestOneEventPerConnection:
         assert "pool_hits" not in runtime["engine_counters"]
         path = save_checkpoint(first, tmp_path / "ckpt")
         resumed = restore_simulator(path, config)
-        # (The longer horizon also admits the draws the split suppressed.)
-        assert resumed.engine.pending == len(runtime["queue"]) + len(
-            runtime["suppressed"]
-        )
+        assert resumed.engine.pending == len(runtime["queue"])
         assert resumed.run().metrics_key() == full.metrics_key()
 
-    def test_parent_layout_requeues_only_the_earlier_event(self, tmp_path):
-        config = base_config()
-        full, first = split_run_parity(config, split=150.0)
-        files = capture_state(first)
-        runtime = json.loads(files[RUNTIME_NAME])
-        current = len(runtime["queue"]) + len(runtime["suppressed"])
-        old = _rewrite_in_parent_layout(first, files)
-        doubled = json.loads(old[RUNTIME_NAME])
-        assert len(doubled["queue"]) == len(runtime["queue"]) + len(
-            first.active_connections
+    def test_a_past_horizon_renewal_is_an_ordinary_record(self):
+        """After ``run()`` to ``D`` every cell's next Poisson renewal and
+        the next monitor sample sit in the queue, later than ``D`` —
+        nothing is remembered beside it."""
+        first = CellularSimulator(base_config(duration=150.0))
+        first.run()
+        runtime = json.loads(capture_state(first)[RUNTIME_NAME])
+        assert "suppressed" not in runtime
+        renewals = [r for r in runtime["queue"] if r["kind"] == "arrival"]
+        assert sorted(r["cell"] for r in renewals) == list(
+            range(first.topology.num_cells)
         )
-        assert all("end" not in record for record in doubled["connections"])
-        path = publish_state_dir(tmp_path / "parent-layout", old)
-        resumed = restore_simulator(path, config)
-        assert resumed.engine.pending == current
-        for connection in resumed.active_connections.values():
-            assert connection.planned_end is not None
-        assert resumed.run().metrics_key() == full.metrics_key()
+        samples = [r for r in runtime["queue"] if r["kind"] == "sample"]
+        assert len(samples) == 1
+        assert all(r["time"] > 150.0 for r in renewals + samples)
+        assert first.engine.events_cancelled == 0
 
 
 class _SaveBetweenDetachAndTick:
@@ -262,44 +205,23 @@ class TestGuards:
         with pytest.raises(StateFormatError, match="offered_load"):
             restore_simulator(path, other)
 
-    def test_parent_fingerprint_with_retired_switches_restores(self, tmp_path):
-        """A checkpoint from before the Eq. 5 on/off switches and the
-        ``version`` counters were retired carries both; neither fed the
-        event sequence, so it continues — and any real mismatch next to
-        them is still fatal."""
-        config = base_config()
-        full, first = split_run_parity(config, split=150.0)
-        files = capture_state(first)
+    def test_schema_1_directory_is_refused(self, tmp_path):
+        """One layout: a directory stamped with the previous schema is
+        turned away by the gate, whatever its contents."""
+        sim = CellularSimulator(base_config(duration=50.0))
+        sim.run()
+        files = capture_state(sim)
         manifest = json.loads(files[MANIFEST_NAME])
-        assert "grouped_flush" not in manifest["config"]
-        manifest["config"].update(
-            reservation_cache=True, coalesced_tick=True, grouped_flush=False
-        )
-        runtime = json.loads(files[RUNTIME_NAME])
-        for number, cell in enumerate(runtime["cells"]):
-            assert "version" not in cell
-            cell["version"] = 1000 + number
-        for station in runtime["stations"]:
-            assert "version" not in station["estimator"]
-            station["estimator"]["version"] = 77
-        blob = json.dumps(runtime).encode("utf-8")
-        for entry in manifest["files"]:
-            if entry["path"] == RUNTIME_NAME:
-                entry.update(bytes=len(blob), crc32=crc32_of(blob))
+        assert manifest["schema_version"] == 2
+        manifest["schema_version"] = 1
         path = publish_state_dir(
-            tmp_path / "parent-fingerprint",
-            {
-                **files,
-                RUNTIME_NAME: blob,
-                MANIFEST_NAME: json.dumps(manifest, indent=1).encode("utf-8"),
-            },
+            tmp_path / "schema-1",
+            {**files, MANIFEST_NAME: json.dumps(manifest).encode("utf-8")},
         )
-        resumed = restore_simulator(path, config).run()
-        assert resumed.metrics_key() == full.metrics_key()
-        with pytest.raises(StateFormatError) as refusal:
-            restore_simulator(path, replace(config, n_quad=7))
-        assert "n_quad" in str(refusal.value)
-        assert "grouped_flush" not in str(refusal.value)
+        with pytest.raises(StateSchemaError, match="v1 .*supports v2"):
+            load_manifest(path)
+        with pytest.raises(StateSchemaError):
+            restore_simulator(path, base_config(duration=50.0))
 
     def test_duration_before_clock_rejected(self, tmp_path):
         config = base_config(duration=50.0)
