@@ -15,7 +15,10 @@ subscriber listens, then asserts:
   connection with status 1003 after the request before it is answered;
 * the state stream produces a well-formed frame — it must parse as a
   JSON series row with the fields ``repro dash`` renders;
-* shutdown is clean (worker drained, clients closed, no stray tasks).
+* while one connection's 5 000-frame burst is being worked off, a
+  second connection's single ``admit`` is answered before the burst's
+  last reply (a read is a group; the loop gets a turn between groups);
+* shutdown is clean (connections closed, no stray tasks).
 
 Run from the repository root:  PYTHONPATH=src python scripts/serve_smoke.py
 """
@@ -37,6 +40,7 @@ from repro.simulation.scenarios import stationary
 
 DECISIONS = 500
 BURST = 200
+FAIRNESS_BURST = 5000
 
 
 async def main() -> int:
@@ -140,14 +144,35 @@ async def main() -> int:
         f" (t={row['t']}, events={row['events']})"
     )
 
+    other = await AsyncWsClient.connect(gateway.url)
+    before = service.stats()["decisions"]
+    client._writer.write(
+        encode_frame(b'{"op": "admit", "cell": 4}', mask=True) * FAIRNESS_BURST
+    )
+    answered = await asyncio.wait_for(
+        other.request({"op": "admit", "cell": 5, "id": "other"}), timeout=10.0
+    )
+    assert answered["op"] == "decision" and answered["id"] == "other", answered
+    behind = before + FAIRNESS_BURST + 1 - service.stats()["decisions"]
+    assert behind > 0, "the second connection waited for the whole burst"
+    for _ in range(FAIRNESS_BURST):
+        reply = await asyncio.wait_for(client.recv_json(), timeout=10.0)
+        assert reply["op"] == "decision", reply
+    await other.close()
+    print(
+        f"serve smoke: second connection answered with {behind} of the"
+        f" first's {FAIRNESS_BURST}-frame burst still to apply"
+    )
+
     stats = await client.request({"op": "stats"})
-    assert stats["op"] == "stats" and stats["decisions"] > DECISIONS, stats
+    assert stats["op"] == "stats", stats
+    assert stats["decisions"] > DECISIONS + FAIRNESS_BURST, stats
 
     await client.close()
     await subscriber.close()
     await gateway.stop()
     await service.stop()
-    assert service._queue.empty(), "queue not drained at shutdown"
+    assert not gateway.sessions, "connections left open at shutdown"
     pending = [
         task
         for task in asyncio.all_tasks()

@@ -14,9 +14,9 @@ timestamped events:
 * :mod:`repro.serve.driver` — :class:`StreamDriver`, the synchronous
   core: apply arrival/hand-off/departure events in timestamp order and
   get back the exact decisions the DES simulator would have made.
-* :mod:`repro.serve.service` — :class:`AdmissionService`, the asyncio
-  façade: queued queries, batched decisions under a latency budget,
-  periodic checkpoints, telemetry.
+* :mod:`repro.serve.service` — :class:`AdmissionService`, the live
+  façade: a group of events applied by one call under a latency
+  budget, periodic checkpoints, telemetry.
 * :mod:`repro.serve.ws` — a stdlib RFC 6455 WebSocket server/client
   streaming the same JSONL time-series rows ``repro dash`` tails.
 * :mod:`repro.serve.loadgen` — scenario-driven load generator and the
@@ -37,19 +37,19 @@ from repro.serve.events import (
     encode_event,
     record_run,
 )
-from repro.serve.service import AdmissionService, BroadcastStream, WorkerDied
+from repro.serve.service import AdmissionService, BroadcastStream, ServiceFailed
 
 __all__ = [
     "AdmissionService",
     "BroadcastStream",
     "Decision",
     "RunRecorder",
+    "ServiceFailed",
     "StreamClock",
     "StreamDriver",
     "StreamEvent",
     "VirtualClock",
     "WallClock",
-    "WorkerDied",
     "comparable_counters",
     "decode_event",
     "encode_event",

@@ -1,7 +1,7 @@
 """Closed-loop load generator for the live admission service.
 
-A pool of asyncio workers keeps a configurable number of requests in
-flight against one :class:`~repro.serve.service.AdmissionService`.
+A pool of asyncio workers takes turns submitting groups of requests to
+one :class:`~repro.serve.service.AdmissionService`.
 Each worker plays a caller population: it admits new connections,
 hands live ones off to random cells, and completes them, with the mix
 controlled by weights — so the service sees the same event shapes a
@@ -76,15 +76,20 @@ async def run_load(
 ) -> LoadReport:
     """Drive ``decisions`` admission decisions through ``service``.
 
-    ``concurrency`` workers each keep ``pipeline`` events in flight
-    through :meth:`~repro.serve.service.AdmissionService.submit_many`,
-    so per-decision asyncio overhead amortizes across the pipeline
-    (set ``pipeline=1`` for a strict request/response workload).
+    ``concurrency`` workers each submit groups of ``pipeline`` events
+    through :meth:`~repro.serve.service.AdmissionService.submit_many`
+    (set ``pipeline=1`` for a strict request/response workload) and
+    take turns group by group: a group is applied by the call itself,
+    and the workers alternate at the one yield after it.
     ``handoff_weight``/``complete_weight`` set the probability that a
     worker's next move touches one of its live connections instead of
     admitting a new one (hand-offs count as decisions; completes do
     not — they are notifications).  Returns a :class:`LoadReport`;
-    latency percentiles come from the service's own measurement.
+    its latency percentiles are the service's own measurement — the
+    wall time a group took to apply, weighted by its decisions.
+    Nothing queues in the process, so they do not grow with
+    ``concurrency × pipeline`` (no Little's law), and they are not a
+    round trip either.
     """
     if decisions < 1:
         raise ValueError(f"decisions must be >= 1, got {decisions}")

@@ -1,15 +1,17 @@
-""":class:`AdmissionService` — the asyncio façade over the stream core.
+""":class:`AdmissionService` — the live façade over the stream core.
 
 Queries (``admit``) and notifications (hand-off / completion / exit)
-land on one :class:`asyncio.Queue`.  A single worker coroutine drains
-whatever has accumulated, injects the batch into the DES heap and
-advances the engine once — so concurrent queries ride the same
-coalesced reservation tick the simulator batches same-timestamp
-admission tests through, and per-decision cost amortizes exactly like
-the DES hot loop.  Every decision's wall latency feeds a telemetry
-histogram (``serve.decision_latency_ms``) next to a queue-depth gauge,
-so ``--prom-out`` and the JSON telemetry export work for the service
-with no new plumbing.
+arrive in groups — a WebSocket connection's read, a pipelining client's
+batch — and :meth:`AdmissionService.apply_many` applies a group with
+one plain call: every event injected into the DES heap, the engine
+advanced once.  So the queries of a group ride the same coalesced
+reservation tick the simulator batches same-timestamp admission tests
+through, and per-decision cost amortizes exactly like the DES hot loop.
+No queue and no worker task stand between a caller and the engine; the
+coroutines (``submit``, ``submit_many``, ``admit``) are that call plus
+one yield.  Every group's compute time feeds a telemetry histogram
+(``serve.decision_latency_ms``), so ``--prom-out`` and the JSON
+telemetry export work for the service with no new plumbing.
 
 State streaming reuses :class:`~repro.obs.timeseries.TimeSeriesSampler`
 verbatim: the sampler's ``stream`` duck-type (anything with ``write``)
@@ -33,7 +35,7 @@ from repro.serve.clock import WallClock
 from repro.serve.driver import Decision, StreamDriver
 from repro.serve.events import ARRIVAL, StreamEvent
 
-__all__ = ["AdmissionService", "BroadcastStream", "WorkerDied"]
+__all__ = ["AdmissionService", "BroadcastStream", "ServiceFailed"]
 
 #: Decision-latency histogram edges in milliseconds.  Batched decisions
 #: land well under a millisecond; the tail buckets catch checkpoint or
@@ -43,12 +45,11 @@ LATENCY_BUCKETS_MS = (
 )
 
 
-class WorkerDied(RuntimeError):
-    """The service's worker task ended abnormally.
+class ServiceFailed(RuntimeError):
+    """The engine advance or a checkpoint write raised.
 
-    Raised from every request that was pending then and from every
-    later one: a dead worker resolves nothing, so the alternative is a
-    caller waiting forever.
+    Raised from the group that met the failure and from every later
+    one: a half-advanced engine must not keep answering.
     """
 
 
@@ -92,22 +93,6 @@ class BroadcastStream:
         return len(self._subscribers)
 
 
-class _Pending:
-    """One queue entry: a group of events resolved by a single future.
-
-    Interactive clients submit groups of one; pipelining clients
-    (the load generator, batched WebSocket ops) submit many per group
-    so the per-decision task wake-up amortizes away.
-    """
-
-    __slots__ = ("events", "future", "submitted")
-
-    def __init__(self, events, future, submitted) -> None:
-        self.events = events
-        self.future = future
-        self.submitted = submitted
-
-
 class AdmissionService:
     """Live admission control over one :class:`StreamDriver`.
 
@@ -119,11 +104,10 @@ class AdmissionService:
     clock:
         Stream time source; default :class:`WallClock` (real time).
     budget_ms:
-        Per-decision wall-latency budget; decisions over it count into
-        ``serve.budget_miss`` (the SLO is observable, not enforced —
-        an admission answer is useful even when late).
-    max_batch:
-        Cap on queries drained per engine advance.
+        Wall-time budget for applying one group; the decisions of a
+        group over it count into ``serve.budget_miss`` (the SLO is
+        observable, not enforced — an admission answer is useful even
+        when late).
     checkpoint_every:
         Wall seconds between periodic checkpoints (0 disables).
     checkpoint_dir / checkpoint_keep:
@@ -139,7 +123,6 @@ class AdmissionService:
         *,
         clock=None,
         budget_ms: float = 5.0,
-        max_batch: int = 512,
         checkpoint_every: float = 0.0,
         checkpoint_dir: str | Path = "serve-state",
         checkpoint_keep: int = 2,
@@ -148,15 +131,12 @@ class AdmissionService:
     ) -> None:
         if budget_ms <= 0:
             raise ValueError(f"budget_ms must be positive, got {budget_ms}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.driver = StreamDriver(
             config, clock=clock if clock is not None else WallClock(),
             horizon=None,
         )
         self.config = config
         self.budget_ms = float(budget_ms)
-        self.max_batch = int(max_batch)
         self.broadcast = BroadcastStream()
         self.sampler = None
         if series_interval > 0 or series_wall_interval > 0:
@@ -181,16 +161,10 @@ class AdmissionService:
         self._hist = telemetry.histogram(
             "serve.decision_latency_ms", buckets=LATENCY_BUCKETS_MS
         )
-        self._depth = telemetry.gauge("serve.queue_depth")
         self._budget_misses = telemetry.counter("serve.budget_miss")
         self._decision_counter = telemetry.counter
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._task: asyncio.Task | None = None
         self._running = False
-        self._died: WorkerDied | None = None
-        #: The group of requests the worker holds outside the queue.
-        self._inflight: list[_Pending] = []
+        self._failed: ServiceFailed | None = None
         self._started = perf_counter()
         self.decisions = 0
         #: Exact recent latencies (ms) for the stats percentiles; the
@@ -204,49 +178,103 @@ class AdmissionService:
         self._running = True
         self._started = perf_counter()
         self._last_checkpoint = self._started
-        self._task = asyncio.create_task(self._worker(), name="serve-worker")
 
     async def stop(self) -> None:
+        """Stop answering; re-raises what made the service fail, if
+        anything did."""
         if not self._running:
             return
         self._running = False
-        await self._queue.put(None)
-        if self._task is not None:
-            await self._task
-            self._task = None
         if self.sampler is not None:
             self.sampler.sample(final=True)
+        if self._failed is not None:
+            raise self._failed.__cause__
 
     # -- client API ----------------------------------------------------
+    def apply_many(self, events) -> list[Decision | Exception | None]:
+        """Apply one group of stream events: every event submitted, the
+        engine advanced once, the group accounted for.
+
+        A plain call — the WebSocket gateway makes it from its read
+        callback, the coroutines below from theirs.  Results align with
+        ``events``: a :class:`~repro.serve.driver.Decision` per query,
+        ``None`` for notifications, and the exception *instance* (a
+        :class:`ValueError`, or whatever a mistyped field raised) for a
+        malformed event (the valid rest of the group is still applied).
+        """
+        if self._failed is not None:
+            raise self._failed
+        if not self._running:
+            raise RuntimeError("service is not running")
+        started = perf_counter()
+        driver = self.driver
+        slots = []
+        for event in events:
+            try:
+                slots.append(driver.submit(event))
+            except Exception as error:
+                slots.append(error)
+        try:
+            driver.flush()
+        except Exception as error:
+            raise self._fail(error) from error
+        done = perf_counter()
+        # One latency per group, so the accounting is per group too:
+        # tally while the results are laid out, then touch each
+        # instrument once.
+        results = []
+        tally: dict = {}
+        for slot in slots:
+            if isinstance(slot, Exception):
+                results.append(slot)
+                continue
+            decision = slot.decision
+            results.append(decision)
+            if decision is not None:
+                label = (decision.kind, decision.admitted)
+                tally[label] = tally.get(label, 0) + 1
+        if tally:
+            latency_ms = (done - started) * 1000.0
+            decided = sum(tally.values())
+            self.decisions += decided
+            self._latencies.extend(repeat(latency_ms, decided))
+            self._hist.observe(latency_ms, decided)
+            if latency_ms > self.budget_ms:
+                self._budget_misses.inc(decided)
+            for (kind, admitted), count in tally.items():
+                self._decision_counter(
+                    "serve.decisions",
+                    kind=kind,
+                    outcome="accepted" if admitted else "rejected",
+                ).inc(count)
+        sampler = self.sampler
+        if sampler is not None and sampler.due():
+            sampler.sample(decisions=self.decisions)
+        if self.checkpoint_every > 0 and (
+            done - self._last_checkpoint >= self.checkpoint_every
+        ):
+            try:
+                self._checkpoint()
+            except Exception as error:
+                raise self._fail(error) from error
+            self._last_checkpoint = perf_counter()
+        return results
+
+    async def submit_many(self, events) -> list[Decision | Exception | None]:
+        """:meth:`apply_many`, then one yield to the event loop so
+        in-process clients interleave group by group."""
+        results = self.apply_many(events)
+        await asyncio.sleep(0)
+        return results
+
     async def submit(self, event: StreamEvent) -> Decision | None:
-        """Queue one stream event; resolves with its decision (``None``
-        for notifications that carry no decision)."""
+        """Apply one stream event; returns its decision (``None`` for
+        notifications that carry no decision)."""
         results = await self.submit_many((event,))
         result = results[0]
         if isinstance(result, Exception):
             raise result
         return result
-
-    async def submit_many(self, events) -> list[Decision | None]:
-        """Pipelined ingestion: queue a group of events, resolve once.
-
-        The whole group rides one engine advance and one task wake-up,
-        so a client pipelining K events pays 1/K of the per-decision
-        asyncio overhead.  Results align with ``events``: a
-        :class:`~repro.serve.driver.Decision` per query, ``None`` for
-        notifications, and the exception *instance* (a
-        :class:`ValueError`, or whatever a mistyped field raised) for a
-        malformed event (the valid rest of the group is still applied).
-        """
-        if self._died is not None:
-            raise self._died
-        if not self._running:
-            raise RuntimeError("service is not running")
-        if self._loop is None:
-            self._loop = asyncio.get_running_loop()
-        future = self._loop.create_future()
-        self._queue.put_nowait(_Pending(tuple(events), future, perf_counter()))
-        return await future
 
     async def admit(
         self,
@@ -280,104 +308,15 @@ class AdmissionService:
             "decisions_per_s": self.decisions / elapsed if elapsed > 0 else 0.0,
             "p50_ms": round(pct(0.50), 4),
             "p99_ms": round(pct(0.99), 4),
-            "queue_depth": self._queue.qsize(),
             "active_connections": self.driver.active_connections,
             "ignored_events": self.driver.ignored,
             "stream_t": round(self.driver.engine.now, 6),
             "checkpoints": self.checkpoints_written,
         }
 
-    # -- worker --------------------------------------------------------
-    async def _worker(self) -> None:
-        try:
-            await self._serve()
-        except BaseException as error:
-            # Nobody is left to resolve anything: fail what is pending
-            # and everything later by name instead of letting it hang.
-            self._died = WorkerDied(f"serve worker ended: {error!r}")
-            self._died.__cause__ = error
-            stranded = self._inflight
-            while not self._queue.empty():
-                stranded.append(self._queue.get_nowait())
-            for pending in stranded:
-                if pending is not None and not pending.future.done():
-                    pending.future.set_exception(self._died)
-            raise
-
-    async def _serve(self) -> None:
-        queue = self._queue
-        driver = self.driver
-        while True:
-            item = await queue.get()
-            if item is None:
-                break
-            batch = self._inflight = [item]
-            while len(batch) < self.max_batch:
-                try:
-                    extra = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is None:
-                    queue.put_nowait(None)  # re-deliver the stop signal
-                    break
-                batch.append(extra)
-            self._depth.set(queue.qsize())
-            groups = []
-            for pending in batch:
-                slots = []
-                for event in pending.events:
-                    try:
-                        slots.append(driver.submit(event))
-                    except Exception as error:
-                        slots.append(error)
-                groups.append((pending, slots))
-            driver.flush()
-            done = perf_counter()
-            for pending, slots in groups:
-                # One latency per group, so the accounting is per group
-                # too: tally while the results are laid out, then touch
-                # each instrument once.
-                results = []
-                tally: dict = {}
-                for slot in slots:
-                    if isinstance(slot, Exception):
-                        results.append(slot)
-                        continue
-                    decision = slot.decision
-                    results.append(decision)
-                    if decision is not None:
-                        label = (decision.kind, decision.admitted)
-                        tally[label] = tally.get(label, 0) + 1
-                if tally:
-                    latency_ms = (done - pending.submitted) * 1000.0
-                    decided = sum(tally.values())
-                    self.decisions += decided
-                    self._latencies.extend(repeat(latency_ms, decided))
-                    self._hist.observe(latency_ms, decided)
-                    if latency_ms > self.budget_ms:
-                        self._budget_misses.inc(decided)
-                    for (kind, admitted), count in tally.items():
-                        self._decision_counter(
-                            "serve.decisions",
-                            kind=kind,
-                            outcome="accepted" if admitted else "rejected",
-                        ).inc(count)
-                if not pending.future.done():
-                    pending.future.set_result(results)
-            sampler = self.sampler
-            if sampler is not None and sampler.due():
-                sampler.sample(
-                    queue_depth=queue.qsize(), decisions=self.decisions
-                )
-            if self.checkpoint_every > 0 and (
-                done - self._last_checkpoint >= self.checkpoint_every
-            ):
-                self._checkpoint()
-                self._last_checkpoint = perf_counter()
-            # One scheduling point per batch: lets producers refill the
-            # queue (and WebSocket tasks send replies) between engine
-            # advances without a per-decision context switch.
-            await asyncio.sleep(0)
+    def _fail(self, error: Exception) -> ServiceFailed:
+        self._failed = ServiceFailed(f"admission service failed: {error!r}")
+        return self._failed
 
     def _checkpoint(self) -> None:
         index = self.checkpoints_written

@@ -12,23 +12,24 @@ protocol:
 * ``{"op": "subscribe"}`` → the sampler's JSONL rows stream as text
   frames (identical bytes to a ``--series-out`` file, so
   ``repro dash ws://host:port`` renders them unchanged)
-* ``{"op": "stats"}`` → service counters (decisions/s, P50/P99, depth)
+* ``{"op": "stats"}`` → service counters (decisions/s, P50/P99)
 
-A connection is served by one pipelined loop (:class:`_Session`): one
-bounded read per wake-up, every frame the read completes parsed in one
-pass, each run of consecutive ``admit``/``event`` requests applied as
-one :meth:`AdmissionService.submit_many` group, and every reply of the
-read written with one ``write`` + one ``drain``.  Replies leave strictly
-in request order; ``stats``, ``subscribe``, ping and close first settle
+A connection is one :class:`asyncio.BufferedProtocol` (:class:`_Session`)
+and a read is one callback: the socket fills the session's resident
+buffer, every frame the read completes is parsed in one pass, each run
+of consecutive ``admit``/``event`` requests is applied as one
+:meth:`AdmissionService.apply_many` group, and every reply of the read
+leaves in one ``write`` — all plain calls, with no task, future or
+queue between the socket and the engine.  Replies leave strictly in
+request order; ``stats``, ``subscribe``, ping and close first settle
 the run before them, so they observe every request sent earlier.
 
 The request path is one parse in, one format out: a stream request is
-decoded, checked and appended to the run by a plain call (a coroutine
-exists only for a malformed request or another op), and its decision is written by formatting a
-template, not by serialising dicts — to the same bytes.  Frames the
-protocol has no use for are refused from their header: binary data
-with close status 1003, fragments, reserved bits or opcodes and
-over-long control frames with 1002.
+decoded, checked and appended to the run, and its decision is written
+by formatting a template, not by serialising dicts — to the same bytes.
+Frames the protocol has no use for are refused from their header:
+binary data with close status 1003, fragments, reserved bits or opcodes
+and over-long control frames with 1002.
 
 :class:`SyncWsClient` is the bundled blocking client — what
 ``repro dash`` and the smoke script use from outside the service
@@ -48,6 +49,7 @@ from collections import deque
 from urllib.parse import urlsplit
 
 from repro.serve.events import ARRIVAL, COMPLETE, EXIT, HANDOFF, StreamEvent
+from repro.serve.service import ServiceFailed
 
 __all__ = [
     "AsyncWsClient",
@@ -70,6 +72,7 @@ OP_PONG = 0xA
 CLOSE_PROTOCOL_ERROR = 1002
 CLOSE_UNSUPPORTED_DATA = 1003
 CLOSE_TOO_BIG = 1009
+CLOSE_INTERNAL_ERROR = 1011
 
 #: First header byte of the one frame the request path is made of: a
 #: final text frame with no reserved bit set.
@@ -80,13 +83,14 @@ _FINAL_TEXT = 0x80 | OP_TEXT
 #: buffer without bound.
 MAX_FRAME_BYTES = 1 << 20
 
-#: Bytes the gateway takes from a connection per wake-up.  The requests
-#: of one read form one ``submit_many`` group, so this is also the group
-#: bound: ≈90 protocol requests, about a millisecond of engine work —
-#: well inside the default 5 ms decision budget (64 KiB reads put 714
-#: events in a group and half of a saturating client's decisions over
-#: it, for 6 % more throughput).  What a client sends beyond it waits
-#: in the socket: TCP is the back-pressure.
+#: Size of a connection's resident read buffer, so the most the gateway
+#: takes from it per wake-up.  The requests of one read form one
+#: ``apply_many`` group, so this is also the group bound: ≈90 protocol
+#: requests, about a millisecond of engine work — well inside the
+#: default 5 ms decision budget (64 KiB reads put 714 events in a group
+#: and half of a saturating client's decisions over it, for 6 % more
+#: throughput).  What a client sends beyond it waits in the socket: TCP
+#: is the back-pressure.  An HTTP upgrade request must fit in it too.
 READ_BYTES = 8192
 
 
@@ -227,8 +231,8 @@ def _integer(field: str, value) -> int:
 def _stream_event(message: dict) -> StreamEvent | None:
     """The stream event an ``admit``/``event`` request carries (``None``
     for any other op).  Field types are checked here: the event is
-    applied by the service's shared worker, which must not meet a value
-    it cannot compare or hash."""
+    applied by the engine every connection shares, which must not meet
+    a value it cannot compare or hash."""
     op = message.get("op")
     if op == "admit":
         kind = ARRIVAL
@@ -308,62 +312,133 @@ def _decision_frame(decision, message: dict) -> bytes:
 _OK_FRAME = _reply_frame({"op": "ok"}, None)
 
 
-class _Session:
-    """One connection's pipelined request loop (see the module docstring)."""
+_BAD_REQUEST = (
+    b"HTTP/1.1 400 Bad Request\r\n"
+    b"Content-Type: text/plain\r\n\r\n"
+    b"this endpoint speaks WebSocket (RFC 6455) only\n"
+)
 
-    def __init__(self, service, reader, writer) -> None:
-        self._service = service
-        self._dropped_rows = service.driver.sim.telemetry.counter(
+
+class _Session(asyncio.BufferedProtocol):
+    """One connection: the HTTP upgrade, then the pipelined request
+    path, all inside the transport's read callback (see the module
+    docstring)."""
+
+    def __init__(self, gateway) -> None:
+        self._gateway = gateway
+        self._service = gateway.service
+        self._dropped_rows = self._service.driver.sim.telemetry.counter(
             "serve.subscriber_dropped_rows"
         )
-        self._reader = reader
-        self._writer = writer
+        #: Where every read of this connection lands.
+        self._buffer = memoryview(bytearray(READ_BYTES))
+        #: The upgrade request so far; ``None`` once it has been answered.
+        self._head: bytearray | None = bytearray()
+        self._decoder = FrameDecoder()
         #: Reply frames of the current read, in request order.
         self._out: list[bytes] = []
         #: The current run of stream requests: ``(event, message)``.
         self._run: list[tuple[StreamEvent, dict]] = []
         self._subscribed = False
+        self.transport = None
 
-    async def serve(self) -> None:
-        decoder = FrameDecoder()
+    # -- transport callbacks -------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._gateway.sessions.add(self)
+
+    def connection_lost(self, error) -> None:
+        self._gateway.sessions.discard(self)
+        if self._subscribed:
+            self._service.broadcast.unsubscribe(self._on_row)
+
+    def pause_writing(self) -> None:
+        # The peer is not reading its replies: stop taking its requests.
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        data = self._buffer[:nbytes]
+        if self._head is not None:
+            data = self._handshake(data)
+            if not data:
+                return
         out = self._out
-        writer = self._writer
         close = None  # payload of the close frame that ends the session
         try:
-            while close is None:
-                data = await self._reader.read(READ_BYTES)
-                if not data:
-                    break
-                try:
-                    for opcode, payload in decoder.feed(data):
-                        if opcode == OP_TEXT:
-                            later = self._on_text(payload)
-                            if later is not None:
-                                await later
-                        elif opcode == OP_PING:
-                            await self._settle()
-                            out.append(encode_frame(payload, opcode=OP_PONG))
-                        elif opcode == OP_CLOSE:
-                            close = payload
-                            break
-                except FrameError as error:
-                    # Everything before the refused frame is still answered.
-                    close = error.status.to_bytes(2, "big")
-                await self._settle()
-                if close is not None:
-                    out.append(encode_frame(close, opcode=OP_CLOSE))
-                writer.write(b"".join(out))
-                out.clear()
-                await writer.drain()
-        finally:
-            if self._subscribed:
-                self._service.broadcast.unsubscribe(self._on_row)
+            try:
+                for opcode, payload in self._decoder.feed(data):
+                    if opcode == OP_TEXT:
+                        self._on_text(payload)
+                    elif opcode == OP_PING:
+                        self._settle()
+                        out.append(encode_frame(payload, opcode=OP_PONG))
+                    elif opcode == OP_CLOSE:
+                        close = payload
+                        break
+            except FrameError as error:
+                # Everything before the refused frame is still answered.
+                close = error.status.to_bytes(2, "big")
+            self._settle()
+        except ServiceFailed:
+            close = CLOSE_INTERNAL_ERROR.to_bytes(2, "big")
+        if close is not None:
+            out.append(encode_frame(close, opcode=OP_CLOSE))
+        if out:
+            self.transport.write(b"".join(out))
+            out.clear()
+        if close is not None:
+            self.transport.close()
 
-    def _on_text(self, payload: bytes):
+    # -- the upgrade ---------------------------------------------------
+    def _handshake(self, data) -> bytes | None:
+        """Take more of the upgrade request.  Returns the bytes that
+        follow it once it is complete and accepted, else ``None``."""
+        head = self._head
+        head += data
+        end = head.find(b"\r\n\r\n", 0, READ_BYTES)
+        if end < 0:
+            if len(head) >= READ_BYTES:
+                self._refuse_upgrade()
+            return None
+        headers = {}
+        for line in head[:end].decode("latin-1").split("\r\n")[1:]:
+            name, _, value = line.partition(":")
+            if value:
+                headers[name.strip().lower()] = value.strip()
+        key = headers.get("sec-websocket-key")
+        if (
+            key is None
+            or "websocket" not in headers.get("upgrade", "").lower()
+        ):
+            self._refuse_upgrade()
+            return None
+        self.transport.write(
+            (
+                "HTTP/1.1 101 Switching Protocols\r\n"
+                "Upgrade: websocket\r\n"
+                "Connection: Upgrade\r\n"
+                f"Sec-WebSocket-Accept: {handshake_accept(key)}\r\n\r\n"
+            ).encode("ascii")
+        )
+        self._gateway.connections_served += 1
+        self._head = None
+        return bytes(head[end + 4 :])
+
+    def _refuse_upgrade(self) -> None:
+        self.transport.write(_BAD_REQUEST)
+        self.transport.close()
+
+    # -- requests ------------------------------------------------------
+    def _on_text(self, payload: bytes) -> None:
         """Take one request.  A stream request joins the run and costs
-        one parse and one append — ``None`` is returned and nothing is
-        awaited.  Anything else must first settle the run, so it comes
-        back as the coroutine that does that and then answers."""
+        one parse and one append; anything else first settles the run,
+        so it observes every request sent before it."""
         message = None
         try:
             message = json.loads(payload.decode("utf-8"))
@@ -374,20 +449,13 @@ class _Session:
             KeyError, TypeError, ValueError, OverflowError,
             RecursionError,  # json.loads, a few thousand ``[`` deep
         ) as error:
-            return self._on_error(str(error), message)
-        if event is None:
-            return self._on_op(message)
-        self._run.append((event, message))
-        return None
-
-    async def _on_error(self, error: str, message) -> None:
-        await self._settle()
-        self._out.append(_error_frame(error, message))
-
-    async def _on_op(self, message: dict) -> None:
-        """A request that is not a stream event: it observes every
-        request sent before it."""
-        await self._settle()
+            self._settle()
+            self._out.append(_error_frame(str(error), message))
+            return
+        if event is not None:
+            self._run.append((event, message))
+            return
+        self._settle()
         op = message.get("op")
         if op == "stats":
             reply = {"op": "stats", **self._service.stats()}
@@ -397,12 +465,13 @@ class _Session:
         else:
             self._out.append(_error_frame(f"unknown op {op!r}", message))
 
-    async def _settle(self) -> None:
+    def _settle(self) -> None:
         """Apply the pending run as one group and queue its replies."""
         run = self._run
         if not run:
             return
-        results = await self._service.submit_many([event for event, _ in run])
+        self._run = []
+        results = self._service.apply_many([event for event, _ in run])
         out = self._out
         for (_, message), result in zip(run, results):
             if result is None:
@@ -414,7 +483,6 @@ class _Session:
                 out.append(_error_frame(str(result), message))
             else:
                 out.append(_decision_frame(result, message))
-        run.clear()
 
     def _subscribe(self) -> None:
         if self._subscribed:
@@ -427,20 +495,21 @@ class _Session:
         )
         # Hand over what is queued before the first live row can be
         # written, or that row would overtake the backlog.
-        self._writer.write(b"".join(out))
+        self.transport.write(b"".join(out))
         out.clear()
         broadcast.subscribe(self._on_row)
 
     def _on_row(self, line: str) -> None:
-        # Called on the loop thread between awaits: a whole frame per
-        # write cannot interleave with the replies.  A subscriber that
-        # stopped reading loses rows instead of growing the buffer.
-        transport = self._writer.transport
+        # Called on the loop thread, from whichever group made the
+        # sampler due: a whole frame per write cannot interleave with
+        # the replies.  A subscriber that stopped reading loses rows
+        # instead of growing the buffer.
+        transport = self.transport
         _low, high = transport.get_write_buffer_limits()
         if transport.get_write_buffer_size() > high:
             self._dropped_rows.inc()
             return
-        self._writer.write(encode_frame(line.encode("utf-8")))
+        transport.write(encode_frame(line.encode("utf-8")))
 
 
 class WebSocketGateway:
@@ -451,92 +520,33 @@ class WebSocketGateway:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
-        self._clients: set[asyncio.Task] = set()
+        #: Open connections.
+        self.sessions: set[_Session] = set()
         self.connections_served = 0
 
     async def start(self) -> None:
-        # asyncio's socket transport hands recv() a fresh 256 KiB buffer
-        # per packet.  glibc serves a block that size with mmap/munmap —
-        # a page fault and a TLB shoot-down per round trip, ≈ 55 µs of a
-        # 180 µs decision here — until the process has once freed a
-        # larger mmapped block, which raises its mmap threshold for
-        # good.  Whether import-time allocations already did is an
-        # accident of source-file sizes; do it on purpose.
-        bytearray(1 << 20)
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Session(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._clients):
-            task.cancel()
-        if self._clients:
-            await asyncio.gather(*self._clients, return_exceptions=True)
-        self._clients.clear()
+        if self._server is None:
+            return
+        self._server.close()
+        # Every reply was handed to its transport by the read that asked
+        # for it; what is still buffered belongs to a peer that stopped
+        # reading, and waiting for it would never end.
+        for session in list(self.sessions):
+            session.transport.abort()
+        while self.sessions:  # until each has had its connection_lost()
+            await asyncio.sleep(0)
+        await self._server.wait_closed()
+        self._server = None
 
     @property
     def url(self) -> str:
         return f"ws://{self.host}:{self.port}/"
-
-    # -- connection handling -------------------------------------------
-    async def _handle(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._clients.add(task)
-        try:
-            if not await self._handshake(reader, writer):
-                return
-            self.connections_served += 1
-            await _Session(self.service, reader, writer).serve()
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            self._clients.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handshake(self, reader, writer) -> bool:
-        request = await reader.readuntil(b"\r\n\r\n")
-        lines = request.decode("latin-1").split("\r\n")
-        headers = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            if value:
-                headers[name.strip().lower()] = value.strip()
-        key = headers.get("sec-websocket-key")
-        if (
-            key is None
-            or "websocket" not in headers.get("upgrade", "").lower()
-        ):
-            writer.write(
-                b"HTTP/1.1 400 Bad Request\r\n"
-                b"Content-Type: text/plain\r\n\r\n"
-                b"this endpoint speaks WebSocket (RFC 6455) only\n"
-            )
-            await writer.drain()
-            return False
-        writer.write(
-            (
-                "HTTP/1.1 101 Switching Protocols\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Accept: {handshake_accept(key)}\r\n\r\n"
-            ).encode("ascii")
-        )
-        await writer.drain()
-        return True
 
 
 # ----------------------------------------------------------------------

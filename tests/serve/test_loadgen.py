@@ -1,10 +1,12 @@
 """Tests for the closed-loop load generator."""
 
 import asyncio
+from collections import Counter
 
 import pytest
 
 from repro.serve import AdmissionService
+from repro.serve.driver import Decision
 from repro.serve.loadgen import run_load
 from repro.simulation.scenarios import stationary
 
@@ -72,3 +74,32 @@ def test_strict_request_response_mode():
     # clients use.
     report, _service = _run(decisions=40, concurrency=2, pipeline=1)
     assert report.decisions >= 40
+
+
+def test_every_worker_decides_at_least_once():
+    # Nothing in a group's application suspends, so the one yield in
+    # ``submit_many`` is what hands the loop to the next worker: without
+    # it the first worker would make all forty decisions.
+    async def scenario():
+        service = AdmissionService(_config(), series_wall_interval=0.0)
+        await service.start()
+        decided = Counter()
+        submit_many = service.submit_many
+
+        async def recording(events):
+            results = await submit_many(events)
+            decided[asyncio.current_task()] += sum(
+                isinstance(result, Decision) for result in results
+            )
+            return results
+
+        service.submit_many = recording
+        try:
+            await run_load(service, decisions=40, concurrency=4, pipeline=1)
+        finally:
+            await service.stop()
+        return decided
+
+    decided = asyncio.run(scenario())
+    assert len(decided) == 4
+    assert min(decided.values()) >= 1

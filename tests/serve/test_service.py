@@ -1,4 +1,4 @@
-"""Unit tests for the asyncio :class:`AdmissionService` façade."""
+"""Unit tests for the :class:`AdmissionService` façade."""
 
 import asyncio
 import json
@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.obs.telemetry import Histogram
-from repro.serve import AdmissionService, WorkerDied, warm_start
+from repro.serve import AdmissionService, ServiceFailed, warm_start
 from repro.serve.driver import Decision
 from repro.serve.events import ARRIVAL, COMPLETE, HANDOFF, StreamEvent
 from repro.serve.service import LATENCY_BUCKETS_MS
@@ -34,11 +34,9 @@ async def _with_service(body, config=None, **service_kwargs):
         await service.stop()
 
 
-def test_constructor_validates_budget_and_batch():
+def test_constructor_validates_budget():
     with pytest.raises(ValueError, match="budget_ms"):
         AdmissionService(_config(), budget_ms=0.0)
-    with pytest.raises(ValueError, match="max_batch"):
-        AdmissionService(_config(), max_batch=0)
 
 
 def test_submit_requires_a_running_service():
@@ -112,7 +110,6 @@ def test_stats_counts_decisions_and_percentiles():
         assert stats["decisions_per_s"] > 0
         assert 0 <= stats["p50_ms"] <= stats["p99_ms"]
         assert stats["active_connections"] == 4
-        assert stats["queue_depth"] == 0
         assert stats["checkpoints"] == 0
 
     asyncio.run(_with_service(body))
@@ -279,8 +276,8 @@ def test_broadcast_stream_fans_out_and_keeps_backlog():
 
 
 def test_mistyped_event_fails_its_slot_not_the_worker():
-    # cell="3" makes the range check raise TypeError, not ValueError;
-    # the shared worker used to die of it and every later call hung.
+    # cell="3" makes the range check raise TypeError, not ValueError:
+    # that is the slot's result, not a failure of the service.
     async def body(service):
         results = await asyncio.wait_for(
             service.submit_many(
@@ -343,19 +340,56 @@ def test_far_future_timestamp_fails_its_slot_not_the_shared_clock():
     asyncio.run(_with_service(body, config=_config(scheme="static")))
 
 
-def test_dead_worker_fails_pending_and_later_requests_by_name():
+def test_apply_many_is_a_plain_call_with_aligned_results():
+    service = AdmissionService(_config(scheme="static"))
+    with pytest.raises(RuntimeError, match="not running"):
+        service.apply_many(())
+    asyncio.run(service.start())
+    # No event loop is running from here on.
+    results = service.apply_many(
+        (
+            StreamEvent(t=None, kind=ARRIVAL, cell=0),
+            StreamEvent(t=None, kind=ARRIVAL, cell="3"),
+            StreamEvent(t=3e6, kind=ARRIVAL, cell=0),
+            StreamEvent(t=None, kind=COMPLETE, conn=123456),
+            StreamEvent(t=None, kind=ARRIVAL, cell=1),
+        )
+    )
+    assert [type(result) for result in results] == [
+        Decision, TypeError, ValueError, type(None), Decision
+    ]
+    assert "ahead of the stream" in str(results[2])
+    assert (results[0].cell, results[4].cell) == (0, 1)
+    assert service.apply_many(()) == []
+    assert service.stats()["decisions"] == 2
+    assert service.driver.ignored == 1
+    asyncio.run(service.stop())
+
+
+@pytest.mark.parametrize("broken", ["flush", "checkpoint"])
+def test_first_failure_stops_the_service_by_name(broken, tmp_path):
     async def scenario():
-        service = AdmissionService(_config())
+        service = AdmissionService(
+            _config(), checkpoint_every=1e-9, checkpoint_dir=tmp_path
+        )
         await service.start()
 
-        def explode():
+        def explode(*_args):
             raise OSError("disk on fire")
 
-        service.driver.flush = explode
-        with pytest.raises(WorkerDied, match="disk on fire"):
-            await asyncio.wait_for(service.admit(cell=0), timeout=5.0)
-        with pytest.raises(WorkerDied):
-            await asyncio.wait_for(service.admit(cell=1), timeout=5.0)
+        if broken == "flush":
+            service.driver.flush = explode
+        else:
+            service.driver.save_state = explode
+        with pytest.raises(ServiceFailed, match="disk on fire") as first:
+            await service.admit(cell=0)
+        assert isinstance(first.value.__cause__, OSError)
+        # A half-advanced engine answers nothing more: no event of a
+        # later group is even submitted.
+        processed = service.driver.engine.events_processed
+        with pytest.raises(ServiceFailed, match="disk on fire"):
+            service.apply_many((StreamEvent(t=None, kind=ARRIVAL, cell=1),))
+        assert service.driver.engine.events_processed == processed
         with pytest.raises(OSError):  # stop() surfaces the cause
             await service.stop()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.serve import AdmissionService, StreamDriver, record_run
 from repro.serve.driver import Decision
-from repro.serve.events import ARRIVAL, HANDOFF
+from repro.serve.events import ARRIVAL, HANDOFF, StreamEvent
 from repro.serve.ws import (
     MAX_FRAME_BYTES,
     OP_BINARY,
@@ -25,6 +25,7 @@ from repro.serve.ws import (
     WebSocketGateway,
     _decision_frame,
     _parse_ws_url,
+    _client_handshake_bytes,
     _Session,
     encode_frame,
     handshake_accept,
@@ -304,6 +305,57 @@ class TestGatewayProtocol:
             writer.close()
             await writer.wait_closed()
             assert gateway.connections_served == 0
+
+        asyncio.run(_with_gateway(body))
+
+    def test_an_upgrade_request_that_never_ends_gets_a_400(self):
+        async def body(service, gateway):
+            reader, writer = await asyncio.open_connection(
+                gateway.host, gateway.port
+            )
+            writer.write(b"GET / HTTP/1.1\r\nX-Padding: " + b"a" * READ_BYTES)
+            response = await asyncio.wait_for(reader.read(4096), timeout=5.0)
+            assert response.startswith(b"HTTP/1.1 400")
+            # ... and hung up (with a reset: part of the request is unread).
+            try:
+                assert await asyncio.wait_for(reader.read(), timeout=5.0) == b""
+            except ConnectionResetError:
+                pass
+            writer.close()
+            assert gateway.connections_served == 0
+            assert not gateway.sessions
+
+        asyncio.run(_with_gateway(body))
+
+    def test_upgrade_split_across_reads_and_with_frames_in_its_segment(self):
+        async def body(service, gateway):
+            key = "dGhlIHNhbXBsZSBub25jZQ=="
+            upgrade = _client_handshake_bytes(gateway.host, gateway.port, "/", key)
+            first = _text_frame({"op": "admit", "cell": 1, "id": "first"})
+            for pieces in (
+                [upgrade[:7], upgrade[7:-2], upgrade[-2:]],
+                [upgrade + first],
+                [upgrade[:-1], upgrade[-1:] + first[:5], first[5:]],
+            ):
+                reader, writer = await asyncio.open_connection(
+                    gateway.host, gateway.port
+                )
+                for piece in pieces:
+                    writer.write(piece)
+                    await writer.drain()
+                    await asyncio.sleep(0.01)  # let it arrive on its own
+                response = await asyncio.wait_for(
+                    reader.readuntil(b"\r\n\r\n"), timeout=5.0
+                )
+                assert response.startswith(b"HTTP/1.1 101")
+                assert handshake_accept(key).encode("ascii") in response
+                client = AsyncWsClient(reader, writer)
+                if len(pieces) == 3 and pieces[0] == upgrade[:7]:
+                    await client.send_json({"op": "admit", "cell": 1, "id": "first"})
+                reply = await asyncio.wait_for(client.recv_json(), timeout=5.0)
+                assert reply["op"] == "decision" and reply["id"] == "first"
+                await client.close()
+            assert gateway.connections_served == 3
 
         asyncio.run(_with_gateway(body))
 
@@ -646,13 +698,13 @@ class TestPipelinedSession:
     def test_a_long_burst_is_applied_in_bounded_groups(self):
         async def body(service, gateway):
             groups = []
-            submit_many = service.submit_many
+            apply_many = service.apply_many
 
-            async def recording(events):
+            def recording(events):
                 groups.append(len(events))
-                return await submit_many(events)
+                return apply_many(events)
 
-            service.submit_many = recording
+            service.apply_many = recording
             client = await AsyncWsClient.connect(gateway.url)
             frame = _text_frame({"op": "admit", "cell": 2, "traffic": "voice"})
             replies = await _burst(client, frame * 5000, 5000)
@@ -663,6 +715,65 @@ class TestPipelinedSession:
             assert max(groups) <= READ_BYTES // len(frame) + 1
             assert max(groups) > 1, "the burst was not pipelined at all"
             await client.close()
+
+        asyncio.run(_with_gateway(body))
+
+    def test_a_burst_on_one_connection_does_not_starve_another(self):
+        # A read is a group and the loop gets a turn between groups, so
+        # B's one request waits for a read of A's, not for A's backlog.
+        async def body(service, gateway):
+            a = await AsyncWsClient.connect(gateway.url)
+            b = await AsyncWsClient.connect(gateway.url)
+            frame = _text_frame({"op": "admit", "cell": 2})
+            a._writer.write(frame * 5000)
+            await b.send_json({"op": "admit", "cell": 3, "id": "b"})
+            reply = await asyncio.wait_for(b.recv_json(), timeout=10.0)
+            assert reply["op"] == "decision" and reply["id"] == "b"
+            # A's replies are still coming: B did not wait for the burst.
+            answered_first = service.stats()["decisions"]
+            assert answered_first < 5001
+            seen = 0
+            while seen < 5000:
+                opcode, _ = await asyncio.wait_for(a.recv_frame(), timeout=10.0)
+                seen += opcode == OP_TEXT
+            assert service.stats()["decisions"] == 5001
+            await a.close()
+            await b.close()
+
+        asyncio.run(_with_gateway(body))
+
+    def test_a_failed_service_closes_the_connection_with_1011(self):
+        async def body(service, gateway):
+            client = await AsyncWsClient.connect(gateway.url)
+            assert (await client.request({"op": "admit", "cell": 1}))["admitted"]
+
+            def explode():
+                raise OSError("disk on fire")
+
+            service.driver.flush = explode
+            client._writer.write(
+                _text_frame({"op": "stats", "id": "before"})
+                + _text_frame({"op": "admit", "cell": 1})
+                + _text_frame({"op": "stats", "id": "after"})
+            )
+            # What was answered before the failure still leaves ...
+            reply = await asyncio.wait_for(client.recv_json(), timeout=5.0)
+            assert reply["op"] == "stats" and reply["id"] == "before"
+            # ... then the close, and nothing after it.
+            opcode, payload = await asyncio.wait_for(client.recv_frame(), timeout=5.0)
+            assert opcode == OP_CLOSE
+            assert int.from_bytes(payload, "big") == 1011
+            assert await asyncio.wait_for(client._reader.read(), timeout=5.0) == b""
+            client._writer.close()
+            # Every other connection meets the same refusal.
+            other = await AsyncWsClient.connect(gateway.url)
+            other._writer.write(_text_frame({"op": "admit", "cell": 2}))
+            opcode, payload = await asyncio.wait_for(other.recv_frame(), timeout=5.0)
+            assert opcode == OP_CLOSE
+            assert int.from_bytes(payload, "big") == 1011
+            other._writer.close()
+            with pytest.raises(OSError, match="disk on fire"):
+                await service.stop()
 
         asyncio.run(_with_gateway(body))
 
@@ -749,23 +860,49 @@ class TestFormattedDecisionFrames:
 # fuzz: arbitrary bytes, split anywhere (ROADMAP item 4)
 # ----------------------------------------------------------------------
 class _Sink:
-    """What a ``_Session`` needs of a ``StreamWriter``, kept in memory."""
+    """What a ``_Session`` needs of its transport, kept in memory."""
 
     def __init__(self) -> None:
         self.data = bytearray()
-        self.transport = self
+        self.closed = False
+        #: What ``get_write_buffer_size`` reports: a peer that stopped
+        #: reading is simulated by raising it.
+        self.unsent = 0
 
     def write(self, data: bytes) -> None:
+        assert not self.closed, "written to after close"
         self.data += data
 
-    async def drain(self) -> None:
-        pass
+    def close(self) -> None:
+        self.closed = True
 
     def get_write_buffer_limits(self):
-        return 0, 1 << 30
+        return 16384, 65536
 
     def get_write_buffer_size(self) -> int:
-        return 0
+        return self.unsent
+
+
+def _open_session(service) -> tuple[_Session, _Sink]:
+    """A session on an in-memory transport, upgrade done and stripped."""
+    session = _Session(WebSocketGateway(service))
+    sink = _Sink()
+    session.connection_made(sink)
+    _feed(session, _client_handshake_bytes("localhost", 80, "/", "a2V5"))
+    assert sink.data.startswith(b"HTTP/1.1 101")
+    sink.data.clear()
+    return session, sink
+
+
+def _feed(session, chunk: bytes) -> None:
+    """``chunk`` as the transport delivers it: one read per bufferful,
+    none after the session closed the transport."""
+    while chunk and not session.transport.closed:
+        buffer = session.get_buffer(-1)
+        size = min(len(chunk), len(buffer))
+        buffer[:size] = chunk[:size]
+        session.buffer_updated(size)
+        chunk = chunk[size:]
 
 
 def _split(wire: bytes, cuts) -> list[bytes]:
@@ -862,26 +999,14 @@ class TestArbitraryBytes:
                 wire += piece[0]
                 broken = True
 
-        async def scenario():
-            service = AdmissionService(_config(), series_wall_interval=0.0)
-            await service.start()
-            reader = asyncio.StreamReader()
-            sink = _Sink()
-            session = asyncio.ensure_future(
-                _Session(service, reader, sink).serve()
-            )
-            try:
-                for chunk in _split(bytes(wire), cuts):
-                    reader.feed_data(chunk)
-                    await asyncio.sleep(0)
-                reader.feed_eof()
-                # Never a hang, never an exception out of the session.
-                await asyncio.wait_for(session, timeout=10.0)
-            finally:
-                await service.stop()
-            return bytes(sink.data)
-
-        written = asyncio.run(scenario())
+        service = AdmissionService(_config(), series_wall_interval=0.0)
+        asyncio.run(service.start())
+        session, sink = _open_session(service)
+        # Never an exception out of the read callback.
+        for chunk in _split(bytes(wire), cuts):
+            _feed(session, chunk)
+        session.connection_lost(None)
+        written = bytes(sink.data)
         frames = list(FrameDecoder().feed(written))
         answered = []
         for position, (opcode, payload) in enumerate(frames):
@@ -896,3 +1021,33 @@ class TestArbitraryBytes:
         assert set(answered) <= set(sent)
         # ... and none missing before the stream first went wrong.
         assert answered[: len(promised)] == promised
+
+    def test_stalled_subscriber_loses_rows_counted_and_delays_nobody(self):
+        service = AdmissionService(
+            replace(_config(), telemetry=True), series_wall_interval=0.0
+        )
+        asyncio.run(service.start())
+        dropped = service.driver.sim.telemetry.counter(
+            "serve.subscriber_dropped_rows"
+        )
+        session, sink = _open_session(service)
+        _feed(session, _text_frame({"op": "subscribe"}))
+        service.broadcast.write('{"t": 1.0}\n')
+        assert list(FrameDecoder().feed(bytes(sink.data))) == [
+            (OP_TEXT, b'{"t": 1.0}')
+        ]
+        sink.data.clear()
+        sink.unsent = 65537  # over the high-water mark: the peer stalled
+        for _ in range(50):
+            service.broadcast.write('{"t": 2.0}\n')
+        assert dropped.value == 50 and not sink.data
+        # Nobody waits for it: a group on another path is applied at once.
+        results = service.apply_many([StreamEvent(t=None, kind=ARRIVAL, cell=1)])
+        assert results[0].admitted
+        sink.unsent = 0  # it reads again: rows flow again
+        service.broadcast.write('{"t": 3.0}\n')
+        assert list(FrameDecoder().feed(bytes(sink.data))) == [
+            (OP_TEXT, b'{"t": 3.0}')
+        ]
+        session.connection_lost(None)
+        assert service.broadcast.subscribers == 0
