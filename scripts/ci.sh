@@ -9,10 +9,11 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 tests =="
 # Includes the one-pending-event invariant
 # (tests/simulation/test_one_pending_event.py): both DES drivers keep
-# one live heap entry per connection and cancel nothing — and neither
-# does the serve driver, whose checkpoints no longer park its monitor
-# event (tests/serve/test_service.py).
-PYTHONPATH=src python -m pytest -x -q
+# one heap entry per connection — and the serve driver's heap holds its
+# monitor event across a checkpoint (tests/serve/test_service.py).
+# The suite's wall time is one of the end-to-end numbers (ROADMAP aim
+# 1): --durations prints where it goes.
+PYTHONPATH=src python -m pytest -x -q --durations=15
 
 echo "== kernel matrix =="
 # Both backends must be bit-identical, so the kernel-sensitive suites

@@ -4,8 +4,8 @@ Runs the same small hex city three ways — one shard in-process, two
 shards in worker processes, and a hot-spot variant on a load-balanced
 four-shard plan — and requires the merged ``metrics_key()`` to be
 bit-identical within each scenario.  Those comparisons exercise the
-whole stack: row-band and load-weighted partitioning, the epoch-barrier
-protocol (mirrors, remote reservation requests/replies, migrations),
+whole stack: uniform and load-weighted row-band partitioning, the
+epoch-barrier protocol (mirrors, remote reservation requests/replies, migrations),
 the columnar connection store, process hosts, and the cell-ascending
 merge.  Exit 1 on any mismatch.
 """
@@ -80,7 +80,7 @@ def main() -> int:
         print("FAIL: load-balanced 4-shard metrics differ from 1 shard")
         return 1
     print(
-        "spatial smoke OK: 2-shard rows and 4-shard load plans are"
+        "spatial smoke OK: 2-shard uniform and 4-shard hot-spot load plans are"
         " bit-identical"
     )
     return 0

@@ -158,30 +158,6 @@ class HexTopology:
             raise ValueError(f"cell id {cell_id} out of range")
         return self._neighbors[cell_id]
 
-    def row_bands(self, bands: int) -> list[tuple[int, int]]:
-        """Split the grid into ``bands`` contiguous row ranges.
-
-        Returns ``[(start_row, end_row), ...]`` (end exclusive) with
-        sizes differing by at most one row; the first ``rows % bands``
-        bands get the extra row.  Hex adjacency never spans more than
-        one row, so each band's cut is one cell deep — the partition
-        the spatial sharding layer builds on.
-        """
-        if bands < 1:
-            raise ValueError("need at least one band")
-        if bands > self.rows:
-            raise ValueError(
-                f"cannot cut {self.rows} rows into {bands} bands"
-            )
-        base, extra = divmod(self.rows, bands)
-        ranges = []
-        start = 0
-        for band in range(bands):
-            size = base + (1 if band < extra else 0)
-            ranges.append((start, start + size))
-            start += size
-        return ranges
-
     def _compute_neighbors(self, cell_id: int) -> tuple[int, ...]:
         row, col = divmod(cell_id, self.cols)
         offsets = self._ODD_ROW if row % 2 else self._EVEN_ROW

@@ -324,19 +324,19 @@ def _add_spatial_arguments(parser: argparse.ArgumentParser) -> None:
         " one worker process each (same metrics, no parallelism)",
     )
     group.add_argument(
-        "--shard-plan", default="rows", choices=("rows", "load", "tiles"),
+        "--shard-plan", default="load", choices=("load", "tiles"),
         dest="shard_plan",
-        help="partition strategy: equal row bands (rows), row bands"
-        " sized by per-cell offered load (load), or 2-D tiles with"
-        " load-balanced cuts (tiles); metrics are identical for every"
-        " choice — only the balance changes (default rows)",
+        help="partition strategy: row bands sized by per-cell offered"
+        " load (load), or 2-D tiles with load-balanced cuts (tiles);"
+        " metrics are identical for either choice — only the balance"
+        " changes (default load)",
     )
     group.add_argument(
         "--hotspots", default=None, metavar="R,C,GAIN[,RADIUS];...",
         help="semicolon-separated traffic hot spots, each"
         " row,col,gain[,radius] — scales per-cell arrival rates"
         " (mean-normalised, network load unchanged); this is what"
-        " makes --shard-plan load/tiles differ from rows",
+        " makes the --shard-plan cuts uneven",
     )
 
 

@@ -7,7 +7,7 @@ redraws a compact per-shard table a few times a second:
 
 * virtual time and fraction of the horizon per shard,
 * instantaneous events/s (with a sparkline of the recent rate),
-* heap depth and cancellation count,
+* heap depth,
 * running P_CB / P_HD and bandwidth utilization,
 * barrier-wait fraction and event-count imbalance (this shard over the
   mean of all shard lanes) for spatial shards.

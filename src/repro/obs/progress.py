@@ -1,7 +1,7 @@
 """Heartbeat progress reporting for long simulation runs.
 
-A :class:`ProgressReporter` is driven by the DES engine's heartbeat
-hook (:meth:`repro.des.engine.Engine.run` calls it every few thousand
+A :class:`ProgressReporter` is driven by the DES engine's observer
+hook (:meth:`repro.des.engine.Engine.run` calls it every few hundred
 fired events) and emits a line at most every ``interval`` wall seconds:
 virtual time vs wall time, instantaneous events/s, and an ETA
 extrapolated from the virtual-time rate.  Because it piggybacks on
@@ -68,7 +68,7 @@ class ProgressReporter:
 
     # ------------------------------------------------------------------
     def beat(self) -> None:
-        """Engine heartbeat hook: emit if the wall interval elapsed."""
+        """Engine observer hook: emit if the wall interval elapsed."""
         now_wall = perf_counter()
         if now_wall - self._last_wall < self.interval:
             return

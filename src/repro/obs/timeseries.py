@@ -7,7 +7,7 @@ callback fired every few hundred events — it never schedules anything,
 so sampling cannot perturb the run), it periodically records
 
 * engine progress — virtual time, fired events, instantaneous events/s
-  (delta rate over the sampling window), heap depth, cancellations;
+  (delta rate over the sampling window), heap depth;
 * running scheme outcomes — P_CB / P_HD over the post-warm-up counters
   so far, and network bandwidth utilization;
 * deltas of every live telemetry counter plus current gauge values and
@@ -59,7 +59,7 @@ class TimeSeriesSampler:
     ----------
     engine:
         The DES engine being observed (read-only: ``now``,
-        ``events_processed``, ``queue_len``, ``events_cancelled``).
+        ``events_processed``, ``pending``).
     metrics:
         Optional :class:`repro.simulation.metrics.MetricsCollector`;
         when present each sample carries running ``p_cb``/``p_hd``.
@@ -209,8 +209,7 @@ class TimeSeriesSampler:
             "shard": self.shard_id,
             "events": events,
             "events_per_s": round(rate, 1),
-            "heap": engine.queue_len,
-            "cancelled": engine.events_cancelled,
+            "heap": engine.pending,
         }
         if self.run_id:
             row["run_id"] = self.run_id

@@ -64,7 +64,7 @@ class VirtualClock(StreamClock):
         return float(t)
 
     def monotonic(self, t: float, floor: float) -> float:
-        if t < floor:
+        if not t >= floor:  # NaN fails it too
             raise ValueError(
                 f"event timestamp {t} precedes stream time {floor}"
             )

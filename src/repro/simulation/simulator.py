@@ -291,7 +291,7 @@ class CellularSimulator:
         #: scheduling pass.
         self._resumed = False
         #: Optional mid-run checkpoint hook (``repro.state.Checkpointer``),
-        #: composed into the engine heartbeat alongside progress.
+        #: composed into the engine observer alongside progress.
         self.checkpointer = None
         #: In-run time-series sampler, built lazily by :meth:`run` when
         #: the config enables a cadence (checkpoints read it mid-run).
@@ -331,29 +331,10 @@ class CellularSimulator:
                     self._on_sample,
                     priority=EventPriority.MONITOR,
                 )
-        reporter = None
-        if self.config.progress_interval > 0:
-            reporter = ProgressReporter(
-                self.engine,
-                duration=self.config.duration,
-                interval=self.config.progress_interval,
-                label=self.config.label or self.config.scheme,
-            )
-        heartbeats = []
-        if reporter is not None:
-            heartbeats.append(reporter.beat)
-        if self.checkpointer is not None:
-            heartbeats.append(self.checkpointer.beat)
-        if not heartbeats:
-            heartbeat = None
-        elif len(heartbeats) == 1:
-            heartbeat = heartbeats[0]
-        else:
-            def heartbeat() -> None:
-                for beat in heartbeats:
-                    beat()
         config = self.config
-        observer = None
+        # One observer: sampler, then progress, then checkpoint.  Each
+        # throttles itself on virtual or wall time.
+        hooks = []
         if config.series_enabled:
             self.sampler = TimeSeriesSampler(
                 self.engine,
@@ -368,15 +349,30 @@ class CellularSimulator:
                 label=config.label or config.scheme,
                 telemetry=self.telemetry,
             )
-            observer = self.sampler.maybe_sample
+            hooks.append(self.sampler.maybe_sample)
+        reporter = None
+        if config.progress_interval > 0:
+            reporter = ProgressReporter(
+                self.engine,
+                duration=config.duration,
+                interval=config.progress_interval,
+                label=config.label or config.scheme,
+            )
+            hooks.append(reporter.beat)
+        if self.checkpointer is not None:
+            hooks.append(self.checkpointer.beat)
+        if not hooks:
+            observer = None
+        elif len(hooks) == 1:
+            observer = hooks[0]
+        else:
+            def observer() -> None:
+                for hook in hooks:
+                    hook()
         with self.tracer.span(
             "run.engine", label=config.label or config.scheme
         ):
-            self.engine.run(
-                until=config.duration,
-                heartbeat=heartbeat,
-                observer=observer,
-            )
+            self.engine.run(until=config.duration, observer=observer)
         if reporter is not None:
             reporter.final()
         if self.sampler is not None:
@@ -695,9 +691,7 @@ class CellularSimulator:
             return None
         engine = self.engine
         tel.counter("des.events_fired").inc(engine.events_processed)
-        tel.counter("des.events_cancelled").inc(engine.events_cancelled)
-        tel.counter("des.heap_compactions").inc(engine.heap_compactions)
-        tel.gauge("des.heap_len").set(engine.queue_len)
+        tel.gauge("des.heap_len").set(engine.pending)
         if wall_seconds > 0:
             tel.gauge("des.events_per_sec").set(
                 engine.events_processed / wall_seconds

@@ -3,15 +3,14 @@
 The paper's scheme is strictly local — every base station talks only to
 its ``A_0`` neighbours — so a :class:`~repro.cellular.topology.HexTopology`
 city partitions cleanly into contiguous regions with a one-cell-deep
-boundary.  :func:`partition_hex` offers three plan kinds: ``"rows"``
-(equal row-band split), ``"load"`` (row bands cut so each shard carries
-an equal share of the *offered load*, from per-cell arrival-rate
-weights), and ``"tiles"`` (a 2-D grid of row x column tiles for shard
-counts that would otherwise produce needle-thin bands).  The barrier
-protocol below is generic over the ownership map, so all plan kinds
-merge to bit-identical metrics.  Each shard runs its own engine over
-the cells it *owns* and exchanges three kinds of boundary traffic as
-message batches at epoch barriers:
+boundary.  :func:`partition_hex` offers two plan kinds: ``"load"``
+(row bands cut so each shard carries an equal share of the *offered
+load*, from per-cell arrival-rate weights) and ``"tiles"`` (a 2-D grid
+of row x column tiles for shard counts that would otherwise produce
+needle-thin bands).  The barrier protocol below is generic over the
+ownership map, so both plan kinds merge to bit-identical metrics.  Each
+shard runs its own engine over the cells it *owns* and exchanges three
+kinds of boundary traffic as message batches at epoch barriers:
 
 * **mirrors** — per boundary cell: its activity flag and its
   estimator's ``max_sojourn`` at the barrier instant (feeds the
@@ -116,7 +115,7 @@ _SCHEMES = ("static", "ac1", "ac2", "ac3")
 # partitioning
 # ----------------------------------------------------------------------
 #: Partition strategies :func:`partition_hex` understands.
-PLAN_KINDS = ("rows", "load", "tiles")
+PLAN_KINDS = ("load", "tiles")
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ class ShardPlan:
     owner: tuple[int, ...]
     cells: tuple[tuple[int, ...], ...]
     boundary: tuple[dict[int, tuple[int, ...]], ...]
-    kind: str = "rows"
+    kind: str = "load"
     loads: tuple[float, ...] = ()
 
 
@@ -206,18 +205,18 @@ def partition_hex(
     topology: HexTopology,
     shards: int,
     *,
-    kind: str = "rows",
+    kind: str = "load",
     weights: list[float] | None = None,
 ) -> ShardPlan:
     """Partition ``topology`` into ``shards`` contiguous regions.
 
-    ``kind="rows"`` keeps the classic equal-row-count bands.
-    ``kind="load"`` sizes row bands by per-cell offered-load
-    ``weights`` (uniform when ``None``) so each shard carries a near
-    equal share of the arrival work.  ``kind="tiles"`` factorises the
-    shard count into a near-square grid of row x column tiles (each
-    dimension cut load-balanced), for shard counts where plain bands
-    degenerate into thin strips.
+    Both kinds cut a grid of row bands x column tiles, each dimension
+    sized by per-cell offered-load ``weights`` (uniform when ``None``)
+    so each shard carries a near equal share of the arrival work.
+    ``kind="load"`` is ``shards`` full-width row bands;
+    ``kind="tiles"`` factorises the shard count into a near-square
+    grid, for shard counts where plain bands degenerate into thin
+    strips.
 
     Hex neighbours span at most one row and one column (wrap included),
     so every plan's cut is one cell deep; the boundary computation is
@@ -238,54 +237,36 @@ def partition_hex(
         else (lambda cell: float(weights[cell]))
     )
     owner = [0] * topology.num_cells
-    if kind == "rows":
-        bands = topology.row_bands(shards)
-        for shard, (start_row, end_row) in enumerate(bands):
-            for row in range(start_row, end_row):
-                for col in range(topology.cols):
-                    owner[topology.cell_id(row, col)] = shard
-    elif kind == "load":
-        row_weights = [
-            sum(
-                cell_weight(topology.cell_id(row, col))
-                for col in range(topology.cols)
-            )
-            for row in range(topology.rows)
-        ]
-        for shard, (start_row, end_row) in enumerate(
-            _weighted_bands(row_weights, shards)
-        ):
-            for row in range(start_row, end_row):
-                for col in range(topology.cols):
-                    owner[topology.cell_id(row, col)] = shard
-    else:  # tiles
+    if kind == "load":
+        row_bands, col_bands = shards, 1
+    else:
         row_bands, col_bands = _tile_factors(
             shards, topology.rows, topology.cols
         )
-        row_weights = [
+    row_weights = [
+        sum(
+            cell_weight(topology.cell_id(row, col))
+            for col in range(topology.cols)
+        )
+        for row in range(topology.rows)
+    ]
+    for band, (start_row, end_row) in enumerate(
+        _weighted_bands(row_weights, row_bands)
+    ):
+        col_weights = [
             sum(
                 cell_weight(topology.cell_id(row, col))
-                for col in range(topology.cols)
+                for row in range(start_row, end_row)
             )
-            for row in range(topology.rows)
+            for col in range(topology.cols)
         ]
-        for band, (start_row, end_row) in enumerate(
-            _weighted_bands(row_weights, row_bands)
+        for tile, (start_col, end_col) in enumerate(
+            _weighted_bands(col_weights, col_bands)
         ):
-            col_weights = [
-                sum(
-                    cell_weight(topology.cell_id(row, col))
-                    for row in range(start_row, end_row)
-                )
-                for col in range(topology.cols)
-            ]
-            for tile, (start_col, end_col) in enumerate(
-                _weighted_bands(col_weights, col_bands)
-            ):
-                shard = band * col_bands + tile
-                for row in range(start_row, end_row):
-                    for col in range(start_col, end_col):
-                        owner[topology.cell_id(row, col)] = shard
+            shard = band * col_bands + tile
+            for row in range(start_row, end_row):
+                for col in range(start_col, end_col):
+                    owner[topology.cell_id(row, col)] = shard
     cells: list[tuple[int, ...]] = []
     loads: list[float] = []
     for shard in range(shards):
@@ -726,13 +707,13 @@ class ShardEngine:
 
     def run_epoch(
         self, k: int, replies: list[tuple[int, int, float]]
-    ) -> tuple[dict[int, list], dict[int, list], tuple[float, int, int]]:
+    ) -> tuple[dict[int, list], dict[int, list], tuple[float, int]]:
         """Install Eq. 6, run to the epoch end, ship boundary batches.
 
         Returns ``(mirrors, migrations, stats)``: the boundary batches
-        keyed by destination shard, plus ``(now, events_processed,
-        heap_len)`` so the coordinator can aggregate progress without
-        another round trip.
+        keyed by destination shard, plus ``(now, events_processed)`` so
+        the coordinator can aggregate progress without another round
+        trip.
         """
         for supplier, target, value in replies:
             self._reply_values[(supplier, target)] = value
@@ -771,11 +752,7 @@ class ShardEngine:
             elapsed = wall_clock.perf_counter() - self._wall_started
             frac = 1.0 - self._run_wall / elapsed if elapsed > 0 else 0.0
             sampler.sample(epoch=k, barrier_wait_frac=round(frac, 4))
-        stats = (
-            self.engine.now,
-            self.engine.events_processed,
-            self.engine.queue_len,
-        )
+        stats = (self.engine.now, self.engine.events_processed)
         return mirrors, migrations, stats
 
     def _ship(
@@ -1079,8 +1056,6 @@ class ShardEngine:
             return None
         engine = self.engine
         tel.counter("des.events_fired").inc(engine.events_processed)
-        tel.counter("des.events_cancelled").inc(engine.events_cancelled)
-        tel.counter("des.heap_compactions").inc(engine.heap_compactions)
         tel.counter("spatial.semantic_events").inc(self.semantic_events)
         tel.gauge("spatial.store_bytes").set(self.store.nbytes)
         tel.gauge("spatial.peak_live_connections").set(self.peak_live)
@@ -1249,6 +1224,10 @@ def _shard_worker(conn, config, plan, index, epoch) -> None:
         conn.send(("ok", value))
 
 
+#: What a pipe raises once the process at its other end is gone.
+_WORKER_GONE = (EOFError, ConnectionResetError, BrokenPipeError)
+
+
 class ProcessShardHost:
     """A shard in a persistent worker process, driven over a Pipe.
 
@@ -1260,6 +1239,8 @@ class ProcessShardHost:
     def __init__(self, config, plan, index, epoch, ctx):
         parent_conn, child_conn = ctx.Pipe()
         self._conn = parent_conn
+        self._index = index
+        self._op = "build"
         self._process = ctx.Process(
             target=_shard_worker,
             args=(child_conn, config, plan, index, epoch),
@@ -1268,11 +1249,25 @@ class ProcessShardHost:
         self._process.start()
         child_conn.close()
 
+    def _worker_died(self) -> RuntimeError:
+        self._process.join(timeout=1)
+        return RuntimeError(
+            f"shard {self._index} worker died during {self._op!r}"
+            f" (exit code {self._process.exitcode})"
+        )
+
     def send(self, op: str, *args) -> None:
-        self._conn.send((op, args))
+        self._op = op
+        try:
+            self._conn.send((op, args))
+        except _WORKER_GONE as error:
+            raise self._worker_died() from error
 
     def recv(self):
-        status, value = self._conn.recv()
+        try:
+            status, value = self._conn.recv()
+        except _WORKER_GONE as error:
+            raise self._worker_died() from error
         if status != "ok":
             raise RuntimeError(f"shard worker failed:\n{value}")
         return value
@@ -1295,7 +1290,7 @@ class ProcessShardHost:
 class _EngineView:
     """Coordinator-side engine facade for :class:`ProgressReporter`.
 
-    Aggregates the per-shard ``(now, events, heap)`` stats returned at
+    Aggregates the per-shard ``(now, events)`` stats returned at
     each barrier into the two attributes the reporter reads, so one
     progress line covers the whole sharded run.
     """
@@ -1402,12 +1397,12 @@ def _resolve_plan(
     """Build the shard plan a run asked for.
 
     ``plan_kind=None`` falls back to ``config.extra["shard_plan"]``
-    (scenario default), then ``"rows"``.  ``"load"`` and ``"tiles"``
-    balance by the scenario's per-cell weights when present.
+    (scenario default), then ``"load"``.  Both kinds balance by the
+    scenario's per-cell weights when present.
     """
     rows, cols, wrap = _hex_dimensions(config)
     topology = HexTopology(rows, cols, wrap=wrap)
-    kind = plan_kind or (config.extra or {}).get("shard_plan") or "rows"
+    kind = plan_kind or (config.extra or {}).get("shard_plan") or "load"
     weights = cell_load_weights(config)
     return partition_hex(topology, shards, kind=kind, weights=weights)
 
@@ -1423,8 +1418,8 @@ def run_spatial(
 ):
     """Run a hex city across ``shards`` shard regions.
 
-    ``plan_kind`` picks the partition strategy (``"rows"``, ``"load"``,
-    ``"tiles"``; default from ``config.extra["shard_plan"]`` or rows).
+    ``plan_kind`` picks the partition strategy (``"load"`` or
+    ``"tiles"``; default from ``config.extra["shard_plan"]`` or load).
     ``processes=None`` uses worker processes whenever ``shards > 1``;
     ``False`` forces the in-process sequential hosts (tests, or
     core-starved machines); ``True`` forces one process per shard.

@@ -208,15 +208,12 @@ def _capture_connection(connection: Connection) -> dict:
 
 def _capture_queue(sim: "CellularSimulator") -> list[dict]:
     records = []
-    for event in sim.engine.queued_events():
-        if event.cancelled:
-            continue
-        callback = event.callback
+    for time, _, sequence, callback, args in sim.engine.queued():
         func = getattr(callback, "__func__", None)
         owner = getattr(callback, "__self__", None)
-        record: dict = {"time": event.time, "seq": event.sequence}
+        record: dict = {"time": time, "seq": sequence}
         if owner is not sim:
-            # Progress/checkpoint heartbeats never schedule; anything
+            # Progress/checkpoint hooks never schedule; anything
             # else in the queue belongs to code the schema cannot
             # reconstruct.
             raise CheckpointError(
@@ -225,16 +222,16 @@ def _capture_queue(sim: "CellularSimulator") -> list[dict]:
         simulator_cls = type(sim)
         if func is simulator_cls._on_arrival:
             record.update(
-                kind="arrival", cell=event.args[0], attempt=event.args[1]
+                kind="arrival", cell=args[0], attempt=args[1]
             )
         elif func is simulator_cls._handle_request:
             record.update(
-                kind="retry", cell=event.args[0], attempt=event.args[1]
+                kind="retry", cell=args[0], attempt=args[1]
             )
         elif func is simulator_cls._on_lifetime_end:
-            record.update(kind="lifetime", conn=event.args[0].connection_id)
+            record.update(kind="lifetime", conn=args[0].connection_id)
         elif func is simulator_cls._on_crossing:
-            connection, transition, soft_deadline = event.args
+            connection, transition, soft_deadline = args
             record.update(
                 kind="crossing",
                 conn=connection.connection_id,
@@ -408,10 +405,6 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
     runtime = {
         "clock": engine.now,
         "events_processed": engine.events_processed,
-        "engine_counters": {
-            "events_cancelled": engine.events_cancelled,
-            "heap_compactions": engine.heap_compactions,
-        },
         "rng": {
             name: _encode_rng(sim.streams.get(name).getstate())
             for name in sim.streams.names()
@@ -757,9 +750,6 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
         )
     engine = Engine(start_time=clock)
     engine.events_processed = runtime["events_processed"]
-    counters = runtime["engine_counters"]
-    engine.events_cancelled = counters["events_cancelled"]
-    engine.heap_compactions = counters["heap_compactions"]
     sim.engine = engine
     for name, (version, internal, gauss) in runtime["rng"].items():
         sim.streams.get(name).setstate(
@@ -863,9 +853,9 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
 # mid-run checkpointing
 # ----------------------------------------------------------------------
 class Checkpointer:
-    """Heartbeat hook writing periodic checkpoints during a run.
+    """Observer hook writing periodic checkpoints during a run.
 
-    Piggybacks on the engine's heartbeat (like
+    Piggybacks on the engine's observer (like
     :class:`~repro.obs.progress.ProgressReporter`): it runs *between*
     events and schedules nothing, so a run with a checkpointer fires
     exactly the events it would without one.  Checkpoints land in

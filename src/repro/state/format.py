@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import Iterable
 
 FORMAT_NAME = "repro-state"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 RUNTIME_NAME = "runtime.json"

@@ -1,4 +1,4 @@
-"""Partitioning invariants of HexTopology.row_bands / partition_hex."""
+"""Partitioning invariants of partition_hex and its row bands."""
 
 import pytest
 
@@ -6,11 +6,22 @@ from repro.cellular.topology import HexTopology
 from repro.simulation.spatial import partition_hex
 
 
+def row_bands(topology, bands):
+    """``[(start_row, end_row), ...]`` of the unweighted ``load`` plan."""
+    plan = partition_hex(topology, bands)
+    ranges = []
+    for cells in plan.cells:
+        rows = {topology.coordinates(cell)[0] for cell in cells}
+        assert len(cells) == len(rows) * topology.cols  # full-width bands
+        ranges.append((min(rows), max(rows) + 1))
+    return ranges
+
+
 class TestRowBands:
     def test_sizes_differ_by_at_most_one(self):
         topology = HexTopology(10, 4, wrap=True)
         for bands in range(1, 11):
-            ranges = topology.row_bands(bands)
+            ranges = row_bands(topology, bands)
             sizes = [end - start for start, end in ranges]
             assert len(ranges) == bands
             assert max(sizes) - min(sizes) <= 1
@@ -18,22 +29,24 @@ class TestRowBands:
 
     def test_contiguous_and_ordered(self):
         topology = HexTopology(8, 3, wrap=True)
-        ranges = topology.row_bands(3)
+        ranges = row_bands(topology, 3)
         assert ranges[0][0] == 0
         assert ranges[-1][1] == topology.rows
         for (_, end), (start, _) in zip(ranges, ranges[1:]):
             assert end == start
 
-    def test_extra_rows_go_to_first_bands(self):
-        ranges = HexTopology(10, 2, wrap=True).row_bands(4)
-        assert [end - start for start, end in ranges] == [3, 3, 2, 2]
+    def test_where_the_extra_rows_sit_is_pinned(self):
+        # Each cut lands nearest an equal share of what remains; moving
+        # the odd bands would move every saved plan's owner map.
+        ranges = row_bands(HexTopology(10, 2, wrap=True), 4)
+        assert [end - start for start, end in ranges] == [2, 3, 2, 3]
 
     def test_rejects_bad_band_counts(self):
         topology = HexTopology(4, 4, wrap=True)
         with pytest.raises(ValueError):
-            topology.row_bands(0)
+            partition_hex(topology, 0)
         with pytest.raises(ValueError):
-            topology.row_bands(5)
+            partition_hex(topology, 5)
 
 
 class TestPartitionHex:
@@ -104,7 +117,7 @@ class TestPartitionHex:
         edge starts in the first or last row of its band."""
         topology = HexTopology(8, 4, wrap=True)
         plan = partition_hex(topology, 4)
-        bands = topology.row_bands(4)
+        bands = row_bands(topology, 4)
         for cell in range(topology.num_cells):
             owner = plan.owner[cell]
             row = topology.coordinates(cell)[0]
@@ -177,9 +190,9 @@ class TestLoadBalancedPlans:
         rows_of_shard_0 = {
             topology.coordinates(cell)[0] for cell in plan.cells[0]
         }
-        assert len(rows_of_shard_0) < 2  # rows plan would give exactly 2
+        assert len(rows_of_shard_0) < 2  # unweighted bands are 2 rows each
         spread = max(plan.loads) / (sum(plan.loads) / len(plan.loads))
-        uniform = partition_hex(topology, 4, kind="rows", weights=weights)
+        uniform = partition_hex(topology, 4, kind="load")
         uniform_loads = [
             sum(weights[cell] for cell in uniform.cells[shard])
             for shard in range(4)
@@ -212,8 +225,9 @@ class TestLoadBalancedPlans:
 
     def test_rejects_unknown_kind_and_bad_weights(self):
         topology = HexTopology(4, 4, wrap=True)
-        with pytest.raises(ValueError, match="kind"):
-            partition_hex(topology, 2, kind="spiral")
+        for unknown in ("spiral", "rows"):  # "rows" went with PR 24
+            with pytest.raises(ValueError, match="kind"):
+                partition_hex(topology, 2, kind=unknown)
         with pytest.raises(ValueError, match="weight"):
             partition_hex(
                 topology, 2, kind="load", weights=[1.0] * 3

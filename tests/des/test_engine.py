@@ -3,6 +3,7 @@
 import pytest
 
 from repro.des import Engine, EventPriority, SimulationError
+from repro.des.engine import OBSERVER_EVENTS
 
 
 def test_starts_at_zero():
@@ -46,6 +47,22 @@ def test_call_at_in_past_raises():
         engine.call_at(4.0, lambda: None)
 
 
+def test_nan_timestamp_raises_and_leaves_the_clock_alone():
+    # NaN compares false with everything: a guard written ``time < now``
+    # lets it through, and a NaN clock then disables every later guard.
+    engine = Engine(start_time=5.0)
+    with pytest.raises(SimulationError):
+        engine.call_at(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        engine.advance_to(float("nan"))
+    assert engine.now == 5.0 and engine.pending == 0
+
+
+def test_call_at_returns_nothing():
+    # An event is its heap entry; there is no handle to hold or cancel.
+    assert Engine().call_at(1.0, lambda: None) is None
+
+
 def test_negative_delay_raises():
     engine = Engine()
     with pytest.raises(SimulationError):
@@ -73,23 +90,6 @@ def test_same_time_same_priority_fifo():
         engine.call_at(1.0, fired.append, index)
     engine.run()
     assert fired == [0, 1, 2, 3, 4]
-
-
-def test_cancelled_event_does_not_fire():
-    engine = Engine()
-    fired = []
-    event = engine.call_at(1.0, lambda: fired.append("no"))
-    event.cancel()
-    engine.run()
-    assert fired == []
-
-
-def test_cancel_is_idempotent():
-    engine = Engine()
-    event = engine.call_at(1.0, lambda: None)
-    event.cancel()
-    event.cancel()
-    engine.run()
 
 
 def test_run_until_leaves_later_events():
@@ -121,24 +121,6 @@ def test_event_exactly_at_until_fires():
     assert fired == [3]
 
 
-def test_stop_halts_run():
-    engine = Engine()
-    fired = []
-    engine.call_at(1.0, lambda: (fired.append(1), engine.stop()))
-    engine.call_at(2.0, lambda: fired.append(2))
-    engine.run()
-    assert fired == [1]
-
-
-def test_max_events_budget():
-    engine = Engine()
-    fired = []
-    for index in range(10):
-        engine.call_at(float(index + 1), fired.append, index)
-    engine.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
 def test_events_scheduled_during_run_fire():
     engine = Engine()
     fired = []
@@ -160,32 +142,6 @@ def test_events_processed_counter():
         engine.call_at(float(index + 1), lambda: None)
     engine.run()
     assert engine.events_processed == 4
-
-
-def test_peek_skips_cancelled():
-    engine = Engine()
-    first = engine.call_at(1.0, lambda: None)
-    engine.call_at(2.0, lambda: None)
-    first.cancel()
-    assert engine.peek() == 2.0
-
-
-def test_peek_empty_returns_none():
-    assert Engine().peek() is None
-
-
-def test_step_returns_false_when_drained():
-    engine = Engine()
-    assert engine.step() is False
-
-
-def test_step_fires_one_event():
-    engine = Engine()
-    fired = []
-    engine.call_at(1.0, lambda: fired.append(1))
-    engine.call_at(2.0, lambda: fired.append(2))
-    assert engine.step() is True
-    assert fired == [1]
 
 
 def test_run_not_reentrant():
@@ -217,67 +173,51 @@ def test_callback_arguments_passed():
     assert seen == [("x", 2)]
 
 
-def test_pending_excludes_cancelled_events():
-    engine = Engine()
-    keep = engine.call_at(1.0, lambda: None)
-    drop = engine.call_at(2.0, lambda: None)
-    drop.cancel()
-    assert engine.pending == 1
-    keep.cancel()
-    assert engine.pending == 0
+def test_heap_entry_behind_the_clock_raises():
+    # call_at refuses the past, so only a corrupted heap can hold such
+    # an entry; the loop must not run the clock backwards for it.
+    engine = Engine(start_time=5.0)
+    engine._queue.append((1.0, 0, 0, lambda: None, ()))
+    with pytest.raises(SimulationError):
+        engine.run()
+    assert engine.now == 5.0
 
 
-def test_mass_cancellation_compacts_the_heap():
-    engine = Engine()
-    events = [
-        engine.call_at(1000.0 + index, lambda: None)
-        for index in range(2000)
-    ]
-    for event in events:
-        event.cancel()
-    assert engine.pending == 0
-    # Lazy deletion alone would keep all 2000 corpses until t=1000;
-    # compaction must have physically shrunk the queue.
-    assert len(engine._queue) < len(events)
-    engine.run()
-    assert engine.events_processed == 0
-
-
-def test_compaction_preserves_live_events():
+def test_advance_to_fires_everything_due_and_counts_it():
     engine = Engine()
     fired = []
-    for index in range(1500):
-        event = engine.call_at(10.0 + index, lambda: None)
-        event.cancel()
-    engine.call_at(5.0, lambda: fired.append("early"))
-    engine.call_at(2000.0, lambda: fired.append("late"))
-    assert engine.pending == 2
-    engine.run()
-    assert fired == ["early", "late"]
+    for time in (1.0, 2.0, 5.0):
+        engine.call_at(time, fired.append, time)
+    assert engine.advance_to(2.0) == 2
+    assert fired == [1.0, 2.0]
+    assert engine.now == 2.0 and engine.pending == 1
+    assert engine.advance_to(2.0) == 0
 
 
-def test_cancel_after_fire_does_not_corrupt_pending():
+def test_advance_to_the_past_raises():
+    engine = Engine(start_time=3.0)
+    with pytest.raises(SimulationError):
+        engine.advance_to(2.0)
+
+
+def test_queued_exposes_the_heap_entries():
     engine = Engine()
-    event = engine.call_at(1.0, lambda: None)
-    engine.call_at(2.0, lambda: None)
-    engine.run(until=1.5)
-    event.cancel()  # already fired: must not count as a dead heap entry
-    assert engine.pending == 1
-    engine.run()
-    assert engine.pending == 0
+    engine.call_at(2.0, print, "x", priority=EventPriority.ARRIVAL)
+    assert list(engine.queued()) == [(2.0, 2, 0, print, ("x",))]
 
 
-def test_cancel_of_fired_event_is_still_a_noop_after_recycling():
-    # "Recycling" was the engine's event free list; the contract
-    # outlived it: a fired event reads cancelled and a late cancel()
-    # counts nothing.
-    engine = Engine()
-    event = engine.call_at(1.0, lambda: None)
-    engine.run()
-    assert event.cancelled
-    event.cancel()
-    assert engine.pending == 0 and engine.events_cancelled == 0
-    follow_up = []
-    engine.call_at(2.0, lambda: follow_up.append(True))
-    engine.run()
-    assert follow_up == [True]
+def test_observer_fires_every_observer_events_and_changes_nothing():
+    def build():
+        engine = Engine()
+        for index in range(3 * OBSERVER_EVENTS + 7):
+            engine.call_at(float(index // 3), lambda: None)
+        return engine
+
+    bare = build()
+    bare.run()
+    observed = build()
+    seen = []
+    observed.run(observer=lambda: seen.append(observed.events_processed))
+    assert seen == [OBSERVER_EVENTS, 2 * OBSERVER_EVENTS, 3 * OBSERVER_EVENTS]
+    assert observed.events_processed == bare.events_processed
+    assert observed.now == bare.now

@@ -5,10 +5,14 @@ import io
 import pytest
 
 from repro.des import Engine
+from repro.des.engine import OBSERVER_EVENTS
 from repro.obs.progress import ProgressReporter
 
+#: Enough events for the engine's observer to come round three times.
+EVENTS = 3 * OBSERVER_EVENTS + 5
 
-def _run_engine(engine, events=500):
+
+def _run_engine(engine, events=EVENTS):
     count = [0]
 
     def tick():
@@ -29,14 +33,14 @@ class TestProgressReporter:
         engine = Engine()
         stream = io.StringIO()
         reporter = ProgressReporter(
-            engine, duration=500.0, interval=1e-9,
+            engine, duration=float(EVENTS), interval=1e-9,
             label="test", stream=stream,
         )
         _run_engine(engine)
-        engine.run(heartbeat=reporter.beat, heartbeat_events=100)
+        engine.run(observer=reporter.beat)
         reporter.final()
         output = stream.getvalue()
-        assert reporter.beats >= 2  # several heartbeats plus the final
+        assert reporter.beats == 4  # one per observer call plus the final
         assert "[test]" in output
         assert "events/s" in output
         assert "done:" in output
@@ -45,10 +49,10 @@ class TestProgressReporter:
         engine = Engine()
         stream = io.StringIO()
         reporter = ProgressReporter(
-            engine, duration=500.0, interval=3600.0, stream=stream,
+            engine, duration=float(EVENTS), interval=3600.0, stream=stream,
         )
         _run_engine(engine)
-        engine.run(heartbeat=reporter.beat, heartbeat_events=10)
+        engine.run(observer=reporter.beat)
         # Interval far above the run's wall time: every beat throttled.
         assert reporter.beats == 0
         assert stream.getvalue() == ""
@@ -62,16 +66,10 @@ class TestProgressReporter:
         plain.run()
         observed = Engine()
         reporter = ProgressReporter(
-            observed, duration=500.0, interval=1e-9, stream=io.StringIO(),
+            observed, duration=float(EVENTS), interval=1e-9,
+            stream=io.StringIO(),
         )
         _run_engine(observed)
-        observed.run(heartbeat=reporter.beat, heartbeat_events=7)
+        observed.run(observer=reporter.beat)
         assert observed.events_processed == plain.events_processed
         assert observed.now == plain.now
-
-    def test_heartbeat_cadence_validation(self):
-        engine = Engine()
-        from repro.des.engine import SimulationError
-
-        with pytest.raises(SimulationError):
-            engine.run(heartbeat=lambda: None, heartbeat_events=0)

@@ -21,8 +21,7 @@ class FakeEngine:
     def __init__(self):
         self.now = 0.0
         self.events_processed = 0
-        self.queue_len = 0
-        self.events_cancelled = 0
+        self.pending = 0
 
 
 def make_sampler(**kwargs):

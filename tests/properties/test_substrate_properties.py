@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.cellular.topology import HexTopology, LinearTopology
 from repro.des import Engine
+from repro.des.engine import OBSERVER_EVENTS
 from repro.traffic.profiles import DayProfile
 
 
@@ -20,28 +21,59 @@ def test_engine_fires_in_nondecreasing_time_order(times):
     assert len(fired) == len(times)
 
 
-@settings(max_examples=40)
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])
+_PRIORITIES = st.sampled_from([0, 2, 5])
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40),
-    st.data(),
-)
-def test_cancelled_events_never_fire(times, data):
-    engine = Engine()
-    fired = []
-    events = [
-        engine.call_at(time, lambda t=time: fired.append(t))
-        for time in times
-    ]
-    cancelled = set()
-    for index, event in enumerate(events):
-        if data.draw(st.booleans()):
-            event.cancel()
-            cancelled.add(index)
-    engine.run()
-    expected = sorted(
-        time for index, time in enumerate(times) if index not in cancelled
+    st.lists(
+        st.tuples(
+            _TIMES,
+            _PRIORITIES,
+            # (delay, priority) of events the callback itself schedules;
+            # delay 0 joins the same-timestamp run being drained.
+            st.lists(st.tuples(_TIMES, _PRIORITIES), max_size=3),
+        ),
+        min_size=1,
+        max_size=30,
     )
-    assert fired == expected
+)
+def test_each_fired_event_is_the_least_pending_one(plan):
+    # With every event queued up front this is sorted((time, priority,
+    # sequence)) order; an event a callback adds at the current time
+    # cannot overtake what has already fired, so the contract is stated
+    # per fire, against what is pending at that moment.
+    engine = Engine()
+    waiting, fired, observed = set(), [], []
+
+    def schedule(time, priority, children):
+        key = (time, priority, engine.sequence)
+        waiting.add(key)
+        engine.call_at(time, fire, key, children, priority=priority)
+
+    def fire(key, children):
+        assert key == min(waiting)
+        waiting.remove(key)
+        fired.append(key)
+        for delay, priority in children:
+            schedule(engine.now + delay, priority, ())
+
+    def observe():
+        # Nothing leaves the heap except by firing.
+        observed.append(
+            engine.sequence == engine.events_processed + engine.pending
+        )
+
+    # The plan repeated until the observer is sure to be called.
+    for _ in range(-(-OBSERVER_EVENTS // len(plan))):
+        for time, priority, children in plan:
+            schedule(time, priority, children)
+    engine.run(observer=observe)
+    assert not waiting and len(fired) == engine.sequence
+    if not any(children for _, _, children in plan):
+        assert fired == sorted(fired)
+    assert observed and all(observed)
 
 
 @given(st.integers(min_value=2, max_value=50), st.booleans())

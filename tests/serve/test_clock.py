@@ -27,6 +27,8 @@ class TestVirtualClock:
         clock = VirtualClock(FakeEngine())
         with pytest.raises(ValueError, match="precedes stream time"):
             clock.monotonic(5.0, 10.0)
+        with pytest.raises(ValueError, match="timestamp nan"):
+            clock.monotonic(float("nan"), 10.0)
         assert clock.monotonic(10.0, 10.0) == 10.0
         assert clock.monotonic(11.0, 10.0) == 11.0
 

@@ -113,6 +113,20 @@ class TestConnectionIdsInUse:
         assert first.decision.conn == 7 and auto.decision.conn == 8
         assert driver.active_connections == len(driver.sim.active_connections) == 2
 
+    def test_a_nan_timestamp_is_refused_and_files_nothing(self):
+        # NaN is neither before nor after anything: let through, its
+        # slot is never decided and the next flush sets the clock to NaN.
+        driver = self._driver()
+        pending = driver.engine.pending
+        with pytest.raises(ValueError, match="timestamp nan"):
+            driver.submit(
+                StreamEvent(t=float("nan"), kind=ARRIVAL, cell=0, conn=1)
+            )
+        assert driver.engine.pending == pending
+        decision = driver.apply(StreamEvent(t=1.0, kind=ARRIVAL, cell=0, conn=1))
+        assert decision.admitted and decision.conn == 1
+        assert driver.engine.now == 1.0
+
     @pytest.mark.parametrize("ending", [COMPLETE, EXIT, HANDOFF])
     def test_a_freed_id_is_admissible_again(self, ending):
         # Cell 1 filled to capacity (new calls up to the guard band,

@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs.telemetry import Histogram
 from repro.serve import AdmissionService, ServiceFailed, warm_start
+from repro.serve.clock import VirtualClock
 from repro.serve.driver import Decision
 from repro.serve.events import ARRIVAL, COMPLETE, HANDOFF, StreamEvent
 from repro.serve.service import LATENCY_BUCKETS_MS
@@ -230,10 +231,11 @@ def test_warm_start_resumes_from_a_service_checkpoint(tmp_path):
         for cell in range(3):
             await service.admit(cell=cell)
         service.driver.save_state(state)
-        # Saving parks nothing: no event was cancelled and re-armed,
-        # and the monitor keeps sampling on its cadence afterwards.
+        # Saving parks nothing: the heap still holds exactly the next
+        # monitor sample, and the monitor keeps sampling on its cadence
+        # afterwards.
         engine = service.driver.engine
-        assert engine.events_cancelled == 0
+        assert engine.pending == 1
         metrics = service.driver.metrics
         before = metrics._samples
         interval = service.config.sample_interval
@@ -363,6 +365,26 @@ def test_apply_many_is_a_plain_call_with_aligned_results():
     assert service.apply_many(()) == []
     assert service.stats()["decisions"] == 2
     assert service.driver.ignored == 1
+    asyncio.run(service.stop())
+
+
+def test_a_nan_timestamp_fails_in_its_own_slot_on_the_virtual_clock():
+    service = AdmissionService(_config(scheme="static"))
+    service.driver.clock = VirtualClock(service.driver.engine)
+    asyncio.run(service.start())
+    results = service.apply_many(
+        (
+            StreamEvent(t=1.0, kind=ARRIVAL, cell=0, conn=1),
+            StreamEvent(t=float("nan"), kind=ARRIVAL, cell=0, conn=2),
+            StreamEvent(t=2.0, kind=ARRIVAL, cell=1, conn=3),
+        )
+    )
+    assert [type(result) for result in results] == [
+        Decision, ValueError, Decision
+    ]
+    assert "timestamp nan" in str(results[1])
+    assert (results[0].conn, results[2].conn) == (1, 3)
+    assert service.driver.engine.now == 2.0
     asyncio.run(service.stop())
 
 

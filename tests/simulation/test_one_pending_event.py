@@ -2,9 +2,9 @@
 
 An admitted connection has exactly one possible next event (paper
 §5.1): the earlier of its lifetime end and its next boundary crossing.
-The drivers queue that one and nothing else, so nothing is ever
-cancelled, the heap holds no corpses, and every scheduled event either
-fires or is still queued at the horizon.
+The drivers queue that one and nothing else, so the engine needs no
+cancellation: every scheduled event either fires or is still queued at
+the horizon.
 """
 
 from collections import Counter
@@ -12,38 +12,37 @@ from dataclasses import replace
 
 import pytest
 
+from repro.des import engine as engine_module
 from repro.simulation import spatial
 from repro.simulation.scenarios import hex_city, stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.simulation.spatial import ShardEngine, run_spatial
 
-def _watch(engine, check, every: int) -> None:
+
+def _watch(monkeypatch, engine, check, every: int) -> None:
     """Have each ``engine.run`` call ``check`` every ``every`` fired events."""
+    monkeypatch.setattr(engine_module, "OBSERVER_EVENTS", every)
     plain_run = engine.run
 
-    def run(until=None, **kwargs):
-        kwargs.update(observer=check, observer_events=every)
-        plain_run(until, **kwargs)
+    def run(until=None, observer=None):
+        plain_run(until, check)
 
     engine.run = run
 
 
 def _life_cycle_entries(engine, owner, key=lambda subject: subject) -> Counter:
-    """Live heap entries per connection (the handlers' first argument)."""
+    """Heap entries per connection (the handlers' first argument)."""
     handlers = (type(owner)._on_crossing, type(owner)._on_lifetime_end)
     return Counter(
-        key(event.args[0])
-        for event in engine.queued_events()
-        if not event.cancelled and event.callback.__func__ in handlers
+        key(args[0])
+        for _, _, _, callback, args in engine.queued()
+        if callback.__func__ in handlers
     )
 
 
 def _assert_nothing_wasted(engine) -> None:
-    assert engine.events_cancelled == 0
-    assert engine.heap_compactions == 0
     # ``sequence`` counts every call_at/call_in ever made.
     assert engine.sequence == engine.events_processed + engine.pending
-    assert engine.queue_len == engine.pending
 
 
 def _ring(scheme, **overrides):
@@ -72,7 +71,7 @@ def _ring(scheme, **overrides):
     ],
     ids=["static", "ac3", "soft-handoff"],
 )
-def test_ring_keeps_one_live_entry_per_active_connection(config):
+def test_ring_keeps_one_live_entry_per_active_connection(config, monkeypatch):
     simulator = CellularSimulator(config)
     checks = []
 
@@ -83,7 +82,7 @@ def test_ring_keeps_one_live_entry_per_active_connection(config):
         assert entries == dict.fromkeys(simulator.active_connections, 1)
         checks.append(len(entries))
 
-    _watch(simulator.engine, check, every=97)
+    _watch(monkeypatch, simulator.engine, check, every=97)
     result = simulator.run()
     check()
     assert len(checks) > 20 and max(checks) > 100
@@ -116,7 +115,7 @@ def test_two_inline_hex_shards_keep_at_most_one_entry_per_row(monkeypatch):
             super().__init__(*args)
             self.checks = 0
             # One run() per epoch, a few dozen events each.
-            _watch(self.engine, lambda: check(self), every=7)
+            _watch(monkeypatch, self.engine, lambda: check(self), every=7)
             shards.append(self)
 
     monkeypatch.setattr(spatial, "ShardEngine", Watched)

@@ -138,9 +138,11 @@ class TestSoftHandoffEndToEnd:
         simulator._schedule_one(connection, 1.0, Transition(1.0, 1))
         engine = simulator.engine
         fired = []
-        while engine.peek() is not None:
-            fired.append(engine.peek())
-            engine.step()
+        while engine.pending:
+            # One entry: the connection's single next event.
+            ((time, *_),) = engine.queued()
+            fired.append(time)
+            engine.advance_to(time)
         assert fired == [1.0, 2.0, 2.5]
         assert connection.state is ConnectionState.COMPLETED
         assert connection.end_time == 2.5
@@ -149,7 +151,6 @@ class TestSoftHandoffEndToEnd:
         counters = simulator.metrics.cells
         assert counters[0].completed == 1
         assert counters[1].handoff_attempts == counters[1].handoff_drops == 0
-        assert engine.events_cancelled == 0
 
     def test_combined_mechanisms_compound(self):
         hard = CellularSimulator(overloaded()).run()

@@ -1,5 +1,8 @@
 """Spatial sharding: shard-count invariance, hosts, campaigns."""
 
+import multiprocessing
+import os
+import time
 from functools import partial
 
 import pytest
@@ -136,7 +139,7 @@ class TestPlanInvariance:
     def _tall_city(self, **overrides):
         return _city(rows=8, cols=6, duration=40.0, **overrides)
 
-    @pytest.mark.parametrize("kind", ["rows", "load", "tiles"])
+    @pytest.mark.parametrize("kind", ["load", "tiles"])
     def test_uniform_city_invariant_up_to_8_shards(self, kind):
         reference = run_spatial(self._tall_city(), 1, processes=False)
         for shards in (2, 4, 8):
@@ -147,7 +150,7 @@ class TestPlanInvariance:
                 f"kind={kind} shards={shards} diverged"
             )
 
-    @pytest.mark.parametrize("kind", ["rows", "load", "tiles"])
+    @pytest.mark.parametrize("kind", ["load", "tiles"])
     def test_hotspot_city_invariant_across_kinds(self, kind):
         hotspots = ((2, 2, 3.0), (6, 4, 2.0, 1.5))
         reference = run_spatial(
@@ -206,6 +209,33 @@ class TestValidation:
     def test_rejects_more_shards_than_rows(self):
         with pytest.raises(ValueError, match="bands"):
             run_spatial(_city(), 7, processes=False)
+
+
+class TestDeadWorker:
+    def test_a_worker_killed_mid_epoch_is_a_prompt_named_error(
+        self, monkeypatch
+    ):
+        plain = ShardEngine.run_epoch
+
+        def run_epoch(self, k, replies):
+            if self.index == 1 and k == 2:
+                os._exit(9)
+            return plain(self, k, replies)
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(ShardEngine, "run_epoch", run_epoch)
+        # Earlier tests may have left a sweep pool's workers running.
+        before = {child.pid for child in multiprocessing.active_children()}
+        started = time.perf_counter()
+        with pytest.raises(
+            RuntimeError,
+            match=r"shard 1 worker died during 'epoch' \(exit code 9\)",
+        ):
+            run_spatial(_city(), 2, processes=True)
+        assert time.perf_counter() - started < 5.0
+        assert {
+            child.pid for child in multiprocessing.active_children()
+        } <= before
 
 
 class TestCampaign:

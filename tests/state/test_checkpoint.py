@@ -98,7 +98,7 @@ class TestOneEventPerConnection:
         assert set(kinds.values()) == {"lifetime", "crossing"}
         for record in runtime["connections"]:
             assert record["end"] > 150.0
-        assert "pool_hits" not in runtime["engine_counters"]
+        assert "engine_counters" not in runtime
         path = save_checkpoint(first, tmp_path / "ckpt")
         resumed = restore_simulator(path, config)
         assert resumed.engine.pending == len(runtime["queue"])
@@ -119,7 +119,7 @@ class TestOneEventPerConnection:
         samples = [r for r in runtime["queue"] if r["kind"] == "sample"]
         assert len(samples) == 1
         assert all(r["time"] > 150.0 for r in renewals + samples)
-        assert first.engine.events_cancelled == 0
+        assert first.engine.pending == len(runtime["queue"])
 
 
 class _SaveBetweenDetachAndTick:
@@ -187,6 +187,32 @@ class TestMidRunCheckpointer:
         resumed = restore_simulator(checkpointer.latest, config).run()
         assert resumed.metrics_key() == full.metrics_key()
 
+    def test_sampler_progress_and_checkpointer_share_one_observer(
+        self, tmp_path, capsys
+    ):
+        """The engine has one hook; the simulator composes all three
+        consumers into it, and none of them moves the run."""
+        bare = base_config(offered_load=200.0, duration=400.0, seed=3)
+        full = CellularSimulator(bare).run()
+        config = replace(bare, series_interval=50.0, progress_interval=1e-6)
+        watched = CellularSimulator(config)
+        checkpointer = Checkpointer(
+            watched, tmp_path / "ckpts", every=100.0, keep=8
+        )
+        watched.checkpointer = checkpointer
+        result = watched.run()
+        assert result.events_processed == full.events_processed
+        assert result.metrics_key() == full.metrics_key()
+        assert watched.sampler.total_samples >= 8
+        assert capsys.readouterr().err.count("events/s") > 2
+        assert len(checkpointer.written) >= 3
+        # Taken mid-run from the composed hook, with the sampler's rows
+        # aboard: still resumes to the uninterrupted run.
+        early = checkpointer.written[0]
+        assert load_manifest(early)["clock"] < 200.0
+        resumed = restore_simulator(early, config).run()
+        assert resumed.metrics_key() == full.metrics_key()
+
 
 class TestGuards:
     def test_extensions_are_not_checkpointable(self, tmp_path):
@@ -206,22 +232,26 @@ class TestGuards:
             restore_simulator(path, other)
 
     def test_schema_1_directory_is_refused(self, tmp_path):
-        """One layout: a directory stamped with the previous schema is
-        turned away by the gate, whatever its contents."""
+        """One layout: a directory stamped with an earlier schema (1, or
+        2 with its ``engine_counters``) is turned away by the gate,
+        whatever its contents."""
         sim = CellularSimulator(base_config(duration=50.0))
         sim.run()
         files = capture_state(sim)
         manifest = json.loads(files[MANIFEST_NAME])
-        assert manifest["schema_version"] == 2
-        manifest["schema_version"] = 1
-        path = publish_state_dir(
-            tmp_path / "schema-1",
-            {**files, MANIFEST_NAME: json.dumps(manifest).encode("utf-8")},
-        )
-        with pytest.raises(StateSchemaError, match="v1 .*supports v2"):
-            load_manifest(path)
-        with pytest.raises(StateSchemaError):
-            restore_simulator(path, base_config(duration=50.0))
+        assert manifest["schema_version"] == 3
+        for earlier in (1, 2):
+            manifest["schema_version"] = earlier
+            path = publish_state_dir(
+                tmp_path / f"schema-{earlier}",
+                {**files, MANIFEST_NAME: json.dumps(manifest).encode("utf-8")},
+            )
+            with pytest.raises(
+                StateSchemaError, match=f"v{earlier} .*supports v3"
+            ):
+                load_manifest(path)
+            with pytest.raises(StateSchemaError):
+                restore_simulator(path, base_config(duration=50.0))
 
     def test_duration_before_clock_rejected(self, tmp_path):
         config = base_config(duration=50.0)

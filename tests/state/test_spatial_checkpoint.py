@@ -65,7 +65,7 @@ class TestManifestSchema:
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["schema_version"] += 1
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(StateSchemaError, match="schema v3"):
+        with pytest.raises(StateSchemaError, match="schema v4"):
             _hydrated(path)
 
     def test_the_json_shard_files_of_older_campaigns_are_refused(
@@ -139,10 +139,9 @@ class TestPlanIndependentRestore:
         wrote or reads them."""
         setups = [
             (1, None, False),
-            (2, "rows", False),
             (2, "load", False),
             (2, "tiles", False),
-            (2, "rows", True),
+            (2, "load", True),
         ]
         for shards, kind, processes in setups:
             reports = run_campaign(
@@ -163,7 +162,7 @@ class TestPlanIndependentRestore:
     ):
         city = _hot_city()
         _result, columns = run_spatial(
-            city, 2, processes=False, collect_state=True, plan_kind="rows"
+            city, 2, processes=False, collect_state=True, plan_kind="load"
         )
         path = save_history(tmp_path / "day_000", columns, city)
         warm = replace(city, seed=8, warm_state=CheckpointWarmStart(path))
@@ -171,7 +170,7 @@ class TestPlanIndependentRestore:
             run_spatial(
                 warm, shards, processes=False, plan_kind=kind
             ).metrics_key()
-            for shards, kind in ((1, "rows"), (2, "rows"), (4, "tiles"))
+            for shards, kind in ((1, "load"), (2, "load"), (4, "tiles"))
         ]
         assert keys[0] == keys[1] == keys[2]
         cold = run_spatial(replace(warm, warm_state=None), 1, processes=False)
