@@ -4,13 +4,15 @@
 The paper counts B_r calculations (Figure 13) as its complexity metric;
 this example takes the next step and asks what that costs in *latency*
 when every inter-BS exchange transits a single MSC (the star layout):
-the MSC's signaling processor is modelled as an M/M/c queue, built from
-the library's process/:class:`~repro.des.Resource` layer, and fed with
-the per-scheme message rates measured by the cellular simulator.
+the MSC's signaling processor is modelled as an M/M/c queue, written as
+plain :class:`~repro.des.Engine` callbacks (a free-server count and a
+FIFO of waiting messages), and fed with the per-scheme message rates
+measured by the cellular simulator.
 """
 
-from repro.des import Engine, RandomStreams, Resource
-from repro.des.process import ProcessRunner, Timeout
+from collections import deque
+
+from repro.des import Engine, RandomStreams
 from repro.simulation import CellularSimulator, stationary
 
 #: MSC processing time per signaling message (ms) and server count.
@@ -22,33 +24,44 @@ def measure_message_rate(scheme: str) -> float:
     """Messages/second generated by a busy 10-cell system."""
     config = stationary(scheme, offered_load=250.0, duration=400.0, seed=2)
     simulator = CellularSimulator(config)
-    result = simulator.run()
+    simulator.run()
     return simulator.network.total_messages() / config.duration
 
 
 def msc_queue_latency(rate_per_s: float, horizon_s: float = 400.0) -> float:
     """Mean sojourn (ms) of messages through the MSC processor."""
     engine = Engine()
-    runner = ProcessRunner(engine)
     streams = RandomStreams(seed=7)
     arrivals = streams.get("arrivals")
     service = streams.get("service")
-    processor = Resource(engine, capacity=SERVERS)
+    free = SERVERS
+    waiting: deque[float] = deque()
     latencies = []
 
-    def message():
-        arrived = engine.now
-        yield processor.request()
-        yield Timeout(service.expovariate(1000.0 / SERVICE_MS))
-        processor.release()
+    def serve(arrived: float) -> None:
+        engine.call_in(
+            service.expovariate(1000.0 / SERVICE_MS), depart, arrived
+        )
+
+    def depart(arrived: float) -> None:
+        nonlocal free
         latencies.append((engine.now - arrived) * 1000.0)
+        if waiting:
+            serve(waiting.popleft())  # the server passes straight on
+        else:
+            free += 1
 
-    def generator():
-        while engine.now < horizon_s:
-            yield Timeout(arrivals.expovariate(rate_per_s))
-            runner.start(message())
+    def arrive() -> None:
+        nonlocal free
+        if free:
+            free -= 1
+            serve(engine.now)
+        else:
+            waiting.append(engine.now)
+        if engine.now < horizon_s:
+            engine.call_in(arrivals.expovariate(rate_per_s), arrive)
 
-    runner.start(generator())
+    engine.call_in(arrivals.expovariate(rate_per_s), arrive)
     engine.run(until=horizon_s + 1.0)
     return sum(latencies) / len(latencies) if latencies else 0.0
 

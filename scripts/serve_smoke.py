@@ -133,8 +133,11 @@ async def main() -> int:
         f" (P50 {report.p50_ms:.2f} ms, P99 {report.p99_ms:.2f} ms)"
     )
 
-    # The subscriber must have received at least one well-formed series
-    # frame by now (wall cadence 0.05 s, and the load took longer).
+    # A series row is taken when a group is applied after the 0.05 s
+    # wall cadence has passed; everything above can finish inside one
+    # cadence, so wait it out and apply one more group.
+    await asyncio.sleep(0.06)
+    await client.request({"op": "admit", "cell": 0})
     row = await asyncio.wait_for(subscriber.recv_json(), timeout=5.0)
     assert isinstance(row, dict) and "op" not in row, row
     for field in ("t", "events", "events_per_s", "heap"):

@@ -62,7 +62,7 @@ def main() -> int:
         hotspots=((2, 2, 3.0), (6, 4, 2.0, 1.5)),
     )
     hot_single = run_spatial(hot, 1, processes=False)
-    hot_balanced = run_spatial(hot, 4, processes=True, plan_kind="load")
+    hot_balanced = run_spatial(hot, 4, processes=True)
     rate = (
         hot_balanced.events_processed / hot_balanced.wall_seconds
         if hot_balanced.wall_seconds > 0

@@ -324,20 +324,19 @@ def _add_spatial_arguments(parser: argparse.ArgumentParser) -> None:
         " one worker process each (same metrics, no parallelism)",
     )
     group.add_argument(
-        "--shard-plan", default="load", choices=("load", "tiles"),
-        dest="shard_plan",
-        help="partition strategy: row bands sized by per-cell offered"
-        " load (load), or 2-D tiles with load-balanced cuts (tiles);"
-        " metrics are identical for either choice — only the balance"
-        " changes (default load)",
-    )
-    group.add_argument(
         "--hotspots", default=None, metavar="R,C,GAIN[,RADIUS];...",
         help="semicolon-separated traffic hot spots, each"
         " row,col,gain[,radius] — scales per-cell arrival rates"
-        " (mean-normalised, network load unchanged); this is what"
-        " makes the --shard-plan cuts uneven",
+        " (mean-normalised, network load unchanged); the row bands"
+        " of --shards are cut to balance it",
     )
+
+
+def _check_shards(args: argparse.Namespace) -> None:
+    if args.shards < 0:
+        raise ValueError(
+            f"--shards must be >= 0 (0 runs the 1-D road), got {args.shards}"
+        )
 
 
 def _parse_hex(spec: str) -> tuple[int, int]:
@@ -602,7 +601,6 @@ def _command_run_spatial(args: argparse.Namespace) -> int:
         args.shards,
         processes=False if args.inline_shards else None,
         epoch=args.epoch,
-        plan_kind=args.shard_plan,
     )
     rate = (
         result.events_processed / result.wall_seconds
@@ -611,8 +609,7 @@ def _command_run_spatial(args: argparse.Namespace) -> int:
     )
     print(f"scheme={result.scheme}  L={result.offered_load:g}"
           f"  duration={result.duration:g}s"
-          f"  grid={args.hex_grid}  shards={args.shards}"
-          f"  plan={args.shard_plan}")
+          f"  grid={args.hex_grid}  shards={args.shards}")
     if result.shard_events and len(result.shard_events) > 1:
         mean = sum(result.shard_events) / len(result.shard_events)
         imbalance = max(result.shard_events) / mean if mean else 1.0
@@ -657,6 +654,7 @@ def _command_run_spatial(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    _check_shards(args)
     _configure_observability(args)
     if args.shards > 0:
         return _command_run_spatial(args)
@@ -874,6 +872,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
     from repro.state import run_campaign, spatial_day
 
+    _check_shards(args)
     _configure_observability(args)
     run_day = None
     if args.shards > 0:
@@ -885,7 +884,6 @@ def _command_campaign(args: argparse.Namespace) -> int:
             shards=args.shards,
             processes=False if args.inline_shards else None,
             epoch=args.epoch,
-            plan_kind=args.shard_plan,
         )
     else:
         config = _build_config(args)

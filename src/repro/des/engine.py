@@ -6,8 +6,6 @@ fields, so simultaneous events fire in a deterministic order: first by
 explicit priority, then by scheduling order.  Nothing is ever removed
 from the heap except by firing: the call life-cycle gives a connection
 exactly one possible next event, so no caller has anything to cancel.
-Generator-based processes are layered on top in
-:mod:`repro.des.process`.
 
 Example
 -------

@@ -21,6 +21,5 @@ class EventPriority(enum.IntEnum):
     DEPARTURE = 0
     HANDOFF = 1
     ARRIVAL = 2
-    CONTROL = 3
     DEFAULT = 5
     MONITOR = 9

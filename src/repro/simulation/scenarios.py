@@ -142,8 +142,9 @@ def hotspot_weights(
     extra weight with ``d`` the hex distance to the spot.  The result is
     normalised to mean 1.0, so the *network-wide* offered load of the
     scenario is unchanged — only its spatial distribution shifts.  This
-    is the knob that makes load-balanced shard plans
-    (``partition_hex(kind="load")``) differ from plain row counting.
+    is the knob that makes the load-balanced shard plan
+    (:func:`~repro.simulation.spatial.partition_hex`) differ from plain
+    row counting.
     """
     from math import exp
 

@@ -195,6 +195,59 @@ def metrics_collector(
     )
 
 
+def cell_statuses(metrics: MetricsCollector, stations) -> list[CellStatus]:
+    """One end-of-run :class:`CellStatus` row per station in ``stations``."""
+    return [
+        CellStatus(
+            cell_id=station.cell_id,
+            blocking_probability=(
+                metrics.cells[station.cell_id].blocking_probability
+            ),
+            dropping_probability=(
+                metrics.cells[station.cell_id].dropping_probability
+            ),
+            t_est=station.t_est,
+            reserved_target=station.cell.reserved_target,
+            used_bandwidth=station.cell.used_bandwidth,
+        )
+        for station in stations
+    ]
+
+
+def harvest_telemetry(
+    tel, engine: Engine, metrics: MetricsCollector, network, cell_ids=None
+) -> None:
+    """Fold an engine's end-of-run counters into ``tel``.
+
+    The run telemetry both engines emit under the same names: events
+    fired and left queued, one ``simulation.runs`` per engine, admission
+    outcomes and tests, and the network's per-station counters —
+    ``cell_ids`` limits the latter to the cells an engine owns.
+    """
+    tel.counter("des.events_fired").inc(engine.events_processed)
+    tel.gauge("des.heap_len").set(engine.pending)
+    tel.counter("simulation.runs", kernel=kernel_name()).inc()
+    requests = sum(cell.new_requests for cell in metrics.cells)
+    blocked = sum(cell.blocked for cell in metrics.cells)
+    attempts = sum(cell.handoff_attempts for cell in metrics.cells)
+    drops = sum(cell.handoff_drops for cell in metrics.cells)
+    admissions = tel.counter
+    admissions("cellular.admissions", kind="new", outcome="accepted").inc(
+        requests - blocked
+    )
+    admissions("cellular.admissions", kind="new", outcome="blocked").inc(
+        blocked
+    )
+    admissions(
+        "cellular.admissions", kind="handoff", outcome="accepted"
+    ).inc(attempts - drops)
+    admissions(
+        "cellular.admissions", kind="handoff", outcome="dropped"
+    ).inc(drops)
+    tel.counter("cellular.admission_tests").inc(metrics.total_admission_tests)
+    network.harvest_telemetry(tel, cell_ids)
+
+
 class CellularSimulator:
     """One configured, runnable simulation.
 
@@ -689,60 +742,18 @@ class CellularSimulator:
         tel = self.telemetry
         if not tel.enabled:
             return None
-        engine = self.engine
-        tel.counter("des.events_fired").inc(engine.events_processed)
-        tel.gauge("des.heap_len").set(engine.pending)
         if wall_seconds > 0:
             tel.gauge("des.events_per_sec").set(
-                engine.events_processed / wall_seconds
+                self.engine.events_processed / wall_seconds
             )
         run_timer = tel.timer("simulation.run")
         run_timer.seconds += wall_seconds
         run_timer.count += 1
-        tel.counter("simulation.runs", kernel=kernel_name()).inc()
-
-        metrics = self.metrics
-        requests = sum(cell.new_requests for cell in metrics.cells)
-        blocked = sum(cell.blocked for cell in metrics.cells)
-        attempts = sum(cell.handoff_attempts for cell in metrics.cells)
-        drops = sum(cell.handoff_drops for cell in metrics.cells)
-        admissions = tel.counter
-        admissions("cellular.admissions", kind="new", outcome="accepted").inc(
-            requests - blocked
-        )
-        admissions("cellular.admissions", kind="new", outcome="blocked").inc(
-            blocked
-        )
-        admissions(
-            "cellular.admissions", kind="handoff", outcome="accepted"
-        ).inc(attempts - drops)
-        admissions(
-            "cellular.admissions", kind="handoff", outcome="dropped"
-        ).inc(drops)
-        tel.counter("cellular.admission_tests").inc(
-            metrics.total_admission_tests
-        )
-
-        self.network.harvest_telemetry(tel)
+        harvest_telemetry(tel, self.engine, self.metrics, self.network)
         return tel.snapshot()
 
     def _build_result(self, wall_seconds: float) -> SimulationResult:
         config = self.config
-        statuses = [
-            CellStatus(
-                cell_id=station.cell_id,
-                blocking_probability=(
-                    self.metrics.cells[station.cell_id].blocking_probability
-                ),
-                dropping_probability=(
-                    self.metrics.cells[station.cell_id].dropping_probability
-                ),
-                t_est=station.t_est,
-                reserved_target=station.cell.reserved_target,
-                used_bandwidth=station.cell.used_bandwidth,
-            )
-            for station in self.network.stations
-        ]
         return SimulationResult(
             label=config.label or config.scheme,
             scheme=self.policy.name,
@@ -751,7 +762,7 @@ class CellularSimulator:
             warmup=config.warmup,
             num_cells=self.topology.num_cells,
             cells=self.metrics.cells,
-            statuses=statuses,
+            statuses=cell_statuses(self.metrics, self.network.stations),
             average_reservation=self.metrics.average_reservation(),
             average_used=self.metrics.average_used(),
             average_calculations=self.metrics.average_calculations(),

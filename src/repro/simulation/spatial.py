@@ -3,14 +3,13 @@
 The paper's scheme is strictly local — every base station talks only to
 its ``A_0`` neighbours — so a :class:`~repro.cellular.topology.HexTopology`
 city partitions cleanly into contiguous regions with a one-cell-deep
-boundary.  :func:`partition_hex` offers two plan kinds: ``"load"``
-(row bands cut so each shard carries an equal share of the *offered
-load*, from per-cell arrival-rate weights) and ``"tiles"`` (a 2-D grid
-of row x column tiles for shard counts that would otherwise produce
-needle-thin bands).  The barrier protocol below is generic over the
-ownership map, so both plan kinds merge to bit-identical metrics.  Each
-shard runs its own engine over the cells it *owns* and exchanges three
-kinds of boundary traffic as message batches at epoch barriers:
+boundary.  :func:`partition_hex` cuts full-width row bands so each
+shard carries an equal share of the *offered load* (from per-cell
+arrival-rate weights).  The barrier protocol below is generic over the
+ownership map — any cut, row or column, merges to bit-identical
+metrics.  Each shard runs its own engine over the cells it *owns* and
+exchanges three kinds of boundary traffic as message batches at epoch
+barriers:
 
 * **mirrors** — per boundary cell: its activity flag and its
   estimator's ``max_sojourn`` at the barrier instant (feeds the
@@ -96,10 +95,13 @@ from repro.simulation.metrics import (
     HourlyBucket,
     SimulationResult,
 )
+from repro.simulation.runner import process_context
 from repro.simulation.simulator import (
     arrival_processes,
     begin_observability,
     build_network,
+    cell_statuses,
+    harvest_telemetry,
     metrics_collector,
     retry_policy,
 )
@@ -114,10 +116,6 @@ _SCHEMES = ("static", "ac1", "ac2", "ac3")
 # ----------------------------------------------------------------------
 # partitioning
 # ----------------------------------------------------------------------
-#: Partition strategies :func:`partition_hex` understands.
-PLAN_KINDS = ("load", "tiles")
-
-
 @dataclass(frozen=True)
 class ShardPlan:
     """A partition of a hex city into shard-owned regions.
@@ -126,17 +124,15 @@ class ShardPlan:
     ascending cell ids owned by shard ``s``; ``boundary[s][t]`` the
     ascending cells of ``s`` with at least one neighbour owned by
     ``t`` (the mirror set shipped from ``s`` to ``t`` every barrier).
-    ``kind`` names the strategy that produced the plan and ``loads[s]``
-    is the offered-load weight shard ``s`` carries (cell count under
-    uniform weights) — the balance observable the bench and dashboard
-    report against.
+    ``loads[s]`` is the offered-load weight shard ``s`` carries (cell
+    count under uniform weights) — the balance observable the bench and
+    dashboard report against.
     """
 
     shards: int
     owner: tuple[int, ...]
     cells: tuple[tuple[int, ...], ...]
     boundary: tuple[dict[int, tuple[int, ...]], ...]
-    kind: str = "load"
     loads: tuple[float, ...] = ()
 
 
@@ -182,91 +178,50 @@ def _weighted_bands(
     return ranges
 
 
-def _tile_factors(shards: int, rows: int, cols: int) -> tuple[int, int]:
-    """Factor ``shards`` into a near-square ``(row bands, col bands)``."""
-    best = None
-    for row_bands in range(1, shards + 1):
-        if shards % row_bands:
-            continue
-        col_bands = shards // row_bands
-        if row_bands > rows or col_bands > cols:
-            continue
-        score = (abs(row_bands - col_bands), row_bands)
-        if best is None or score < best[0]:
-            best = (score, row_bands, col_bands)
-    if best is None:
-        raise ValueError(
-            f"cannot tile {shards} shards onto a {rows}x{cols} grid"
-        )
-    return best[1], best[2]
-
-
 def partition_hex(
     topology: HexTopology,
     shards: int,
-    *,
-    kind: str = "load",
     weights: list[float] | None = None,
 ) -> ShardPlan:
-    """Partition ``topology`` into ``shards`` contiguous regions.
+    """Partition ``topology`` into ``shards`` full-width row bands.
 
-    Both kinds cut a grid of row bands x column tiles, each dimension
-    sized by per-cell offered-load ``weights`` (uniform when ``None``)
-    so each shard carries a near equal share of the arrival work.
-    ``kind="load"`` is ``shards`` full-width row bands;
-    ``kind="tiles"`` factorises the shard count into a near-square
-    grid, for shard counts where plain bands degenerate into thin
-    strips.
-
-    Hex neighbours span at most one row and one column (wrap included),
-    so every plan's cut is one cell deep; the boundary computation is
-    generic over the ownership map, which is exactly why all plan kinds
-    run the same barrier protocol.
+    The bands are cut by per-cell offered-load ``weights`` (uniform when
+    ``None``) so each shard carries a near equal share of the arrival
+    work.  Hex neighbours span at most one row (wrap included), so the
+    cut is one cell deep.
     """
-    if kind not in PLAN_KINDS:
-        raise ValueError(
-            f"unknown shard-plan kind {kind!r}; pick one of {PLAN_KINDS}"
-        )
     if weights is not None and len(weights) != topology.num_cells:
         raise ValueError(
             f"need one weight per cell ({topology.num_cells}),"
             f" got {len(weights)}"
         )
-    cell_weight = (
-        (lambda cell: 1.0) if weights is None
-        else (lambda cell: float(weights[cell]))
+    weights = (
+        [1.0] * topology.num_cells
+        if weights is None
+        else [float(weight) for weight in weights]
     )
-    owner = [0] * topology.num_cells
-    if kind == "load":
-        row_bands, col_bands = shards, 1
-    else:
-        row_bands, col_bands = _tile_factors(
-            shards, topology.rows, topology.cols
-        )
     row_weights = [
-        sum(
-            cell_weight(topology.cell_id(row, col))
-            for col in range(topology.cols)
-        )
+        sum(weights[topology.cell_id(row, col)] for col in range(topology.cols))
         for row in range(topology.rows)
     ]
-    for band, (start_row, end_row) in enumerate(
-        _weighted_bands(row_weights, row_bands)
+    owner = [0] * topology.num_cells
+    for shard, (start_row, end_row) in enumerate(
+        _weighted_bands(row_weights, shards)
     ):
-        col_weights = [
-            sum(
-                cell_weight(topology.cell_id(row, col))
-                for row in range(start_row, end_row)
-            )
-            for col in range(topology.cols)
-        ]
-        for tile, (start_col, end_col) in enumerate(
-            _weighted_bands(col_weights, col_bands)
-        ):
-            shard = band * col_bands + tile
-            for row in range(start_row, end_row):
-                for col in range(start_col, end_col):
-                    owner[topology.cell_id(row, col)] = shard
+        for row in range(start_row, end_row):
+            for col in range(topology.cols):
+                owner[topology.cell_id(row, col)] = shard
+    return _plan_from_owner(topology, shards, owner, weights)
+
+
+def _plan_from_owner(
+    topology: HexTopology, shards: int, owner: list[int], weights: list[float]
+) -> ShardPlan:
+    """The :class:`ShardPlan` of an ownership map: cells, boundary, loads.
+
+    Generic over the map — the barrier protocol is too — so a plan cut
+    any other way (the tests cut column bands) runs unchanged.
+    """
     cells: list[tuple[int, ...]] = []
     loads: list[float] = []
     for shard in range(shards):
@@ -276,7 +231,7 @@ def partition_hex(
         if not owned:
             raise ValueError(f"shard {shard} owns no cells")
         cells.append(owned)
-        loads.append(sum(cell_weight(cell) for cell in owned))
+        loads.append(sum(weights[cell] for cell in owned))
     boundary: list[dict[int, tuple[int, ...]]] = []
     for shard in range(shards):
         per_target: dict[int, list[int]] = {}
@@ -295,7 +250,6 @@ def partition_hex(
         owner=tuple(owner),
         cells=tuple(cells),
         boundary=tuple(boundary),
-        kind=kind,
         loads=tuple(loads),
     )
 
@@ -413,7 +367,7 @@ class ShardResult:
 
     index: int
     cells: dict[int, object]
-    statuses: dict[int, CellStatus]
+    statuses: list[CellStatus]
     hourly: dict[int, tuple[int, int, int, int]]
     t_est_traces: dict[int, list]
     reservation_traces: dict[int, list]
@@ -1054,8 +1008,9 @@ class ShardEngine:
         tel = self.telemetry
         if not tel.enabled:
             return None
-        engine = self.engine
-        tel.counter("des.events_fired").inc(engine.events_processed)
+        harvest_telemetry(
+            tel, self.engine, self.metrics, self.network, self.owned
+        )
         tel.counter("spatial.semantic_events").inc(self.semantic_events)
         tel.gauge("spatial.store_bytes").set(self.store.nbytes)
         tel.gauge("spatial.peak_live_connections").set(self.peak_live)
@@ -1078,10 +1033,6 @@ class ShardEngine:
             tel.gauge("spatial.barrier_wait_frac", shard=shard).set(
                 round(max(0.0, 1.0 - self._run_wall / elapsed), 4)
             )
-        self.network.harvest_telemetry(tel, self.owned)
-        tel.counter("cellular.admission_tests").inc(
-            self.metrics.total_admission_tests
-        )
         return tel.snapshot()
 
     def finish(self, collect_state: bool = False) -> ShardResult:
@@ -1091,18 +1042,9 @@ class ShardEngine:
             series = self.sampler.series()
         trace = self.tracer.events()
         metrics = self.metrics
-        statuses = {}
-        for cell_id in self.owned:
-            station = self.network.station(cell_id)
-            counters = metrics.cells[cell_id]
-            statuses[cell_id] = CellStatus(
-                cell_id=cell_id,
-                blocking_probability=counters.blocking_probability,
-                dropping_probability=counters.dropping_probability,
-                t_est=station.t_est,
-                reserved_target=station.cell.reserved_target,
-                used_bandwidth=station.cell.used_bandwidth,
-            )
+        statuses = cell_statuses(
+            metrics, [self._stations[cell_id] for cell_id in self.owned]
+        )
         hourly = {
             hour: (
                 bucket.new_requests,
@@ -1308,18 +1250,18 @@ def _merge_results(
     config: SimulationConfig,
     plan: ShardPlan,
     results: list[ShardResult],
-    epoch: float,
     wall_seconds: float,
 ) -> SimulationResult:
     """Merge shard results in cell-id order (shard-count-invariant)."""
     num_cells = len(plan.owner)
     by_cell_counters = {}
-    by_cell_status = {}
     for result in results:
         by_cell_counters.update(result.cells)
-        by_cell_status.update(result.statuses)
     cells = [by_cell_counters[cell] for cell in range(num_cells)]
-    statuses = [by_cell_status[cell] for cell in range(num_cells)]
+    statuses = sorted(
+        (status for result in results for status in result.statuses),
+        key=lambda status: status.cell_id,
+    )
     reservation_sum = 0.0
     used_sum = 0.0
     samples = 0
@@ -1391,20 +1333,13 @@ def _merge_results(
     )
 
 
-def _resolve_plan(
-    config: SimulationConfig, shards: int, plan_kind: str | None
-) -> ShardPlan:
-    """Build the shard plan a run asked for.
-
-    ``plan_kind=None`` falls back to ``config.extra["shard_plan"]``
-    (scenario default), then ``"load"``.  Both kinds balance by the
-    scenario's per-cell weights when present.
-    """
+def _resolve_plan(config: SimulationConfig, shards: int) -> ShardPlan:
+    """The run's shard plan: row bands balanced by the scenario's
+    per-cell weights when present."""
     rows, cols, wrap = _hex_dimensions(config)
-    topology = HexTopology(rows, cols, wrap=wrap)
-    kind = plan_kind or (config.extra or {}).get("shard_plan") or "load"
-    weights = cell_load_weights(config)
-    return partition_hex(topology, shards, kind=kind, weights=weights)
+    return partition_hex(
+        HexTopology(rows, cols, wrap=wrap), shards, cell_load_weights(config)
+    )
 
 
 def run_spatial(
@@ -1414,40 +1349,36 @@ def run_spatial(
     processes: bool | None = None,
     epoch: float = 1.0,
     collect_state: bool = False,
-    plan_kind: str | None = None,
+    plan_kind: str = "load",
 ):
     """Run a hex city across ``shards`` shard regions.
 
-    ``plan_kind`` picks the partition strategy (``"load"`` or
-    ``"tiles"``; default from ``config.extra["shard_plan"]`` or load).
     ``processes=None`` uses worker processes whenever ``shards > 1``;
     ``False`` forces the in-process sequential hosts (tests, or
     core-starved machines); ``True`` forces one process per shard.
+    ``plan_kind`` names the one partition, ``"load"``
+    (:func:`partition_hex`), and refuses any other.
     Returns the merged :class:`SimulationResult` — bit-identical in
     :meth:`~SimulationResult.metrics_key` for every shard count and
-    plan kind — or a ``(result, state)`` pair when ``collect_state`` is
+    every cut — or a ``(result, state)`` pair when ``collect_state`` is
     set, where ``state`` maps every cell to its exported quadruplet
     columns.
     """
+    if plan_kind != "load":
+        raise ValueError(
+            f"unknown shard-plan kind {plan_kind!r}; the one plan is 'load'"
+        )
     check_spatial_config(config, epoch)
-    plan = _resolve_plan(config, shards, plan_kind)
+    plan = _resolve_plan(config, shards)
     if processes is None:
         processes = shards > 1
     started = wall_clock.perf_counter()
     hosts = []
     try:
         if processes:
-            import multiprocessing
-
-            # Prefer fork (as the sweep pool does): workers inherit the
-            # warm interpreter instead of re-importing numpy apiece,
-            # which otherwise dominates short runs.  The engine is still
-            # built inside the worker from the pickled plan, so the
-            # start method never affects results.
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
+            # The engine is built inside the worker from the pickled
+            # plan, so the start method never affects results.
+            ctx = process_context()
             hosts = [
                 ProcessShardHost(config, plan, index, epoch, ctx)
                 for index in range(shards)
@@ -1514,7 +1445,7 @@ def run_spatial(
         for host in hosts:
             host.close()
     wall_seconds = wall_clock.perf_counter() - started
-    merged = _merge_results(config, plan, results, epoch, wall_seconds)
+    merged = _merge_results(config, plan, results, wall_seconds)
     if collect_state:
         state = {}
         for result in results:

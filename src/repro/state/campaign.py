@@ -110,7 +110,6 @@ def spatial_day(
     *,
     processes: bool | None = None,
     epoch: float = 1.0,
-    plan_kind: str | None = None,
 ):
     """Day runner: one ``config.duration`` day of a sharded hex city.
 
@@ -134,7 +133,6 @@ def spatial_day(
         processes=processes,
         epoch=epoch,
         collect_state=True,
-        plan_kind=plan_kind,
     )
     save_history(target, columns, day_config)
     return result

@@ -136,27 +136,30 @@ class TestLoadBalancedPlans:
                 weights[topology.cell_id(row, col)] = gain
         return weights
 
-    @pytest.mark.parametrize("kind", ["load", "tiles"])
+    @pytest.mark.parametrize("cut", ["load", "cols"])
     @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-    def test_every_cell_owned_exactly_once(self, kind, shards):
+    def test_every_cell_owned_exactly_once(self, cut, shards, column_bands):
         topology = HexTopology(8, 6, wrap=True)
         weights = self._weights(topology, hot_rows=(0, 1))
-        plan = partition_hex(topology, shards, kind=kind, weights=weights)
+        build = partition_hex if cut == "load" else column_bands
+        plan = build(topology, shards, weights)
         seen = []
         for shard in range(plan.shards):
             seen.extend(plan.cells[shard])
         assert sorted(seen) == list(range(topology.num_cells))
         for cell in range(topology.num_cells):
             assert cell in plan.cells[plan.owner[cell]]
-        assert plan.kind == kind
-        assert len(plan.loads) == shards
+        assert plan.loads == tuple(
+            sum(weights[cell] for cell in cells) for cells in plan.cells
+        )
 
-    @pytest.mark.parametrize("kind", ["load", "tiles"])
+    @pytest.mark.parametrize("cut", ["load", "cols"])
     @pytest.mark.parametrize("wrap", [False, True])
-    def test_boundary_matches_cross_owner_adjacency(self, kind, wrap):
+    def test_boundary_matches_cross_owner_adjacency(self, cut, wrap, column_bands):
         topology = HexTopology(8, 6, wrap=wrap)
         weights = self._weights(topology, hot_rows=(2, 3))
-        plan = partition_hex(topology, 4, kind=kind, weights=weights)
+        build = partition_hex if cut == "load" else column_bands
+        plan = build(topology, 4, weights)
         cross = set()
         for cell in range(topology.num_cells):
             for neighbor in topology.neighbors(cell):
@@ -186,13 +189,13 @@ class TestLoadBalancedPlans:
         plain row count would give them."""
         topology = HexTopology(8, 6, wrap=True)
         weights = self._weights(topology, hot_rows=(0, 1), gain=9.0)
-        plan = partition_hex(topology, 4, kind="load", weights=weights)
+        plan = partition_hex(topology, 4, weights)
         rows_of_shard_0 = {
             topology.coordinates(cell)[0] for cell in plan.cells[0]
         }
         assert len(rows_of_shard_0) < 2  # unweighted bands are 2 rows each
         spread = max(plan.loads) / (sum(plan.loads) / len(plan.loads))
-        uniform = partition_hex(topology, 4, kind="load")
+        uniform = partition_hex(topology, 4)
         uniform_loads = [
             sum(weights[cell] for cell in uniform.cells[shard])
             for shard in range(4)
@@ -204,39 +207,26 @@ class TestLoadBalancedPlans:
 
     def test_load_plan_uniform_weights_gives_near_equal_bands(self):
         topology = HexTopology(8, 5, wrap=True)
-        load_plan = partition_hex(topology, 3, kind="load")
+        load_plan = partition_hex(topology, 3)
         sizes = [len(cells) for cells in load_plan.cells]
         assert max(sizes) - min(sizes) <= topology.cols
         assert sum(sizes) == topology.num_cells
 
-    def test_tiles_factor_near_square(self):
-        topology = HexTopology(8, 8, wrap=True)
-        plan = partition_hex(topology, 4, kind="tiles")
-        # 4 shards on 8x8 -> 2x2 tiles: each shard owns a 4x4 block.
-        for shard in range(4):
-            rows = {topology.coordinates(c)[0] for c in plan.cells[shard]}
-            cols = {topology.coordinates(c)[1] for c in plan.cells[shard]}
-            assert len(rows) == 4 and len(cols) == 4
-
-    def test_tiles_rejects_impossible_factorisation(self):
-        topology = HexTopology(4, 4, wrap=True)
-        with pytest.raises(ValueError, match="tile"):
-            partition_hex(topology, 7, kind="tiles")
-
     def test_rejects_unknown_kind_and_bad_weights(self):
-        topology = HexTopology(4, 4, wrap=True)
-        for unknown in ("spiral", "rows"):  # "rows" went with PR 24
+        from repro.simulation.scenarios import hex_city
+        from repro.simulation.spatial import run_spatial
+
+        city = hex_city("AC3", rows=4, cols=4, duration=5.0)
+        for unknown in ("spiral", "rows", "tiles"):  # one plan is left
             with pytest.raises(ValueError, match="kind"):
-                partition_hex(topology, 2, kind=unknown)
+                run_spatial(city, 2, processes=False, plan_kind=unknown)
         with pytest.raises(ValueError, match="weight"):
-            partition_hex(
-                topology, 2, kind="load", weights=[1.0] * 3
-            )
+            partition_hex(HexTopology(4, 4, wrap=True), 2, [1.0] * 3)
 
     def test_empty_shard_is_rejected(self):
         topology = HexTopology(6, 4, wrap=True)
         with pytest.raises(ValueError):
-            partition_hex(topology, 7, kind="load")
+            partition_hex(topology, 7)
 
 
 class TestWeightedBands:

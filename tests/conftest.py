@@ -15,6 +15,46 @@ def _fresh_id_counters():
     yield
 
 
+def _column_bands(topology, shards, weights=None):
+    """A non-row cut: ``shards`` contiguous full-height column bands,
+    built through the same owner-map tail as ``partition_hex``."""
+    from repro.simulation.spatial import _plan_from_owner
+
+    owner = [
+        topology.coordinates(cell)[1] * shards // topology.cols
+        for cell in range(topology.num_cells)
+    ]
+    weights = weights or [1.0] * topology.num_cells
+    return _plan_from_owner(topology, shards, owner, weights)
+
+
+@pytest.fixture
+def column_bands():
+    """``(topology, shards, weights=None) -> ShardPlan`` of column bands."""
+    return _column_bands
+
+
+@pytest.fixture
+def column_cut(monkeypatch):
+    """Call to make every later ``run_spatial`` in the test cut column
+    bands instead of row bands: the barrier protocol is generic over the
+    ownership map, so vertical and wrap-seam cuts must merge to the same
+    ``metrics_key()``."""
+    from repro.cellular.topology import HexTopology
+    from repro.simulation import spatial
+    from repro.simulation.config import cell_load_weights
+
+    def resolve(config, shards):
+        rows, cols, wrap = spatial._hex_dimensions(config)
+        return _column_bands(
+            HexTopology(rows, cols, wrap=wrap),
+            shards,
+            cell_load_weights(config),
+        )
+
+    return lambda: monkeypatch.setattr(spatial, "_resolve_plan", resolve)
+
+
 @pytest.fixture
 def flip_a_byte():
     """Corrupt a file in place: invert the byte in its middle."""

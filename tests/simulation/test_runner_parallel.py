@@ -1,13 +1,17 @@
 """Parallel sweep runner: process-pool results equal the sequential run."""
 
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import pytest
 
+from repro.simulation import runner
+from repro.simulation.replication import run_replicated
 from repro.simulation.runner import (
     SweepWorkerError,
     run_sweep,
-    shared_pool,
     sweep_offered_load,
 )
 from repro.simulation.scenarios import stationary
@@ -70,17 +74,49 @@ def test_worker_failure_surfaces_remote_traceback():
     assert "unknown admission scheme" in str(error)
 
 
-def test_pool_survives_worker_failure():
+def test_a_failed_sweep_does_not_break_the_next():
     good, other = _configs(duration=60.0)
     bad = replace(good, scheme="bogus", label="boom")
-    pool = shared_pool(2)
     with pytest.raises(SweepWorkerError):
-        run_sweep([bad, good], workers=2, pool=pool)
-    # An ordinary remote exception must not poison the shared pool.
-    results = run_sweep([good, other], workers=2, pool=pool)
+        run_sweep([bad, good], workers=2)
+    results = run_sweep([good, other], workers=2)
     assert [r.metrics_key() for r in results] == [
         r.metrics_key() for r in run_sweep([good, other])
     ]
+
+
+def test_a_killed_worker_is_a_prompt_named_error(monkeypatch):
+    plain = runner.CellularSimulator.run
+
+    def run(self):
+        if self.config.label == "boom":
+            os._exit(9)
+        return plain(self)
+
+    # Forked workers inherit the patch; the parent never runs a config.
+    monkeypatch.setattr(runner.CellularSimulator, "run", run)
+    good, other = _configs(duration=60.0)
+    bad = replace(good, label="boom")
+    started = time.perf_counter()
+    with pytest.raises(SweepWorkerError, match="died while running") as excinfo:
+        run_sweep([bad, good, other], workers=2)
+    assert time.perf_counter() - started < 5.0
+    assert excinfo.value.config.label == "boom"
+    assert "'boom'" in str(excinfo.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_its_sweep():
+    good, other = _configs(duration=60.0)
+    run_sweep([good, other], workers=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(SweepWorkerError):
+        run_sweep([good, replace(other, scheme="bogus")], workers=2)
+    assert multiprocessing.active_children() == []
+    run_replicated(
+        replace(good, duration=80.0, warmup=20.0), replications=2, workers=2
+    )
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_offered_load_accepts_workers():

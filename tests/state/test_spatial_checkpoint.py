@@ -132,46 +132,47 @@ def _days(reports):
 
 
 class TestPlanIndependentRestore:
-    def test_campaign_days_identical_across_plan_kinds(self, tmp_path):
+    def test_campaign_days_identical_across_plan_kinds(
+        self, tmp_path, column_cut
+    ):
         """Day 1 warm-starts from day 0's written history; matching
-        per-day results across shard counts, plan kinds and hosts prove
-        the cell-keyed blobs restore identically no matter which plan
-        wrote or reads them."""
+        per-day results across shard counts, cuts and hosts prove the
+        cell-keyed blobs restore identically no matter which plan wrote
+        or reads them.  The column cut runs last: it stays installed."""
         setups = [
-            (1, None, False),
+            (1, "load", False),
             (2, "load", False),
-            (2, "tiles", False),
             (2, "load", True),
+            (2, "cols", False),
         ]
-        for shards, kind, processes in setups:
+        for shards, cut, processes in setups:
+            if cut == "cols":
+                column_cut()
             reports = run_campaign(
                 _hot_city(),
                 2,
-                tmp_path / f"{shards}-{kind}-{processes}",
+                tmp_path / f"{shards}-{cut}-{processes}",
                 run_day=partial(
-                    spatial_day,
-                    shards=shards,
-                    processes=processes,
-                    plan_kind=kind,
+                    spatial_day, shards=shards, processes=processes
                 ),
             )
-            assert _days(reports) == _PARENT_DAYS, (shards, kind, processes)
+            assert _days(reports) == _PARENT_DAYS, (shards, cut, processes)
 
     def test_checkpoint_written_under_one_plan_loads_under_another(
-        self, tmp_path
+        self, tmp_path, column_cut
     ):
         city = _hot_city()
         _result, columns = run_spatial(
-            city, 2, processes=False, collect_state=True, plan_kind="load"
+            city, 2, processes=False, collect_state=True
         )
         path = save_history(tmp_path / "day_000", columns, city)
         warm = replace(city, seed=8, warm_state=CheckpointWarmStart(path))
-        keys = [
-            run_spatial(
-                warm, shards, processes=False, plan_kind=kind
-            ).metrics_key()
-            for shards, kind in ((1, "load"), (2, "load"), (4, "tiles"))
-        ]
-        assert keys[0] == keys[1] == keys[2]
         cold = run_spatial(replace(warm, warm_state=None), 1, processes=False)
+        keys = [
+            run_spatial(warm, shards, processes=False).metrics_key()
+            for shards in (1, 2)
+        ]
+        column_cut()
+        keys.append(run_spatial(warm, 4, processes=False).metrics_key())
+        assert keys[0] == keys[1] == keys[2]
         assert cold.metrics_key() != keys[0]

@@ -212,3 +212,16 @@ class TestHotspotValidation:
         assert code == 2
         assert "error:" in captured.err
         assert "'9,9,2'" in captured.err and "6x6 grid" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "campaign"])
+def test_negative_shards_fail_cleanly(capsys, tmp_path, command):
+    # Used to fall through to the 1-D road and ignore every spatial flag.
+    argv = [command, "--shards", "-2", "--inline-shards", "--duration", "60"]
+    if command == "campaign":
+        argv[-2:] = ["--days", "1", "--state-dir", str(tmp_path / "city")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "--shards" in err and "-2" in err
+    assert out == ""
+    assert not (tmp_path / "city").exists()
