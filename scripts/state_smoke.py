@@ -96,7 +96,7 @@ def _cli(*argv: str) -> tuple[int, str]:
 def check_spatial_campaign(scratch: Path) -> None:
     state_dir = scratch / "city"
     command = [
-        "campaign", "--hex", "6x6", "--shards", "2", "--inline-shards",
+        "campaign", "--hex", "6x6", "--shards", "2",
         "--load", "150", "--duration", "40", "--seed", "7",
         "--state-dir", str(state_dir),
     ]  # fmt: skip

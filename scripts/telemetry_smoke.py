@@ -41,7 +41,6 @@ def check_streaming(tmp: Path) -> list[str]:
         [
             "run",
             "--shards", "2",
-            "--inline-shards",
             "--hex", "6x6",
             "--duration", "60",
             "--load", "150",

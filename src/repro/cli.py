@@ -24,7 +24,6 @@ from repro.obs import (
     configure_logging,
     ensure_configured,
     get_logger,
-    merge_snapshots,
     snapshot_to_json,
     to_prometheus,
 )
@@ -319,11 +318,6 @@ def _add_spatial_arguments(parser: argparse.ArgumentParser) -> None:
         " 1 s minimum hand-off notice (default 1.0)",
     )
     group.add_argument(
-        "--inline-shards", action="store_true",
-        help="run the shards sequentially in this process instead of"
-        " one worker process each (same metrics, no parallelism)",
-    )
-    group.add_argument(
         "--hotspots", default=None, metavar="R,C,GAIN[,RADIUS];...",
         help="semicolon-separated traffic hot spots, each"
         " row,col,gain[,radius] — scales per-cell arrival rates"
@@ -332,11 +326,68 @@ def _add_spatial_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_shards(args: argparse.Namespace) -> None:
+_STATE_FLAGS = "--save-state/--load-state/--checkpoint-every"
+
+#: Flags one run cannot honour together, and why.
+_CONFLICTS = (
+    ("--shards", "--replications",
+     "--shards partitions space, --replications partitions seeds"),
+    ("--shards", _STATE_FLAGS,
+     "spatial runs checkpoint per day via 'repro campaign --shards'"),
+    ("--shards", "--trace-jsonl",
+     "the journal follows one engine's connections"),
+    ("--shards", "--low-mobility", "the hex city draws its own speeds"),
+    ("--shards", "--one-way", "the hex city is a torus, not a road"),
+    ("--shards", "--overload", "the soft-capacity margin is a road option"),
+    ("--replications", _STATE_FLAGS,
+     "a checkpoint captures one engine's state"),
+    ("--replications", "--trace-jsonl", "the journal records a single run"),
+    (_STATE_FLAGS, "--trace-jsonl",
+     "checkpoints do not capture tracer extensions"),
+)
+
+#: Flags only one runner reads, and the flag that selects that runner.
+_NEEDS = (("--hotspots", "--shards"), ("--workers", "--replications"))
+
+
+def _run_mode(args: argparse.Namespace) -> str:
+    """The runner a ``run``/``campaign`` command line selects.
+
+    ``"spatial"``, ``"replicated"`` or ``"single"`` — after refusing
+    every flag that runner would otherwise silently ignore.  A parser
+    without one of the flags (``campaign`` has no ``--replications``)
+    never sets it.
+    """
     if args.shards < 0:
         raise ValueError(
             f"--shards must be >= 0 (0 runs the 1-D road), got {args.shards}"
         )
+    given = {
+        "--shards": args.shards > 0,
+        "--replications": getattr(args, "replications", 1) > 1,
+        _STATE_FLAGS: bool(
+            getattr(args, "save_state", None)
+            or getattr(args, "load_state", None)
+            or getattr(args, "checkpoint_every", 0.0) > 0.0
+        ),
+        "--trace-jsonl": bool(getattr(args, "trace_jsonl", None)),
+        "--low-mobility": args.low_mobility,
+        "--one-way": args.one_way,
+        "--overload": args.overload != 1.0,
+        "--hotspots": bool(args.hotspots),
+        "--workers": getattr(args, "workers", None) is not None,
+    }
+    for first, second, reason in _CONFLICTS:
+        if given[first] and given[second]:
+            raise ValueError(
+                f"{first} cannot be combined with {second}: {reason}"
+            )
+    for flag, needed in _NEEDS:
+        if given[flag] and not given[needed]:
+            raise ValueError(f"{flag} only applies to {needed} runs")
+    if given["--shards"]:
+        return "spatial"
+    return "replicated" if given["--replications"] else "single"
 
 
 def _parse_hex(spec: str) -> tuple[int, int]:
@@ -390,41 +441,26 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
                        " https://ui.perfetto.dev (implies tracing)")
 
 
-def _wants_telemetry(args: argparse.Namespace) -> bool:
-    # getattr: commands without the observability group (serve-bench)
-    # still build configs through the same helper.
-    return bool(
-        getattr(args, "telemetry", False)
-        or getattr(args, "prom_out", None)
-        or getattr(args, "telemetry_json", None)
-    )
+def _configure_observability(args: argparse.Namespace) -> None:
+    if args.log_level is not None or args.log_json:
+        configure_logging(spec=args.log_level, json_lines=args.log_json)
+    else:
+        ensure_configured()
 
 
-def _series_overrides(args: argparse.Namespace) -> dict:
-    """Streaming-observability config fields from the CLI flags."""
-    interval = getattr(args, "series", 0.0)
-    wall = getattr(args, "series_wall", 0.0)
-    series_out = getattr(args, "series_out", None)
-    if series_out and interval == 0 and wall == 0:
-        wall = 1.0
-    return {
-        "series_interval": interval,
-        "series_wall_interval": wall,
-        "series_path": series_out or "",
-        "trace": bool(getattr(args, "trace_out", None)),
-    }
-
-
-def _export_streams(
+def _export(
+    args: argparse.Namespace,
+    telemetry,
     timeseries,
     trace_events,
-    args: argparse.Namespace,
     lane_names: dict[int, str] | None = None,
 ) -> None:
-    """Write the trace file and summarise the series stream."""
+    """Write/print a finished run's telemetry, trace and series."""
     from repro.obs.timeseries import series_summary
     from repro.obs.trace import span_names, write_trace
 
+    if telemetry is not None:
+        _export_telemetry(telemetry, args)
     if args.trace_out:
         write_trace(args.trace_out, trace_events or [], lane_names)
         names = sorted(span_names(trace_events))
@@ -448,17 +484,7 @@ def _export_streams(
         )
 
 
-def _configure_observability(args: argparse.Namespace) -> None:
-    if args.log_level is not None or args.log_json:
-        configure_logging(spec=args.log_level, json_lines=args.log_json)
-    else:
-        ensure_configured()
-
-
 def _export_telemetry(snapshot, args: argparse.Namespace) -> None:
-    """Write/print the snapshot per the export flags."""
-    if snapshot is None:
-        return
     if args.prom_out:
         with open(args.prom_out, "w", encoding="utf-8") as handle:
             handle.write(to_prometheus(snapshot))
@@ -481,29 +507,53 @@ def _export_telemetry(snapshot, args: argparse.Namespace) -> None:
 
 
 def _build_config(args: argparse.Namespace, load: float | None = None):
-    overrides = {
-        "num_cells": args.cells,
-        "static_guard": args.guard,
-        "warmup": args.warmup,
-        "adaptive_qos": args.adaptive_qos,
-        "soft_handoff_window": args.soft_handoff,
-        "handoff_overload": args.overload,
-        "kernel": args.kernel,
-        "telemetry": _wants_telemetry(args),
-        "progress_interval": getattr(args, "progress", 0.0),
-        **_series_overrides(args),
-    }
+    """Every command's scenario: a hex city under ``--shards``, else the
+    paper's 1-D road (``load`` overrides ``--load`` for sweeps)."""
+    # getattr: commands without the observability group (serve-bench)
+    # build their config here too.
+    series_out = getattr(args, "series_out", None)
+    series = getattr(args, "series", 0.0)
+    series_wall = getattr(args, "series_wall", 0.0)
+    if series_out and series == 0 and series_wall == 0:
+        series_wall = 1.0
+    shared = dict(
+        offered_load=args.load if load is None else load,
+        voice_ratio=args.rvo,
+        duration=args.duration,
+        warmup=args.warmup,
+        seed=args.seed,
+        static_guard=args.guard,
+        adaptive_qos=args.adaptive_qos,
+        soft_handoff_window=args.soft_handoff,
+        kernel=args.kernel,
+        telemetry=bool(
+            getattr(args, "telemetry", False)
+            or getattr(args, "prom_out", None)
+            or getattr(args, "telemetry_json", None)
+        ),
+        progress_interval=getattr(args, "progress", 0.0),
+        series_interval=series,
+        series_wall_interval=series_wall,
+        series_path=series_out or "",
+        trace=bool(getattr(args, "trace_out", None)),
+    )
+    if getattr(args, "shards", 0) > 0:
+        rows, cols = _parse_hex(args.hex_grid)
+        return hex_city(
+            args.scheme,
+            rows=rows,
+            cols=cols,
+            hotspots=_parse_hotspots(args.hotspots, grid=(rows, cols)),
+            **shared,
+        )
     if args.one_way:
-        overrides["directions"] = TravelDirections.ONE_WAY
-        overrides["ring"] = False
+        shared.update(directions=TravelDirections.ONE_WAY, ring=False)
     return stationary(
         args.scheme,
-        offered_load=load if load is not None else args.load,
-        voice_ratio=args.rvo,
         high_mobility=not args.low_mobility,
-        duration=args.duration,
-        seed=args.seed,
-        **overrides,
+        num_cells=args.cells,
+        handoff_overload=args.overload,
+        **shared,
     )
 
 
@@ -556,136 +606,42 @@ def _parse_hotspots(
     return tuple(hotspots)
 
 
-def _build_spatial_config(args: argparse.Namespace):
-    rows, cols = _parse_hex(args.hex_grid)
-    return hex_city(
-        args.scheme,
-        rows=rows,
-        cols=cols,
-        hotspots=_parse_hotspots(
-            getattr(args, "hotspots", None), grid=(rows, cols)
-        ),
-        offered_load=args.load,
-        voice_ratio=args.rvo,
-        duration=args.duration,
-        warmup=args.warmup,
-        seed=args.seed,
-        static_guard=args.guard,
-        adaptive_qos=args.adaptive_qos,
-        soft_handoff_window=args.soft_handoff,
-        kernel=args.kernel,
-        telemetry=_wants_telemetry(args),
-        progress_interval=args.progress,
-        **_series_overrides(args),
-    )
+def _command_run(args: argparse.Namespace) -> int:
+    mode = _run_mode(args)
+    _configure_observability(args)
+    config = _build_config(args)
+    lanes = None
+    if mode == "spatial":
+        from repro.simulation.spatial import run_spatial
 
-
-def _command_run_spatial(args: argparse.Namespace) -> int:
-    from repro.simulation.spatial import run_spatial
-
-    if args.replications > 1:
-        raise ValueError(
-            "--shards partitions space; it cannot be combined with"
-            " --replications (which partitions seeds)"
-        )
-    if args.save_state or args.load_state or args.checkpoint_every > 0.0:
-        raise ValueError(
-            "spatial runs checkpoint per day via"
-            " 'repro campaign --shards'; drop the state flags"
-        )
-    if args.trace_jsonl:
-        raise ValueError("--trace-jsonl is not supported with --shards")
-    config = _build_spatial_config(args)
-    result = run_spatial(
-        config,
-        args.shards,
-        processes=False if args.inline_shards else None,
-        epoch=args.epoch,
-    )
-    rate = (
-        result.events_processed / result.wall_seconds
-        if result.wall_seconds > 0
-        else 0.0
-    )
-    print(f"scheme={result.scheme}  L={result.offered_load:g}"
-          f"  duration={result.duration:g}s"
-          f"  grid={args.hex_grid}  shards={args.shards}")
-    if result.shard_events and len(result.shard_events) > 1:
-        mean = sum(result.shard_events) / len(result.shard_events)
-        imbalance = max(result.shard_events) / mean if mean else 1.0
-        print(
-            "shard events = "
-            + "/".join(f"{count:,}" for count in result.shard_events)
-            + f"  (imbalance {imbalance:.3f})"
-        )
-    print(f"P_CB = {result.blocking_probability:.4f}")
-    print(f"P_HD = {result.dropping_probability:.4f}")
-    print(f"avg B_r = {result.average_reservation:.2f} BUs,"
-          f" avg B_u = {result.average_used:.2f} BUs,"
-          f" N_calc = {result.average_calculations:.2f}")
-    print(f"{result.events_processed:,} events in"
-          f" {result.wall_seconds:.2f}s ({rate:,.0f} events/s)")
-    cap = 20
-    rows = [
-        [
-            status.cell_id + 1,
-            status.blocking_probability,
-            status.dropping_probability,
-            status.t_est,
-            status.reserved_target,
-            status.used_bandwidth,
-        ]
-        for status in result.statuses[:cap]
-    ]
-    print()
-    print(Table(["Cell", "PCB", "PHD", "Test", "Br", "Bu"], rows).render())
-    if len(result.statuses) > cap:
-        print(f"... ({len(result.statuses) - cap} more cells)")
-    _export_telemetry(result.telemetry, args)
-    _export_streams(
-        result.timeseries,
-        result.trace_events,
-        args,
-        lane_names={
-            index: f"shard {index}" for index in range(args.shards)
-        },
+        result = run_spatial(config, args.shards, epoch=args.epoch)
+        lanes = {index: f"shard {index}" for index in range(args.shards)}
+    elif mode == "replicated":
+        result = _run_replicated(config, args)
+        lanes = {index: f"rep {index}" for index in range(result.replications)}
+    else:
+        result = _run_single(config, args)
+    if mode == "replicated":
+        _print_replicated(result, args)
+    else:
+        _print_result(result, args)
+    _export(
+        args, result.telemetry, result.timeseries, result.trace_events, lanes
     )
     return 0
 
 
-def _command_run(args: argparse.Namespace) -> int:
-    _check_shards(args)
-    _configure_observability(args)
-    if args.shards > 0:
-        return _command_run_spatial(args)
-    uses_state = bool(
-        args.save_state or args.load_state or args.checkpoint_every > 0.0
-    )
-    if args.replications > 1:
-        if uses_state:
-            raise ValueError(
-                "--save-state/--load-state/--checkpoint-every capture one"
-                " engine's state; they cannot be combined with"
-                " --replications"
-            )
-        return _command_run_replicated(args)
-    if uses_state and args.trace_jsonl:
-        raise ValueError(
-            "checkpoints do not capture tracer extensions; drop"
-            " --trace-jsonl or the state flags"
-        )
-    extensions = []
-    tracer = None
-    if args.trace_jsonl:
-        tracer = ConnectionTracer()
-        extensions.append(tracer)
-    config = _build_config(args)
+def _run_single(config, args: argparse.Namespace):
+    """One engine, with the checkpoint and journal options it alone has."""
+    tracer = ConnectionTracer() if args.trace_jsonl else None
     if args.load_state:
         from repro.state import restore_simulator
 
         simulator = restore_simulator(args.load_state, config)
     else:
-        simulator = CellularSimulator(config, extensions=extensions)
+        simulator = CellularSimulator(
+            config, extensions=[tracer] if tracer is not None else []
+        )
     if args.checkpoint_every > 0.0:
         from repro.state import Checkpointer
 
@@ -721,13 +677,47 @@ def _command_run(args: argparse.Namespace) -> int:
                 "violations": len(violations),
             },
         )
-    print(f"scheme={result.scheme}  L={result.offered_load:g}"
-          f"  duration={result.duration:g}s")
+    return result
+
+
+#: A hex city's report lists this many cells.
+_CELL_ROWS = 20
+
+
+def _print_result(result, args: argparse.Namespace) -> None:
+    """The per-cell report of one run, road or (capped) hex city."""
+    header = (
+        f"scheme={result.scheme}  L={result.offered_load:g}"
+        f"  duration={result.duration:g}s"
+    )
+    statuses = result.statuses
+    if args.shards:
+        print(f"{header}  grid={args.hex_grid}  shards={args.shards}")
+        events = result.shard_events
+        if events and len(events) > 1:
+            mean = sum(events) / len(events)
+            imbalance = max(events) / mean if mean else 1.0
+            print(
+                "shard events = "
+                + "/".join(f"{count:,}" for count in events)
+                + f"  (imbalance {imbalance:.3f})"
+            )
+        statuses = statuses[:_CELL_ROWS]
+    else:
+        print(header)
     print(f"P_CB = {result.blocking_probability:.4f}")
     print(f"P_HD = {result.dropping_probability:.4f}")
     print(f"avg B_r = {result.average_reservation:.2f} BUs,"
           f" avg B_u = {result.average_used:.2f} BUs,"
           f" N_calc = {result.average_calculations:.2f}")
+    if args.shards:
+        rate = (
+            result.events_processed / result.wall_seconds
+            if result.wall_seconds > 0
+            else 0.0
+        )
+        print(f"{result.events_processed:,} events in"
+              f" {result.wall_seconds:.2f}s ({rate:,.0f} events/s)")
     rows = [
         [
             status.cell_id + 1,
@@ -737,24 +727,18 @@ def _command_run(args: argparse.Namespace) -> int:
             status.reserved_target,
             status.used_bandwidth,
         ]
-        for status in result.statuses
+        for status in statuses
     ]
     print()
     print(Table(["Cell", "PCB", "PHD", "Test", "Br", "Bu"], rows).render())
-    _export_telemetry(result.telemetry, args)
-    _export_streams(result.timeseries, result.trace_events, args)
-    return 0
+    if len(result.statuses) > len(statuses):
+        print(f"... ({len(result.statuses) - len(statuses)} more cells)")
 
 
-def _command_run_replicated(args: argparse.Namespace) -> int:
-    if args.trace_jsonl:
-        raise ValueError(
-            "--trace-jsonl records a single run's journal; it cannot be"
-            " combined with --replications"
-        )
+def _run_replicated(config, args: argparse.Namespace):
+    """K independent replications, merged with confidence intervals."""
     from repro.simulation.replication import run_replicated
 
-    config = _build_config(args)
     if config.warmup <= 0.0:
         # Each shard restarts from an empty network, so without a
         # warm-up cut every shard measures the initial transient.
@@ -764,14 +748,16 @@ def _command_run_replicated(args: argparse.Namespace) -> int:
             " shard reach steady state",
             file=sys.stderr,
         )
-    replicated = run_replicated(
+    return run_replicated(
         config,
         replications=args.replications,
         workers=args.workers,
         ci_level=args.ci_level,
     )
+
+
+def _print_replicated(replicated, args: argparse.Namespace) -> None:
     config = replicated.config
-    level = args.ci_level
     print(
         f"scheme={config.scheme}  L={config.offered_load:g}"
         f"  duration={config.duration:g}s"
@@ -790,30 +776,20 @@ def _command_run_replicated(args: argparse.Namespace) -> int:
         f"{replicated.dropping.high:.4f})"
     )
     print(
-        f"{level:.0%} batch-means intervals over"
+        f"{args.ci_level:.0%} batch-means intervals over"
         f" {replicated.replications} shards;"
         f" {replicated.events_processed:,} events in"
         f" {replicated.wall_seconds:.2f}s wall"
     )
-    _export_telemetry(replicated.telemetry, args)
-    _export_streams(
-        replicated.timeseries,
-        replicated.trace_events,
-        args,
-        lane_names={
-            index: f"rep {index}"
-            for index in range(replicated.replications)
-        },
-    )
-    return 0
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.simulation.replication import merge_observations
+
     _configure_observability(args)
     loads = [float(piece) for piece in args.loads.split(",") if piece]
     configs = [_build_config(args, load=load) for load in loads]
     results = run_sweep(configs, workers=args.workers)
-    pairs = list(zip(loads, results))
     rows = [
         [
             load,
@@ -822,29 +798,15 @@ def _command_sweep(args: argparse.Namespace) -> int:
             result.average_reservation,
             result.average_calculations,
         ]
-        for load, result in pairs
+        for load, result in zip(loads, results)
     ]
     print(Table(["L", "PCB", "PHD", "avg Br", "Ncalc"], rows).render())
     # Each run (worker process or not) carries its own snapshot; the
     # merged view is what gets exported.
-    _export_telemetry(
-        merge_snapshots(result.telemetry for result in results), args
-    )
-    from repro.obs.timeseries import merge_series
-    from repro.obs.trace import merge_traces
-
-    _export_streams(
-        merge_series(result.timeseries for result in results),
-        merge_traces(
-            [{**event, "pid": index} for event in result.trace_events]
-            if result.trace_events
-            else None
-            for index, result in enumerate(results)
-        ),
+    _export(
         args,
-        lane_names={
-            index: f"L={load:g}" for index, load in enumerate(loads)
-        },
+        **merge_observations(results),
+        lane_names={index: f"L={load:g}" for index, load in enumerate(loads)},
     )
     return 0
 
@@ -872,23 +834,16 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
     from repro.state import run_campaign, spatial_day
 
-    _check_shards(args)
+    mode = _run_mode(args)
     _configure_observability(args)
+    config = _build_config(args)
     run_day = None
-    if args.shards > 0:
-        config = _build_spatial_config(args)
+    if mode == "spatial":
         if args.day_seconds is not None:
             config = replace(config, duration=args.day_seconds)
-        run_day = partial(
-            spatial_day,
-            shards=args.shards,
-            processes=False if args.inline_shards else None,
-            epoch=args.epoch,
-        )
-    else:
-        config = _build_config(args)
-        if args.day_seconds is not None:
-            config = replace(config, day_seconds=args.day_seconds)
+        run_day = partial(spatial_day, shards=args.shards, epoch=args.epoch)
+    elif args.day_seconds is not None:
+        config = replace(config, day_seconds=args.day_seconds)
     reports = run_campaign(
         config,
         days=args.days,
@@ -943,10 +898,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if args.load_state:
         config = replace(config, warm_state=warm_start(args.load_state))
-    overrides = _series_overrides(args)
     # A live service streams a wall-cadence series by default so an
     # attached dashboard always has rows to render.
-    series_wall = overrides["series_wall_interval"] or 1.0
+    series_wall = config.series_wall_interval or 1.0
 
     async def serve() -> dict:
         service = AdmissionService(
@@ -956,7 +910,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_keep=args.checkpoint_keep,
-            series_interval=overrides["series_interval"],
+            series_interval=config.series_interval,
             series_wall_interval=series_wall,
         )
         await service.start()
@@ -986,8 +940,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         await service.stop()
         stats = service.stats()
         result = service.driver.result()
-        _export_telemetry(result.telemetry, args)
-        _export_streams(result.timeseries, result.trace_events, args)
+        _export(args, result.telemetry, result.timeseries, result.trace_events)
         return stats
 
     stats = asyncio.run(serve())

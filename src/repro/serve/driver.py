@@ -331,7 +331,7 @@ def comparable_counters(result) -> dict:
     return key
 
 
-def warm_start(path, carry_windows: bool = True):
+def warm_start(path):
     """Warm-start handle for ``repro serve --load-state``.
 
     Rebases the checkpoint's estimator history by its own final clock,
@@ -342,7 +342,5 @@ def warm_start(path, carry_windows: bool = True):
     from repro.state import CheckpointWarmStart
     from repro.state.format import load_manifest
 
-    clock = float(load_manifest(path).get("clock", 0.0))
-    return CheckpointWarmStart(
-        path, rebase_seconds=clock, carry_windows=carry_windows
-    )
+    clock = float(load_manifest(path)["clock"])
+    return CheckpointWarmStart(path, rebase_seconds=clock)

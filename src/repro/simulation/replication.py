@@ -223,15 +223,24 @@ def run_replicated(
             ],
             ci_level,
         ),
-        telemetry=merge_snapshots(result.telemetry for result in results),
-        timeseries=merge_series(result.timeseries for result in results),
-        # Re-lane trace events per replication so Perfetto renders one
-        # track per shard even though every worker recorded pid=0.
-        trace_events=merge_traces(
+        **merge_observations(results),
+        wall_seconds=wall_clock.perf_counter() - started,
+    )
+
+
+def merge_observations(results: list[SimulationResult]) -> dict:
+    """The runs' telemetry, series and trace events, merged.
+
+    Trace events are re-laned, one ``pid`` per run, so Perfetto renders
+    one track per run even though every worker recorded ``pid=0``.
+    """
+    return {
+        "telemetry": merge_snapshots(result.telemetry for result in results),
+        "timeseries": merge_series(result.timeseries for result in results),
+        "trace_events": merge_traces(
             [{**event, "pid": index} for event in result.trace_events]
             if result.trace_events
             else None
             for index, result in enumerate(results)
         ),
-        wall_seconds=wall_clock.perf_counter() - started,
-    )
+    }

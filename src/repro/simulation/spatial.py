@@ -1134,15 +1134,28 @@ class LocalShardHost:
         pass
 
 
+def _send_error(conn, error: Exception) -> None:
+    """Ship ``error`` and its traceback text; an error that does not
+    survive pickling travels as a ``RuntimeError`` naming its type."""
+    import pickle
+    import traceback
+
+    remote = traceback.format_exc()
+    try:
+        pickle.loads(pickle.dumps(error))
+    except Exception:  # each pickling failure has its own type
+        error = RuntimeError(f"{type(error).__name__}: {error}")
+    conn.send(("error", (error, remote)))
+
+
 def _shard_worker(conn, config, plan, index, epoch) -> None:
     """Persistent worker process: one ShardEngine driven over a pipe."""
     import gc
-    import traceback
 
     try:
         engine = ShardEngine(config, plan, index, epoch)
-    except Exception:
-        conn.send(("error", traceback.format_exc()))
+    except Exception as error:
+        _send_error(conn, error)
         return
     # The network, topology, and estimator caches built above live for
     # the whole worker lifetime.  Freezing them keeps every later gen-2
@@ -1160,8 +1173,8 @@ def _shard_worker(conn, config, plan, index, epoch) -> None:
             return
         try:
             value = _shard_call(engine, op, args)
-        except Exception:
-            conn.send(("error", traceback.format_exc()))
+        except Exception as error:
+            _send_error(conn, error)
             return
         conn.send(("ok", value))
 
@@ -1211,7 +1224,13 @@ class ProcessShardHost:
         except _WORKER_GONE as error:
             raise self._worker_died() from error
         if status != "ok":
-            raise RuntimeError(f"shard worker failed:\n{value}")
+            # The worker's own exception, as an in-process shard would
+            # raise it (a corrupt warm-start blob stays a
+            # StateCorruptionError), caused by the remote traceback.
+            error, remote = value
+            raise error from RuntimeError(
+                f"in shard {self._index} worker during {self._op!r}:\n{remote}"
+            )
         return value
 
     def close(self) -> None:

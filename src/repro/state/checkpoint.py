@@ -6,7 +6,9 @@ depends on: the engine clock and pending event queue (with scheduling
 order stamps), every named RNG position, the live connections and
 their per-cell attach order, quadruplet caches (binary column blobs),
 finite-``T_int`` F_HOE snapshots, window-controller state, run metrics
-and the observability counters.
+and the observability counters.  Each persisted attribute is named
+once, in the field table below: capture and restore both walk it, so a
+field cannot be saved without being restored, or the other way round.
 
 :func:`restore_simulator` rebuilds a simulator in a fresh process that
 continues **bit-identically**: the restored run fires exactly the
@@ -29,11 +31,12 @@ from __future__ import annotations
 import json
 import shutil
 import time as wall_clock
-from dataclasses import fields
+from dataclasses import astuple, fields
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.core.qos import AdaptiveQoSPolicy
 from repro.des.engine import Engine
 from repro.des.events import EventPriority
 from repro.estimation.estimator import MobilityEstimator
@@ -41,7 +44,7 @@ from repro.estimation.function import HandoffEstimationFunction, _Mass
 from repro.mobility.mobile import Mobile, peek_mobile_ids, reset_mobile_ids
 from repro.mobility.models import LinearMobilityModel, Transition
 from repro.obs import get_logger, get_telemetry, get_tracer
-from repro.simulation.metrics import HourlyBucket, TracePoint
+from repro.simulation.metrics import CellCounters, HourlyBucket, TracePoint
 from repro.state.format import (
     FORMAT_NAME,
     MANIFEST_NAME,
@@ -75,6 +78,114 @@ _TRAFFIC_CLASSES = {
     VIDEO.name: VIDEO,
     ADAPTIVE_VIDEO.name: ADAPTIVE_VIDEO,
 }
+
+
+# ----------------------------------------------------------------------
+# the field table: every persisted attribute, named once
+# ----------------------------------------------------------------------
+def _same(*names: str) -> dict[str, str]:
+    """A table whose record keys are the attribute names themselves."""
+    return {name: name for name in names}
+
+
+#: ``record key -> attribute`` of each object the runtime record keeps.
+#: Capture reads the attributes into a record (:func:`_dump`); restore
+#: writes the record back (:func:`_load`, or constructor keywords via
+#: :func:`_kwargs`).  Neither side spells a key of its own.
+_CONNECTION = {
+    "id": "connection_id",
+    "start": "start_time",
+    "cell": "cell_id",
+    "prev": "prev_cell",
+    "entry": "cell_entry_time",
+    "handoffs": "handoff_count",
+    "alloc": "allocated_bandwidth",
+    "end": "planned_end",
+}
+_MOBILE = {
+    "id": "mobile_id",
+    "pos": "position_km",
+    "speed": "speed_kmh",
+    "dir": "direction",
+    "cell": "cell_id",
+    "ptime": "position_time",
+}
+#: Counted only by :class:`~repro.core.qos.AdaptiveQoSPolicy`; other
+#: policies record zeros and restore nothing.
+_POLICY = _same("degradations", "upgrades")
+_CELL = {
+    "used": "used_bandwidth",
+    "reserved": "reserved_target",
+    "rebuilds": "group_rebuilds",
+}
+_STATION = _same("reservation_calculations", "messages_sent")
+_NETWORK = _same(
+    "tick_flushes",
+    "tick_targets",
+    "tick_grouped_suppliers",
+    "tick_fallback_suppliers",
+)
+_ESTIMATOR = _same(
+    "snapshot_hits",
+    "snapshot_builds",
+    "snapshot_invalidations",
+    "eq4_vector_batches",
+    "eq4_scalar_batches",
+    "eq4_vector_rows",
+    "eq4_scalar_rows",
+)
+#: A window controller's position — what a campaign day carries over —
+#: and its lifetime history, which only an exact restore brings back.
+_WINDOW_POSITION = {
+    **_same("reference", "observation_window", "t_est", "handoffs", "drops"),
+    "consecutive": "_consecutive",
+    "last_direction": "_last_direction",
+}
+_WINDOW_HISTORY = _same("total_handoffs", "total_drops")
+_METRICS = {
+    **_same("total_admission_tests", "total_calculations", "total_messages"),
+    "reservation_sum": "_reservation_sum",
+    "used_sum": "_used_sum",
+    "samples": "_samples",
+}
+#: Per tracked cell: the sampled series (``[time, value]`` rows) and the
+#: counts the cumulative ``P_HD`` trace is computed from.
+_TRACE_SERIES = {
+    "t_est": "t_est_traces",
+    "reservation": "reservation_traces",
+    "phd": "phd_traces",
+}
+_TRACE_COUNTS = {"attempts": "_trace_attempts", "drops": "_trace_drops"}
+#: Per-cell counters, one positional row each, in this order.
+_CELL_COUNTERS = tuple(field.name for field in fields(CellCounters))
+#: Each pending-event kind: its simulator handler, its priority and the
+#: record keys of the handler's arguments.  ``conn`` holds a connection
+#: by id, ``transition`` spreads into ``t_time``/``t_next``, and an
+#: argument that is ``None`` is left out of the record.
+_QUEUED = {
+    "arrival": ("_on_arrival", EventPriority.ARRIVAL, ("cell", "attempt")),
+    "retry": ("_handle_request", EventPriority.ARRIVAL, ("cell", "attempt")),
+    "lifetime": ("_on_lifetime_end", EventPriority.DEPARTURE, ("conn",)),
+    "crossing": (
+        "_on_crossing",
+        EventPriority.HANDOFF,
+        ("conn", "transition", "soft"),
+    ),
+    "sample": ("_on_sample", EventPriority.MONITOR, ()),
+}
+
+
+def _dump(obj, table: dict[str, str]) -> dict:
+    return {key: getattr(obj, attr) for key, attr in table.items()}
+
+
+def _kwargs(saved: dict, table: dict[str, str]) -> dict:
+    return {attr: saved[key] for key, attr in table.items()}
+
+
+def _load(obj, saved: dict, table: dict[str, str]) -> None:
+    for attr, value in _kwargs(saved, table).items():
+        setattr(obj, attr, value)
 
 #: Config fields that do not change what the simulation *is* — a
 #: checkpoint may be resumed under a different horizon, label, or
@@ -184,68 +295,40 @@ def _capture_connection(connection: Connection) -> dict:
         )
     mobile = connection.mobile
     return {
-        "id": connection.connection_id,
+        **_dump(connection, _CONNECTION),
         "class": connection.traffic_class.name,
-        "start": connection.start_time,
-        "cell": connection.cell_id,
-        "prev": connection.prev_cell,
-        "entry": connection.cell_entry_time,
-        "handoffs": connection.handoff_count,
-        "alloc": connection.allocated_bandwidth,
-        "end": connection.planned_end,
-        "mobile": None
-        if mobile is None
-        else {
-            "id": mobile.mobile_id,
-            "pos": mobile.position_km,
-            "speed": mobile.speed_kmh,
-            "dir": mobile.direction,
-            "cell": mobile.cell_id,
-            "ptime": mobile.position_time,
-        },
+        "mobile": None if mobile is None else _dump(mobile, _MOBILE),
     }
 
 
 def _capture_queue(sim: "CellularSimulator") -> list[dict]:
+    kinds = {
+        getattr(type(sim), handler): kind
+        for kind, (handler, _, _) in _QUEUED.items()
+    }
     records = []
     for time, _, sequence, callback, args in sim.engine.queued():
-        func = getattr(callback, "__func__", None)
-        owner = getattr(callback, "__self__", None)
-        record: dict = {"time": time, "seq": sequence}
-        if owner is not sim:
+        if getattr(callback, "__self__", None) is not sim:
             # Progress/checkpoint hooks never schedule; anything
             # else in the queue belongs to code the schema cannot
             # reconstruct.
             raise CheckpointError(
                 f"cannot serialize foreign pending event {callback!r}"
             )
-        simulator_cls = type(sim)
-        if func is simulator_cls._on_arrival:
-            record.update(
-                kind="arrival", cell=args[0], attempt=args[1]
-            )
-        elif func is simulator_cls._handle_request:
-            record.update(
-                kind="retry", cell=args[0], attempt=args[1]
-            )
-        elif func is simulator_cls._on_lifetime_end:
-            record.update(kind="lifetime", conn=args[0].connection_id)
-        elif func is simulator_cls._on_crossing:
-            connection, transition, soft_deadline = args
-            record.update(
-                kind="crossing",
-                conn=connection.connection_id,
-                t_time=transition.time,
-                t_next=transition.next_cell,
-            )
-            if soft_deadline is not None:
-                record["soft"] = soft_deadline
-        elif func is simulator_cls._on_sample:
-            record.update(kind="sample")
-        else:
+        kind = kinds.get(callback.__func__)
+        if kind is None:
             raise CheckpointError(
-                f"cannot serialize pending event {func!r}"
+                f"cannot serialize pending event {callback.__func__!r}"
             )
+        record: dict = {"time": time, "seq": sequence, "kind": kind}
+        for key, value in zip(_QUEUED[kind][2], args):
+            if key == "conn":
+                record[key] = value.connection_id
+            elif key == "transition":
+                record["t_time"] = value.time
+                record["t_next"] = value.next_cell
+            elif value is not None:
+                record[key] = value
         records.append(record)
     records.sort(key=lambda record: record["seq"])
     return records
@@ -253,24 +336,10 @@ def _capture_queue(sim: "CellularSimulator") -> list[dict]:
 
 def _capture_window(controller) -> dict:
     return {
-        "reference": controller.reference,
-        "observation_window": controller.observation_window,
-        "t_est": controller.t_est,
-        "handoffs": controller.handoffs,
-        "drops": controller.drops,
-        "total_handoffs": controller.total_handoffs,
-        "total_drops": controller.total_drops,
-        "consecutive": controller._consecutive,
-        "last_direction": controller._last_direction,
+        **_dump(controller, _WINDOW_POSITION),
+        **_dump(controller, _WINDOW_HISTORY),
         "adjustments": [
-            [
-                adjustment.time,
-                adjustment.new_window,
-                adjustment.increased,
-                adjustment.handoffs,
-                adjustment.drops,
-            ]
-            for adjustment in controller.adjustments
+            list(astuple(adjustment)) for adjustment in controller.adjustments
         ],
     }
 
@@ -281,13 +350,7 @@ def _capture_estimator(estimator: MobilityEstimator) -> dict:
             encode_prev(prev) for prev in estimator._dirty
         ),
         "total_recorded": estimator.cache.total_recorded,
-        "snapshot_hits": estimator.snapshot_hits,
-        "snapshot_builds": estimator.snapshot_builds,
-        "snapshot_invalidations": estimator.snapshot_invalidations,
-        "eq4_vector_batches": estimator.eq4_vector_batches,
-        "eq4_scalar_batches": estimator.eq4_scalar_batches,
-        "eq4_vector_rows": estimator.eq4_vector_rows,
-        "eq4_scalar_rows": estimator.eq4_scalar_rows,
+        **_dump(estimator, _ESTIMATOR),
     }
 
 
@@ -324,62 +387,56 @@ def _capture_snapshots(estimator: MobilityEstimator):
 def _capture_metrics(metrics) -> dict:
     return {
         "cells": [
-            [
-                counters.new_requests,
-                counters.blocked,
-                counters.handoff_attempts,
-                counters.handoff_drops,
-                counters.completed,
-                counters.exited,
-            ]
+            [getattr(counters, name) for name in _CELL_COUNTERS]
             for counters in metrics.cells
         ],
         "hourly": [
-            [
-                bucket.hour,
-                bucket.new_requests,
-                bucket.blocked,
-                bucket.handoff_attempts,
-                bucket.handoff_drops,
-            ]
+            list(astuple(bucket))
             for _, bucket in sorted(metrics.hourly.items())
         ],
-        "total_admission_tests": metrics.total_admission_tests,
-        "total_calculations": metrics.total_calculations,
-        "total_messages": metrics.total_messages,
         "traces": {
             str(cell): {
-                "t_est": [[p.time, p.value] for p in metrics.t_est_traces[cell]],
-                "reservation": [
-                    [p.time, p.value]
-                    for p in metrics.reservation_traces[cell]
-                ],
-                "phd": [[p.time, p.value] for p in metrics.phd_traces[cell]],
-                "attempts": metrics._trace_attempts[cell],
-                "drops": metrics._trace_drops[cell],
+                **{
+                    key: [
+                        [point.time, point.value]
+                        for point in getattr(metrics, attr)[cell]
+                    ]
+                    for key, attr in _TRACE_SERIES.items()
+                },
+                **{
+                    key: getattr(metrics, attr)[cell]
+                    for key, attr in _TRACE_COUNTS.items()
+                },
             }
             for cell in metrics.tracked
         },
-        "reservation_sum": metrics._reservation_sum,
-        "used_sum": metrics._used_sum,
-        "samples": metrics._samples,
+        **_dump(metrics, _METRICS),
+    }
+
+
+def _add_file(files: dict, path: str, kind: str, blob: bytes, **extra) -> dict:
+    """Put ``blob`` into ``files`` at ``path``; return its manifest entry."""
+    files[path] = blob
+    return {
+        "path": path,
+        "kind": kind,
+        **extra,
+        "bytes": len(blob),
+        "crc32": crc32_of(blob),
     }
 
 
 def _add_cell_file(files: dict, cell_id: int, pairs, snapshots=None) -> dict:
     """Pack one cell's history into ``files``; return its manifest entry."""
-    blob = pack_cell_blob(pairs, snapshots)
-    name = cell_blob_name(cell_id)
-    files[name] = blob
-    return {
-        "path": name,
-        "kind": "cell",
-        "cell": cell_id,
-        "bytes": len(blob),
-        "crc32": crc32_of(blob),
-        "quadruplets": sum(len(times) for times, _sojourns in pairs.values()),
-        "pairs": len(pairs),
-    }
+    return _add_file(
+        files,
+        cell_blob_name(cell_id),
+        "cell",
+        pack_cell_blob(pairs, snapshots),
+        cell=cell_id,
+        quadruplets=sum(len(times) for times, _sojourns in pairs.values()),
+        pairs=len(pairs),
+    )
 
 
 def _manifest(config, clock: float, counts: dict, entries: list) -> bytes:
@@ -413,8 +470,10 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
         "next_mobile_id": peek_mobile_ids(),
         "policy": {
             "name": sim.policy.name,
-            "degradations": getattr(sim.policy, "degradations", 0),
-            "upgrades": getattr(sim.policy, "upgrades", 0),
+            **{
+                key: getattr(sim.policy, attr, 0)
+                for key, attr in _POLICY.items()
+            },
         },
         "connections": [
             _capture_connection(connection)
@@ -424,81 +483,52 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
             list(sim.network.cell(cell_id)._connections)
             for cell_id in range(sim.topology.num_cells)
         ],
-        "cells": [
-            {
-                "used": cell.used_bandwidth,
-                "reserved": cell.reserved_target,
-                "rebuilds": cell.group_rebuilds,
-            }
-            for cell in sim.network.cells
-        ],
+        "cells": [_dump(cell, _CELL) for cell in sim.network.cells],
         "stations": [
             {
-                "reservation_calculations": station.reservation_calculations,
-                "messages_sent": station.messages_sent,
+                **_dump(station, _STATION),
                 "window": _capture_window(station.window),
                 "estimator": _capture_estimator(station.estimator),
             }
             for station in sim.network.stations
         ],
-        "network": {
-            "tick_flushes": sim.network.tick_flushes,
-            "tick_targets": sim.network.tick_targets,
-            "tick_grouped_suppliers": sim.network.tick_grouped_suppliers,
-            "tick_fallback_suppliers": sim.network.tick_fallback_suppliers,
-        },
+        "network": _dump(sim.network, _NETWORK),
         "metrics": _capture_metrics(sim.metrics),
         "queue": _capture_queue(sim),
         "finished": sim._finished,
     }
     files: dict[str, bytes] = {}
-    cell_entries = []
-    for station in sim.network.stations:
-        cell_entries.append(
-            _add_cell_file(
-                files,
-                station.cell_id,
-                station.estimator.cache.export_columns(),
-                _capture_snapshots(station.estimator),
-            )
+    entries = [
+        _add_file(
+            files, RUNTIME_NAME, "runtime", json.dumps(runtime).encode("utf-8")
         )
+    ]
+    cell_entries = [
+        _add_cell_file(
+            files,
+            station.cell_id,
+            station.estimator.cache.export_columns(),
+            _capture_snapshots(station.estimator),
+        )
+        for station in sim.network.stations
+    ]
+    entries += cell_entries
     # Observability sidecars: a telemetry snapshot and the series rows
     # so far, when the run carries them.  Pure annotations — restore
     # never reads them, but ``repro state inspect`` summarises them.
-    sidecar_entries = []
-    telemetry = getattr(sim, "telemetry", None)
-    if telemetry is not None and telemetry.enabled:
-        blob = json.dumps(
-            telemetry.snapshot(), sort_keys=True, indent=1
-        ).encode("utf-8")
-        files["telemetry.json"] = blob
-        sidecar_entries.append(
-            {
-                "path": "telemetry.json",
-                "kind": "telemetry",
-                "bytes": len(blob),
-                "crc32": crc32_of(blob),
-            }
+    if sim.telemetry.enabled:
+        blob = json.dumps(sim.telemetry.snapshot(), sort_keys=True, indent=1)
+        entries.append(
+            _add_file(files, "telemetry.json", "telemetry", blob.encode("utf-8"))
         )
-    sampler = getattr(sim, "sampler", None)
-    if sampler is not None and sampler.series():
-        blob = (
-            "\n".join(
-                json.dumps(row, sort_keys=True) for row in sampler.series()
-            )
-            + "\n"
-        ).encode("utf-8")
-        files["series.jsonl"] = blob
-        sidecar_entries.append(
-            {
-                "path": "series.jsonl",
-                "kind": "series",
-                "bytes": len(blob),
-                "crc32": crc32_of(blob),
-            }
+    if sim.sampler is not None and sim.sampler.series():
+        blob = "".join(
+            json.dumps(row, sort_keys=True) + "\n"
+            for row in sim.sampler.series()
         )
-    runtime_bytes = json.dumps(runtime).encode("utf-8")
-    files[RUNTIME_NAME] = runtime_bytes
+        entries.append(
+            _add_file(files, "series.jsonl", "series", blob.encode("utf-8"))
+        )
     files[MANIFEST_NAME] = _manifest(
         sim.config,
         engine.now,
@@ -510,16 +540,7 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
                 entry["quadruplets"] for entry in cell_entries
             ),
         },
-        [
-            {
-                "path": RUNTIME_NAME,
-                "kind": "runtime",
-                "bytes": len(runtime_bytes),
-                "crc32": crc32_of(runtime_bytes),
-            },
-            *cell_entries,
-            *sidecar_entries,
-        ],
+        entries,
     )
     return files
 
@@ -587,13 +608,7 @@ def _restore_estimator(
             )
     estimator._dirty = {decode_prev(raw) for raw in saved["dirty"]}
     estimator.cache.total_recorded = saved["total_recorded"]
-    estimator.snapshot_hits = saved["snapshot_hits"]
-    estimator.snapshot_builds = saved["snapshot_builds"]
-    estimator.snapshot_invalidations = saved["snapshot_invalidations"]
-    estimator.eq4_vector_batches = saved["eq4_vector_batches"]
-    estimator.eq4_scalar_batches = saved["eq4_scalar_batches"]
-    estimator.eq4_vector_rows = saved["eq4_vector_rows"]
-    estimator.eq4_scalar_rows = saved["eq4_scalar_rows"]
+    _load(estimator, saved, _ESTIMATOR)
 
 
 def restore_window(controller, saved: dict, include_history: bool = True) -> None:
@@ -606,108 +621,52 @@ def restore_window(controller, saved: dict, include_history: bool = True) -> Non
     """
     from repro.core.window import WindowAdjustment
 
-    controller.reference = saved["reference"]
-    controller.observation_window = saved["observation_window"]
-    controller.t_est = saved["t_est"]
-    controller.handoffs = saved["handoffs"]
-    controller.drops = saved["drops"]
-    controller._consecutive = saved["consecutive"]
-    controller._last_direction = saved["last_direction"]
+    _load(controller, saved, _WINDOW_POSITION)
     if include_history:
-        controller.total_handoffs = saved["total_handoffs"]
-        controller.total_drops = saved["total_drops"]
+        _load(controller, saved, _WINDOW_HISTORY)
         controller.adjustments = [
-            WindowAdjustment(time, new_window, increased, handoffs, drops)
-            for time, new_window, increased, handoffs, drops in saved[
-                "adjustments"
-            ]
+            WindowAdjustment(*row) for row in saved["adjustments"]
         ]
 
 
 def _restore_metrics(metrics, saved: dict) -> None:
-    for counters, values in zip(metrics.cells, saved["cells"]):
-        (
-            counters.new_requests,
-            counters.blocked,
-            counters.handoff_attempts,
-            counters.handoff_drops,
-            counters.completed,
-            counters.exited,
-        ) = values
-    metrics.hourly = {
-        hour: HourlyBucket(hour, requests, blocked, attempts, drops)
-        for hour, requests, blocked, attempts, drops in saved["hourly"]
-    }
-    metrics.total_admission_tests = saved["total_admission_tests"]
-    metrics.total_calculations = saved["total_calculations"]
-    metrics.total_messages = saved["total_messages"]
+    for counters, row in zip(metrics.cells, saved["cells"]):
+        for name, value in zip(_CELL_COUNTERS, row):
+            setattr(counters, name, value)
+    metrics.hourly = {row[0]: HourlyBucket(*row) for row in saved["hourly"]}
     for cell_text, trace in saved["traces"].items():
         cell = int(cell_text)
         if cell not in metrics.tracked:
             continue
-        metrics.t_est_traces[cell] = [
-            TracePoint(time, value) for time, value in trace["t_est"]
-        ]
-        metrics.reservation_traces[cell] = [
-            TracePoint(time, value) for time, value in trace["reservation"]
-        ]
-        metrics.phd_traces[cell] = [
-            TracePoint(time, value) for time, value in trace["phd"]
-        ]
-        metrics._trace_attempts[cell] = trace["attempts"]
-        metrics._trace_drops[cell] = trace["drops"]
-    metrics._reservation_sum = saved["reservation_sum"]
-    metrics._used_sum = saved["used_sum"]
-    metrics._samples = saved["samples"]
+        for key, attr in _TRACE_SERIES.items():
+            getattr(metrics, attr)[cell] = [
+                TracePoint(time, value) for time, value in trace[key]
+            ]
+        for key, attr in _TRACE_COUNTS.items():
+            getattr(metrics, attr)[cell] = trace[key]
+    _load(metrics, saved, _METRICS)
 
 
 def _restore_queue(
     sim: "CellularSimulator", runtime: dict, connections: dict
 ) -> None:
     """Re-schedule the pending events (written in stamp order)."""
-    engine = sim.engine
     for record in runtime["queue"]:
         kind = record["kind"]
-        if kind == "arrival":
-            engine.call_at(
-                record["time"],
-                sim._on_arrival,
-                record["cell"],
-                record["attempt"],
-                priority=EventPriority.ARRIVAL,
-            )
-        elif kind == "retry":
-            engine.call_at(
-                record["time"],
-                sim._handle_request,
-                record["cell"],
-                record["attempt"],
-                priority=EventPriority.ARRIVAL,
-            )
-        elif kind == "lifetime":
-            engine.call_at(
-                record["time"],
-                sim._on_lifetime_end,
-                connections[record["conn"]],
-                priority=EventPriority.DEPARTURE,
-            )
-        elif kind == "crossing":
-            engine.call_at(
-                record["time"],
-                sim._on_crossing,
-                connections[record["conn"]],
-                Transition(record["t_time"], record["t_next"]),
-                record.get("soft"),
-                priority=EventPriority.HANDOFF,
-            )
-        elif kind == "sample":
-            engine.call_at(
-                record["time"],
-                sim._on_sample,
-                priority=EventPriority.MONITOR,
-            )
-        else:
+        if kind not in _QUEUED:
             raise StateFormatError(f"unknown queued event kind {kind!r}")
+        handler, priority, keys = _QUEUED[kind]
+        args = []
+        for key in keys:
+            if key == "conn":
+                args.append(connections[record[key]])
+            elif key == "transition":
+                args.append(Transition(record["t_time"], record["t_next"]))
+            else:
+                args.append(record.get(key))
+        sim.engine.call_at(
+            record["time"], getattr(sim, handler), *args, priority=priority
+        )
 
 
 def restore_simulator(path: str | Path, config) -> "CellularSimulator":
@@ -762,34 +721,19 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
             f"checkpoint used policy {runtime['policy']['name']!r}, "
             f"configuration builds {sim.policy.name!r}"
         )
-    if hasattr(sim.policy, "degradations"):
-        sim.policy.degradations = runtime["policy"]["degradations"]
-        sim.policy.upgrades = runtime["policy"]["upgrades"]
+    if isinstance(sim.policy, AdaptiveQoSPolicy):
+        _load(sim.policy, runtime["policy"], _POLICY)
     connections: dict[int, Connection] = {}
     for record in runtime["connections"]:
-        mobile = None
-        if record["mobile"] is not None:
-            saved_mobile = record["mobile"]
-            mobile = Mobile(
-                position_km=saved_mobile["pos"],
-                speed_kmh=saved_mobile["speed"],
-                direction=saved_mobile["dir"],
-                cell_id=saved_mobile["cell"],
-                position_time=saved_mobile["ptime"],
-                mobile_id=saved_mobile["id"],
-            )
-        connections[record["id"]] = Connection(
+        saved_mobile = record["mobile"]
+        connection = Connection(
             _TRAFFIC_CLASSES[record["class"]],
-            start_time=record["start"],
-            cell_id=record["cell"],
-            mobile=mobile,
-            prev_cell=record["prev"],
-            cell_entry_time=record["entry"],
-            connection_id=record["id"],
-            handoff_count=record["handoffs"],
-            allocated_bandwidth=record["alloc"],
-            planned_end=record["end"],
+            mobile=None
+            if saved_mobile is None
+            else Mobile(**_kwargs(saved_mobile, _MOBILE)),
+            **_kwargs(record, _CONNECTION),
         )
+        connections[connection.connection_id] = connection
     for station in sim.network.stations:
         entry = _entry_for(manifest, cell_blob_name(station.cell_id))
         pairs, snapshots = unpack_cell_blob(read_entry(path, entry))
@@ -798,36 +742,19 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
             station.estimator, pairs, snapshots, saved_station["estimator"]
         )
         restore_window(station.window, saved_station["window"])
-        station.reservation_calculations = saved_station[
-            "reservation_calculations"
-        ]
-        station.messages_sent = saved_station["messages_sent"]
+        _load(station, saved_station, _STATION)
     sim.network.recount_messages()
     for cell_id, member_ids in enumerate(runtime["cell_members"]):
         cell = sim.network.cell(cell_id)
         for connection_id in member_ids:
             cell.attach(connections[connection_id])
-        saved_cell = runtime["cells"][cell_id]
         # Replayed attaches recompute an exact sum; the live counter is
         # an accumulated float with its own rounding history — restore
         # the drifted value so later arithmetic continues identically.
-        cell.used_bandwidth = saved_cell["used"]
-        cell.reserved_target = saved_cell["reserved"]
-        cell.group_rebuilds = saved_cell["rebuilds"]
-    saved_network = runtime["network"]
-    sim.network.tick_flushes = saved_network["tick_flushes"]
-    sim.network.tick_targets = saved_network["tick_targets"]
-    sim.network.tick_grouped_suppliers = saved_network[
-        "tick_grouped_suppliers"
-    ]
-    sim.network.tick_fallback_suppliers = saved_network[
-        "tick_fallback_suppliers"
-    ]
+        _load(cell, runtime["cells"][cell_id], _CELL)
+    _load(sim.network, runtime["network"], _NETWORK)
     _restore_metrics(sim.metrics, runtime["metrics"])
-    sim.active_connections = {
-        record["id"]: connections[record["id"]]
-        for record in runtime["connections"]
-    }
+    sim.active_connections = connections
     _restore_queue(sim, runtime, connections)
     sim._resumed = True
     elapsed = wall_clock.perf_counter() - started

@@ -248,6 +248,32 @@ class TestDeadWorker:
         assert time.perf_counter() - started < 5.0
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_error_keeps_its_type(self, monkeypatch):
+        """A process shard raises what an in-process shard would (the
+        CLI turns a ``ValueError`` into exit 2), caused by the remote
+        traceback; an error that cannot pickle arrives by name."""
+
+        class Unpicklable(Exception):
+            pass
+
+        plain = ShardEngine.run_epoch
+        raised = {1: ValueError("shard-side refusal"), 0: Unpicklable("x")}
+
+        def run_epoch(self, k, replies):
+            if k == 2 and self.index in raised:
+                raise raised[self.index]
+            return plain(self, k, replies)
+
+        monkeypatch.setattr(ShardEngine, "run_epoch", run_epoch)
+        with pytest.raises(RuntimeError, match="Unpicklable: x") as caught:
+            run_spatial(_city(), 2, processes=True)
+        assert "in shard 0 worker during 'epoch'" in str(caught.value.__cause__)
+        del raised[0]
+        with pytest.raises(ValueError, match="shard-side refusal") as caught:
+            run_spatial(_city(), 2, processes=True)
+        assert "Traceback" in str(caught.value.__cause__)
+        assert multiprocessing.active_children() == []
+
 
 class TestCampaign:
     def _run(self, tmp_path, shards, name, days=2):

@@ -122,6 +122,58 @@ class TestOneEventPerConnection:
         assert first.engine.pending == len(runtime["queue"])
 
 
+def _comparable(files: dict) -> tuple:
+    """A capture minus what a restore legitimately renews: the queue's
+    stamps (only their order is kept) and the ``finished`` flag."""
+    runtime = json.loads(files[RUNTIME_NAME])
+    del runtime["finished"]
+    for rank, record in enumerate(runtime["queue"]):
+        record["seq"] = rank
+    blobs = {
+        name: data for name, data in files.items() if name.startswith("cells/")
+    }
+    return runtime, blobs
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(
+                adaptive_qos=True,
+                t_int=120.0,
+                retry_enabled=True,
+                tracked_cells=(0, 4),
+                hourly_stats=True,
+                soft_handoff_window=5.0,
+            ),
+        ],
+        ids=["ac3", "every-record-kind"],
+    )
+    def test_a_restore_captures_back_to_the_record_it_came_from(
+        self, tmp_path, overrides
+    ):
+        """Every field the table persists is also written back: a
+        restored simulator captures to the state it was restored from."""
+        config = base_config(offered_load=250.0, **overrides)
+        first = CellularSimulator(replace(config, duration=150.0))
+        first.run()
+        saved = capture_state(first)
+        path = save_checkpoint(first, tmp_path / "ckpt")
+        restored = restore_simulator(path, config)
+        assert _comparable(capture_state(restored)) == _comparable(saved)
+        if overrides:
+            runtime = json.loads(saved[RUNTIME_NAME])
+            kinds = {record["kind"] for record in runtime["queue"]}
+            assert kinds == {
+                "arrival", "retry", "lifetime", "crossing", "sample"
+            }
+            assert runtime["policy"]["degradations"] > 0
+            metrics = runtime["metrics"]
+            assert metrics["hourly"] and metrics["traces"]
+
+
 class _SaveBetweenDetachAndTick:
     """Heartbeat hook: checkpoint once, at a moment when some table
     holds a tombstone its mirror has not seen and some cache a journal

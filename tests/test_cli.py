@@ -217,7 +217,7 @@ class TestHotspotValidation:
 @pytest.mark.parametrize("command", ["run", "campaign"])
 def test_negative_shards_fail_cleanly(capsys, tmp_path, command):
     # Used to fall through to the 1-D road and ignore every spatial flag.
-    argv = [command, "--shards", "-2", "--inline-shards", "--duration", "60"]
+    argv = [command, "--shards", "-2", "--hex", "6x6", "--duration", "60"]
     if command == "campaign":
         argv[-2:] = ["--days", "1", "--state-dir", str(tmp_path / "city")]
     code, out, err = run_cli(capsys, *argv)
@@ -225,3 +225,65 @@ def test_negative_shards_fail_cleanly(capsys, tmp_path, command):
     assert "--shards" in err and "-2" in err
     assert out == ""
     assert not (tmp_path / "city").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--shards", "2", "--replications", "3"],
+         ["--shards", "--replications"]),
+        (["--shards", "2", "--checkpoint-every", "10"],
+         ["--shards", "--save-state"]),
+        (["--shards", "2", "--trace-jsonl", "{tmp}/j"],
+         ["--shards", "--trace-jsonl"]),
+        (["--shards", "2", "--one-way"], ["--shards", "--one-way"]),
+        (["--shards", "2", "--low-mobility"], ["--shards", "--low-mobility"]),
+        (["--shards", "2", "--overload", "1.1"], ["--shards", "--overload"]),
+        (["--replications", "3", "--save-state", "{tmp}/s"],
+         ["--replications", "--save-state"]),
+        (["--replications", "3", "--trace-jsonl", "{tmp}/j"],
+         ["--replications", "--trace-jsonl"]),
+        (["--save-state", "{tmp}/s", "--trace-jsonl", "{tmp}/j"],
+         ["--save-state", "--trace-jsonl"]),
+        (["--hotspots", "1,1,2"], ["--hotspots", "--shards"]),
+        (["--workers", "2"], ["--workers", "--replications"]),
+    ],
+    ids=[
+        "shards-replications",
+        "shards-state",
+        "shards-journal",
+        "shards-one-way",
+        "shards-low-mobility",
+        "shards-overload",
+        "replications-state",
+        "replications-journal",
+        "state-journal",
+        "hotspots-without-shards",
+        "workers-without-replications",
+    ],
+)
+def test_one_mode_check_refuses_what_a_run_would_ignore(
+    capsys, tmp_path, flags, named
+):
+    """Every flag combination the chosen runner cannot honour exits 2,
+    names both flags and runs nothing — several used to exit 0 and
+    silently drop the second flag."""
+    argv = [flag.format(tmp=tmp_path) for flag in flags]
+    code, out, err = run_cli(
+        capsys, "run", "--hex", "6x6", "--duration", "60", *argv
+    )
+    assert code == 2
+    assert out == ""
+    assert all(flag in err for flag in named)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_campaign_shares_the_mode_check(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "campaign", "--shards", "2", "--hex", "6x6", "--one-way",
+        "--days", "1", "--state-dir", str(tmp_path / "city"),
+    )
+    assert code == 2
+    assert "--shards" in err and "--one-way" in err
+    assert not (tmp_path / "city").exists()
+
