@@ -12,8 +12,10 @@ echo "== tier-1 tests =="
 # one heap entry per connection — and the serve driver's heap holds its
 # monitor event across a checkpoint (tests/serve/test_service.py).
 # The suite's wall time is one of the end-to-end numbers (ROADMAP aim
-# 1): --durations prints where it goes.
+# 1): --durations prints where it goes, the last line how long it took.
+TIER1_START=$(date +%s)
 PYTHONPATH=src python -m pytest -x -q --durations=15
+echo "tier-1 wall: $(( $(date +%s) - TIER1_START )) s"
 
 echo "== kernel matrix =="
 # Both backends must be bit-identical, so the kernel-sensitive suites
@@ -23,6 +25,7 @@ echo "== kernel matrix =="
 KERNEL_TESTS="tests/properties/test_kernel_backend_parity.py \
     tests/properties/test_reservation_table_properties.py \
     tests/properties/test_admission_properties.py \
+    tests/properties/test_convolution_parity.py \
     tests/cellular/test_reservation_cache.py tests/estimation \
     tests/simulation/test_columnar.py tests/simulation/test_spatial.py"
 for KERNEL in python numpy; do

@@ -23,7 +23,9 @@ kernel produced them.
 Besides selection, this module hosts the Eq. 4/5 pass of the coalesced
 reservation tick
 (:meth:`repro.cellular.network.CellularNetwork.flush_reservation_tick`)
-and the key encoding it searches with.
+and the key encoding it searches with.  The pass is two-phase per
+supplier (:class:`FlushBatch`): every row's Eq. 4 denominator first,
+then numerators only for the rows that can add anything to Eq. 5.
 
 **Key encoding.**  numpy orders complex numbers lexicographically
 (real part first, imaginary part second), so one sorted complex128
@@ -141,6 +143,17 @@ class FlushBatch:
     requested target at once.  :meth:`resolve` then turns the counts
     into Eq. 5 totals, one per registered ``(supplier, target)``.
 
+    A part is searched in two phases.  The union column gives every
+    row its Eq. 4 denominator; only rows whose denominator *and*
+    basis are both nonzero go on to the pair-column search for the
+    numerators.  The rows left out are the ones that add exactly
+    ``+0.0`` to every total: an *estimated stationary* row (no cached
+    sojourn for its ``prev`` exceeds its extant sojourn — paper §4.1)
+    and a detached connection's row, which stays in the table with
+    basis ``0.0`` until compaction.  Every partial sum is
+    non-negative, and ``x + 0.0 == x`` for those, so dropping them
+    changes no bit.
+
     Only *unit-weight* masses participate (``w == 1.0``, the stationary
     default): their cumulative weights are exact consecutive integers,
     so the Eq. 4 masses equal search-index differences.  The arithmetic
@@ -148,17 +161,16 @@ class FlushBatch:
     :meth:`resolve` for why its guards are no-ops here) and totals
     each request left to right in table order — which is
     connection-iteration order — so every total is bit-identical to
-    the scalar walk's.  Rows of detached connections stay in the table
-    with basis ``0.0`` until compaction: they contribute
-    ``0.0 * ratio = +0.0``, and ``x + 0.0 == x``.
+    the scalar walk's.
     """
 
     __slots__ = ("np", "_parts", "outputs")
 
     def __init__(self, np) -> None:
         self.np = np
-        #: ``(denominator counts, numerator counts, bases)`` per part;
-        #: counts have one row per requested target.
+        #: ``(denominator counts, numerator counts, bases)`` per part,
+        #: kept rows only; numerator counts have one row per requested
+        #: target.
         self._parts: list[tuple] = []
         #: Requests registered so far: the index, in :meth:`resolve`'s
         #: result, of the next part's first request.
@@ -174,22 +186,30 @@ class FlushBatch:
         two ends of each numerator interval.
         """
         add_outer = self.np.add.outer
-        count = len(offsets) // 2
-        # ndarray method, not np.searchsorted: the free-function wrapper
-        # costs a dispatch layer per call and this is the hot path.
+        # ndarray methods, not np.searchsorted / np.nonzero: the
+        # free-function wrappers cost a dispatch layer per call and
+        # this is the hot path.
         ends = union.searchsorted(add_outer(_ABOVE, queries), side="right")
+        above = ends[1] - ends[0]
+        keep = (above * bases).nonzero()[0]
+        if len(keep) < len(queries):
+            above = above[keep]
+            queries = queries[keep]
+            bases = bases[keep]
+        count = len(offsets) // 2
         spans = pair.searchsorted(add_outer(offsets, queries), side="right")
-        self._parts.append(
-            (ends[1] - ends[0], spans[count:] - spans[:count], bases)
-        )
+        self._parts.append((above, spans[count:] - spans[:count], bases))
         self.outputs += count
 
     def resolve(self) -> list[float]:
         """Eq. 5 totals of every registered request, in registration
         order."""
-        maximum = self.np.maximum
         totals: list[float] = []
         for above, within, bases in self._parts:
+            if not len(above):
+                # Nothing kept: every row would have added +0.0.
+                totals.extend([0.0] * len(within))
+                continue
             # Unit-weight masses: the cumulative weight of the first k
             # entries is exactly float(k), so the masses are the search
             # counts themselves (true_divide converts them to the same
@@ -197,9 +217,9 @@ class FlushBatch:
             # pair sojourn is also a union sojourn, so ``within <=
             # above``: the scalar walk's ``min(ratio, 1.0)`` changes
             # nothing, and its "estimated stationary" skip
-            # (``above == 0``) is the case ``within == 0`` — dividing
-            # by ``max(above, 1)`` gives its 0.0 without a mask.
-            ratio = within / maximum(above, 1)
+            # (``above == 0``) is a row :meth:`add_part` did not keep —
+            # every kept ``above`` is at least 1.
+            ratio = within / above
             ratio *= bases
             # cumsum is a strict left-to-right recurrence along each
             # row, so its last element is the same addition sequence —

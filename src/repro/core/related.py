@@ -33,7 +33,9 @@ from the hand-off history.
 from __future__ import annotations
 
 import math
+from functools import partial
 
+from repro._kernel import numpy_or_none
 from repro.cellular.network import CellularNetwork
 from repro.core.admission import AdmissionDecision, AdmissionPolicy
 
@@ -44,12 +46,24 @@ def convolve_bernoulli(
     """Convolve a bandwidth pmf with one scaled Bernoulli arrival.
 
     ``distribution[b]`` is ``P(total = b)``; the new term adds
-    ``bandwidth`` BUs with ``probability``.
+    ``bandwidth`` BUs with ``probability``.  The numpy and python
+    kernels return equal lists.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability {probability} outside [0, 1]")
     if bandwidth < 0:
         raise ValueError("bandwidth cannot be negative")
+    np = numpy_or_none()
+    if np is None:
+        return _convolve_list(distribution, probability, bandwidth)
+    mass = np.asarray(distribution, dtype=np.float64)
+    return _convolve_array(np, mass, probability, bandwidth).tolist()
+
+
+def _convolve_list(
+    distribution: list[float], probability: float, bandwidth: int
+) -> list[float]:
+    """:func:`convolve_bernoulli` on lists (the python kernel)."""
     if probability == 0.0 or bandwidth == 0:
         return list(distribution)
     size = len(distribution) + bandwidth
@@ -60,6 +74,23 @@ def convolve_bernoulli(
             continue
         result[value] += mass * miss
         result[value + bandwidth] += mass * probability
+    return result
+
+
+def _convolve_array(np, mass, probability: float, bandwidth: int):
+    """:func:`convolve_bernoulli` on an ndarray (the numpy kernel).
+
+    Entry ``b`` gets the same two products, added in the same order,
+    as the list loop gives it: first ``mass[b - bandwidth] * p``, then
+    ``mass[b] * (1 - p)``.  The loop skips zero masses, and the
+    products it skips are ``+0.0``, which change no non-negative sum.
+    """
+    if probability == 0.0 or bandwidth == 0:
+        return mass
+    size = len(mass)
+    result = np.zeros(size + bandwidth)
+    result[bandwidth:] = mass * probability
+    result[:size] += mass * (1.0 - probability)
     return result
 
 
@@ -127,14 +158,22 @@ class NaghshinehSchwartzPolicy(AdmissionPolicy):
     ) -> list[float]:
         """pmf of cell ``cell_id``'s bandwidth at ``t + T``."""
         self.evaluations += 1
-        distribution = [1.0]
+        # The pmf stays an ndarray between convolutions under the numpy
+        # kernel and becomes a list once, at the end.
+        np = numpy_or_none()
+        if np is None:
+            convolve = _convolve_list
+            distribution = [1.0]
+        else:
+            convolve = partial(_convolve_array, np)
+            distribution = np.ones(1)
         if extra_bandwidth:
             # The candidate call: admitted now, still present w.p. stay.
-            distribution = convolve_bernoulli(
+            distribution = convolve(
                 distribution, self.p_stay, extra_bandwidth
             )
         for connection in network.cell(cell_id).connections():
-            distribution = convolve_bernoulli(
+            distribution = convolve(
                 distribution, self.p_stay, int(round(connection.bandwidth))
             )
         for neighbor in network.neighbors(cell_id):
@@ -143,10 +182,10 @@ class NaghshinehSchwartzPolicy(AdmissionPolicy):
                 continue
             p_in = self.p_depart / degree
             for connection in network.cell(neighbor).connections():
-                distribution = convolve_bernoulli(
+                distribution = convolve(
                     distribution, p_in, int(round(connection.bandwidth))
                 )
-        return distribution
+        return distribution if np is None else distribution.tolist()
 
     def admit_new(
         self,

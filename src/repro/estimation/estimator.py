@@ -293,8 +293,10 @@ class MobilityEstimator:
         does the arithmetic in ``batch.resolve()``.
 
         Returns one slot per request — its index in the list
-        ``batch.resolve()`` returns, or ``None`` for ``t_est <= 0`` —
-        each total bit-identical to the matching
+        ``batch.resolve()`` returns, or ``None`` when the total is
+        known to be 0.0: ``t_est <= 0``, or an empty key column (no
+        live history, so every row is estimated stationary; nothing is
+        registered then) — each total bit-identical to the matching
         :meth:`expected_bandwidth_multi` element.  Returns ``None``
         when the cache has no key columns (finite ``T_int`` / non-unit
         day weights) — the caller then answers with the walk.
@@ -323,8 +325,11 @@ class MobilityEstimator:
         if offsets_low:
             keys, bases = table
             # One dispatch for the whole supplier, dead rows included —
-            # that is what the kernel searches.
+            # what the kernel's first phase searches.
             self._count_dispatch(True, len(keys) * len(offsets_low))
+            if not len(columns[0]):
+                # No live history: every row is estimated stationary.
+                return [None] * len(requests)
             batch.add_part(
                 columns[0],
                 columns[1],

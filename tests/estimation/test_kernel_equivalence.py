@@ -21,7 +21,7 @@ from repro._kernel import FlushBatch
 from repro.cellular.cell import Cell
 from repro.estimation.cache import CacheConfig
 from repro.estimation.estimator import MobilityEstimator
-from repro.traffic.classes import VOICE
+from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
 
 np = pytest.importorskip("numpy")
@@ -185,3 +185,203 @@ def test_grouped_expected_bandwidth_identical_across_kernels(seed, t_est):
     ) == naive
     if cell.connection_count:
         assert kernel_totals(estimator, [cell], requests) == [naive]
+
+
+# ----------------------------------------------------------------------
+# the rows the kernel prunes
+# ----------------------------------------------------------------------
+# The kernel searches numerators only for rows whose Eq. 4 denominator
+# and basis are both nonzero.  The cases below build every kind of row
+# it drops — tombstoned, estimated stationary (older than every cached
+# sojourn, or from a ``prev`` without history), a whole supplier with
+# an empty key column — next to rows it keeps, and hold each supplier
+# to the walk bit for bit.
+
+#: ``prev`` 3 never has history; ``None`` and 1, 2 do (when drawn).
+HISTORY_PREVS = st.sampled_from((None, 1, 2))
+TABLE_PREVS = st.sampled_from((None, 1, 2, 3))
+#: Cached sojourns stay below 90 s while extant sojourns reach NOW, so
+#: many rows are older than every cached sojourn of their ``prev``.
+short_sojourns = st.floats(min_value=0.0, max_value=90.0)
+histories = st.lists(
+    st.tuples(HISTORY_PREVS, next_cells, short_sojourns), max_size=60
+)
+populations = st.lists(
+    st.tuples(
+        TABLE_PREVS,
+        st.one_of(short_sojourns, st.floats(min_value=0.0, max_value=NOW)),
+        st.sampled_from((VOICE, VIDEO)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+#: Dead (``t_est <= 0``) requests mixed among live ones, in any order.
+mixed_requests = st.lists(
+    st.tuples(
+        next_cells,
+        st.one_of(
+            st.sampled_from((0.0, -1.0)),
+            st.floats(min_value=-100.0, max_value=200.0),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+#: Detach a connection, re-attach a detached one, or run a tick.
+table_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("detach", "detach", "attach", "tick")),
+        st.integers(min_value=0, max_value=10**6),
+    ),
+    max_size=80,
+)
+
+
+def history_estimator(items):
+    estimator = MobilityEstimator(CacheConfig(interval=None))
+    for index, (prev, next_cell, sojourn) in enumerate(items):
+        estimator.record_departure(float(index), prev, next_cell, sojourn)
+    return estimator
+
+
+def assert_tick_matches_walk(estimator, cell, requests):
+    """One supplier through the kernel == the scalar walk, bit for bit."""
+    if not cell.connection_count:
+        return  # the station never registers an empty cell
+    walked = estimator.expected_bandwidth_multi(
+        NOW, cell.connections(), requests
+    )
+    assert kernel_totals(estimator, [cell], requests) == [walked]
+
+
+@settings(max_examples=150, deadline=None)
+@given(histories, populations, mixed_requests, table_ops)
+def test_pruned_rows_through_tombstones_compaction_and_reattach(
+    items, population, requests, ops
+):
+    estimator = history_estimator(items)
+    cell = Cell(5, capacity=1e9)
+    attached = []
+    for prev, extant, traffic_class in population:
+        connection = Connection(
+            traffic_class, 0.0, 5, prev_cell=prev,
+            cell_entry_time=NOW - extant,
+        )
+        cell.attach(connection)
+        attached.append(connection)
+    detached = []
+    assert_tick_matches_walk(estimator, cell, requests)
+    for op, pick in ops:
+        if op == "detach" and attached:
+            # Detaching past half the table compacts it; before that
+            # the row stays as a basis-0.0 tombstone.
+            connection = attached.pop(pick % len(attached))
+            cell.detach(connection)
+            detached.append(connection)
+        elif op == "attach" and detached:
+            # Re-attached, the connection gets a fresh row at the end.
+            connection = detached.pop(pick % len(detached))
+            cell.attach(connection)
+            attached.append(connection)
+        elif op == "tick":
+            assert_tick_matches_walk(estimator, cell, requests)
+    assert_tick_matches_walk(estimator, cell, requests)
+
+
+def test_tombstones_and_compaction_are_reached():
+    """The property above really visits tombstones, compaction and a
+    re-attach: a deterministic walk through all three."""
+    estimator = history_estimator(
+        [(1, 2, 30.0), (1, 3, 60.0), (None, 2, 10.0), (2, 2, 80.0)]
+    )
+    cell = Cell(5, capacity=1e9)
+    connections = [
+        Connection(
+            VIDEO if index % 3 else VOICE, 0.0, 5,
+            prev_cell=(None, 1, 2, 3)[index % 4],
+            cell_entry_time=NOW - 7.0 * index,
+        )
+        for index in range(12)
+    ]
+    for connection in connections:
+        cell.attach(connection)
+    requests = [(2, 25.0), (3, 0.0), (2, -5.0), (3, 70.0)]
+    assert_tick_matches_walk(estimator, cell, requests)
+    rebuilds = cell.group_rebuilds
+    for connection in connections[:5]:  # 7 of 12 live: tombstones
+        cell.detach(connection)
+    assert_tick_matches_walk(estimator, cell, requests)
+    assert cell.group_rebuilds == rebuilds
+    cell.detach(connections[5])  # 6 of 12 live: still tombstones
+    cell.detach(connections[6])  # 5 of 12 live: compaction
+    cell.attach(connections[0])  # re-attach
+    assert_tick_matches_walk(estimator, cell, requests)
+    assert cell.group_rebuilds == rebuilds + 1
+
+
+@given(populations, mixed_requests, histories)
+def test_empty_key_column_registers_nothing(population, requests, items):
+    """A supplier with connections but no history: every slot is
+    ``None``, nothing enters the batch, and the dispatch still counts
+    every row × live request.  After history arrives, the patched
+    columns answer like the walk."""
+    estimator = MobilityEstimator(CacheConfig(interval=None))
+    cell = cell_of([])
+    for prev, extant, traffic_class in population:
+        cell.attach(
+            Connection(
+                traffic_class, 0.0, 5, prev_cell=prev,
+                cell_entry_time=NOW - extant,
+            )
+        )
+    batch = FlushBatch(np)
+    slots = estimator.grouped_flush_parts(
+        np, NOW, requests, cell.reservation_table(np), batch
+    )
+    live = sum(1 for _, t_est in requests if t_est > 0)
+    assert slots == [None] * len(requests)
+    assert batch.outputs == 0 and batch.resolve() == []
+    assert estimator.eq4_vector_rows == len(population) * live
+    assert estimator.expected_bandwidth_multi(
+        NOW, cell.connections(), requests
+    ) == [0.0] * len(requests)
+    for index, (prev, next_cell, sojourn) in enumerate(items):
+        estimator.record_departure(float(index), prev, next_cell, sojourn)
+    assert_tick_matches_walk(estimator, cell, requests)
+
+
+@settings(max_examples=50, deadline=None)
+@given(histories, st.lists(populations, min_size=2, max_size=4),
+       mixed_requests)
+def test_suppliers_share_one_batch(items, tables, requests):
+    """Several suppliers — one of them with an empty key column — in
+    one batch: every slot still points at its own total."""
+    estimators = [history_estimator(items), history_estimator([])]
+    cells = []
+    for population in tables:
+        cell = cell_of([])
+        for prev, extant, traffic_class in population:
+            cell.attach(
+                Connection(
+                    traffic_class, 0.0, 5, prev_cell=prev,
+                    cell_entry_time=NOW - extant,
+                )
+            )
+        cells.append(cell)
+    batch = FlushBatch(np)
+    pairs = [
+        (estimators[index % 2], cell) for index, cell in enumerate(cells)
+    ]
+    slots = [
+        estimator.grouped_flush_parts(
+            np, NOW, requests, cell.reservation_table(np), batch
+        )
+        for estimator, cell in pairs
+    ]
+    totals = batch.resolve()
+    for (estimator, cell), part in zip(pairs, slots):
+        assert [
+            0.0 if slot is None else totals[slot] for slot in part
+        ] == estimator.expected_bandwidth_multi(
+            NOW, cell.connections(), requests
+        )
