@@ -29,7 +29,7 @@ def _run(duration, predictive, manager_out):
         duration=duration, warmup=duration / 4.0, seed=6,
     )
     simulator = CellularSimulator(
-        config, extensions=[WiredBackboneExtension(manager)]
+        config, backbone=WiredBackboneExtension(manager)
     )
     return simulator.run()
 

@@ -28,10 +28,8 @@ def run(label, manager):
         "AC3", offered_load=200.0, voice_ratio=0.8, duration=1200.0,
         warmup=300.0, seed=6,
     )
-    extensions = []
-    if manager is not None:
-        extensions.append(WiredBackboneExtension(manager))
-    simulator = CellularSimulator(config, extensions=extensions)
+    backbone = None if manager is None else WiredBackboneExtension(manager)
+    simulator = CellularSimulator(config, backbone=backbone)
     result = simulator.run()
     line = (
         f"{label:<24} P_CB={result.blocking_probability:.3f} "

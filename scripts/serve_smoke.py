@@ -18,16 +18,25 @@ subscriber listens, then asserts:
 * while one connection's 5 000-frame burst is being worked off, a
   second connection's single ``admit`` is answered before the burst's
   last reply (a read is a group; the loop gets a turn between groups);
-* shutdown is clean (connections closed, no stray tasks).
+* shutdown is clean (connections closed, no stray tasks);
+* the journal ``repro run --trace-jsonl`` writes is the wire format
+  ``repro serve`` takes: replayed stamped over one WebSocket into a
+  fresh wall-clock service of the same scenario, every reply repeats
+  the recorded decision.
 
 Run from the repository root:  PYTHONPATH=src python scripts/serve_smoke.py
 """
 
 import asyncio
 import json
+import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
-from repro.serve import AdmissionService
+from repro.cli import _build_config, build_parser
+from repro.serve import AdmissionService, WallClock
+from repro.serve.events import ARRIVAL, HANDOFF, read_events
 from repro.serve.loadgen import run_load
 from repro.serve.ws import (
     OP_BINARY,
@@ -41,6 +50,11 @@ from repro.simulation.scenarios import stationary
 DECISIONS = 500
 BURST = 200
 FAIRNESS_BURST = 5000
+#: The short ring whose CLI journal is replayed over the socket.
+JOURNAL_RUN = [
+    "run", "--scheme", "static", "--load", "150", "--duration", "300",
+    "--cells", "6", "--seed", "5",
+]
 
 
 async def main() -> int:
@@ -183,7 +197,61 @@ async def main() -> int:
     ]
     assert not pending, f"stray tasks after shutdown: {pending}"
     print("serve smoke: clean shutdown OK")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        await replay_cli_journal(Path(tmp) / "journal.jsonl")
     return 0
+
+
+def _request(event) -> dict:
+    """The gateway request that carries one journal event, stamped."""
+    if event.kind == ARRIVAL:
+        return {
+            "op": "admit", "cell": event.cell, "conn": event.conn,
+            "traffic": event.traffic, "t": event.t,
+        }
+    return {
+        "op": "event", "kind": event.kind, "cell": event.cell,
+        "conn": event.conn, "t": event.t,
+    }
+
+
+async def replay_cli_journal(journal: Path) -> None:
+    subprocess.run(
+        [sys.executable, "-m", "repro", *JOURNAL_RUN,
+         "--trace-jsonl", str(journal)],
+        check=True, capture_output=True,
+    )
+    with journal.open(encoding="utf-8") as handle:
+        events = read_events(handle)
+    config = _build_config(build_parser().parse_args(JOURNAL_RUN))
+    service = AdmissionService(config, clock=WallClock())
+    await service.start()
+    gateway = WebSocketGateway(service, port=0)
+    await gateway.start()
+    client = await AsyncWsClient.connect(gateway.url)
+    client._writer.write(
+        b"".join(
+            encode_frame(json.dumps(_request(event)).encode(), mask=True)
+            for event in events
+        )
+    )
+    decisions = 0
+    for index, event in enumerate(events):
+        reply = await asyncio.wait_for(client.recv_json(), timeout=10.0)
+        if event.kind in (ARRIVAL, HANDOFF):
+            assert reply["op"] == "decision", (index, event, reply)
+            assert reply["admitted"] == event.admitted, (index, event, reply)
+            decisions += 1
+        else:
+            assert reply["op"] == "ok", (index, event, reply)
+    await client.close()
+    await gateway.stop()
+    await service.stop()
+    print(
+        f"serve smoke: CLI journal of {len(events)} events replayed over"
+        f" the socket, all {decisions} decisions as recorded"
+    )
 
 
 if __name__ == "__main__":

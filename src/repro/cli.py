@@ -30,7 +30,6 @@ from repro.obs import (
 from repro.simulation.runner import run_sweep
 from repro.simulation.scenarios import hex_city, stationary
 from repro.simulation.simulator import CellularSimulator
-from repro.simulation.tracing import ConnectionTracer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_arguments(run_parser)
     run_parser.add_argument(
         "--trace-jsonl", default=None, metavar="PATH",
-        help="record the connection-lifecycle journal and write it as"
-        " JSON lines (verify() violations are logged)",
+        help="record the run's decision stream (every arrival with its"
+        " decision, hand-off, completion and exit) as JSON lines that"
+        " 'repro serve' replays (life-cycle violations are logged)",
     )
     run_parser.add_argument(
         "--replications", type=int, default=1, metavar="K",
@@ -343,7 +343,7 @@ _CONFLICTS = (
      "a checkpoint captures one engine's state"),
     ("--replications", "--trace-jsonl", "the journal records a single run"),
     (_STATE_FLAGS, "--trace-jsonl",
-     "checkpoints do not capture tracer extensions"),
+     "the journal covers one uninterrupted run from t = 0"),
 )
 
 #: Flags only one runner reads, and the flag that selects that runner.
@@ -633,15 +633,16 @@ def _command_run(args: argparse.Namespace) -> int:
 
 def _run_single(config, args: argparse.Namespace):
     """One engine, with the checkpoint and journal options it alone has."""
-    tracer = ConnectionTracer() if args.trace_jsonl else None
     if args.load_state:
         from repro.state import restore_simulator
 
         simulator = restore_simulator(args.load_state, config)
     else:
-        simulator = CellularSimulator(
-            config, extensions=[tracer] if tracer is not None else []
-        )
+        simulator = CellularSimulator(config)
+    if args.trace_jsonl:
+        from repro.serve.events import RunRecorder
+
+        simulator.recorder = RunRecorder()
     if args.checkpoint_every > 0.0:
         from repro.state import Checkpointer
 
@@ -661,10 +662,14 @@ def _run_single(config, args: argparse.Namespace):
             # Pick up the checkpoint.publish span recorded after the
             # result harvested its events.
             result.trace_events = simulator.tracer.events()
-    if tracer is not None:
-        tracer.write_jsonl(args.trace_jsonl)
+    if args.trace_jsonl:
+        from repro.serve.events import lifecycle_violations, write_events
+
+        events = simulator.recorder.events
+        with open(args.trace_jsonl, "w", encoding="utf-8") as handle:
+            write_events(handle, events)
         log = get_logger("trace")
-        violations = tracer.verify()
+        violations = lifecycle_violations(events)
         for violation in violations:
             log.warning(
                 "trace violation", extra={"violation": violation}
@@ -673,7 +678,7 @@ def _run_single(config, args: argparse.Namespace):
             "trace journal written",
             extra={
                 "path": args.trace_jsonl,
-                "events": len(tracer.events),
+                "events": len(events),
                 "violations": len(violations),
             },
         )

@@ -273,8 +273,7 @@ def run_ablation_wired(
             "AC3", offered_load=offered_load, voice_ratio=0.8,
             duration=duration, warmup=duration / 4.0, seed=seed,
         )
-        extensions = []
-        manager = None
+        backbone = manager = None
         if predictive is not None:
             manager = WiredReservationManager(
                 chain_backbone(
@@ -282,8 +281,8 @@ def run_ablation_wired(
                 ),
                 predictive=predictive,
             )
-            extensions.append(WiredBackboneExtension(manager))
-        result = CellularSimulator(config, extensions=extensions).run()
+            backbone = WiredBackboneExtension(manager)
+        result = CellularSimulator(config, backbone=backbone).run()
         rows.append(
             [
                 name,

@@ -15,7 +15,7 @@ which is what makes replay parity *exact* rather than approximate: each
 stream event is applied through the simulator's own life-cycle
 transition (``admit_request`` / ``probe_handoff`` + ``resolve_handoff`` /
 ``exit_road`` / ``complete``), so policy, accounting, recorder and
-extension hooks run exactly as in a DES run — the stream only supplies
+backbone hooks run exactly as in a DES run — the stream only supplies
 what the RNG used to decide.
 """
 

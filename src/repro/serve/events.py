@@ -9,11 +9,17 @@ JSON object per line when serialized); :class:`RunRecorder` hooks into
 stream a DES run *would have sent* to a service — including the
 decision the simulator actually made, so a replay can be checked
 decision-for-decision (the parity proof in ``tests/serve``).
+
+The recorded stream is the run's one journal of the call life-cycle:
+``repro run --trace-jsonl`` writes it, :func:`lifecycle_violations`
+checks it, and :class:`~repro.serve.driver.StreamDriver` (hence
+``repro serve``) replays it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -24,8 +30,10 @@ __all__ = [
     "HANDOFF",
     "RunRecorder",
     "StreamEvent",
+    "checked_event",
     "decode_event",
     "encode_event",
+    "lifecycle_violations",
     "read_events",
     "record_run",
     "write_events",
@@ -95,6 +103,43 @@ def encode_event(event: StreamEvent) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def checked_event(
+    kind, t, cell=-1, conn=-1, traffic="voice", admitted=None
+) -> StreamEvent:
+    """A :class:`StreamEvent` from untrusted field values, each checked.
+
+    The one validator of the stream format, shared by
+    :func:`decode_event` and the WebSocket front.  An id is a JSON
+    integer: ``1.9`` or ``true`` names nothing, and coercing it would
+    apply the event to an object the sender never named.  ``t`` is
+    ``None`` (stamp on arrival) or a finite number, ``traffic`` a string
+    and ``admitted`` a boolean or ``None``.  Anything else raises
+    ``ValueError`` — the engine that applies the event must never meet a
+    value it cannot compare or hash.
+    """
+    if type(cell) is not int:
+        raise ValueError(f"cell must be an integer, got {cell!r}")
+    if type(conn) is not int:
+        raise ValueError(f"conn must be an integer, got {conn!r}")
+    if t is not None:
+        if type(t) is not float:
+            if type(t) is not int:
+                raise ValueError(f"t must be a number, got {t!r}")
+            try:
+                t = float(t)
+            except OverflowError:  # an integer beyond the float range
+                t = math.inf
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
+    if not isinstance(traffic, str):
+        raise ValueError(f"traffic must be a string, got {traffic!r}")
+    if admitted is not None and type(admitted) is not bool:
+        raise ValueError(f"admitted must be a boolean, got {admitted!r}")
+    return StreamEvent(
+        t=t, kind=kind, cell=cell, conn=conn, traffic=traffic, admitted=admitted
+    )
+
+
 def decode_event(text: str | dict) -> StreamEvent:
     """Parse one event from JSON text (or an already-parsed object)."""
     raw = json.loads(text) if isinstance(text, str) else text
@@ -104,13 +149,13 @@ def decode_event(text: str | dict) -> StreamEvent:
         kind = raw["kind"]
     except KeyError:
         raise ValueError(f"stream event without a kind: {raw!r}") from None
-    return StreamEvent(
-        t=raw.get("t"),
-        kind=kind,
-        cell=int(raw.get("cell", -1)),
-        conn=int(raw.get("conn", -1)),
-        traffic=raw.get("traffic", "voice"),
-        admitted=raw.get("admitted"),
+    return checked_event(
+        kind,
+        raw.get("t"),
+        raw.get("cell", -1),
+        raw.get("conn", -1),
+        raw.get("traffic", "voice"),
+        raw.get("admitted"),
     )
 
 
@@ -131,6 +176,50 @@ def read_events(handle: TextIO) -> list[StreamEvent]:
         if line:
             events.append(decode_event(line))
     return events
+
+
+def lifecycle_violations(events) -> list[str]:
+    """Check every connection's life-cycle in a recorded stream.
+
+    A blocked arrival names no connection.  Per ``conn`` a valid stream
+    reads::
+
+        arrival  handoff*  (dropped handoff | complete | exit)?
+
+    where the arrival and each ``handoff`` before the last event were
+    admitted.  A connection still live when the stream ends has no
+    terminal event, and an id whose life has ended may be admitted
+    again (the driver frees it).  Timestamps never decrease.  Returns
+    one line per violation, ``[]`` for a valid stream.
+    """
+    problems: list[str] = []
+    live: set[int] = set()
+    ended: set[int] = set()
+    last = -math.inf
+    for index, event in enumerate(events):
+        where = f"event {index} ({event.kind} conn {event.conn} t={event.t!r})"
+        if event.t is None or event.t < last:
+            problems.append(f"{where}: t before the previous event's {last!r}")
+        else:
+            last = event.t
+        conn = event.conn
+        if event.kind == ARRIVAL:
+            if event.admitted is False or conn < 0:
+                continue
+            if conn in live:
+                problems.append(f"{where}: second arrival of a live connection")
+            live.add(conn)
+            ended.discard(conn)
+        elif conn not in live:
+            problems.append(
+                f"{where}: after its terminal event"
+                if conn in ended
+                else f"{where}: before its arrival"
+            )
+        elif event.kind != HANDOFF or event.admitted is False:
+            live.remove(conn)
+            ended.add(conn)
+    return problems
 
 
 class RunRecorder:

@@ -42,13 +42,19 @@ import asyncio
 import base64
 import hashlib
 import json
-import math
 import os
 import socket
 from collections import deque
 from urllib.parse import urlsplit
 
-from repro.serve.events import ARRIVAL, COMPLETE, EXIT, HANDOFF, StreamEvent
+from repro.serve.events import (
+    ARRIVAL,
+    COMPLETE,
+    EXIT,
+    HANDOFF,
+    StreamEvent,
+    checked_event,
+)
 from repro.serve.service import ServiceFailed
 
 __all__ = [
@@ -219,45 +225,28 @@ class FrameDecoder:
             del buffer[:offset]
 
 
-def _integer(field: str, value) -> int:
-    """``value`` as a cell or connection id.  An id is a JSON integer:
-    ``1.9`` or ``true`` names nothing, and coercing it would apply the
-    request to an object the client never named."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def _stream_event(message: dict) -> StreamEvent | None:
     """The stream event an ``admit``/``event`` request carries (``None``
-    for any other op).  Field types are checked here: the event is
-    applied by the engine every connection shares, which must not meet
-    a value it cannot compare or hash."""
+    for any other op).  Field types are checked by
+    :func:`~repro.serve.events.checked_event`, as for a journal read from
+    disk."""
     op = message.get("op")
     if op == "admit":
         kind = ARRIVAL
-        cell = _integer("cell", message["cell"])
+        cell = message["cell"]
     elif op == "event":
         kind = message.get("kind")
         if kind not in (HANDOFF, COMPLETE, EXIT):
             raise ValueError(f"unknown event kind {kind!r}")
-        cell = _integer("cell", message.get("cell", -1))
+        cell = message.get("cell", -1)
     else:
         return None
-    t = message.get("t")
-    if t is not None:
-        t = float(t)
-        if not math.isfinite(t):
-            raise ValueError(f"t must be finite, got {t!r}")
-    traffic = message.get("traffic", "voice")
-    if not isinstance(traffic, str):
-        raise ValueError(f"traffic must be a string, got {traffic!r}")
-    return StreamEvent(
-        t=t,
-        kind=kind,
-        cell=cell,
-        conn=_integer("conn", message.get("conn", -1)),
-        traffic=traffic,
+    return checked_event(
+        kind,
+        message.get("t"),
+        cell,
+        message.get("conn", -1),
+        message.get("traffic", "voice"),
     )
 
 

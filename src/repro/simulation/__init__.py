@@ -1,7 +1,6 @@
 """Simulation harness (S8): config, simulator, metrics, scenarios."""
 
 from repro.simulation.config import SimulationConfig
-from repro.simulation.extensions import ExtensionChain, SimulatorExtension
 from repro.simulation.metrics import (
     CellCounters,
     CellStatus,
@@ -24,17 +23,12 @@ from repro.simulation.scenarios import (
 )
 from repro.simulation.simulator import CellularSimulator, simulate
 from repro.simulation.spatial import ShardPlan, partition_hex, run_spatial
-from repro.simulation.tracing import ConnectionTracer, TraceEvent
 
 __all__ = [
     "CellCounters",
     "CellStatus",
     "CellularSimulator",
-    "ConnectionTracer",
     "DEFAULT_LOAD_AXIS",
-    "ExtensionChain",
-    "SimulatorExtension",
-    "TraceEvent",
     "HourlyBucket",
     "MetricsCollector",
     "ShardPlan",

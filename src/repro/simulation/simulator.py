@@ -58,7 +58,6 @@ from repro.obs.telemetry import begin_run, new_run_id
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.trace import begin_trace
 from repro.simulation.config import SimulationConfig, cell_load_weights
-from repro.simulation.extensions import ExtensionChain
 from repro.simulation.metrics import (
     CellStatus,
     MetricsCollector,
@@ -262,6 +261,11 @@ class CellularSimulator:
         Mobility override (e.g. :class:`HexMobilityModel`); by default a
         :class:`LinearMobilityModel` over the configured road.  When the
         override carries its own ``topology`` it replaces the road.
+    backbone:
+        Optional wired backbone (paper §2/§7, e.g.
+        :class:`~repro.wired.WiredBackboneExtension`): ``install(network)``
+        once, ``admit_new``/``admit_handoff`` may veto a request the radio
+        accepted, ``on_connection_end`` when a connection leaves.
     """
 
     def __init__(
@@ -269,7 +273,7 @@ class CellularSimulator:
         config: SimulationConfig,
         policy: AdmissionPolicy | None = None,
         mobility_model: MobilityModel | None = None,
-        extensions=(),
+        backbone=None,
     ) -> None:
         self.config = config
         self.run_id, self.telemetry, self.tracer = begin_observability(config)
@@ -310,8 +314,9 @@ class CellularSimulator:
         ):
             self.policy = AdaptiveQoSPolicy(self.policy)
         self.policy.install(self.network)
-        self.extensions = ExtensionChain(extensions)
-        self.extensions.install(self.network)
+        self.backbone = backbone
+        if backbone is not None:
+            backbone.install(self.network)
 
         if mobility_model is not None:
             self.mobility = mobility_model
@@ -467,8 +472,8 @@ class CellularSimulator:
                 prev_cell=None,
                 cell_entry_time=now,
             )
-            # Extensions (e.g. the wired backbone) may veto an accept.
-            if self.extensions and not self.extensions.admit_new(
+            # The wired backbone may veto an accept.
+            if self.backbone is not None and not self.backbone.admit_new(
                 connection, cell_id, now
             ):
                 admitted = False
@@ -484,20 +489,19 @@ class CellularSimulator:
         if not admitted:
             return None
         self.network.cell(cell_id).attach(connection)
-        self.extensions.on_admitted(connection, now)
         self.active_connections[connection.connection_id] = connection
         return connection
 
     def probe_handoff(self, connection: Connection, new_cell: int):
-        """Eq. 2 overload test at ``new_cell`` plus the extension veto:
+        """Eq. 2 overload test at ``new_cell`` plus the backbone veto:
         the bandwidth the hand-off would get, or ``None`` (a drop)."""
         allocation = self.policy.handoff_allocation(
             self.network, new_cell, connection
         )
         if (
             allocation is not None
-            and self.extensions
-            and not self.extensions.admit_handoff(
+            and self.backbone is not None
+            and not self.backbone.admit_handoff(
                 connection, connection.cell_id, new_cell, self.engine.now
             )
         ):
@@ -538,7 +542,6 @@ class CellularSimulator:
             mobile.cell_id = new_cell
         connection.move_to(new_cell, now)
         self.network.cell(new_cell).attach(connection)
-        self.extensions.on_handoff(connection, old_cell, new_cell, now)
         return True
 
     def exit_road(self, connection: Connection) -> None:
@@ -569,7 +572,8 @@ class CellularSimulator:
     def _end(self, connection: Connection) -> None:
         """Forget a finished connection: it has left the system."""
         self.active_connections.pop(connection.connection_id, None)
-        self.extensions.on_connection_end(connection, self.engine.now)
+        if self.backbone is not None:
+            self.backbone.on_connection_end(connection, self.engine.now)
         # Release per-mobile state kept by stateful mobility models.
         forget = getattr(self.mobility, "forget", None)
         if forget is not None and connection.mobile is not None:

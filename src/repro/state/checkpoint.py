@@ -263,10 +263,10 @@ def _check_fingerprint(saved: dict, config) -> None:
 # capture
 # ----------------------------------------------------------------------
 def _require_checkpointable(sim: "CellularSimulator") -> None:
-    if sim.extensions:
+    if sim.backbone is not None:
         raise CheckpointError(
-            "cannot checkpoint a run with extensions installed "
-            "(extension state is outside the state schema)"
+            "cannot checkpoint a run with a wired backbone installed "
+            "(backbone state is outside the state schema)"
         )
     if type(sim.mobility) is not LinearMobilityModel:
         raise CheckpointError(

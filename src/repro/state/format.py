@@ -52,6 +52,7 @@ tens of thousands of quadruplets per cell.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
@@ -251,14 +252,39 @@ def _fsync_dir(path: Path) -> None:
         pass
 
 
+def _siblings(path: Path, tag: str) -> list[Path]:
+    """The ``.<name>.<tag>.<pid>`` siblings publishes of ``path`` make."""
+    pattern = f".{glob.escape(path.name)}.{tag}.*"
+    return sorted(path.parent.glob(pattern))
+
+
+def _recover_rotated(path: Path) -> None:
+    """Put back the generation a publish rotated aside and then died
+    before its second ``rename``: ``path`` is missing, and a complete
+    ``.<name>.old.<pid>`` sibling holds the previous checkpoint."""
+    if path.exists():
+        return
+    for old in _siblings(path, "old"):
+        if (old / MANIFEST_NAME).is_file():
+            try:
+                os.rename(old, path)
+            except OSError:  # another reader put it back first
+                pass
+            return
+
+
 def publish_state_dir(path: str | Path, files: dict[str, bytes]) -> Path:
     """Atomically write ``files`` (relpath -> bytes) as directory ``path``.
 
     The payload lands in a temporary sibling, every file is fsync'd,
     and one ``rename`` publishes the whole directory.  An existing
     checkpoint at ``path`` is rotated aside first and removed only
-    after the new one is in place, so a crash at any instant leaves
-    either the old or the new checkpoint readable.
+    after the new one is in place.  A process killed between the two
+    renames leaves ``path`` missing and the old checkpoint aside;
+    :func:`load_manifest`, every reader's first step, puts it back, so
+    a crash at any instant leaves either the old or the new checkpoint
+    readable.  The next successful publish removes whatever killed ones
+    left behind.  One writer per ``path`` at a time.
     """
     path = Path(path)
     parent = path.parent
@@ -280,7 +306,6 @@ def publish_state_dir(path: str | Path, files: dict[str, bytes]) -> Path:
         _fsync_path(tmp / relative)
     for directory in seen_dirs:
         _fsync_dir(directory)
-    rotated = None
     if path.exists():
         rotated = parent / f".{path.name}.old.{os.getpid()}"
         if rotated.exists():
@@ -288,14 +313,21 @@ def publish_state_dir(path: str | Path, files: dict[str, bytes]) -> Path:
         os.rename(path, rotated)
     os.rename(tmp, path)
     _fsync_dir(parent)
-    if rotated is not None:
-        shutil.rmtree(rotated)
+    # Ours, and what killed publishes left: torn temporaries and
+    # generations rotated aside.
+    for stale in _siblings(path, "old") + _siblings(path, "tmp"):
+        shutil.rmtree(stale, ignore_errors=True)
     return path
 
 
 def load_manifest(path: str | Path) -> dict:
-    """Read and gate ``manifest.json`` (format tag + schema version)."""
+    """Read and gate ``manifest.json`` (format tag + schema version).
+
+    A checkpoint a killed publish left rotated aside is put back at
+    ``path`` first (see :func:`publish_state_dir`).
+    """
     path = Path(path)
+    _recover_rotated(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.is_file():
         raise StateFormatError(

@@ -1,10 +1,10 @@
-"""Simulator extension plugging the wired backbone into admission.
+"""The wired backbone plugged into admission.
 
-With this extension installed, every connection also occupies its
-BS-to-gateway route; admission and hand-offs can fail on wired links,
-and (when predictive) the wireless per-cell ``B_r`` targets are pushed
-onto the wired links before each admission test — the paper's §2/§7
-wired-reservation extension, end to end.
+Passed as ``CellularSimulator(config, backbone=...)``, it makes every
+connection also occupy its BS-to-gateway route; admission and hand-offs
+can fail on wired links, and (when predictive) the wireless per-cell
+``B_r`` targets are pushed onto the wired links before each admission
+test — the paper's §2/§7 wired-reservation extension, end to end.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class WiredBackboneExtension:
         self._network = None
 
     # ------------------------------------------------------------------
-    # SimulatorExtension hooks
+    # the simulator's backbone hooks
     # ------------------------------------------------------------------
     def install(self, network) -> None:
         self._network = network

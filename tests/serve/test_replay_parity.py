@@ -11,12 +11,12 @@ from repro.serve.events import (
     HANDOFF,
     RunRecorder,
     StreamEvent,
+    lifecycle_violations,
     read_events,
     write_events,
 )
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import simulate
-from repro.simulation.tracing import ConnectionTracer, replay_counts
 from repro.traffic.connection import reset_connection_ids
 
 
@@ -58,24 +58,11 @@ def test_replay_matches_des_decisions_and_counters(scheme, ring):
     assert [d.admitted for d in decisions] == [e.admitted for e in queries]
     assert comparable_counters(live_result) == comparable_counters(des_result)
     # Record -> replay -> record is a fixed point: the driver walked the
-    # simulator's own transitions, recorder hooks included.
+    # simulator's own transitions, recorder hooks included, and both
+    # streams are whole life-cycles.
     assert driver.sim.recorder.events == events
-
-
-def test_extension_hooks_fire_in_serve_mode():
-    config = _config(duration=120.0)
-    des_tracer = ConnectionTracer()
-    events, _ = record_run(config, extensions=[des_tracer])
-
-    reset_connection_ids()
-    driver = StreamDriver(config)
-    live_tracer = ConnectionTracer()
-    driver.sim.extensions.extensions.append(live_tracer)
-    driver.replay(events)
-
-    assert replay_counts(live_tracer.events) == replay_counts(des_tracer.events)
-    assert replay_counts(live_tracer.events)["handoff"] > 0
-    assert live_tracer.verify() == []
+    assert lifecycle_violations(events) == []
+    assert lifecycle_violations(driver.sim.recorder.events) == []
 
 
 class TestConnectionIdsInUse:

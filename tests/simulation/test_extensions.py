@@ -1,14 +1,13 @@
-"""Tests for the simulator extension hooks."""
+"""Tests for the simulator's wired-backbone hooks, with a fake backbone."""
 
 import pytest
 
-from repro.simulation.extensions import ExtensionChain
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 
 
 class Recorder:
-    """Extension capturing every hook invocation."""
+    """Backbone capturing every hook invocation."""
 
     def __init__(self, veto_new=False, veto_handoff=False):
         self.veto_new = veto_new
@@ -22,15 +21,9 @@ class Recorder:
         self.calls.append(("admit_new", cell_id))
         return not self.veto_new
 
-    def on_admitted(self, connection, now):
-        self.calls.append(("on_admitted", connection.connection_id))
-
     def admit_handoff(self, connection, old_cell, new_cell, now):
         self.calls.append(("admit_handoff", old_cell, new_cell))
         return not self.veto_handoff
-
-    def on_handoff(self, connection, old_cell, new_cell, now):
-        self.calls.append(("on_handoff", old_cell, new_cell))
 
     def on_connection_end(self, connection, now):
         self.calls.append(("end", connection.state.value))
@@ -39,32 +32,11 @@ class Recorder:
         return sum(1 for call in self.calls if call[0] == kind)
 
 
-class TestChain:
-    def test_empty_chain_is_falsy_and_permissive(self):
-        chain = ExtensionChain()
-        assert not chain
-        assert chain.admit_new(None, 0, 0.0)
-        assert chain.admit_handoff(None, 0, 1, 0.0)
-
-    def test_any_veto_wins(self):
-        chain = ExtensionChain([Recorder(), Recorder(veto_new=True)])
-        assert not chain.admit_new(None, 0, 0.0)
-
-    def test_partial_extensions_allowed(self):
-        class OnlyEnd:
-            def on_connection_end(self, connection, now):
-                self.seen = True
-
-        chain = ExtensionChain([OnlyEnd()])
-        assert chain.admit_new(None, 0, 0.0)  # missing hook = permissive
-        chain.install(None)  # missing install = no-op
-
-
 class TestSimulatorIntegration:
-    def run(self, extension, duration=150.0, load=150.0):
+    def run(self, backbone, duration=150.0, load=150.0):
         config = stationary("AC3", offered_load=load, duration=duration,
                             seed=3)
-        simulator = CellularSimulator(config, extensions=[extension])
+        simulator = CellularSimulator(config, backbone=backbone)
         return simulator, simulator.run()
 
     def test_hooks_fire_in_plausible_volumes(self):
@@ -75,31 +47,33 @@ class TestSimulatorIntegration:
         )
         assert recorder.count("install") == 1
         assert recorder.count("admit_new") == admitted  # only on accepts
-        assert recorder.count("on_admitted") == admitted
         successes = sum(
             cell.handoff_attempts - cell.handoff_drops
             for cell in result.cells
         )
-        assert recorder.count("on_handoff") == successes
         assert recorder.count("admit_handoff") >= successes
+        # Every admitted connection ends at most once; the rest are live.
+        assert recorder.count("end") == admitted - len(
+            simulator.active_connections
+        )
 
     def test_new_veto_blocks_everything(self):
         recorder = Recorder(veto_new=True)
         _simulator, result = self.run(recorder)
         assert result.blocking_probability == 1.0
-        assert recorder.count("on_admitted") == 0
+        assert recorder.count("admit_new") > 0
+        assert recorder.count("end") == 0
         assert result.total_handoff_attempts == 0
 
     def test_handoff_veto_drops_all_handoffs(self):
         recorder = Recorder(veto_handoff=True)
-        _simulator, result = self.run(recorder)
+        simulator, result = self.run(recorder)
         assert result.total_handoff_attempts > 0
         assert result.dropping_probability == pytest.approx(1.0)
         # Every admitted connection still terminates exactly once.
-        ends = recorder.count("end")
-        admitted = recorder.count("on_admitted")
-        active = recorder.count("on_admitted") - ends
-        assert active >= 0
+        assert recorder.count("end") == recorder.count("admit_new") - len(
+            simulator.active_connections
+        )
 
     def test_veto_drop_feeds_window_controller(self):
         recorder = Recorder(veto_handoff=True)

@@ -18,7 +18,6 @@ import pytest
 from repro._kernel import HAS_NUMPY, kernel_name, set_kernel
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
-from repro.simulation.tracing import ConnectionTracer
 from repro.state.checkpoint import capture_state
 from repro.state.format import (
     MANIFEST_NAME,
@@ -34,6 +33,11 @@ from repro.state import (
     inspect_state,
     restore_simulator,
     save_checkpoint,
+)
+from repro.wired import (
+    WiredBackboneExtension,
+    WiredReservationManager,
+    chain_backbone,
 )
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -269,7 +273,12 @@ class TestMidRunCheckpointer:
 class TestGuards:
     def test_extensions_are_not_checkpointable(self, tmp_path):
         config = base_config(duration=50.0)
-        sim = CellularSimulator(config, extensions=[ConnectionTracer()])
+        manager = WiredReservationManager(
+            chain_backbone(10, access_capacity=1e6, trunk_capacity=1e6)
+        )
+        sim = CellularSimulator(
+            config, backbone=WiredBackboneExtension(manager)
+        )
         sim.run()
         with pytest.raises(CheckpointError):
             save_checkpoint(sim, tmp_path / "ckpt")

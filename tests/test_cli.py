@@ -120,7 +120,7 @@ def test_run_trace_jsonl(capsys, tmp_path):
 
     lines = journal.read_text(encoding="utf-8").splitlines()
     assert lines
-    assert json.loads(lines[0])["kind"] == "admitted"
+    assert json.loads(lines[0])["kind"] == "arrival"
 
 
 def test_sweep_merges_worker_telemetry(capsys, tmp_path):

@@ -119,7 +119,7 @@ class TestSimulatorIntegration:
         config = stationary("AC3", offered_load=load, duration=duration,
                             seed=5)
         simulator = CellularSimulator(
-            config, extensions=[WiredBackboneExtension(manager)]
+            config, backbone=WiredBackboneExtension(manager)
         )
         result = simulator.run()
         return simulator, manager, result
@@ -154,5 +154,5 @@ class TestSimulatorIntegration:
         config = stationary("AC3", offered_load=100.0, duration=50.0)
         with pytest.raises(ValueError):
             CellularSimulator(
-                config, extensions=[WiredBackboneExtension(manager)]
+                config, backbone=WiredBackboneExtension(manager)
             )
