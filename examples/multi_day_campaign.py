@@ -18,7 +18,8 @@ finished — kill it anywhere and run it again.
 
 Equivalent CLI::
 
-    repro campaign --load 140 --days 3 --state-dir camp-state
+    repro campaign --load 140 --rvo 0.8 --seed 42 --days 3 \\
+        --day-seconds 150 --state-dir camp-state
 """
 
 import json

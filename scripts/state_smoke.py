@@ -97,7 +97,7 @@ def check_spatial_campaign(scratch: Path) -> None:
     state_dir = scratch / "city"
     command = [
         "campaign", "--hex", "6x6", "--shards", "2",
-        "--load", "150", "--duration", "40", "--seed", "7",
+        "--load", "150", "--day-seconds", "40", "--seed", "7",
         "--state-dir", str(state_dir),
     ]  # fmt: skip
     code, output = _cli(*command, "--days", "2")

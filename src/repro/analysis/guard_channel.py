@@ -32,12 +32,6 @@ class GuardChannelResult:
     dropping_probability: float
     occupancy: tuple[float, ...]
 
-    @property
-    def mean_channels_busy(self) -> float:
-        return sum(
-            k * probability for k, probability in enumerate(self.occupancy)
-        )
-
 
 def solve_guard_channel(
     capacity: int,

@@ -23,13 +23,11 @@ from repro.mobility.models import TravelDirections
 from repro.obs import (
     configure_logging,
     ensure_configured,
-    get_logger,
     snapshot_to_json,
     to_prometheus,
 )
-from repro.simulation.runner import run_sweep
+from repro.simulation.runner import RunSpec, execute, run_sweep
 from repro.simulation.scenarios import hex_city, stationary
-from repro.simulation.simulator import CellularSimulator
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_arguments(campaign_parser)
     _add_spatial_arguments(campaign_parser)
-    _add_observability_arguments(campaign_parser)
+    _add_observability_arguments(
+        campaign_parser, omit=("--prom-out", "--telemetry-json", "--trace-out")
+    )
     campaign_parser.add_argument(
         "--days", type=int, default=3, metavar="N",
         help="number of simulated days to chain (default 3)",
@@ -181,7 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
         " async decision API, WebSocket state streaming",
     )
     _add_scenario_arguments(serve_parser)
-    _add_observability_arguments(serve_parser)
+    # A live service is tailed with 'repro dash ws://...' and never
+    # runs the simulator's progress loop.
+    _add_observability_arguments(
+        serve_parser, omit=("--series-out", "--progress")
+    )
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default local)"
     )
@@ -326,68 +330,12 @@ def _add_spatial_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-_STATE_FLAGS = "--save-state/--load-state/--checkpoint-every"
-
-#: Flags one run cannot honour together, and why.
-_CONFLICTS = (
-    ("--shards", "--replications",
-     "--shards partitions space, --replications partitions seeds"),
-    ("--shards", _STATE_FLAGS,
-     "spatial runs checkpoint per day via 'repro campaign --shards'"),
-    ("--shards", "--trace-jsonl",
-     "the journal follows one engine's connections"),
-    ("--shards", "--low-mobility", "the hex city draws its own speeds"),
-    ("--shards", "--one-way", "the hex city is a torus, not a road"),
-    ("--shards", "--overload", "the soft-capacity margin is a road option"),
-    ("--replications", _STATE_FLAGS,
-     "a checkpoint captures one engine's state"),
-    ("--replications", "--trace-jsonl", "the journal records a single run"),
-    (_STATE_FLAGS, "--trace-jsonl",
-     "the journal covers one uninterrupted run from t = 0"),
-)
-
-#: Flags only one runner reads, and the flag that selects that runner.
-_NEEDS = (("--hotspots", "--shards"), ("--workers", "--replications"))
-
-
-def _run_mode(args: argparse.Namespace) -> str:
-    """The runner a ``run``/``campaign`` command line selects.
-
-    ``"spatial"``, ``"replicated"`` or ``"single"`` — after refusing
-    every flag that runner would otherwise silently ignore.  A parser
-    without one of the flags (``campaign`` has no ``--replications``)
-    never sets it.
-    """
-    if args.shards < 0:
-        raise ValueError(
-            f"--shards must be >= 0 (0 runs the 1-D road), got {args.shards}"
-        )
-    given = {
-        "--shards": args.shards > 0,
-        "--replications": getattr(args, "replications", 1) > 1,
-        _STATE_FLAGS: bool(
-            getattr(args, "save_state", None)
-            or getattr(args, "load_state", None)
-            or getattr(args, "checkpoint_every", 0.0) > 0.0
-        ),
-        "--trace-jsonl": bool(getattr(args, "trace_jsonl", None)),
-        "--low-mobility": args.low_mobility,
-        "--one-way": args.one_way,
-        "--overload": args.overload != 1.0,
-        "--hotspots": bool(args.hotspots),
-        "--workers": getattr(args, "workers", None) is not None,
-    }
-    for first, second, reason in _CONFLICTS:
-        if given[first] and given[second]:
-            raise ValueError(
-                f"{first} cannot be combined with {second}: {reason}"
-            )
-    for flag, needed in _NEEDS:
-        if given[flag] and not given[needed]:
-            raise ValueError(f"{flag} only applies to {needed} runs")
-    if given["--shards"]:
-        return "spatial"
-    return "replicated" if given["--replications"] else "single"
+#: Road flags a hex city (``--shards``) would drop, and why.
+_ROAD_ONLY = {
+    "--low-mobility": "the hex city draws its own speeds",
+    "--one-way": "the hex city is a torus, not a road",
+    "--overload": "the soft-capacity margin is a road option",
+}
 
 
 def _parse_hex(spec: str) -> tuple[int, int]:
@@ -401,44 +349,45 @@ def _parse_hex(spec: str) -> tuple[int, int]:
     return rows, cols
 
 
-def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_observability_arguments(
+    parser: argparse.ArgumentParser, omit: tuple[str, ...] = ()
+) -> None:
+    """The observability group, less the flags in ``omit`` that the
+    command would accept and never honour."""
     group = parser.add_argument_group("observability")
-    group.add_argument("--telemetry", action="store_true",
-                       help="collect run telemetry (also: REPRO_TELEMETRY=1)")
-    group.add_argument("--progress", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="heartbeat progress lines at most this often"
-                       " (0 disables)")
-    group.add_argument("--log-level", default=None, metavar="SPEC",
-                       help="log level, optionally per subsystem:"
-                       " 'info' or 'info,des=debug,window=debug'"
-                       " (also: REPRO_LOG)")
-    group.add_argument("--log-json", action="store_true",
-                       help="emit logs as JSON lines (also:"
-                       " REPRO_LOG_JSON=1)")
-    group.add_argument("--prom-out", default=None, metavar="PATH",
-                       help="write the telemetry snapshot in Prometheus"
-                       " text format (implies --telemetry)")
-    group.add_argument("--telemetry-json", default=None, metavar="PATH",
-                       help="write the telemetry snapshot as JSON"
-                       " (implies --telemetry)")
-    group.add_argument("--series", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="sample an in-run time series every SECONDS"
-                       " of virtual time (0 disables)")
-    group.add_argument("--series-wall", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="sample the time series every SECONDS of wall"
-                       " time (0 disables; combinable with --series)")
-    group.add_argument("--series-out", default=None, metavar="PATH",
-                       help="stream samples to an append-only JSONL file"
-                       " as they are taken ('repro dash PATH' tails it);"
-                       " implies --series-wall 1 when no cadence is set")
-    group.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="record wall-clock spans (epoch barriers,"
-                       " flush ticks, checkpoint publishes) and write"
-                       " them as Chrome trace JSON loadable in"
-                       " https://ui.perfetto.dev (implies tracing)")
+
+    def add(flag: str, **options) -> None:
+        if flag not in omit:
+            group.add_argument(flag, **options)
+
+    add("--telemetry", action="store_true",
+        help="collect run telemetry (also: REPRO_TELEMETRY=1)")
+    add("--progress", type=float, default=0.0, metavar="SECONDS",
+        help="heartbeat progress lines at most this often (0 disables)")
+    add("--log-level", default=None, metavar="SPEC",
+        help="log level, optionally per subsystem: 'info' or"
+        " 'info,des=debug,window=debug' (also: REPRO_LOG)")
+    add("--log-json", action="store_true",
+        help="emit logs as JSON lines (also: REPRO_LOG_JSON=1)")
+    add("--prom-out", default=None, metavar="PATH",
+        help="write the telemetry snapshot in Prometheus text format"
+        " (implies --telemetry)")
+    add("--telemetry-json", default=None, metavar="PATH",
+        help="write the telemetry snapshot as JSON (implies --telemetry)")
+    add("--series", type=float, default=0.0, metavar="SECONDS",
+        help="sample an in-run time series every SECONDS of virtual time"
+        " (0 disables)")
+    add("--series-wall", type=float, default=0.0, metavar="SECONDS",
+        help="sample the time series every SECONDS of wall time"
+        " (0 disables; combinable with --series)")
+    add("--series-out", default=None, metavar="PATH",
+        help="stream samples to an append-only JSONL file as they are"
+        " taken ('repro dash PATH' tails it); implies --series-wall 1"
+        " when no cadence is set")
+    add("--trace-out", default=None, metavar="PATH",
+        help="record wall-clock spans (epoch barriers, flush ticks,"
+        " checkpoint publishes) and write them as Chrome trace JSON"
+        " loadable in https://ui.perfetto.dev (implies tracing)")
 
 
 def _configure_observability(args: argparse.Namespace) -> None:
@@ -477,10 +426,11 @@ def _export(
             f"series: {summary['samples']} samples ({lanes}),"
             f" peak {summary['peak_events_per_s']:,.0f} events/s"
         )
-    if args.series_out:
+    series_out = getattr(args, "series_out", None)
+    if series_out:
         print(
-            f"series stream: {args.series_out}"
-            f"  (tail with: repro dash {args.series_out})"
+            f"series stream: {series_out}"
+            f"  (tail with: repro dash {series_out})"
         )
 
 
@@ -508,7 +458,24 @@ def _export_telemetry(snapshot, args: argparse.Namespace) -> None:
 
 def _build_config(args: argparse.Namespace, load: float | None = None):
     """Every command's scenario: a hex city under ``--shards``, else the
-    paper's 1-D road (``load`` overrides ``--load`` for sweeps)."""
+    paper's 1-D road (``load`` overrides ``--load`` for sweeps).
+
+    Refuses a scenario flag the other topology would drop.
+    """
+    city = getattr(args, "shards", 0) > 0
+    if city:
+        given = {
+            "--low-mobility": args.low_mobility,
+            "--one-way": args.one_way,
+            "--overload": args.overload != 1.0,
+        }
+        for flag, reason in _ROAD_ONLY.items():
+            if given[flag]:
+                raise ValueError(
+                    f"--shards cannot be combined with {flag}: {reason}"
+                )
+    elif getattr(args, "hotspots", None):
+        raise ValueError("--hotspots only applies to --shards runs")
     # getattr: commands without the observability group (serve-bench)
     # build their config here too.
     series_out = getattr(args, "series_out", None)
@@ -537,7 +504,7 @@ def _build_config(args: argparse.Namespace, load: float | None = None):
         series_path=series_out or "",
         trace=bool(getattr(args, "trace_out", None)),
     )
-    if getattr(args, "shards", 0) > 0:
+    if city:
         rows, cols = _parse_hex(args.hex_grid)
         return hex_city(
             args.scheme,
@@ -607,82 +574,38 @@ def _parse_hotspots(
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    mode = _run_mode(args)
-    _configure_observability(args)
-    config = _build_config(args)
-    lanes = None
-    if mode == "spatial":
-        from repro.simulation.spatial import run_spatial
+    from dataclasses import fields
 
-        result = run_spatial(config, args.shards, epoch=args.epoch)
-        lanes = {index: f"shard {index}" for index in range(args.shards)}
-    elif mode == "replicated":
-        result = _run_replicated(config, args)
+    config = _build_config(args)
+    # Every RunSpec field past the config is the flag of the same name.
+    flags = [field.name for field in fields(RunSpec)[1:]]
+    spec = RunSpec(config, **{name: getattr(args, name) for name in flags})
+    _configure_observability(args)
+    replicated = spec.replications > 1
+    if replicated and config.warmup <= 0.0:
+        # Each replication restarts from an empty network, so without a
+        # warm-up cut every one measures the initial transient.
+        print(
+            "warning: --replications without --warmup measures the"
+            " cold-start transient K times; pass --warmup to let each"
+            " shard reach steady state",
+            file=sys.stderr,
+        )
+    result = execute(spec)
+    if spec.save_state:
+        print(f"state saved: {spec.save_state}")
+    lanes = None
+    if replicated:
+        _print_replicated(result, args)
         lanes = {index: f"rep {index}" for index in range(result.replications)}
     else:
-        result = _run_single(config, args)
-    if mode == "replicated":
-        _print_replicated(result, args)
-    else:
         _print_result(result, args)
+        if spec.shards:
+            lanes = {index: f"shard {index}" for index in range(spec.shards)}
     _export(
         args, result.telemetry, result.timeseries, result.trace_events, lanes
     )
     return 0
-
-
-def _run_single(config, args: argparse.Namespace):
-    """One engine, with the checkpoint and journal options it alone has."""
-    if args.load_state:
-        from repro.state import restore_simulator
-
-        simulator = restore_simulator(args.load_state, config)
-    else:
-        simulator = CellularSimulator(config)
-    if args.trace_jsonl:
-        from repro.serve.events import RunRecorder
-
-        simulator.recorder = RunRecorder()
-    if args.checkpoint_every > 0.0:
-        from repro.state import Checkpointer
-
-        simulator.checkpointer = Checkpointer(
-            simulator,
-            args.checkpoint_dir or "checkpoints",
-            every=args.checkpoint_every,
-            keep=args.checkpoint_keep,
-        )
-    result = simulator.run()
-    if args.save_state:
-        from repro.state import save_checkpoint
-
-        saved = save_checkpoint(simulator, args.save_state)
-        print(f"state saved: {saved}")
-        if simulator.tracer.enabled:
-            # Pick up the checkpoint.publish span recorded after the
-            # result harvested its events.
-            result.trace_events = simulator.tracer.events()
-    if args.trace_jsonl:
-        from repro.serve.events import lifecycle_violations, write_events
-
-        events = simulator.recorder.events
-        with open(args.trace_jsonl, "w", encoding="utf-8") as handle:
-            write_events(handle, events)
-        log = get_logger("trace")
-        violations = lifecycle_violations(events)
-        for violation in violations:
-            log.warning(
-                "trace violation", extra={"violation": violation}
-            )
-        log.info(
-            "trace journal written",
-            extra={
-                "path": args.trace_jsonl,
-                "events": len(events),
-                "violations": len(violations),
-            },
-        )
-    return result
 
 
 #: A hex city's report lists this many cells.
@@ -738,27 +661,6 @@ def _print_result(result, args: argparse.Namespace) -> None:
     print(Table(["Cell", "PCB", "PHD", "Test", "Br", "Bu"], rows).render())
     if len(result.statuses) > len(statuses):
         print(f"... ({len(result.statuses) - len(statuses)} more cells)")
-
-
-def _run_replicated(config, args: argparse.Namespace):
-    """K independent replications, merged with confidence intervals."""
-    from repro.simulation.replication import run_replicated
-
-    if config.warmup <= 0.0:
-        # Each shard restarts from an empty network, so without a
-        # warm-up cut every shard measures the initial transient.
-        print(
-            "warning: --replications without --warmup measures the"
-            " cold-start transient K times; pass --warmup to let each"
-            " shard reach steady state",
-            file=sys.stderr,
-        )
-    return run_replicated(
-        config,
-        replications=args.replications,
-        workers=args.workers,
-        ci_level=args.ci_level,
-    )
 
 
 def _print_replicated(replicated, args: argparse.Namespace) -> None:
@@ -835,27 +737,21 @@ def _command_list(_args: argparse.Namespace) -> int:
 
 def _command_campaign(args: argparse.Namespace) -> int:
     from dataclasses import replace
-    from functools import partial
 
-    from repro.state import run_campaign, spatial_day
+    from repro.state import run_campaign
 
-    mode = _run_mode(args)
-    _configure_observability(args)
     config = _build_config(args)
-    run_day = None
-    if mode == "spatial":
-        if args.day_seconds is not None:
-            config = replace(config, duration=args.day_seconds)
-        run_day = partial(spatial_day, shards=args.shards, epoch=args.epoch)
-    elif args.day_seconds is not None:
+    if args.day_seconds is not None:
         config = replace(config, day_seconds=args.day_seconds)
+    _configure_observability(args)
     reports = run_campaign(
         config,
-        days=args.days,
-        state_dir=args.state_dir,
+        args.days,
+        args.state_dir,
+        shards=args.shards,
+        epoch=args.epoch,
         jsonl_path=args.jsonl,
         carry_windows=not args.fresh_windows,
-        run_day=run_day,
     )
     rows = [
         [

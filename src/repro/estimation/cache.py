@@ -349,17 +349,16 @@ class QuadrupletCache:
         return union[:live], pair[:live]
 
     def export_columns(
-        self, origin: float = 0.0
+        self,
     ) -> dict[tuple[int | None, int], tuple[list[float], list[float]]]:
         """Live per-pair history as plain picklable record-order columns.
 
-        Returns ``{(prev, next): (times, sojourns)}`` with event times
-        shifted by ``-origin``.  A consumer that replays this history
-        before its own clock starts (replication shards warm-started
-        from a parent run) passes the export's end time as ``origin``,
-        so the shifted times are all ``<= 0`` and the cache's
-        record-in-time-order invariant holds for every later
-        :meth:`record` at ``t >= 0``.
+        Returns ``{(prev, next): (times, sojourns)}`` at the recorded
+        event times.  A consumer that replays this history before its
+        own clock starts shifts it back by the exporting run's length
+        (:class:`~repro.state.CheckpointWarmStart`'s ``rebase_seconds``),
+        so the cache's record-in-time-order invariant holds for every
+        later :meth:`record` at ``t >= 0``.
         """
         exported: dict[
             tuple[int | None, int], tuple[list[float], list[float]]
@@ -369,7 +368,7 @@ class QuadrupletCache:
             if not quads:
                 continue
             exported[key] = (
-                [quad.event_time - origin for quad in quads],
+                [quad.event_time for quad in quads],
                 [quad.sojourn for quad in quads],
             )
         return exported

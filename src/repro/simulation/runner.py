@@ -1,4 +1,11 @@
-"""Sweep runner: execute batches of configurations and collect results.
+"""Run entry point and sweep runner.
+
+:class:`RunSpec` and :func:`execute` are how one run is made: the spec
+holds a scenario plus the runner flags of ``repro run`` (shards,
+replications, state options, the decision journal), refuses every
+combination a runner would silently ignore, and :func:`execute` picks
+the runner and applies the state options.  ``repro run`` fills one spec
+from argparse, and every day of a campaign is one more spec.
 
 The evaluation figures are parameter sweeps (offered load x voice ratio
 x mobility x scheme).  :func:`run_sweep` executes a list of configs and
@@ -25,6 +32,8 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.simulation.config import SimulationConfig
@@ -33,6 +42,157 @@ from repro.simulation.simulator import CellularSimulator
 
 #: The offered-load axis used by Figures 7-9 and 12-13.
 DEFAULT_LOAD_AXIS = (60.0, 100.0, 150.0, 200.0, 250.0, 300.0)
+
+_STATE_FLAGS = "--save-state/--load-state/--checkpoint-every"
+_RESUME_FLAGS = "--load-state/--checkpoint-every"
+
+#: Runner flags one run cannot honour together, and why.
+_CONFLICTS = (
+    ("--shards", "--replications",
+     "--shards partitions space, --replications partitions seeds"),
+    ("--shards", _RESUME_FLAGS,
+     "a sharded run saves the cells' history, not a resumable engine"),
+    ("--shards", "--trace-jsonl",
+     "the journal follows one engine's connections"),
+    ("--replications", _STATE_FLAGS,
+     "a checkpoint captures one engine's state"),
+    ("--replications", "--trace-jsonl", "the journal records a single run"),
+    (_STATE_FLAGS, "--trace-jsonl",
+     "the journal covers one uninterrupted run from t = 0"),
+)
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One run: a scenario and the ``repro run`` flags that say how.
+
+    Every field but ``config`` is the ``repro run`` flag of the same
+    name.  ``shards > 0`` runs a hex city on
+    :func:`~repro.simulation.spatial.run_spatial`, ``replications > 1``
+    on :func:`~repro.simulation.replication.run_replicated`, anything
+    else on one :class:`CellularSimulator`.  A combination the selected
+    runner would ignore raises :class:`ValueError` naming both flags.
+    """
+
+    config: SimulationConfig
+    shards: int = 0
+    epoch: float = 1.0
+    replications: int = 1
+    workers: int | None = None
+    ci_level: float = 0.95
+    load_state: str | Path | None = None
+    save_state: str | Path | None = None
+    checkpoint_every: float = 0.0
+    checkpoint_dir: str | Path | None = None
+    checkpoint_keep: int = 3
+    trace_jsonl: str | Path | None = None
+
+    def __post_init__(self) -> None:
+        if self.shards < 0:
+            raise ValueError(
+                f"--shards must be >= 0 (0 runs the 1-D road), got {self.shards}"
+            )
+        resume = bool(self.load_state) or self.checkpoint_every > 0.0
+        given = {
+            "--shards": self.shards > 0,
+            "--replications": self.replications > 1,
+            _STATE_FLAGS: resume or bool(self.save_state),
+            _RESUME_FLAGS: resume,
+            "--trace-jsonl": bool(self.trace_jsonl),
+        }
+        for first, second, reason in _CONFLICTS:
+            if given[first] and given[second]:
+                raise ValueError(
+                    f"{first} cannot be combined with {second}: {reason}"
+                )
+        if self.workers is not None and not given["--replications"]:
+            raise ValueError("--workers only applies to --replications runs")
+
+
+def execute(spec: RunSpec):
+    """Run ``spec`` on the runner it selects; apply its state options.
+
+    Returns the run's :class:`SimulationResult`, or the merged
+    :class:`~repro.simulation.replication.ReplicatedResult` of a
+    replicated run.  ``save_state`` publishes a full checkpoint of one
+    engine, or, under shards, the cells' quadruplet history
+    (:func:`~repro.state.save_history`): what the next campaign day
+    warm-starts from.
+    """
+    config = spec.config
+    if spec.shards:
+        from repro.simulation.spatial import run_spatial
+
+        if not spec.save_state:
+            return run_spatial(config, spec.shards, epoch=spec.epoch)
+        from repro.state import save_history
+
+        result, columns = run_spatial(
+            config, spec.shards, epoch=spec.epoch, collect_state=True
+        )
+        save_history(spec.save_state, columns, config)
+        return result
+    if spec.replications > 1:
+        from repro.simulation.replication import run_replicated
+
+        return run_replicated(
+            config,
+            replications=spec.replications,
+            workers=spec.workers,
+            ci_level=spec.ci_level,
+        )
+    if spec.load_state:
+        from repro.state import restore_simulator
+
+        simulator = restore_simulator(spec.load_state, config)
+    else:
+        simulator = CellularSimulator(config)
+    if spec.trace_jsonl:
+        from repro.serve.events import RunRecorder
+
+        simulator.recorder = RunRecorder()
+    if spec.checkpoint_every > 0.0:
+        from repro.state import Checkpointer
+
+        simulator.checkpointer = Checkpointer(
+            simulator,
+            spec.checkpoint_dir or "checkpoints",
+            every=spec.checkpoint_every,
+            keep=spec.checkpoint_keep,
+        )
+    result = simulator.run()
+    if spec.save_state:
+        from repro.state import save_checkpoint
+
+        save_checkpoint(simulator, spec.save_state)
+        if simulator.tracer.enabled:
+            # Pick up the checkpoint.publish span recorded after the
+            # result harvested its events.
+            result.trace_events = simulator.tracer.events()
+    if spec.trace_jsonl:
+        _write_journal(spec.trace_jsonl, simulator.recorder.events)
+    return result
+
+
+def _write_journal(path: str | Path, events) -> None:
+    """Write the recorded decision stream; log any life-cycle violation."""
+    from repro.obs import get_logger
+    from repro.serve.events import lifecycle_violations, write_events
+
+    with open(path, "w", encoding="utf-8") as handle:
+        write_events(handle, events)
+    log = get_logger("trace")
+    violations = lifecycle_violations(events)
+    for violation in violations:
+        log.warning("trace violation", extra={"violation": violation})
+    log.info(
+        "trace journal written",
+        extra={
+            "path": str(path),
+            "events": len(events),
+            "violations": len(violations),
+        },
+    )
 
 
 class SweepWorkerError(RuntimeError):

@@ -1063,7 +1063,7 @@ class ShardEngine:
                 )
                 if cache is None:
                     continue
-                columns = cache.export_columns(self.duration)
+                columns = cache.export_columns()
                 if columns:
                     state[cell_id] = columns
         return ShardResult(

@@ -18,12 +18,7 @@ checksummed on-disk directory, and restores it either
   runner hands every shard.
 """
 
-from repro.state.campaign import (
-    CampaignDay,
-    run_campaign,
-    sequential_day,
-    spatial_day,
-)
+from repro.state.campaign import CampaignDay, run_campaign
 from repro.state.checkpoint import (
     CheckpointError,
     Checkpointer,
@@ -54,6 +49,4 @@ __all__ = [
     "run_campaign",
     "save_checkpoint",
     "save_history",
-    "sequential_day",
-    "spatial_day",
 ]

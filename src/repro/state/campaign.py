@@ -15,15 +15,16 @@ campaigns want to run day by day, possibly across process lifetimes.
 * ends with a durable state directory ``state_dir/day_NNN`` and one
   JSONL line of the day's ``P_CB`` / ``P_HD`` / mean ``T_est``.
 
-What a day *is* belongs to the day runner.  :func:`sequential_day` (the
-default) runs ``config.day_seconds`` on the sequential simulator and
-saves a full checkpoint; the next day rebases that history one period
-backwards (day-age weighting sees yesterday's entries at ``n = 1``),
-expires entries beyond the ``N_win`` horizon and carries the window
-controllers' ``T_est`` position over.  :func:`spatial_day` (bound to
-a shard count with :func:`functools.partial`) runs ``config.duration``
-of a hex city across shard regions and saves the cells' exported
-history, which each shard of the next day reads for the cells it owns.
+A day is one :func:`~repro.simulation.runner.execute` of a
+:class:`~repro.simulation.runner.RunSpec` lasting ``config.day_seconds``,
+on one engine or (``shards > 0``) on a sharded hex city, that saves its
+state to the day's directory: a full checkpoint, or under shards the
+cells' history.  Both runners follow one rule: the next day rebases
+that history one period backwards (day-age weighting sees yesterday's
+entries at ``n = 1``) and expires entries beyond the ``N_win`` horizon;
+a full checkpoint also carries the window controllers' ``T_est``
+position over.  History is keyed by cell, so a day written under one
+shard plan warm-starts any other.
 
 A campaign interrupted after day ``k`` resumes by re-running with the
 same arguments: completed days are detected by their on-disk state and
@@ -35,16 +36,12 @@ from __future__ import annotations
 import json
 import time as wall_clock
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 
 from repro.des.random import RandomStreams
 from repro.obs import get_logger, get_telemetry
-from repro.state.checkpoint import (
-    CheckpointWarmStart,
-    save_checkpoint,
-    save_history,
-)
+from repro.simulation.runner import RunSpec, execute
+from repro.state.checkpoint import CheckpointWarmStart
 from repro.state.format import StateFormatError, load_manifest
 
 _log = get_logger("repro.state.campaign")
@@ -79,88 +76,30 @@ def _day_state_path(state_dir: Path, day: int) -> Path:
     return state_dir / f"day_{day:03d}"
 
 
-def sequential_day(config, previous, target, carry_windows: bool = True):
-    """Day runner: one ``config.day_seconds`` day on the sequential DES.
-
-    ``previous`` is yesterday's state directory (``None`` on day 0) and
-    ``target`` receives today's full checkpoint.
-    """
-    from repro.simulation.simulator import CellularSimulator
-
-    warm = None
-    if previous is not None:
-        warm = CheckpointWarmStart(
-            previous,
-            rebase_seconds=config.day_seconds,
-            carry_windows=carry_windows,
-        )
-    simulator = CellularSimulator(
-        replace(config, duration=config.day_seconds, warm_state=warm)
-    )
-    result = simulator.run()
-    save_checkpoint(simulator, target)
-    return result
-
-
-def spatial_day(
-    config,
-    previous,
-    target,
-    shards: int,
-    *,
-    processes: bool | None = None,
-    epoch: float = 1.0,
-):
-    """Day runner: one ``config.duration`` day of a sharded hex city.
-
-    Bind the arguments after ``target`` — they are
-    :func:`~repro.simulation.spatial.run_spatial`'s — with
-    :func:`functools.partial`.  A day's exported history is already
-    shifted so the day's end is ``t = 0``; the next day loads it as is.
-    The directory is keyed by cell, so a day written under one shard
-    plan warm-starts any other.
-    """
-    from repro.simulation.spatial import run_spatial
-
-    day_config = replace(
-        config,
-        warm_state=None if previous is None else CheckpointWarmStart(previous),
-        run_id=f"{config.run_id or 'spatial-campaign'}-{target.name}",
-    )
-    result, columns = run_spatial(
-        day_config,
-        shards,
-        processes=processes,
-        epoch=epoch,
-        collect_state=True,
-    )
-    save_history(target, columns, day_config)
-    return result
-
-
 def run_campaign(
     config,
     days: int,
     state_dir: str | Path,
+    *,
+    shards: int = 0,
+    epoch: float = 1.0,
     jsonl_path: str | Path | None = None,
     carry_windows: bool = True,
-    run_day=None,
 ) -> list[CampaignDay]:
     """Run ``days`` chained one-day simulations; return per-day reports.
 
-    ``config`` describes one day.  ``run_day(day_config, previous,
-    target)`` simulates it — warm-started from the state directory
-    ``previous`` unless that is ``None`` — publishes its state as
-    ``target`` and returns the day's ``SimulationResult``; the default
-    is :func:`sequential_day` with ``carry_windows``.  ``state_dir``
+    ``config`` describes one day of ``config.day_seconds``; ``shards``
+    and ``epoch`` are :class:`~repro.simulation.runner.RunSpec`'s.
+    Each day warm-starts from the previous day's directory (windows
+    carried over unless ``carry_windows`` is false).  ``state_dir``
     receives one state directory per day plus ``campaign.jsonl`` (or
     ``jsonl_path`` if given); existing day states from an earlier,
     interrupted invocation are reused, making the campaign resumable.
     """
     if days < 1:
         raise ValueError("a campaign needs at least one day")
-    if run_day is None:
-        run_day = partial(sequential_day, carry_windows=carry_windows)
+    # Refuses a bad runner before anything is written.
+    spec = RunSpec(config, shards=shards, epoch=epoch)
     state_dir = Path(state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
     report_path = (
@@ -183,16 +122,23 @@ def run_campaign(
         report_file.flush()
         for day in range(len(completed), days):
             started = wall_clock.perf_counter()
+            warm = None
+            if day:
+                warm = CheckpointWarmStart(
+                    _day_state_path(state_dir, day - 1),
+                    rebase_seconds=config.day_seconds,
+                    carry_windows=carry_windows,
+                )
             day_config = replace(
                 config,
                 seed=day_seed(config.seed, day),
                 label=f"{base_label} day {day + 1}",
+                duration=config.day_seconds,
+                warm_state=warm,
             )
             state_path = _day_state_path(state_dir, day)
-            result = run_day(
-                day_config,
-                _day_state_path(state_dir, day - 1) if day else None,
-                state_path,
+            result = execute(
+                replace(spec, config=day_config, save_state=state_path)
             )
             report = CampaignDay(
                 day=day,

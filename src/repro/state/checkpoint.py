@@ -685,10 +685,10 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
     started = wall_clock.perf_counter()
     path = Path(path)
     manifest = load_manifest(path)
+    # A history-only directory is no checkpoint, whatever the scenario.
+    runtime_entry = _entry_for(manifest, RUNTIME_NAME)
     _check_fingerprint(manifest["config"], config)
-    runtime = json.loads(
-        read_entry(path, _entry_for(manifest, RUNTIME_NAME))
-    )
+    runtime = json.loads(read_entry(path, runtime_entry))
     clock = runtime["clock"]
     if config.duration < clock:
         raise StateFormatError(
@@ -841,7 +841,7 @@ def save_history(path: str | Path, columns: dict, config) -> Path:
 
     ``columns`` maps a cell id to its ``(prev, next) -> (times,
     sojourns)`` export (what ``run_spatial(collect_state=True)``
-    returns, event times already shifted so the run's end is ``t = 0``).
+    returns, at the run's own event times).
     The result is an ordinary state directory — same manifest, same
     blobs, same publish as :func:`save_checkpoint` — that lists only
     ``cells/`` entries: enough for :class:`CheckpointWarmStart`, and

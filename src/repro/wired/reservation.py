@@ -157,12 +157,6 @@ class WiredReservationManager:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def utilization_report(self) -> dict[tuple[str, str], float]:
-        """Utilization per link (fraction of capacity in use)."""
-        return {
-            link.key: link.utilization() for link in self.graph.links()
-        }
-
     def max_utilization(self) -> float:
         utilizations = [link.utilization() for link in self.graph.links()]
         return max(utilizations, default=0.0)

@@ -29,12 +29,6 @@ class TestExportColumns:
             (1, 2): ([10.0, 20.0], [3.5, 4.5])
         }
 
-    def test_origin_rebases_times(self):
-        cache = QuadrupletCache()
-        record(cache, 10.0, None, 2, 3.5)
-        exported = cache.export_columns(origin=100.0)
-        assert exported == {(None, 2): ([-90.0], [3.5])}
-
 
 class TestPreloadRoundTrip:
     def replay(self, config, exported):

@@ -3,7 +3,6 @@
 import multiprocessing
 import os
 import time
-from functools import partial
 
 import pytest
 
@@ -11,7 +10,7 @@ from repro.cellular.topology import HexTopology
 from repro.simulation.scenarios import hex_city
 from repro.simulation.simulator import CellularSimulator
 from repro.simulation.spatial import ShardEngine, partition_hex, run_spatial
-from repro.state import StateCorruptionError, run_campaign, spatial_day
+from repro.state import StateCorruptionError, run_campaign
 from repro.traffic.profiles import paper_load_profile
 
 
@@ -278,10 +277,7 @@ class TestDeadWorker:
 class TestCampaign:
     def _run(self, tmp_path, shards, name, days=2):
         return run_campaign(
-            _city(duration=40.0),
-            days,
-            tmp_path / name,
-            run_day=partial(spatial_day, shards=shards, processes=False),
+            _city(day_seconds=40.0), days, tmp_path / name, shards=shards
         )
 
     def test_two_day_campaign_is_shard_invariant(self, tmp_path):

@@ -2,7 +2,6 @@
 
 import json
 from dataclasses import replace
-from functools import partial
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro.state import (
     restore_simulator,
     run_campaign,
     save_history,
-    spatial_day,
 )
 from repro.state.format import load_manifest
 
@@ -121,6 +119,7 @@ def _hot_city():
         duration=40.0,
         seed=7,
         hotspots=((2, 2, 3.0),),
+        day_seconds=40.0,
     )
 
 
@@ -136,27 +135,16 @@ class TestPlanIndependentRestore:
         self, tmp_path, column_cut
     ):
         """Day 1 warm-starts from day 0's written history; matching
-        per-day results across shard counts, cuts and hosts prove the
+        per-day results across shard counts and cuts prove the
         cell-keyed blobs restore identically no matter which plan wrote
         or reads them.  The column cut runs last: it stays installed."""
-        setups = [
-            (1, "load", False),
-            (2, "load", False),
-            (2, "load", True),
-            (2, "cols", False),
-        ]
-        for shards, cut, processes in setups:
+        for shards, cut in [(1, "load"), (2, "load"), (2, "cols")]:
             if cut == "cols":
                 column_cut()
             reports = run_campaign(
-                _hot_city(),
-                2,
-                tmp_path / f"{shards}-{cut}-{processes}",
-                run_day=partial(
-                    spatial_day, shards=shards, processes=processes
-                ),
+                _hot_city(), 2, tmp_path / f"{shards}-{cut}", shards=shards
             )
-            assert _days(reports) == _PARENT_DAYS, (shards, cut, processes)
+            assert _days(reports) == _PARENT_DAYS, (shards, cut)
 
     def test_checkpoint_written_under_one_plan_loads_under_another(
         self, tmp_path, column_cut
@@ -166,7 +154,13 @@ class TestPlanIndependentRestore:
             city, 2, processes=False, collect_state=True
         )
         path = save_history(tmp_path / "day_000", columns, city)
-        warm = replace(city, seed=8, warm_state=CheckpointWarmStart(path))
+        warm = replace(
+            city,
+            seed=8,
+            warm_state=CheckpointWarmStart(
+                path, rebase_seconds=city.duration
+            ),
+        )
         cold = run_spatial(replace(warm, warm_state=None), 1, processes=False)
         keys = [
             run_spatial(warm, shards, processes=False).metrics_key()

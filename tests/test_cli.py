@@ -233,7 +233,7 @@ def test_negative_shards_fail_cleanly(capsys, tmp_path, command):
         (["--shards", "2", "--replications", "3"],
          ["--shards", "--replications"]),
         (["--shards", "2", "--checkpoint-every", "10"],
-         ["--shards", "--save-state"]),
+         ["--shards", "--checkpoint-every"]),
         (["--shards", "2", "--trace-jsonl", "{tmp}/j"],
          ["--shards", "--trace-jsonl"]),
         (["--shards", "2", "--one-way"], ["--shards", "--one-way"]),
@@ -287,3 +287,67 @@ def test_campaign_shares_the_mode_check(capsys, tmp_path):
     assert "--shards" in err and "--one-way" in err
     assert not (tmp_path / "city").exists()
 
+
+
+def test_sharded_run_saves_history_that_inspect_passes(capsys, tmp_path):
+    saved = tmp_path / "city"
+    code, out, _err = run_cli(
+        capsys, "run", "--shards", "2", "--hex", "6x6", "--duration", "20",
+        "--save-state", str(saved),
+    )
+    assert code == 0
+    assert f"state saved: {saved}" in out
+    code, out, _err = run_cli(capsys, "state", "inspect", str(saved))
+    assert code == 0 and "Integrity: OK" in out
+    # History is what the next day warm-starts from, not a resumable run.
+    code, out, err = run_cli(
+        capsys, "run", "--duration", "20", "--load-state", str(saved)
+    )
+    assert code == 2
+    assert "runtime.json" in err
+
+
+def test_sharded_campaign_days_last_day_seconds(capsys, tmp_path):
+    """``--day-seconds`` sets a sharded day, and ``--duration`` is
+    ignored, as in the sequential campaign."""
+    import json
+
+    def campaign(name, duration):
+        state_dir = tmp_path / name
+        code, _out, _err = run_cli(
+            capsys, "campaign", "--shards", "2", "--hex", "6x6",
+            "--days", "2", "--day-seconds", "15", "--duration", duration,
+            "--state-dir", str(state_dir),
+        )
+        assert code == 0
+        rows = [
+            json.loads(line)
+            for line in (state_dir / "campaign.jsonl").read_text().splitlines()
+        ]
+        clocks = [
+            json.loads((state_dir / day / "manifest.json").read_text())["clock"]
+            for day in ("day_000", "day_001")
+        ]
+        assert clocks == [15.0, 15.0]
+        for row in rows:
+            del row["wall_seconds"], row["state_path"]
+        return rows
+
+    assert campaign("short", "5") == campaign("long", "500")
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("campaign", "--prom-out"),
+        ("campaign", "--telemetry-json"),
+        ("campaign", "--trace-out"),
+        ("serve", "--series-out"),
+        ("serve", "--progress"),
+    ],
+)
+def test_flags_a_command_never_honoured_are_refused(capsys, command, flag):
+    with pytest.raises(SystemExit) as caught:
+        build_parser().parse_args([command, flag, "x"])
+    assert caught.value.code == 2
+    assert flag in capsys.readouterr().err
