@@ -60,11 +60,12 @@ echo "== serve smoke =="
 # pipelined burst with a malformed frame and a duplicate-`conn` admit
 # in it (in-order replies, two errors, connection kept, nothing attached
 # for the duplicate), a fractional cell id refused, a binary frame
-# closed with 1003, 500 load-generator decisions, a well-formed
-# streamed series frame, and a clean shutdown; then the journal of a
-# `repro run --scheme static --trace-jsonl` ring, sent stamped over one
-# WebSocket to a fresh wall-clock service of the same scenario, must get
-# every recorded decision back.
+# closed with 1003, a well-formed streamed series frame, a second
+# connection answered mid-burst, the exact decision count, and a clean
+# shutdown; then the journal of a `repro run --scheme static
+# --trace-jsonl` ring, sent stamped over one WebSocket to a fresh
+# wall-clock service of the same scenario, must get every recorded
+# decision back.
 PYTHONPATH=src python scripts/serve_smoke.py
 
 echo "== spatial smoke =="

@@ -2,8 +2,9 @@
 """Run the full reproduction suite and record rendered outputs.
 
 Writes one text file per experiment under ``results/``.  This is the
-recorded-scale run behind EXPERIMENTS.md; the pytest benchmarks run the
-same code CI-sized.
+recorded-scale run behind EXPERIMENTS.md, whose every ✓ is checked
+against the written files by ``tests/experiments/test_claims.py``; the
+tier-1 structure tests run the same code CI-sized.
 
 Usage:  python scripts/run_experiments.py [--workers N] [experiment-id ...]
 """

@@ -1,4 +1,4 @@
-"""Analysis utilities: intervals, replications, analytic models."""
+"""Analysis utilities: intervals and analytic models."""
 
 from repro.analysis.guard_channel import (
     GuardChannelResult,
@@ -6,23 +6,12 @@ from repro.analysis.guard_channel import (
     road_model_rates,
     solve_guard_channel,
 )
-from repro.analysis.stats import (
-    ProportionEstimate,
-    ReplicationSummary,
-    blocking_estimate,
-    dropping_estimate,
-    replicate,
-    wilson_interval,
-)
+from repro.analysis.stats import ProportionEstimate, wilson_interval
 
 __all__ = [
     "GuardChannelResult",
     "ProportionEstimate",
-    "ReplicationSummary",
-    "blocking_estimate",
     "analytic_static_baseline",
-    "dropping_estimate",
-    "replicate",
     "road_model_rates",
     "solve_guard_channel",
     "wilson_interval",

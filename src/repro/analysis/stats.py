@@ -1,24 +1,18 @@
 """Statistics helpers for simulation studies.
 
 Single runs of a stochastic simulator give point estimates; a credible
-comparison needs replications and interval estimates.  This module
-provides Wilson score intervals for the two QoS probabilities (they are
-binomial proportions), batch-means confidence intervals (the interval
-estimator behind the sharded replication runner and the sequential
-baseline it is compared against), and a replication runner that sweeps
-seeds.
+comparison needs interval estimates.  This module provides Wilson score
+intervals for the two QoS probabilities (they are binomial proportions)
+and batch-means confidence intervals (the interval estimator behind the
+sharded replication runner).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Sequence
-
-from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import SimulationResult
-from repro.simulation.simulator import CellularSimulator
+from typing import Sequence
 
 #: z for a 95% two-sided normal interval.
 Z_95 = 1.959963984540054
@@ -66,20 +60,6 @@ def wilson_interval(
     if successes == trials:
         high = 1.0
     return ProportionEstimate(successes, trials, p, low, high)
-
-
-def blocking_estimate(result: SimulationResult) -> ProportionEstimate:
-    """P_CB of a run with its Wilson 95% interval."""
-    requests = sum(cell.new_requests for cell in result.cells)
-    blocked = sum(cell.blocked for cell in result.cells)
-    return wilson_interval(blocked, requests)
-
-
-def dropping_estimate(result: SimulationResult) -> ProportionEstimate:
-    """P_HD of a run with its Wilson 95% interval."""
-    attempts = sum(cell.handoff_attempts for cell in result.cells)
-    drops = sum(cell.handoff_drops for cell in result.cells)
-    return wilson_interval(drops, attempts)
 
 
 def t_quantile(level: float, dof: int) -> float:
@@ -160,82 +140,3 @@ def batch_means(
     variance = sum((value - mean) ** 2 for value in values) / (count - 1)
     half = t_quantile(level, count - 1) * math.sqrt(variance / count)
     return BatchMeansEstimate(mean, half, mean - half, mean + half, count, level)
-
-
-def batch_means_from_hourly(
-    result: SimulationResult, level: float = 0.95, skip_buckets: int = 0
-) -> tuple[BatchMeansEstimate, BatchMeansEstimate]:
-    """Batch-means CIs for ``(P_CB, P_HD)`` from a run's hourly buckets.
-
-    Reuses the Figure-14b hourly aggregation as time batches: run the
-    scenario with ``hourly_stats=True`` and ``day_seconds`` chosen so
-    one "hour" (``day_seconds / 24``) is the desired batch width, then
-    drop the leading ``skip_buckets`` warm-up batches.  This is how a
-    *sequential* long run gets an interval estimate comparable to the
-    sharded replication runner's.
-    """
-    buckets = result.hourly[skip_buckets:]
-    if not buckets:
-        raise ValueError(
-            "no hourly buckets to batch over; run with hourly_stats=True"
-        )
-    blocking = batch_means(
-        [bucket.blocking_probability for bucket in buckets], level
-    )
-    dropping = batch_means(
-        [bucket.dropping_probability for bucket in buckets], level
-    )
-    return blocking, dropping
-
-
-@dataclass
-class ReplicationSummary:
-    """Pooled statistics over independent same-config replications."""
-
-    results: list[SimulationResult]
-    blocking: ProportionEstimate
-    dropping: ProportionEstimate
-
-    @property
-    def replications(self) -> int:
-        return len(self.results)
-
-    def mean_of(self, metric: Callable[[SimulationResult], float]) -> float:
-        if not self.results:
-            return 0.0
-        return sum(metric(result) for result in self.results) / len(
-            self.results
-        )
-
-
-def replicate(
-    config: SimulationConfig,
-    seeds: Sequence[int] = (1, 2, 3, 4, 5),
-) -> ReplicationSummary:
-    """Run the same scenario under several seeds and pool the counts.
-
-    Pooling (rather than averaging per-run probabilities) weights every
-    hand-off equally, which is the right estimator for rare drops.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    results = [
-        CellularSimulator(replace(config, seed=seed)).run() for seed in seeds
-    ]
-    requests = sum(
-        cell.new_requests for result in results for cell in result.cells
-    )
-    blocked = sum(
-        cell.blocked for result in results for cell in result.cells
-    )
-    attempts = sum(
-        cell.handoff_attempts for result in results for cell in result.cells
-    )
-    drops = sum(
-        cell.handoff_drops for result in results for cell in result.cells
-    )
-    return ReplicationSummary(
-        results=results,
-        blocking=wilson_interval(blocked, requests),
-        dropping=wilson_interval(drops, attempts),
-    )

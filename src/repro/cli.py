@@ -227,33 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep only the newest K periodic checkpoints (default 2)",
     )
 
-    serve_bench_parser = commands.add_parser(
-        "serve-bench",
-        help="drive the live service with the bundled load generator and"
-        " report decisions/s with P50/P99 decision latency",
-    )
-    _add_scenario_arguments(serve_bench_parser)
-    serve_bench_parser.add_argument(
-        "--decisions", type=int, default=20_000, metavar="N",
-        help="admission decisions to drive (default 20000)",
-    )
-    serve_bench_parser.add_argument(
-        "--concurrency", type=int, default=32, metavar="N",
-        help="concurrent load-generator workers (default 32)",
-    )
-    serve_bench_parser.add_argument(
-        "--pipeline", type=int, default=64, metavar="K",
-        help="events each worker keeps in flight (default 64)",
-    )
-    serve_bench_parser.add_argument(
-        "--budget-ms", type=float, default=5.0, metavar="MS",
-        help="per-decision latency budget (default 5.0)",
-    )
-    serve_bench_parser.add_argument(
-        "--json", action="store_true",
-        help="print the report as one JSON object instead of text",
-    )
-
     state_parser = commands.add_parser(
         "state", help="inspect durable state checkpoints"
     )
@@ -476,12 +449,11 @@ def _build_config(args: argparse.Namespace, load: float | None = None):
                 )
     elif getattr(args, "hotspots", None):
         raise ValueError("--hotspots only applies to --shards runs")
-    # getattr: commands without the observability group (serve-bench)
-    # build their config here too.
+    # getattr: each command's observability group omits the flags it
+    # would never honour.
     series_out = getattr(args, "series_out", None)
-    series = getattr(args, "series", 0.0)
-    series_wall = getattr(args, "series_wall", 0.0)
-    if series_out and series == 0 and series_wall == 0:
+    series_wall = args.series_wall
+    if series_out and args.series == 0 and series_wall == 0:
         series_wall = 1.0
     shared = dict(
         offered_load=args.load if load is None else load,
@@ -499,7 +471,7 @@ def _build_config(args: argparse.Namespace, load: float | None = None):
             or getattr(args, "telemetry_json", None)
         ),
         progress_interval=getattr(args, "progress", 0.0),
-        series_interval=series,
+        series_interval=args.series,
         series_wall_interval=series_wall,
         series_path=series_out or "",
         trace=bool(getattr(args, "trace_out", None)),
@@ -721,6 +693,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
 def _command_experiment(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.duration is not None:
+        if args.name == "fig14":
+            raise ValueError(
+                "--duration does not apply to fig14: its day length comes"
+                " from time_compression"
+            )
         kwargs["duration"] = args.duration
     outputs = run_experiment(args.name, **kwargs)
     for output in outputs:
@@ -854,51 +831,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve_bench(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from repro.serve import AdmissionService
-    from repro.serve.loadgen import run_load
-
-    config = _build_config(args)
-
-    async def bench():
-        service = AdmissionService(
-            config, budget_ms=args.budget_ms, series_wall_interval=0.0
-        )
-        await service.start()
-        report = await run_load(
-            service,
-            decisions=args.decisions,
-            concurrency=args.concurrency,
-            pipeline=args.pipeline,
-            seed=args.seed,
-        )
-        await service.stop()
-        return report
-
-    report = asyncio.run(bench())
-    if args.json:
-        print(json.dumps({"scheme": config.scheme, **report.to_json()}))
-        return 0
-    print(
-        f"scheme={config.scheme}  decisions={report.decisions}"
-        f"  concurrency={args.concurrency}  pipeline={args.pipeline}"
-    )
-    print(
-        f"{report.decisions_per_s:,.0f} decisions/s"
-        f"  (P50 {report.p50_ms:.2f} ms, P99 {report.p99_ms:.2f} ms)"
-    )
-    print(
-        f"admitted {report.admitted_fraction:.1%}"
-        f" ({report.admitted} of {report.admitted + report.rejected}"
-        f" queries), {report.handoffs} hand-offs,"
-        f" {report.completes} completes, {report.ignored} ignored"
-    )
-    return 0
-
-
 def _command_state(args: argparse.Namespace) -> int:
     from repro.state import inspect_state
 
@@ -918,7 +850,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "campaign": _command_campaign,
         "dash": _command_dash,
         "serve": _command_serve,
-        "serve-bench": _command_serve_bench,
         "state": _command_state,
     }
     try:

@@ -19,8 +19,6 @@ timestamped events:
   budget, periodic checkpoints, telemetry.
 * :mod:`repro.serve.ws` — a stdlib RFC 6455 WebSocket server/client
   streaming the same JSONL time-series rows ``repro dash`` tails.
-* :mod:`repro.serve.loadgen` — scenario-driven load generator and the
-  ``repro serve-bench`` measurement loop.
 """
 
 from repro.serve.clock import StreamClock, VirtualClock, WallClock

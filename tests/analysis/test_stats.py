@@ -1,20 +1,10 @@
-"""Unit tests for interval estimates and replication pooling."""
+"""Unit tests for the interval estimates."""
 
 import math
 
 import pytest
 
-from repro.analysis.stats import (
-    batch_means,
-    batch_means_from_hourly,
-    blocking_estimate,
-    dropping_estimate,
-    replicate,
-    t_quantile,
-    wilson_interval,
-)
-from repro.simulation.scenarios import stationary
-from repro.simulation.simulator import CellularSimulator
+from repro.analysis.stats import batch_means, t_quantile, wilson_interval
 
 
 class TestWilson:
@@ -54,17 +44,6 @@ class TestWilson:
     def test_str_format(self):
         rendered = str(wilson_interval(1, 100))
         assert "[" in rendered and "]" in rendered
-
-
-class TestResultEstimates:
-    def test_estimates_cover_point_values(self):
-        config = stationary("static", 200.0, duration=120.0, seed=2)
-        result = CellularSimulator(config).run()
-        blocking = blocking_estimate(result)
-        dropping = dropping_estimate(result)
-        assert blocking.low <= result.blocking_probability <= blocking.high
-        assert dropping.low <= result.dropping_probability <= dropping.high
-        assert blocking.trials == result.total_new_requests
 
 
 class TestTQuantile:
@@ -121,58 +100,3 @@ class TestBatchMeans:
     def test_constant_batches_collapse(self):
         estimate = batch_means([0.5] * 8)
         assert estimate.half_width == pytest.approx(0.0)
-
-    def test_from_hourly_buckets(self):
-        # Hourly buckets sized to 50 simulated seconds each; bucket 0 is
-        # exactly the warm-up (buckets start at t=0).
-        config = stationary(
-            "static",
-            200.0,
-            duration=250.0,
-            warmup=50.0,
-            seed=2,
-            hourly_stats=True,
-            day_seconds=24.0 * 50.0,
-        )
-        result = CellularSimulator(config).run()
-        blocking, dropping = batch_means_from_hourly(
-            result, skip_buckets=1
-        )
-        assert blocking.batches == len(result.hourly) - 1
-        assert 0.0 <= blocking.mean <= 1.0
-        assert 0.0 <= dropping.mean <= 1.0
-
-    def test_from_hourly_requires_buckets(self):
-        config = stationary("static", 150.0, duration=100.0)
-        result = CellularSimulator(config).run()
-        with pytest.raises(ValueError):
-            batch_means_from_hourly(result)
-
-
-class TestReplication:
-    def test_pooled_counts(self):
-        config = stationary("static", 150.0, duration=100.0)
-        summary = replicate(config, seeds=(1, 2, 3))
-        assert summary.replications == 3
-        assert summary.blocking.trials == sum(
-            result.total_new_requests for result in summary.results
-        )
-        assert 0.0 <= summary.dropping.point <= 1.0
-
-    def test_distinct_seeds_produce_distinct_runs(self):
-        config = stationary("static", 150.0, duration=100.0)
-        summary = replicate(config, seeds=(1, 2))
-        first, second = summary.results
-        assert first.events_processed != second.events_processed
-
-    def test_mean_of_metric(self):
-        config = stationary("static", 150.0, duration=100.0)
-        summary = replicate(config, seeds=(1, 2))
-        mean = summary.mean_of(lambda result: result.blocking_probability)
-        values = [r.blocking_probability for r in summary.results]
-        assert mean == pytest.approx(sum(values) / 2)
-
-    def test_empty_seeds_rejected(self):
-        config = stationary("static", 150.0, duration=100.0)
-        with pytest.raises(ValueError):
-            replicate(config, seeds=())

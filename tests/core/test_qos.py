@@ -232,3 +232,27 @@ class TestEndToEnd:
             assert cell.used_bandwidth == pytest.approx(total)
         policy = simulator.policy
         assert policy.degradations > 0
+        assert policy.upgrades > 0
+
+    def test_min_qos_reservation_keeps_target_and_blocking(self):
+        """With reservation on the minimum-QoS basis the window
+        controller still bounds P_HD, and blocking does not get
+        materially worse than the rigid run's."""
+        from dataclasses import replace
+
+        from repro.simulation.scenarios import stationary
+        from repro.simulation.simulator import CellularSimulator
+
+        rigid_config = stationary(
+            "AC3", offered_load=250.0, voice_ratio=0.5,
+            duration=900.0, warmup=300.0, seed=9,
+        )
+        rigid = CellularSimulator(rigid_config).run()
+        adaptive = CellularSimulator(
+            replace(rigid_config, adaptive_qos=True)
+        ).run()
+        assert adaptive.dropping_probability <= 0.02
+        assert (
+            adaptive.blocking_probability
+            <= rigid.blocking_probability + 0.05
+        )

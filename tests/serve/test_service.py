@@ -102,6 +102,30 @@ def test_submit_many_aligns_results_with_events():
     asyncio.run(_with_service(body))
 
 
+def test_every_worker_decides_at_least_once():
+    # Nothing in a group's application suspends, so the one yield in
+    # ``submit_many`` is what hands the loop to the next worker: without
+    # it the first worker would make all forty decisions.
+    async def body(service):
+        decided = Counter()
+
+        async def worker(cell):
+            while sum(decided.values()) < 40:
+                results = await service.submit_many(
+                    [StreamEvent(t=None, kind=ARRIVAL, cell=cell)]
+                )
+                decided[cell] += sum(
+                    isinstance(result, Decision) for result in results
+                )
+
+        await asyncio.gather(*(worker(cell) for cell in range(4)))
+        return decided
+
+    decided = asyncio.run(_with_service(body))
+    assert len(decided) == 4
+    assert min(decided.values()) >= 1
+
+
 def test_stats_counts_decisions_and_percentiles():
     async def body(service):
         for cell in range(4):

@@ -72,6 +72,14 @@ def test_unknown_experiment_fails_cleanly(capsys):
     assert "unknown experiment" in err
 
 
+def test_fig14_rejects_duration(capsys):
+    code, _out, err = run_cli(
+        capsys, "experiment", "fig14", "--duration", "10"
+    )
+    assert code == 2
+    assert "--duration" in err and "fig14" in err
+
+
 def test_invalid_rvo_fails_cleanly(capsys):
     code, _out, err = run_cli(
         capsys, "run", "--rvo", "1.5", "--duration", "60"

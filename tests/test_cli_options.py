@@ -41,8 +41,6 @@ PINNED = {
     # No stream file or heartbeat: 'repro dash ws://...' tails a service.
     "serve": HELP | SCENARIO | LOGGING | EXPORTS | CHECKPOINTS
     | {"--host", "--port", "--budget-ms", "--time-scale", "--run-for"},
-    "serve-bench": HELP | SCENARIO
-    | {"--decisions", "--concurrency", "--pipeline", "--budget-ms", "--json"},
     "state": HELP,
     "state inspect": HELP,
 }  # fmt: skip

@@ -146,6 +146,8 @@ class TestSimulatorIntegration:
         )
         for link in manager.graph.links():
             assert link.used_bandwidth <= link.capacity + 1e-9
+        # A tree backbone never fails a re-route, warm-up included.
+        assert manager.wired_drops == 0
 
     def test_install_rejects_unreachable_cells(self):
         graph = BackboneGraph()
