@@ -18,15 +18,18 @@ PYTHONPATH=src python -m pytest -x -q --durations=15
 echo "tier-1 wall: $(( $(date +%s) - TIER1_START )) s"
 
 echo "== kernel matrix =="
-# Both backends must be bit-identical, so the kernel-sensitive suites
-# re-run under each forced backend — and once more where numpy cannot
-# be imported at all: REPRO_KERNEL=python still imports it, and the
-# numpy-free install is the reason the python kernel exists.
+# The kernel selects one thing, the Naghshineh-Schwartz convolution
+# backend, and both backends must be bit-identical: its suites re-run
+# under each forced backend.  The resident Eq. 5 walk needs no numpy;
+# its suites re-run once more where numpy cannot be imported at all
+# (REPRO_KERNEL=python still imports it, and the numpy-free install is
+# the reason the python kernel exists).
 KERNEL_TESTS="tests/properties/test_kernel_backend_parity.py \
     tests/properties/test_reservation_table_properties.py \
     tests/properties/test_admission_properties.py \
     tests/properties/test_convolution_parity.py \
-    tests/cellular/test_reservation_cache.py tests/estimation \
+    tests/cellular/test_reservation_cache.py \
+    tests/cellular/test_reservation_group.py tests/estimation \
     tests/simulation/test_columnar.py tests/simulation/test_spatial.py"
 for KERNEL in python numpy; do
     echo "-- REPRO_KERNEL=$KERNEL --"

@@ -8,7 +8,7 @@ Three gates, all cheap enough for every CI pass:
 2. **Restore parity** — save at half the horizon (while some
    connections have only a crossing pending, their planned end on the
    connection record; the past-horizon renewals ordinary queue
-   records, schema v3), restore, run to the full horizon, and assert
+   records, schema v4), restore, run to the full horizon, and assert
    ``metrics_key()`` equality with the uninterrupted run (the store's
    core bit-identity contract).
 3. **Campaign through the CLI** — a 2-day, 2-shard city campaign leaves
@@ -68,8 +68,8 @@ def check_restore_parity(config, scratch: Path) -> None:
         raise SystemExit("a past-horizon draw was remembered, not queued")
     lines: list[str] = []
     inspect_state(path, out=lines.append)
-    if not any("schema v3" in line for line in lines):
-        raise SystemExit(f"inspect did not report schema v3: {lines}")
+    if not any("schema v4" in line for line in lines):
+        raise SystemExit(f"inspect did not report schema v4: {lines}")
     resumed = restore_simulator(path, config).run()
     if resumed.metrics_key() != full.metrics_key():
         raise SystemExit("restored run diverged from the straight run")

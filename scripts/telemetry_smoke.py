@@ -120,7 +120,7 @@ def main() -> int:
                 problems.append(f"missing series {name}")
             elif value <= 0:
                 problems.append(f"series {name} is {value}, expected > 0")
-        # The Eq. 4 dispatch counters split by kernel; at least one side
+        # The Eq. 4 dispatch counters split by path; at least one side
         # must have seen batches.
         dispatched = sum(
             value

@@ -124,7 +124,7 @@ class BaseStation:
             ]
         return multi(now, self.cell.connections(), requests)
 
-    def grouped_contribution_eval(self, np, now, requests, batch):
+    def grouped_contribution_eval(self, now, requests, batch):
         """Register this supplier's Eq. 5 work into a cross-cell flush.
 
         Returns one slot per ``(target_cell, t_est)`` request: an index
@@ -142,7 +142,7 @@ class BaseStation:
         cell = self.cell
         if not cell.connection_count:
             return [None] * len(requests)
-        return parts(np, now, requests, cell.reservation_table(np), batch)
+        return parts(now, requests, cell, batch)
 
     def update_target_reservation(self, now: float) -> float:
         """Eq. 6: recompute and install this cell's ``B_r``.

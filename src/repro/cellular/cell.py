@@ -11,16 +11,14 @@ admitted connections.  Two admission paths exist, mirroring the paper:
 The cell itself only does bandwidth accounting; *which* reservation
 target applies is decided by the admission policy.  From the first
 reservation tick that reads it, the cell also keeps one attach-order
-table of its connections (:meth:`Cell.reservation_table`), the resident
-input of the Eq. 5 kernel.  A cell whose table nobody reads (static
-guard channels, or Eq. 5 answered by the scalar walk) keeps none.
+row per connection (:meth:`Cell.reservation_rows`), the resident input
+of the tick's Eq. 5 walk.  A cell whose rows nobody reads (static guard
+channels, or Eq. 5 answered from snapshots) keeps none.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
-
-from repro._kernel import prev_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.traffic.connection import Connection
@@ -28,10 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 class CapacityError(ValueError):
     """Raised when bandwidth accounting would go out of [0, C]."""
-
-
-#: Smallest ndarray mirror of a table (rows); mirrors double from here.
-_MIN_TABLE_ROWS = 64
 
 
 class Cell:
@@ -71,33 +65,14 @@ class Cell:
         #: static scheme this is the constant guard band ``G``.
         self.reserved_target = 0.0
         self._connections: dict[int, "Connection"] = {}
-        # The attach-order table: one row per attach, never reordered.
-        # ``_keys[row]`` is ``(prev+1)·S − 1j·entry_time`` (see
-        # :mod:`repro._kernel`), ``_bases[row]`` the reservation basis.
-        # A detach leaves its row in place with basis 0.0 (a tombstone:
-        # it adds exactly +0.0 to every Eq. 5 total); rows are dropped
-        # when more than half are dead.  ``dict`` preserves insertion
-        # order and re-attaches append, so live rows ascend in the
-        # iteration order of :meth:`connections` — which is also why
-        # the table can wait for its first reader: ``_rows`` is ``None``
-        # until :meth:`reservation_table` builds all three from the
-        # connections, and only from then on do attach and detach
-        # maintain them.
-        self._rows: dict[int, int] | None = None
-        self._keys: list[complex] = []
-        self._bases: list[float] = []
-        # ndarray mirror of the table, brought current by
-        # :meth:`reservation_table`: rows below ``_mirrored`` are
-        # already copied, ``_tombstones`` lists the rows zeroed since.
-        self._key_array = None
-        self._basis_array = None
-        self._mirrored = 0
-        self._tombstones: list[int] = []
-        #: Full re-materialisations of the mirror (first use, growth,
-        #: compaction) and rows written into it by all syncs together —
-        #: telemetry: a steady-state tick copies only what changed.
-        self.group_rebuilds = 0
-        self.rows_mirrored = 0
+        # The attach-order rows: ``connection id -> (prev, entry time,
+        # reservation basis)``.  ``dict`` preserves insertion order and a
+        # re-attach appends, so the rows follow the iteration order of
+        # :meth:`connections` — which is also why they can wait for
+        # their first reader: ``_rows`` is ``None`` until
+        # :meth:`reservation_rows` builds it from the connections, and
+        # only from then on do attach and detach maintain it.
+        self._rows: dict[int, tuple[int | None, float, float]] | None = None
 
     # ------------------------------------------------------------------
     # capacity queries
@@ -116,47 +91,20 @@ class Cell:
         """Iterate over the connections currently in this cell."""
         return iter(self._connections.values())
 
-    def reservation_table(self, np):
-        """``(keys, bases)`` ndarray views of the attach-order table.
+    def reservation_rows(self):
+        """``(prev, entry_time, basis)`` per connection, in attach order.
 
-        Brings the mirror current first: copies the rows appended since
-        the last call and zeroes the bases tombstoned since — O(what
-        changed).  Only first use, outgrowing the mirror, or a
-        compaction re-materialises it whole (:attr:`group_rebuilds`).
-        The views are valid until the next attach or detach.
+        Built from :meth:`connections` on first use and maintained by
+        every attach and detach from then on.  The view is live: it
+        changes with the next attach or detach.
         """
-        if self._rows is None:
-            self._rows = {}
-            for connection in self.connections():
-                self._add_row(connection)
-        keys = self._keys
-        rows = len(keys)
-        key_array = self._key_array
-        tombstones = self._tombstones
-        if key_array is None or rows > len(key_array):
-            capacity = max(_MIN_TABLE_ROWS, 2 * rows)
-            key_array = self._key_array = np.empty(
-                capacity, dtype=np.complex128
-            )
-            basis_array = self._basis_array = np.empty(
-                capacity, dtype=np.float64
-            )
-            key_array[:rows] = keys
-            basis_array[:rows] = self._bases
-            self.group_rebuilds += 1
-            self.rows_mirrored += rows
-        else:
-            basis_array = self._basis_array
-            mirrored = self._mirrored
-            if rows > mirrored:
-                key_array[mirrored:rows] = keys[mirrored:]
-                basis_array[mirrored:rows] = self._bases[mirrored:]
-            if tombstones:
-                basis_array[tombstones] = 0.0
-            self.rows_mirrored += rows - mirrored + len(tombstones)
-        tombstones.clear()
-        self._mirrored = rows
-        return key_array[:rows], basis_array[:rows]
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = {
+                connection.connection_id: _row(connection)
+                for connection in self.connections()
+            }
+        return rows.values()
 
     def fits_new_connection(self, bandwidth: float) -> bool:
         """Admission test of Eq. (1): new traffic must respect ``B_r``."""
@@ -213,7 +161,7 @@ class Cell:
         self._connections[connection.connection_id] = connection
         self.used_bandwidth += connection.bandwidth
         if self._rows is not None:
-            self._add_row(connection)
+            self._rows[connection.connection_id] = _row(connection)
 
     def detach(self, connection: "Connection") -> None:
         """Release a connection's bandwidth (hand-off out or completion)."""
@@ -224,7 +172,7 @@ class Cell:
                 f" {self.cell_id}"
             )
         if self._rows is not None:
-            self._drop_row(connection.connection_id)
+            del self._rows[connection.connection_id]
         self.used_bandwidth -= connection.bandwidth
         if self.used_bandwidth < -1e-9:
             raise CapacityError(
@@ -265,47 +213,22 @@ class Cell:
             )
         self.used_bandwidth += delta
         connection.allocated_bandwidth = new_bandwidth
-        # The reservation basis (minimum rate) is unaffected: the table
-        # row stays as it is.
-
-    def _add_row(self, connection: "Connection") -> None:
-        """Append a connection's table row."""
-        # Duck-typed minimal connections (bandwidth only) still account;
-        # they just count as prev=None at entry time 0.
-        self._rows[connection.connection_id] = len(self._keys)
-        self._keys.append(
-            complex(
-                prev_key(getattr(connection, "prev_cell", None)),
-                -getattr(connection, "cell_entry_time", 0.0),
-            )
-        )
-        self._bases.append(
-            getattr(connection, "reservation_basis", connection.bandwidth)
-        )
-
-    def _drop_row(self, connection_id: int) -> None:
-        """Tombstone a detached connection's table row."""
-        row = self._rows.pop(connection_id)
-        self._bases[row] = 0.0
-        if row < self._mirrored:
-            self._tombstones.append(row)
-        if 2 * len(self._rows) < len(self._keys):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop the dead rows; the next tick re-materialises the mirror."""
-        live = self._rows.values()
-        keys = self._keys
-        bases = self._bases
-        self._keys = [keys[row] for row in live]
-        self._bases = [bases[row] for row in live]
-        self._rows = dict(zip(self._rows, range(len(live))))
-        self._key_array = self._basis_array = None
-        self._mirrored = 0
-        self._tombstones = []
+        # The reservation basis (minimum rate) is unaffected: the
+        # connection's row stays as it is.
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Cell({self.cell_id}, used={self.used_bandwidth:.1f}/"
             f"{self.capacity:.0f}, B_r={self.reserved_target:.2f})"
         )
+
+
+def _row(connection: "Connection") -> tuple[int | None, float, float]:
+    """A connection's attach-order row: ``(prev, entry_time, basis)``."""
+    # Duck-typed minimal connections (bandwidth only) still account;
+    # they just count as prev=None at entry time 0.
+    return (
+        getattr(connection, "prev_cell", None),
+        getattr(connection, "cell_entry_time", 0.0),
+        getattr(connection, "reservation_basis", connection.bandwidth),
+    )

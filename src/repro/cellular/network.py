@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro._kernel import KEY_STRIDE, flush_batch_or_none
+from repro._kernel import FlushBatch
 from repro.cellular.base_station import BaseStation
 from repro.obs.trace import get_tracer
 from repro.core.reservation import aggregate_reservation
@@ -49,11 +49,6 @@ class CellularNetwork:
         cell_factory: Callable[[int, float, float], Cell] | None = None,
         handoff_overload: float = 1.0,
     ) -> None:
-        if topology.num_cells + 2 >= KEY_STRIDE:
-            raise ValueError(
-                f"{topology.num_cells} cells do not fit the Eq. 4 key"
-                f" encoding (next + 2 must stay below {int(KEY_STRIDE)})"
-            )
         for cell_id in range(topology.num_cells):
             neighbors = topology.neighbors(cell_id)
             if cell_id in neighbors or len(set(neighbors)) != len(neighbors):
@@ -203,26 +198,21 @@ class CellularNetwork:
 
         ``requests`` maps a supplier's cell id to its pending
         ``(target_cell, t_est)`` list; the result maps it to one value
-        per request.  Under the numpy kernel each supplier registers
-        its resident table and key columns into one cross-cell
-        :class:`repro._kernel.FlushBatch`, resolved once, rebuilding
+        per request.  Each supplier registers its cell's attach-order
+        rows and its cache's live sorted lists into one cross-cell
+        :class:`repro._kernel.FlushBatch`, walked once, building
         nothing.  A supplier that cannot join (finite ``T_int``,
-        non-unit weights, route oracle, duck-typed estimator) — and
-        every supplier under the python kernel — is answered by the
-        scalar walk
+        non-unit weights, route oracle, duck-typed estimator) is
+        answered by the snapshot walk
         (:meth:`~repro.cellular.base_station.BaseStation.outgoing_reservation_multi`);
         mixing the two never changes a result.
         """
         supplies: dict[int, list[float]] = {}
-        batch = flush_batch_or_none()
+        batch = FlushBatch()
         deferred: list[tuple[int, list]] = []
         for supplier_id, pending in requests.items():
             supplier = self.stations[supplier_id]
-            slots = None
-            if batch is not None:
-                slots = supplier.grouped_contribution_eval(
-                    batch.np, now, pending, batch
-                )
+            slots = supplier.grouped_contribution_eval(now, pending, batch)
             if slots is None:
                 self.tick_fallback_suppliers += 1
                 supplies[supplier_id] = supplier.outgoing_reservation_multi(
@@ -251,15 +241,13 @@ class CellularNetwork:
             if cell_ids is None
             else [self.stations[cell_id] for cell_id in cell_ids]
         )
-        messages = updates = rebuilds = rows_mirrored = 0
+        messages = updates = 0
         steps_up = steps_down = window_handoffs = window_drops = 0
         snap_hits = snap_builds = snap_invalidations = 0
-        vector_batches = scalar_batches = vector_rows = scalar_rows = 0
+        resident_batches = walk_batches = resident_rows = walk_rows = 0
         for station in stations:
             messages += station.messages_sent
             updates += station.reservation_calculations
-            rebuilds += station.cell.group_rebuilds
-            rows_mirrored += station.cell.rows_mirrored
             controller = station.window
             window_handoffs += controller.total_handoffs
             window_drops += controller.total_drops
@@ -279,10 +267,10 @@ class CellularNetwork:
             snap_invalidations += getattr(
                 estimator, "snapshot_invalidations", 0
             )
-            vector_batches += getattr(estimator, "eq4_vector_batches", 0)
-            scalar_batches += getattr(estimator, "eq4_scalar_batches", 0)
-            vector_rows += getattr(estimator, "eq4_vector_rows", 0)
-            scalar_rows += getattr(estimator, "eq4_scalar_rows", 0)
+            resident_batches += getattr(estimator, "eq4_resident_batches", 0)
+            walk_batches += getattr(estimator, "eq4_walk_batches", 0)
+            resident_rows += getattr(estimator, "eq4_resident_rows", 0)
+            walk_rows += getattr(estimator, "eq4_walk_rows", 0)
         tel.counter("cellular.messages_sent").inc(messages)
         tel.counter("cellular.reservation_updates").inc(updates)
         tel.counter("cellular.tick_flushes").inc(self.tick_flushes)
@@ -293,8 +281,6 @@ class CellularNetwork:
         tel.counter("cellular.tick_suppliers", path="fallback").inc(
             self.tick_fallback_suppliers
         )
-        tel.counter("cellular.group_rebuilds").inc(rebuilds)
-        tel.counter("cellular.table_rows_mirrored").inc(rows_mirrored)
         tel.counter("window.t_est_steps", direction="up").inc(steps_up)
         tel.counter("window.t_est_steps", direction="down").inc(steps_down)
         tel.counter("window.handoffs").inc(window_handoffs)
@@ -304,14 +290,12 @@ class CellularNetwork:
         tel.counter("estimation.snapshot_invalidations").inc(
             snap_invalidations
         )
-        tel.counter("estimation.eq4_batches", kernel="numpy").inc(
-            vector_batches
+        tel.counter("estimation.eq4_batches", path="resident").inc(
+            resident_batches
         )
-        tel.counter("estimation.eq4_batches", kernel="python").inc(
-            scalar_batches
-        )
-        tel.counter("estimation.eq4_rows", kernel="numpy").inc(vector_rows)
-        tel.counter("estimation.eq4_rows", kernel="python").inc(scalar_rows)
+        tel.counter("estimation.eq4_batches", path="walk").inc(walk_batches)
+        tel.counter("estimation.eq4_rows", path="resident").inc(resident_rows)
+        tel.counter("estimation.eq4_rows", path="walk").inc(walk_rows)
 
     def total_used_bandwidth(self) -> float:
         """Bandwidth in use across the whole network (BUs)."""

@@ -271,9 +271,9 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                         help="CDMA soft-capacity hand-off margin (§7)")
     parser.add_argument("--kernel", default="auto",
                         choices=["auto", "numpy", "python"],
-                        help="estimation kernel: numpy-batched or pure"
-                        " python; auto picks numpy when installed, both"
-                        " produce bit-identical metrics")
+                        help="Naghshineh-Schwartz convolution backend:"
+                        " numpy or pure python; auto picks numpy when"
+                        " installed, both produce bit-identical metrics")
 
 
 def _add_spatial_arguments(parser: argparse.ArgumentParser) -> None:
@@ -418,14 +418,14 @@ def _export_telemetry(snapshot, args: argparse.Namespace) -> None:
     gauges = snapshot.get("gauges", {})
     events = counters.get("des.events_fired", 0)
     rate = gauges.get("des.events_per_sec", 0.0)
-    vector_rows = counters.get('estimation.eq4_rows{kernel="numpy"}', 0)
-    scalar_rows = counters.get('estimation.eq4_rows{kernel="python"}', 0)
-    row_total = vector_rows + scalar_rows
+    resident_rows = counters.get('estimation.eq4_rows{path="resident"}', 0)
+    walk_rows = counters.get('estimation.eq4_rows{path="walk"}', 0)
+    row_total = resident_rows + walk_rows
     print()
     print(f"telemetry: run_id={snapshot.get('run_id', '')}")
     print(f"  events fired: {events:,.0f} ({rate:,.0f} events/s)")
     if row_total:
-        print(f"  Eq.4 vectorized rows: {vector_rows / row_total:.1%}"
+        print(f"  Eq.4 resident rows: {resident_rows / row_total:.1%}"
               f" ({row_total:,.0f} rows)")
 
 

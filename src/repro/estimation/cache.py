@@ -34,16 +34,9 @@ wrapper objects) — see :meth:`QuadrupletCache.active_columns` — and the
 largest active sojourn is the last element of a column
 (:meth:`QuadrupletCache.max_active_sojourn`).
 
-**Resident key columns (infinite interval, unit weight).**  For the
-reservation tick the same live sojourns are also kept as two sorted
-complex128 ndarrays — every ``prev`` list of the union in one column,
-every ``(prev, next)`` list in the other, encoded as described in
-:mod:`repro._kernel` — so one ``searchsorted`` answers all rows of a
-supplier.  They are built from the lists above on first use and from
-then on patched in place, at the next use, from a bounded journal of the
-inserts and evictions since (:meth:`QuadrupletCache.key_columns`).  A
-journal that overflows drops the columns, which also stops the
-journaling: a cache nobody queries pays nothing for them.
+The reservation tick counts Eq. 4 masses in the same live lists, in
+place, with ``bisect`` and no snapshot (:meth:`QuadrupletCache.sorted_lists`,
+walked by :class:`repro._kernel.FlushBatch`).
 """
 
 from __future__ import annotations
@@ -54,7 +47,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Sequence
 
-from repro._kernel import prev_key
 from repro.estimation.quadruplet import HandoffQuadruplet
 
 #: Seconds in a day (``T_day`` in the paper).
@@ -62,14 +54,6 @@ DAY_SECONDS = 86_400.0
 
 #: Dead-prefix length beyond which a pair store is compacted.
 _COMPACT_THRESHOLD = 512
-
-#: Journal entries beyond which the key columns are dropped and later
-#: rebuilt instead of patched.
-_JOURNAL_LIMIT = 64
-
-#: Smallest key-column buffer (entries); buffers are built at twice the
-#: live size.
-_MIN_KEY_ROWS = 256
 
 
 @dataclass
@@ -212,13 +196,6 @@ class QuadrupletCache:
         #: interval only): the Eq. 4 denominator column, maintained
         #: incrementally alongside the per-pair columns.
         self._union_sojourns: dict[int | None, list[float]] = {}
-        #: ``[union buffer, pair buffer, live entries]`` of the resident
-        #: key columns, or ``None`` while there are none.
-        self._key_columns: list | None = None
-        #: ``(insert?, union key, pair key)`` per change the columns
-        #: have not seen yet; ``None`` exactly while there are no
-        #: columns to patch.
-        self._journal: list[tuple[bool, complex, complex]] | None = None
         self.total_recorded = 0
 
     # ------------------------------------------------------------------
@@ -242,8 +219,6 @@ class QuadrupletCache:
             if union is None:
                 union = self._union_sojourns[quadruplet.prev] = []
             insort(union, quadruplet.sojourn)
-            if self._journal is not None:
-                self._log(True, quadruplet)
             excess = len(store) - self.config.max_per_pair
             if excess > 0:
                 self._drop_oldest_columnar(store, quadruplet.prev, excess)
@@ -260,93 +235,38 @@ class QuadrupletCache:
             sojourn = quad.sojourn
             del sorted_sojourns[bisect_left(sorted_sojourns, sojourn)]
             del union[bisect_left(union, sojourn)]
-            if self._journal is not None:
-                self._log(False, quad)
         store.drop_left(count)
 
     # ------------------------------------------------------------------
-    # resident key columns (infinite interval, unit weight)
+    # the live lists the reservation tick counts in
     # ------------------------------------------------------------------
-    def _log(self, insert: bool, quadruplet: HandoffQuadruplet) -> None:
-        journal = self._journal
-        if len(journal) >= _JOURNAL_LIMIT:
-            self._key_columns = self._journal = None
-            return
-        base = prev_key(quadruplet.prev)
-        sojourn = quadruplet.sojourn
-        journal.append(
-            (
-                insert,
-                complex(base, sojourn),
-                complex(base + (quadruplet.next + 2), sojourn),
-            )
-        )
+    def sorted_lists(self, requests: Sequence[tuple[int, float]]):
+        """The live sorted sojourn lists of each ``prev``, by request.
 
-    def key_columns(self):
-        """The resident ``(union, pair)`` key columns, brought current.
+        Maps every ``prev`` to ``(union, pairs)``: the sorted union of
+        its live sojourns and ``(i, pair, t_est)`` for each request
+        ``i = (target, t_est)`` whose ``(prev, target)`` list ``pair``
+        is nonempty.  A ``prev`` without such a list is left out.  The
+        lists are the cache's own, valid until the next :meth:`record`
+        or :meth:`preload`.
 
-        ``None`` when there are none (never built, journal overflowed,
-        buffer full, bulk-loaded since): :meth:`build_key_columns` then
-        makes them.  Patching replays the journal in order — an insert
-        shifts the tail up by one, an eviction removes the first equal
-        key (equal keys are interchangeable) — so the columns always
-        hold exactly the live sojourns of the sorted lists.
+        ``None`` unless ``T_int`` is infinite and ``w_0 = 1``: only
+        then is an Eq. 4 mass the plain count of a list's sojourns.
         """
-        columns = self._key_columns
-        if columns is None:
-            return None
-        union, pair, live = columns
-        journal = self._journal
-        if journal:
-            for insert, union_key, pair_key in journal:
-                if not insert:
-                    live -= 1
-                    for column, key in ((union, union_key), (pair, pair_key)):
-                        at = column[: live + 1].searchsorted(key)
-                        column[at:live] = column[at + 1 : live + 1]
-                elif live == len(union):
-                    self._key_columns = self._journal = None
-                    return None
-                else:
-                    for column, key in ((union, union_key), (pair, pair_key)):
-                        at = column[:live].searchsorted(key, side="right")
-                        column[at + 1 : live + 1] = column[at:live]
-                        column[at] = key
-                    live += 1
-            columns[2] = live
-            journal.clear()
-        return union[:live], pair[:live]
-
-    def build_key_columns(self, np):
-        """Build the key columns from the sorted lists; ``None`` when the
-        configuration has none (finite ``T_int`` or ``w_0 != 1``: Eq. 4
-        masses are then not plain counts of the live store)."""
         config = self.config
         if config.interval is not None or config.weights[0] != 1.0:
             return None
-        union_keys = [
-            complex(prev_key(prev), sojourn)
-            for prev, sojourns in self._union_sojourns.items()
-            for sojourn in sojourns
-        ]
-        pair_keys = [
-            complex(prev_key(prev) + (next_cell + 2), sojourn)
-            for (prev, next_cell), store in self._pairs.items()
-            for sojourn in store.sorted_sojourns
-        ]
-        live = len(union_keys)
-        capacity = max(_MIN_KEY_ROWS, 2 * live)
-        union = np.empty(capacity, dtype=np.complex128)
-        pair = np.empty(capacity, dtype=np.complex128)
-        union[:live] = union_keys
-        pair[:live] = pair_keys
-        # Lists are sorted within one ``prev`` / pair; numpy's
-        # lexicographic complex order puts the lists themselves in order.
-        union[:live].sort()
-        pair[:live].sort()
-        self._key_columns = [union, pair, live]
-        self._journal = []
-        return union[:live], pair[:live]
+        stores = self._pairs
+        lists = {}
+        for prev, union in self._union_sojourns.items():
+            pairs = []
+            for index, (target, t_est) in enumerate(requests):
+                store = stores.get((prev, target))
+                if store is not None and store.sorted_sojourns:
+                    pairs.append((index, store.sorted_sojourns, t_est))
+            if pairs:
+                lists[prev] = (union, pairs)
+        return lists
 
     def export_columns(
         self,
@@ -384,7 +304,6 @@ class QuadrupletCache:
         """
         if self._pairs:
             raise ValueError("preload requires an empty cache")
-        self._key_columns = self._journal = None
         infinite = self.config.interval is None
         for (prev, next_cell), (times, sojourns) in pairs.items():
             if infinite and len(times) > self.config.max_per_pair:

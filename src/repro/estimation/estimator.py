@@ -24,11 +24,11 @@ no per-entry wrappers).
 Eq. 5 is evaluated two ways.
 :meth:`MobilityEstimator.expected_bandwidth_multi` is the scalar walk
 over those snapshots: it serves every configuration and is the
-reference the tests compare against.  Under the numpy kernel
-(:mod:`repro._kernel`) the reservation tick of the infinite-interval,
-unit-weight configuration needs no snapshots at all:
-:meth:`MobilityEstimator.grouped_flush_parts` searches the cache's
-resident key columns directly.
+reference the tests compare against.  The reservation tick of the
+infinite-interval, unit-weight configuration needs no snapshots at
+all: :meth:`MobilityEstimator.grouped_flush_parts` hands the cache's
+live sorted lists to a :class:`repro._kernel.FlushBatch`, which counts
+in them with ``bisect`` — under either kernel, with or without numpy.
 """
 
 from __future__ import annotations
@@ -66,17 +66,16 @@ class MobilityEstimator:
         self._dirty: set[int | None] = set()
         # Observability counters (plain ints, harvested at end of run).
         #: Snapshot cache: reuses vs (re)builds vs dirty invalidations.
-        #: A tick served from the resident key columns counts as a
-        #: reuse, a (re)build of those columns as a build.
+        #: A tick served from the resident lists counts as a reuse.
         self.snapshot_hits = 0
         self.snapshot_builds = 0
         self.snapshot_invalidations = 0
-        #: Eq. 5 evaluations by path: resident-kernel registrations
-        #: (vector) vs scalar walks, in calls and rows x requests.
-        self.eq4_vector_batches = 0
-        self.eq4_scalar_batches = 0
-        self.eq4_vector_rows = 0
-        self.eq4_scalar_rows = 0
+        #: Eq. 5 evaluations by path: resident-list registrations vs
+        #: snapshot walks, in calls and rows x requests.
+        self.eq4_resident_batches = 0
+        self.eq4_walk_batches = 0
+        self.eq4_resident_rows = 0
+        self.eq4_walk_rows = 0
         #: Batch-size distribution, observed into the active telemetry
         #: registry (a shared no-op when telemetry is disabled).
         self._batch_rows_histogram = get_telemetry().histogram(
@@ -141,14 +140,14 @@ class MobilityEstimator:
         self.snapshot_builds += 1
         return snapshot
 
-    def _count_dispatch(self, vectorized: bool, rows: int) -> None:
+    def _count_dispatch(self, resident: bool, rows: int) -> None:
         """Record one Eq. 5 evaluation (which path, rows x requests)."""
-        if vectorized:
-            self.eq4_vector_batches += 1
-            self.eq4_vector_rows += rows
+        if resident:
+            self.eq4_resident_batches += 1
+            self.eq4_resident_rows += rows
         else:
-            self.eq4_scalar_batches += 1
-            self.eq4_scalar_rows += rows
+            self.eq4_walk_batches += 1
+            self.eq4_walk_rows += rows
         self._batch_rows_histogram.observe(rows)
 
     # ------------------------------------------------------------------
@@ -228,9 +227,8 @@ class MobilityEstimator:
         ``requests[i]`` alone bit for bit.  A reservation tick asks one
         supplying station for its contributions toward every pending
         neighbour in a single call; this is the path for every
-        configuration the resident kernel
-        (:meth:`grouped_flush_parts`) cannot answer, and the reference
-        that kernel is tested against.
+        configuration the resident lists (:meth:`grouped_flush_parts`)
+        cannot answer, and the reference they are tested against.
         """
         totals = [0.0] * len(requests)
         live = [
@@ -275,68 +273,52 @@ class MobilityEstimator:
 
     def grouped_flush_parts(
         self,
-        np,
         now: float,
         requests: Sequence[tuple[int, float]],
-        table,
+        cell,
         batch,
     ):
         """Register this station's Eq. 5 work into a cross-cell flush.
 
-        ``table`` is the supplier cell's attach-order table
-        (:meth:`repro.cellular.cell.Cell.reservation_table`): one key
-        ``(prev+1)·S − 1j·entry_time`` and one basis per row.  Shifted
-        by ``1j·now`` the keys are the Eq. 4 queries of all rows at
-        once, whatever their ``prev``; ``batch``
-        (:class:`repro._kernel.FlushBatch`) searches them in the
-        cache's resident key columns for every request together and
-        does the arithmetic in ``batch.resolve()``.
+        ``cell`` is the supplier cell: its attach-order rows
+        (:meth:`repro.cellular.cell.Cell.reservation_rows`) go into
+        ``batch`` (:class:`repro._kernel.FlushBatch`) together with the
+        cache's live sorted lists, grouped by ``prev`` over the live
+        requests, and ``batch.resolve()`` walks them.
 
         Returns one slot per request — its index in the list
         ``batch.resolve()`` returns, or ``None`` when the total is
-        known to be 0.0: ``t_est <= 0``, or an empty key column (no
-        live history, so every row is estimated stationary; nothing is
+        known to be 0.0: ``t_est <= 0``, or no ``prev`` with a
+        nonempty pair list toward a live target (nothing is
         registered then) — each total bit-identical to the matching
         :meth:`expected_bandwidth_multi` element.  Returns ``None``
-        when the cache has no key columns (finite ``T_int`` / non-unit
-        day weights) — the caller then answers with the walk.
+        when the cache's masses are not plain counts (finite ``T_int``
+        / non-unit day weights) — the caller then answers with the
+        walk.
         """
-        cache = self.cache
-        columns = cache.key_columns()
-        if columns is None:
-            columns = cache.build_key_columns(np)
-            if columns is None:
-                return None
-            self.snapshot_builds += 1
-        else:
-            self.snapshot_hits += 1
-        offsets_low = []
-        offsets_high = []
-        slots: list[int | None] = []
+        live = [
+            (target_cell, t_est)
+            for target_cell, t_est in requests
+            if t_est > 0
+        ]
+        groups = self.cache.sorted_lists(live)
+        if groups is None:
+            return None
+        self.snapshot_hits += 1
+        if not live:
+            return [None] * len(requests)
+        self._count_dispatch(True, cell.connection_count * len(live))
+        if not groups:
+            return [None] * len(requests)
         slot = batch.outputs
-        for target_cell, t_est in requests:
+        slots: list[int | None] = []
+        for _target_cell, t_est in requests:
             if t_est > 0:
-                offsets_low.append(complex(target_cell + 2, 0.0))
-                offsets_high.append(complex(target_cell + 2, t_est))
                 slots.append(slot)
                 slot += 1
             else:
                 slots.append(None)
-        if offsets_low:
-            keys, bases = table
-            # One dispatch for the whole supplier, dead rows included —
-            # what the kernel's first phase searches.
-            self._count_dispatch(True, len(keys) * len(offsets_low))
-            if not len(columns[0]):
-                # No live history: every row is estimated stationary.
-                return [None] * len(requests)
-            batch.add_part(
-                columns[0],
-                columns[1],
-                keys + complex(0.0, now),
-                offsets_low + offsets_high,
-                bases,
-            )
+        batch.add_part(now, cell.reservation_rows(), groups, len(live))
         return slots
 
     def is_stationary(
@@ -464,10 +446,9 @@ class KnownPathEstimator(MobilityEstimator):
 
     def grouped_flush_parts(
         self,
-        np,
         now: float,
         requests: Sequence[tuple[int, float]],
-        table,
+        cell,
         batch,
     ):
         """Route-aware Eq. 5 consults the oracle per connection, so the
@@ -475,7 +456,7 @@ class KnownPathEstimator(MobilityEstimator):
         :meth:`expected_bandwidth_multi` (which routes correctly)."""
         if self.route_oracle is not None:
             return None
-        return super().grouped_flush_parts(np, now, requests, table, batch)
+        return super().grouped_flush_parts(now, requests, cell, batch)
 
     def handoff_probability_known_next(
         self,

@@ -2,9 +2,9 @@
 
 A :class:`Telemetry` registry holds the run-time observables of one
 simulation run — how many events the DES engine fired, how often the
-Eq. 5 memo hit, which estimation kernel each Eq. 4 batch dispatched to,
-when the ``T_est`` controller stepped.  Everything is designed around
-two constraints:
+Eq. 5 memo hit, which path (resident or snapshot walk) each Eq. 4 batch
+took, when the ``T_est`` controller stepped.  Everything is designed
+around two constraints:
 
 * **Observation must not perturb the simulation.**  Instruments only
   *count*; nothing reads the clock of, or schedules events on, the

@@ -20,7 +20,7 @@ exposing the attribute set :meth:`repro.cellular.cell.Cell.attach`
 duck-types against (``connection_id``, ``bandwidth``,
 ``reservation_basis``, ``prev_cell``, ``cell_entry_time``, ...); it is
 materialised ephemerally on the rare fallback paths that still iterate
-connection objects (the pure-python Eq. 5 kernel, disabled reservation
+connection objects (the Eq. 5 snapshot walk, disabled reservation
 caches).  The store itself is bound at the *class* level so each live
 handle carries nothing but its row.
 
@@ -41,7 +41,6 @@ except Exception:  # pragma: no cover
 
 import array as _array
 
-from repro._kernel import KEY_STRIDE
 from repro.cellular.cell import CapacityError, Cell
 
 #: column typecode -> (numpy dtype name, stdlib array typecode)
@@ -277,12 +276,12 @@ class ColumnarCell(Cell):
     The classic attach path costs one handle object per connection plus
     a property call per field read; at city scale that object churn is
     a leading hot-loop term.  A columnar cell keeps the same accounting
-    (``used_bandwidth``, the attach-order table the Eq. 5 kernel
-    searches) but reads every field straight out of the
+    (``used_bandwidth``, the attach-order rows the tick's Eq. 5 walk
+    reads) but reads every field straight out of the
     :class:`ConnectionStore` columns, so admission, reservation flush,
     and hand-off migration touch no per-connection Python objects.
-    :meth:`connections` materialises ephemeral handles for the scalar
-    Eq. 5 walk only.
+    :meth:`connections` materialises ephemeral handles for the Eq. 5
+    snapshot walk and the rows' first build only.
     """
 
     def __init__(
@@ -305,7 +304,7 @@ class ColumnarCell(Cell):
         return len(self._store_rows)
 
     def connections(self):
-        """Ephemeral handle views, in attach order (the Eq. 5 walk only)."""
+        """Ephemeral handle views, in attach order."""
         cls = self._handle_cls
         if cls is None:
             cls = self._handle_cls = handle_class(self.store)
@@ -336,17 +335,14 @@ class ColumnarCell(Cell):
         store_rows[key] = row
         self.used_bandwidth += bandwidth
         if self._rows is not None:
-            # ``prev`` is -1 for "born here", which the key encoding
-            # maps to the same list as ``prev=None``.  (The first read
-            # builds the same rows from :meth:`connections` handles.)
-            self._rows[key] = len(self._keys)
-            self._keys.append(
-                complex(
-                    (columns["prev"][row] + 1) * KEY_STRIDE,
-                    -columns["entry_time"][row],
-                )
+            # ``prev`` is -1 for "born here": ``prev=None``, as the
+            # handles the first read builds the rows from say.
+            prev = columns["prev"][row]
+            self._rows[key] = (
+                None if prev < 0 else prev,
+                columns["entry_time"][row],
+                bandwidth,
             )
-            self._bases.append(bandwidth)
 
     def detach_row(self, row: int) -> None:
         """Release a store row's bandwidth."""
@@ -361,7 +357,7 @@ class ColumnarCell(Cell):
                 f"connection {key} not in cell {self.cell_id}"
             )
         if self._rows is not None:
-            self._drop_row(key)
+            del self._rows[key]
         self.used_bandwidth -= BANDWIDTH_TABLE[columns["bw_code"][row]]
         if self.used_bandwidth < -1e-9:
             raise CapacityError(

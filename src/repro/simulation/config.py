@@ -79,9 +79,10 @@ class SimulationConfig:
     day_seconds: float = 86_400.0
     step_policy: StepPolicy = StepPolicy.UNIT
 
-    #: Estimation kernel: ``auto`` (numpy when installed), ``numpy``
-    #: (require the ``[fast]`` extra) or ``python`` (the scalar Eq. 5
-    #: walk everywhere — the only path on a numpy-free install).  Both
+    #: Convolution backend of the Naghshineh–Schwartz comparison:
+    #: ``auto`` (numpy when installed), ``numpy`` (require the
+    #: ``[fast]`` extra) or ``python`` (the list loop — the only path
+    #: on a numpy-free install).  Eq. 5 does not depend on it.  Both
     #: produce bit-identical metrics.  See :mod:`repro._kernel`.
     kernel: str = "auto"
 

@@ -61,7 +61,7 @@ Hot state lives in the struct-of-arrays stores of
 :class:`~repro.simulation.columnar.ColumnarCell` instances that attach
 and detach store *rows* directly — the DES inner loop allocates no
 per-connection objects, and barrier-time Eq. 5 refreshes run through
-the cross-cell ``FlushBatch`` kernels.
+the cross-cell ``FlushBatch`` walk.
 """
 
 from __future__ import annotations

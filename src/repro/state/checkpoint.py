@@ -113,11 +113,7 @@ _MOBILE = {
 #: Counted only by :class:`~repro.core.qos.AdaptiveQoSPolicy`; other
 #: policies record zeros and restore nothing.
 _POLICY = _same("degradations", "upgrades")
-_CELL = {
-    "used": "used_bandwidth",
-    "reserved": "reserved_target",
-    "rebuilds": "group_rebuilds",
-}
+_CELL = {"used": "used_bandwidth", "reserved": "reserved_target"}
 _STATION = _same("reservation_calculations", "messages_sent")
 _NETWORK = _same(
     "tick_flushes",
@@ -129,10 +125,10 @@ _ESTIMATOR = _same(
     "snapshot_hits",
     "snapshot_builds",
     "snapshot_invalidations",
-    "eq4_vector_batches",
-    "eq4_scalar_batches",
-    "eq4_vector_rows",
-    "eq4_scalar_rows",
+    "eq4_resident_batches",
+    "eq4_walk_batches",
+    "eq4_resident_rows",
+    "eq4_walk_rows",
 )
 #: A window controller's position — what a campaign day carries over —
 #: and its lifetime history, which only an exact restore brings back.

@@ -62,7 +62,7 @@ from pathlib import Path
 from typing import Iterable
 
 FORMAT_NAME = "repro-state"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 RUNTIME_NAME = "runtime.json"

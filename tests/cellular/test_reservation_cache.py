@@ -1,8 +1,8 @@
 """The reservation tick: equality with the literal §4.1 sequence.
 
 The contract under test: the coalesced estimation tick — answered by
-the cross-cell grouped flush under the numpy kernel, by the
-multi-request scalar walk otherwise — is a pure optimisation.  Whatever
+the cross-cell resident walk where the cache's masses are plain counts,
+by the multi-request snapshot walk otherwise — is a pure optimisation.  Whatever
 the history of attaches, detaches, window changes and new quadruplets,
 a tick installs bit-identical reservations to one
 ``update_target_reservation`` per target (the per-connection,
@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro._kernel import flush_batch_or_none, numpy_or_none
+from repro._kernel import HAS_NUMPY, kernel_name, set_kernel
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
 from repro.estimation.cache import CacheConfig
@@ -106,56 +106,52 @@ class TestGroupedFlush:
         assert grouped.total_messages() == sequential.total_messages()
 
     def test_grouped_path_actually_used_under_array_kernel(self):
-        if flush_batch_or_none() is None:
-            pytest.skip("pure-python kernel: no grouped flush")
-        network = build_network()
-        tick(network, 100.0, [0])
-        assert network.tick_grouped_suppliers > 0
-        assert network.tick_fallback_suppliers == 0
+        """Under the array kernel and the python one alike, every
+        supplier with plain-count masses joins the grouped flush."""
+        before = kernel_name()
+        try:
+            for kernel in ("python", "numpy") if HAS_NUMPY else ("python",):
+                set_kernel(kernel)
+                network = build_network()
+                tick(network, 100.0, [0])
+                assert network.tick_grouped_suppliers > 0
+                assert network.tick_fallback_suppliers == 0
+        finally:
+            set_kernel(before)
 
     def test_table_rows_follow_connection_order(self):
-        np = numpy_or_none()
-        if np is None:
-            pytest.skip("pure-python kernel: no table mirror")
         network = build_network()
         cell = network.cell(1)
-        # Detach a few so the table carries tombstones between live rows.
+        cell.reservation_rows()
+        # Detach a few so the rows are maintained past removals.
         for connection in list(cell.connections())[5:25:4]:
             cell.detach(connection)
-        keys, bases = cell.reservation_table(np)
-        # Walking the live rows top to bottom must visit the connections
-        # in exactly the order ``cell.connections()`` yields them: that
+        # Walking the rows top to bottom must visit the connections in
+        # exactly the order ``cell.connections()`` yields them: that
         # order is the Eq. 5 addition sequence.
-        live_entries = [
-            -key.imag for key, basis in zip(keys.tolist(), bases.tolist())
-            if basis
-        ]
-        assert live_entries == [
-            connection.cell_entry_time for connection in cell.connections()
-        ]
+        assert [
+            entry for _prev, entry, _basis in cell.reservation_rows()
+        ] == [connection.cell_entry_time for connection in cell.connections()]
 
     def test_steady_state_tick_rebuilds_nothing(self):
-        """A tick after k attaches, detaches and departures
-        re-materialises no table and no key column, and copies O(k)."""
-        if flush_batch_or_none() is None:
-            pytest.skip("pure-python kernel: no grouped flush")
+        """A tick after attaches, detaches and departures builds no
+        snapshot and no row table: it reads what was maintained."""
         network = build_network()
         targets = (0, 2, 8)
 
-        def counters():
+        def state():
             return (
-                sum(cell.group_rebuilds for cell in network.cells),
-                sum(cell.rows_mirrored for cell in network.cells),
+                [cell._rows for cell in network.cells],
                 sum(s.estimator.snapshot_builds for s in network.stations),
             )
 
-        # First use builds the mirrors and the key columns.
+        # The first tick builds the suppliers' rows, and nothing else.
         tick(network, 100.0, targets)
-        rebuilds, mirrored, builds = counters()
-        assert rebuilds == 2 and builds == 2  # suppliers 1 and 9 carry load
+        rows, builds = state()
+        assert builds == 0
+        built = [cell_id for cell_id, table in enumerate(rows) if table]
+        assert built == [1, 9]  # suppliers 1 and 9 carry load
         tick(network, 101.0, targets)
-        assert counters() == (rebuilds, mirrored, builds)
-        changes = 0
         for supplier in (1, 9):
             cell = network.cell(supplier)
             for connection in list(cell.connections())[:3]:
@@ -163,7 +159,6 @@ class TestGroupedFlush:
                 network.station(supplier).record_departure(
                     102.0, None, 0, connection.cell_entry_time
                 )
-                changes += 1
             for offset in range(2):
                 cell.attach(
                     Connection(
@@ -171,11 +166,11 @@ class TestGroupedFlush:
                         cell_entry_time=102.0 + offset,
                     )
                 )
-                changes += 1
         tick(network, 103.0, targets)
-        after = counters()
-        assert (after[0], after[2]) == (rebuilds, builds)
-        assert after[1] - mirrored == changes
+        after_rows, after_builds = state()
+        assert after_builds == builds
+        assert all(a is b for a, b in zip(after_rows, rows))
+        assert [len(network.cell(s)._rows) for s in (1, 9)] == [39, 39]
 
 
 @pytest.mark.parametrize("interval", [None, 500.0])
@@ -276,7 +271,7 @@ def _known_next(connection):
     return 4 if int(connection.cell_entry_time) % 2 else None
 
 
-#: Per cell of a ring of 6: two suppliers the resident kernel answers
+#: Per cell of a ring of 6: two suppliers the resident walk answers
 #: (infinite ``T_int``, unit weights), four it cannot.
 _ESTIMATORS = (
     lambda: MobilityEstimator(CacheConfig(interval=None)),
@@ -342,7 +337,8 @@ def build_mixed_network(columnar, seed):
 )
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_mixed_supplier_tick_matches_sequential_updates(seed, columnar):
-    """Suppliers the kernel answers and suppliers it cannot, in one tick."""
+    """Suppliers the resident walk answers and suppliers it cannot, in
+    one tick."""
     ticked = build_mixed_network(columnar, seed)
     sequential = build_mixed_network(columnar, seed)
     targets = [0, 2, 3, 4, 5, 1]
@@ -363,6 +359,5 @@ def test_mixed_supplier_tick_matches_sequential_updates(seed, columnar):
     assert installed(ticked) == installed(sequential)
     assert all(cell.reserved_target > 0.0 for cell in ticked.cells)
     assert ticked.total_messages() == sequential.total_messages()
-    if flush_batch_or_none() is not None:
-        assert ticked.tick_grouped_suppliers == 2
-        assert ticked.tick_fallback_suppliers == 4
+    assert ticked.tick_grouped_suppliers == 2
+    assert ticked.tick_fallback_suppliers == 4

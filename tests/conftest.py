@@ -1,5 +1,7 @@
-"""Shared fixtures: isolated global id counters, a file corrupter, and
-the literal AC1-AC3."""
+"""Shared fixtures: isolated global id counters, a file corrupter, the
+literal AC1-AC3, and the snapshot-walk-only reference."""
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -53,6 +55,30 @@ def column_cut(monkeypatch):
         )
 
     return lambda: monkeypatch.setattr(spatial, "_resolve_plan", resolve)
+
+
+@pytest.fixture
+def snapshot_walk(monkeypatch):
+    """Call as a context manager: every network built inside it answers
+    each reservation tick with the snapshot walk — its estimators never
+    join the resident walk.  The reference of the whole-run parity
+    tests of the resident walk."""
+    from repro.estimation.estimator import MobilityEstimator
+
+    class SnapshotWalkEstimator(MobilityEstimator):
+        def grouped_flush_parts(self, now, requests, cell, batch):
+            return None
+
+    @contextmanager
+    def forced():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.cellular.network.MobilityEstimator",
+                SnapshotWalkEstimator,
+            )
+            yield
+
+    return forced
 
 
 @pytest.fixture

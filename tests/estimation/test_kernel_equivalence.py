@@ -1,19 +1,19 @@
-"""Resident Eq. 5 kernel vs the scalar walk (property-based).
+"""Resident Eq. 5 walk vs the snapshot walk (property-based).
 
 Eq. 5 is evaluated two ways: the scalar walk over F_HOE snapshots
-(``MobilityEstimator.expected_bandwidth_multi`` — every kernel, every
-configuration) and, under the numpy kernel, one ``FlushBatch`` search of
-a cell's table in the station's resident key columns
+(``MobilityEstimator.expected_bandwidth_multi`` — every configuration)
+and, where the masses are plain counts, one ``FlushBatch`` walk of a
+cell's attach-order rows over the cache's live sorted lists
 (``grouped_flush_parts``).  The contract is *bit-identity* — the same
 floats out, not just close ones — because whole runs are asserted
-metric-equal across kernels elsewhere.  These tests drive randomized
-quadruplet stores and connection populations through both, one supplier
-at a time, and tie the kernel back to the scalar Eq. 4 query.
+metric-equal across the two paths elsewhere.  These tests drive
+randomized quadruplet stores and connection populations through both,
+one supplier at a time, and tie the resident walk back to the scalar
+Eq. 4 query.  Neither path needs numpy.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +23,6 @@ from repro.estimation.cache import CacheConfig
 from repro.estimation.estimator import MobilityEstimator
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
-
-np = pytest.importorskip("numpy")
 
 NOW = 1_000.0
 
@@ -62,12 +60,10 @@ def cell_of(entries, prev=1):
 
 
 def kernel_totals(estimator, cells, requests):
-    """Each cell's ``requests`` through one resident-kernel batch."""
-    batch = FlushBatch(np)
+    """Each cell's ``requests`` through one resident-walk batch."""
+    batch = FlushBatch()
     slots = [
-        estimator.grouped_flush_parts(
-            np, NOW, requests, cell.reservation_table(np), batch
-        )
+        estimator.grouped_flush_parts(NOW, requests, cell, batch)
         for cell in cells
     ]
     totals = batch.resolve()
@@ -78,7 +74,7 @@ def kernel_totals(estimator, cells, requests):
 
 
 def single_row_probabilities(estimator, extants, next_cell, t_est):
-    """Eq. 4 per query out of the kernel: one single-row part each (a
+    """Eq. 4 per query out of the walk: one single-row part each (a
     voice connection's basis is 1.0, so its total *is* ``p_h``).
     Returns the probabilities and the extant sojourns as queried
     (``NOW - (NOW - extant)``, which rounding may move off ``extant``)."""
@@ -91,7 +87,7 @@ def single_row_probabilities(estimator, extants, next_cell, t_est):
 
 
 # ----------------------------------------------------------------------
-# Eq. 4 out of the kernel
+# Eq. 4 out of the resident walk
 # ----------------------------------------------------------------------
 @given(observations, query_batches, windows, next_cells)
 def test_batch_probabilities_match_scalar_queries(
@@ -146,7 +142,8 @@ def test_single_sample_store_across_kernels(sojourn, extants, t_est):
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=2**31), windows)
 def test_grouped_expected_bandwidth_identical_across_kernels(seed, t_est):
-    """One supplier's table through the kernel vs the walk vs Eq. 4."""
+    """One supplier's rows through the resident walk vs the snapshot
+    walk vs Eq. 4."""
     rng = random.Random(seed)
     estimator = MobilityEstimator(CacheConfig(interval=None))
     for index in range(rng.randrange(0, 120)):
@@ -188,14 +185,15 @@ def test_grouped_expected_bandwidth_identical_across_kernels(seed, t_est):
 
 
 # ----------------------------------------------------------------------
-# the rows the kernel prunes
+# the rows the walk skips
 # ----------------------------------------------------------------------
-# The kernel searches numerators only for rows whose Eq. 4 denominator
-# and basis are both nonzero.  The cases below build every kind of row
-# it drops — tombstoned, estimated stationary (older than every cached
-# sojourn, or from a ``prev`` without history), a whole supplier with
-# an empty key column — next to rows it keeps, and hold each supplier
-# to the walk bit for bit.
+# The walk counts numerators only for rows whose ``prev`` has a pair
+# list toward a live target and whose Eq. 4 denominator is nonzero.
+# The cases below build every kind of row it skips — estimated
+# stationary (older than every cached sojourn, or from a ``prev``
+# without history), a whole supplier without history — next to rows it
+# keeps, through detaches and re-attaches of the same connection, and
+# hold each supplier to the snapshot walk bit for bit.
 
 #: ``prev`` 3 never has history; ``None`` and 1, 2 do (when drawn).
 HISTORY_PREVS = st.sampled_from((None, 1, 2))
@@ -245,7 +243,7 @@ def history_estimator(items):
 
 
 def assert_tick_matches_walk(estimator, cell, requests):
-    """One supplier through the kernel == the scalar walk, bit for bit."""
+    """One supplier through the resident walk == the snapshot walk."""
     if not cell.connection_count:
         return  # the station never registers an empty cell
     walked = estimator.expected_bandwidth_multi(
@@ -256,7 +254,7 @@ def assert_tick_matches_walk(estimator, cell, requests):
 
 @settings(max_examples=150, deadline=None)
 @given(histories, populations, mixed_requests, table_ops)
-def test_pruned_rows_through_tombstones_compaction_and_reattach(
+def test_pruned_rows_through_detach_and_reattach(
     items, population, requests, ops
 ):
     estimator = history_estimator(items)
@@ -273,13 +271,11 @@ def test_pruned_rows_through_tombstones_compaction_and_reattach(
     assert_tick_matches_walk(estimator, cell, requests)
     for op, pick in ops:
         if op == "detach" and attached:
-            # Detaching past half the table compacts it; before that
-            # the row stays as a basis-0.0 tombstone.
             connection = attached.pop(pick % len(attached))
             cell.detach(connection)
             detached.append(connection)
         elif op == "attach" and detached:
-            # Re-attached, the connection gets a fresh row at the end.
+            # Re-attached, the same id gets a fresh row at the end.
             connection = detached.pop(pick % len(detached))
             cell.attach(connection)
             attached.append(connection)
@@ -288,9 +284,10 @@ def test_pruned_rows_through_tombstones_compaction_and_reattach(
     assert_tick_matches_walk(estimator, cell, requests)
 
 
-def test_tombstones_and_compaction_are_reached():
-    """The property above really visits tombstones, compaction and a
-    re-attach: a deterministic walk through all three."""
+def test_detach_and_reattach_are_reached():
+    """The property above really visits a detach, a re-attach of the
+    same id, stationary rows and an empty pair list: a deterministic
+    walk through all of them."""
     estimator = history_estimator(
         [(1, 2, 30.0), (1, 3, 60.0), (None, 2, 10.0), (2, 2, 80.0)]
     )
@@ -305,26 +302,27 @@ def test_tombstones_and_compaction_are_reached():
     ]
     for connection in connections:
         cell.attach(connection)
-    requests = [(2, 25.0), (3, 0.0), (2, -5.0), (3, 70.0)]
+    # Target 4 has no pair list from any prev; prev 3 has no history.
+    requests = [(2, 25.0), (3, 0.0), (2, -5.0), (3, 70.0), (4, 50.0)]
     assert_tick_matches_walk(estimator, cell, requests)
-    rebuilds = cell.group_rebuilds
-    for connection in connections[:5]:  # 7 of 12 live: tombstones
+    rows = cell._rows
+    for connection in connections[:7]:
         cell.detach(connection)
+    assert len(rows) == 5
     assert_tick_matches_walk(estimator, cell, requests)
-    assert cell.group_rebuilds == rebuilds
-    cell.detach(connections[5])  # 6 of 12 live: still tombstones
-    cell.detach(connections[6])  # 5 of 12 live: compaction
-    cell.attach(connections[0])  # re-attach
+    cell.attach(connections[0])  # re-attach: appended, not restored
+    assert list(rows)[-1] == connections[0].connection_id
     assert_tick_matches_walk(estimator, cell, requests)
-    assert cell.group_rebuilds == rebuilds + 1
+    assert cell._rows is rows  # maintained, never rebuilt
 
 
 @given(populations, mixed_requests, histories)
 def test_empty_key_column_registers_nothing(population, requests, items):
-    """A supplier with connections but no history: every slot is
-    ``None``, nothing enters the batch, and the dispatch still counts
-    every row × live request.  After history arrives, the patched
-    columns answer like the walk."""
+    """A supplier with connections but no history — no sorted column
+    keyed by any ``prev``: every slot is ``None``, nothing enters the
+    batch, and the dispatch still counts every row × live request.
+    After history arrives, the resident walk answers like the snapshot
+    walk."""
     estimator = MobilityEstimator(CacheConfig(interval=None))
     cell = cell_of([])
     for prev, extant, traffic_class in population:
@@ -334,14 +332,12 @@ def test_empty_key_column_registers_nothing(population, requests, items):
                 cell_entry_time=NOW - extant,
             )
         )
-    batch = FlushBatch(np)
-    slots = estimator.grouped_flush_parts(
-        np, NOW, requests, cell.reservation_table(np), batch
-    )
+    batch = FlushBatch()
+    slots = estimator.grouped_flush_parts(NOW, requests, cell, batch)
     live = sum(1 for _, t_est in requests if t_est > 0)
     assert slots == [None] * len(requests)
     assert batch.outputs == 0 and batch.resolve() == []
-    assert estimator.eq4_vector_rows == len(population) * live
+    assert estimator.eq4_resident_rows == len(population) * live
     assert estimator.expected_bandwidth_multi(
         NOW, cell.connections(), requests
     ) == [0.0] * len(requests)
@@ -354,8 +350,8 @@ def test_empty_key_column_registers_nothing(population, requests, items):
 @given(histories, st.lists(populations, min_size=2, max_size=4),
        mixed_requests)
 def test_suppliers_share_one_batch(items, tables, requests):
-    """Several suppliers — one of them with an empty key column — in
-    one batch: every slot still points at its own total."""
+    """Several suppliers — one of them without history — in one batch:
+    every slot still points at its own total."""
     estimators = [history_estimator(items), history_estimator([])]
     cells = []
     for population in tables:
@@ -368,14 +364,12 @@ def test_suppliers_share_one_batch(items, tables, requests):
                 )
             )
         cells.append(cell)
-    batch = FlushBatch(np)
+    batch = FlushBatch()
     pairs = [
         (estimators[index % 2], cell) for index, cell in enumerate(cells)
     ]
     slots = [
-        estimator.grouped_flush_parts(
-            np, NOW, requests, cell.reservation_table(np), batch
-        )
+        estimator.grouped_flush_parts(NOW, requests, cell, batch)
         for estimator, cell in pairs
     ]
     totals = batch.resolve()

@@ -43,8 +43,8 @@ class TestTelemetryParity:
         )
         assert counters["des.events_fired"] > 0
         assert (
-            counters['estimation.eq4_batches{kernel="numpy"}']
-            + counters['estimation.eq4_batches{kernel="python"}']
+            counters['estimation.eq4_batches{path="resident"}']
+            + counters['estimation.eq4_batches{path="walk"}']
             > 0
         )
 

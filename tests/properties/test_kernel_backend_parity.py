@@ -1,16 +1,17 @@
-"""Property-based kernel equivalence: python == numpy.
+"""Kernel and Eq. 5 path equivalence: python == numpy, resident ==
+snapshot walk.
 
-The kernel contract (:mod:`repro._kernel`): ``python`` — the scalar
-Eq. 5 walk everywhere — and ``numpy`` — reservation ticks answered from
-resident columns where the configuration allows — produce
-*bit-identical* results, for the literal §4.1 update, the tick, and
-whole runs.  Hypothesis drives randomized quadruplet histories and
-connection populations through all available backends and requires
-exact float equality everywhere.  The numpy legs are skipped on
-numpy-free installs.
+The kernel contract (:mod:`repro._kernel`): ``python`` and ``numpy``
+produce *bit-identical* results, for the literal §4.1 update, the tick,
+and whole runs.  So do the two Eq. 5 paths of a tick: the resident walk
+over a cell's attach-order rows and the cache's sorted lists, and the
+snapshot walk over F_HOE snapshots.  Hypothesis drives randomized
+quadruplet histories and connection populations through all available
+backends and requires exact float equality everywhere; whole runs are
+held to a reference run whose estimators never join the resident walk.
+The numpy legs are skipped on numpy-free installs.
 """
 
-import itertools
 import random
 
 import pytest
@@ -110,35 +111,40 @@ def test_grouped_tick_identical_across_kernels(items, offsets):
     assert len(values) == 1, results
 
 
-def test_whole_run_metrics_key_parity_across_kernels():
-    """A full run lands on one metrics_key whatever the backend — with
-    every supplier in the resident kernel (infinite ``T_int``, unit
-    weights) and with none (finite ``T_int`` / ``w_0 = 0.5``)."""
-    for scheme, t_int, weights in itertools.product(
-        ("AC1", "AC2", "AC3"), (None, 60.0), ((1.0, 1.0), (0.5, 0.5))
-    ):
-        keys = {
-            kernel: CellularSimulator(
+def test_whole_run_metrics_key_parity_across_kernels(snapshot_walk):
+    """A full run lands on one metrics_key whatever the kernel, and the
+    resident walk (infinite ``T_int``, unit weights) lands where the
+    snapshot walk does, under AC1, AC2 and AC3."""
+    for scheme in ("AC1", "AC2", "AC3"):
+
+        def run(kernel):
+            simulator = CellularSimulator(
                 stationary(
-                    scheme,
-                    offered_load=250.0,
-                    duration=80.0,  # long enough for T_int = 60 to cut
-                    seed=5,
+                    scheme, offered_load=250.0, duration=80.0, seed=5,
                     kernel=kernel,
-                    t_int=t_int,
-                    weights=weights,
                 )
-            ).run().metrics_key()
-            for kernel in available_kernels()
-        }
-        for kernel, key in keys.items():
-            assert key == keys["python"], (kernel, scheme, t_int, weights)
+            )
+            result = simulator.run()
+            return result.metrics_key(), [
+                station.estimator.eq4_resident_batches
+                for station in simulator.network.stations
+            ]
+
+        with snapshot_walk():
+            reference, resident = run("python")
+        assert not any(resident)
+        for kernel in available_kernels():
+            key, resident = run(kernel)
+            assert all(resident), (kernel, scheme)
+            assert key == reference, (kernel, scheme)
 
 
-def test_sharded_hex_run_metrics_key_parity_across_kernels():
-    """Barrier-time Eq. 5 over columnar cells: kernel vs handle walk."""
-    keys = {
-        kernel: run_spatial(
+def test_sharded_hex_run_metrics_key_parity_across_kernels(snapshot_walk):
+    """Barrier-time Eq. 5 over columnar cells: the resident walk over
+    store rows vs the snapshot walk over handles, under each kernel."""
+
+    def run(kernel):
+        return run_spatial(
             hex_city(
                 "AC3", rows=6, cols=6, offered_load=700.0,
                 duration=30.0, seed=5, kernel=kernel,
@@ -146,7 +152,8 @@ def test_sharded_hex_run_metrics_key_parity_across_kernels():
             shards=2,
             processes=False,
         ).metrics_key()
-        for kernel in available_kernels()
-    }
-    for kernel, key in keys.items():
-        assert key == keys["python"], kernel
+
+    with snapshot_walk():
+        reference = run("python")
+    for kernel in available_kernels():
+        assert run(kernel) == reference, kernel

@@ -1,32 +1,32 @@
 """Property: a reservation tick equals the per-connection scalar Eq. 5.
 
 The grouped flush answers a tick from resident structures — each cell's
-attach-order table with tombstones, each station's journal-patched key
-columns (:mod:`repro._kernel`).  Whatever sequence of attaches,
-detaches, departures and bulk loads led there, every ``B_r`` it
-installs must equal, bit for bit, the sum over neighbours of
-``expected_bandwidth`` — the scalar per-connection walk that shares
-none of that state.
+attach-order rows, each station's live sorted sojourn lists
+(:mod:`repro._kernel`).  Whatever sequence of attaches, detaches,
+departures and bulk loads led there, every ``B_r`` it installs must
+equal, bit for bit, the sum over neighbours of ``expected_bandwidth`` —
+the scalar per-connection walk over F_HOE snapshots that shares none of
+that state.
 
-A cell's table waits for its first reader, so the first tick of a run
-(any step of the random sequence) also builds tables from connections
+A cell's rows wait for their first reader, so the first tick of a run
+(any step of the random sequence) also builds rows from connections
 that were attached and detached unobserved; a second property pins the
-built table to the one maintained from the start.
+built rows to the ones maintained from the start, and a third rebuilds
+them in a simulator restored from a checkpoint.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._kernel import HAS_NUMPY
 from repro.cellular.base_station import EXIT_CELL
 from repro.cellular.cell import Cell
 from repro.cellular.network import CellularNetwork
 from repro.cellular.topology import LinearTopology
 from repro.core.reservation import aggregate_reservation
-from repro.estimation.cache import _JOURNAL_LIMIT, CacheConfig
+from repro.estimation.cache import CacheConfig
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
+from repro.state import restore_simulator, save_checkpoint
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
 
@@ -43,19 +43,17 @@ attach = st.tuples(
 detach = st.tuples(
     st.just("detach"), st.sampled_from(CELLS), st.integers(0, 200)
 )
-#: Emptying most of a cell crosses the compaction boundary; emptying it
-#: makes it the empty supplier.
+#: Emptying a cell makes it the empty supplier.
 drain = st.tuples(st.just("drain"), st.sampled_from(CELLS), st.integers(0, 3))
 depart = st.tuples(
     st.just("depart"), st.sampled_from(CELLS), PREVS, NEXTS, GRID
 )
-#: More departures between two ticks than the journal holds, and one
-#: fewer / exactly as many, so both sides of the overflow are visited.
+#: Many departures between two ticks: past every ``N_quad`` drawn
+#: below, so evictions interleave with inserts.
 burst = st.tuples(
     st.just("burst"),
     st.sampled_from(CELLS),
-    st.sampled_from([_JOURNAL_LIMIT // 2 - 1, _JOURNAL_LIMIT // 2,
-                     _JOURNAL_LIMIT, _JOURNAL_LIMIT + 3]),
+    st.sampled_from([2, 40, 103]),
     GRID,
 )
 preload = st.tuples(
@@ -160,8 +158,8 @@ def test_every_tick_total_equals_the_scalar_walk(ops, max_per_pair):
             _, cell_id, entries = op
             estimator = network.station(cell_id).estimator
             if estimator.cache.size() == 0:
-                # Key columns built over the empty cache must not
-                # survive the bulk load.
+                # Lists read from the empty cache must not survive the
+                # bulk load.
                 _check_tick(network, now, [(cell, 4.0) for cell in CELLS])
                 pairs = {}
                 for prev, next_cell, sojourn in entries:
@@ -178,22 +176,6 @@ def test_every_tick_total_equals_the_scalar_walk(ops, max_per_pair):
     _check_tick(network, now, [(0, 10.0), (1, 4.0), (2, 0.0)])
 
 
-def _live_rows(cell):
-    """``(connection id, key, basis)`` of the table's live rows, in order."""
-    import numpy as np
-
-    keys, bases = cell.reservation_table(np)
-    listed = [
-        (cid, cell._keys[row], cell._bases[row])
-        for cid, row in cell._rows.items()
-    ]
-    alive = bases != 0.0  # a basis is a bandwidth; 0.0 is a tombstone
-    assert keys[alive].tolist() == [key for _cid, key, _basis in listed]
-    assert bases[alive].tolist() == [basis for _cid, _key, basis in listed]
-    return listed
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="only the numpy kernel reads tables")
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -211,12 +193,15 @@ def test_first_read_after_unobserved_mutations_equals_the_eager_table(
     ops, first_read
 ):
     eager = Cell(0, capacity=10_000.0)
-    _live_rows(eager)  # read while empty: maintained from the start
+    eager.reservation_rows()  # read while empty: maintained from the start
     lazy = Cell(0, capacity=10_000.0)
     for step, op in enumerate(ops):
         if step == first_read:
             assert lazy._rows is None
-            assert _live_rows(lazy) == _live_rows(eager)
+            assert list(lazy.reservation_rows()) == list(
+                eager.reservation_rows()
+            )
+            assert list(lazy._rows) == list(eager._rows)
         if op[0] == "attach":
             _, prev, offset, video = op
             connection = Connection(
@@ -236,7 +221,33 @@ def test_first_read_after_unobserved_mutations_equals_the_eager_table(
         for connection in doomed:
             eager.detach(connection)
             lazy.detach(connection)
-    assert _live_rows(lazy) == _live_rows(eager)
+    assert list(lazy.reservation_rows()) == list(eager.reservation_rows())
+    assert list(lazy._rows) == list(eager._rows)
+
+
+def test_restored_simulator_rebuilds_the_rows(tmp_path):
+    """A checkpoint keeps attach order, not rows: the restored cells
+    build theirs at the first tick, equal to the saved run's, and that
+    tick installs what the snapshot walk computes."""
+    config = stationary(
+        "AC3", offered_load=200.0, high_mobility=True, duration=60.0,
+        seed=4,
+    )
+    saved = CellularSimulator(config)
+    saved.run()
+    restored = restore_simulator(
+        save_checkpoint(saved, tmp_path / "ckpt"), config
+    )
+    network = restored.network
+    assert all(cell._rows is None for cell in network.cells)
+    now = restored.engine.now
+    targets = [(cell_id, 25.0) for cell_id in range(network.num_cells)]
+    _check_tick(network, now, targets)
+    for before, after in zip(saved.network.cells, network.cells):
+        assert after.connection_count > 0
+        assert list(after.reservation_rows()) == list(
+            before.reservation_rows()
+        )
 
 
 def test_a_static_run_never_builds_a_table():
@@ -251,5 +262,4 @@ def test_a_static_run_never_builds_a_table():
     assert len(simulator.network.cells) == 10
     for cell in simulator.network.cells:
         assert cell.connection_count > 0
-        assert cell._rows is None and cell._keys == [] and cell._bases == []
-        assert cell.group_rebuilds == 0
+        assert cell._rows is None

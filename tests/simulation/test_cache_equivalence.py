@@ -1,44 +1,34 @@
-"""Whole-run equivalence: the resident kernel never changes a metric.
+"""Whole-run equivalence: the resident walk never changes a metric.
 
 Runs the acceptance scenarios — the Figure 7 static policy and the
-Figure 10/11 AC3 trace run — once with reservation ticks answered from
-the resident Eq. 5 columns (numpy kernel) and once with the scalar
-per-connection walk everywhere (python kernel), and requires every
-simulation-determined field of the results (counters, probabilities,
-traces, N_calc, messages) to be identical.  Only wall-clock time may
-differ.
+Figure 10/11 AC3 trace run — once with reservation ticks answered by
+the resident Eq. 5 walk and once with the snapshot walk everywhere,
+and requires every simulation-determined field of the results
+(counters, probabilities, traces, N_calc, messages) to be identical.
+Only wall-clock time may differ.
 """
-
-from dataclasses import replace
 
 import pytest
 
-from repro._kernel import HAS_NUMPY, kernel_name, set_kernel
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.traffic.connection import reset_connection_ids
 
-pytestmark = pytest.mark.skipif(
-    not HAS_NUMPY, reason="numpy kernel not installed"
-)
+
+@pytest.fixture
+def run_both(snapshot_walk):
+    def run(config):
+        reset_connection_ids()
+        cached = CellularSimulator(config).run()
+        reset_connection_ids()
+        with snapshot_walk():
+            naive = CellularSimulator(config).run()
+        return cached, naive
+
+    return run
 
 
-@pytest.fixture(autouse=True)
-def _restore_kernel():
-    before = kernel_name()
-    yield
-    set_kernel(before)
-
-
-def _run_both(config):
-    reset_connection_ids()
-    cached = CellularSimulator(replace(config, kernel="numpy")).run()
-    reset_connection_ids()
-    naive = CellularSimulator(replace(config, kernel="python")).run()
-    return cached, naive
-
-
-def test_fig07_static_scenario_is_identical():
+def test_fig07_static_scenario_is_identical(run_both):
     config = stationary(
         "static",
         offered_load=200.0,
@@ -48,11 +38,11 @@ def test_fig07_static_scenario_is_identical():
         seed=7,
         static_guard=10.0,
     )
-    cached, naive = _run_both(config)
+    cached, naive = run_both(config)
     assert cached.metrics_key() == naive.metrics_key()
 
 
-def test_fig11_trace_scenario_is_identical():
+def test_fig11_trace_scenario_is_identical(run_both):
     # The Figure 10/11 run: AC3, L=300, stationary traffic, cells <5>
     # and <6> tracked — this is the scheme that actually exercises the
     # Eq. 5/6 reservation path on every admission test and hand-off.
@@ -65,9 +55,9 @@ def test_fig11_trace_scenario_is_identical():
         seed=10,
         tracked_cells=(4, 5),
     )
-    cached, naive = _run_both(config)
+    cached, naive = run_both(config)
     assert cached.metrics_key() == naive.metrics_key()
     # Sanity: the scenario is busy enough that the assertion is not
-    # vacuous, and the kernel run actually exercised the hot path.
+    # vacuous, and the resident run actually exercised the hot path.
     assert cached.total_handoff_attempts > 0
     assert cached.average_calculations > 0

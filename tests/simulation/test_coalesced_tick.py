@@ -35,9 +35,9 @@ def _eq4_stats(simulator):
     rows = batches = 0
     for station in simulator.network.stations:
         estimator = station.estimator
-        rows += estimator.eq4_vector_rows + estimator.eq4_scalar_rows
+        rows += estimator.eq4_resident_rows + estimator.eq4_walk_rows
         batches += (
-            estimator.eq4_vector_batches + estimator.eq4_scalar_batches
+            estimator.eq4_resident_batches + estimator.eq4_walk_batches
         )
     return rows, batches
 
@@ -73,14 +73,10 @@ class TestBitIdentity:
 class TestBatching:
     def test_mean_eq4_batch_size_rises(self, run):
         # AC2 refreshes every neighbour + self per admission test, so
-        # the tick hands each supplier several targets at once.  Under
-        # the python kernel both sides count the same walk's rows.
-        sim_off, _ = run(
-            "AC2", coalesced=False, duration=200.0, seed=3, kernel="python"
-        )
-        sim_on, _ = run(
-            "AC2", coalesced=True, duration=200.0, seed=3, kernel="python"
-        )
+        # the tick hands each supplier several targets at once.  Both
+        # paths count connections x live requests per evaluation.
+        sim_off, _ = run("AC2", coalesced=False, duration=200.0, seed=3)
+        sim_on, _ = run("AC2", coalesced=True, duration=200.0, seed=3)
         rows_off, batches_off = _eq4_stats(sim_off)
         rows_on, batches_on = _eq4_stats(sim_on)
         assert rows_on == rows_off  # same probabilities evaluated...

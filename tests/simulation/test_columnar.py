@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro._kernel import KEY_STRIDE
 from repro.simulation.columnar import (
     BANDWIDTH_TABLE,
     ConnectionStore,
@@ -200,23 +199,31 @@ class TestColumnarCell:
         assert cell.connection_count == 0
 
     def test_table_rows_encode_prev_cell(self):
-        np = pytest.importorskip("numpy")
         store, cell = _columnar_cell()
         born_here = _fill_row(store, store.alloc(), prev=-1, birth_seq=0)
         handed_off = _fill_row(
             store, store.alloc(), prev=3, birth_seq=1, entry_time=5.0
         )
-        # One row built from the handles at the first read, one appended
-        # by attach_row after it: the same encoding either way.
+        twin = _fill_row(store, store.alloc(), prev=-1, birth_seq=2)
+        # One row built from the handles at the first read, the others
+        # appended by attach_row after it: the same rows either way
+        # (``prev = -1`` is ``None``, born here).
         cell.attach_row(born_here)
-        cell.reservation_table(np)
+        assert list(cell.reservation_rows()) == [
+            (None, 0.0, BANDWIDTH_TABLE[0])
+        ]
         cell.attach_row(handed_off)
-        keys, bases = cell.reservation_table(np)
-        assert keys.tolist() == [0j, complex(4 * KEY_STRIDE, -5.0)]
-        assert bases.tolist() == [BANDWIDTH_TABLE[0]] * 2
-        cell.detach_row(handed_off)
-        _keys, bases = cell.reservation_table(np)
-        assert bases.tolist() == [BANDWIDTH_TABLE[0], 0.0]
+        cell.attach_row(twin)
+        assert list(cell.reservation_rows()) == [
+            (None, 0.0, BANDWIDTH_TABLE[0]),
+            (3, 5.0, BANDWIDTH_TABLE[0]),
+            (None, 0.0, BANDWIDTH_TABLE[0]),
+        ]
+        cell.detach_row(born_here)
+        cell.attach_row(born_here)  # re-attached: a fresh row at the end
+        assert list(cell._rows) == [
+            store.connection_id(row) for row in (handed_off, twin, born_here)
+        ]
 
     def test_double_attach_raises(self):
         from repro.cellular.cell import CapacityError

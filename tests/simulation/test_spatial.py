@@ -125,7 +125,9 @@ class TestShardInvariance:
         assert total("estimation.snapshot") > 0
         assert total("window.t_est_steps") > 0
         assert total("cellular.tick_flushes") > 0
-        assert "cellular.group_rebuilds" in counters
+        # Every shard supplier takes the resident walk.
+        assert counters['estimation.eq4_rows{path="resident"}'] > 0
+        assert counters['estimation.eq4_rows{path="walk"}'] == 0
         requests = sum(cell.new_requests for cell in result.cells)
         attempts = sum(cell.handoff_attempts for cell in result.cells)
         assert requests > 0 and attempts > 0

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro._kernel import HAS_NUMPY, kernel_name, set_kernel
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.state.checkpoint import capture_state
@@ -179,40 +178,35 @@ class TestFieldTable:
 
 
 class _SaveBetweenDetachAndTick:
-    """Heartbeat hook: checkpoint once, at a moment when some table
-    holds a tombstone its mirror has not seen and some cache a journal
-    entry its key columns have not."""
+    """Heartbeat hook: checkpoint once, right after an event detached a
+    connection from a cell that keeps attach-order rows — before any
+    tick reads them again."""
 
     def __init__(self, simulator, directory):
         self.simulator = simulator
         self.directory = directory
         self.path = None
+        self.rows = None
 
     def beat(self) -> None:
         if self.path is not None:
             return
-        stations = self.simulator.network.stations
-        if any(station.cell._tombstones for station in stations) and any(
-            station.estimator.cache._journal for station in stations
-        ):
+        rows = sum(
+            len(cell._rows)
+            for cell in self.simulator.network.cells
+            if cell._rows is not None
+        )
+        if self.rows is not None and rows < self.rows:
             self.path = save_checkpoint(self.simulator, self.directory)
+        self.rows = rows
 
 
 class TestDerivedReservationState:
-    @pytest.fixture(autouse=True)
-    def _restore_kernel(self):
-        before = kernel_name()
-        yield
-        set_kernel(before)
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="the resident columns need numpy")
     def test_checkpoint_between_a_detach_and_the_next_tick(self, tmp_path):
-        """Tables and key columns are derived state: the restore
-        serialises none of it (no table until the next tick reads one,
-        no columns) and the run continues to the same metrics."""
-        config = base_config(
-            offered_load=200.0, duration=400.0, seed=3, kernel="numpy"
-        )
+        """The attach-order rows are derived state: the restore
+        serialises none of them (no rows until the next tick reads
+        them) and the run continues to the same metrics."""
+        config = base_config(offered_load=200.0, duration=400.0, seed=3)
         full = CellularSimulator(config).run()
         watched = CellularSimulator(config)
         watched.checkpointer = _SaveBetweenDetachAndTick(
@@ -223,8 +217,7 @@ class TestDerivedReservationState:
         restored = restore_simulator(watched.checkpointer.path, config)
         for station in restored.network.stations:
             cell = station.cell
-            assert cell._rows is None and cell._key_array is None
-            assert station.estimator.cache._key_columns is None
+            assert cell._rows is None
         assert restored.run().metrics_key() == full.metrics_key()
 
 
@@ -293,22 +286,23 @@ class TestGuards:
             restore_simulator(path, other)
 
     def test_schema_1_directory_is_refused(self, tmp_path):
-        """One layout: a directory stamped with an earlier schema (1, or
-        2 with its ``engine_counters``) is turned away by the gate,
-        whatever its contents."""
+        """One layout: a directory stamped with an earlier schema (1,
+        2 with its ``engine_counters``, or 3 with its cells' mirror
+        ``rebuilds``) is turned away by the gate, whatever its
+        contents."""
         sim = CellularSimulator(base_config(duration=50.0))
         sim.run()
         files = capture_state(sim)
         manifest = json.loads(files[MANIFEST_NAME])
-        assert manifest["schema_version"] == 3
-        for earlier in (1, 2):
+        assert manifest["schema_version"] == 4
+        for earlier in (1, 2, 3):
             manifest["schema_version"] = earlier
             path = publish_state_dir(
                 tmp_path / f"schema-{earlier}",
                 {**files, MANIFEST_NAME: json.dumps(manifest).encode("utf-8")},
             )
             with pytest.raises(
-                StateSchemaError, match=f"v{earlier} .*supports v3"
+                StateSchemaError, match=f"v{earlier} .*supports v4"
             ):
                 load_manifest(path)
             with pytest.raises(StateSchemaError):

@@ -63,7 +63,9 @@ class TestManifestSchema:
         manifest = json.loads((path / "manifest.json").read_text())
         manifest["schema_version"] += 1
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(StateSchemaError, match="schema v4"):
+        with pytest.raises(
+            StateSchemaError, match=f"schema v{manifest['schema_version']}"
+        ):
             _hydrated(path)
 
     def test_the_json_shard_files_of_older_campaigns_are_refused(
