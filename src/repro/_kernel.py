@@ -22,10 +22,12 @@ kernel produced them.
 (:meth:`repro.cellular.network.CellularNetwork.flush_reservation_tick`)
 answers every supplier whose Eq. 4 masses are plain counts (infinite
 ``T_int``, ``w_0 = 1``, no route oracle) with one :class:`FlushBatch`:
-each supplier registers its cell's attach-order rows and its cache's
-sorted sojourn lists, and :meth:`FlushBatch.resolve` walks them with
-``bisect``.  It needs no numpy and builds no snapshot; every total is
-bit-identical to the scalar walk
+each supplier registers its cell's ``prev`` buckets and, per request,
+the cache's sorted sojourn lists toward the target, and
+:meth:`FlushBatch.resolve` walks, per ``(prev, target)`` list, only the
+window of the ``prev`` bucket whose rows can have a sojourn in the
+list within ``T_est``, counting with ``bisect``.  It needs no numpy and
+builds no snapshot; every total is bit-identical to the scalar walk
 (:meth:`repro.estimation.estimator.MobilityEstimator.expected_bandwidth_multi`),
 which answers every other supplier.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 logger = logging.getLogger("repro.kernel")
 
@@ -108,74 +110,104 @@ class FlushBatch:
     """Accumulator of one coalesced tick's resident Eq. 5 walks.
 
     Each supplier registers one part (:meth:`add_part`): its cell's
-    attach-order rows and, per ``prev``, the cache's sorted sojourn
-    lists toward the requested targets.  :meth:`resolve` then walks
-    every part and returns the Eq. 5 totals, one per registered
-    ``(supplier, target)``.
+    rows bucketed by ``prev`` and, per request, the cache's sorted
+    sojourn lists toward the request's target.  :meth:`resolve` then
+    walks every part and returns the Eq. 5 totals, one per registered
+    request.
 
     Only *unit-weight* masses participate (``w_0 = 1``, infinite
     ``T_int``): a mass is then the count of a list's sojourns in a
     range, which two ``bisect`` calls give exactly — the same integers
-    whose float cumulative sums the scalar walk subtracts.  Each row
-    adds ``basis * (within / above)`` to a request's total, left to
-    right in attach order, which is connection-iteration order: every
-    total is bit-identical to the scalar walk's.
+    whose float cumulative sums the scalar walk subtracts.  A row with
+    ``extant = now - entry_time`` has a nonzero Eq. 4 numerator toward
+    a ``(prev, target)`` list ``pair`` only if it is neither *old*
+    (``extant >= pair[-1]``) nor *young* (``extant + t_est <
+    pair[0]``).  Both predicates are monotone in ``entry_time``, so in
+    a bucket sorted by entry time the old rows are a prefix and the
+    young ones a suffix: two ``bisect`` calls, each corrected against
+    the exact predicate, bound the window, and only its rows are read.
+    Each request's nonzero terms ``basis * (within / above)`` are then
+    added from ``0.0`` in ascending attach ``seq`` — connection
+    iteration order — so every total is bit-identical to the scalar
+    walk's.
     """
 
-    __slots__ = ("_parts", "outputs")
+    __slots__ = ("_parts", "outputs", "window_rows")
 
     def __init__(self) -> None:
-        #: ``(now, rows, groups, count)`` per registered supplier.
+        #: ``(now, buckets, walks)`` per registered supplier.
         self._parts: list[tuple] = []
         #: Requests registered so far: the index, in :meth:`resolve`'s
         #: result, of the next part's first request.
         self.outputs = 0
+        #: Row-requests the last :meth:`resolve` read inside a window.
+        self.window_rows = 0
 
-    def add_part(self, now: float, rows, groups: dict, count: int) -> None:
-        """Register one supplier's ``count`` requests.
+    def add_part(self, now: float, buckets: dict, walks: list) -> None:
+        """Register one supplier's requests.
 
-        ``rows`` yields ``(prev, entry_time, basis)`` in attach order.
-        ``groups`` maps each ``prev`` that can contribute to ``(union,
-        targets)``: the sorted union of its live sojourns (the Eq. 4
-        denominator support) and ``(request index, sorted pair
-        sojourns, t_est)`` for every live request whose pair list is
-        nonempty.  A row whose ``prev`` is not in ``groups`` adds
-        exactly ``+0.0`` to every total, so it is skipped.
+        ``buckets`` maps ``prev`` to the cell's rows ``(entry_time,
+        seq, basis, connection id)`` in ascending ``(entry_time,
+        seq)``.  ``walks`` holds one ``(t_est, lists)`` per request,
+        ``t_est > 0``, where ``lists`` names every nonempty ``(prev,
+        target)`` list as ``(prev, union, pair)``: ``union`` is the
+        sorted union of ``prev``'s live sojourns (the Eq. 4
+        denominator support), ``pair`` the sorted sojourns toward the
+        target.  A row whose ``prev`` has no list adds exactly ``+0.0``
+        to the request's total, so it is never read.
         """
-        self._parts.append((now, rows, groups, count))
-        self.outputs += count
+        self._parts.append((now, buckets, walks))
+        self.outputs += len(walks)
 
     def resolve(self) -> list[float]:
         """Eq. 5 totals of every registered request, in registration
         order."""
         bisect = bisect_right
         totals: list[float] = []
-        for now, rows, groups, count in self._parts:
-            part = [0.0] * count
-            group_of = groups.get
-            # With several requests, one look at the union's largest
-            # sojourn skips an estimated-stationary row (paper §4.1)
-            # before its per-target bisects; with one, those two
-            # bisects settle the row as fast.
-            several = count > 1
-            for prev, entry_time, basis in rows:
-                group = group_of(prev)
-                if group is None:
-                    continue
-                union, targets = group
-                extant = now - entry_time
-                if several and extant >= union[-1]:
-                    continue
-                above = 0
-                for index, pair, t_est in targets:
-                    within = bisect(pair, extant + t_est) - bisect(pair, extant)
-                    if within:
-                        # Every pair sojourn is a union sojourn, so
-                        # ``0 < within <= above``: the row is not
-                        # estimated stationary, and the scalar walk's
-                        # ``min(ratio, 1.0)`` changes nothing.
-                        if not above:
+        window_rows = 0
+        for now, buckets, walks in self._parts:
+            bucket_of = buckets.get
+            for t_est, lists in walks:
+                terms = []
+                for prev, union, pair in lists:
+                    bucket = bucket_of(prev)
+                    if bucket is None:
+                        continue
+                    first = pair[0]
+                    last = pair[-1]
+                    size = len(bucket)
+                    # ``lo``: the first row that is not old.
+                    lo = bisect_left(bucket, (now - last,))
+                    while lo < size and now - bucket[lo][0] >= last:
+                        lo += 1
+                    while lo and now - bucket[lo - 1][0] < last:
+                        lo -= 1
+                    # ``hi``: the first young row (none before ``lo``).
+                    hi = bisect_left(bucket, (now + t_est - first,))
+                    if hi < lo:
+                        hi = lo
+                    while hi < size and now - bucket[hi][0] + t_est >= first:
+                        hi += 1
+                    while hi > lo and now - bucket[hi - 1][0] + t_est < first:
+                        hi -= 1
+                    window_rows += hi - lo
+                    for entry_time, seq, basis, _key in bucket[lo:hi]:
+                        extant = now - entry_time
+                        within = bisect(pair, extant + t_est) - bisect(
+                            pair, extant
+                        )
+                        if within:
+                            # Every pair sojourn is a union sojourn, so
+                            # ``0 < within <= above``: the row is not
+                            # estimated stationary, and the scalar
+                            # walk's ``min(ratio, 1.0)`` changes nothing.
                             above = len(union) - bisect(union, extant)
-                        part[index] += basis * (within / above)
-            totals.extend(part)
+                            terms.append((seq, basis * (within / above)))
+                total = 0.0
+                if terms:
+                    terms.sort()
+                    for _seq, term in terms:
+                        total += term
+                totals.append(total)
+        self.window_rows = window_rows
         return totals

@@ -10,18 +10,24 @@ admitted connections.  Two admission paths exist, mirroring the paper:
 
 The cell itself only does bandwidth accounting; *which* reservation
 target applies is decided by the admission policy.  From the first
-reservation tick that reads it, the cell also keeps one attach-order
-row per connection (:meth:`Cell.reservation_rows`), the resident input
-of the tick's Eq. 5 walk.  A cell whose rows nobody reads (static guard
-channels, or Eq. 5 answered from snapshots) keeps none.
+reservation tick that reads them, the cell also keeps its connections'
+reservation rows bucketed by ``prev`` (:meth:`Cell.reservation_buckets`),
+the resident input of the tick's Eq. 5 walk.  A cell whose rows nobody
+reads (static guard channels, or Eq. 5 answered from snapshots) keeps
+none.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.traffic.connection import Connection
+
+
+#: One bucketed reservation row: ``(entry_time, seq, basis, connection id)``.
+Row = tuple[float, int, float, int]
 
 
 class CapacityError(ValueError):
@@ -65,14 +71,11 @@ class Cell:
         #: static scheme this is the constant guard band ``G``.
         self.reserved_target = 0.0
         self._connections: dict[int, "Connection"] = {}
-        # The attach-order rows: ``connection id -> (prev, entry time,
-        # reservation basis)``.  ``dict`` preserves insertion order and a
-        # re-attach appends, so the rows follow the iteration order of
-        # :meth:`connections` — which is also why they can wait for
-        # their first reader: ``_rows`` is ``None`` until
-        # :meth:`reservation_rows` builds it from the connections, and
-        # only from then on do attach and detach maintain it.
-        self._rows: dict[int, tuple[int | None, float, float]] | None = None
+        # The rows of :meth:`reservation_buckets`: ``None`` until its
+        # first call builds them, and only from then on do attach and
+        # detach maintain them; ``_next_seq`` numbers the attaches.
+        self._buckets: dict[int | None, list[Row]] | None = None
+        self._next_seq = 0
 
     # ------------------------------------------------------------------
     # capacity queries
@@ -91,20 +94,60 @@ class Cell:
         """Iterate over the connections currently in this cell."""
         return iter(self._connections.values())
 
-    def reservation_rows(self):
-        """``(prev, entry_time, basis)`` per connection, in attach order.
+    def reservation_buckets(self) -> dict[int | None, list[Row]]:
+        """The reservation rows, bucketed by ``prev``.
 
-        Built from :meth:`connections` on first use and maintained by
-        every attach and detach from then on.  The view is live: it
-        changes with the next attach or detach.
+        Each bucket lists ``(entry_time, seq, basis, connection id)``
+        in ascending ``(entry_time, seq)``; ``seq`` numbers the
+        attaches, so ascending ``seq`` over all buckets is the order of
+        :meth:`connections`.  A ``prev`` without connections has no
+        bucket.  Built from :meth:`connections` on first use and
+        maintained by every attach and detach from then on; the buckets
+        are live and change with the next attach or detach.
         """
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = {
-                connection.connection_id: _row(connection)
-                for connection in self.connections()
-            }
-        return rows.values()
+        buckets = self._buckets
+        if buckets is None:
+            buckets = self._buckets = {}
+            for seq, connection in enumerate(self.connections()):
+                prev, entry_time, basis = _row(connection)
+                row = (entry_time, seq, basis, connection.connection_id)
+                bucket = buckets.get(prev)
+                if bucket is None:
+                    buckets[prev] = [row]
+                else:
+                    bucket.append(row)
+            for bucket in buckets.values():
+                bucket.sort()
+            self._next_seq = self.connection_count
+        return buckets
+
+    def _add_row(
+        self, prev: int | None, entry_time: float, basis: float, key: int
+    ) -> None:
+        """Bucket a newly attached connection (buckets already built)."""
+        row = (entry_time, self._next_seq, basis, key)
+        self._next_seq += 1
+        buckets = self._buckets
+        bucket = buckets.get(prev)
+        if bucket is None:
+            buckets[prev] = [row]
+        elif bucket[-1][0] <= entry_time:
+            # The newest ``seq``: no earlier entry time, so last.
+            bucket.append(row)
+        else:
+            insort(bucket, row)
+
+    def _drop_row(self, prev: int | None, entry_time: float, key: int) -> None:
+        """Unbucket a detached connection from its attach-time ``prev``
+        and entry time (buckets already built)."""
+        buckets = self._buckets
+        bucket = buckets[prev]
+        index = bisect_left(bucket, (entry_time,))
+        while bucket[index][3] != key:  # rows sharing the entry time
+            index += 1
+        del bucket[index]
+        if not bucket:
+            del buckets[prev]
 
     def fits_new_connection(self, bandwidth: float) -> bool:
         """Admission test of Eq. (1): new traffic must respect ``B_r``."""
@@ -160,8 +203,9 @@ class Cell:
             )
         self._connections[connection.connection_id] = connection
         self.used_bandwidth += connection.bandwidth
-        if self._rows is not None:
-            self._rows[connection.connection_id] = _row(connection)
+        if self._buckets is not None:
+            prev, entry_time, basis = _row(connection)
+            self._add_row(prev, entry_time, basis, connection.connection_id)
 
     def detach(self, connection: "Connection") -> None:
         """Release a connection's bandwidth (hand-off out or completion)."""
@@ -171,8 +215,9 @@ class Cell:
                 f"connection {connection.connection_id} not in cell"
                 f" {self.cell_id}"
             )
-        if self._rows is not None:
-            del self._rows[connection.connection_id]
+        if self._buckets is not None:
+            prev, entry_time, _basis = _row(stored)
+            self._drop_row(prev, entry_time, connection.connection_id)
         self.used_bandwidth -= connection.bandwidth
         if self.used_bandwidth < -1e-9:
             raise CapacityError(
@@ -224,7 +269,7 @@ class Cell:
 
 
 def _row(connection: "Connection") -> tuple[int | None, float, float]:
-    """A connection's attach-order row: ``(prev, entry_time, basis)``."""
+    """A connection's reservation fields: ``(prev, entry_time, basis)``."""
     # Duck-typed minimal connections (bandwidth only) still account;
     # they just count as prev=None at entry time 0.
     return (

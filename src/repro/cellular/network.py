@@ -74,6 +74,11 @@ class CellularNetwork:
         #: walk, across all tick flushes.
         self.tick_grouped_suppliers = 0
         self.tick_fallback_suppliers = 0
+        #: Row-requests the batch read inside a window
+        #: (:attr:`repro._kernel.FlushBatch.window_rows`).  Observation
+        #: only, like the batch-size histogram: checkpoints do not carry
+        #: it, so a restored run counts from its restore.
+        self.tick_window_rows = 0
         #: Running inter-BS message total (kept in sync with the
         #: per-station ``messages_sent`` counters via
         #: :meth:`count_messages`, so the per-admission message deltas
@@ -198,8 +203,8 @@ class CellularNetwork:
 
         ``requests`` maps a supplier's cell id to its pending
         ``(target_cell, t_est)`` list; the result maps it to one value
-        per request.  Each supplier registers its cell's attach-order
-        rows and its cache's live sorted lists into one cross-cell
+        per request.  Each supplier registers its cell's ``prev``
+        buckets and its cache's live sorted lists into one cross-cell
         :class:`repro._kernel.FlushBatch`, walked once, building
         nothing.  A supplier that cannot join (finite ``T_int``,
         non-unit weights, route oracle, duck-typed estimator) is
@@ -223,6 +228,7 @@ class CellularNetwork:
                 deferred.append((supplier_id, slots))
         if deferred:
             totals = batch.resolve()
+            self.tick_window_rows += batch.window_rows
             for supplier_id, slots in deferred:
                 supplies[supplier_id] = [
                     0.0 if slot is None else totals[slot] for slot in slots
@@ -296,6 +302,7 @@ class CellularNetwork:
         tel.counter("estimation.eq4_batches", path="walk").inc(walk_batches)
         tel.counter("estimation.eq4_rows", path="resident").inc(resident_rows)
         tel.counter("estimation.eq4_rows", path="walk").inc(walk_rows)
+        tel.counter("estimation.eq4_window_rows").inc(self.tick_window_rows)
 
     def total_used_bandwidth(self) -> float:
         """Bandwidth in use across the whole network (BUs)."""

@@ -420,6 +420,7 @@ def _export_telemetry(snapshot, args: argparse.Namespace) -> None:
     rate = gauges.get("des.events_per_sec", 0.0)
     resident_rows = counters.get('estimation.eq4_rows{path="resident"}', 0)
     walk_rows = counters.get('estimation.eq4_rows{path="walk"}', 0)
+    window_rows = counters.get("estimation.eq4_window_rows", 0)
     row_total = resident_rows + walk_rows
     print()
     print(f"telemetry: run_id={snapshot.get('run_id', '')}")
@@ -427,6 +428,9 @@ def _export_telemetry(snapshot, args: argparse.Namespace) -> None:
     if row_total:
         print(f"  Eq.4 resident rows: {resident_rows / row_total:.1%}"
               f" ({row_total:,.0f} rows)")
+    if resident_rows:
+        print(f"  Eq.4 window rows: {window_rows / resident_rows:.1%}"
+              f" of resident rows ({window_rows:,.0f} rows)")
 
 
 def _build_config(args: argparse.Namespace, load: float | None = None):

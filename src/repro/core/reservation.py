@@ -60,5 +60,13 @@ def expected_handoff_bandwidth(
 
 
 def aggregate_reservation(per_neighbor: Iterable[float]) -> float:
-    """Eq. 6: the target reservation bandwidth ``B_r`` of a cell."""
-    return sum(per_neighbor)
+    """Eq. 6: the target reservation bandwidth ``B_r`` of a cell.
+
+    A plain left fold from ``0.0``, in neighbour order: ``sum()`` over
+    floats is compensated from CPython 3.12 on, which would move a
+    ``B_r`` in its last bit between Python versions.
+    """
+    total = 0.0
+    for contribution in per_neighbor:
+        total += contribution
+    return total

@@ -35,8 +35,12 @@ largest active sojourn is the last element of a column
 (:meth:`QuadrupletCache.max_active_sojourn`).
 
 The reservation tick counts Eq. 4 masses in the same live lists, in
-place, with ``bisect`` and no snapshot (:meth:`QuadrupletCache.sorted_lists`,
-walked by :class:`repro._kernel.FlushBatch`).
+place, with ``bisect`` and no snapshot: a resident index ``target ->
+[(prev, union, pair)]`` (:meth:`QuadrupletCache.lists_by_target`) gains
+an entry when a ``(prev, target)`` list first becomes nonempty, and
+:class:`repro._kernel.FlushBatch` walks the lists it names.  With
+``T_int = inf`` an ``N_quad`` eviction never empties a list, so no
+entry ever leaves.
 """
 
 from __future__ import annotations
@@ -196,6 +200,9 @@ class QuadrupletCache:
         #: interval only): the Eq. 4 denominator column, maintained
         #: incrementally alongside the per-pair columns.
         self._union_sojourns: dict[int | None, list[float]] = {}
+        #: ``next -> [(prev, union, sorted pair sojourns), ...]`` over
+        #: the nonempty pair columns (infinite interval only).
+        self._by_target: dict[int, list[tuple]] = {}
         self.total_recorded = 0
 
     # ------------------------------------------------------------------
@@ -214,11 +221,14 @@ class QuadrupletCache:
         store.append(quadruplet)
         self.total_recorded += 1
         if self.config.interval is None:
-            insort(store.sorted_sojourns, quadruplet.sojourn)
+            sorted_sojourns = store.sorted_sojourns
+            insort(sorted_sojourns, quadruplet.sojourn)
             union = self._union_sojourns.get(quadruplet.prev)
             if union is None:
                 union = self._union_sojourns[quadruplet.prev] = []
             insort(union, quadruplet.sojourn)
+            if len(sorted_sojourns) == 1:
+                self._index(quadruplet.prev, quadruplet.next, sorted_sojourns)
             excess = len(store) - self.config.max_per_pair
             if excess > 0:
                 self._drop_oldest_columnar(store, quadruplet.prev, excess)
@@ -240,15 +250,23 @@ class QuadrupletCache:
     # ------------------------------------------------------------------
     # the live lists the reservation tick counts in
     # ------------------------------------------------------------------
-    def sorted_lists(self, requests: Sequence[tuple[int, float]]):
-        """The live sorted sojourn lists of each ``prev``, by request.
+    def _index(
+        self, prev: int | None, next_cell: int, pair: list[float]
+    ) -> None:
+        """Enter a pair column that just became nonempty."""
+        self._by_target.setdefault(next_cell, []).append(
+            (prev, self._union_sojourns[prev], pair)
+        )
 
-        Maps every ``prev`` to ``(union, pairs)``: the sorted union of
-        its live sojourns and ``(i, pair, t_est)`` for each request
-        ``i = (target, t_est)`` whose ``(prev, target)`` list ``pair``
-        is nonempty.  A ``prev`` without such a list is left out.  The
-        lists are the cache's own, valid until the next :meth:`record`
-        or :meth:`preload`.
+    def lists_by_target(self) -> dict[int, list[tuple]] | None:
+        """The live sorted sojourn lists, indexed by target cell.
+
+        Maps each ``next`` to ``(prev, union, pair)`` for every
+        ``(prev, next)`` whose sorted list ``pair`` is nonempty, with
+        ``union`` the sorted union of all of ``prev``'s live sojourns.
+        The index and its lists are the cache's own and stay current
+        across :meth:`record` and :meth:`preload`; treat them as
+        read-only.
 
         ``None`` unless ``T_int`` is infinite and ``w_0 = 1``: only
         then is an Eq. 4 mass the plain count of a list's sojourns.
@@ -256,17 +274,7 @@ class QuadrupletCache:
         config = self.config
         if config.interval is not None or config.weights[0] != 1.0:
             return None
-        stores = self._pairs
-        lists = {}
-        for prev, union in self._union_sojourns.items():
-            pairs = []
-            for index, (target, t_est) in enumerate(requests):
-                store = stores.get((prev, target))
-                if store is not None and store.sorted_sojourns:
-                    pairs.append((index, store.sorted_sojourns, t_est))
-            if pairs:
-                lists[prev] = (union, pairs)
-        return lists
+        return self._by_target
 
     def export_columns(
         self,
@@ -328,6 +336,9 @@ class QuadrupletCache:
             self.total_recorded += len(store.quads)
         for union in self._union_sojourns.values():
             union.sort()
+        for (prev, next_cell), store in self._pairs.items():
+            if store.sorted_sojourns:
+                self._index(prev, next_cell, store.sorted_sojourns)
 
     def _evict_windowed(self, store: _PairStore, now: float) -> None:
         """Drop entries that can never participate again (paper §3.1).

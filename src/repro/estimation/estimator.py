@@ -27,8 +27,10 @@ over those snapshots: it serves every configuration and is the
 reference the tests compare against.  The reservation tick of the
 infinite-interval, unit-weight configuration needs no snapshots at
 all: :meth:`MobilityEstimator.grouped_flush_parts` hands the cache's
-live sorted lists to a :class:`repro._kernel.FlushBatch`, which counts
-in them with ``bisect`` — under either kernel, with or without numpy.
+live sorted lists toward each requested target, and the cell's
+``prev`` buckets, to a :class:`repro._kernel.FlushBatch`, which counts
+in them with ``bisect`` over only the rows that can contribute — under
+either kernel, with or without numpy.
 """
 
 from __future__ import annotations
@@ -280,45 +282,43 @@ class MobilityEstimator:
     ):
         """Register this station's Eq. 5 work into a cross-cell flush.
 
-        ``cell`` is the supplier cell: its attach-order rows
-        (:meth:`repro.cellular.cell.Cell.reservation_rows`) go into
-        ``batch`` (:class:`repro._kernel.FlushBatch`) together with the
-        cache's live sorted lists, grouped by ``prev`` over the live
-        requests, and ``batch.resolve()`` walks them.
+        ``cell`` is the supplier cell: its ``prev`` buckets
+        (:meth:`repro.cellular.cell.Cell.reservation_buckets`) go into
+        ``batch`` (:class:`repro._kernel.FlushBatch`) together with,
+        per live request, the cache's nonempty sorted lists toward its
+        target (:meth:`~repro.estimation.cache.QuadrupletCache.lists_by_target`),
+        and ``batch.resolve()`` walks them.
 
         Returns one slot per request — its index in the list
         ``batch.resolve()`` returns, or ``None`` when the total is
         known to be 0.0: ``t_est <= 0``, or no ``prev`` with a
-        nonempty pair list toward a live target (nothing is
-        registered then) — each total bit-identical to the matching
-        :meth:`expected_bandwidth_multi` element.  Returns ``None``
+        nonempty list toward the target — each total bit-identical to
+        the matching :meth:`expected_bandwidth_multi` element.  Nothing
+        is registered when every slot is ``None``.  Returns ``None``
         when the cache's masses are not plain counts (finite ``T_int``
         / non-unit day weights) — the caller then answers with the
         walk.
         """
-        live = [
-            (target_cell, t_est)
-            for target_cell, t_est in requests
-            if t_est > 0
-        ]
-        groups = self.cache.sorted_lists(live)
-        if groups is None:
+        index = self.cache.lists_by_target()
+        if index is None:
             return None
         self.snapshot_hits += 1
+        live = sum(1 for _target_cell, t_est in requests if t_est > 0)
         if not live:
             return [None] * len(requests)
-        self._count_dispatch(True, cell.connection_count * len(live))
-        if not groups:
-            return [None] * len(requests)
+        self._count_dispatch(True, cell.connection_count * live)
         slot = batch.outputs
         slots: list[int | None] = []
-        for _target_cell, t_est in requests:
-            if t_est > 0:
-                slots.append(slot)
-                slot += 1
+        walks = []
+        for target_cell, t_est in requests:
+            lists = index.get(target_cell) if t_est > 0 else None
+            if lists:
+                slots.append(slot + len(walks))
+                walks.append((t_est, lists))
             else:
                 slots.append(None)
-        batch.add_part(now, cell.reservation_rows(), groups, len(live))
+        if walks:
+            batch.add_part(now, cell.reservation_buckets(), walks)
         return slots
 
     def is_stationary(

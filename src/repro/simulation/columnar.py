@@ -13,8 +13,10 @@ growing.
 
 The spatial simulator works on row ids directly: its cells are
 :class:`ColumnarCell` instances whose :meth:`~ColumnarCell.attach_row`
-/ :meth:`~ColumnarCell.detach_row` read the store columns in place, so
-the DES hot loop allocates no per-event objects at all.  The only
+/ :meth:`~ColumnarCell.detach_row` read the store columns in place —
+also to keep the cell's ``prev`` buckets, the rows the tick's Eq. 5
+walk reads, once a tick has read them — so the DES hot loop allocates
+no per-event objects beyond a bucketed row.  The only
 remaining per-object shim is :func:`handle_class`, a two-word handle
 exposing the attribute set :meth:`repro.cellular.cell.Cell.attach`
 duck-types against (``connection_id``, ``bandwidth``,
@@ -276,12 +278,12 @@ class ColumnarCell(Cell):
     The classic attach path costs one handle object per connection plus
     a property call per field read; at city scale that object churn is
     a leading hot-loop term.  A columnar cell keeps the same accounting
-    (``used_bandwidth``, the attach-order rows the tick's Eq. 5 walk
+    (``used_bandwidth``, the ``prev`` buckets the tick's Eq. 5 walk
     reads) but reads every field straight out of the
     :class:`ConnectionStore` columns, so admission, reservation flush,
     and hand-off migration touch no per-connection Python objects.
     :meth:`connections` materialises ephemeral handles for the Eq. 5
-    snapshot walk and the rows' first build only.
+    snapshot walk and the buckets' first build only.
     """
 
     def __init__(
@@ -334,14 +336,15 @@ class ColumnarCell(Cell):
             )
         store_rows[key] = row
         self.used_bandwidth += bandwidth
-        if self._rows is not None:
+        if self._buckets is not None:
             # ``prev`` is -1 for "born here": ``prev=None``, as the
-            # handles the first read builds the rows from say.
+            # handles the first read builds the buckets from say.
             prev = columns["prev"][row]
-            self._rows[key] = (
+            self._add_row(
                 None if prev < 0 else prev,
                 columns["entry_time"][row],
                 bandwidth,
+                key,
             )
 
     def detach_row(self, row: int) -> None:
@@ -356,8 +359,13 @@ class ColumnarCell(Cell):
             raise CapacityError(
                 f"connection {key} not in cell {self.cell_id}"
             )
-        if self._rows is not None:
-            del self._rows[key]
+        if self._buckets is not None:
+            # The caller detaches before it moves the row's prev and
+            # entry time on: they locate the row's bucket.
+            prev = columns["prev"][row]
+            self._drop_row(
+                None if prev < 0 else prev, columns["entry_time"][row], key
+            )
         self.used_bandwidth -= BANDWIDTH_TABLE[columns["bw_code"][row]]
         if self.used_bandwidth < -1e-9:
             raise CapacityError(

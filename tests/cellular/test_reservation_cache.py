@@ -122,30 +122,38 @@ class TestGroupedFlush:
     def test_table_rows_follow_connection_order(self):
         network = build_network()
         cell = network.cell(1)
-        cell.reservation_rows()
-        # Detach a few so the rows are maintained past removals.
+        cell.reservation_buckets()
+        # Detach a few so the buckets are maintained past removals.
         for connection in list(cell.connections())[5:25:4]:
             cell.detach(connection)
-        # Walking the rows top to bottom must visit the connections in
+        # Ascending seq over all buckets must visit the connections in
         # exactly the order ``cell.connections()`` yields them: that
         # order is the Eq. 5 addition sequence.
-        assert [
-            entry for _prev, entry, _basis in cell.reservation_rows()
-        ] == [connection.cell_entry_time for connection in cell.connections()]
+        rows = sorted(
+            (seq, prev, entry, key)
+            for prev, bucket in cell.reservation_buckets().items()
+            for entry, seq, _basis, key in bucket
+        )
+        assert [(prev, entry, key) for _seq, prev, entry, key in rows] == [
+            (c.prev_cell, c.cell_entry_time, c.connection_id)
+            for c in cell.connections()
+        ]
+        for bucket in cell.reservation_buckets().values():
+            assert bucket == sorted(bucket)
 
     def test_steady_state_tick_rebuilds_nothing(self):
         """A tick after attaches, detaches and departures builds no
-        snapshot and no row table: it reads what was maintained."""
+        snapshot and no buckets: it reads what was maintained."""
         network = build_network()
         targets = (0, 2, 8)
 
         def state():
             return (
-                [cell._rows for cell in network.cells],
+                [cell._buckets for cell in network.cells],
                 sum(s.estimator.snapshot_builds for s in network.stations),
             )
 
-        # The first tick builds the suppliers' rows, and nothing else.
+        # The first tick builds the suppliers' buckets, and nothing else.
         tick(network, 100.0, targets)
         rows, builds = state()
         assert builds == 0
@@ -170,7 +178,9 @@ class TestGroupedFlush:
         after_rows, after_builds = state()
         assert after_builds == builds
         assert all(a is b for a, b in zip(after_rows, rows))
-        assert [len(network.cell(s)._rows) for s in (1, 9)] == [39, 39]
+        assert [
+            sum(map(len, network.cell(s)._buckets.values())) for s in (1, 9)
+        ] == [39, 39]
 
 
 @pytest.mark.parametrize("interval", [None, 500.0])

@@ -1,7 +1,7 @@
-"""The Cell's attach-order rows: the resident input of the tick's Eq. 5
-walk.
+"""The Cell's reservation rows, bucketed by ``prev``: the resident input
+of the tick's Eq. 5 walk.
 
-Only the reservation tick reads the rows, so only it can build them.
+Only the reservation tick reads the buckets, so only it can build them.
 """
 
 from repro.cellular.cell import Cell
@@ -19,39 +19,77 @@ def _attach(cell, entry_time, prev=None, traffic_class=VOICE):
 
 
 def _read_cell(capacity=100.0):
-    """A cell whose rows have had their first reader (kept from then on)."""
+    """A cell whose buckets have had their first reader (kept from then
+    on)."""
     cell = Cell(0, capacity=capacity)
-    cell.reservation_rows()
+    cell.reservation_buckets()
     return cell
+
+
+def _attach_order(cell):
+    """Every row as ``(prev, entry_time, basis, id)``, by attach ``seq``."""
+    return [
+        (prev, entry_time, basis, key)
+        for _seq, prev, entry_time, basis, key in sorted(
+            (seq, prev, entry_time, basis, key)
+            for prev, bucket in cell.reservation_buckets().items()
+            for entry_time, seq, basis, key in bucket
+        )
+    ]
+
+
+def _ids(connections):
+    return [connection.connection_id for connection in connections]
 
 
 def test_no_table_until_the_first_read_then_built_in_attach_order():
     cell = Cell(0, capacity=100.0)
     first = _attach(cell, 5.0)
     gone = _attach(cell, 6.0, prev=1)
-    _attach(cell, 3.0, prev=2)
+    third = _attach(cell, 3.0, prev=2)
     cell.detach(gone)
-    assert cell._rows is None
-    # Built from the connections: attach order, no row for the detach.
-    assert list(cell.reservation_rows()) == [(None, 5.0, 1.0), (2, 3.0, 1.0)]
-    assert list(cell._rows) == [c.connection_id for c in cell.connections()]
-    # From here on attach and detach maintain it.
-    _attach(cell, 7.0)
+    assert cell._buckets is None
+    # Built from the connections: one bucket per prev, no row for the
+    # detach, seq numbering the connections in their order.
+    assert cell.reservation_buckets() == {
+        None: [(5.0, 0, 1.0, first.connection_id)],
+        2: [(3.0, 1, 1.0, third.connection_id)],
+    }
+    # From here on attach and detach maintain them.
+    last = _attach(cell, 7.0)
     cell.detach(first)
-    assert list(cell.reservation_rows()) == [(2, 3.0, 1.0), (None, 7.0, 1.0)]
+    assert cell.reservation_buckets() == {
+        None: [(7.0, 2, 1.0, last.connection_id)],
+        2: [(3.0, 1, 1.0, third.connection_id)],
+    }
+    assert [row[3] for row in _attach_order(cell)] == _ids(
+        cell.connections()
+    )
 
 
 def test_table_rows_encode_prev_and_entry_time_in_attach_order():
     cell = _read_cell()
-    _attach(cell, 5.0, prev=None)
-    _attach(cell, 3.0, prev=2)  # out-of-order entry time: still appended
-    _attach(cell, 5.0, prev=None)  # duplicate entry time
-    _attach(cell, 1.0, prev=4, traffic_class=VIDEO)
-    assert list(cell.reservation_rows()) == [
-        (None, 5.0, 1.0),
-        (2, 3.0, 1.0),
-        (None, 5.0, 1.0),
-        (4, 1.0, VIDEO.bandwidth),
+    a = _attach(cell, 5.0, prev=None)
+    b = _attach(cell, 3.0, prev=2)
+    c = _attach(cell, 5.0, prev=None)  # duplicate entry time
+    d = _attach(cell, 1.0, prev=4, traffic_class=VIDEO)
+    e = _attach(cell, 2.0, prev=None)  # out-of-order entry time
+    buckets = cell.reservation_buckets()
+    # Sorted by entry time within a bucket, ties by attach seq ...
+    assert buckets[None] == [
+        (2.0, 4, 1.0, e.connection_id),
+        (5.0, 0, 1.0, a.connection_id),
+        (5.0, 2, 1.0, c.connection_id),
+    ]
+    assert buckets[2] == [(3.0, 1, 1.0, b.connection_id)]
+    assert buckets[4] == [(1.0, 3, VIDEO.bandwidth, d.connection_id)]
+    # ... and seq across the buckets is the attach order.
+    assert _attach_order(cell) == [
+        (None, 5.0, 1.0, a.connection_id),
+        (2, 3.0, 1.0, b.connection_id),
+        (None, 5.0, 1.0, c.connection_id),
+        (4, 1.0, VIDEO.bandwidth, d.connection_id),
+        (None, 2.0, 1.0, e.connection_id),
     ]
 
 
@@ -60,11 +98,22 @@ def test_detach_drops_exactly_its_row():
     first = _attach(cell, 5.0)
     twin = _attach(cell, 5.0)  # same prev, same entry time
     last = _attach(cell, 9.0)
+    lone = _attach(cell, 4.0, prev=3)
     cell.detach(twin)
-    assert list(cell._rows) == [first.connection_id, last.connection_id]
-    # Re-attached, the same id gets a fresh row at the end.
+    assert [row[3] for row in _attach_order(cell)] == _ids(
+        [first, last, lone]
+    )
+    # The last row of a bucket takes its bucket along.
+    cell.detach(lone)
+    assert list(cell.reservation_buckets()) == [None]
+    # Re-attached, the same id gets a fresh seq: last in attach order,
+    # and after its entry-time twin in the bucket.
     cell.attach(twin)
-    assert list(cell._rows) == [
-        first.connection_id, last.connection_id, twin.connection_id
+    assert cell.reservation_buckets()[None] == [
+        (5.0, 0, 1.0, first.connection_id),
+        (5.0, 4, 1.0, twin.connection_id),
+        (9.0, 2, 1.0, last.connection_id),
     ]
-    assert [c.connection_id for c in cell.connections()] == list(cell._rows)
+    assert [row[3] for row in _attach_order(cell)] == _ids(
+        cell.connections()
+    )

@@ -3,7 +3,7 @@
 Eq. 5 is evaluated two ways: the scalar walk over F_HOE snapshots
 (``MobilityEstimator.expected_bandwidth_multi`` — every configuration)
 and, where the masses are plain counts, one ``FlushBatch`` walk of a
-cell's attach-order rows over the cache's live sorted lists
+cell's ``prev`` buckets over the cache's live sorted lists
 (``grouped_flush_parts``).  The contract is *bit-identity* — the same
 floats out, not just close ones — because whole runs are asserted
 metric-equal across the two paths elsewhere.  These tests drive
@@ -305,15 +305,17 @@ def test_detach_and_reattach_are_reached():
     # Target 4 has no pair list from any prev; prev 3 has no history.
     requests = [(2, 25.0), (3, 0.0), (2, -5.0), (3, 70.0), (4, 50.0)]
     assert_tick_matches_walk(estimator, cell, requests)
-    rows = cell._rows
+    buckets = cell._buckets
     for connection in connections[:7]:
         cell.detach(connection)
-    assert len(rows) == 5
+    assert sum(map(len, buckets.values())) == 5
     assert_tick_matches_walk(estimator, cell, requests)
-    cell.attach(connections[0])  # re-attach: appended, not restored
-    assert list(rows)[-1] == connections[0].connection_id
+    cell.attach(connections[0])  # re-attach: a fresh seq, not restored
+    assert max(
+        (row[1], row[3]) for bucket in buckets.values() for row in bucket
+    )[1] == connections[0].connection_id
     assert_tick_matches_walk(estimator, cell, requests)
-    assert cell._rows is rows  # maintained, never rebuilt
+    assert cell._buckets is buckets  # maintained, never rebuilt
 
 
 @given(populations, mixed_requests, histories)

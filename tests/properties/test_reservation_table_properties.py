@@ -1,18 +1,18 @@
 """Property: a reservation tick equals the per-connection scalar Eq. 5.
 
 The grouped flush answers a tick from resident structures — each cell's
-attach-order rows, each station's live sorted sojourn lists
-(:mod:`repro._kernel`).  Whatever sequence of attaches, detaches,
+rows bucketed by ``prev``, each station's live sorted sojourn lists and
+their per-target index (:mod:`repro._kernel`).  Whatever sequence of attaches, detaches,
 departures and bulk loads led there, every ``B_r`` it installs must
 equal, bit for bit, the sum over neighbours of ``expected_bandwidth`` —
 the scalar per-connection walk over F_HOE snapshots that shares none of
 that state.
 
-A cell's rows wait for their first reader, so the first tick of a run
-(any step of the random sequence) also builds rows from connections
+A cell's buckets wait for their first reader, so the first tick of a
+run (any step of the random sequence) also builds them from connections
 that were attached and detached unobserved; a second property pins the
-built rows to the ones maintained from the start, and a third rebuilds
-them in a simulator restored from a checkpoint.
+built buckets to the ones maintained from the start, and a third
+rebuilds them in a simulator restored from a checkpoint.
 """
 
 from hypothesis import given, settings
@@ -80,6 +80,25 @@ operations = st.lists(
     min_size=1,
     max_size=40,
 )
+
+
+def _ranked(cell):
+    """A cell's buckets with each attach ``seq`` replaced by its rank:
+    a bucket built late numbers the same order from 0."""
+    buckets = cell.reservation_buckets()
+    rank = {
+        seq: index
+        for index, seq in enumerate(
+            sorted(row[1] for bucket in buckets.values() for row in bucket)
+        )
+    }
+    return {
+        prev: [
+            (entry_time, rank[seq], basis, key)
+            for entry_time, seq, basis, key in bucket
+        ]
+        for prev, bucket in buckets.items()
+    }
 
 
 def _check_tick(network, now, targets):
@@ -193,15 +212,12 @@ def test_first_read_after_unobserved_mutations_equals_the_eager_table(
     ops, first_read
 ):
     eager = Cell(0, capacity=10_000.0)
-    eager.reservation_rows()  # read while empty: maintained from the start
+    eager.reservation_buckets()  # read while empty: maintained from the start
     lazy = Cell(0, capacity=10_000.0)
     for step, op in enumerate(ops):
         if step == first_read:
-            assert lazy._rows is None
-            assert list(lazy.reservation_rows()) == list(
-                eager.reservation_rows()
-            )
-            assert list(lazy._rows) == list(eager._rows)
+            assert lazy._buckets is None
+            assert _ranked(lazy) == _ranked(eager)
         if op[0] == "attach":
             _, prev, offset, video = op
             connection = Connection(
@@ -221,12 +237,11 @@ def test_first_read_after_unobserved_mutations_equals_the_eager_table(
         for connection in doomed:
             eager.detach(connection)
             lazy.detach(connection)
-    assert list(lazy.reservation_rows()) == list(eager.reservation_rows())
-    assert list(lazy._rows) == list(eager._rows)
+    assert _ranked(lazy) == _ranked(eager)
 
 
 def test_restored_simulator_rebuilds_the_rows(tmp_path):
-    """A checkpoint keeps attach order, not rows: the restored cells
+    """A checkpoint keeps attach order, not buckets: the restored cells
     build theirs at the first tick, equal to the saved run's, and that
     tick installs what the snapshot walk computes."""
     config = stationary(
@@ -239,15 +254,13 @@ def test_restored_simulator_rebuilds_the_rows(tmp_path):
         save_checkpoint(saved, tmp_path / "ckpt"), config
     )
     network = restored.network
-    assert all(cell._rows is None for cell in network.cells)
+    assert all(cell._buckets is None for cell in network.cells)
     now = restored.engine.now
     targets = [(cell_id, 25.0) for cell_id in range(network.num_cells)]
     _check_tick(network, now, targets)
     for before, after in zip(saved.network.cells, network.cells):
         assert after.connection_count > 0
-        assert list(after.reservation_rows()) == list(
-            before.reservation_rows()
-        )
+        assert _ranked(after) == _ranked(before)
 
 
 def test_a_static_run_never_builds_a_table():
@@ -262,4 +275,4 @@ def test_a_static_run_never_builds_a_table():
     assert len(simulator.network.cells) == 10
     for cell in simulator.network.cells:
         assert cell.connection_count > 0
-        assert cell._rows is None
+        assert cell._buckets is None

@@ -205,25 +205,38 @@ class TestColumnarCell:
             store, store.alloc(), prev=3, birth_seq=1, entry_time=5.0
         )
         twin = _fill_row(store, store.alloc(), prev=-1, birth_seq=2)
+        ids = {
+            row: store.connection_id(row)
+            for row in (born_here, handed_off, twin)
+        }
+        voice = BANDWIDTH_TABLE[0]
         # One row built from the handles at the first read, the others
-        # appended by attach_row after it: the same rows either way
+        # bucketed by attach_row after it: the same rows either way
         # (``prev = -1`` is ``None``, born here).
         cell.attach_row(born_here)
-        assert list(cell.reservation_rows()) == [
-            (None, 0.0, BANDWIDTH_TABLE[0])
-        ]
+        assert cell.reservation_buckets() == {
+            None: [(0.0, 0, voice, ids[born_here])]
+        }
         cell.attach_row(handed_off)
         cell.attach_row(twin)
-        assert list(cell.reservation_rows()) == [
-            (None, 0.0, BANDWIDTH_TABLE[0]),
-            (3, 5.0, BANDWIDTH_TABLE[0]),
-            (None, 0.0, BANDWIDTH_TABLE[0]),
-        ]
+        assert cell.reservation_buckets() == {
+            None: [
+                (0.0, 0, voice, ids[born_here]),
+                (0.0, 2, voice, ids[twin]),
+            ],
+            3: [(5.0, 1, voice, ids[handed_off])],
+        }
         cell.detach_row(born_here)
-        cell.attach_row(born_here)  # re-attached: a fresh row at the end
-        assert list(cell._rows) == [
-            store.connection_id(row) for row in (handed_off, twin, born_here)
-        ]
+        cell.attach_row(born_here)  # re-attached: a fresh seq, last
+        assert cell.reservation_buckets() == {
+            None: [
+                (0.0, 2, voice, ids[twin]),
+                (0.0, 3, voice, ids[born_here]),
+            ],
+            3: [(5.0, 1, voice, ids[handed_off])],
+        }
+        cell.detach_row(handed_off)
+        assert list(cell.reservation_buckets()) == [None]
 
     def test_double_attach_raises(self):
         from repro.cellular.cell import CapacityError

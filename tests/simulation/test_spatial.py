@@ -125,9 +125,12 @@ class TestShardInvariance:
         assert total("estimation.snapshot") > 0
         assert total("window.t_est_steps") > 0
         assert total("cellular.tick_flushes") > 0
-        # Every shard supplier takes the resident walk.
-        assert counters['estimation.eq4_rows{path="resident"}'] > 0
+        # Every shard supplier takes the resident walk, which reads
+        # only a share of its rows: the windows.
+        resident = counters['estimation.eq4_rows{path="resident"}']
+        assert resident > 0
         assert counters['estimation.eq4_rows{path="walk"}'] == 0
+        assert 0 < counters["estimation.eq4_window_rows"] < resident
         requests = sum(cell.new_requests for cell in result.cells)
         attempts = sum(cell.handoff_attempts for cell in result.cells)
         assert requests > 0 and attempts > 0

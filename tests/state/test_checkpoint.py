@@ -179,7 +179,7 @@ class TestFieldTable:
 
 class _SaveBetweenDetachAndTick:
     """Heartbeat hook: checkpoint once, right after an event detached a
-    connection from a cell that keeps attach-order rows — before any
+    connection from a cell that keeps reservation buckets — before any
     tick reads them again."""
 
     def __init__(self, simulator, directory):
@@ -192,9 +192,10 @@ class _SaveBetweenDetachAndTick:
         if self.path is not None:
             return
         rows = sum(
-            len(cell._rows)
+            len(bucket)
             for cell in self.simulator.network.cells
-            if cell._rows is not None
+            if cell._buckets is not None
+            for bucket in cell._buckets.values()
         )
         if self.rows is not None and rows < self.rows:
             self.path = save_checkpoint(self.simulator, self.directory)
@@ -203,8 +204,8 @@ class _SaveBetweenDetachAndTick:
 
 class TestDerivedReservationState:
     def test_checkpoint_between_a_detach_and_the_next_tick(self, tmp_path):
-        """The attach-order rows are derived state: the restore
-        serialises none of them (no rows until the next tick reads
+        """The reservation buckets are derived state: the restore
+        serialises none of them (no buckets until the next tick reads
         them) and the run continues to the same metrics."""
         config = base_config(offered_load=200.0, duration=400.0, seed=3)
         full = CellularSimulator(config).run()
@@ -217,7 +218,7 @@ class TestDerivedReservationState:
         restored = restore_simulator(watched.checkpointer.path, config)
         for station in restored.network.stations:
             cell = station.cell
-            assert cell._rows is None
+            assert cell._buckets is None
         assert restored.run().metrics_key() == full.metrics_key()
 
 

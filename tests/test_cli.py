@@ -100,12 +100,16 @@ def test_run_telemetry_summary_and_exports(capsys, tmp_path):
     assert code == 0
     assert "telemetry: run_id=" in out
     assert "events fired:" in out
+    assert "Eq.4 window rows:" in out
     text = prom.read_text(encoding="utf-8")
     assert "repro_des_events_fired" in text
     import json
 
     data = json.loads(snapshot.read_text(encoding="utf-8"))
-    assert data["counters"]["des.events_fired"] > 0
+    counters = data["counters"]
+    assert counters["des.events_fired"] > 0
+    resident = counters['estimation.eq4_rows{path="resident"}']
+    assert 0 < counters["estimation.eq4_window_rows"] < resident
 
 
 def test_run_without_telemetry_prints_no_summary(capsys):
