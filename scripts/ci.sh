@@ -19,11 +19,15 @@ echo "tier-1 wall: $(( $(date +%s) - TIER1_START )) s"
 
 echo "== kernel matrix =="
 # The kernel selects one thing, the Naghshineh-Schwartz convolution
-# backend, and both backends must be bit-identical: its suites re-run
-# under each forced backend.  The resident Eq. 5 walk needs no numpy;
-# its suites re-run once more where numpy cannot be imported at all
-# (REPRO_KERNEL=python still imports it, and the numpy-free install is
-# the reason the python kernel exists).
+# backend, and both backends must be bit-identical: the suites that
+# reach it (its one caller is core/related.py) re-run under each forced
+# backend.  The other suites below never reach the kernel or set every
+# available backend themselves.  The resident Eq. 5 walk needs no
+# numpy; all of them re-run once more where numpy cannot be imported
+# at all (REPRO_KERNEL=python still imports it, and the numpy-free
+# install is the reason the python kernel exists).
+CONVOLUTION_TESTS="tests/properties/test_convolution_parity.py \
+    tests/core/test_related.py"
 KERNEL_TESTS="tests/properties/test_kernel_backend_parity.py \
     tests/properties/test_reservation_table_properties.py \
     tests/properties/test_admission_properties.py \
@@ -33,7 +37,7 @@ KERNEL_TESTS="tests/properties/test_kernel_backend_parity.py \
     tests/simulation/test_columnar.py tests/simulation/test_spatial.py"
 for KERNEL in python numpy; do
     echo "-- REPRO_KERNEL=$KERNEL --"
-    REPRO_KERNEL=$KERNEL PYTHONPATH=src python -m pytest -x -q $KERNEL_TESTS
+    REPRO_KERNEL=$KERNEL PYTHONPATH=src python -m pytest -x -q $CONVOLUTION_TESTS
 done
 echo "-- numpy blocked --"
 PYTHONPATH=src python scripts/pytest_without_numpy.py -x -q $KERNEL_TESTS

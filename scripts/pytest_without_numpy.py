@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Run pytest in a process where ``import numpy`` fails.
 
-``REPRO_KERNEL=python`` selects the scalar Eq. 5 walk but still imports
-numpy; this is the numpy-free install that kernel exists for.  (Setting
+``REPRO_KERNEL=python`` selects the list-loop convolution backend but
+still imports numpy; this is the numpy-free install that kernel exists
+for.  (Setting
 ``sys.modules['numpy'] = None`` would do for the package itself, but
 hypothesis reads ``sys.modules['numpy'].ndarray`` whenever the key is
 there — so the import is refused by a finder instead.)

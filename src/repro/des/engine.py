@@ -27,9 +27,9 @@ from typing import Any, Callable, Iterator
 from repro.des.events import EventPriority
 
 #: Fired events between two calls of :meth:`Engine.run`'s observer.
-#: Every consumer (time-series sampler, progress reporter,
-#: checkpointer) throttles itself further on virtual or wall time; this
-#: only bounds hook-call overhead.
+#: Both consumers (the time-series sampler, whose rows are also the
+#: progress lines, and the checkpointer) throttle themselves further on
+#: virtual or wall time; this only bounds hook-call overhead.
 OBSERVER_EVENTS = 512
 
 

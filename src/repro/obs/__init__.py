@@ -1,16 +1,15 @@
-"""Run-wide observability: telemetry, logging, progress, streaming.
+"""Run-wide observability: telemetry, logging, series, streaming.
 
 * :mod:`repro.obs.telemetry` — counters/gauges/histograms/timers in a
   per-run registry, with a no-op twin selected when telemetry is off.
 * :mod:`repro.obs.logs` — JSONL structured logging with per-subsystem
   levels and ``REPRO_LOG``/``REPRO_LOG_JSON`` plumbing.
-* :mod:`repro.obs.progress` — heartbeat progress lines driven by the
-  DES engine, safe under process-pool sweeps.
 * :mod:`repro.obs.export` — Prometheus text exposition and JSON forms
   of a snapshot, plus a parser for round-trips and CI assertions.
 * :mod:`repro.obs.timeseries` — in-run time-series sampling driven by
   the engine's observer hook, ring-buffered and optionally streamed to
-  an append-only JSONL file as the run executes.
+  an append-only JSONL file as the run executes; its rows, rendered,
+  are the run's progress heartbeat lines (``--progress``).
 * :mod:`repro.obs.trace` — wall-clock span recording (epoch barriers,
   flush ticks, checkpoint publishes) as Perfetto-loadable Chrome
   trace-event JSON.
@@ -18,9 +17,8 @@
   live series stream (``repro dash``).
 
 None of it perturbs the simulation: instruments only count, samplers
-and spans only read state and the wall clock, heartbeats piggyback on
-events the run was firing anyway, and ``metrics_key()`` equality
-between observed and unobserved runs is enforced by tests.
+and spans only read state and the wall clock, and ``metrics_key()``
+equality between observed and unobserved runs is enforced by tests.
 """
 
 from repro.obs.dash import DashState, render, run_dash
@@ -31,7 +29,6 @@ from repro.obs.logs import (
     get_logger,
     set_run_id,
 )
-from repro.obs.progress import ProgressReporter
 from repro.obs.telemetry import (
     Counter,
     Gauge,
@@ -73,7 +70,6 @@ __all__ = [
     "Histogram",
     "NullTelemetry",
     "NullTraceCollector",
-    "ProgressReporter",
     "SectionTimer",
     "Telemetry",
     "TimeSeriesSampler",

@@ -27,20 +27,31 @@ Cadence is dual: ``interval`` is *virtual* seconds between samples
 is *wall* seconds (steady feed for a live dashboard even when virtual
 time crawls).  Either or both may be active; a sample taken for one
 cadence resets both.
+
+The run's progress heartbeat (``--progress SECONDS``) is a rendering of
+these rows, not a second observer: :func:`progress_renderer` turns each
+row handed to :attr:`TimeSeriesSampler.on_row` into a throttled
+``t/duration, events/s, wall, ETA`` line, and the final row into the
+``done`` line.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import sys
 from collections import deque
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
+
+from repro.obs.logs import get_logger
 
 __all__ = [
     "TimeSeriesSampler",
     "iter_series",
     "merge_series",
+    "progress_renderer",
     "read_series",
     "series_summary",
     "write_series",
@@ -140,6 +151,9 @@ class TimeSeriesSampler:
         )
         self._last_counters: dict[str, float] = {}
         self._last_hist_counts: dict[str, int] = {}
+        #: Called with every row as it is taken (after the stream write);
+        #: the runners set it to a :func:`progress_renderer`.
+        self.on_row: Callable[[dict], None] | None = None
         self._owns_stream = False
         self._stream: TextIO | None = None
         if stream is not None:
@@ -253,6 +267,8 @@ class TimeSeriesSampler:
         if stream is not None:
             stream.write(json.dumps(row, sort_keys=True) + "\n")
             stream.flush()
+        if self.on_row is not None:
+            self.on_row(row)
         return row
 
     def _fold_registry(self, row: dict, telemetry) -> None:
@@ -292,6 +308,82 @@ class TimeSeriesSampler:
     def series(self) -> list[dict]:
         """The retained samples, oldest first (plain JSON-able rows)."""
         return list(self._samples)
+
+
+# ----------------------------------------------------------------------
+# progress heartbeat: sampler rows rendered as lines
+# ----------------------------------------------------------------------
+def progress_renderer(
+    duration: float, interval: float, stream: TextIO | None = None
+) -> Callable[[Mapping], None]:
+    """A :attr:`TimeSeriesSampler.on_row` hook printing heartbeat lines.
+
+    A row is rendered when ``interval`` wall seconds (by the rows' own
+    ``wall`` field) have passed since the last rendered row; the final
+    row always is, as the ``done`` line.  The line goes through the
+    ``repro.progress`` logger, with the row's fields plus ``fraction``
+    and ``eta_s`` as extras, when that logger is enabled for INFO (so
+    ``--log-json`` yields machine-readable heartbeats); otherwise it is
+    one plain line on ``stream`` (default: the current ``sys.stderr``).
+    A shard's lines are tagged ``s<index>``, as ``repro dash`` tags its
+    lanes.
+    """
+    if interval <= 0:
+        raise ValueError("progress interval must be positive")
+    logger = get_logger("progress")
+    last_wall = 0.0
+
+    def render(row: Mapping) -> None:
+        nonlocal last_wall
+        final = bool(row.get("final"))
+        wall = row["wall"]
+        # Rows carry ``wall`` rounded to 1 µs: allow that much slack so
+        # a row taken on a wall cadence of ``interval`` is not skipped.
+        if not final and wall - last_wall + 1e-6 < interval:
+            return
+        last_wall = wall
+        t = row["t"]
+        fraction = min(t / duration, 1.0) if duration > 0 else 1.0
+        if final or fraction >= 1.0:
+            eta = 0.0
+        elif t > 0:
+            eta = wall * (duration - t) / t
+        else:
+            eta = _INF
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(
+                "run complete" if final else "progress",
+                extra={
+                    **row,
+                    "fraction": round(fraction, 4),
+                    "eta_s": None if eta == _INF else round(eta, 1),
+                },
+            )
+            return
+        tag = row.get("label", "")
+        if row.get("shard") is not None:
+            tag = f"{tag} s{row['shard']}".strip()
+        prefix = f"[{tag}] " if tag else ""
+        events = row["events"]
+        if final:
+            overall = events / wall if wall > 0 else 0.0
+            line = (
+                f"{prefix}done: t={t:.0f}s in {wall:.1f}s wall,"
+                f" {events:,} events ({overall:,.0f} events/s overall)"
+            )
+        else:
+            eta_text = "?" if eta == _INF else f"{eta:.0f}s"
+            line = (
+                f"{prefix}t={t:.0f}/{duration:.0f}s ({fraction:.0%})"
+                f"  {row['events_per_s']:,.0f} events/s"
+                f"  wall={wall:.1f}s  eta={eta_text}"
+            )
+        # One write per line: process shards share the inherited stderr.
+        out = stream or sys.stderr
+        out.write(line + "\n")
+        out.flush()
+
+    return render
 
 
 # ----------------------------------------------------------------------

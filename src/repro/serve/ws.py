@@ -32,8 +32,9 @@ binary data with close status 1003, fragments, reserved bits or opcodes
 and over-long control frames with 1002.
 
 :class:`SyncWsClient` is the bundled blocking client — what
-``repro dash`` and the smoke script use from outside the service
-process; :class:`AsyncWsClient` is its asyncio twin for in-loop tests.
+``repro dash`` uses from outside the service process;
+:class:`AsyncWsClient` is its asyncio twin for in-loop callers (the
+tests and ``scripts/serve_smoke.py``).
 """
 
 from __future__ import annotations
@@ -572,9 +573,8 @@ def _parse_ws_url(url: str) -> tuple[str, int, str]:
 class SyncWsClient:
     """Blocking WebSocket client (stdlib socket) — the bundled client.
 
-    ``repro dash ws://host:port`` and ``scripts/serve_smoke.py`` run in
-    a different process from the service, where blocking reads are the
-    simplest correct thing.
+    ``repro dash ws://host:port`` runs in a different process from the
+    service, where blocking reads are the simplest correct thing.
     """
 
     def __init__(self, url: str, timeout: float | None = 10.0) -> None:

@@ -5,11 +5,10 @@ object representation costs three allocations per connection (a
 :class:`~repro.traffic.connection.Connection`, a
 :class:`~repro.mobility.models.Mobile`, and the model's class-map dict
 entry) — several hundred bytes each — and scatters the hot fields
-(cell, entry time, lifetime end) across the heap.  The columnar stores
-below keep the same state as parallel typed columns (numpy arrays when
-available, stdlib ``array`` otherwise) indexed by a small integer row
-id, with free-list recycling so long runs reuse rows instead of
-growing.
+(cell, entry time, lifetime end) across the heap.  The columnar store
+below keeps the same state as parallel typed columns (stdlib ``array``
+buffers) indexed by a small integer row id, with free-list recycling
+so long runs reuse rows instead of growing.
 
 The spatial simulator works on row ids directly: its cells are
 :class:`ColumnarCell` instances whose :meth:`~ColumnarCell.attach_row`
@@ -34,78 +33,88 @@ recycling with one integer compare.
 
 from __future__ import annotations
 
-from typing import Any
-
-try:  # pragma: no cover - exercised via whichever backend is installed
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
 import array as _array
 
 from repro.cellular.cell import CapacityError, Cell
 
-#: column typecode -> (numpy dtype name, stdlib array typecode)
-_CODES = {
-    "f8": ("float64", "d"),
-    "i4": ("int32", "l" if _array.array("l").itemsize == 4 else "i"),
-    "i8": ("int64", "q"),
-    "i1": ("int8", "b"),
-}
+#: column code -> stdlib ``array`` typecode
+_CODES = {"f8": "d", "i4": "i", "i8": "q", "i1": "b"}
 
 #: Bandwidth demand table indexed by ``bw_code`` (bandwidth units).
 #: Matches :data:`repro.traffic.classes.VOICE` / ``VIDEO``.
 BANDWIDTH_TABLE = (1.0, 4.0)
 
 
-def _new_column(code: str, capacity: int, scalar_hot: bool = False):
-    dtype, typecode = _CODES[code]
-    if _np is not None and not scalar_hot:
-        return _np.zeros(capacity, dtype=dtype)
+def _new_column(code: str, capacity: int) -> _array.array:
+    typecode = _CODES[code]
     return _array.array(typecode, bytes(_array.array(typecode).itemsize * capacity))
 
 
-def _grow_column(column, code: str, capacity: int):
-    if _np is not None and not isinstance(column, _array.array):
-        grown = _np.zeros(capacity, dtype=column.dtype)
-        grown[: len(column)] = column
-        return grown
-    dtype, typecode = _CODES[code]
-    grown = _array.array(typecode, bytes(_array.array(typecode).itemsize * capacity))
+def _grow_column(column: _array.array, code: str, capacity: int) -> _array.array:
+    grown = _new_column(code, capacity)
     grown[: len(column)] = column
     return grown
 
 
-class ColumnStore:
-    """Base store: named typed columns with free-list row recycling.
+class ConnectionStore:
+    """Hot state of one connection + its mobile, one row per connection.
 
-    Subclasses declare ``COLUMNS`` as ``((name, code), ...)`` with codes
-    from ``f8/i4/i8/i1``.  Every store additionally carries an ``i8``
-    ``serial`` column written on :meth:`alloc`.
+    Named typed columns with free-list row recycling; every row also
+    carries an ``i8`` ``serial`` written on :meth:`alloc`.  The columns
+    are stdlib ``array`` buffers: every consumer is row-at-a-time
+    (admission, crossings, hand-off migration) and nothing slices them,
+    where ``array.array`` indexing is ~1.4-1.6x faster than numpy's
+    scalar boxing.
+
+    Columns (≈49 bytes/row including the serial guard, versus several
+    hundred bytes for the ``Connection``/``Mobile`` object pair):
+
+    ``entry_time`` (f8)
+        Time the connection entered its current cell.
+    ``end_time`` (f8)
+        Absolute lifetime expiry (scheduled as a DEPARTURE event).
+    ``cell`` (i4) / ``prev`` (i4)
+        Current cell and hand-off predecessor (−1 = born here).
+    ``birth_cell`` (i4) / ``birth_seq`` (i4)
+        Birth coordinates: the arrival cell and that cell's arrival
+        index.  Together they give the deterministic, shard-independent
+        ``connection_id = birth_seq * num_cells + birth_cell`` and key
+        the per-transition random streams.
+    ``hops`` (i4)
+        Hand-offs completed so far (keys the next transition draw).
+    ``bw_code`` (i1)
+        Index into :data:`BANDWIDTH_TABLE` (0 = voice, 1 = video).
+    ``pop`` (i1) / ``heading`` (i1)
+        Mobility population-class index and current hex heading.
     """
 
-    COLUMNS: tuple[tuple[str, str], ...] = ()
-
-    #: When ``True``, columns use stdlib ``array`` backing even if numpy
-    #: is installed.  The DES hot loop reads and writes *single elements*
-    #: (row-at-a-time), where ``array.array`` indexing is ~1.4-1.6x
-    #: faster than numpy's scalar boxing; vectorised consumers should
-    #: leave this off.
-    SCALAR_HOT = False
+    COLUMNS = (
+        ("entry_time", "f8"),
+        ("end_time", "f8"),
+        ("cell", "i4"),
+        ("prev", "i4"),
+        ("birth_cell", "i4"),
+        ("birth_seq", "i4"),
+        ("hops", "i4"),
+        ("bw_code", "i1"),
+        ("pop", "i1"),
+        ("heading", "i1"),
+    )
 
     __slots__ = ("columns", "serial", "capacity", "_free", "_next_row",
-                 "_next_serial", "live")
+                 "_next_serial", "live", "num_cells")
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, num_cells: int, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if num_cells < 1:
+            raise ValueError("num_cells must be >= 1")
+        self.num_cells = num_cells
         self.capacity = capacity
-        scalar_hot = self.SCALAR_HOT
-        self.columns: dict[str, Any] = {
-            name: _new_column(code, capacity, scalar_hot)
-            for name, code in self.COLUMNS
+        self.columns: dict[str, _array.array] = {
+            name: _new_column(code, capacity) for name, code in self.COLUMNS
         }
-        self.serial = _new_column("i8", capacity, scalar_hot)
+        self.serial = _new_column("i8", capacity)
         self._free: list[int] = []
         self._next_row = 0
         self._next_serial = 1
@@ -148,67 +157,10 @@ class ColumnStore:
     @property
     def nbytes(self) -> int:
         """Bytes held by the column buffers (excludes Python object shells)."""
-        total = 0
+        total = self.serial.itemsize * len(self.serial)
         for column in self.columns.values():
-            total += getattr(column, "nbytes", None) or (
-                column.itemsize * len(column)
-            )
-        total += getattr(self.serial, "nbytes", None) or (
-            self.serial.itemsize * len(self.serial)
-        )
+            total += column.itemsize * len(column)
         return total
-
-
-class ConnectionStore(ColumnStore):
-    """Hot state of one connection + its mobile, one row per connection.
-
-    Columns (≈49 bytes/row including the serial guard, versus several
-    hundred bytes for the ``Connection``/``Mobile`` object pair):
-
-    ``entry_time`` (f8)
-        Time the connection entered its current cell.
-    ``end_time`` (f8)
-        Absolute lifetime expiry (scheduled as a DEPARTURE event).
-    ``cell`` (i4) / ``prev`` (i4)
-        Current cell and hand-off predecessor (−1 = born here).
-    ``birth_cell`` (i4) / ``birth_seq`` (i4)
-        Birth coordinates: the arrival cell and that cell's arrival
-        index.  Together they give the deterministic, shard-independent
-        ``connection_id = birth_seq * num_cells + birth_cell`` and key
-        the per-transition random streams.
-    ``hops`` (i4)
-        Hand-offs completed so far (keys the next transition draw).
-    ``bw_code`` (i1)
-        Index into :data:`BANDWIDTH_TABLE` (0 = voice, 1 = video).
-    ``pop`` (i1) / ``heading`` (i1)
-        Mobility population-class index and current hex heading.
-    """
-
-    COLUMNS = (
-        ("entry_time", "f8"),
-        ("end_time", "f8"),
-        ("cell", "i4"),
-        ("prev", "i4"),
-        ("birth_cell", "i4"),
-        ("birth_seq", "i4"),
-        ("hops", "i4"),
-        ("bw_code", "i1"),
-        ("pop", "i1"),
-        ("heading", "i1"),
-    )
-
-    #: Every consumer is row-at-a-time (admission, crossings, hand-off
-    #: migration); nothing slices these columns, so scalar-fast backing
-    #: wins even with numpy installed.
-    SCALAR_HOT = True
-
-    __slots__ = ("num_cells",)
-
-    def __init__(self, num_cells: int, capacity: int = 256) -> None:
-        super().__init__(capacity)
-        if num_cells < 1:
-            raise ValueError("num_cells must be >= 1")
-        self.num_cells = num_cells
 
     def connection_id(self, row: int) -> int:
         """Deterministic global id: ``birth_seq * num_cells + birth_cell``."""
@@ -316,7 +268,7 @@ class ColumnarCell(Cell):
         """Account a store row into this cell (admission already decided)."""
         store = self.store
         columns = store.columns
-        # ``SCALAR_HOT`` columns hand back native ints/floats, so no
+        # ``array.array`` columns hand back native ints/floats, so no
         # per-field conversions are needed on this path.
         key = (
             columns["birth_seq"][row] * store.num_cells

@@ -104,8 +104,10 @@ class SimulationConfig:
     #: attached to the result.  Also enabled by ``REPRO_TELEMETRY=1``.
     telemetry: bool = False
     #: Heartbeat progress lines at most this often (wall seconds);
-    #: 0 disables.  Heartbeats never schedule events, so enabling them
-    #: cannot perturb the run.
+    #: 0 disables.  Each line renders a time-series sampler row (with no
+    #: ``series_*`` cadence set this becomes the sampler's wall
+    #: cadence); samples never schedule events, so enabling them cannot
+    #: perturb the run.
     progress_interval: float = 0.0
     #: Run identifier stamped into logs and telemetry; auto-generated
     #: when empty.
@@ -122,9 +124,6 @@ class SimulationConfig:
     #: tails it); empty keeps samples only on the result.  Spatial
     #: shard processes append their own tagged rows to the same path.
     series_path: str = ""
-    #: Ring-buffer depth of the in-memory series (the JSONL stream
-    #: keeps everything).
-    series_max_samples: int = 4096
     #: Record wall-clock spans (epoch barriers, flush ticks, checkpoint
     #: publishes) as Chrome trace events attached to the result.  Also
     #: enabled by ``REPRO_TRACE=1``.
@@ -170,8 +169,6 @@ class SimulationConfig:
             raise ValueError("progress interval cannot be negative")
         if self.series_interval < 0 or self.series_wall_interval < 0:
             raise ValueError("series intervals cannot be negative")
-        if self.series_max_samples < 1:
-            raise ValueError("series_max_samples must be >= 1")
 
     @property
     def series_enabled(self) -> bool:

@@ -53,9 +53,8 @@ from repro.mobility.models import (
 )
 from repro.mobility.speed import ProfileSpeedSampler, UniformSpeedSampler
 from repro.obs.logs import ensure_configured, set_run_id
-from repro.obs.progress import ProgressReporter
 from repro.obs.telemetry import begin_run, new_run_id
-from repro.obs.timeseries import TimeSeriesSampler
+from repro.obs.timeseries import TimeSeriesSampler, progress_renderer
 from repro.obs.trace import begin_trace
 from repro.simulation.config import SimulationConfig, cell_load_weights
 from repro.simulation.metrics import (
@@ -192,6 +191,46 @@ def metrics_collector(
         hourly=config.hourly_stats,
         hour_seconds=config.day_seconds / 24.0,
     )
+
+
+def run_sampler(
+    config: SimulationConfig,
+    engine: Engine,
+    metrics: MetricsCollector,
+    stations,
+    *,
+    run_id: str,
+    telemetry,
+    shard_id: int | None = None,
+) -> TimeSeriesSampler | None:
+    """The run's one heartbeat observer, or ``None`` when nothing reads it.
+
+    The ``--series*`` cadences set the sampler's; without one,
+    ``progress_interval`` becomes its wall cadence.  With
+    ``progress_interval`` on, each row is also rendered as a progress
+    line (:func:`~repro.obs.timeseries.progress_renderer`).
+    """
+    progress = config.progress_interval
+    if not config.series_enabled and progress <= 0:
+        return None
+    sampler = TimeSeriesSampler(
+        engine,
+        metrics=metrics,
+        stations=stations,
+        capacity=config.capacity,
+        interval=config.series_interval,
+        wall_interval=(
+            config.series_wall_interval if config.series_enabled else progress
+        ),
+        stream=config.series_path or None,
+        shard_id=shard_id,
+        run_id=run_id,
+        label=config.label or config.scheme,
+        telemetry=telemetry,
+    )
+    if progress > 0:
+        sampler.on_row = progress_renderer(config.duration, progress)
+    return sampler
 
 
 def cell_statuses(metrics: MetricsCollector, stations) -> list[CellStatus]:
@@ -349,10 +388,11 @@ class CellularSimulator:
         #: scheduling pass.
         self._resumed = False
         #: Optional mid-run checkpoint hook (``repro.state.Checkpointer``),
-        #: composed into the engine observer alongside progress.
+        #: composed into the engine observer after the sampler.
         self.checkpointer = None
         #: In-run time-series sampler, built lazily by :meth:`run` when
-        #: the config enables a cadence (checkpoints read it mid-run).
+        #: the config enables a cadence or progress lines (checkpoints
+        #: read it mid-run).
         self.sampler: TimeSeriesSampler | None = None
         #: Optional :class:`repro.serve.events.RunRecorder`: captures
         #: the run's semantic event stream (arrivals with their
@@ -390,33 +430,20 @@ class CellularSimulator:
                     priority=EventPriority.MONITOR,
                 )
         config = self.config
-        # One observer: sampler, then progress, then checkpoint.  Each
-        # throttles itself on virtual or wall time.
+        # One observer: the sampler (which also renders progress), then
+        # the checkpointer.  Each throttles itself on virtual or wall
+        # time.
+        self.sampler = run_sampler(
+            config,
+            self.engine,
+            self.metrics,
+            self.network.stations,
+            run_id=self.run_id,
+            telemetry=self.telemetry,
+        )
         hooks = []
-        if config.series_enabled:
-            self.sampler = TimeSeriesSampler(
-                self.engine,
-                metrics=self.metrics,
-                stations=self.network.stations,
-                capacity=config.capacity,
-                interval=config.series_interval,
-                wall_interval=config.series_wall_interval,
-                max_samples=config.series_max_samples,
-                stream=config.series_path or None,
-                run_id=self.run_id,
-                label=config.label or config.scheme,
-                telemetry=self.telemetry,
-            )
+        if self.sampler is not None:
             hooks.append(self.sampler.maybe_sample)
-        reporter = None
-        if config.progress_interval > 0:
-            reporter = ProgressReporter(
-                self.engine,
-                duration=config.duration,
-                interval=config.progress_interval,
-                label=config.label or config.scheme,
-            )
-            hooks.append(reporter.beat)
         if self.checkpointer is not None:
             hooks.append(self.checkpointer.beat)
         if not hooks:
@@ -431,8 +458,6 @@ class CellularSimulator:
             "run.engine", label=config.label or config.scheme
         ):
             self.engine.run(until=config.duration, observer=observer)
-        if reporter is not None:
-            reporter.final()
         if self.sampler is not None:
             self.sampler.final()
         self._finished = True
@@ -781,7 +806,7 @@ class CellularSimulator:
             run_id=self.run_id,
             telemetry=self._harvest_telemetry(wall_seconds),
             timeseries=(
-                self.sampler.series() if self.sampler is not None else None
+                self.sampler.series() if self.config.series_enabled else None
             ),
             trace_events=self.tracer.events(),
         )

@@ -79,7 +79,6 @@ from repro.des.engine import Engine
 from repro.des.events import EventPriority
 from repro.des.random import RandomStreams
 from repro.mobility.models import DEFAULT_HEX_POPULATION, HexMobilityModel
-from repro.obs.progress import ProgressReporter
 from repro.obs.telemetry import merge_snapshots, new_run_id
 from repro.obs.timeseries import TimeSeriesSampler, merge_series
 from repro.obs.trace import merge_traces
@@ -104,6 +103,7 @@ from repro.simulation.simulator import (
     harvest_telemetry,
     metrics_collector,
     retry_policy,
+    run_sampler,
 )
 from repro.traffic.classes import VOICE, TrafficMix
 
@@ -452,22 +452,15 @@ class ShardEngine:
             ),
         )
         self.engine = Engine()
-        self.sampler: TimeSeriesSampler | None = None
-        if config.series_enabled:
-            self.sampler = TimeSeriesSampler(
-                self.engine,
-                metrics=self.metrics,
-                stations=[self.network.station(cell) for cell in self.owned],
-                capacity=config.capacity,
-                interval=config.series_interval,
-                wall_interval=config.series_wall_interval,
-                max_samples=config.series_max_samples,
-                stream=config.series_path or None,
-                shard_id=index,
-                run_id=run_id,
-                label=config.label or config.scheme,
-                telemetry=self.telemetry,
-            )
+        self.sampler: TimeSeriesSampler | None = run_sampler(
+            config,
+            self.engine,
+            self.metrics,
+            [self.network.station(cell) for cell in self.owned],
+            run_id=run_id,
+            telemetry=self.telemetry,
+            shard_id=index,
+        )
         #: Wall time spent inside ``engine.run`` vs total shard wall
         #: time — their gap is the barrier-wait fraction the samples
         #: and the dashboard report.
@@ -661,13 +654,11 @@ class ShardEngine:
 
     def run_epoch(
         self, k: int, replies: list[tuple[int, int, float]]
-    ) -> tuple[dict[int, list], dict[int, list], tuple[float, int]]:
+    ) -> tuple[dict[int, list], dict[int, list]]:
         """Install Eq. 6, run to the epoch end, ship boundary batches.
 
-        Returns ``(mirrors, migrations, stats)``: the boundary batches
-        keyed by destination shard, plus ``(now, events_processed)`` so
-        the coordinator can aggregate progress without another round
-        trip.
+        Returns ``(mirrors, migrations)``: the boundary batches keyed by
+        destination shard.
         """
         for supplier, target, value in replies:
             self._reply_values[(supplier, target)] = value
@@ -706,8 +697,7 @@ class ShardEngine:
             elapsed = wall_clock.perf_counter() - self._wall_started
             frac = 1.0 - self._run_wall / elapsed if elapsed > 0 else 0.0
             sampler.sample(epoch=k, barrier_wait_frac=round(frac, 4))
-        stats = (self.engine.now, self.engine.events_processed)
-        return mirrors, migrations, stats
+        return mirrors, migrations
 
     def _ship(
         self, k: int, until: float
@@ -1039,7 +1029,8 @@ class ShardEngine:
         series = None
         if self.sampler is not None:
             self.sampler.final()
-            series = self.sampler.series()
+            if self.config.series_enabled:
+                series = self.sampler.series()
         trace = self.tracer.events()
         metrics = self.metrics
         statuses = cell_statuses(
@@ -1248,23 +1239,6 @@ class ProcessShardHost:
 # ----------------------------------------------------------------------
 # coordinator
 # ----------------------------------------------------------------------
-class _EngineView:
-    """Coordinator-side engine facade for :class:`ProgressReporter`.
-
-    Aggregates the per-shard ``(now, events)`` stats returned at
-    each barrier into the two attributes the reporter reads, so one
-    progress line covers the whole sharded run.
-    """
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.events_processed = 0
-
-    def update(self, stats_list) -> None:
-        self.now = min(stats[0] for stats in stats_list)
-        self.events_processed = sum(stats[1] for stats in stats_list)
-
-
 def _merge_results(
     config: SimulationConfig,
     plan: ShardPlan,
@@ -1408,21 +1382,11 @@ def run_spatial(
                 for index in range(shards)
             ]
         epochs = max(1, -int(-config.duration // epoch))
-        reporter = None
-        view = None
-        if config.progress_interval > 0:
-            view = _EngineView()
-            reporter = ProgressReporter(
-                view,
-                config.duration,
-                interval=config.progress_interval,
-                label=f"{config.label or config.scheme} x{shards}sh",
-            )
-        pending = [({}, {}, None) for _ in range(shards)]
+        pending = [({}, {}) for _ in range(shards)]
         for k in range(epochs):
             mirrors_for = [[] for _ in range(shards)]
             migrations_for = [[] for _ in range(shards)]
-            for shard_mirrors, shard_migrations, _ in pending:
+            for shard_mirrors, shard_migrations in pending:
                 for target, items in shard_mirrors.items():
                     mirrors_for[target].extend(items)
                 for target, items in shard_migrations.items():
@@ -1452,14 +1416,9 @@ def run_spatial(
             for index, host in enumerate(hosts):
                 host.send("epoch", k, replies_for[index])
             pending = [host.recv() for host in hosts]
-            if reporter is not None:
-                view.update([stats for _, _, stats in pending])
-                reporter.beat()
         for host in hosts:
             host.send("finish", collect_state)
         results = [host.recv() for host in hosts]
-        if reporter is not None:
-            reporter.final()
     finally:
         for host in hosts:
             host.close()

@@ -197,7 +197,6 @@ _FINGERPRINT_EXEMPT = {
     "series_interval",
     "series_wall_interval",
     "series_path",
-    "series_max_samples",
     "trace",
 }
 
@@ -517,11 +516,11 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
         entries.append(
             _add_file(files, "telemetry.json", "telemetry", blob.encode("utf-8"))
         )
-    if sim.sampler is not None and sim.sampler.series():
-        blob = "".join(
-            json.dumps(row, sort_keys=True) + "\n"
-            for row in sim.sampler.series()
-        )
+    # (A sampler that only feeds ``--progress`` lines keeps no series.)
+    sampler = sim.sampler if sim.config.series_enabled else None
+    rows = sampler.series() if sampler is not None else None
+    if rows:
+        blob = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
         entries.append(
             _add_file(files, "series.jsonl", "series", blob.encode("utf-8"))
         )
@@ -779,7 +778,7 @@ class Checkpointer:
     """Observer hook writing periodic checkpoints during a run.
 
     Piggybacks on the engine's observer (like
-    :class:`~repro.obs.progress.ProgressReporter`): it runs *between*
+    :class:`~repro.obs.timeseries.TimeSeriesSampler`): it runs *between*
     events and schedules nothing, so a run with a checkpointer fires
     exactly the events it would without one.  Checkpoints land in
     ``directory`` as ``ckpt-<virtual time>`` and only the newest

@@ -136,7 +136,6 @@ class TestScalarHotBacking:
         import array
 
         store = ConnectionStore(num_cells=4, capacity=8)
-        assert ConnectionStore.SCALAR_HOT
         for column in store.columns.values():
             assert isinstance(column, array.array)
         assert isinstance(store.serial, array.array)
