@@ -58,7 +58,8 @@ PYTHONPATH=src python scripts/telemetry_smoke.py
 
 echo "== state smoke =="
 # Durable state store: corruption must fail `state inspect`,
-# save -> load -> run must be bit-identical to the straight run, and a
+# save -> load -> run must be bit-identical to the straight run, the
+# CLI's --telemetry-json must export state.save and state.load, and a
 # sharded `repro campaign` must leave verifiable days it then reuses.
 PYTHONPATH=src python scripts/state_smoke.py
 

@@ -10,7 +10,10 @@ Three gates, all cheap enough for every CI pass:
    connection record; the past-horizon renewals ordinary queue
    records, schema v4), restore, run to the full horizon, and assert
    ``metrics_key()`` equality with the uninterrupted run (the store's
-   core bit-identity contract).
+   core bit-identity contract); then the same save and load through
+   ``repro run --save-state``/``--load-state`` with ``--telemetry-json``
+   must export ``state.save`` and ``state.load`` (the run's own
+   registry times its state I/O).
 3. **Campaign through the CLI** — a 2-day, 2-shard city campaign leaves
    two state directories ``repro state inspect`` verifies; the same
    command again simulates nothing; a truncated blob fails both the
@@ -82,6 +85,7 @@ def check_restore_parity(config, scratch: Path) -> None:
         f" {pending['crossing']} connections saved with only a crossing"
         f" pending, {pending['lifetime']} with only their end)"
     )
+    check_cli_state_telemetry(scratch)
 
 
 def _cli(*argv: str) -> tuple[int, str]:
@@ -91,6 +95,27 @@ def _cli(*argv: str) -> tuple[int, str]:
         with contextlib.redirect_stderr(output):
             code = repro(list(argv))
     return code, output.getvalue()
+
+
+def check_cli_state_telemetry(scratch: Path) -> None:
+    """``--telemetry-json`` of a save and of a load exports its timer."""
+    run = ["run", "--load", "150", "--rvo", "0.8", "--seed", "7"]
+    state = scratch / "cli-state"
+    for timer, flags in (
+        ("state.save", ["--duration", "120", "--save-state", str(state)]),
+        ("state.load", ["--duration", "240", "--load-state", str(state)]),
+    ):
+        exported = scratch / f"{timer}.json"
+        code, output = _cli(*run, *flags, "--telemetry-json", str(exported))
+        if code != 0:
+            raise SystemExit(f"repro run {' '.join(flags)} failed:\n{output}")
+        timers = json.loads(exported.read_text())["timers"]
+        if timers.get(timer, {}).get("count") != 1:
+            raise SystemExit(f"--telemetry-json exported no {timer}: {timers}")
+    print(
+        "state telemetry smoke: repro run --save-state / --load-state"
+        " export state.save / state.load"
+    )
 
 
 def check_spatial_campaign(scratch: Path) -> None:

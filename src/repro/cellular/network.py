@@ -6,13 +6,14 @@ from typing import Callable, Iterator
 
 from repro._kernel import FlushBatch
 from repro.cellular.base_station import BaseStation
-from repro.obs.trace import get_tracer
 from repro.core.reservation import aggregate_reservation
 from repro.cellular.cell import Cell
 from repro.cellular.topology import Topology
 from repro.core.window import EstimationWindowController, WindowControllerConfig
 from repro.estimation.cache import CacheConfig
 from repro.estimation.estimator import MobilityEstimator
+from repro.obs.telemetry import NullTelemetry
+from repro.obs.trace import NullTraceCollector
 
 
 class CellularNetwork:
@@ -61,9 +62,10 @@ class CellularNetwork:
                     f" distinct and exclude the cell itself"
                 )
         self.topology = topology
-        #: The run's span tracer (a shared no-op when tracing is off);
-        #: grabbed at construction like the telemetry handles are.
-        self.tracer = get_tracer()
+        #: The run's registry and span tracer: no-ops until
+        #: :meth:`instrument` hands the network a run's.
+        self.telemetry = NullTelemetry()
+        self.tracer = NullTraceCollector()
         #: Cells whose ``B_r`` must be refreshed at the next tick flush.
         self._reservation_dirty: list[int] = []
         #: Tick flushes performed / targets refreshed across them
@@ -108,6 +110,20 @@ class CellularNetwork:
             self.stations.append(
                 BaseStation(cell, self, estimator, controller)
             )
+
+    def instrument(self, telemetry, tracer) -> None:
+        """Record into one run's ``telemetry`` and ``tracer``.
+
+        The tick flush opens its spans on ``tracer``; each station's
+        :class:`MobilityEstimator` observes its Eq. 5 batch sizes into
+        ``telemetry``'s ``estimation.eq4_batch_rows`` histogram.
+        """
+        self.telemetry = telemetry
+        self.tracer = tracer
+        histogram = telemetry.histogram("estimation.eq4_batch_rows")
+        for station in self.stations:
+            if isinstance(station.estimator, MobilityEstimator):
+                station.estimator.batch_rows_histogram = histogram
 
     @property
     def num_cells(self) -> int:

@@ -334,7 +334,7 @@ def _add_observability_arguments(
             group.add_argument(flag, **options)
 
     add("--telemetry", action="store_true",
-        help="collect run telemetry (also: REPRO_TELEMETRY=1)")
+        help="collect run telemetry into the result")
     add("--progress", type=float, default=0.0, metavar="SECONDS",
         help="heartbeat progress lines at most this often (0 disables)")
     add("--log-level", default=None, metavar="SPEC",

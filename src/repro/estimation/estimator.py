@@ -40,7 +40,7 @@ from typing import Sequence
 from repro.estimation.cache import CacheConfig, QuadrupletCache
 from repro.estimation.function import HandoffEstimationFunction
 from repro.estimation.quadruplet import HandoffQuadruplet
-from repro.obs.telemetry import get_telemetry
+from repro.obs.telemetry import NullTelemetry
 
 
 class MobilityEstimator:
@@ -78,9 +78,10 @@ class MobilityEstimator:
         self.eq4_walk_batches = 0
         self.eq4_resident_rows = 0
         self.eq4_walk_rows = 0
-        #: Batch-size distribution, observed into the active telemetry
-        #: registry (a shared no-op when telemetry is disabled).
-        self._batch_rows_histogram = get_telemetry().histogram(
+        #: Batch-size distribution: a no-op until the owning network
+        #: hands over its run's histogram
+        #: (:meth:`~repro.cellular.network.CellularNetwork.instrument`).
+        self.batch_rows_histogram = NullTelemetry().histogram(
             "estimation.eq4_batch_rows"
         )
 
@@ -150,7 +151,7 @@ class MobilityEstimator:
         else:
             self.eq4_walk_batches += 1
             self.eq4_walk_rows += rows
-        self._batch_rows_histogram.observe(rows)
+        self.batch_rows_histogram.observe(rows)
 
     # ------------------------------------------------------------------
     # Eq. 4 and derived queries

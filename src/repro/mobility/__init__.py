@@ -1,6 +1,6 @@
 """Mobility substrate (S3): mobiles, movement models, speed samplers."""
 
-from repro.mobility.mobile import Mobile, reset_mobile_ids
+from repro.mobility.mobile import Mobile
 from repro.mobility.models import (
     DEFAULT_HEX_POPULATION,
     HexMobilityModel,
@@ -42,5 +42,4 @@ __all__ = [
     "UNIT_CELL_RADIUS",
     "TravelDirections",
     "UniformSpeedSampler",
-    "reset_mobile_ids",
 ]

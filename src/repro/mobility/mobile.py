@@ -11,34 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class _IdCounter:
-    """``itertools.count`` with a readable/settable position (see
-    :class:`repro.traffic.connection._IdCounter`)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, start: int = 0) -> None:
-        self.value = start
-
-    def __next__(self) -> int:
-        value = self.value
-        self.value = value + 1
-        return value
-
-
-_mobile_ids = _IdCounter()
-
-
-def reset_mobile_ids(start: int = 0) -> None:
-    """Restart the global id sequence (test isolation / state restore)."""
-    _mobile_ids.value = start
-
-
-def peek_mobile_ids() -> int:
-    """Next mobile id to be issued, without consuming it."""
-    return _mobile_ids.value
-
-
 @dataclass(slots=True)
 class Mobile:
     """One mobile terminal (slotted — one live instance per connection).
@@ -56,6 +28,9 @@ class Mobile:
     cell_id:
         Cell currently containing the mobile (kept explicitly so exact
         boundary positions are unambiguous).
+    mobile_id:
+        Keyword only.  Unique within one run: the mobility model that
+        spawns the mobile numbers it.
     """
 
     position_km: float
@@ -63,7 +38,7 @@ class Mobile:
     direction: int
     cell_id: int
     position_time: float = 0.0
-    mobile_id: int = field(default_factory=lambda: next(_mobile_ids))
+    mobile_id: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.speed_kmh < 0:

@@ -91,21 +91,33 @@ class LinearMobilityModel:
         self.speed_sampler = speed_sampler
         self.directions = directions
         self.stationary_fraction = stationary_fraction
+        #: The id :meth:`spawn` gives the next mobile (checkpoints carry it).
+        self.next_mobile_id = 0
 
     def spawn(self, cell_id: int, now: float, rng: random.Random) -> Mobile:
+        mobile_id = self.next_mobile_id
+        self.next_mobile_id = mobile_id + 1
         low, high = self.topology.cell_span_km(cell_id)
         position = rng.uniform(low, high)
         if (
             self.stationary_fraction > 0.0
             and rng.random() < self.stationary_fraction
         ):
-            return Mobile(position, 0.0, 0, cell_id, position_time=now)
-        if self.directions is TravelDirections.ONE_WAY:
-            direction = 1
+            speed, direction = 0.0, 0
         else:
-            direction = 1 if rng.random() < 0.5 else -1
-        speed = self.speed_sampler.sample(now, rng)
-        return Mobile(position, speed, direction, cell_id, position_time=now)
+            if self.directions is TravelDirections.ONE_WAY:
+                direction = 1
+            else:
+                direction = 1 if rng.random() < 0.5 else -1
+            speed = self.speed_sampler.sample(now, rng)
+        return Mobile(
+            position,
+            speed,
+            direction,
+            cell_id,
+            position_time=now,
+            mobile_id=mobile_id,
+        )
 
     def next_transition(
         self, mobile: Mobile, now: float, rng: random.Random | None = None
@@ -183,8 +195,12 @@ class HexMobilityModel:
         self.topology = topology
         self.population = population
         self._class_of: dict[int, PopulationClass] = {}
+        #: The id :meth:`spawn` gives the next mobile.
+        self.next_mobile_id = 0
 
     def spawn(self, cell_id: int, now: float, rng: random.Random) -> Mobile:
+        mobile_id = self.next_mobile_id
+        self.next_mobile_id = mobile_id + 1
         draw = rng.random()
         cumulative = 0.0
         chosen = self.population[-1]
@@ -194,14 +210,20 @@ class HexMobilityModel:
                 chosen = member
                 break
         if chosen.mean_sojourn <= 0:
-            mobile = Mobile(0.0, 0.0, 0, cell_id, position_time=now)
+            speed, heading = 0.0, 0
         else:
-            heading = rng.randrange(6)
             # Encode "speed" so is_moving holds; sojourns are sampled
             # directly, so only positivity matters.
-            mobile = Mobile(0.0, 1.0, heading, cell_id, position_time=now)
-        self._class_of[mobile.mobile_id] = chosen
-        return mobile
+            speed, heading = 1.0, rng.randrange(6)
+        self._class_of[mobile_id] = chosen
+        return Mobile(
+            0.0,
+            speed,
+            heading,
+            cell_id,
+            position_time=now,
+            mobile_id=mobile_id,
+        )
 
     def next_transition(
         self, mobile: Mobile, now: float, rng: random.Random | None = None

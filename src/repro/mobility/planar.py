@@ -120,29 +120,30 @@ class PlanarHexModel:
         self.speed_sampler = speed_sampler
         self.stationary_fraction = stationary_fraction
         self._trajectories: dict[int, _Trajectory] = {}
+        #: The id :meth:`spawn` gives the next mobile.
+        self.next_mobile_id = 0
 
     # ------------------------------------------------------------------
     # MobilityModel interface
     # ------------------------------------------------------------------
     def spawn(self, cell_id: int, now: float, rng: random.Random) -> Mobile:
+        mobile_id = self.next_mobile_id
+        self.next_mobile_id = mobile_id + 1
         x, y = self._sample_point_in_cell(cell_id, rng)
         if (
             self.stationary_fraction > 0.0
             and rng.random() < self.stationary_fraction
         ):
-            mobile = Mobile(0.0, 0.0, 0, cell_id, position_time=now)
-            self._trajectories[mobile.mobile_id] = _Trajectory(
-                x, y, now, 0.0, 0.0
-            )
-            return mobile
-        speed_kmh = self.speed_sampler.sample(now, rng)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        speed = speed_kmh / 3600.0
-        mobile = Mobile(0.0, speed_kmh, 0, cell_id, position_time=now)
-        self._trajectories[mobile.mobile_id] = _Trajectory(
-            x, y, now, speed * math.cos(angle), speed * math.sin(angle)
+            speed_kmh, vx, vy = 0.0, 0.0, 0.0
+        else:
+            speed_kmh = self.speed_sampler.sample(now, rng)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            speed = speed_kmh / 3600.0
+            vx, vy = speed * math.cos(angle), speed * math.sin(angle)
+        self._trajectories[mobile_id] = _Trajectory(x, y, now, vx, vy)
+        return Mobile(
+            0.0, speed_kmh, 0, cell_id, position_time=now, mobile_id=mobile_id
         )
-        return mobile
 
     def next_transition(
         self, mobile: Mobile, now: float, rng: random.Random | None = None

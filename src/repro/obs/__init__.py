@@ -36,12 +36,8 @@ from repro.obs.telemetry import (
     NullTelemetry,
     SectionTimer,
     Telemetry,
-    begin_run,
-    get_telemetry,
     merge_snapshots,
     new_run_id,
-    set_telemetry_enabled,
-    telemetry_enabled,
 )
 from repro.obs.timeseries import (
     TimeSeriesSampler,
@@ -54,12 +50,8 @@ from repro.obs.timeseries import (
 from repro.obs.trace import (
     NullTraceCollector,
     TraceCollector,
-    begin_trace,
-    get_tracer,
     merge_traces,
-    set_tracing_enabled,
     span_names,
-    tracing_enabled,
     write_trace,
 )
 
@@ -74,13 +66,9 @@ __all__ = [
     "Telemetry",
     "TimeSeriesSampler",
     "TraceCollector",
-    "begin_run",
-    "begin_trace",
     "configure_logging",
     "ensure_configured",
     "get_logger",
-    "get_telemetry",
-    "get_tracer",
     "iter_series",
     "merge_series",
     "merge_snapshots",
@@ -92,13 +80,9 @@ __all__ = [
     "run_dash",
     "series_summary",
     "set_run_id",
-    "set_telemetry_enabled",
-    "set_tracing_enabled",
     "snapshot_to_json",
     "span_names",
-    "telemetry_enabled",
     "to_prometheus",
-    "tracing_enabled",
     "write_series",
     "write_trace",
 ]

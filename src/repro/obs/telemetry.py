@@ -10,22 +10,17 @@ around two constraints:
   *count*; nothing reads the clock of, or schedules events on, the
   engine.  ``metrics_key()`` equality between telemetry-on and
   telemetry-off runs of the same scenario is enforced by tests.
-* **Telemetry-off must cost ~nothing.**  The module-level singleton
-  (guarded the same way :mod:`repro._kernel` guards kernel selection)
-  hands out shared no-op instruments when disabled, so instrumented
-  code paths pay one attribute access and an empty method call at most
-  — and the hottest paths (the engine's event loop, the estimator's
-  dispatch counters) use plain integer attributes that are harvested
-  into the registry once, at the end of the run.
+* **Telemetry-off must cost ~nothing.**  A disabled run holds a
+  :class:`NullTelemetry`, which hands out shared no-op instruments, so
+  instrumented code paths pay one attribute access and an empty method
+  call at most — and the hottest paths (the engine's event loop, the
+  estimator's dispatch counters) use plain integer attributes that are
+  harvested into the registry once, at the end of the run.
 
-Selection order for the enabled/disabled default:
-
-1. an explicit :func:`set_telemetry_enabled` call
-   (``SimulationConfig.telemetry`` and the ``--telemetry`` CLI flag
-   take this route per run);
-2. the ``REPRO_TELEMETRY`` environment variable (``1``/``true``/``on``
-   enables);
-3. disabled.
+Each run owns its registry: the simulator (or shard) builds one from
+``SimulationConfig.telemetry`` (the ``--telemetry`` flag) and hands it
+to what records into it.  Nothing here is process-wide, so what a run
+records never depends on what ran before it in the same process.
 
 Snapshots (:meth:`Telemetry.snapshot`) are plain JSON-able dicts; they
 ride on :class:`repro.simulation.metrics.SimulationResult` across
@@ -35,7 +30,6 @@ registries of a ``run_sweep(workers=N)`` back into one view.
 
 from __future__ import annotations
 
-import os
 import uuid
 from bisect import bisect_left
 from time import perf_counter
@@ -48,12 +42,8 @@ __all__ = [
     "NullTelemetry",
     "SectionTimer",
     "Telemetry",
-    "begin_run",
-    "get_telemetry",
     "merge_snapshots",
     "new_run_id",
-    "set_telemetry_enabled",
-    "telemetry_enabled",
 ]
 
 #: Default histogram bucket upper bounds (powers of two — sized for
@@ -355,9 +345,6 @@ class NullTelemetry:
         pass
 
 
-_NULL_TELEMETRY = NullTelemetry()
-
-
 def _split_key(key: str) -> tuple[str, dict[str, str]]:
     """Invert :func:`_key`: series key back to ``(name, labels)``."""
     brace = key.find("{")
@@ -395,57 +382,3 @@ def merge_snapshots(snapshots: Iterable[Mapping | None]) -> dict | None:
         return None
     merged.run_id = "+".join(run_ids)
     return merged.snapshot()
-
-
-# ----------------------------------------------------------------------
-# module-level selection (mirrors repro._kernel)
-# ----------------------------------------------------------------------
-_enabled: bool | None = None
-_active: Telemetry | NullTelemetry | None = None
-
-
-def telemetry_enabled() -> bool:
-    """The default enabled/disabled state, resolving lazily from the env."""
-    global _enabled
-    if _enabled is None:
-        _enabled = os.environ.get("REPRO_TELEMETRY", "").strip().lower() in (
-            "1",
-            "true",
-            "on",
-            "yes",
-        )
-    return _enabled
-
-
-def set_telemetry_enabled(flag: bool) -> None:
-    """Override the default for subsequent :func:`begin_run` calls."""
-    global _enabled
-    _enabled = bool(flag)
-
-
-def begin_run(
-    run_id: str | None = None, enabled: bool | None = None
-) -> Telemetry | NullTelemetry:
-    """Install (and return) a fresh registry for one simulation run.
-
-    ``enabled=None`` falls back to the module default (explicit call or
-    ``REPRO_TELEMETRY``).  The returned registry is also what
-    :func:`get_telemetry` hands out until the next ``begin_run`` — so a
-    simulator activates its registry *before* constructing the
-    subsystems that grab instrument handles.
-    """
-    global _active
-    if enabled is None:
-        enabled = telemetry_enabled()
-    _active = Telemetry(run_id) if enabled else _NULL_TELEMETRY
-    return _active
-
-
-def get_telemetry() -> Telemetry | NullTelemetry:
-    """The active registry (a shared no-op when telemetry is disabled)."""
-    global _active
-    if _active is None:
-        _active = (
-            Telemetry() if telemetry_enabled() else _NULL_TELEMETRY
-        )
-    return _active

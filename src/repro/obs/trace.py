@@ -8,11 +8,13 @@ envelope that https://ui.perfetto.dev (or ``chrome://tracing``) loads
 directly, so a barrier stall or a straggler shard shows up as a gap in
 the timeline instead of a number in a log.
 
-The module mirrors :mod:`repro.obs.telemetry`'s selection pattern — a
-per-run singleton installed by :func:`begin_trace` with a shared no-op
-twin when tracing is off — and the same hard rule: spans only read the
-wall clock, never the engine, so a traced run fires exactly the events
-an untraced one would (``metrics_key()`` parity is enforced by tests).
+Like the telemetry registry, a collector belongs to one run (or
+shard), which builds it from ``SimulationConfig.trace`` (the
+``--trace-out`` flag) — a :class:`NullTraceCollector` when tracing is
+off — and hands it to what records spans.  The same hard rule holds:
+spans only read the wall clock, never the engine, so a traced run fires
+exactly the events an untraced one would (``metrics_key()`` parity is
+enforced by tests).
 
 Timestamps come from :func:`time.perf_counter`, which is
 ``CLOCK_MONOTONIC`` on Linux: forked shard workers share its epoch, so
@@ -20,20 +22,11 @@ per-shard span streams merged by :func:`merge_traces` line up on one
 timeline without clock translation.  Each collector stamps its events
 with a ``pid`` lane (the shard index in spatial runs) for Perfetto's
 per-process tracks.
-
-Selection order for the enabled/disabled default:
-
-1. an explicit :func:`set_tracing_enabled` call
-   (``SimulationConfig.trace`` and the ``--trace-out`` CLI flag take
-   this route per run);
-2. the ``REPRO_TRACE`` environment variable (``1``/``true``/``on``);
-3. disabled.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Sequence
@@ -41,11 +34,7 @@ from typing import Iterable, Sequence
 __all__ = [
     "NullTraceCollector",
     "TraceCollector",
-    "begin_trace",
-    "get_tracer",
     "merge_traces",
-    "set_tracing_enabled",
-    "tracing_enabled",
     "write_trace",
 ]
 
@@ -180,9 +169,6 @@ class NullTraceCollector:
         return None
 
 
-_NULL_TRACER = NullTraceCollector()
-
-
 # ----------------------------------------------------------------------
 # merging + file output
 # ----------------------------------------------------------------------
@@ -256,56 +242,3 @@ def span_names(events: Iterable[dict] | None) -> set[str]:
     return {
         event["name"] for event in events if event.get("ph") == "X"
     }
-
-
-# ----------------------------------------------------------------------
-# module-level selection (mirrors repro.obs.telemetry)
-# ----------------------------------------------------------------------
-_enabled: bool | None = None
-_active: TraceCollector | NullTraceCollector | None = None
-
-
-def tracing_enabled() -> bool:
-    """The default enabled/disabled state, resolving lazily from the env."""
-    global _enabled
-    if _enabled is None:
-        _enabled = os.environ.get("REPRO_TRACE", "").strip().lower() in (
-            "1",
-            "true",
-            "on",
-            "yes",
-        )
-    return _enabled
-
-
-def set_tracing_enabled(flag: bool) -> None:
-    """Override the default for subsequent :func:`begin_trace` calls."""
-    global _enabled
-    _enabled = bool(flag)
-
-
-def begin_trace(
-    run_id: str = "",
-    enabled: bool | None = None,
-    pid: int = 0,
-) -> TraceCollector | NullTraceCollector:
-    """Install (and return) a fresh collector for one run (or shard).
-
-    ``enabled=None`` falls back to the module default (explicit call or
-    ``REPRO_TRACE``).  Like the telemetry registry, the simulator
-    activates its collector *before* constructing the subsystems that
-    grab tracer handles (the network does, for the flush-tick span).
-    """
-    global _active
-    if enabled is None:
-        enabled = tracing_enabled()
-    _active = TraceCollector(run_id=run_id, pid=pid) if enabled else _NULL_TRACER
-    return _active
-
-
-def get_tracer() -> TraceCollector | NullTraceCollector:
-    """The active collector (a shared no-op when tracing is disabled)."""
-    global _active
-    if _active is None:
-        _active = TraceCollector() if tracing_enabled() else _NULL_TRACER
-    return _active

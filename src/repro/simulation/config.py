@@ -101,7 +101,7 @@ class SimulationConfig:
 
     # --- observability ---------------------------------------------------
     #: Collect run telemetry (counters/gauges/histograms) into a snapshot
-    #: attached to the result.  Also enabled by ``REPRO_TELEMETRY=1``.
+    #: attached to the result (``--telemetry``).
     telemetry: bool = False
     #: Heartbeat progress lines at most this often (wall seconds);
     #: 0 disables.  Each line renders a time-series sampler row (with no
@@ -125,8 +125,8 @@ class SimulationConfig:
     #: shard processes append their own tagged rows to the same path.
     series_path: str = ""
     #: Record wall-clock spans (epoch barriers, flush ticks, checkpoint
-    #: publishes) as Chrome trace events attached to the result.  Also
-    #: enabled by ``REPRO_TRACE=1``.
+    #: publishes) as Chrome trace events attached to the result
+    #: (``--trace-out``).
     trace: bool = False
 
     #: Pre-warmed estimator state to hydrate the network with before the

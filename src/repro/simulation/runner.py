@@ -165,9 +165,11 @@ def execute(spec: RunSpec):
         from repro.state import save_checkpoint
 
         save_checkpoint(simulator, spec.save_state)
+        # Pick up the state.save timing and the checkpoint.publish span,
+        # recorded after the result took its snapshot and events.
+        if simulator.telemetry.enabled:
+            result.telemetry = simulator.telemetry.snapshot()
         if simulator.tracer.enabled:
-            # Pick up the checkpoint.publish span recorded after the
-            # result harvested its events.
             result.trace_events = simulator.tracer.events()
     if spec.trace_jsonl:
         _write_journal(spec.trace_jsonl, simulator.recorder.events)

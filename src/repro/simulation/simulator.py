@@ -53,9 +53,9 @@ from repro.mobility.models import (
 )
 from repro.mobility.speed import ProfileSpeedSampler, UniformSpeedSampler
 from repro.obs.logs import ensure_configured, set_run_id
-from repro.obs.telemetry import begin_run, new_run_id
+from repro.obs.telemetry import NullTelemetry, Telemetry, new_run_id
 from repro.obs.timeseries import TimeSeriesSampler, progress_renderer
-from repro.obs.trace import begin_trace
+from repro.obs.trace import NullTraceCollector, TraceCollector
 from repro.simulation.config import SimulationConfig, cell_load_weights
 from repro.simulation.metrics import (
     CellStatus,
@@ -75,15 +75,14 @@ from repro.traffic.connection import Connection, ConnectionState
 # the substrate a config describes (shared with the sharded engine)
 # ----------------------------------------------------------------------
 def begin_observability(config: SimulationConfig, shard: int | None = None):
-    """Select the kernel, then start the run's telemetry and tracer.
+    """Select the kernel, then build the run's telemetry and tracer.
 
-    Must run before any subsystem is built: the estimators grab
-    instrument handles and the network its flush-tick tracer handle at
-    construction.  ``config.kernel == "auto"`` resolves lazily via
-    REPRO_KERNEL/numpy availability, an explicit choice overrides the
-    environment; ``config.telemetry``/``config.trace`` force collection
-    on, otherwise the module defaults decide.  A shard gets its own
-    ``-s<index>`` run id and Perfetto ``pid`` lane.  Returns
+    ``config.kernel == "auto"`` resolves lazily via REPRO_KERNEL/numpy
+    availability, an explicit choice overrides the environment.
+    ``config.telemetry``/``config.trace`` turn collection on; off, the
+    run gets the no-op twins.  A shard gets its own ``-s<index>`` run id
+    and Perfetto ``pid`` lane.  Nothing is installed process-wide: the
+    caller hands the two to what it builds.  Returns
     ``(run_id, telemetry, tracer)``.
     """
     if config.kernel == "auto":
@@ -94,26 +93,30 @@ def begin_observability(config: SimulationConfig, shard: int | None = None):
     requested = config.run_id or None
     if shard is not None:
         requested = f"{requested or new_run_id()}-s{shard}"
-    telemetry = begin_run(
-        run_id=requested, enabled=True if config.telemetry else None
-    )
+    telemetry = Telemetry(requested) if config.telemetry else NullTelemetry()
     run_id = telemetry.run_id or requested or new_run_id()
     if shard is None:
         set_run_id(run_id)
     # Spans read only the wall clock, so tracing can never perturb the
     # simulation.
-    tracer = begin_trace(
-        run_id=run_id,
-        enabled=True if config.trace else None,
-        pid=shard or 0,
+    tracer = (
+        TraceCollector(run_id=run_id, pid=shard or 0)
+        if config.trace
+        else NullTraceCollector()
     )
     return run_id, telemetry, tracer
 
 
 def build_network(
-    config: SimulationConfig, topology, cell_factory=None, hydrate_cells=None
+    config: SimulationConfig,
+    topology,
+    telemetry,
+    tracer,
+    cell_factory=None,
+    hydrate_cells=None,
 ) -> CellularNetwork:
-    """The cells and base stations of ``config`` over ``topology``.
+    """The cells and base stations of ``config`` over ``topology``,
+    recording into the run's ``telemetry`` and ``tracer``.
 
     ``config.warm_state`` (campaign days and replication shards start
     from an earlier run's estimator history, see :mod:`repro.state`)
@@ -136,6 +139,7 @@ def build_network(
         cell_factory=cell_factory,
         handoff_overload=config.handoff_overload,
     )
+    network.instrument(telemetry, tracer)
     if config.warm_state is not None:
         config.warm_state.hydrate(network, cells=hydrate_cells)
     return network
@@ -339,7 +343,9 @@ class CellularSimulator:
             self.topology = LinearTopology(
                 config.num_cells, config.cell_diameter_km, ring=config.ring
             )
-        self.network = build_network(config, self.topology)
+        self.network = build_network(
+            config, self.topology, self.telemetry, self.tracer
+        )
         if policy is not None:
             self.policy = policy
         elif config.scheme.lower() == "static":
@@ -382,6 +388,9 @@ class CellularSimulator:
             config, self.topology.num_cells, config.tracked_cells
         )
         self.active_connections: dict[int, Connection] = {}
+        #: The id :meth:`admit_request` gives the next connection
+        #: (checkpoints carry it).
+        self.next_connection_id = 0
         self._finished = False
         #: Set by :func:`repro.state.restore_simulator`: the queue is
         #: already populated, so :meth:`run` must skip the initial
@@ -496,7 +505,9 @@ class CellularSimulator:
                 mobile=mobile,
                 prev_cell=None,
                 cell_entry_time=now,
+                connection_id=self.next_connection_id,
             )
+            self.next_connection_id += 1
             # The wired backbone may veto an accept.
             if self.backbone is not None and not self.backbone.admit_new(
                 connection, cell_id, now

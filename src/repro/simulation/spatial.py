@@ -408,7 +408,7 @@ class ShardEngine:
         self.duration = config.duration
         self.adaptive = config.scheme.lower() != "static"
         # Telemetry and the span tracer (one Perfetto ``pid`` lane per
-        # shard) start before the network grabs its handles.
+        # shard), handed to the network below.
         run_id, self.telemetry, self.tracer = begin_observability(
             config, shard=index
         )
@@ -434,6 +434,8 @@ class ShardEngine:
         self.network = build_network(
             config,
             self.topology,
+            self.telemetry,
+            self.tracer,
             cell_factory=columnar_cell,
             hydrate_cells=self._owned_set,
         )

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from repro.des.random import RandomStreams
-from repro.obs import get_logger, get_telemetry
+from repro.obs import get_logger
 from repro.simulation.runner import RunSpec, execute
 from repro.state.checkpoint import CheckpointWarmStart
 from repro.state.format import StateFormatError, load_manifest
@@ -166,9 +166,6 @@ def run_campaign(
             reports.append(report)
             report_file.write(json.dumps(asdict(report)) + "\n")
             report_file.flush()
-            telemetry = get_telemetry()
-            if telemetry.enabled:
-                telemetry.counter("state.campaign_days").inc()
             _log.info(
                 "campaign day complete",
                 extra={

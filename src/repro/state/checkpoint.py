@@ -41,9 +41,9 @@ from repro.des.engine import Engine
 from repro.des.events import EventPriority
 from repro.estimation.estimator import MobilityEstimator
 from repro.estimation.function import HandoffEstimationFunction, _Mass
-from repro.mobility.mobile import Mobile, peek_mobile_ids, reset_mobile_ids
+from repro.mobility.mobile import Mobile
 from repro.mobility.models import LinearMobilityModel, Transition
-from repro.obs import get_logger, get_telemetry, get_tracer
+from repro.obs import get_logger
 from repro.simulation.metrics import CellCounters, HourlyBucket, TracePoint
 from repro.state.format import (
     FORMAT_NAME,
@@ -62,11 +62,7 @@ from repro.state.format import (
     unpack_cell_blob,
 )
 from repro.traffic.classes import ADAPTIVE_VIDEO, VIDEO, VOICE
-from repro.traffic.connection import (
-    Connection,
-    peek_connection_ids,
-    reset_connection_ids,
-)
+from repro.traffic.connection import Connection
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.simulator import CellularSimulator
@@ -266,8 +262,8 @@ def _require_checkpointable(sim: "CellularSimulator") -> None:
     if type(sim.mobility) is not LinearMobilityModel:
         raise CheckpointError(
             f"cannot checkpoint mobility model "
-            f"{type(sim.mobility).__name__}: only the stateless "
-            f"LinearMobilityModel is supported"
+            f"{type(sim.mobility).__name__}: only LinearMobilityModel, "
+            f"whose one piece of state is its next mobile id, is supported"
         )
     for station in sim.network.stations:
         if type(station.estimator) is not MobilityEstimator:
@@ -461,8 +457,8 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
             name: _encode_rng(sim.streams.get(name).getstate())
             for name in sim.streams.names()
         },
-        "next_connection_id": peek_connection_ids(),
-        "next_mobile_id": peek_mobile_ids(),
+        "next_connection_id": sim.next_connection_id,
+        "next_mobile_id": sim.mobility.next_mobile_id,
         "policy": {
             "name": sim.policy.name,
             **{
@@ -541,12 +537,15 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
 
 
 def save_checkpoint(sim: "CellularSimulator", path: str | Path) -> Path:
-    """Capture ``sim`` and atomically publish it as directory ``path``."""
-    telemetry = get_telemetry()
-    tracer = get_tracer()
+    """Capture ``sim`` and atomically publish it as directory ``path``.
+
+    The save is timed into the simulator's own registry
+    (``state.save``, ``state.checkpoints{op="save"}``).
+    """
+    telemetry = sim.telemetry
     started = wall_clock.perf_counter()
     files = capture_state(sim)
-    with tracer.span(
+    with sim.tracer.span(
         "checkpoint.publish", files=len(files), t=round(sim.engine.now, 3)
     ):
         target = publish_state_dir(path, files)
@@ -676,7 +675,6 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
     """
     from repro.simulation.simulator import CellularSimulator
 
-    telemetry = get_telemetry()
     started = wall_clock.perf_counter()
     path = Path(path)
     manifest = load_manifest(path)
@@ -709,8 +707,9 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
         sim.streams.get(name).setstate(
             (version, tuple(internal), gauss)
         )
-    reset_connection_ids(runtime["next_connection_id"])
-    reset_mobile_ids(runtime["next_mobile_id"])
+    # A checkpoint's saved next ids are at least every id it holds.
+    sim.next_connection_id = runtime["next_connection_id"]
+    sim.mobility.next_mobile_id = runtime["next_mobile_id"]
     if sim.policy.name != runtime["policy"]["name"]:
         raise StateFormatError(
             f"checkpoint used policy {runtime['policy']['name']!r}, "
@@ -753,6 +752,7 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
     _restore_queue(sim, runtime, connections)
     sim._resumed = True
     elapsed = wall_clock.perf_counter() - started
+    telemetry = sim.telemetry
     if telemetry.enabled:
         timer = telemetry.timer("state.load")
         timer.seconds += elapsed
@@ -936,9 +936,10 @@ class CheckpointWarmStart:
                     windows[station.cell_id]["window"],
                     include_history=False,
                 )
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.counter("state.checkpoints", op="warm_start").inc()
+        if network.telemetry.enabled:
+            network.telemetry.counter(
+                "state.checkpoints", op="warm_start"
+            ).inc()
         _log.info(
             "warm state hydrated",
             extra={

@@ -16,11 +16,7 @@ from repro.traffic.classes import (
     TrafficClass,
     TrafficMix,
 )
-from repro.traffic.connection import (
-    Connection,
-    ConnectionState,
-    reset_connection_ids,
-)
+from repro.traffic.connection import Connection, ConnectionState
 from repro.traffic.profiles import (
     DayProfile,
     constant_profile,
@@ -47,5 +43,4 @@ __all__ = [
     "constant_profile",
     "paper_load_profile",
     "paper_speed_profile",
-    "reset_connection_ids",
 ]

@@ -27,38 +27,6 @@ class ConnectionState(enum.Enum):
     EXITED = "exited"        # mobile drove off an open road's end
 
 
-class _IdCounter:
-    """``itertools.count`` with a readable/settable position.
-
-    The checkpoint store (``repro.state``) must capture the next id to
-    be issued without consuming it, and restore it in a fresh process so
-    resumed runs keep allocating non-colliding, bit-identical ids.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, start: int = 0) -> None:
-        self.value = start
-
-    def __next__(self) -> int:
-        value = self.value
-        self.value = value + 1
-        return value
-
-
-_connection_ids = _IdCounter()
-
-
-def reset_connection_ids(start: int = 0) -> None:
-    """Restart the global id sequence (test isolation / state restore)."""
-    _connection_ids.value = start
-
-
-def peek_connection_ids() -> int:
-    """Next connection id to be issued, without consuming it."""
-    return _connection_ids.value
-
-
 @dataclass(slots=True)
 class Connection:
     """One admitted connection and its per-cell session state.
@@ -83,6 +51,10 @@ class Connection:
         birth cell, last hand-off time afterwards.
     mobile:
         The moving terminal (``None`` for strictly stationary users).
+    connection_id:
+        Keyword only.  Unique within one run: the simulator that admits
+        the connection issues it (checkpoint restore passes the saved
+        one back).
     """
 
     traffic_class: TrafficClass
@@ -91,7 +63,7 @@ class Connection:
     mobile: "Mobile | None" = None
     prev_cell: int | None = None
     cell_entry_time: float = 0.0
-    connection_id: int = field(default_factory=lambda: next(_connection_ids))
+    connection_id: int = field(kw_only=True)
     state: ConnectionState = ConnectionState.ACTIVE
     end_time: float | None = None
     handoff_count: int = 0

@@ -1,5 +1,7 @@
 """Unit tests for the base-station control plane (Eqs. 5-6 protocol)."""
 
+from itertools import count
+
 import pytest
 
 from repro.cellular.network import CellularNetwork
@@ -7,6 +9,9 @@ from repro.cellular.topology import LinearTopology
 from repro.estimation.cache import CacheConfig
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 
 def make_network(num_cells=4):
@@ -24,6 +29,7 @@ def attach(network, cell_id, traffic_class, entry_time, prev=None):
         cell_id=cell_id,
         prev_cell=prev,
         cell_entry_time=entry_time,
+        connection_id=next(_ids),
     )
     network.cell(cell_id).attach(connection)
     return connection

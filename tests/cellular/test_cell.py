@@ -1,14 +1,24 @@
 """Unit tests for per-cell bandwidth accounting."""
 
+from itertools import count
+
 import pytest
 
 from repro.cellular.cell import CapacityError, Cell
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
 
+#: Connection ids, unique across this module's tests.
+_ids = count()
+
 
 def connection(traffic_class=VOICE, cell_id=0):
-    return Connection(traffic_class, start_time=0.0, cell_id=cell_id)
+    return Connection(
+        traffic_class,
+        start_time=0.0,
+        cell_id=cell_id,
+        connection_id=next(_ids),
+    )
 
 
 def test_initial_state():

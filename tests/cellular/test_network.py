@@ -56,8 +56,8 @@ def test_works_with_hex_topology():
 
 def test_total_used_bandwidth():
     network = CellularNetwork(LinearTopology(3))
-    network.cell(0).attach(Connection(VIDEO, 0.0, 0))
-    network.cell(2).attach(Connection(VIDEO, 0.0, 2))
+    network.cell(0).attach(Connection(VIDEO, 0.0, 0, connection_id=0))
+    network.cell(2).attach(Connection(VIDEO, 0.0, 2, connection_id=1))
     assert network.total_used_bandwidth() == 8.0
 
 

@@ -11,6 +11,7 @@ too.
 """
 
 import random
+from itertools import count
 
 import pytest
 
@@ -23,6 +24,9 @@ from repro.estimation.estimator import KnownPathEstimator, MobilityEstimator
 from repro.simulation.columnar import ColumnarCell, ConnectionStore
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 
 def build_network(seed=1, interval=None):
@@ -42,6 +46,7 @@ def build_network(seed=1, interval=None):
                 Connection(
                     VOICE, 0.0, neighbor,
                     cell_entry_time=rng.uniform(0.0, 90.0),
+                    connection_id=next(_ids),
                 )
             )
     network.station(0).window.t_est = 10.0
@@ -172,6 +177,7 @@ class TestGroupedFlush:
                     Connection(
                         VOICE, 0.0, supplier,
                         cell_entry_time=102.0 + offset,
+                        connection_id=next(_ids),
                     )
                 )
         tick(network, 103.0, targets)
@@ -202,6 +208,7 @@ def test_randomized_history_matches_naive(seed, interval):
                     Connection(
                         VOICE, entry, 1,
                         prev_cell=prev, cell_entry_time=entry,
+                        connection_id=next(_ids),
                     )
                 )
         elif action < 0.5:
@@ -249,6 +256,7 @@ def test_randomized_history_grouped_tick_matches_sequential(seed):
                     Connection(
                         VOICE, entry, 1,
                         prev_cell=prev, cell_entry_time=entry,
+                        connection_id=next(_ids),
                     )
                 )
         elif action < 0.6:
@@ -327,6 +335,7 @@ def build_mixed_network(columnar, seed):
                     Connection(
                         VIDEO if video else VOICE, 0.0, cell_id,
                         prev_cell=prev, cell_entry_time=entry,
+                        connection_id=next(_ids),
                     )
                 )
                 continue

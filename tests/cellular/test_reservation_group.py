@@ -4,15 +4,21 @@ of the tick's Eq. 5 walk.
 Only the reservation tick reads the buckets, so only it can build them.
 """
 
+from itertools import count
+
 from repro.cellular.cell import Cell
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_serials = count()
 
 
 def _attach(cell, entry_time, prev=None, traffic_class=VOICE):
     connection = Connection(
         traffic_class, 0.0, cell.cell_id,
         prev_cell=prev, cell_entry_time=entry_time,
+        connection_id=next(_serials),
     )
     cell.attach(connection)
     return connection

@@ -1,4 +1,4 @@
-"""Shared fixtures: isolated global id counters, a file corrupter, the
+"""Shared fixtures: column-band shard plans, a file corrupter, the
 literal AC1-AC3, and the snapshot-walk-only reference."""
 
 from contextlib import contextmanager
@@ -6,15 +6,6 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.admission import AdmissionDecision, AdmissionPolicy
-from repro.mobility.mobile import reset_mobile_ids
-from repro.traffic.connection import reset_connection_ids
-
-
-@pytest.fixture(autouse=True)
-def _fresh_id_counters():
-    reset_connection_ids()
-    reset_mobile_ids()
-    yield
 
 
 def _column_bands(topology, shards, weights=None):

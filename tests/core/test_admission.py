@@ -1,5 +1,7 @@
 """Unit tests for Static/AC1/AC2/AC3 admission control."""
 
+from itertools import count
+
 import pytest
 
 from repro.cellular.network import CellularNetwork
@@ -14,6 +16,9 @@ from repro.core.admission import (
 from repro.estimation.cache import CacheConfig
 from repro.traffic.classes import VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 
 def make_network(num_cells=4, capacity=100.0, ring=True):
@@ -34,6 +39,7 @@ def fill(network, cell_id, bandwidth_units, entry_time=0.0, prev=None):
             cell_id=cell_id,
             prev_cell=prev,
             cell_entry_time=entry_time,
+            connection_id=next(_ids),
         )
         network.cell(cell_id).attach(connection)
         connections.append(connection)

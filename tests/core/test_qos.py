@@ -1,5 +1,7 @@
 """Unit tests for the QoS adaptation layer."""
 
+from itertools import count
+
 import pytest
 
 from repro.cellular.network import CellularNetwork
@@ -14,6 +16,9 @@ from repro.traffic.classes import (
 )
 from repro.traffic.connection import Connection
 
+#: Connection ids, unique across this module's tests.
+_ids = count()
+
 
 def make_network(capacity=10.0):
     return CellularNetwork(
@@ -24,11 +29,18 @@ def make_network(capacity=10.0):
 
 
 def adaptive_connection(cell_id=0):
-    return Connection(ADAPTIVE_VIDEO, start_time=0.0, cell_id=cell_id)
+    return Connection(
+        ADAPTIVE_VIDEO,
+        start_time=0.0,
+        cell_id=cell_id,
+        connection_id=next(_ids),
+    )
 
 
 def voice_connection(cell_id=0):
-    return Connection(VOICE, start_time=0.0, cell_id=cell_id)
+    return Connection(
+        VOICE, start_time=0.0, cell_id=cell_id, connection_id=next(_ids)
+    )
 
 
 class TestAdaptiveClass:

@@ -1,5 +1,6 @@
 """Unit tests for the Naghshineh–Schwartz comparator policy."""
 
+import itertools
 import math
 
 import pytest
@@ -14,6 +15,9 @@ from repro.core.related import (
 from repro.estimation.cache import CacheConfig
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_ids = itertools.count()
 
 
 class TestConvolution:
@@ -58,7 +62,9 @@ def make_network(capacity=10.0):
 def fill(network, cell_id, count, traffic_class=VOICE):
     for _ in range(count):
         network.cell(cell_id).attach(
-            Connection(traffic_class, 0.0, cell_id)
+            Connection(
+                traffic_class, 0.0, cell_id, connection_id=next(_ids)
+            )
         )
 
 

@@ -12,6 +12,8 @@ suppliers in one batch, :class:`ColumnarCell` rows, and the buckets a
 checkpoint restore rebuilds.
 """
 
+from itertools import count
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,9 @@ from repro.simulation.simulator import CellularSimulator
 from repro.state import restore_simulator, save_checkpoint
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 NOW = 1_000.0
 #: Dyadic values: ``NOW - (NOW - x) == x`` and their sums are exact, so
@@ -100,6 +105,7 @@ class _Rows:
             return Connection(
                 VIDEO if video else VOICE, 0.0, 5,
                 prev_cell=prev, cell_entry_time=NOW - extant,
+                connection_id=next(_ids),
             )
         row = self.store.alloc()
         columns = self.store.columns

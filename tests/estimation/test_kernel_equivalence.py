@@ -13,6 +13,7 @@ Eq. 4 query.  Neither path needs numpy.
 """
 
 import random
+from itertools import count
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,9 @@ from repro.estimation.cache import CacheConfig
 from repro.estimation.estimator import MobilityEstimator
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 NOW = 1_000.0
 
@@ -54,7 +58,10 @@ def cell_of(entries, prev=1):
     cell = Cell(5, capacity=10_000.0)
     for entry in entries:
         cell.attach(
-            Connection(VOICE, 0.0, 5, prev_cell=prev, cell_entry_time=entry)
+            Connection(
+                VOICE, 0.0, 5, prev_cell=prev, cell_entry_time=entry,
+                connection_id=next(_ids),
+            )
         )
     return cell
 
@@ -162,6 +169,7 @@ def test_grouped_expected_bandwidth_identical_across_kernels(seed, t_est):
                 5,
                 prev_cell=rng.choice((None, 1, 2)),
                 cell_entry_time=rng.uniform(0.0, NOW),
+                connection_id=next(_ids),
             )
         )
     requests = [(0, t_est), (2, t_est / 2), (3, 0.0), (0, 2 * t_est)]
@@ -264,6 +272,7 @@ def test_pruned_rows_through_detach_and_reattach(
         connection = Connection(
             traffic_class, 0.0, 5, prev_cell=prev,
             cell_entry_time=NOW - extant,
+            connection_id=next(_ids),
         )
         cell.attach(connection)
         attached.append(connection)
@@ -297,6 +306,7 @@ def test_detach_and_reattach_are_reached():
             VIDEO if index % 3 else VOICE, 0.0, 5,
             prev_cell=(None, 1, 2, 3)[index % 4],
             cell_entry_time=NOW - 7.0 * index,
+            connection_id=next(_ids),
         )
         for index in range(12)
     ]
@@ -332,6 +342,7 @@ def test_empty_key_column_registers_nothing(population, requests, items):
             Connection(
                 traffic_class, 0.0, 5, prev_cell=prev,
                 cell_entry_time=NOW - extant,
+                connection_id=next(_ids),
             )
         )
     batch = FlushBatch()
@@ -363,6 +374,7 @@ def test_suppliers_share_one_batch(items, tables, requests):
                 Connection(
                     traffic_class, 0.0, 5, prev_cell=prev,
                     cell_entry_time=NOW - extant,
+                    connection_id=next(_ids),
                 )
             )
         cells.append(cell)

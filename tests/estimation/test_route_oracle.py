@@ -1,9 +1,14 @@
 """Tests for the route-oracle Eq. 5 path (KnownPathEstimator, §7)."""
 
+from itertools import count
+
 import pytest
 
 from repro.estimation.cache import CacheConfig
 from repro.estimation.estimator import KnownPathEstimator, MobilityEstimator
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 
 class FakeConnection:
@@ -85,7 +90,8 @@ def test_oracle_uses_reservation_basis():
 
     estimator = populated(route_oracle=lambda c: 0)
     connection = Connection(
-        ADAPTIVE_VIDEO, 0.0, cell_id=1, prev_cell=1, cell_entry_time=980.0
+        ADAPTIVE_VIDEO, 0.0, cell_id=1, prev_cell=1, cell_entry_time=980.0,
+        connection_id=next(_ids),
     )
     value = estimator.expected_bandwidth(1000.0, [connection], 0, 15.0)
     # Adaptive video reserves its 1-BU floor, not its 4-BU full rate.

@@ -71,57 +71,60 @@ class TestSpawn:
 class TestCrossing:
     def test_crossing_time_from_distance(self):
         model = make_model(speed=36.0)  # 0.01 km/s
-        mobile = Mobile(0.5, 36.0, 1, 0)
+        mobile = Mobile(0.5, 36.0, 1, 0, mobile_id=0)
         transition = model.next_transition(mobile, now=100.0)
         assert transition.time == pytest.approx(100.0 + 50.0)
         assert transition.next_cell == 1
 
     def test_backward_crossing(self):
         model = make_model(speed=36.0)
-        mobile = Mobile(2.25, 36.0, -1, 2)
+        mobile = Mobile(2.25, 36.0, -1, 2, mobile_id=0)
         transition = model.next_transition(mobile, now=0.0)
         assert transition.time == pytest.approx(25.0)
         assert transition.next_cell == 1
 
     def test_ring_wrap_forward(self):
         model = make_model(speed=36.0)
-        mobile = Mobile(9.5, 36.0, 1, 9)
+        mobile = Mobile(9.5, 36.0, 1, 9, mobile_id=0)
         transition = model.next_transition(mobile, now=0.0)
         assert transition.next_cell == 0
 
     def test_ring_wrap_backward(self):
         model = make_model(speed=36.0)
-        mobile = Mobile(0.5, 36.0, -1, 0)
+        mobile = Mobile(0.5, 36.0, -1, 0, mobile_id=0)
         transition = model.next_transition(mobile, now=0.0)
         assert transition.next_cell == 9
 
     def test_open_road_exit(self):
         model = make_model(ring=False, speed=36.0)
-        mobile = Mobile(9.5, 36.0, 1, 9)
+        mobile = Mobile(9.5, 36.0, 1, 9, mobile_id=0)
         transition = model.next_transition(mobile, now=0.0)
         assert transition.next_cell == EXIT_CELL
 
     def test_boundary_pinned_mobile_traverses_full_cell(self):
         model = make_model(speed=36.0)
         # Placed exactly on cell 1's left edge moving right.
-        mobile = Mobile(1.0, 36.0, 1, 1)
+        mobile = Mobile(1.0, 36.0, 1, 1, mobile_id=0)
         transition = model.next_transition(mobile, now=0.0)
         assert transition.time == pytest.approx(100.0)
         assert transition.next_cell == 2
 
     def test_crossing_position_forward_and_backward(self):
         model = make_model()
-        assert model.crossing_position(Mobile(2.3, 36.0, 1, 2)) == 3.0
-        assert model.crossing_position(Mobile(2.3, 36.0, -1, 2)) == 2.0
+        east = Mobile(2.3, 36.0, 1, 2, mobile_id=0)
+        west = Mobile(2.3, 36.0, -1, 2, mobile_id=1)
+        assert model.crossing_position(east) == 3.0
+        assert model.crossing_position(west) == 2.0
 
     def test_crossing_position_wraps(self):
         model = make_model()
-        assert model.crossing_position(Mobile(9.5, 36.0, 1, 9)) == 0.0
+        mobile = Mobile(9.5, 36.0, 1, 9, mobile_id=0)
+        assert model.crossing_position(mobile) == 0.0
 
     def test_sequence_of_crossings_is_periodic(self):
         """After the first partial cell, crossings are one diameter apart."""
         model = make_model(speed=36.0)
-        mobile = Mobile(0.25, 36.0, 1, 0)
+        mobile = Mobile(0.25, 36.0, 1, 0, mobile_id=0)
         now = 0.0
         times = []
         for _ in range(4):

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.cellular.topology import LinearTopology
 from repro.mobility.mobile import Mobile
-from repro.mobility.speed import ProfileSpeedSampler
+from repro.mobility.models import LinearMobilityModel
+from repro.mobility.speed import ConstantSpeedSampler, ProfileSpeedSampler
 from repro.traffic.profiles import DayProfile
 
 
@@ -34,25 +36,31 @@ def test_negative_half_width_rejected():
 
 class TestMobile:
     def test_speed_conversion(self):
-        mobile = Mobile(0.0, 36.0, 1, 0)
+        mobile = Mobile(0.0, 36.0, 1, 0, mobile_id=0)
         assert mobile.speed_km_per_s == pytest.approx(0.01)
 
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
-            Mobile(0.0, -1.0, 1, 0)
+            Mobile(0.0, -1.0, 1, 0, mobile_id=0)
 
     def test_is_moving(self):
-        assert Mobile(0.0, 10.0, 1, 0).is_moving
-        assert not Mobile(0.0, 0.0, 0, 0).is_moving
+        assert Mobile(0.0, 10.0, 1, 0, mobile_id=0).is_moving
+        assert not Mobile(0.0, 0.0, 0, 0, mobile_id=0).is_moving
 
     def test_place_updates_state(self):
-        mobile = Mobile(0.0, 36.0, 1, 0)
+        mobile = Mobile(0.0, 36.0, 1, 0, mobile_id=0)
         mobile.place(3.0, 3, now=50.0)
         assert mobile.position_km == 3.0
         assert mobile.cell_id == 3
         assert mobile.position_time == 50.0
 
     def test_ids_unique(self):
-        first = Mobile(0.0, 1.0, 1, 0)
-        second = Mobile(0.0, 1.0, 1, 0)
-        assert first.mobile_id != second.mobile_id
+        # The mobility model that spawns a mobile numbers it, from 0.
+        for _ in range(2):
+            model = LinearMobilityModel(
+                LinearTopology(3), ConstantSpeedSampler(36.0)
+            )
+            rng = random.Random(0)
+            first = model.spawn(0, 0.0, rng)
+            second = model.spawn(1, 0.0, rng)
+            assert (first.mobile_id, second.mobile_id) == (0, 1)

@@ -1,9 +1,9 @@
-"""Isolate the module-level observability state between tests.
+"""Isolate the module-level logging state between tests.
 
-Both :mod:`repro.obs.logs` and :mod:`repro.obs.telemetry` keep module
-singletons (the installed handler, the active registry, the enabled
-default); tests here mutate them freely, so save and restore around
-every test to keep the rest of the suite unaffected.
+:mod:`repro.obs.logs` keeps module singletons (the installed handler,
+the configured flag, the current run id) because Python's logging
+handlers are process-global; tests here mutate them freely, so save and
+restore around every test to keep the rest of the suite unaffected.
 """
 
 import logging
@@ -11,8 +11,6 @@ import logging
 import pytest
 
 import repro.obs.logs as logs_module
-import repro.obs.telemetry as telemetry_module
-import repro.obs.trace as trace_module
 
 
 @pytest.fixture(autouse=True)
@@ -24,8 +22,6 @@ def _isolate_obs_state():
         logs_module._current_run_id,
     )
     saved_root = (root.level, root.propagate, list(root.handlers))
-    saved_telemetry = (telemetry_module._enabled, telemetry_module._active)
-    saved_trace = (trace_module._enabled, trace_module._active)
     manager = logging.Logger.manager
     saved_levels = {
         name: logger.level
@@ -46,5 +42,3 @@ def _isolate_obs_state():
     root.setLevel(saved_root[0])
     root.propagate = saved_root[1]
     root.handlers = saved_root[2]
-    telemetry_module._enabled, telemetry_module._active = saved_telemetry
-    trace_module._enabled, trace_module._active = saved_trace

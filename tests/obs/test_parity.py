@@ -5,7 +5,6 @@ run, a telemetry-off run, and a progress-reporting run of the same
 scenario produce bit-identical ``metrics_key()`` dictionaries.
 """
 
-from repro.obs.telemetry import set_telemetry_enabled
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import run_sweep
 from repro.simulation.scenarios import stationary
@@ -20,7 +19,6 @@ def _scenario(**overrides):
 
 class TestTelemetryParity:
     def test_metrics_identical_on_and_off(self):
-        set_telemetry_enabled(False)
         off = simulate(_scenario())
         on = simulate(_scenario(telemetry=True))
         assert off.telemetry is None

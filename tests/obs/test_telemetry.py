@@ -2,19 +2,16 @@
 
 import pytest
 
-import repro.obs.telemetry as telemetry_module
 from repro.obs.telemetry import (
     DEFAULT_BUCKETS,
     Histogram,
     NullTelemetry,
     Telemetry,
-    begin_run,
-    get_telemetry,
     merge_snapshots,
     new_run_id,
-    set_telemetry_enabled,
-    telemetry_enabled,
 )
+from repro.simulation.config import SimulationConfig
+from repro.simulation.simulator import begin_observability
 
 
 class TestInstruments:
@@ -167,31 +164,20 @@ class TestSnapshotMerge:
             merge_snapshots([first, other.snapshot()])
 
 
-class TestSingleton:
-    def test_begin_run_installs_registry(self):
-        registry = begin_run(run_id="abc", enabled=True)
-        assert registry is get_telemetry()
-        assert registry.enabled
-        assert registry.run_id == "abc"
-        disabled = begin_run(enabled=False)
-        assert disabled is get_telemetry()
-        assert not disabled.enabled
+class TestRunOwnership:
+    def test_each_run_builds_its_own_registry(self):
+        config = SimulationConfig(telemetry=True, run_id="abc")
+        _, first, _ = begin_observability(config)
+        _, second, _ = begin_observability(config)
+        assert first.enabled and second.enabled
+        assert first is not second
+        assert first.run_id == "abc"
+        first.counter("state.save").inc()
+        assert second.snapshot()["counters"] == {}
 
-    def test_set_enabled_controls_default(self):
-        set_telemetry_enabled(True)
-        assert telemetry_enabled()
-        assert begin_run().enabled
-        set_telemetry_enabled(False)
-        assert not telemetry_enabled()
-        assert not begin_run().enabled
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        telemetry_module._enabled = None  # force re-resolution
-        assert telemetry_enabled()
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        telemetry_module._enabled = None
-        assert not telemetry_enabled()
+    def test_disabled_config_gets_the_no_op_twin(self):
+        _, telemetry, _ = begin_observability(SimulationConfig())
+        assert isinstance(telemetry, NullTelemetry)
 
     def test_run_ids_unique(self):
         assert new_run_id() != new_run_id()

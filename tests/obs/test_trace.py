@@ -4,18 +4,15 @@ import json
 
 import pytest
 
-import repro.obs.trace as trace_module
 from repro.obs.trace import (
     NullTraceCollector,
     TraceCollector,
-    begin_trace,
-    get_tracer,
     merge_traces,
-    set_tracing_enabled,
     span_names,
-    tracing_enabled,
     write_trace,
 )
+from repro.simulation.config import SimulationConfig
+from repro.simulation.simulator import begin_observability
 
 
 class TestTraceCollector:
@@ -126,26 +123,15 @@ class TestWriteTrace:
 
 
 class TestSelection:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        trace_module._enabled = None
-        trace_module._active = None
-        assert not tracing_enabled()
-        assert isinstance(get_tracer(), NullTraceCollector)
+    def test_disabled_by_default(self):
+        _, _, tracer = begin_observability(SimulationConfig())
+        assert isinstance(tracer, NullTraceCollector)
 
-    def test_env_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        trace_module._enabled = None
-        assert tracing_enabled()
-        assert isinstance(begin_trace("cafe"), TraceCollector)
-
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        trace_module._enabled = None
-        set_tracing_enabled(False)
-        assert isinstance(begin_trace(), NullTraceCollector)
-
-    def test_begin_trace_installs_the_active_collector(self):
-        tracer = begin_trace("cafe", enabled=True, pid=7)
-        assert get_tracer() is tracer
+    def test_config_enables_one_collector_per_run(self):
+        config = SimulationConfig(trace=True, run_id="cafe")
+        _, _, tracer = begin_observability(config, shard=7)
+        _, _, other = begin_observability(config, shard=7)
+        assert isinstance(tracer, TraceCollector)
+        assert tracer is not other
         assert tracer.pid == 7
+        assert tracer.run_id == "cafe-s7"

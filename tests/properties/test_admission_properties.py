@@ -7,6 +7,8 @@ each — one batched reservation tick per test — decides, counts and
 installs exactly what §4.3 transcribed literally does.
 """
 
+from itertools import count
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,9 @@ from repro.core.admission import AC1, AC2, AC3
 from repro.estimation.cache import CacheConfig
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 cell_loads = st.lists(
     st.integers(min_value=0, max_value=24),  # video connections: 0..96 BUs
@@ -53,6 +58,7 @@ def build_network(loads, history, t_est_values, now=1000.0):
                 cell_id=cell_id,
                 prev_cell=None,
                 cell_entry_time=now - 10.0 - offset,
+                connection_id=next(_ids),
             )
             network.cell(cell_id).attach(connection)
     for cell_id, t_est in enumerate(t_est_values):

@@ -1,5 +1,7 @@
 """Property-based tests for the window controller and cell accounting."""
 
+from itertools import count
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,9 @@ from repro.core.window import (
     StepPolicy,
     WindowControllerConfig,
 )
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 handoff_sequences = st.lists(st.booleans(), min_size=0, max_size=400)
 targets = st.sampled_from([0.01, 0.02, 0.05, 0.2])
@@ -139,7 +144,8 @@ def test_cell_accounting_invariant(operations):
     for bandwidth, is_attach in operations:
         if is_attach:
             connection = Connection(
-                VOICE if bandwidth == 1.0 else VIDEO, 0.0, 0
+                VOICE if bandwidth == 1.0 else VIDEO, 0.0, 0,
+                connection_id=next(_ids),
             )
             try:
                 cell.attach(connection)

@@ -13,6 +13,7 @@ The numpy legs are skipped on numpy-free installs.
 """
 
 import random
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,9 @@ from repro.simulation.simulator import CellularSimulator
 from repro.simulation.spatial import run_spatial
 from repro.traffic.classes import VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 
 def available_kernels() -> list[str]:
@@ -71,6 +75,7 @@ def build_network(items, offsets):
                 VOICE, 0.0, 1,
                 prev_cell=rng.choice([None, 0, 2]),
                 cell_entry_time=100.0 - offset,
+                connection_id=next(_ids),
             )
         )
     network.station(0).window.t_est = 10.0

@@ -15,6 +15,8 @@ built buckets to the ones maintained from the start, and a third
 rebuilds them in a simulator restored from a checkpoint.
 """
 
+from itertools import count
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +31,9 @@ from repro.simulation.simulator import CellularSimulator
 from repro.state import restore_simulator, save_checkpoint
 from repro.traffic.classes import VIDEO, VOICE
 from repro.traffic.connection import Connection
+
+#: Connection ids, unique across this module's tests.
+_ids = count()
 
 CELLS = (0, 1, 2)
 #: Few distinct values, so duplicate sojourns and exact ties between a
@@ -139,6 +144,7 @@ def test_every_tick_total_equals_the_scalar_walk(ops, max_per_pair):
                 Connection(
                     VOICE, 0.0, cell_id,
                     prev_cell=prev, cell_entry_time=now - index,
+                    connection_id=next(_ids),
                 )
             )
     for op in ops:
@@ -149,6 +155,7 @@ def test_every_tick_total_equals_the_scalar_walk(ops, max_per_pair):
                 Connection(
                     VIDEO if video else VOICE, 0.0, cell_id,
                     prev_cell=prev, cell_entry_time=now - offset,
+                    connection_id=next(_ids),
                 )
             )
         elif kind == "detach":
@@ -223,6 +230,7 @@ def test_first_read_after_unobserved_mutations_equals_the_eager_table(
             connection = Connection(
                 VIDEO if video else VOICE, 0.0, 0,
                 prev_cell=prev, cell_entry_time=100.0 - offset,
+                connection_id=next(_ids),
             )
             eager.attach(connection)
             lazy.attach(connection)

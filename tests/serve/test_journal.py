@@ -21,9 +21,9 @@ from repro.serve.events import (
     decode_event,
     lifecycle_violations,
     read_events,
+    record_run,
 )
 from repro.simulation.simulator import CellularSimulator
-from repro.traffic.connection import reset_connection_ids
 
 RUN = ["run", "--load", "200", "--duration", "120", "--seed", "4"]
 
@@ -33,6 +33,16 @@ def _allocations(simulator) -> dict[int, float]:
         conn: connection.bandwidth
         for conn, connection in simulator.active_connections.items()
     }
+
+
+def test_back_to_back_runs_in_one_process_record_the_same_journal():
+    # A run numbers its own connections and mobiles, so the runs before
+    # it in this process cannot shift the ids its journal carries.
+    config = _build_config(build_parser().parse_args(RUN))
+    first, _ = record_run(config)
+    second, _ = record_run(config)
+    assert first
+    assert first == second
 
 
 @pytest.mark.parametrize(
@@ -48,14 +58,12 @@ def test_cli_journal_is_the_recorded_stream_and_replays(
 ):
     journal = tmp_path / "journal.jsonl"
     argv = [*RUN, *flags, "--trace-jsonl", str(journal)]
-    reset_connection_ids()
     assert main(argv) == 0
     capsys.readouterr()
     with journal.open(encoding="utf-8") as handle:
         events = read_events(handle)
 
     config = _build_config(build_parser().parse_args(argv))
-    reset_connection_ids()
     simulator = CellularSimulator(config)
     simulator.recorder = RunRecorder()
     result = simulator.run()
@@ -64,7 +72,6 @@ def test_cli_journal_is_the_recorded_stream_and_replays(
     assert any(event.kind == HANDOFF for event in events)
     assert any(event.kind == EXIT for event in events) is ("--one-way" in flags)
 
-    reset_connection_ids()
     driver = StreamDriver(config)
     driver.sim.recorder = RunRecorder()
     decisions = driver.replay(events)

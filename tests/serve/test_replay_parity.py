@@ -17,7 +17,6 @@ from repro.serve.events import (
 )
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import simulate
-from repro.traffic.connection import reset_connection_ids
 
 
 def _config(**overrides):
@@ -47,7 +46,6 @@ def test_replay_matches_des_decisions_and_counters(scheme, ring):
 
     # Both runs number their connections from zero, so the stream ids
     # the replay files connections under are the ids it re-records.
-    reset_connection_ids()
     driver = StreamDriver(_config(scheme=scheme, ring=ring))
     driver.sim.recorder = RunRecorder()
     decisions = driver.replay(events)

@@ -12,15 +12,12 @@ import pytest
 
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
-from repro.traffic.connection import reset_connection_ids
 
 
 @pytest.fixture
 def run_both(snapshot_walk):
     def run(config):
-        reset_connection_ids()
         cached = CellularSimulator(config).run()
-        reset_connection_ids()
         with snapshot_walk():
             naive = CellularSimulator(config).run()
         return cached, naive

@@ -1,6 +1,7 @@
 """Tests for the CDMA §7 extensions: soft capacity and soft hand-off."""
 
 from dataclasses import replace
+from itertools import count
 
 import pytest
 
@@ -12,6 +13,9 @@ from repro.traffic.classes import VOICE
 from repro.mobility.models import Transition
 from repro.traffic.connection import Connection, ConnectionState
 
+#: Connection ids, unique across this module's tests.
+_ids = count()
+
 
 class TestSoftCapacityCell:
     def test_handoff_capacity_above_nominal(self):
@@ -21,7 +25,7 @@ class TestSoftCapacityCell:
     def test_handoffs_may_use_overload_margin(self):
         cell = Cell(0, 10.0, handoff_overload=1.2)
         for _ in range(10):
-            cell.attach(Connection(VOICE, 0.0, 0))
+            cell.attach(Connection(VOICE, 0.0, 0, connection_id=next(_ids)))
         assert cell.fits_handoff(2.0)
         assert not cell.fits_handoff(3.0)
         assert not cell.fits_new_connection(1.0)
@@ -131,8 +135,10 @@ class TestSoftHandoffEndToEnd:
         )
         full = simulator.network.cell(1)
         for _ in range(int(full.capacity)):
-            full.attach(Connection(VOICE, 0.0, 1))
-        connection = Connection(VOICE, 0.0, 0, planned_end=2.5)
+            full.attach(Connection(VOICE, 0.0, 1, connection_id=next(_ids)))
+        connection = Connection(
+            VOICE, 0.0, 0, planned_end=2.5, connection_id=next(_ids)
+        )
         simulator.network.cell(0).attach(connection)
         simulator.active_connections[connection.connection_id] = connection
         simulator._schedule_one(connection, 1.0, Transition(1.0, 1))

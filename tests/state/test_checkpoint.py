@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.simulation.scenarios import stationary
 from repro.simulation.simulator import CellularSimulator
 from repro.state.checkpoint import capture_state
@@ -83,6 +84,35 @@ class TestSplitRunParity:
         middle_path = save_checkpoint(middle, tmp_path / "middle")
         resumed = restore_simulator(middle_path, config).run()
         assert resumed.metrics_key() == full.metrics_key()
+
+
+class TestStateTelemetry:
+    """``state.*`` lands in the registry of the run it times."""
+
+    def test_a_restored_run_reports_its_load(self, tmp_path):
+        config = base_config(duration=100.0)
+        first = CellularSimulator(config)
+        first.run()
+        path = save_checkpoint(first, tmp_path / "ckpt")
+        resumed = restore_simulator(
+            path, replace(config, duration=200.0, telemetry=True)
+        ).run()
+        assert resumed.telemetry["timers"]["state.load"]["count"] == 1
+        counters = resumed.telemetry["counters"]
+        assert counters['state.checkpoints{op="load"}'] == 1
+
+    def test_a_save_state_run_exports_its_save(self, tmp_path, capsys):
+        exported = tmp_path / "telemetry.json"
+        argv = [
+            "run", "--load", "150", "--duration", "100", "--seed", "7",
+            "--save-state", str(tmp_path / "ckpt"),
+            "--telemetry-json", str(exported),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        snapshot = json.loads(exported.read_text())
+        assert snapshot["timers"]["state.save"]["count"] == 1
+        assert snapshot["counters"]['state.checkpoints{op="save"}'] == 1
 
 
 class TestOneEventPerConnection:
