@@ -78,7 +78,9 @@ PYTHONPATH=src python scripts/serve_smoke.py
 
 echo "== spatial smoke =="
 # City-scale spatial sharding: a 2-shard process run must merge to the
-# same metrics_key() as the single-shard in-process run.
+# same metrics_key() as the single-shard in-process run, and with its
+# telemetry on, no supplier may leave the resident Eq. 5 walk for the
+# snapshot walk (cellular.tick_suppliers{path="fallback"} stays 0).
 PYTHONPATH=src python scripts/spatial_smoke.py
 
 echo "CI OK"

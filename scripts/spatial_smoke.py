@@ -8,9 +8,16 @@ whole stack: uniform and load-weighted row-band partitioning, the
 epoch-barrier protocol (mirrors, remote reservation requests/replies, migrations),
 the columnar connection store, process hosts, and the cell-ascending
 merge.  Exit 1 on any mismatch.
+
+The two-process leg runs with telemetry on (which leaves
+``metrics_key()`` alone) and also exits 1 if any supplier answered
+Eq. 5 through the snapshot walk (``cellular.tick_suppliers`` with
+``path="fallback"``): a hex city at ``T_int = ∞`` must stay on the
+resident walk.
 """
 
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, "src")
 
@@ -29,7 +36,7 @@ def main() -> int:
         seed=11,
     )
     single = run_spatial(config, 1, processes=False)
-    sharded = run_spatial(config, 2, processes=True)
+    sharded = run_spatial(replace(config, telemetry=True), 2, processes=True)
     for result, label in ((single, "1 shard, inline"),
                           (sharded, "2 shards, processes")):
         rate = (
@@ -48,6 +55,15 @@ def main() -> int:
         return 1
     if sum(cell.handoff_attempts for cell in single.cells) == 0:
         print("FAIL: smoke scenario produced no hand-offs")
+        return 1
+    fallback = sharded.telemetry["counters"][
+        'cellular.tick_suppliers{path="fallback"}'
+    ]
+    if fallback:
+        print(
+            f"FAIL: {fallback:.0f} supplier answers left the resident Eq. 5"
+            " walk for the snapshot walk"
+        )
         return 1
     # Load-balanced leg: a hot-spot city on a 4-shard load-weighted
     # plan must merge identically to its own single-shard run.

@@ -15,6 +15,10 @@ reservation rows bucketed by ``prev`` (:meth:`Cell.reservation_buckets`),
 the resident input of the tick's Eq. 5 walk.  A cell whose rows nobody
 reads (static guard channels, or Eq. 5 answered from snapshots) keeps
 none.
+
+One private pair, ``_enter``/``_leave``, does all of it for both cell
+classes; :class:`~repro.simulation.columnar.ColumnarCell` keeps store
+rows as members and differs only in :meth:`Cell._member_row`.
 """
 
 from __future__ import annotations
@@ -70,7 +74,9 @@ class Cell:
         #: this cell (``B_r^{prev}`` in the AC3 description, §4.3).  For the
         #: static scheme this is the constant guard band ``G``.
         self.reserved_target = 0.0
-        self._connections: dict[int, "Connection"] = {}
+        #: ``key -> member`` in attach order: the :class:`Connection`
+        #: keyed by its id here, a store row in a columnar cell.
+        self._members: dict[int, object] = {}
         # The rows of :meth:`reservation_buckets`: ``None`` until its
         # first call builds them, and only from then on do attach and
         # detach maintain them; ``_next_seq`` numbers the attaches.
@@ -88,11 +94,21 @@ class Cell:
     @property
     def connection_count(self) -> int:
         """Number of connections currently carried by this cell."""
-        return len(self._connections)
+        return len(self._members)
 
     def connections(self) -> Iterator["Connection"]:
         """Iterate over the connections currently in this cell."""
-        return iter(self._connections.values())
+        return iter(self._members.values())
+
+    def _member_row(self, connection) -> tuple[int | None, float, float]:
+        """A member's reservation fields: ``(prev, entry_time, basis)``."""
+        # Duck-typed minimal connections (bandwidth only) still account;
+        # they just count as prev=None at entry time 0.
+        return (
+            getattr(connection, "prev_cell", None),
+            getattr(connection, "cell_entry_time", 0.0),
+            getattr(connection, "reservation_basis", connection.bandwidth),
+        )
 
     def reservation_buckets(self) -> dict[int | None, list[Row]]:
         """The reservation rows, bucketed by ``prev``.
@@ -101,16 +117,18 @@ class Cell:
         in ascending ``(entry_time, seq)``; ``seq`` numbers the
         attaches, so ascending ``seq`` over all buckets is the order of
         :meth:`connections`.  A ``prev`` without connections has no
-        bucket.  Built from :meth:`connections` on first use and
-        maintained by every attach and detach from then on; the buckets
-        are live and change with the next attach or detach.
+        bucket.  Built from the members (through :meth:`_member_row`)
+        on first use and maintained by every attach and detach from
+        then on; the buckets are live and change with the next attach
+        or detach.
         """
         buckets = self._buckets
         if buckets is None:
             buckets = self._buckets = {}
-            for seq, connection in enumerate(self.connections()):
-                prev, entry_time, basis = _row(connection)
-                row = (entry_time, seq, basis, connection.connection_id)
+            member_row = self._member_row
+            for seq, (key, member) in enumerate(self._members.items()):
+                prev, entry_time, basis = member_row(member)
+                row = (entry_time, seq, basis, key)
                 bucket = buckets.get(prev)
                 if bucket is None:
                     buckets[prev] = [row]
@@ -120,34 +138,6 @@ class Cell:
                 bucket.sort()
             self._next_seq = self.connection_count
         return buckets
-
-    def _add_row(
-        self, prev: int | None, entry_time: float, basis: float, key: int
-    ) -> None:
-        """Bucket a newly attached connection (buckets already built)."""
-        row = (entry_time, self._next_seq, basis, key)
-        self._next_seq += 1
-        buckets = self._buckets
-        bucket = buckets.get(prev)
-        if bucket is None:
-            buckets[prev] = [row]
-        elif bucket[-1][0] <= entry_time:
-            # The newest ``seq``: no earlier entry time, so last.
-            bucket.append(row)
-        else:
-            insort(bucket, row)
-
-    def _drop_row(self, prev: int | None, entry_time: float, key: int) -> None:
-        """Unbucket a detached connection from its attach-time ``prev``
-        and entry time (buckets already built)."""
-        buckets = self._buckets
-        bucket = buckets[prev]
-        index = bisect_left(bucket, (entry_time,))
-        while bucket[index][3] != key:  # rows sharing the entry time
-            index += 1
-        del bucket[index]
-        if not bucket:
-            del buckets[prev]
 
     def fits_new_connection(self, bandwidth: float) -> bool:
         """Admission test of Eq. (1): new traffic must respect ``B_r``."""
@@ -185,46 +175,67 @@ class Cell:
     # ------------------------------------------------------------------
     # bandwidth accounting
     # ------------------------------------------------------------------
-    def attach(self, connection: "Connection") -> None:
-        """Account a connection into this cell (admission already decided)."""
-        if connection.connection_id in self._connections:
+    def _enter(self, key: int, member, bandwidth: float) -> None:
+        """Account ``member`` into this cell under ``key``."""
+        members = self._members
+        if key in members:
             raise CapacityError(
-                f"connection {connection.connection_id} already in cell"
-                f" {self.cell_id}"
+                f"connection {key} already in cell {self.cell_id}"
             )
-        if (
-            self.used_bandwidth + connection.bandwidth
-            > self.handoff_capacity + 1e-9
-        ):
+        if self.used_bandwidth + bandwidth > self.handoff_capacity + 1e-9:
             raise CapacityError(
-                f"cell {self.cell_id}: attaching {connection.bandwidth} BU"
+                f"cell {self.cell_id}: attaching {bandwidth} BU"
                 f" exceeds capacity ({self.used_bandwidth}/"
                 f"{self.handoff_capacity})"
             )
-        self._connections[connection.connection_id] = connection
-        self.used_bandwidth += connection.bandwidth
-        if self._buckets is not None:
-            prev, entry_time, basis = _row(connection)
-            self._add_row(prev, entry_time, basis, connection.connection_id)
+        members[key] = member
+        self.used_bandwidth += bandwidth
+        buckets = self._buckets
+        if buckets is not None:
+            prev, entry_time, basis = self._member_row(member)
+            row = (entry_time, self._next_seq, basis, key)
+            self._next_seq += 1
+            bucket = buckets.get(prev)
+            if bucket is None:
+                buckets[prev] = [row]
+            elif bucket[-1][0] <= entry_time:
+                # The newest ``seq``: no earlier entry time, so last.
+                bucket.append(row)
+            else:
+                insort(bucket, row)
 
-    def detach(self, connection: "Connection") -> None:
-        """Release a connection's bandwidth (hand-off out or completion)."""
-        stored = self._connections.pop(connection.connection_id, None)
-        if stored is None:
-            raise CapacityError(
-                f"connection {connection.connection_id} not in cell"
-                f" {self.cell_id}"
-            )
-        if self._buckets is not None:
-            prev, entry_time, _basis = _row(stored)
-            self._drop_row(prev, entry_time, connection.connection_id)
-        self.used_bandwidth -= connection.bandwidth
+    def _leave(self, key: int, bandwidth: float) -> None:
+        """Release the member under ``key`` and its ``bandwidth``."""
+        member = self._members.pop(key, None)
+        if member is None:
+            raise CapacityError(f"connection {key} not in cell {self.cell_id}")
+        buckets = self._buckets
+        if buckets is not None:
+            # The member still holds its attach-time prev and entry
+            # time: they locate its bucket row.
+            prev, entry_time, _basis = self._member_row(member)
+            bucket = buckets[prev]
+            index = bisect_left(bucket, (entry_time,))
+            while bucket[index][3] != key:  # rows sharing the entry time
+                index += 1
+            del bucket[index]
+            if not bucket:
+                del buckets[prev]
+        self.used_bandwidth -= bandwidth
         if self.used_bandwidth < -1e-9:
             raise CapacityError(
                 f"cell {self.cell_id}: used bandwidth went negative"
             )
         if self.used_bandwidth < 0:
             self.used_bandwidth = 0.0
+
+    def attach(self, connection: "Connection") -> None:
+        """Account a connection into this cell (admission already decided)."""
+        self._enter(connection.connection_id, connection, connection.bandwidth)
+
+    def detach(self, connection: "Connection") -> None:
+        """Release a connection's bandwidth (hand-off out or completion)."""
+        self._leave(connection.connection_id, connection.bandwidth)
 
     def adjust_bandwidth(
         self, connection: "Connection", new_bandwidth: float
@@ -236,7 +247,7 @@ class Cell:
         rate.  The new allocation must respect both the class's floor
         and the cell capacity.
         """
-        if connection.connection_id not in self._connections:
+        if connection.connection_id not in self._members:
             raise CapacityError(
                 f"connection {connection.connection_id} not in cell"
                 f" {self.cell_id}"
@@ -267,13 +278,3 @@ class Cell:
             f"{self.capacity:.0f}, B_r={self.reserved_target:.2f})"
         )
 
-
-def _row(connection: "Connection") -> tuple[int | None, float, float]:
-    """A connection's reservation fields: ``(prev, entry_time, basis)``."""
-    # Duck-typed minimal connections (bandwidth only) still account;
-    # they just count as prev=None at entry time 0.
-    return (
-        getattr(connection, "prev_cell", None),
-        getattr(connection, "cell_entry_time", 0.0),
-        getattr(connection, "reservation_basis", connection.bandwidth),
-    )

@@ -201,20 +201,11 @@ class HexMobilityModel:
     def spawn(self, cell_id: int, now: float, rng: random.Random) -> Mobile:
         mobile_id = self.next_mobile_id
         self.next_mobile_id = mobile_id + 1
-        draw = rng.random()
-        cumulative = 0.0
-        chosen = self.population[-1]
-        for member in self.population:
-            cumulative += member.fraction
-            if draw < cumulative:
-                chosen = member
-                break
-        if chosen.mean_sojourn <= 0:
-            speed, heading = 0.0, 0
-        else:
-            # Encode "speed" so is_moving holds; sojourns are sampled
-            # directly, so only positivity matters.
-            speed, heading = 1.0, rng.randrange(6)
+        index, heading = draw_spawn(self.population, rng)
+        chosen = self.population[index]
+        # Encode "speed" so is_moving holds; sojourns are sampled
+        # directly, so only positivity matters.
+        speed = 1.0 if chosen.mean_sojourn > 0 else 0.0
         self._class_of[mobile_id] = chosen
         return Mobile(
             0.0,
@@ -238,16 +229,55 @@ class HexMobilityModel:
             rng = random.Random(
                 hash((mobile.mobile_id, round(now * 1000)))
             )
-        sojourn = rng.expovariate(1.0 / member.mean_sojourn)
-        heading = mobile.direction % 6
-        if rng.random() < member.heading_persistence:
-            index = heading
-        else:
-            index = (heading + rng.choice((-1, 1))) % 6
+        sojourn, index = draw_hop(member, mobile.direction, rng)
         mobile.direction = index
         next_cell = neighbors[index % len(neighbors)]
-        return Transition(now + max(sojourn, self.MIN_NOTICE), next_cell)
+        return Transition(now + sojourn, next_cell)
 
     def forget(self, mobile: Mobile) -> None:
         """Release per-mobile state once its connection ends."""
         self._class_of.pop(mobile.mobile_id, None)
+
+
+# The hex movement rule's two draws, shared with the sharded runner's
+# coordinate streams so every draw is made in one order in one place.
+
+
+def draw_spawn(
+    population: tuple[PopulationClass, ...], rng: random.Random
+) -> tuple[int, int]:
+    """A new mobile's ``(population index, heading)``.
+
+    One ``rng.random()`` picks the class by cumulative fraction (the
+    last class takes any rounding remainder); a moving class then draws
+    its first heading with ``rng.randrange(6)``, a stationary one keeps
+    heading 0.
+    """
+    draw = rng.random()
+    cumulative = 0.0
+    index = len(population) - 1
+    for position, member in enumerate(population):
+        cumulative += member.fraction
+        if draw < cumulative:
+            index = position
+            break
+    if population[index].mean_sojourn <= 0:
+        return index, 0
+    return index, rng.randrange(6)
+
+
+def draw_hop(
+    member: PopulationClass, heading: int, rng: random.Random
+) -> tuple[float, int]:
+    """A moving mobile's ``(sojourn, new heading)`` for its next hop.
+
+    The sojourn is exponential around the class mean, clamped to
+    :attr:`HexMobilityModel.MIN_NOTICE`; the heading is kept with
+    probability ``heading_persistence`` and otherwise turns to one of
+    the two adjacent headings.
+    """
+    sojourn = rng.expovariate(1.0 / member.mean_sojourn)
+    heading %= 6
+    if rng.random() >= member.heading_persistence:
+        heading = (heading + rng.choice((-1, 1))) % 6
+    return max(sojourn, HexMobilityModel.MIN_NOTICE), heading

@@ -175,6 +175,14 @@ def arrival_processes(config: SimulationConfig, mix: TrafficMix, cells) -> dict:
     return {cell: process(weights[cell]) for cell in cells}
 
 
+def admission_policy(config: SimulationConfig) -> AdmissionPolicy:
+    """The admission scheme ``config`` names; ``static`` guards
+    ``config.static_guard`` BUs."""
+    if config.scheme.lower() == "static":
+        return make_policy("static", guard_bandwidth=config.static_guard)
+    return make_policy(config.scheme)
+
+
 def retry_policy(config: SimulationConfig) -> RetryPolicy:
     """The §5.3 blocked-request retry behaviour ``config`` asks for."""
     return RetryPolicy(
@@ -346,14 +354,7 @@ class CellularSimulator:
         self.network = build_network(
             config, self.topology, self.telemetry, self.tracer
         )
-        if policy is not None:
-            self.policy = policy
-        elif config.scheme.lower() == "static":
-            self.policy = make_policy(
-                "static", guard_bandwidth=config.static_guard
-            )
-        else:
-            self.policy = make_policy(config.scheme)
+        self.policy = policy if policy is not None else admission_policy(config)
         if config.adaptive_qos and not isinstance(
             self.policy, AdaptiveQoSPolicy
         ):

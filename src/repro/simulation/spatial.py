@@ -73,12 +73,16 @@ from dataclasses import dataclass
 
 from repro.cellular.cell import Cell
 from repro.cellular.topology import HexTopology
-from repro.core.admission import make_policy
 from repro.core.reservation import aggregate_reservation
 from repro.des.engine import Engine
 from repro.des.events import EventPriority
 from repro.des.random import RandomStreams
-from repro.mobility.models import DEFAULT_HEX_POPULATION, HexMobilityModel
+from repro.mobility.models import (
+    DEFAULT_HEX_POPULATION,
+    HexMobilityModel,
+    draw_hop,
+    draw_spawn,
+)
 from repro.obs.telemetry import merge_snapshots, new_run_id
 from repro.obs.timeseries import TimeSeriesSampler, merge_series
 from repro.obs.trace import merge_traces
@@ -96,6 +100,7 @@ from repro.simulation.metrics import (
 )
 from repro.simulation.runner import process_context
 from repro.simulation.simulator import (
+    admission_policy,
     arrival_processes,
     begin_observability,
     build_network,
@@ -787,32 +792,20 @@ class ShardEngine:
                     priority=EventPriority.ARRIVAL,
                 )
             return
-        # Same draw order as HexMobilityModel.spawn: population class,
-        # then an initial heading for moving mobiles.
-        draw = rng.random()
-        cumulative = 0.0
-        pop_index = len(self.population) - 1
-        for position, member in enumerate(self.population):
-            cumulative += member.fraction
-            if draw < cumulative:
-                pop_index = position
-                break
-        member = self.population[pop_index]
-        heading = rng.randrange(6) if member.mean_sojourn > 0 else 0
+        pop_index, heading = draw_spawn(self.population, rng)
         lifetime = rng.expovariate(1.0 / self.config.mean_lifetime)
-        store = self.store
-        row = store.alloc()
-        columns = store.columns
-        columns["entry_time"][row] = now
-        columns["end_time"][row] = now + lifetime
-        columns["cell"][row] = cell_id
-        columns["prev"][row] = -1
-        columns["birth_cell"][row] = cell_id
-        columns["birth_seq"][row] = arr_index
-        columns["hops"][row] = 0
-        columns["bw_code"][row] = 0 if traffic_class is VOICE else 1
-        columns["pop"][row] = pop_index
-        columns["heading"][row] = heading
+        row = self.store.alloc(
+            now,
+            now + lifetime,
+            cell_id,
+            -1,
+            cell_id,
+            arr_index,
+            0,
+            0 if traffic_class is VOICE else 1,
+            pop_index,
+            heading,
+        )
         cell.attach_row(row)
         self._activity[cell_id] = True
         self._schedule_next(row)
@@ -835,24 +828,21 @@ class ShardEngine:
         end_time = columns["end_time"][row]
         member = self.population[columns["pop"][row]]
         if member.mean_sojourn > 0:
-            # Same draw order as HexMobilityModel.next_transition, keyed
-            # by birth coordinates + hop count so the stream is
-            # identical no matter which shard executes the hop.
-            rng = _CoordStream(
-                self.seed,
-                _TAG_HOP,
-                columns["birth_cell"][row],
-                columns["birth_seq"][row],
-                columns["hops"][row],
+            # The stream is keyed by birth coordinates + hop count, so
+            # it is identical no matter which shard executes the hop.
+            sojourn, index = draw_hop(
+                member,
+                columns["heading"][row],
+                _CoordStream(
+                    self.seed,
+                    _TAG_HOP,
+                    columns["birth_cell"][row],
+                    columns["birth_seq"][row],
+                    columns["hops"][row],
+                ),
             )
-            sojourn = rng.expovariate(1.0 / member.mean_sojourn)
-            heading = columns["heading"][row] % 6
-            if rng.random() < member.heading_persistence:
-                index = heading
-            else:
-                index = (heading + rng.choice((-1, 1))) % 6
             columns["heading"][row] = index
-            ctime = self.engine.now + max(sojourn, HexMobilityModel.MIN_NOTICE)
+            ctime = self.engine.now + sojourn
             if ctime < end_time:
                 if ctime <= self.duration:
                     neighbors = self._neighbors[columns["cell"][row]]
@@ -947,19 +937,18 @@ class ShardEngine:
         self._activity[dest] = True
         if dropped:
             return
-        store = self.store
-        row = store.alloc()
-        columns = store.columns
-        columns["entry_time"][row] = now
-        columns["end_time"][row] = end_time
-        columns["cell"][row] = dest
-        columns["prev"][row] = old_cell
-        columns["birth_cell"][row] = birth_cell
-        columns["birth_seq"][row] = birth_seq
-        columns["hops"][row] = hops + 1
-        columns["bw_code"][row] = bw_code
-        columns["pop"][row] = pop_index
-        columns["heading"][row] = heading
+        row = self.store.alloc(
+            now,
+            end_time,
+            dest,
+            old_cell,
+            birth_cell,
+            birth_seq,
+            hops + 1,
+            bw_code,
+            pop_index,
+            heading,
+        )
         self._cells[dest].attach_row(row)
         self._schedule_next(row)
 
@@ -1296,13 +1285,9 @@ def _merge_results(
     snapshots = [
         result.telemetry for result in results if result.telemetry is not None
     ]
-    if config.scheme.lower() == "static":
-        policy = make_policy("static", guard_bandwidth=config.static_guard)
-    else:
-        policy = make_policy(config.scheme)
     return SimulationResult(
         label=config.label or config.scheme,
-        scheme=policy.name,
+        scheme=admission_policy(config).name,
         offered_load=config.offered_load,
         duration=config.duration,
         warmup=config.warmup,

@@ -471,7 +471,10 @@ def capture_state(sim: "CellularSimulator") -> dict[str, bytes]:
             for connection in sim.active_connections.values()
         ],
         "cell_members": [
-            list(sim.network.cell(cell_id)._connections)
+            [
+                connection.connection_id
+                for connection in sim.network.cell(cell_id).connections()
+            ]
             for cell_id in range(sim.topology.num_cells)
         ],
         "cells": [_dump(cell, _CELL) for cell in sim.network.cells],

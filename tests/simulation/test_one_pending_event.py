@@ -98,9 +98,9 @@ def test_two_inline_hex_shards_keep_at_most_one_entry_per_row(monkeypatch):
         assert set(entries.values()) <= {1}
         end_time = shard.store.columns["end_time"]
         live = [
-            row
+            handle.row
             for cell in shard.owned
-            for row in shard.network.cell(cell)._store_rows.values()
+            for handle in shard.network.cell(cell).connections()
         ]
         assert set(entries) <= set(live)
         # The horizon clamp queues nothing past the run's end, so only

@@ -73,11 +73,24 @@ class TestOneSubstrate:
 
 class TestShardInvariance:
     def test_ac3_metrics_identical_for_1_2_4_shards(self):
-        keys = []
-        for shards in (1, 2, 4):
-            result = run_spatial(_city(), shards, processes=False)
-            keys.append(result.metrics_key())
-        assert keys[0] == keys[1] == keys[2]
+        # The resident walk (T_int = ∞), then a finite T_int, which keeps
+        # every supplier with connections on the snapshot walk over the
+        # columnar cells' row handles.
+        finite = {"t_int": 30.0, "n_quad": 40, "offered_load": 700.0}
+        for overrides in ({}, finite):
+            keys = []
+            for shards in (1, 2, 4):
+                result = run_spatial(
+                    _city(telemetry=True, **overrides),
+                    shards,
+                    processes=False,
+                )
+                keys.append(result.metrics_key())
+                fallback = result.telemetry["counters"][
+                    'cellular.tick_suppliers{path="fallback"}'
+                ]
+                assert (fallback > 0) == (overrides is finite)
+            assert keys[0] == keys[1] == keys[2]
 
     def test_run_exercises_handoffs_and_blocking(self):
         result = run_spatial(
