@@ -65,9 +65,12 @@ PYTHONPATH=src python scripts/state_smoke.py
 
 echo "== serve smoke =="
 # Live admission service: WebSocket decision round-trip, a 200-frame
-# pipelined burst with a malformed frame and a duplicate-`conn` admit
-# in it (in-order replies, two errors, connection kept, nothing attached
-# for the duplicate), a fractional cell id refused, a binary frame
+# pipelined burst with a malformed frame, a duplicate-`conn` admit, a
+# whitespace-padded admit and an admit with trailing data in it
+# (in-order replies, three errors, connection kept, nothing attached
+# for the duplicate, the padded admit decided and the trailing data
+# refused with `json.loads`' own `Extra data` error: the parser's
+# fallback past the bare scan), a fractional cell id refused, a binary frame
 # closed with 1003, a well-formed streamed series frame, a second
 # connection answered mid-burst, the exact decision count, and a clean
 # shutdown; then the journal of a `repro run --scheme static

@@ -8,7 +8,10 @@ while a WebSocket subscriber listens, asserts:
 * a pipelined burst — 200 frames in one write, a malformed one in the
   middle and an ``admit`` re-using a live ``conn`` id after it — gets
   200 replies in request order, both bad ones an ``error`` (the
-  duplicate attaching nothing), and leaves the connection open;
+  duplicate attaching nothing), and leaves the connection open; in the
+  same burst an ``admit`` padded with whitespace gets its decision and
+  one followed by trailing data gets ``json.loads``' own ``Extra data``
+  error (both take the parser's fallback past the bare scan);
 * a fractional ``cell`` is refused with an ``error`` reply (not
   truncated into a neighbouring cell), and a binary frame closes the
   connection with status 1003 after the request before it is answered;
@@ -84,6 +87,17 @@ async def main() -> int:
         for index in range(BURST)
     ]
     frames[BURST // 2] = encode_frame(b"{not json", mask=True)
+    padded, trailing = BURST // 4, BURST // 4 + 1
+    frames[padded] = encode_frame(
+        b' \t{"op": "admit", "cell": 1, "id": %d}\r\n' % padded, mask=True
+    )
+    trailing_text = '{"op": "admit", "cell": 1, "id": %d} x' % trailing
+    frames[trailing] = encode_frame(trailing_text.encode(), mask=True)
+    try:
+        json.loads(trailing_text)
+    except ValueError as error:
+        extra_data = str(error)
+    assert extra_data.startswith("Extra data"), extra_data
     # Two admits filed under one connection id: the second is refused.
     for index in (BURST - 2, BURST - 1):
         frames[index] = encode_frame(
@@ -100,25 +114,33 @@ async def main() -> int:
     assert "connection id 9000 is in use" in duplicate["error"], duplicate
     bad = replies.pop(BURST // 2)
     assert bad["op"] == "error" and "id" not in bad, bad
+    extra = replies.pop(trailing)
+    assert extra == {"op": "error", "error": extra_data}, extra
+    assert replies[padded]["id"] == padded, replies[padded]
     assert [reply["id"] for reply in replies] == [
-        index for index in range(BURST - 1) if index != BURST // 2
+        index
+        for index in range(BURST - 1)
+        if index not in (BURST // 2, trailing)
     ], "pipelined replies out of request order"
     assert all(reply["op"] == "decision" for reply in replies)
     stats = await client.request({"op": "stats"})
-    # The round trip above plus the burst's BURST - 2 well-formed frames.
-    assert stats["op"] == "stats" and stats["decisions"] == BURST - 1, stats
+    # The round trip above plus the burst's BURST - 3 well-formed frames.
+    assert stats["op"] == "stats" and stats["decisions"] == BURST - 2, stats
     # The refused duplicate attached nothing: every live connection is
     # still reachable by a stream id.
     assert stats["active_connections"] == len(
         service.driver.sim.active_connections
     ), stats
-    print(f"serve smoke: {BURST}-frame burst answered in order, 2 error frames")
+    print(
+        f"serve smoke: {BURST}-frame burst answered in order, 3 error frames"
+        " (padded admit decided, trailing data refused as json.loads does)"
+    )
 
     refused = await client.request({"op": "admit", "cell": 1.9, "id": "frac"})
     assert refused["op"] == "error" and refused["id"] == "frac", refused
     assert "cell must be an integer" in refused["error"], refused
     stats = await client.request({"op": "stats"})
-    assert stats["decisions"] == BURST - 1, "a refused request was counted"
+    assert stats["decisions"] == BURST - 2, "a refused request was counted"
     print("serve smoke: fractional cell refused with an error reply")
 
     binary = await AsyncWsClient.connect(gateway.url)
@@ -171,10 +193,10 @@ async def main() -> int:
 
     stats = await client.request({"op": "stats"})
     assert stats["op"] == "stats", stats
-    # The round trip, the burst's BURST - 2 well-formed admits, the one
+    # The round trip, the burst's BURST - 3 well-formed admits, the one
     # answered before the binary frame, the one that takes the series
     # row, and the fairness burst with the second connection's admit.
-    assert stats["decisions"] == BURST + FAIRNESS_BURST + 2, stats
+    assert stats["decisions"] == BURST + FAIRNESS_BURST + 1, stats
 
     await client.close()
     await subscriber.close()

@@ -18,7 +18,10 @@ none.
 
 One private pair, ``_enter``/``_leave``, does all of it for both cell
 classes; :class:`~repro.simulation.columnar.ColumnarCell` keeps store
-rows as members and differs only in :meth:`Cell._member_row`.
+rows as members and differs only in where a member's ``(prev,
+entry_time, basis)`` is read from: the store columns, through
+:meth:`Cell._member_row` when the buckets are first built and inline in
+its attach and detach adapters after that.
 """
 
 from __future__ import annotations
@@ -175,8 +178,21 @@ class Cell:
     # ------------------------------------------------------------------
     # bandwidth accounting
     # ------------------------------------------------------------------
-    def _enter(self, key: int, member, bandwidth: float) -> None:
-        """Account ``member`` into this cell under ``key``."""
+    def _enter(
+        self,
+        key: int,
+        member,
+        bandwidth: float,
+        fields: tuple[int | None, float, float] | None,
+    ) -> None:
+        """Account ``member`` into this cell under ``key``.
+
+        ``fields`` is the member's ``(prev, entry_time, basis)``.  The
+        caller reads it only while the cell has buckets and passes
+        ``None`` otherwise, so a cell without buckets reads no more than
+        the key and the bandwidth, and ``fields`` alone says whether
+        there are buckets to keep.
+        """
         members = self._members
         if key in members:
             raise CapacityError(
@@ -190,11 +206,11 @@ class Cell:
             )
         members[key] = member
         self.used_bandwidth += bandwidth
-        buckets = self._buckets
-        if buckets is not None:
-            prev, entry_time, basis = self._member_row(member)
+        if fields is not None:
+            prev, entry_time, basis = fields
             row = (entry_time, self._next_seq, basis, key)
             self._next_seq += 1
+            buckets = self._buckets
             bucket = buckets.get(prev)
             if bucket is None:
                 buckets[prev] = [row]
@@ -204,16 +220,22 @@ class Cell:
             else:
                 insort(bucket, row)
 
-    def _leave(self, key: int, bandwidth: float) -> None:
-        """Release the member under ``key`` and its ``bandwidth``."""
-        member = self._members.pop(key, None)
-        if member is None:
+    def _leave(
+        self,
+        key: int,
+        bandwidth: float,
+        fields: tuple[int | None, float, float] | None,
+    ) -> None:
+        """Release the member under ``key`` and its ``bandwidth``.
+
+        ``fields`` is read as in :meth:`_enter`, before the member's
+        prev and entry time move on: they locate its bucket row.
+        """
+        if self._members.pop(key, None) is None:
             raise CapacityError(f"connection {key} not in cell {self.cell_id}")
-        buckets = self._buckets
-        if buckets is not None:
-            # The member still holds its attach-time prev and entry
-            # time: they locate its bucket row.
-            prev, entry_time, _basis = self._member_row(member)
+        if fields is not None:
+            prev, entry_time, _basis = fields
+            buckets = self._buckets
             bucket = buckets[prev]
             index = bisect_left(bucket, (entry_time,))
             while bucket[index][3] != key:  # rows sharing the entry time
@@ -231,11 +253,20 @@ class Cell:
 
     def attach(self, connection: "Connection") -> None:
         """Account a connection into this cell (admission already decided)."""
-        self._enter(connection.connection_id, connection, connection.bandwidth)
+        self._enter(
+            connection.connection_id,
+            connection,
+            connection.bandwidth,
+            None if self._buckets is None else self._member_row(connection),
+        )
 
     def detach(self, connection: "Connection") -> None:
         """Release a connection's bandwidth (hand-off out or completion)."""
-        self._leave(connection.connection_id, connection.bandwidth)
+        self._leave(
+            connection.connection_id,
+            connection.bandwidth,
+            None if self._buckets is None else self._member_row(connection),
+        )
 
     def adjust_bandwidth(
         self, connection: "Connection", new_bandwidth: float

@@ -24,20 +24,25 @@ count in its :class:`AdmissionDecision`.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from repro.cellular.network import CellularNetwork
+from repro.record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissionDecision:
-    """Outcome of a new-connection admission test."""
+class AdmissionDecision(Record):
+    """Outcome of a new-connection admission test.
 
-    admitted: bool
-    #: Number of ``B_r`` (Eq. 6) computations performed for this test.
-    calculations: int
-    #: Logical inter-BS messages exchanged for this test.
-    messages: int
+    ``calculations`` counts the ``B_r`` (Eq. 6) computations performed
+    for this test, ``messages`` the logical inter-BS messages exchanged
+    for it.
+    """
+
+    __slots__ = ("admitted", "calculations", "messages")
+
+    def __init__(self, admitted: bool, calculations: int, messages: int) -> None:
+        self.admitted = admitted
+        self.calculations = calculations
+        self.messages = messages
 
 
 class AdmissionPolicy(abc.ABC):

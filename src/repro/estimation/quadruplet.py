@@ -7,15 +7,17 @@ paper's ``prev = 0``), the cell it entered, and its sojourn time here.
 
 Quadruplets are created on every hand-off and held by the thousands in
 :class:`repro.estimation.cache.QuadrupletCache`, so the class is a
-hand-rolled ``__slots__`` value type rather than a dataclass: no
-instance ``__dict__``, and construction skips the frozen-dataclass
+:class:`~repro.record.Record` rather than a dataclass: no instance
+``__dict__``, and construction skips the frozen-dataclass
 ``object.__setattr__`` detour.
 """
 
 from __future__ import annotations
 
+from repro.record import Record
 
-class HandoffQuadruplet:
+
+class HandoffQuadruplet(Record):
     """One observed hand-off departure.
 
     Attributes
@@ -50,21 +52,3 @@ class HandoffQuadruplet:
         self.prev = prev
         self.next = next
         self.sojourn = sojourn
-
-    def _key(self) -> tuple:
-        return (self.event_time, self.prev, self.next, self.sojourn)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HandoffQuadruplet):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"HandoffQuadruplet(event_time={self.event_time!r},"
-            f" prev={self.prev!r}, next={self.next!r},"
-            f" sojourn={self.sojourn!r})"
-        )

@@ -29,18 +29,21 @@ from repro.cellular.base_station import EXIT_CELL
 from repro.cellular.topology import HexTopology, LinearTopology
 from repro.mobility.mobile import Mobile
 from repro.mobility.speed import SpeedSampler
+from repro.record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class Transition:
+class Transition(Record):
     """A future boundary crossing: at ``time``, into ``next_cell``.
 
     ``next_cell`` is :data:`~repro.cellular.base_station.EXIT_CELL` when
     the mobile drives off an open road's end.
     """
 
-    time: float
-    next_cell: int
+    __slots__ = ("time", "next_cell")
+
+    def __init__(self, time: float, next_cell: int) -> None:
+        self.time = time
+        self.next_cell = next_cell
 
 
 class MobilityModel(Protocol):

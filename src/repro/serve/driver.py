@@ -21,10 +21,10 @@ what the RNG used to decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 from repro.des.events import EventPriority
+from repro.record import Record
 from repro.serve.clock import StreamClock, VirtualClock
 from repro.serve.events import ARRIVAL, COMPLETE, EXIT, HANDOFF, StreamEvent
 from repro.traffic.classes import VOICE
@@ -33,8 +33,7 @@ from repro.traffic.connection import Connection
 __all__ = ["Decision", "DecisionSlot", "StreamDriver", "comparable_counters", "warm_start"]
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
+class Decision(Record):
     """Outcome of one streamed admission/hand-off query.
 
     ``reserved``/``used`` snapshot the decided cell *after* the
@@ -42,13 +41,25 @@ class Decision:
     for hand-offs here right now".
     """
 
-    t: float
-    kind: str
-    cell: int
-    admitted: bool
-    conn: int | None
-    reserved: float
-    used: float
+    __slots__ = ("t", "kind", "cell", "admitted", "conn", "reserved", "used")
+
+    def __init__(
+        self,
+        t: float,
+        kind: str,
+        cell: int,
+        admitted: bool,
+        conn: int | None,
+        reserved: float,
+        used: float,
+    ) -> None:
+        self.t = t
+        self.kind = kind
+        self.cell = cell
+        self.admitted = admitted
+        self.conn = conn
+        self.reserved = reserved
+        self.used = used
 
     def to_json(self) -> dict:
         return {

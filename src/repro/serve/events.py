@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import TextIO
+
+from repro.record import Record
 
 __all__ = [
     "ARRIVAL",
@@ -47,8 +48,7 @@ EXIT = "exit"
 _KINDS = frozenset({ARRIVAL, HANDOFF, COMPLETE, EXIT})
 
 
-@dataclass(frozen=True, slots=True)
-class StreamEvent:
+class StreamEvent(Record):
     """One timestamped event of a live (or recorded) session stream.
 
     Attributes
@@ -77,16 +77,25 @@ class StreamEvent:
         makes its own decision.
     """
 
-    t: float | None
-    kind: str
-    cell: int = -1
-    conn: int = -1
-    traffic: str = "voice"
-    admitted: bool | None = None
+    __slots__ = ("t", "kind", "cell", "conn", "traffic", "admitted")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown stream event kind {self.kind!r}")
+    def __init__(
+        self,
+        t: float | None,
+        kind: str,
+        cell: int = -1,
+        conn: int = -1,
+        traffic: str = "voice",
+        admitted: bool | None = None,
+    ) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown stream event kind {kind!r}")
+        self.t = t
+        self.kind = kind
+        self.cell = cell
+        self.conn = conn
+        self.traffic = traffic
+        self.admitted = admitted
 
 
 def encode_event(event: StreamEvent) -> str:

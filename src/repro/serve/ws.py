@@ -25,8 +25,11 @@ request order; ``stats``, ``subscribe``, ping and close first settle
 the run before them, so they observe every request sent earlier.
 
 The request path is one parse in, one format out: a stream request is
-decoded, checked and appended to the run, and its decision is written
-by formatting a template, not by serialising dicts — to the same bytes.
+scanned by the JSON decoder's C scanner (``json.loads`` only when the
+payload is more than one bare value, so every reply and error stays
+``json.loads``' own), checked into a :class:`StreamEvent` and appended
+to the run, and its decision is written by formatting a template, not
+by serialising dicts — to the same bytes.
 Frames the protocol has no use for are refused from their header:
 binary data with close status 1003, fragments, reserved bits or opcodes
 and over-long control frames with 1002.
@@ -298,6 +301,16 @@ def _decision_frame(decision, message: dict) -> bytes:
     )
 
 
+#: The C scanner under ``json.loads``: ``(value, end)`` of the one JSON
+#: value that starts at an index.  A request that is exactly one value
+#: is parsed by it alone; anything else (whitespace around the value,
+#: trailing data, a byte-order mark, no value at index 0) is handed to
+#: ``json.loads``, which returns the same object or raises the same
+#: error.  A scan that fails inside the value raises what ``json.loads``
+#: would: it scans from the same index 0.
+_scan_once = json.JSONDecoder().scan_once
+
+
 #: The reply to a notification that carried no ``id``: always the same.
 _OK_FRAME = _reply_frame({"op": "ok"}, None)
 
@@ -431,13 +444,18 @@ class _Session(asyncio.BufferedProtocol):
         so it observes every request sent before it."""
         message = None
         try:
-            message = json.loads(payload.decode("utf-8"))
+            text = payload.decode("utf-8")
+            try:
+                value, end = _scan_once(text, 0)
+            except StopIteration:  # no JSON value starts at index 0
+                end = -1
+            message = value if end == len(text) else json.loads(text)
             if not isinstance(message, dict):
                 raise ValueError("request must be a JSON object")
             event = _stream_event(message)
         except (
             KeyError, TypeError, ValueError, OverflowError,
-            RecursionError,  # json.loads, a few thousand ``[`` deep
+            RecursionError,  # the JSON scanner, a few thousand ``[`` deep
         ) as error:
             self._settle()
             self._out.append(_error_frame(str(error), message))

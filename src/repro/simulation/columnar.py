@@ -179,9 +179,6 @@ class ConnectionStore:
             + int(self.columns["birth_cell"][row])
         )
 
-    def bandwidth(self, row: int) -> float:
-        return BANDWIDTH_TABLE[self.columns["bw_code"][row]]
-
 
 class _ConnectionHandle:
     """Two-word view of one :class:`ConnectionStore` row.
@@ -281,12 +278,25 @@ class ColumnarCell(Cell):
         store = self.store
         columns = store.columns
         # ``array.array`` columns hand back native ints/floats, so no
-        # per-field conversions are needed on this path.
+        # per-field conversions are needed on this path; the reservation
+        # fields are :meth:`_member_row`'s, read inline and only while
+        # the cell has buckets.
+        bandwidth = BANDWIDTH_TABLE[columns["bw_code"][row]]
+        if self._buckets is None:
+            fields = None
+        else:
+            prev = columns["prev"][row]
+            fields = (
+                None if prev < 0 else prev,
+                columns["entry_time"][row],
+                bandwidth,
+            )
         self._enter(
             columns["birth_seq"][row] * store.num_cells
             + columns["birth_cell"][row],
             row,
-            BANDWIDTH_TABLE[columns["bw_code"][row]],
+            bandwidth,
+            fields,
         )
 
     def detach_row(self, row: int) -> None:
@@ -294,10 +304,21 @@ class ColumnarCell(Cell):
         it moves the row's prev and entry time on."""
         store = self.store
         columns = store.columns
+        bandwidth = BANDWIDTH_TABLE[columns["bw_code"][row]]
+        if self._buckets is None:
+            fields = None
+        else:
+            prev = columns["prev"][row]
+            fields = (
+                None if prev < 0 else prev,
+                columns["entry_time"][row],
+                bandwidth,
+            )
         self._leave(
             columns["birth_seq"][row] * store.num_cells
             + columns["birth_cell"][row],
-            BANDWIDTH_TABLE[columns["bw_code"][row]],
+            bandwidth,
+            fields,
         )
 
     def attach(self, connection) -> None:  # pragma: no cover - misuse guard

@@ -5,7 +5,6 @@ front refuses."""
 
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -118,7 +117,11 @@ class TestLifecycleViolations:
             events, lambda e: e.kind == ARRIVAL and e.conn == events[index].conn
         )
         moved = events.pop(index)
-        events.insert(arrival, replace(moved, t=events[arrival].t))
+        events.insert(
+            arrival,
+            StreamEvent(events[arrival].t, moved.kind, moved.cell, moved.conn,
+                        moved.traffic, moved.admitted),
+        )
         assert any(
             "before its arrival" in problem
             for problem in lifecycle_violations(events)
@@ -147,7 +150,9 @@ class TestLifecycleViolations:
         index = self._first(
             events, lambda e: e.kind == ARRIVAL and e.admitted
         )
-        again = replace(events[index], t=events[index + 1].t)
+        first = events[index]
+        again = StreamEvent(events[index + 1].t, first.kind, first.cell,
+                            first.conn, first.traffic, first.admitted)
         events.insert(index + 1, again)
         assert any(
             "second arrival of a live connection" in problem

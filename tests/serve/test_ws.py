@@ -24,6 +24,7 @@ from repro.serve.ws import (
     SyncWsClient,
     WebSocketGateway,
     _decision_frame,
+    _error_frame,
     _parse_ws_url,
     _client_handshake_bytes,
     _Session,
@@ -1051,3 +1052,69 @@ class TestArbitraryBytes:
         ]
         session.connection_lost(None)
         assert service.broadcast.subscribers == 0
+
+
+# ----------------------------------------------------------------------
+# the request parser: the JSON scanner, and json.loads past it
+# ----------------------------------------------------------------------
+#: Each payload's reply is fixed by its parse alone (no stream request
+#: reaches the engine), and an ``id`` in it is echoed back: a parse that
+#: differs from ``json.loads`` changes a reply byte.
+_PARSE_TABLE = [
+    b'{"op":"nope","id":{"b":[1,2.5,-0.0,1e300,null,true,"\\u00e9"],"a":{}}}',
+    b'{"op": "nope", "id": 1}',
+    b' \t\r\n{"op":"nope","id":2}',
+    b'{"op":"nope","id":3} \n',
+    b'  {"op":"nope","id":4}  ',
+    b'{"op":"stats","id":5} x',
+    b'{"op":"stats","id":6}{"op":"stats"}',
+    b'{"op":"nope","id":7',
+    b'{"op" 1}',
+    b'[1, 2]',
+    b"7",
+    b"",
+    b"\xff\xfe{}",
+    "\ufeff{}".encode("utf-8"),
+    b'{"id":' + b"1" * 5000 + b"}",
+    b'{"op":"nope","id":NaN}',
+    b"[" * 5000,
+]
+
+
+def _loads_reply(payload: bytes) -> bytes:
+    """The reply built from ``json.loads``' own result or exception."""
+    message = None
+    try:
+        message = json.loads(payload.decode("utf-8"))
+        if not isinstance(message, dict):
+            raise ValueError("request must be a JSON object")
+    except (ValueError, RecursionError) as error:
+        return _error_frame(str(error), message)
+    return _error_frame(f"unknown op {message.get('op')!r}", message)
+
+
+class TestScannedRequests:
+    def test_every_reply_is_the_one_json_loads_gives(self):
+        service = AdmissionService(_config())
+        asyncio.run(service.start())
+        session, sink = _open_session(service)
+        _feed(
+            session,
+            b"".join(encode_frame(payload, mask=True) for payload in _PARSE_TABLE),
+        )
+        assert not sink.closed
+        expected = [_loads_reply(payload) for payload in _PARSE_TABLE]
+        assert bytes(sink.data) == b"".join(expected)
+        # The table reaches every branch: a scanned value, the fallback's
+        # value, its errors, and a parse that fails before any fallback.
+        replies = [
+            json.loads(payload)
+            for _, payload in FrameDecoder().feed(b"".join(expected))
+        ]
+        assert [reply.get("id") for reply in replies[:5]] == [
+            json.loads(_PARSE_TABLE[0])["id"], 1, 2, 3, 4,
+        ]
+        assert replies[5]["error"].startswith("Extra data")
+        assert "id" not in replies[5] and "id" not in replies[6]
+        assert "recursion" in replies[-1]["error"]
+        session.connection_lost(None)

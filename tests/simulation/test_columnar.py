@@ -73,9 +73,9 @@ class TestConnectionSemantics:
         store = ConnectionStore(num_cells=10)
         row = store.alloc()
         store.columns["bw_code"][row] = 0
-        assert store.bandwidth(row) == BANDWIDTH_TABLE[0] == 1.0
+        assert BANDWIDTH_TABLE[store.columns["bw_code"][row]] == 1.0
         store.columns["bw_code"][row] = 1
-        assert store.bandwidth(row) == BANDWIDTH_TABLE[1] == 4.0
+        assert BANDWIDTH_TABLE[store.columns["bw_code"][row]] == 4.0
 
 
 class TestHandle:
