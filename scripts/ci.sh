@@ -58,7 +58,9 @@ PYTHONPATH=src python scripts/telemetry_smoke.py
 
 echo "== state smoke =="
 # Durable state store: corruption must fail `state inspect`,
-# save -> load -> run must be bit-identical to the straight run, the
+# save -> load -> run must be bit-identical to the straight run (once
+# with T_int = inf, once with T_int = 120 s and N_quad = 40, so the
+# windowed quadruplet columns are restored too), the
 # CLI's --telemetry-json must export state.save and state.load, and a
 # sharded `repro campaign` must leave verifiable days it then reuses.
 PYTHONPATH=src python scripts/state_smoke.py

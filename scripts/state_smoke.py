@@ -10,7 +10,10 @@ Three gates, all cheap enough for every CI pass:
    connection record; the past-horizon renewals ordinary queue
    records, schema v4), restore, run to the full horizon, and assert
    ``metrics_key()`` equality with the uninterrupted run (the store's
-   core bit-identity contract); then the same save and load through
+   core bit-identity contract).  Run twice: with ``T_int = inf``, and
+   with ``T_int = 120 s``, ``N_quad = 40``, whose windowed per-pair
+   columns go through the save, ``export_columns``, ``preload`` and the
+   resumed run.  Then the same save and load through
    ``repro run --save-state``/``--load-state`` with ``--telemetry-json``
    must export ``state.save`` and ``state.load`` (the run's own
    registry times its state I/O).
@@ -55,10 +58,11 @@ def check_corruption_detected(config, scratch: Path) -> None:
 
 
 def check_restore_parity(config, scratch: Path) -> None:
+    window = "inf" if config.t_int is None else f"{config.t_int:g}s"
     full = CellularSimulator(config).run()
     half = CellularSimulator(replace(config, duration=config.duration / 2))
     half.run()
-    path = save_checkpoint(half, scratch / "parity")
+    path = save_checkpoint(half, scratch / f"parity-{window}")
     runtime = json.loads((path / "runtime.json").read_text())
     pending = Counter(
         record["kind"] for record in runtime["queue"] if "conn" in record
@@ -77,7 +81,7 @@ def check_restore_parity(config, scratch: Path) -> None:
     if resumed.metrics_key() != full.metrics_key():
         raise SystemExit("restored run diverged from the straight run")
     print(
-        "parity smoke: save @ "
+        f"parity smoke (T_int={window}, N_quad={config.n_quad}): save @ "
         f"{config.duration / 2:g}s -> load -> run to {config.duration:g}s"
         " is bit-identical"
         f" (P_CB={full.blocking_probability:.4f},"
@@ -85,7 +89,6 @@ def check_restore_parity(config, scratch: Path) -> None:
         f" {pending['crossing']} connections saved with only a crossing"
         f" pending, {pending['lifetime']} with only their end)"
     )
-    check_cli_state_telemetry(scratch)
 
 
 def _cli(*argv: str) -> tuple[int, str]:
@@ -168,6 +171,8 @@ def main() -> None:
         scratch = Path(scratch)
         check_corruption_detected(config, scratch)
         check_restore_parity(config, scratch)
+        check_restore_parity(replace(config, t_int=120.0, n_quad=40), scratch)
+        check_cli_state_telemetry(scratch)
         check_spatial_campaign(scratch)
     print("state smoke OK")
 

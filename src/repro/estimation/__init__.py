@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :class:`HandoffQuadruplet` — one observed hand-off departure.
-* :class:`CacheConfig` / :class:`QuadrupletCache` — periodic-window
-  storage with the paper's priority and eviction rules.
+* :class:`CacheConfig` / :class:`QuadrupletCache` — the hand-off
+  quadruplets as per-pair columns, with the paper's periodic windows,
+  priority and eviction rules.
 * :class:`HandoffEstimationFunction` — queryable ``F_HOE`` snapshot.
 * :class:`MobilityEstimator` — Bayes hand-off probabilities (Eq. 4).
 * :class:`KnownPathEstimator` — route-guidance variant (§7).
@@ -15,21 +15,17 @@ from repro.estimation.cache import (
     DAY_SECONDS,
     CacheConfig,
     QuadrupletCache,
-    WeightedQuadruplet,
 )
 from repro.estimation.estimator import KnownPathEstimator, MobilityEstimator
 from repro.estimation.function import HandoffEstimationFunction
-from repro.estimation.quadruplet import HandoffQuadruplet
 
 __all__ = [
     "DAY_SECONDS",
     "CacheConfig",
     "CalendarEstimator",
     "HandoffEstimationFunction",
-    "HandoffQuadruplet",
     "KnownPathEstimator",
     "MobilityEstimator",
     "QuadrupletCache",
     "WeekSchedule",
-    "WeightedQuadruplet",
 ]

@@ -1,9 +1,13 @@
 """Quadruplet cache with periodic day-windows and the priority rule.
 
-The cache stores :class:`HandoffQuadruplet` observations per
-``(prev, next)`` pair and answers: *which quadruplets, with which
-weights, participate in the hand-off estimation function at time t0?*
-(paper Eqs. 2–3 and Figure 3).
+A base station caches one quadruplet ``(T_event, prev, next, T_soj)``
+for every mobile that leaves its cell (paper §3.1).  The cache keeps
+them as columns, per ``(prev, next)`` pair: the event times and the
+sojourn times in record order.  :meth:`QuadrupletCache.record` takes
+the four values and builds no object.  The cache answers: *which
+quadruplets, with which weights, participate in the hand-off
+estimation function at time t0?* (paper Eqs. 2–3 and Figure 3), as
+``(sojourn, weight)`` pairs: Eq. 4 reads nothing else.
 
 A quadruplet observed at ``T_event`` participates if, for some integer
 ``n >= 0``::
@@ -19,19 +23,20 @@ smaller recency-adjusted distance ``|T_event + n*T_day - t0|``.
 every cached quadruplet is in-window with weight ``w_0`` and the
 ``N_quad`` most recent per pair are used.
 
-Selection is *incremental*: entries are kept time-ordered in an
-offset-compacted array with a mirrored event-time array, so each
-rebuild finds every periodic window with two binary searches instead of
-scanning (and sorting) the whole pair store, and only computes recency
-distances when a window actually overflows ``N_quad``.
+Selection is *incremental*: the columns are time-ordered and hold only
+live entries, so each rebuild finds every periodic window with two
+binary searches on the time column instead of scanning (and sorting)
+the whole pair store, and only computes recency distances when a
+window actually overflows ``N_quad``.
 
-**Columnar fast path (infinite interval).**  With ``T_int = None`` the
-live store of a pair *is* its active set, so the cache additionally
+**Sorted columns (infinite interval).**  With ``T_int = None`` the
+live entries of a pair *are* its active set, so the cache additionally
 maintains, per pair and per ``prev`` (the Eq. 4 denominator union), a
 sojourn-sorted column of the live sojourn times.  F_HOE snapshots are
-then built by copying those columns (no comparison sort, no per-entry
-wrapper objects) — see :meth:`QuadrupletCache.active_columns` — and the
-largest active sojourn is the last element of a column
+then built by copying those columns (no comparison sort, no
+``(sojourn, weight)`` pairs) — see
+:meth:`QuadrupletCache.active_columns` — and the largest active
+sojourn is the last element of a column
 (:meth:`QuadrupletCache.max_active_sojourn`).
 
 The reservation tick counts Eq. 4 masses in the same live lists, in
@@ -48,16 +53,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterator, Sequence
-
-from repro.estimation.quadruplet import HandoffQuadruplet
 
 #: Seconds in a day (``T_day`` in the paper).
 DAY_SECONDS = 86_400.0
-
-#: Dead-prefix length beyond which a pair store is compacted.
-_COMPACT_THRESHOLD = 512
 
 
 @dataclass
@@ -96,34 +95,6 @@ class CacheConfig:
         return len(self.weights) - 1
 
 
-class WeightedQuadruplet:
-    """A cache hit: the quadruplet plus its day-age weight ``w_n``.
-
-    Created in bulk on every (fallback-path) F_HOE rebuild, so this is
-    a bare ``__slots__`` pair rather than a dataclass.
-    """
-
-    __slots__ = ("quadruplet", "weight")
-
-    def __init__(self, quadruplet: HandoffQuadruplet, weight: float) -> None:
-        self.quadruplet = quadruplet
-        self.weight = weight
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedQuadruplet):
-            return NotImplemented
-        return (
-            self.quadruplet == other.quadruplet
-            and self.weight == other.weight
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.quadruplet, self.weight))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WeightedQuadruplet({self.quadruplet!r}, {self.weight!r})"
-
-
 class ColumnarActive:
     """The active set of one ``prev`` as sojourn-sorted columns.
 
@@ -149,44 +120,22 @@ class ColumnarActive:
 
 @dataclass(slots=True)
 class _PairStore:
-    """Per-(prev, next) storage; newest entries at the right end.
+    """Per-(prev, next) columns of the live entries, oldest first.
 
-    Live entries are ``quads[start:]``; eviction advances ``start`` and
-    the dead prefix is deleted once it grows past a threshold (amortised
-    O(1) per eviction).  ``times`` mirrors ``quads`` with the event
-    times so selection windows are located by binary search with O(1)
-    random access — a deque would make every ``bisect`` probe O(n).
+    ``times`` and ``sojourns`` hold the event and sojourn times in
+    record order, in lists so that selection windows are located by
+    binary search.  An eviction deletes the oldest entries from both at
+    once: a pair holds at most ``N_quad`` entries per contributing day,
+    so the shift is short, and no dead prefix outlives it.
 
-    ``sorted_sojourns`` is the columnar mirror maintained for infinite
-    intervals only: the live sojourn times in ascending order, kept
-    consistent by ``insort`` on record and ``bisect`` removal on evict.
+    ``sorted_sojourns`` is kept for infinite intervals only: the live
+    sojourn times in ascending order, kept consistent by ``insort`` on
+    record and ``bisect`` removal on evict.
     """
 
-    quads: list[HandoffQuadruplet] = field(default_factory=list)
     times: list[float] = field(default_factory=list)
-    start: int = 0
+    sojourns: list[float] = field(default_factory=list)
     sorted_sojourns: list[float] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.quads) - self.start
-
-    def append(self, quadruplet: HandoffQuadruplet) -> None:
-        self.quads.append(quadruplet)
-        self.times.append(quadruplet.event_time)
-
-    def newest_time(self) -> float:
-        return self.times[-1]
-
-    def drop_left(self, count: int) -> None:
-        """Evict the ``count`` oldest live entries."""
-        self.start += count
-        if (
-            self.start > _COMPACT_THRESHOLD
-            and self.start * 2 >= len(self.quads)
-        ):
-            del self.quads[: self.start]
-            del self.times[: self.start]
-            self.start = 0
 
 
 class QuadrupletCache:
@@ -196,9 +145,9 @@ class QuadrupletCache:
         self.config = config or CacheConfig()
         self._pairs: dict[tuple[int | None, int], _PairStore] = {}
         self._prev_keys: set[int | None] = set()
-        #: ``prev -> sorted union of live sojourn times`` (infinite
-        #: interval only): the Eq. 4 denominator column, maintained
-        #: incrementally alongside the per-pair columns.
+        #: ``prev -> sorted union of live sojourn times`` (kept under
+        #: an infinite interval only): the Eq. 4 denominator column,
+        #: maintained incrementally alongside the per-pair columns.
         self._union_sojourns: dict[int | None, list[float]] = {}
         #: ``next -> [(prev, union, sorted pair sojourns), ...]`` over
         #: the nonempty pair columns (infinite interval only).
@@ -208,44 +157,50 @@ class QuadrupletCache:
     # ------------------------------------------------------------------
     # recording / eviction
     # ------------------------------------------------------------------
-    def record(self, quadruplet: HandoffQuadruplet) -> None:
-        """Cache a new observation (must arrive in time order per pair)."""
-        key = (quadruplet.prev, quadruplet.next)
-        store = self._pairs.get(key)
-        if store is None:
-            store = _PairStore()
-            self._pairs[key] = store
-            self._prev_keys.add(quadruplet.prev)
-        if len(store) and quadruplet.event_time < store.newest_time():
-            raise ValueError("quadruplets must be recorded in time order")
-        store.append(quadruplet)
-        self.total_recorded += 1
-        if self.config.interval is None:
-            sorted_sojourns = store.sorted_sojourns
-            insort(sorted_sojourns, quadruplet.sojourn)
-            union = self._union_sojourns.get(quadruplet.prev)
-            if union is None:
-                union = self._union_sojourns[quadruplet.prev] = []
-            insort(union, quadruplet.sojourn)
-            if len(sorted_sojourns) == 1:
-                self._index(quadruplet.prev, quadruplet.next, sorted_sojourns)
-            excess = len(store) - self.config.max_per_pair
-            if excess > 0:
-                self._drop_oldest_columnar(store, quadruplet.prev, excess)
-        else:
-            self._evict_windowed(store, quadruplet.event_time)
-
-    def _drop_oldest_columnar(
-        self, store: _PairStore, prev: int | None, count: int
+    def record(
+        self,
+        event_time: float,
+        prev: int | None,
+        next_cell: int,
+        sojourn: float,
     ) -> None:
-        """Infinite interval: evict beyond ``N_quad``, keeping columns."""
-        union = self._union_sojourns[prev]
+        """Cache the quadruplet ``(T_event, prev, next, T_soj)`` of one
+        departure (must arrive in time order per pair).
+
+        ``event_time`` is negative for history imported from a prior
+        warm-up run, rebased before this run's t=0; ``prev`` is
+        ``None`` when the connection started in this cell.
+        """
+        if sojourn < 0:
+            raise ValueError(f"negative sojourn time {sojourn}")
+        store = self._pairs.get((prev, next_cell))
+        if store is None:
+            store = self._pairs[(prev, next_cell)] = _PairStore()
+            self._prev_keys.add(prev)
+            self._union_sojourns.setdefault(prev, [])
+        times = store.times
+        if times and event_time < times[-1]:
+            raise ValueError("quadruplets must be recorded in time order")
+        sojourns = store.sojourns
+        times.append(event_time)
+        sojourns.append(sojourn)
+        self.total_recorded += 1
+        if self.config.interval is not None:
+            self._evict_windowed(store, event_time)
+            return
         sorted_sojourns = store.sorted_sojourns
-        for quad in store.quads[store.start : store.start + count]:
-            sojourn = quad.sojourn
-            del sorted_sojourns[bisect_left(sorted_sojourns, sojourn)]
-            del union[bisect_left(union, sojourn)]
-        store.drop_left(count)
+        insort(sorted_sojourns, sojourn)
+        union = self._union_sojourns[prev]
+        insort(union, sojourn)
+        if len(sorted_sojourns) == 1:
+            self._index(prev, next_cell, sorted_sojourns)
+        # Every record adds one entry and a pair never holds more than
+        # N_quad after one, so an eviction drops exactly the oldest.
+        if len(times) > self.config.max_per_pair:
+            oldest = sojourns[0]
+            del times[0], sojourns[0]
+            del sorted_sojourns[bisect_left(sorted_sojourns, oldest)]
+            del union[bisect_left(union, oldest)]
 
     # ------------------------------------------------------------------
     # the live lists the reservation tick counts in
@@ -292,13 +247,8 @@ class QuadrupletCache:
             tuple[int | None, int], tuple[list[float], list[float]]
         ] = {}
         for key, store in self._pairs.items():
-            quads = store.quads[store.start:]
-            if not quads:
-                continue
-            exported[key] = (
-                [quad.event_time for quad in quads],
-                [quad.sojourn for quad in quads],
-            )
+            if store.times:
+                exported[key] = (store.times[:], store.sojourns[:])
         return exported
 
     def preload(self, pairs) -> None:
@@ -306,34 +256,29 @@ class QuadrupletCache:
 
         ``pairs`` maps ``(prev, next)`` to parallel ``(times, sojourns)``
         sequences in record order (see :meth:`export_columns`).
-        Equivalent to recording each quadruplet in turn, but builds the
-        sorted columns with one sort per column instead of per-entry
-        ``insort``.  Only valid before any :meth:`record`.
+        Equivalent to recording each quadruplet in turn, but copies the
+        columns and builds the sorted ones with one sort per column
+        instead of per-entry ``insort``.  Only valid before any
+        :meth:`record`.
         """
         if self._pairs:
             raise ValueError("preload requires an empty cache")
         infinite = self.config.interval is None
         for (prev, next_cell), (times, sojourns) in pairs.items():
+            if sojourns and min(sojourns) < 0:
+                raise ValueError(f"negative sojourn time {min(sojourns)}")
             if infinite and len(times) > self.config.max_per_pair:
                 # Respect N_quad even if the exporter was configured
                 # looser; newest entries win, as record() would keep.
                 times = times[-self.config.max_per_pair:]
                 sojourns = sojourns[-self.config.max_per_pair:]
-            store = _PairStore()
-            store.quads = [
-                HandoffQuadruplet(time, prev, next_cell, sojourn)
-                for time, sojourn in zip(times, sojourns)
-            ]
-            store.times = list(times)
+            store = _PairStore(list(times), list(sojourns))
             if infinite:
                 store.sorted_sojourns = sorted(sojourns)
-                union = self._union_sojourns.get(prev)
-                if union is None:
-                    union = self._union_sojourns[prev] = []
-                union.extend(sojourns)
+                self._union_sojourns.setdefault(prev, []).extend(sojourns)
             self._pairs[(prev, next_cell)] = store
             self._prev_keys.add(prev)
-            self.total_recorded += len(store.quads)
+            self.total_recorded += len(store.times)
         for union in self._union_sojourns.values():
             union.sort()
         for (prev, next_cell), store in self._pairs.items():
@@ -348,30 +293,29 @@ class QuadrupletCache:
         """
         config = self.config
         horizon = config.window_days * config.period + config.interval
+        times = store.times
         # Entries are time-ordered: the out-of-date prefix ends at the
-        # first event time still within the horizon.
-        keep_from = bisect_left(
-            store.times, now - horizon, store.start, len(store.times)
+        # first event time still within the horizon.  Memory bound: one
+        # full window of N_quad per contributing day.
+        keep_from = max(
+            bisect_left(times, now - horizon),
+            len(times) - config.max_per_pair * (config.window_days + 1),
         )
-        if keep_from > store.start:
-            store.drop_left(keep_from - store.start)
-        # Memory bound: one full window of N_quad per contributing day.
-        limit = config.max_per_pair * (config.window_days + 1)
-        excess = len(store) - limit
-        if excess > 0:
-            store.drop_left(excess)
+        if keep_from > 0:
+            del times[:keep_from]
+            del store.sojourns[:keep_from]
 
     # ------------------------------------------------------------------
     # selection (Eqs. 2-3 + priority rule)
     # ------------------------------------------------------------------
     def active(
         self, now: float, prev: int | None
-    ) -> dict[int, list[WeightedQuadruplet]]:
-        """Active weighted quadruplets at time ``now`` for one ``prev``.
+    ) -> dict[int, list[tuple[float, float]]]:
+        """Active quadruplets at time ``now`` for one ``prev``.
 
-        Returns a mapping ``next -> [WeightedQuadruplet, ...]``.
+        Returns a mapping ``next -> [(sojourn, weight), ...]``.
         """
-        result: dict[int, list[WeightedQuadruplet]] = {}
+        result: dict[int, list[tuple[float, float]]] = {}
         for (stored_prev, next_cell), store in self._pairs.items():
             if stored_prev != prev:
                 continue
@@ -395,7 +339,7 @@ class QuadrupletCache:
             return None
         per_next: dict[int, Sequence[float]] = {}
         for (stored_prev, next_cell), store in self._pairs.items():
-            if stored_prev != prev or not len(store):
+            if stored_prev != prev or not store.sorted_sojourns:
                 continue
             per_next[next_cell] = store.sorted_sojourns[:]
         union = self._union_sojourns.get(prev)
@@ -436,28 +380,20 @@ class QuadrupletCache:
 
     def size(self) -> int:
         """Total quadruplets currently cached (all pairs)."""
-        return sum(len(store) for store in self._pairs.values())
+        return sum(len(store.times) for store in self._pairs.values())
 
     def _select_pair(
         self, store: _PairStore, now: float
-    ) -> list[WeightedQuadruplet]:
+    ) -> list[tuple[float, float]]:
         config = self.config
-        quads = store.quads
-        end = len(quads)
-        if end == store.start:
-            return []
         if config.interval is None:
             weight = config.weights[0]
-            begin = max(store.start, end - config.max_per_pair)
-            return [
-                WeightedQuadruplet(quad, weight)
-                for quad in islice(quads, begin, end)
-            ]
+            return [(sojourn, weight) for sojourn in store.sojourns]
         return self._select_pair_windowed(store, now)
 
     def _select_pair_windowed(
         self, store: _PairStore, now: float
-    ) -> list[WeightedQuadruplet]:
+    ) -> list[tuple[float, float]]:
         """Finite ``T_int``: pick per periodic window via binary search.
 
         Equivalent to scoring every entry with the priority rule and
@@ -469,22 +405,21 @@ class QuadrupletCache:
         interval = config.interval
         assert interval is not None
         times = store.times
-        quads = store.quads
-        start, end = store.start, len(quads)
+        sojourns = store.sojourns
         # Consecutive windows can overlap (entries then belong to the
         # *smallest* n — Eq. 2); only track claims when geometry allows it.
         overlapping = 2.0 * interval > config.period
         claimed: set[int] = set()
         budget = config.max_per_pair
-        selected: list[WeightedQuadruplet] = []
+        selected: list[tuple[float, float]] = []
         for day_age, weight in enumerate(config.weights):
             if budget <= 0:
                 break
             if weight <= 0.0:
                 continue
             center = now - day_age * config.period
-            lo = bisect_left(times, center - interval, start, end)
-            hi = bisect_left(times, center + interval, lo, end)
+            lo = bisect_left(times, center - interval)
+            hi = bisect_left(times, center + interval, lo)
             if lo == hi:
                 continue
             if overlapping and claimed:
@@ -502,7 +437,7 @@ class QuadrupletCache:
                     key=lambda i: (abs(times[i] - center), i),
                 )
             for index in chosen:
-                selected.append(WeightedQuadruplet(quads[index], weight))
+                selected.append((sojourns[index], weight))
             if overlapping:
                 claimed.update(chosen)
             budget -= len(chosen)

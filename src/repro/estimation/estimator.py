@@ -1,7 +1,8 @@
 """Per-cell mobility estimator: Bayes hand-off probabilities (Eq. 4).
 
-Each base station owns one :class:`MobilityEstimator`.  It records a
-quadruplet for every mobile departing the cell, and answers: *with what
+Each base station owns one :class:`MobilityEstimator`.  It records the
+quadruplet ``(T_event, prev, next, T_soj)`` of every mobile departing
+the cell — four values into the cache's columns — and answers: *with what
 probability will an active connection, which entered from cell ``prev``
 and has been here for ``T_ext-soj`` seconds, hand off into cell ``next``
 within the next ``T_est`` seconds?* — exactly Eq. 4::
@@ -18,8 +19,8 @@ Function snapshots are cached per ``prev`` and rebuilt lazily when new
 quadruplets arrive or (for finite ``T_int``) when the snapshot is older
 than ``rebuild_interval`` — a documented approximation of the paper's
 continuously sliding periodic windows.  Infinite-interval snapshots are
-assembled from the cache's columnar fast path (sorted sojourn columns,
-no per-entry wrappers).
+assembled from the cache's sorted sojourn columns; finite-interval ones
+from the ``(sojourn, weight)`` pairs its window selection yields.
 
 Eq. 5 is evaluated two ways.
 :meth:`MobilityEstimator.expected_bandwidth_multi` is the scalar walk
@@ -39,7 +40,6 @@ from typing import Sequence
 
 from repro.estimation.cache import CacheConfig, QuadrupletCache
 from repro.estimation.function import HandoffEstimationFunction
-from repro.estimation.quadruplet import HandoffQuadruplet
 from repro.obs.telemetry import NullTelemetry
 
 
@@ -96,9 +96,7 @@ class MobilityEstimator:
         sojourn: float,
     ) -> None:
         """Cache the quadruplet of a mobile that just left the cell."""
-        self.cache.record(
-            HandoffQuadruplet(event_time, prev, next_cell, sojourn)
-        )
+        self.cache.record(event_time, prev, next_cell, sojourn)
         if prev not in self._dirty and prev in self._snapshots:
             self.snapshot_invalidations += 1
         self._dirty.add(prev)

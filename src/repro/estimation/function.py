@@ -1,7 +1,8 @@
 """The hand-off estimation function ``F_HOE`` (paper §3.1, Figures 4–5).
 
 A :class:`HandoffEstimationFunction` is an immutable snapshot, for one
-``prev`` cell, of the weighted quadruplets active at a build instant.
+``prev`` cell, of the quadruplets active at a build instant: Eq. 4
+reads only their sojourn times and day-age weights.
 It answers the mass queries needed by Bayes' rule (Eq. 4) in
 ``O(log N_quad)`` per query using sorted sojourn arrays with prefix
 weight sums.
@@ -9,9 +10,9 @@ weight sums.
 The storage is *columnar*: one sorted sojourn array plus one prefix
 weight-sum array per next cell (and one pair for the union over next
 cells, which makes the Eq. 4 denominator a single binary search).
-Snapshots are built either from the legacy ``WeightedQuadruplet``
-listing or, far cheaper, straight from the cache's incrementally
-sorted columns (:meth:`from_columns`).
+Snapshots are built either from the ``(sojourn, weight)`` pairs of the
+cache's window selection or, far cheaper, straight from its
+incrementally sorted columns (:meth:`from_columns`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from bisect import bisect_right
 from itertools import accumulate, repeat
 from typing import Mapping, Sequence
 
-from repro.estimation.cache import ColumnarActive, WeightedQuadruplet
+from repro.estimation.cache import ColumnarActive
 
 
 class _Mass:
@@ -36,11 +37,10 @@ class _Mass:
 
     @classmethod
     def from_weighted(
-        cls, weighted: Sequence[WeightedQuadruplet]
+        cls, weighted: Sequence[tuple[float, float]]
     ) -> "_Mass":
-        ordered = sorted(
-            (item.quadruplet.sojourn, item.weight) for item in weighted
-        )
+        """Build from ``(sojourn, weight)`` pairs in any order."""
+        ordered = sorted(weighted)
         return cls(
             [sojourn for sojourn, _weight in ordered],
             list(accumulate(weight for _sojourn, weight in ordered)),
@@ -54,7 +54,7 @@ class _Mass:
 
         The cumulative array is produced by the same left-to-right
         running addition as :meth:`from_weighted`, so masses are
-        bit-identical to the legacy path for any ``w_0``.
+        bit-identical to the pairs path for any ``w_0``.
         """
         sojourns = list(sorted_sojourns)
         return cls(
@@ -95,7 +95,7 @@ class HandoffEstimationFunction:
     Parameters
     ----------
     weighted_by_next:
-        Mapping ``next cell id -> active weighted quadruplets``, as
+        Mapping ``next cell id -> [(sojourn, weight), ...]``, as
         produced by :meth:`repro.estimation.cache.QuadrupletCache.active`.
         Snapshots over the cache's columnar fast path are built with
         :meth:`from_columns` instead.
@@ -105,7 +105,7 @@ class HandoffEstimationFunction:
 
     def __init__(
         self,
-        weighted_by_next: Mapping[int, Sequence[WeightedQuadruplet]],
+        weighted_by_next: Mapping[int, Sequence[tuple[float, float]]],
     ) -> None:
         self._per_next = {
             next_cell: _Mass.from_weighted(items)

@@ -3,7 +3,7 @@
 A frozen ``slots=True`` dataclass assigns each field through a call
 of ``object.__setattr__`` when it is built.  The records made on every
 event — a stream event, its decision, an admission test's outcome, a
-mobile's next boundary crossing, a hand-off quadruplet — are built far
+mobile's next boundary crossing — are built far
 more often than they are compared, so they are ``__slots__`` classes
 whose ``__init__`` sets plain slots, and :class:`Record` gives them what
 the dataclass did: equality and hashing by fields, a dataclass-style

@@ -10,11 +10,10 @@ smaller ``N_quad``.
 import pytest
 
 from repro.estimation.cache import CacheConfig, QuadrupletCache
-from repro.estimation.quadruplet import HandoffQuadruplet
 
 
 def record(cache, time, prev, next_cell, sojourn):
-    cache.record(HandoffQuadruplet(time, prev, next_cell, sojourn))
+    cache.record(time, prev, next_cell, sojourn)
 
 
 class TestExportColumns:
@@ -99,6 +98,11 @@ class TestPreloadRoundTrip:
         record(cache, 10.0, 1, 2, 3.0)
         with pytest.raises(ValueError):
             cache.preload({(1, 3): ([1.0], [1.0])})
+
+    def test_preload_refuses_a_negative_sojourn(self):
+        cache = QuadrupletCache()
+        with pytest.raises(ValueError, match="negative sojourn time -2.0"):
+            cache.preload({(1, 3): ([1.0, 2.0], [5.0, -2.0])})
 
     def test_preload_matches_replayed_records(self):
         config = CacheConfig(interval=60.0, period=1000.0)

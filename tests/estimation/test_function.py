@@ -1,14 +1,11 @@
 """Unit tests for the F_HOE snapshot's mass queries."""
 
-from repro.estimation.cache import WeightedQuadruplet
 from repro.estimation.function import HandoffEstimationFunction
-from repro.estimation.quadruplet import HandoffQuadruplet
 
 
-def weighted(sojourn, weight=1.0, next_cell=2, prev=1, event_time=0.0):
-    return WeightedQuadruplet(
-        HandoffQuadruplet(event_time, prev, next_cell, sojourn), weight
-    )
+def weighted(sojourn, weight=1.0):
+    """One active quadruplet as the cache's selection yields it."""
+    return sojourn, weight
 
 
 def build(mapping):
@@ -54,8 +51,8 @@ def test_weights_respected():
 def test_total_mass_spans_next_cells():
     function = build(
         {
-            2: [weighted(10.0, next_cell=2)],
-            3: [weighted(30.0, next_cell=3)],
+            2: [weighted(10.0)],
+            3: [weighted(30.0)],
         }
     )
     assert function.total_mass_above(0.0) == 2.0
@@ -72,8 +69,8 @@ def test_unknown_next_cell_zero_mass():
 def test_max_sojourn():
     function = build(
         {
-            2: [weighted(10.0, next_cell=2)],
-            3: [weighted(45.0, next_cell=3)],
+            2: [weighted(10.0)],
+            3: [weighted(45.0)],
         }
     )
     assert function.max_sojourn() == 45.0
@@ -107,7 +104,7 @@ def test_matches_naive_computation():
     rng = random.Random(0)
     items = {
         next_cell: [
-            weighted(rng.uniform(0, 100), rng.choice((0.5, 1.0)), next_cell)
+            weighted(rng.uniform(0, 100), rng.choice((0.5, 1.0)))
             for _ in range(50)
         ]
         for next_cell in (2, 3, 4)
@@ -116,16 +113,16 @@ def test_matches_naive_computation():
     for low, high in [(0, 10), (5, 50), (30, 31), (90, 200)]:
         for next_cell in (2, 3, 4):
             naive = sum(
-                item.weight
-                for item in items[next_cell]
-                if low < item.quadruplet.sojourn <= high
+                weight
+                for sojourn, weight in items[next_cell]
+                if low < sojourn <= high
             )
             got = function.mass_between(next_cell, low, high)
             assert abs(got - naive) < 1e-9
         naive_above = sum(
-            item.weight
+            weight
             for cell_items in items.values()
-            for item in cell_items
-            if item.quadruplet.sojourn > low
+            for sojourn, weight in cell_items
+            if sojourn > low
         )
         assert abs(function.total_mass_above(low) - naive_above) < 1e-9

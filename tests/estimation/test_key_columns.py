@@ -9,11 +9,10 @@ import pytest
 
 from repro.cellular.base_station import EXIT_CELL
 from repro.estimation.cache import CacheConfig, QuadrupletCache
-from repro.estimation.quadruplet import HandoffQuadruplet
 
 
 def _record(cache, time, prev, next_cell, sojourn):
-    cache.record(HandoffQuadruplet(time, prev, next_cell, sojourn))
+    cache.record(time, prev, next_cell, sojourn)
 
 
 def _expected(cache):

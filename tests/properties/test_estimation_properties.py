@@ -9,7 +9,6 @@ from repro.cellular.base_station import EXIT_CELL
 from repro.estimation.cache import CacheConfig, QuadrupletCache
 from repro.estimation.estimator import MobilityEstimator
 from repro.estimation.function import HandoffEstimationFunction
-from repro.estimation.quadruplet import HandoffQuadruplet
 
 sojourns = st.floats(
     min_value=0.0, max_value=10_000.0, allow_nan=False, allow_infinity=False
@@ -118,12 +117,12 @@ def test_cache_selection_never_exceeds_quota(events, now):
     config = CacheConfig(interval=3600.0, max_per_pair=5)
     cache = QuadrupletCache(config)
     for event_time, sojourn in sorted(events):
-        cache.record(HandoffQuadruplet(event_time, 1, 2, sojourn))
+        cache.record(event_time, 1, 2, sojourn)
     active = cache.active(now, 1)
     for items in active.values():
         assert len(items) <= config.max_per_pair
-        for item in items:
-            assert item.weight in config.weights
+        for _sojourn, weight in items:
+            assert weight in config.weights
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from repro.core.admission import AdmissionDecision
-from repro.estimation.quadruplet import HandoffQuadruplet
 from repro.mobility.models import Transition
 from repro.serve.driver import Decision
 from repro.serve.events import StreamEvent
@@ -35,12 +34,6 @@ CASES = [
         {"messages": 7},
     ),
     (Transition, {"time": 12.0, "next_cell": 4}, {}, {"next_cell": -1}),
-    (
-        HandoffQuadruplet,
-        {"event_time": 9.0, "prev": None, "next": 2, "sojourn": 30.0},
-        {},
-        {"prev": 1},
-    ),
 ]
 
 
