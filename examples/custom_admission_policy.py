@@ -22,7 +22,7 @@ class HedgedAC1(AC1):
     def admit_new(self, network, cell_id, bandwidth, now) -> AdmissionDecision:
         station = network.station(cell_id)
         messages_before = network.total_messages()
-        station.update_target_reservation(now)
+        network.update_target_reservation(cell_id, now)
         station.cell.reserved_target *= self.margin
         admitted = station.cell.fits_new_connection(bandwidth)
         return AdmissionDecision(

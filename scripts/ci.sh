@@ -65,6 +65,14 @@ echo "== state smoke =="
 # sharded `repro campaign` must leave verifiable days it then reuses.
 PYTHONPATH=src python scripts/state_smoke.py
 
+echo "== lifetime smoke =="
+# A finished run is freed by reference counting: 30 back-to-back ring
+# runs (AC3 and static alternating) with the cycle collector off must
+# not grow the peak RSS by more than 2 MB from run 10 to run 30.  The
+# code before the engine held its owner weakly and before stations
+# dropped their network back-reference grew 11 MB and fails here.
+PYTHONPATH=src python scripts/lifetime_smoke.py
+
 echo "== serve smoke =="
 # Live admission service: WebSocket decision round-trip, a 200-frame
 # pipelined burst with a malformed frame, a duplicate-`conn` admit, a

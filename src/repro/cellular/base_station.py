@@ -1,34 +1,28 @@
 """Base station: the per-cell control-plane of the scheme.
 
 Each :class:`BaseStation` owns its cell's mobility estimator (§3) and
-estimation-window controller (§4.2), and implements the distributed
-reservation protocol of §4.1:
+estimation-window controller (§4.2), answers its neighbours' Eq. 5
+questions over its own connections, and records every departure as a
+quadruplet in the estimator.
 
-* when *this* cell needs ``B_r`` updated, it informs its neighbours of
-  its current ``T_est`` and each neighbour computes Eq. 5 over its own
-  connections; the results are aggregated with Eq. 6;
-* every hand-off arrival (success or drop) feeds the window controller;
-* every departure is recorded as a quadruplet in the estimator.
+A station knows only its own cell.  The §4.1 exchanges that walk a
+cell's neighbours — the Eq. 6 update, ``T_soj,max`` for the window
+controller — live on the :class:`~repro.cellular.network.CellularNetwork`,
+which owns the adjacency: a station holds no reference to the network
+or to another station, so the network's stations point into a run and
+never back out of it.
 
-Inter-BS message exchanges are counted so the star-vs-full-mesh
-signaling comparison (Figure 1) and the ``N_calc`` complexity metric
-(Figure 13) can be reported.
+Inter-BS message exchanges are counted per station so the
+star-vs-full-mesh signaling comparison (Figure 1) and the ``N_calc``
+complexity metric (Figure 13) can be reported.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.cellular.cell import Cell
-from repro.core.reservation import (
-    aggregate_reservation,
-    expected_handoff_bandwidth,
-)
+from repro.core.reservation import expected_handoff_bandwidth
 from repro.core.window import EstimationWindowController
 from repro.estimation.estimator import MobilityEstimator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cellular.network import CellularNetwork
 
 #: Sentinel "next cell" for mobiles driving off an open road's ends.
 EXIT_CELL = -1
@@ -41,8 +35,6 @@ class BaseStation:
     ----------
     cell:
         The radio cell this station serves.
-    network:
-        Owning network (used to reach neighbouring stations).
     estimator:
         This cell's mobility estimator.
     window_controller:
@@ -52,23 +44,16 @@ class BaseStation:
     def __init__(
         self,
         cell: Cell,
-        network: "CellularNetwork",
         estimator: MobilityEstimator,
         window_controller: EstimationWindowController,
     ) -> None:
         self.cell = cell
-        self.network = network
         self.estimator = estimator
         self.window = window_controller
         #: Number of times this station computed its own ``B_r`` (Eq. 6).
         self.reservation_calculations = 0
         #: Inter-BS (or BS<->MSC) messages attributable to this station.
         self.messages_sent = 0
-        #: Cached neighbour stations (the topology is immutable).
-        self._neighbor_stations: list["BaseStation"] | None = None
-        #: Whether ``T_soj,max`` may be asked for on demand (decided on
-        #: the first hand-off, once every neighbour station exists).
-        self._bound_on_demand: bool | None = None
 
     @property
     def cell_id(self) -> int:
@@ -79,18 +64,8 @@ class BaseStation:
         """Current estimation window ``T_est`` of this cell (seconds)."""
         return self.window.t_est
 
-    def neighbor_stations(self) -> list["BaseStation"]:
-        """Base stations of the adjacent cells (``A_0``)."""
-        stations = self._neighbor_stations
-        if stations is None:
-            stations = self._neighbor_stations = [
-                self.network.station(neighbor)
-                for neighbor in self.network.topology.neighbors(self.cell_id)
-            ]
-        return stations
-
     # ------------------------------------------------------------------
-    # distributed reservation (Eqs. 5-6)
+    # Eq. 5: this cell's answers to its neighbours
     # ------------------------------------------------------------------
     def outgoing_reservation(self, now: float, target_cell: int,
                              t_est: float) -> float:
@@ -144,62 +119,9 @@ class BaseStation:
             return [None] * len(requests)
         return parts(now, requests, cell, batch)
 
-    def update_target_reservation(self, now: float) -> float:
-        """Eq. 6: recompute and install this cell's ``B_r``.
-
-        The literal transcription of §4.1: this BS announces ``T_est``
-        to each neighbour (one message each), every neighbour answers
-        with its Eq. 5 contribution (one message each).  The policies
-        go through the batched
-        :meth:`~repro.cellular.network.CellularNetwork.flush_reservation_tick`
-        instead; this is what that tick is tested against.
-        """
-        contributions = []
-        network = self.network
-        for neighbor in self.neighbor_stations():
-            self.messages_sent += 1  # announce T_est to the neighbour
-            contributions.append(
-                neighbor.outgoing_reservation(now, self.cell_id, self.t_est)
-            )
-            neighbor.messages_sent += 1  # neighbour returns B_{i,0}
-            network.count_messages(2)
-        reservation = aggregate_reservation(contributions)
-        self.cell.reserved_target = reservation
-        self.reservation_calculations += 1
-        return reservation
-
     # ------------------------------------------------------------------
     # hand-off bookkeeping
     # ------------------------------------------------------------------
-    def neighborhood_max_sojourn(self, now: float) -> float:
-        """``T_soj,max``: largest sojourn in the neighbours' estimators."""
-        maximum = 0.0
-        for neighbor in self.neighbor_stations():
-            maximum = max(maximum, neighbor.estimator.max_sojourn(now))
-        return maximum
-
-    def on_handoff_arrival(self, dropped: bool, now: float) -> None:
-        """Feed the window controller for a hand-off into this cell.
-
-        ``T_soj,max`` goes in as the method that computes it, and the
-        controller asks only on the Figure 6 line that reads the bound —
-        provided every neighbour answers from resident columns.  A
-        neighbour with a finite ``T_int`` answers from its per-``prev``
-        snapshots and re-cuts the stale ones as it goes, which later
-        Eq. 4 queries then see: skipping the question would move those
-        runs' results, so for them it is still asked on every hand-off.
-        """
-        bound = self.neighborhood_max_sojourn
-        on_demand = self._bound_on_demand
-        if on_demand is None:
-            on_demand = self._bound_on_demand = all(
-                getattr(neighbor.estimator, "max_sojourn_is_resident", False)
-                for neighbor in self.neighbor_stations()
-            )
-        if not on_demand:
-            bound = bound(now)
-        self.window.on_handoff(dropped, bound, now)
-
     def record_departure(
         self,
         now: float,

@@ -1,4 +1,13 @@
-"""The cellular network: cells, topology, and their base stations."""
+"""The cellular network: cells, topology, and their base stations.
+
+The network owns the adjacency.  Every exchange that walks a cell's
+neighbours — the coalesced reservation tick, the literal §4.1 Eq. 6
+update it is tested against, ``T_soj,max`` for a hand-off's window
+controller — is a network method taking the cell id.  References run
+one way, network → stations → cells and estimators: no station points
+back at the network or at another station, so a dropped network is
+freed by reference counting.
+"""
 
 from __future__ import annotations
 
@@ -82,9 +91,9 @@ class CellularNetwork:
         #: it, so a restored run counts from its restore.
         self.tick_window_rows = 0
         #: Running inter-BS message total (kept in sync with the
-        #: per-station ``messages_sent`` counters via
-        #: :meth:`count_messages`, so the per-admission message deltas
-        #: need no sweep over all stations).
+        #: per-station ``messages_sent`` counters wherever those are
+        #: counted, so the per-admission message deltas need no sweep
+        #: over all stations).
         self._messages_total = 0
         self.cells: list[Cell] = []
         self.stations: list[BaseStation] = []
@@ -107,9 +116,20 @@ class CellularNetwork:
                 window_config or WindowControllerConfig()
             )
             self.cells.append(cell)
-            self.stations.append(
-                BaseStation(cell, self, estimator, controller)
-            )
+            self.stations.append(BaseStation(cell, estimator, controller))
+        # Per cell, built on first use (a sharded city's network never
+        # asks for most of them): its neighbour stations; its
+        # ``T_soj,max`` as a function of ``now``, closed over that list
+        # rather than over the network; and whether that bound may be
+        # asked on demand, decided on the cell's first hand-off from the
+        # estimators its neighbours have by then.
+        self._neighbor_stations: list[list[BaseStation] | None] = [
+            None
+        ] * topology.num_cells
+        self._max_sojourn: list[Callable[[float], float] | None] = [
+            None
+        ] * topology.num_cells
+        self._bound_on_demand = [False] * topology.num_cells
 
     def instrument(self, telemetry, tracer) -> None:
         """Record into one run's ``telemetry`` and ``tracer``.
@@ -140,6 +160,16 @@ class CellularNetwork:
     def neighbors(self, cell_id: int) -> tuple[int, ...]:
         """Adjacent cell ids."""
         return tuple(self.topology.neighbors(cell_id))
+
+    def neighbor_stations(self, cell_id: int) -> list[BaseStation]:
+        """Base stations of the cells adjacent to ``cell_id`` (``A_0``)."""
+        stations = self._neighbor_stations[cell_id]
+        if stations is None:
+            stations = self._neighbor_stations[cell_id] = [
+                self.stations[neighbor]
+                for neighbor in self.topology.neighbors(cell_id)
+            ]
+        return stations
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells)
@@ -183,7 +213,7 @@ class CellularNetwork:
         message_pairs = 0
         for cell_id in dirty:
             station = self.stations[cell_id]
-            neighbors = station.neighbor_stations()
+            neighbors = self.neighbor_stations(cell_id)
             plan.append((station, neighbors))
             for neighbor in neighbors:
                 station.messages_sent += 1  # announce T_est
@@ -211,6 +241,29 @@ class CellularNetwork:
             station.reservation_calculations += 1
         self.tick_flushes += 1
         self.tick_targets += len(plan)
+
+    def update_target_reservation(self, cell_id: int, now: float) -> float:
+        """Eq. 6: recompute and install ``cell_id``'s ``B_r``.
+
+        The literal transcription of §4.1: the cell's BS announces
+        ``T_est`` to each neighbour (one message each), every neighbour
+        answers with its Eq. 5 contribution (one message each).  The
+        policies go through the batched :meth:`flush_reservation_tick`
+        instead; this is what that tick is tested against.
+        """
+        station = self.stations[cell_id]
+        contributions = []
+        for neighbor in self.neighbor_stations(cell_id):
+            station.messages_sent += 1  # announce T_est to the neighbour
+            contributions.append(
+                neighbor.outgoing_reservation(now, cell_id, station.t_est)
+            )
+            neighbor.messages_sent += 1  # neighbour returns B_{i,0}
+            self._messages_total += 2
+        reservation = aggregate_reservation(contributions)
+        station.cell.reserved_target = reservation
+        station.reservation_calculations += 1
+        return reservation
 
     def supply_reservations(
         self, now: float, requests: dict[int, list[tuple[int, float]]]
@@ -250,6 +303,37 @@ class CellularNetwork:
                     0.0 if slot is None else totals[slot] for slot in slots
                 ]
         return supplies
+
+    # ------------------------------------------------------------------
+    # hand-off bookkeeping
+    # ------------------------------------------------------------------
+    def neighborhood_max_sojourn(self, cell_id: int, now: float) -> float:
+        """``T_soj,max``: largest sojourn in the estimators of
+        ``cell_id``'s neighbours."""
+        return _max_sojourn_over(self.neighbor_stations(cell_id))(now)
+
+    def on_handoff_arrival(self, cell_id: int, dropped: bool, now: float) -> None:
+        """Feed ``cell_id``'s window controller for a hand-off into it.
+
+        ``T_soj,max`` goes in as the function that computes it, and the
+        controller asks only on the Figure 6 line that reads the bound —
+        provided every neighbour answers from resident columns.  A
+        neighbour with a finite ``T_int`` answers from its per-``prev``
+        snapshots and re-cuts the stale ones as it goes, which later
+        Eq. 4 queries then see: skipping the question would move those
+        runs' results, so for them it is still asked on every hand-off.
+        """
+        bound = self._max_sojourn[cell_id]
+        if bound is None:
+            neighbors = self.neighbor_stations(cell_id)
+            bound = self._max_sojourn[cell_id] = _max_sojourn_over(neighbors)
+            self._bound_on_demand[cell_id] = all(
+                getattr(neighbor.estimator, "max_sojourn_is_resident", False)
+                for neighbor in neighbors
+            )
+        if not self._bound_on_demand[cell_id]:
+            bound = bound(now)
+        self.stations[cell_id].window.on_handoff(dropped, bound, now)
 
     def harvest_telemetry(self, tel, cell_ids=None) -> None:
         """Fold the stations' plain-int counters into ``tel``.
@@ -324,10 +408,6 @@ class CellularNetwork:
         """Bandwidth in use across the whole network (BUs)."""
         return sum(cell.used_bandwidth for cell in self.cells)
 
-    def count_messages(self, count: int) -> None:
-        """Note inter-BS messages just added to a station's counter."""
-        self._messages_total += count
-
     def total_messages(self) -> int:
         """Inter-BS messages sent by all stations so far (O(1))."""
         return self._messages_total
@@ -345,3 +425,16 @@ class CellularNetwork:
         return sum(
             station.reservation_calculations for station in self.stations
         )
+
+
+def _max_sojourn_over(stations: list[BaseStation]) -> Callable[[float], float]:
+    """``T_soj,max`` over ``stations``' estimators, as a function of
+    ``now``; each call reads the estimator a station has then."""
+
+    def max_sojourn(now: float) -> float:
+        maximum = 0.0
+        for station in stations:
+            maximum = max(maximum, station.estimator.max_sojourn(now))
+        return maximum
+
+    return max_sojourn

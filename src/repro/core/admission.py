@@ -163,7 +163,7 @@ class AC2(AdmissionPolicy):
     ) -> AdmissionDecision:
         station = network.station(cell_id)
         messages_before = network.total_messages()
-        neighbors = station.neighbor_stations()
+        neighbors = network.neighbor_stations(cell_id)
         for neighbor in neighbors:
             network.mark_reservation_dirty(neighbor.cell_id)
         network.mark_reservation_dirty(cell_id)
@@ -202,7 +202,7 @@ class AC3(AdmissionPolicy):
         # this test never touch.
         suspects = [
             neighbor
-            for neighbor in station.neighbor_stations()
+            for neighbor in network.neighbor_stations(cell_id)
             if neighbor.cell.is_suspect
         ]
         for suspect in suspects:

@@ -7,6 +7,17 @@ explicit priority, then by scheduling order.  Nothing is ever removed
 from the heap except by firing: the call life-cycle gives a connection
 exactly one possible next event, so no caller has anything to cancel.
 
+An engine may have an *owner* — the simulator or shard that drives it —
+which holds the engine and schedules its own handler *functions*
+(``CellularSimulator._on_arrival``, not a bound method).  The engine
+holds the owner only through a weak reference, and :meth:`Engine.run`
+binds the owner's handlers once per call into a table that lives as
+long as that call.  So no pending event points back out of the run: a
+dropped simulator is freed by reference counting, with its queue,
+network and caches, instead of waiting for the cycle collector.  A
+callback that is not one of the owner's handlers is called as it is,
+which is all an ownerless ``Engine()`` ever does.
+
 Example
 -------
 >>> from repro.des import Engine
@@ -22,7 +33,8 @@ Example
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator
+import weakref
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.des.events import EventPriority
 
@@ -44,10 +56,22 @@ class Engine:
     ----------
     start_time:
         Initial value of the virtual clock (seconds).
+    owner:
+        The object that drives this engine, held weakly.
+    handlers:
+        The owner's event handlers, as plain functions: what the owner
+        schedules, and what each :meth:`run` binds to it.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(
+        self,
+        start_time: float = 0.0,
+        owner: object = None,
+        handlers: Iterable[Callable[..., None]] = (),
+    ) -> None:
         self._now = float(start_time)
+        self._owner = None if owner is None else weakref.ref(owner)
+        self._handlers = tuple(handlers)
         #: Binary heap of ``(time, priority, sequence, callback, args)``.
         #: ``sequence`` is unique, so a comparison is decided in C by the
         #: first three fields and never reaches the callback.
@@ -81,8 +105,19 @@ class Engine:
     def queued(self) -> Iterator[tuple]:
         """The pending ``(time, priority, sequence, callback, args)``
         entries, in heap order — the one place the entry layout is read
-        from outside (checkpoint capture, tests)."""
+        from outside (checkpoint capture, tests).  An owned event's
+        ``callback`` is the unbound handler function."""
         return iter(self._queue)
+
+    def _bound_handlers(self) -> dict:
+        """This run's ``handler -> callable`` table: each handler bound
+        to the living owner, or, once the owner is gone, to a refusal."""
+        if self._owner is None:
+            return {}
+        owner = self._owner()
+        if owner is None:
+            return {handler: _orphaned(handler) for handler in self._handlers}
+        return {handler: handler.__get__(owner) for handler in self._handlers}
 
     def call_at(
         self,
@@ -163,6 +198,7 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
+        bound = self._bound_handlers().get
         self._running = True
         queue = self._queue
         heappop = heapq.heappop
@@ -189,7 +225,7 @@ class Engine:
                 while True:
                     _, _, _, callback, args = heappop(queue)
                     self.events_processed += 1
-                    callback(*args)
+                    bound(callback, callback)(*args)
                     if observer is not None:
                         countdown -= 1
                         if not countdown:
@@ -201,3 +237,15 @@ class Engine:
                 self._now = until
         finally:
             self._running = False
+
+
+def _orphaned(handler: Callable[..., None]) -> Callable[..., None]:
+    """A stand-in for ``handler`` whose owner was freed: it refuses
+    rather than call the plain function without its ``self``."""
+
+    def refuse(*args: Any) -> None:
+        raise SimulationError(
+            f"cannot fire {handler.__qualname__}: the engine's owner is gone"
+        )
+
+    return refuse

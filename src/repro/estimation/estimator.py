@@ -343,7 +343,7 @@ class MobilityEstimator:
         window controller reads the bound; the windowed configuration
         walks the per-``prev`` snapshots, rebuilding the stale ones, on
         every hand-off arrival (see
-        :meth:`~repro.cellular.base_station.BaseStation.on_handoff_arrival`).
+        :meth:`~repro.cellular.network.CellularNetwork.on_handoff_arrival`).
         """
         fast = self.cache.max_active_sojourn()
         if fast is not None:

@@ -168,7 +168,7 @@ class StreamDriver:
             # The simulator's own monitor loop: it re-queues itself.
             self.engine.call_at(
                 config.sample_interval,
-                self.sim._on_sample,
+                CellularSimulator._on_sample,
                 priority=EventPriority.MONITOR,
             )
 

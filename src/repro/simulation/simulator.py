@@ -328,7 +328,7 @@ class CellularSimulator:
     ) -> None:
         self.config = config
         self.run_id, self.telemetry, self.tracer = begin_observability(config)
-        self.engine = Engine()
+        self.engine = Engine(owner=self, handlers=self.HANDLERS.values())
         self.streams = RandomStreams(config.seed)
         # Hot-path stream handles, resolved once: checkpoint restore
         # mutates these Random objects in place (``setstate``), so the
@@ -428,7 +428,7 @@ class CellularSimulator:
                 if first is not None:
                     self.engine.call_at(
                         first,
-                        self._on_arrival,
+                        CellularSimulator._on_arrival,
                         cell_id,
                         1,
                         priority=EventPriority.ARRIVAL,
@@ -436,7 +436,7 @@ class CellularSimulator:
             if self.config.sample_interval > 0:
                 self.engine.call_at(
                     self.config.sample_interval,
-                    self._on_sample,
+                    CellularSimulator._on_sample,
                     priority=EventPriority.MONITOR,
                 )
         config = self.config
@@ -556,9 +556,7 @@ class CellularSimulator:
         admitted = allocation is not None
         self._record_departure(connection, old_cell, new_cell, now)
         self.network.cell(old_cell).detach(connection)
-        self.network.station(new_cell).on_handoff_arrival(
-            dropped=not admitted, now=now
-        )
+        self.network.on_handoff_arrival(new_cell, not admitted, now)
         self.metrics.record_handoff(new_cell, now, dropped=not admitted)
         if self.recorder is not None:
             self.recorder.on_handoff(
@@ -648,7 +646,7 @@ class CellularSimulator:
             if next_time is not None:
                 self.engine.call_at(
                     next_time,
-                    self._on_arrival,
+                    CellularSimulator._on_arrival,
                     cell_id,
                     1,
                     priority=EventPriority.ARRIVAL,
@@ -662,7 +660,7 @@ class CellularSimulator:
             if self.retry.should_retry(attempt, self._retry_rng):
                 self.engine.call_in(
                     self.retry.delay,
-                    self._handle_request,
+                    CellularSimulator._handle_request,
                     cell_id,
                     attempt + 1,
                     priority=EventPriority.ARRIVAL,
@@ -709,14 +707,14 @@ class CellularSimulator:
         if end <= at:
             self.engine.call_at(
                 end,
-                self._on_lifetime_end,
+                CellularSimulator._on_lifetime_end,
                 connection,
                 priority=EventPriority.DEPARTURE,
             )
         else:
             self.engine.call_at(
                 at,
-                self._on_crossing,
+                CellularSimulator._on_crossing,
                 connection,
                 transition,
                 soft_deadline,
@@ -765,9 +763,21 @@ class CellularSimulator:
             )
         self.engine.call_at(
             now + self.config.sample_interval,
-            self._on_sample,
+            CellularSimulator._on_sample,
             priority=EventPriority.MONITOR,
         )
+
+    #: Every handler the simulator schedules, by the kind a checkpoint
+    #: records its pending events under.  The engine binds exactly these
+    #: to the simulator for each run (it holds the simulator weakly), and
+    #: :mod:`repro.state.checkpoint` names each queued event by them.
+    HANDLERS = {
+        "arrival": _on_arrival,
+        "retry": _handle_request,
+        "lifetime": _on_lifetime_end,
+        "crossing": _on_crossing,
+        "sample": _on_sample,
+    }
 
     # ------------------------------------------------------------------
     # result assembly

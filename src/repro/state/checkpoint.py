@@ -150,20 +150,17 @@ _TRACE_SERIES = {
 _TRACE_COUNTS = {"attempts": "_trace_attempts", "drops": "_trace_drops"}
 #: Per-cell counters, one positional row each, in this order.
 _CELL_COUNTERS = tuple(field.name for field in fields(CellCounters))
-#: Each pending-event kind: its simulator handler, its priority and the
-#: record keys of the handler's arguments.  ``conn`` holds a connection
-#: by id, ``transition`` spreads into ``t_time``/``t_next``, and an
-#: argument that is ``None`` is left out of the record.
+#: Each pending-event kind (a key of ``CellularSimulator.HANDLERS``,
+#: which gives its handler): its priority and the record keys of the
+#: handler's arguments.  ``conn`` holds a connection by id,
+#: ``transition`` spreads into ``t_time``/``t_next``, and an argument
+#: that is ``None`` is left out of the record.
 _QUEUED = {
-    "arrival": ("_on_arrival", EventPriority.ARRIVAL, ("cell", "attempt")),
-    "retry": ("_handle_request", EventPriority.ARRIVAL, ("cell", "attempt")),
-    "lifetime": ("_on_lifetime_end", EventPriority.DEPARTURE, ("conn",)),
-    "crossing": (
-        "_on_crossing",
-        EventPriority.HANDOFF,
-        ("conn", "transition", "soft"),
-    ),
-    "sample": ("_on_sample", EventPriority.MONITOR, ()),
+    "arrival": (EventPriority.ARRIVAL, ("cell", "attempt")),
+    "retry": (EventPriority.ARRIVAL, ("cell", "attempt")),
+    "lifetime": (EventPriority.DEPARTURE, ("conn",)),
+    "crossing": (EventPriority.HANDOFF, ("conn", "transition", "soft")),
+    "sample": (EventPriority.MONITOR, ()),
 }
 
 
@@ -293,26 +290,19 @@ def _capture_connection(connection: Connection) -> dict:
 
 
 def _capture_queue(sim: "CellularSimulator") -> list[dict]:
-    kinds = {
-        getattr(type(sim), handler): kind
-        for kind, (handler, _, _) in _QUEUED.items()
-    }
+    kinds = {handler: kind for kind, handler in sim.HANDLERS.items()}
     records = []
     for time, _, sequence, callback, args in sim.engine.queued():
-        if getattr(callback, "__self__", None) is not sim:
+        kind = kinds.get(callback)
+        if kind is None:
             # Progress/checkpoint hooks never schedule; anything
             # else in the queue belongs to code the schema cannot
             # reconstruct.
             raise CheckpointError(
                 f"cannot serialize foreign pending event {callback!r}"
             )
-        kind = kinds.get(callback.__func__)
-        if kind is None:
-            raise CheckpointError(
-                f"cannot serialize pending event {callback.__func__!r}"
-            )
         record: dict = {"time": time, "seq": sequence, "kind": kind}
-        for key, value in zip(_QUEUED[kind][2], args):
+        for key, value in zip(_QUEUED[kind][1], args):
             if key == "conn":
                 record[key] = value.connection_id
             elif key == "transition":
@@ -652,7 +642,7 @@ def _restore_queue(
         kind = record["kind"]
         if kind not in _QUEUED:
             raise StateFormatError(f"unknown queued event kind {kind!r}")
-        handler, priority, keys = _QUEUED[kind]
+        priority, keys = _QUEUED[kind]
         args = []
         for key in keys:
             if key == "conn":
@@ -662,7 +652,7 @@ def _restore_queue(
             else:
                 args.append(record.get(key))
         sim.engine.call_at(
-            record["time"], getattr(sim, handler), *args, priority=priority
+            record["time"], sim.HANDLERS[kind], *args, priority=priority
         )
 
 
@@ -703,7 +693,7 @@ def restore_simulator(path: str | Path, config) -> "CellularSimulator":
             f"checkpoint has {len(runtime['cells'])} cells, "
             f"configuration builds {sim.topology.num_cells}"
         )
-    engine = Engine(start_time=clock)
+    engine = Engine(clock, owner=sim, handlers=sim.HANDLERS.values())
     engine.events_processed = runtime["events_processed"]
     sim.engine = engine
     for name, (version, internal, gauss) in runtime["rng"].items():

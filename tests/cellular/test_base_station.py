@@ -1,4 +1,5 @@
-"""Unit tests for the base-station control plane (Eqs. 5-6 protocol)."""
+"""Unit tests for the base-station control plane (Eqs. 5-6 protocol):
+a station's own answers, and the network's walks over its neighbours."""
 
 from itertools import count
 
@@ -37,8 +38,7 @@ def attach(network, cell_id, traffic_class, entry_time, prev=None):
 
 def test_neighbor_stations():
     network = make_network()
-    station = network.station(0)
-    assert [s.cell_id for s in station.neighbor_stations()] == [3, 1]
+    assert [s.cell_id for s in network.neighbor_stations(0)] == [3, 1]
 
 
 def test_outgoing_reservation_matches_eq5():
@@ -64,7 +64,7 @@ def test_update_target_reservation_aggregates_neighbors():
         attach(network, neighbor, VOICE, entry_time=95.0)
     target = network.station(0)
     target.window.t_est = 10.0
-    reservation = target.update_target_reservation(100.0)
+    reservation = network.update_target_reservation(0, 100.0)
     assert reservation == pytest.approx(2.0)  # 1 BU from each side
     assert network.cell(0).reserved_target == pytest.approx(2.0)
     assert target.reservation_calculations == 1
@@ -72,9 +72,8 @@ def test_update_target_reservation_aggregates_neighbors():
 
 def test_update_counts_messages():
     network = make_network()
-    station = network.station(0)
     before = network.total_messages()
-    station.update_target_reservation(0.0)
+    network.update_target_reservation(0, 0.0)
     # One announcement + one reply per neighbour.
     assert network.total_messages() - before == 4
 
@@ -85,7 +84,7 @@ def test_neighborhood_max_sojourn():
     network.station(3).estimator.record_departure(0.0, None, 0, 55.0)
     network.station(2).estimator.record_departure(0.0, None, 1, 99.0)
     # Cell 0's neighbours are 1 and 3; cell 2's history is irrelevant.
-    assert network.station(0).neighborhood_max_sojourn(10.0) == 55.0
+    assert network.neighborhood_max_sojourn(0, 10.0) == 55.0
 
 
 def test_on_handoff_arrival_feeds_controller():
@@ -93,7 +92,7 @@ def test_on_handoff_arrival_feeds_controller():
     station = network.station(0)
     network.station(1).estimator.record_departure(0.0, None, 0, 40.0)
     for _ in range(2):
-        station.on_handoff_arrival(dropped=True, now=5.0)
+        network.on_handoff_arrival(0, dropped=True, now=5.0)
     assert station.window.total_drops == 2
     assert station.window.t_est == 2.0  # bounded by max sojourn 40
 
@@ -115,14 +114,14 @@ def test_t_est_property_reflects_controller():
 
 @pytest.mark.parametrize("t_int", [None, 60.0])
 def test_bound_on_demand_leaves_a_run_bit_identical(monkeypatch, t_int):
-    """``on_handoff_arrival`` hands the controller the method instead of
-    the value.  The eager form is kept here as the reference: same
+    """``on_handoff_arrival`` hands the controller the function instead
+    of the value.  The eager form is kept here as the reference: same
     metrics, same ``T_est`` trace, far fewer walks over the neighbours.
     With a finite ``T_int`` a walk re-cuts stale snapshots, so skipping
     one would show in the metrics: those runs keep every walk."""
     from dataclasses import replace
 
-    from repro.cellular.base_station import BaseStation
+    from repro.cellular import network as network_module
     from repro.simulation.scenarios import stationary
     from repro.simulation.simulator import CellularSimulator
 
@@ -131,13 +130,18 @@ def test_bound_on_demand_leaves_a_run_bit_identical(monkeypatch, t_int):
         t_int=t_int,
     )
     walks = []
-    walk = BaseStation.neighborhood_max_sojourn
+    walk_over = network_module._max_sojourn_over
 
-    def counted(self, now):
-        walks.append(now)
-        return walk(self, now)
+    def counted_over(stations):
+        walk = walk_over(stations)
 
-    monkeypatch.setattr(BaseStation, "neighborhood_max_sojourn", counted)
+        def counted(now):
+            walks.append(now)
+            return walk(now)
+
+        return counted
+
+    monkeypatch.setattr(network_module, "_max_sojourn_over", counted_over)
 
     def run():
         del walks[:]
@@ -150,10 +154,14 @@ def test_bound_on_demand_leaves_a_run_bit_identical(monkeypatch, t_int):
 
     on_demand = run()
 
-    def eager(self, dropped, now):
-        self.window.on_handoff(dropped, self.neighborhood_max_sojourn(now), now)
+    def eager(self, cell_id, dropped, now):
+        self.stations[cell_id].window.on_handoff(
+            dropped, self.neighborhood_max_sojourn(cell_id, now), now
+        )
 
-    monkeypatch.setattr(BaseStation, "on_handoff_arrival", eager)
+    monkeypatch.setattr(
+        network_module.CellularNetwork, "on_handoff_arrival", eager
+    )
     reference = run()
 
     assert on_demand[:2] == reference[:2]

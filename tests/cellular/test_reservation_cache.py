@@ -66,7 +66,7 @@ class TestBatchedEquivalence:
         tick(batched, 100.0, [0])
         assert (
             batched.cell(0).reserved_target
-            == naive.station(0).update_target_reservation(100.0)
+            == naive.update_target_reservation(0, 100.0)
         )
 
     def test_messages_and_calculations_counted_identically(self):
@@ -74,8 +74,8 @@ class TestBatchedEquivalence:
         naive = build_network()
         tick(batched, 100.0, [0])
         tick(batched, 100.0, [0])
-        naive.station(0).update_target_reservation(100.0)
-        naive.station(0).update_target_reservation(100.0)
+        naive.update_target_reservation(0, 100.0)
+        naive.update_target_reservation(0, 100.0)
         assert batched.total_messages() == naive.total_messages()
         assert (
             batched.total_reservation_calculations()
@@ -83,11 +83,11 @@ class TestBatchedEquivalence:
         )
 
     def test_message_total_matches_station_sweep(self):
-        # total_messages() is maintained O(1) via count_messages();
+        # total_messages() is maintained O(1) as messages are counted;
         # it must always equal the sum of per-station counters.
         network = build_network()
-        network.station(0).update_target_reservation(100.0)
-        network.station(5).update_target_reservation(101.0)
+        network.update_target_reservation(0, 100.0)
+        network.update_target_reservation(5, 101.0)
         assert network.total_messages() == sum(
             station.messages_sent for station in network.stations
         )
@@ -102,7 +102,7 @@ class TestGroupedFlush:
         sequential = build_network()
         tick(grouped, 100.0, (0, 2, 8))
         for cell_id in (0, 2, 8):
-            sequential.station(cell_id).update_target_reservation(100.0)
+            sequential.update_target_reservation(cell_id, 100.0)
         for cell_id in (0, 2, 8):
             assert (
                 grouped.cell(cell_id).reserved_target
@@ -235,7 +235,7 @@ def test_randomized_history_matches_naive(seed, interval):
         tick(batched, now, [0])
         assert (
             batched.cell(0).reserved_target
-            == naive.station(0).update_target_reservation(now)
+            == naive.update_target_reservation(0, now)
         )
 
 
@@ -272,7 +272,7 @@ def test_randomized_history_grouped_tick_matches_sequential(seed):
         targets = rng.sample(range(10), rng.randrange(1, 4))
         tick(grouped, now, targets)
         for cell_id in targets:
-            sequential.station(cell_id).update_target_reservation(now)
+            sequential.update_target_reservation(cell_id, now)
         for cell_id in targets:
             assert (
                 grouped.cell(cell_id).reserved_target
@@ -363,7 +363,7 @@ def test_mixed_supplier_tick_matches_sequential_updates(seed, columnar):
     targets = [0, 2, 3, 4, 5, 1]
     tick(ticked, 100.0, targets)
     for cell_id in targets:
-        sequential.station(cell_id).update_target_reservation(100.0)
+        sequential.update_target_reservation(cell_id, 100.0)
 
     def installed(network):
         return [

@@ -94,7 +94,7 @@ class _LiteralAC1(AdmissionPolicy):
     def admit_new(self, network, cell_id, bandwidth, now):
         station = network.station(cell_id)
         messages_before = network.total_messages()
-        station.update_target_reservation(now)
+        network.update_target_reservation(cell_id, now)
         return AdmissionDecision(
             admitted=station.cell.fits_new_connection(bandwidth),
             calculations=1,
@@ -110,12 +110,12 @@ class _LiteralAC2(AdmissionPolicy):
         messages_before = network.total_messages()
         calculations = 0
         admitted = True
-        for neighbor in station.neighbor_stations():
-            neighbor.update_target_reservation(now)
+        for neighbor in network.neighbor_stations(cell_id):
+            network.update_target_reservation(neighbor.cell_id, now)
             calculations += 1
             if not neighbor.cell.can_reserve_target():
                 admitted = False
-        station.update_target_reservation(now)
+        network.update_target_reservation(cell_id, now)
         calculations += 1
         if not station.cell.fits_new_connection(bandwidth):
             admitted = False
@@ -134,14 +134,14 @@ class _LiteralAC3(AdmissionPolicy):
         messages_before = network.total_messages()
         calculations = 0
         admitted = True
-        for neighbor in station.neighbor_stations():
+        for neighbor in network.neighbor_stations(cell_id):
             if neighbor.cell.can_reserve_target():
                 continue  # target fits; stays out of the test
-            neighbor.update_target_reservation(now)
+            network.update_target_reservation(neighbor.cell_id, now)
             calculations += 1
             if not neighbor.cell.can_reserve_target():
                 admitted = False
-        station.update_target_reservation(now)
+        network.update_target_reservation(cell_id, now)
         calculations += 1
         if not station.cell.fits_new_connection(bandwidth):
             admitted = False

@@ -156,4 +156,4 @@ class TestCalendarEstimator:
         station.record_departure(100.0, prev=1, next_cell=2, entry_time=50.0)
         assert station.estimator.cache.total_recorded == 1
         # The Eq. 5/6 path works through the calendar wrapper.
-        assert station.update_target_reservation(200.0) >= 0.0
+        assert network.update_target_reservation(0, 200.0) >= 0.0

@@ -269,7 +269,9 @@ def test_restored_buckets_match_the_snapshot_walk(restored, windows):
     for station in restored.network.stations:
         asked = [
             (neighbor.cell_id, t_est)
-            for neighbor in station.neighbor_stations()
+            for neighbor in restored.network.neighbor_stations(
+                station.cell_id
+            )
             for t_est in windows
         ]
         _assert_batch_matches_walk(

@@ -155,13 +155,15 @@ def test_policies_match_the_literal_transcription(
 def test_reservation_nonnegative_and_bounded(loads, history):
     network = build_network(loads, history, [30.0] * 4)
     for station in network.stations:
-        reservation = station.update_target_reservation(1000.0)
+        reservation = network.update_target_reservation(
+            station.cell_id, 1000.0
+        )
         assert reservation >= 0.0
         # Eq. 6 cannot exceed the total bandwidth of the neighbours'
         # connections (every p_h <= 1).
         bound = sum(
             neighbor.cell.used_bandwidth
-            for neighbor in station.neighbor_stations()
+            for neighbor in network.neighbor_stations(station.cell_id)
         )
         assert reservation <= bound + 1e-9
 
@@ -173,6 +175,6 @@ def test_reservation_monotone_in_t_est(loads, history):
     previous = -1.0
     for t_est in (1.0, 10.0, 40.0, 200.0):
         network = build_network(loads, history, [t_est] * 4)
-        reservation = network.station(0).update_target_reservation(1000.0)
+        reservation = network.update_target_reservation(0, 1000.0)
         assert reservation >= previous - 1e-9
         previous = reservation

@@ -90,9 +90,7 @@ def test_reservation_identical_across_kernels(items, offsets):
     for kernel in available_kernels():
         set_kernel(kernel)
         network = build_network(items, offsets)
-        results[kernel] = network.station(0).update_target_reservation(
-            100.0
-        )
+        results[kernel] = network.update_target_reservation(0, 100.0)
     values = set(results.values())
     assert len(values) == 1, results
 

@@ -116,7 +116,7 @@ def _check_tick(network, now, targets):
             neighbor.estimator.expected_bandwidth(
                 now, list(neighbor.cell.connections()), cell_id, t_est
             )
-            for neighbor in network.station(cell_id).neighbor_stations()
+            for neighbor in network.neighbor_stations(cell_id)
         )
         assert network.cell(cell_id).reserved_target == expected
 

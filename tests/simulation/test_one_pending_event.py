@@ -36,7 +36,7 @@ def _life_cycle_entries(engine, owner, key=lambda subject: subject) -> Counter:
     return Counter(
         key(args[0])
         for _, _, _, callback, args in engine.queued()
-        if callback.__func__ in handlers
+        if callback in handlers
     )
 
 

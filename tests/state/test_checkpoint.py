@@ -307,6 +307,30 @@ class TestGuards:
         with pytest.raises(CheckpointError):
             save_checkpoint(sim, tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("bound", [False, True], ids=["function", "method"])
+    def test_a_foreign_pending_event_is_refused_by_name(self, tmp_path, bound):
+        """Capture names each queued event by the simulator's handler
+        function; anything else — a stray hook, or even a bound method
+        of the simulator — is refused with the callback in the message."""
+        sim = CellularSimulator(base_config(duration=50.0))
+        sim.run()
+
+        def stray_hook():
+            pass
+
+        callback = sim._on_sample if bound else stray_hook
+        sim.engine.call_at(60.0, callback)
+        name = "_on_sample" if bound else "stray_hook"
+        with pytest.raises(
+            CheckpointError, match=f"cannot serialize foreign pending event .*{name}"
+        ):
+            save_checkpoint(sim, tmp_path / "ckpt")
+
+    def test_every_handler_has_a_record_kind(self):
+        from repro.state.checkpoint import _QUEUED
+
+        assert set(_QUEUED) == set(CellularSimulator.HANDLERS)
+
     def test_config_fingerprint_mismatch(self, tmp_path):
         config = base_config(duration=50.0)
         sim = CellularSimulator(config)
